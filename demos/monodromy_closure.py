@@ -4,9 +4,10 @@ Compute the restricted monodromy closure for the 8-square survivor.
 The affine group of an origami acts on integer homology by symplectic
 matrices.  On the rank-4 kernel of the two holonomy covectors this action
 generates a finite matrix group for the survivor — the computable
-signature of an isometrically-moving subspace — while for a generic shear
-the closure blows up immediately.  The script prints the stabilizer
-words, their matrices, and both closure classifications.
+signature of an isometrically-moving subspace — while the torus shear
+generates an infinite group: its cube is congruent to the identity mod 3
+without being the identity.  The script prints the stabilizer words,
+their matrices, and both closure classifications.
 
 Run with::
 

@@ -13,7 +13,7 @@ Modules
 - :mod:`squaretiled.transverse` — exact interval maps and transverse-cylinder
   searches; the window-inequality solver
 - :mod:`squaretiled.monodromy` — affine stabilizer, its symplectic action on
-  homology, finiteness detection, isometric-subspace criteria
+  homology, exact finiteness decision, isometric-subspace criteria
 - :mod:`squaretiled.pipeline` — the end-to-end classification pipeline,
   diagram catalogs and report rendering
 """

@@ -7,7 +7,7 @@ Subcommands::
 
     squaretiled analyze <file> [--direction-bound B] [--format text|svg]
     squaretiled enumerate --stratum 1,1,1,1 --shape case6
-    squaretiled monodromy <file> [--norm-bound N] [--word-bound W]
+    squaretiled monodromy <file> [--word-bound W] [--direction-bound B]
     squaretiled report
 
 Input files contain one origami line, e.g.
@@ -89,12 +89,12 @@ def _cmd_monodromy(args):
     restricted = restrict_to_zero_holonomy(matrices, basis)
     dim = len(restricted[0]) if restricted else 0
     print("zero-holonomy restriction: dimension %d" % dim)
-    closure = closure_classify(restricted, norm_bound=args.norm_bound)
+    closure = closure_classify(restricted)
     if closure.is_finite:
         print("restricted closure: Finite, order %d" % closure.order)
     else:
-        print("restricted closure: Unbounded (norm %d reached)"
-              % closure.norm)
+        print("restricted closure: Unbounded (element of infinite order, "
+              "witness word length %d)" % len(closure.witness))
     if singularity_data(o).genus >= 2:
         report = forni_upper_bound(o, args.direction_bound)
         print("isometric-subspace dimension bound: %d" % report.upper_bound)
@@ -136,7 +136,6 @@ def build_parser():
     p = sub.add_parser("monodromy",
                        help="affine-group action on homology")
     p.add_argument("file")
-    p.add_argument("--norm-bound", type=int, default=10 ** 6)
     p.add_argument("--word-bound", type=int, default=1)
     p.add_argument("--direction-bound", type=int, default=2)
     p.set_defaults(func=_cmd_monodromy)

@@ -709,13 +709,6 @@ def letter_action_matrix(o: Origami, letter: str,
     if source is None:
         source = HomologyBasis(o)
     n = o.n
-    if letter == "T^-1":
-        o1 = act_letter(o, "T^-1")
-        b1 = HomologyBasis(o1)
-        _, m_fwd = letter_action_matrix(o1, "T", source=b1)
-        m = invert_integer_matrix(m_fwd)
-        return b1, m
-
     o1 = act_letter(o, letter)
     target = HomologyBasis(o1)
 
@@ -728,6 +721,14 @@ def letter_action_matrix(o: Origami, letter: str,
                 out[i] += chain[i]
                 out[n + i] += chain[n + i]
                 out[o1.v[i]] += chain[n + i]
+        elif letter == "T^-1":
+            # the inverse shear sends each left edge to the antidiagonal of
+            # its left neighbour: up that square's right side, then back
+            # along its top, the bottom edge of square o.v[i]
+            for i in range(n):
+                out[i] += chain[i]
+                out[n + i] += chain[n + i]
+                out[o.v[i]] -= chain[n + i]
         elif letter == "S":
             # quarter rotation: bottom edges become left edges; left edges
             # reverse onto bottom edges of the image squares

@@ -1,7 +1,7 @@
 r"""
 The affine group of an origami acting on integer homology: stabilizer
 words, their symplectic matrices, the restriction to the zero-holonomy
-subspace, finiteness detection by breadth-first closure, and the
+subspace, an exact finiteness decision by reduction mod 3, and the
 executable isometric-subspace criteria.
 
 The computable surrogate for an isometrically-moving subspace is the
@@ -191,74 +191,75 @@ def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Outcome of the breadth-first matrix-group closure: ``Finite`` with
-    the group order, or ``Unbounded`` with a witness word (indices into the
-    generator list, negative for inverses) and the offending norm."""
+    """Outcome of :func:`closure_classify`: ``Finite`` with the group
+    order, or ``Unbounded`` with a witness word of infinite order (indices
+    into the generator list, 1-based and negative for inverses, multiplied
+    left to right)."""
 
     status: str
     order: int = None
     witness: tuple = None
-    norm: int = None
 
     @property
     def is_finite(self):
         return self.status == "Finite"
 
 
-def _int_inverse(m):
-    from .intlinalg import invert_integer_matrix
-    return invert_integer_matrix(m)
+def _residue(m):
+    return tuple(tuple(e % 3 for e in row) for row in m)
 
 
-def closure_classify(generators, norm_bound=10 ** 6,
-                     element_cap=10 ** 5) -> ClosureResult:
+def _tree_word(parents, r):
+    word = []
+    while parents[r] is not None:
+        r, j = parents[r]
+        word.append(j)
+    return tuple(reversed(word))
+
+
+def closure_classify(generators) -> ClosureResult:
     r"""
-    Breadth-first closure of the group generated by integer matrices under
-    product and inverse.  ``Finite(order)`` when the closure stabilizes
-    within the caps; ``Unbounded`` with a witness as soon as an entry
-    exceeds ``norm_bound`` or the element count exceeds ``element_cap``.
+    Decide whether the group generated by invertible integer matrices is
+    finite.
+
+    Breadth-first search over the residues mod 3 of the group, keeping one
+    integer lift per residue.  An edge reaching a residue already seen
+    gives a Schreier generator ``L_r·g·L_{rg}^{-1}`` of the kernel of
+    reduction mod 3.  That kernel is torsion-free (Minkowski), so a
+    nonidentity one has infinite order and the group is ``Unbounded``; if
+    every one is the identity, reduction mod 3 is injective on the group
+    and its order is the number of residues reached.  The image mod 3 is
+    finite, so the search always ends and never needs inverses.
 
     EXAMPLES::
 
         >>> closure_classify([identity_matrix(3)]).order
         1
-        >>> closure_classify([[[1, 1], [0, 1]]]).status
-        'Unbounded'
+        >>> closure_classify([[[0, -1], [1, 0]]]).order
+        4
+        >>> closure_classify([[[1, 1], [0, 1]]]).witness
+        (1, 1, 1)
     """
     if not generators:
         return ClosureResult("Finite", order=1)
-    n = len(generators[0])
-    gens = []
-    for idx, g in enumerate(generators):
-        gens.append((idx + 1, g))
-        gens.append((-(idx + 1), _int_inverse(g)))
-    ident = identity_matrix(n)
-
-    def key(m):
-        return tuple(tuple(row) for row in m)
-
-    seen = {key(ident)}
-    frontier = [(ident, ())]
-    while frontier:
-        new_frontier = []
-        for m, word in frontier:
-            for idx, g in gens:
-                prod = mat_mul(m, g)
-                k = key(prod)
-                if k in seen:
-                    continue
-                new_word = word + (idx,)
-                norm = max(abs(e) for row in prod for e in row)
-                if norm > norm_bound:
-                    return ClosureResult("Unbounded", witness=new_word,
-                                         norm=norm)
-                seen.add(k)
-                if len(seen) > element_cap:
-                    return ClosureResult("Unbounded", witness=new_word,
-                                         norm=norm)
-                new_frontier.append((prod, new_word))
-        frontier = new_frontier
-    return ClosureResult("Finite", order=len(seen))
+    ident = identity_matrix(len(generators[0]))
+    start = _residue(ident)
+    lifts = {start: ident}
+    parents = {start: None}
+    queue = [start]
+    for r in queue:  # grows while it is read: breadth-first order
+        for j, g in enumerate(generators, 1):
+            prod = mat_mul(lifts[r], g)
+            key = _residue(prod)
+            if key not in lifts:
+                lifts[key] = prod
+                parents[key] = (r, j)
+                queue.append(key)
+            elif prod != lifts[key]:
+                back = tuple(-i for i in reversed(_tree_word(parents, key)))
+                return ClosureResult(
+                    "Unbounded", witness=_tree_word(parents, r) + (j,) + back)
+    return ClosureResult("Finite", order=len(lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +271,10 @@ def closure_classify(generators, norm_bound=10 ** 6,
 class ForniReport:
     """Per-direction evidence about the maximal isometric subspace: the
     even upper bound ``2·(g - max core rank)``, the per-direction records
-    ``(slope, case label, core span rank)``, and optionally the closure
-    classification of the restricted monodromy."""
+    ``(slope, case label, core span rank)``."""
 
     upper_bound: int
     witnesses: tuple
-    monodromy_status: ClosureResult = None
 
 
 def enumerate_slopes(bound):
@@ -290,9 +289,7 @@ def enumerate_slopes(bound):
     return slopes
 
 
-def forni_upper_bound(o: Origami, direction_bound: int,
-                      include_monodromy=False,
-                      word_bound=3) -> ForniReport:
+def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     r"""
     Upper bound ``min over directions of 2·(g - core span rank)`` for the
     dimension of an isometrically-moving subspace, with the per-direction
@@ -317,13 +314,7 @@ def forni_upper_bound(o: Origami, direction_bound: int,
         label = str(classify_case(dual_graph(d)))
         witnesses.append((slope, label, rank))
         best = min(best, 2 * (g - rank))
-    status = None
-    if include_monodromy:
-        basis = homology_basis(o)
-        gens = stabilizer_generators(o, word_bound)
-        mats = [homology_action(o, gen, basis) for gen in gens]
-        status = closure_classify(restrict_to_zero_holonomy(mats, basis))
-    return ForniReport(best, tuple(witnesses), status)
+    return ForniReport(best, tuple(witnesses))
 
 
 def zero_eval_check(covector, core_classes) -> bool:

@@ -2,6 +2,9 @@
 actions, the zero-holonomy restriction, closure finiteness, and the
 isometric-subspace criteria."""
 
+import itertools
+import random
+
 import pytest
 
 from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
@@ -10,7 +13,8 @@ from squaretiled.cylinders import horizontal_decomposition, \
 from squaretiled.errors import HypothesisFailed, NotAStabilizer
 from squaretiled.homology import core_curve_class, homology_basis, \
     word_action_matrix
-from squaretiled.intlinalg import identity_matrix, mat_mul, solve_rational
+from squaretiled.intlinalg import identity_matrix, invert_integer_matrix, \
+    mat_mul, solve_rational
 from squaretiled.monodromy import (
     closure_classify,
     enumerate_slopes,
@@ -22,6 +26,9 @@ from squaretiled.monodromy import (
     stabilizer_generators,
     zero_eval_check,
 )
+from squaretiled.surface import parse_origami
+
+H4_LINE = 'origami h="(1 3)(2 4)" v="(0 3 4)"'
 
 
 def test_torus_generators_and_actions():
@@ -84,15 +91,114 @@ def test_closure_trivial_and_unipotent():
     assert result.witness
 
 
+def restricted_generators(o, word_bound):
+    b = homology_basis(o)
+    mats = [homology_action(o, g, b)
+            for g in stabilizer_generators(o, word_bound)]
+    return restrict_to_zero_holonomy(mats, b)
+
+
+def brute_force_order(generators):
+    """Order of a group known to be finite, by closing under products."""
+    n = len(generators[0])
+    seen = {tuple(map(tuple, identity_matrix(n)))}
+    frontier = [identity_matrix(n)]
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for g in generators:
+                prod = mat_mul(m, g)
+                key = tuple(map(tuple, prod))
+                if key not in seen:
+                    seen.add(key)
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return len(seen)
+
+
+def word_product(generators, word):
+    n = len(generators[0])
+    out = identity_matrix(n)
+    for idx in word:
+        g = generators[abs(idx) - 1]
+        out = mat_mul(out, g if idx > 0 else invert_integer_matrix(g))
+    return out
+
+
+def hyperoctahedral_generators(n, conjugator=None):
+    """A transposition, an n-cycle and a sign change, all signed
+    permutation matrices, optionally conjugated by a unimodular matrix."""
+    def perm_matrix(p):
+        return [[1 if p[j] == i else 0 for j in range(n)] for i in range(n)]
+    flip = identity_matrix(n)
+    flip[0][0] = -1
+    gens = [perm_matrix([1, 0] + list(range(2, n))),
+            perm_matrix([(i + 1) % n for i in range(n)]), flip]
+    if conjugator is None:
+        return gens
+    inv = invert_integer_matrix(conjugator)
+    return [mat_mul(conjugator, mat_mul(g, inv)) for g in gens]
+
+
+def random_unimodular(rng, n):
+    m = identity_matrix(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m = [[m[r][k] + (c * m[j][k] if r == i else 0) for k in range(n)]
+             for r in range(n)]
+    return m
+
+
+def random_unipotent(rng, n):
+    """A conjugate of a nonidentity upper unitriangular integer matrix."""
+    u = identity_matrix(n)
+    for i, j in itertools.combinations(range(n), 2):
+        u[i][j] = rng.randint(-3, 3)
+    u[0][n - 1] = rng.choice((-2, -1, 1, 2))
+    p = random_unimodular(rng, n)
+    return mat_mul(p, mat_mul(u, invert_integer_matrix(p)))
+
+
 def test_wollmilchsau_restricted_closure_is_finite():
     o = wollmilchsau()
-    b = homology_basis(o)
-    gens = stabilizer_generators(o, 2)
-    assert len(gens) == 10
-    mats = [homology_action(o, g, b) for g in gens]
-    result = closure_classify(restrict_to_zero_holonomy(mats, b))
+    assert len(stabilizer_generators(o, 2)) == 10
+    restricted = restricted_generators(o, 2)
+    result = closure_classify(restricted)
     assert result.is_finite
     assert result.order == 96
+    assert brute_force_order(restricted) == 96
+
+
+@pytest.mark.parametrize("n, order", [(2, 8), (3, 48), (4, 384)])
+def test_closure_order_of_signed_permutation_groups(rng, n, order):
+    for conjugator in (None, random_unimodular(rng, n)):
+        gens = hyperoctahedral_generators(n, conjugator)
+        result = closure_classify(gens)
+        assert result.is_finite
+        assert result.order == order == brute_force_order(gens)
+
+
+@pytest.mark.parametrize("case", ["torus shear", "H(4)", 2, 3, 4])
+def test_unbounded_witness_has_infinite_order(case):
+    if case == "torus shear":
+        generators = [homology_action(torus(), ("T",))]
+    elif case == "H(4)":
+        generators = restricted_generators(parse_origami(H4_LINE), 2)
+    else:  # a random unipotent of dimension `case`
+        generators = [random_unipotent(random.Random(case), case)]
+    result = closure_classify(generators)
+    assert result.status == "Unbounded"
+    n = len(generators[0])
+    ident = identity_matrix(n)
+    w = word_product(generators, result.witness)
+    assert w != ident
+    assert all(e % 3 == (i == j) for i, row in enumerate(w)
+               for j, e in enumerate(row))
+    power = ident
+    for _ in range(24):  # every torsion order in GL_n(Z), n <= 4
+        power = mat_mul(power, w)
+        assert power != ident
 
 
 def test_enumerate_slopes():
@@ -104,12 +210,10 @@ def test_enumerate_slopes():
 
 
 def test_wollmilchsau_upper_bound():
-    report = forni_upper_bound(wollmilchsau(), 2, include_monodromy=True,
-                               word_bound=2)
+    report = forni_upper_bound(wollmilchsau(), 2)
     assert report.upper_bound == 4
     assert all(label == "Case6" for _, label, _ in report.witnesses)
     assert all(rank == 1 for _, _, rank in report.witnesses)
-    assert report.monodromy_status.is_finite
 
 
 def test_upper_bound_needs_higher_genus():

@@ -163,6 +163,17 @@ def test_cli_monodromy(tmp_path, capsys):
     assert "dimension bound: 4" in out
 
 
+def test_cli_monodromy_unbounded(tmp_path, capsys):
+    path = tmp_path / "h4.txt"
+    path.write_text('origami h="(1 3)(2 4)" v="(0 3 4)"\n', encoding="utf-8")
+    assert cli_main(["monodromy", str(path), "--word-bound", "2"]) == 0
+    assert ("restricted closure: Unbounded (element of infinite order, "
+            "witness word length 3)") in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["monodromy", str(path), "--norm-bound", "5"])
+    assert exc.value.code == 2
+
+
 def test_cli_error_exits(tmp_path):
     assert cli_main(["analyze", str(tmp_path / "missing.txt")]) == 2
     bad = tmp_path / "bad.txt"
