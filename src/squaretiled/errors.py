@@ -61,3 +61,9 @@ class HypothesisFailed(SquareTiledError, ValueError):
 
 class GenusMismatch(SquareTiledError, ValueError):
     """The operation requires a surface of a specific genus."""
+
+
+class InvariantViolation(SquareTiledError):
+    """An internal consistency check failed: a malformed cylinder diagram,
+    or a verdict whose evidence does not support it.  Raised explicitly, so
+    the check also runs under ``python -O``."""

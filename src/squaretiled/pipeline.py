@@ -18,6 +18,7 @@ EXAMPLES::
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .cylinders import (
     moduli_exponents,
     periodic_decomposition,
 )
-from .errors import CaseMismatch, GenusMismatch
+from .errors import CaseMismatch, GenusMismatch, InvariantViolation
 from .homology import dual_graph
 from .jump import WeightedDualGraph, case3_verdict, case6_moduli_forcing
 from .monodromy import enumerate_slopes
@@ -97,10 +98,11 @@ class Verdict:
     origami: Origami = None
 
     def __post_init__(self):
-        if self.status == "WollmilchsauEquivalent":
-            assert all(r.label == "Case6" for r in self.evidence
-                       if r.mechanism != "window forcing"), \
-                "survivor verdicts require every direction in Case 6"
+        if self.status == "WollmilchsauEquivalent" and not all(
+                r.label == "Case6" for r in self.evidence
+                if r.mechanism != "window forcing"):
+            raise InvariantViolation(
+                "survivor verdicts require every direction in Case 6")
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,14 @@ def _metric_chain(d, graph) -> EquivalenceResult:
                              constraint=constraint, record=record)
 
 
+@functools.cache
+def _reference_diagram_key():
+    """Canonical key of the reference surface's horizontal diagram,
+    computed on first use and kept for the life of the process."""
+    return horizontal_decomposition(reference_surface()).diagram \
+        .canonical_key()
+
+
 def wollmilchsau_equivalent(o: Origami) -> EquivalenceResult:
     r"""
     Decide whether a horizontally two-cylinder surface with homologous
@@ -227,8 +237,7 @@ def wollmilchsau_equivalent(o: Origami) -> EquivalenceResult:
            for length in net.saddle_lengths.values()):
         return EquivalenceResult(False, "saddle lengths are not all equal",
                                  constraint=constraint, record=record)
-    ref = horizontal_decomposition(reference_surface())
-    if d.diagram.canonical_key() != ref.diagram.canonical_key():
+    if d.diagram.canonical_key() != _reference_diagram_key():
         return EquivalenceResult(False, "cylinder diagram differs from the "
                                  "reference", constraint=constraint,
                                  record=record)
@@ -275,6 +284,9 @@ def _analyze_direction(o: Origami, slope):
                 witness = find_crossing_cylinder(net, "Case4B")
         else:
             witness = find_crossing_cylinder(net, name)
+        if witness is None:
+            return DirectionRecord(slope, name, "no crossing witness "
+                                   "found"), False
         return DirectionRecord(slope, name, "transverse crossing cylinder",
                                witness), True
     if label is CaseLabel.CASE3:
@@ -349,7 +361,7 @@ def classify_surface(o: Origami, direction_bound=3,
             exclusion = record
         if record.label == "Case5":
             saw_case5 = True
-        if record.label is None:
+        if not excludes and record.label not in ("Case5", "Case6"):
             unresolved = True
     if exclusion is not None:
         return Verdict("TrivialForni", tuple(evidence), o)

@@ -1,20 +1,31 @@
 """Cylinder decompositions: areas, saddles, diagram canonical keys, case
 classification of pinch graphs, and moduli exponents."""
 
+import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
+from conftest import (
+    CASE4A_DIAGRAM,
+    exemplar,
+    l_origami,
+    random_origami,
+    torus,
+    wollmilchsau,
+)
 from squaretiled.cylinders import (
     CaseLabel,
+    CylinderDiagram,
     classify_case,
     horizontal_decomposition,
     moduli_exponents,
     periodic_decomposition,
 )
-from squaretiled.errors import Incommensurable
+from squaretiled.errors import Incommensurable, InvariantViolation
 from squaretiled.homology import dual_graph
+from squaretiled.pipeline import enumerate_diagrams
 
 
 def cylinder_shapes(d):
@@ -88,15 +99,133 @@ def test_saddle_words_partition_boundaries(rng):
                 assert total == c.circumference
 
 
-def test_diagram_canonical_key_invariance(rng):
-    d = horizontal_decomposition(wollmilchsau())
-    diagram = d.diagram
-    relabeled = type(diagram)(
-        bottom_words={c + 10: w for c, w in diagram.bottom_words.items()},
-        top_words={c + 10: w for c, w in diagram.top_words.items()},
-        saddle_zeros=dict(diagram.saddle_zeros),
+def brute_force_key(diagram):
+    """Reference canonical key: the minimum, over every cylinder order and
+    every rotation of each boundary word, of the word list with saddles and
+    zeros renamed in first-seen order."""
+    cids = diagram.cylinder_ids
+    rotation_sets = [[(rb, rt)
+                      for rb in range(max(len(diagram.bottom_words[c]), 1))
+                      for rt in range(max(len(diagram.top_words[c]), 1))]
+                     for c in cids]
+    best = None
+    for order in itertools.permutations(range(len(cids))):
+        for rots in itertools.product(*(rotation_sets[i] for i in order)):
+            saddles, zeros, enc = {}, {}, []
+            for i, (rb, rt) in zip(order, rots):
+                bw = diagram.bottom_words[cids[i]]
+                tw = diagram.top_words[cids[i]]
+                enc.append(tuple(
+                    tuple(saddles.setdefault(s, len(saddles)) for s in w)
+                    for w in (bw[rb:] + bw[:rb], tw[rt:] + tw[:rt])))
+            zenc = tuple(
+                (zeros.setdefault(a, len(zeros)),
+                 zeros.setdefault(b, len(zeros)))
+                for a, b in (diagram.saddle_zeros[s] for s in saddles))
+            cand = (tuple(enc), zenc)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def brute_force_size(diagram):
+    """Number of encodings :func:`brute_force_key` tries."""
+    cids = diagram.cylinder_ids
+    return factorial(len(cids)) * prod(
+        len(diagram.bottom_words[c]) * len(diagram.top_words[c])
+        for c in cids)
+
+
+def scrambled(diagram, rng):
+    """An isomorphic copy: cylinders, saddles and zeros renamed at random
+    (saddles and zeros to strings) and every boundary word rotated."""
+    cids = list(diagram.bottom_words)
+    new_cids = rng.sample(range(100), len(cids))
+    saddle_ids = list(diagram.saddle_zeros)
+    new_saddles = dict(zip(saddle_ids, rng.sample(
+        ["s%d" % i for i in range(100)], len(saddle_ids))))
+    zero_ids = sorted({z for pair in diagram.saddle_zeros.values()
+                       for z in pair})
+    new_zeros = dict(zip(zero_ids, rng.sample(
+        ["z%d" % i for i in range(100)], len(zero_ids))))
+
+    def move(word):
+        r = rng.randrange(len(word))
+        return tuple(new_saddles[s] for s in word[r:] + word[:r])
+
+    order = rng.sample(range(len(cids)), len(cids))
+    return CylinderDiagram(
+        bottom_words={new_cids[i]: move(diagram.bottom_words[cids[i]])
+                      for i in order},
+        top_words={new_cids[i]: move(diagram.top_words[cids[i]])
+                   for i in order},
+        saddle_zeros={new_saddles[s]: (new_zeros[a], new_zeros[b])
+                      for s, (a, b) in diagram.saddle_zeros.items()},
     )
-    assert diagram.canonical_key() == relabeled.canonical_key()
+
+
+def random_diagrams(rng, count, max_squares=9, max_encodings=5000):
+    """Diagrams of horizontal and sheared decompositions of random origamis
+    small enough for :func:`brute_force_key`."""
+    slopes = ((0, 1), (1, 0), (1, 1), (-1, 2))
+    out = []
+    while len(out) < count:
+        d = periodic_decomposition(random_origami(rng, max_squares),
+                                   rng.choice(slopes))
+        if brute_force_size(d.diagram) <= max_encodings:
+            out.append(d.diagram)
+    return out
+
+
+# two saddle-connected groups of words joined only through cylinders 1-3,
+# and no symmetry: the key depends on the rotations its branches try
+BRANCHING_DIAGRAM = CylinderDiagram(
+    bottom_words={0: (0,), 1: (1, 2), 2: (3, 4), 3: (5, 6), 4: (7,)},
+    top_words={0: (6,), 1: (0, 7), 2: (3, 2), 3: (1, 4), 4: (5,)},
+    saddle_zeros={0: (0, 0), 1: (1, 3), 2: (3, 1), 3: (1, 3), 4: (3, 1),
+                  5: (2, 2), 6: (2, 2), 7: (0, 0)},
+)
+
+
+def test_diagram_canonical_key_invariance(rng):
+    diagrams = [horizontal_decomposition(wollmilchsau()).diagram,
+                CASE4A_DIAGRAM, BRANCHING_DIAGRAM] + random_diagrams(rng, 40)
+    for diagram in diagrams:
+        key = diagram.canonical_key()
+        for _ in range(5):
+            assert scrambled(diagram, rng).canonical_key() == key
+
+
+def test_canonical_key_classes_match_brute_force(rng):
+    diagrams = random_diagrams(rng, 320)
+    new = [d.canonical_key() for d in diagrams]
+    old = [brute_force_key(d) for d in diagrams]
+    # equal new keys exactly when equal brute-force keys, for every pair
+    assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))
+    assert len(set(new)) > 40
+
+
+def test_one_cylinder_catalog_keys_are_pairwise_distinct():
+    catalog = enumerate_diagrams((1, 1, 1, 1), "one_cylinder")
+    assert len(catalog) == 4
+    assert len({d.canonical_key() for d in catalog.diagrams}) == 4
+    assert len({brute_force_key(d) for d in catalog.diagrams}) == 4
+
+
+def test_malformed_diagrams_raise():
+    repeated = CylinderDiagram({0: (0, 0)}, {0: (0, 1)},
+                               {0: (0, 0), 1: (0, 0)})
+    with pytest.raises(InvariantViolation, match="repeated on bottoms"):
+        repeated.validate()
+    with pytest.raises(InvariantViolation):
+        repeated.canonical_key()
+    with pytest.raises(InvariantViolation, match="disagree"):
+        CylinderDiagram({0: (0,)}, {0: (1,)},
+                        {0: (0, 0), 1: (0, 0)}).validate()
+    disconnected = CylinderDiagram({0: (0,), 1: (1,)}, {0: (0,), 1: (1,)},
+                                   {0: (0, 0), 1: (1, 1)})
+    with pytest.raises(InvariantViolation, match="disconnected"):
+        disconnected.canonical_key()
 
 
 def test_moduli_exponents():

@@ -1,6 +1,9 @@
 """End-to-end classification, diagram catalogs, report rendering, and the
 command-line entry points."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,15 +11,18 @@ import pytest
 from conftest import EXEMPLARS, exemplar, l_origami, wollmilchsau
 from squaretiled.cli import main as cli_main
 from squaretiled.cylinders import horizontal_decomposition
-from squaretiled.errors import CaseMismatch, GenusMismatch
+from squaretiled import pipeline
+from squaretiled.errors import CaseMismatch, GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
+    DirectionRecord,
+    Verdict,
     classify_surface,
     enumerate_diagrams,
     reference_surface,
     render_report,
     wollmilchsau_equivalent,
 )
-from squaretiled.surface import act_sl2z, origami_isomorphism
+from squaretiled.surface import act_sl2z, origami_isomorphism, parse_origami
 
 
 def record_for(verdict, slope):
@@ -181,3 +187,56 @@ def test_cli_error_exits(tmp_path):
     assert cli_main(["analyze", str(bad)]) == 2
     genus2 = origami_file(tmp_path, l_origami())
     assert cli_main(["analyze", genus2]) == 2
+
+
+def test_missing_crossing_witness_does_not_exclude(monkeypatch):
+    monkeypatch.setattr(pipeline, "find_crossing_cylinder",
+                        lambda net, case: None)
+    # every direction up to bound 1 is Case 1
+    o = parse_origami('origami n=6 h="(0 4 5 3)(1 2)" v="(0 4 1 3 2)"')
+    verdict = classify_surface(o, direction_bound=1)
+    assert verdict.status == "Undetermined"
+    assert [(r.label, r.mechanism, r.witness) for r in verdict.evidence] == \
+        [("Case1", "no crossing witness found", None)] * 4
+    # the period-forcing exclusion does not depend on a crossing witness
+    verdict = classify_surface(exemplar("Case3"))
+    assert verdict.status == "TrivialForni"
+    assert record_for(verdict, (1, 0)).mechanism == \
+        "no crossing witness found"
+
+
+FORGED_SURVIVOR = """
+import sys
+from squaretiled.errors import InvariantViolation
+from squaretiled.pipeline import DirectionRecord, Verdict
+try:
+    Verdict("WollmilchsauEquivalent",
+            (DirectionRecord((0, 1), "Case1", "transverse crossing cylinder"),))
+except InvariantViolation as exc:
+    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+"""
+
+
+def test_forged_survivor_verdict_raises():
+    with pytest.raises(InvariantViolation, match="Case 6"):
+        Verdict("WollmilchsauEquivalent",
+                (DirectionRecord((0, 1), "Case1",
+                                 "transverse crossing cylinder"),))
+
+
+def test_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-O", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    report = run("-m", "squaretiled.cli", "report")
+    assert report.returncode == 0, report.stderr
+    assert "classification: WollmilchsauEquivalent" in report.stdout
+    forged = run("-c", FORGED_SURVIVOR)
+    assert forged.returncode == 0, forged.stderr
+    assert forged.stdout.startswith("optimize=1 raised: survivor verdicts")
