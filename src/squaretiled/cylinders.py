@@ -266,6 +266,10 @@ class CylinderDecomposition:
     ``word`` is the ``SL(2, Z)`` word carrying ``base_origami`` there
     (empty for the horizontal direction).  ``direction`` is the primitive
     direction vector ``(dx, dy)`` in base coordinates.
+    ``bottom_positions`` and ``top_positions`` map a cylinder id to the
+    integer start coordinate, in squares, of every saddle on that
+    boundary; the bottom word starts at 0 and the top coordinates are
+    reduced mod the circumference.
     """
 
     origami: Origami
@@ -376,11 +380,15 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
     for comp in components.values():
         merged_up = set(above.get(ri) for ri in comp)
         bottoms = [ri for ri in comp if ri not in merged_up]
-        assert len(bottoms) == 1, "cylinder stack must have a unique bottom row"
+        if len(bottoms) != 1:
+            raise InvariantViolation("cylinder stack must have a unique "
+                                     "bottom row")
         chain = [bottoms[0]]
         while chain[-1] in above:
             chain.append(above[chain[-1]])
-        assert sorted(chain) == sorted(comp)
+        if sorted(chain) != sorted(comp):
+            raise InvariantViolation("cylinder stack is not one chain of "
+                                     "rows")
         # rotate the bottom row to start at its smallest marked corner
         r0 = rows[chain[0]]
         start = min(i for i, sq in enumerate(r0) if sq in marked)
@@ -426,7 +434,7 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
                 sid = len(saddles)
                 _close_run(saddles, edge_saddle, sid, run, corner_class, o)
                 word_ids.append(sid)
-                positions[sid] = Fraction(run_start_x)
+                positions[sid] = run_start_x
                 run = []
             if not run:
                 run_start_x = i
@@ -434,7 +442,7 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
         sid = len(saddles)
         _close_run(saddles, edge_saddle, sid, run, corner_class, o)
         word_ids.append(sid)
-        positions[sid] = Fraction(run_start_x)
+        positions[sid] = run_start_x
         bottom_words[c.id] = tuple(word_ids)
         bottom_positions[c.id] = positions
 
@@ -445,7 +453,9 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
         rt = c.rows[-1]
         w = len(rt)
         starts = [i for i, sq in enumerate(rt) if o.v[sq] in marked]
-        assert starts, "top boundary must contain a marked corner"
+        if not starts:
+            raise InvariantViolation("top boundary must contain a marked "
+                                     "corner")
         k0 = min(starts, key=lambda i: square_x[rt[i]])
         rt = rt[k0:] + rt[:k0]
         word_ids = []
@@ -456,13 +466,13 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
             edge = o.v[sq]
             if edge in marked and run_edges:
                 word_ids.append(_close_top_run(run_edges, edge_saddle, saddles))
-                positions[word_ids[-1]] = Fraction(square_x[run_start])
+                positions[word_ids[-1]] = square_x[run_start]
                 run_edges = []
             if not run_edges:
                 run_start = sq
             run_edges.append(edge)
         word_ids.append(_close_top_run(run_edges, edge_saddle, saddles))
-        positions[word_ids[-1]] = Fraction(square_x[run_start])
+        positions[word_ids[-1]] = square_x[run_start]
         top_words[c.id] = tuple(word_ids)
         top_positions[c.id] = positions
 
@@ -483,7 +493,9 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
         bottom_positions=bottom_positions,
         top_positions=top_positions,
     )
-    assert d.area == n, "cylinder areas must sum to the number of squares"
+    if sum(len(c.squares) for c in cylinders) != n:
+        raise InvariantViolation("cylinder areas must sum to the number of "
+                                 "squares")
     return d
 
 
@@ -499,10 +511,10 @@ def _close_run(saddles, edge_saddle, sid, run, corner_class, o):
 
 def _close_top_run(run_edges, edge_saddle, saddles):
     sid = edge_saddle[run_edges[0]]
-    assert all(edge_saddle[e] == sid for e in run_edges), \
-        "top run crosses a saddle boundary"
-    assert len(run_edges) == len(saddles[sid].squares), \
-        "top run length disagrees with its saddle"
+    if any(edge_saddle[e] != sid for e in run_edges):
+        raise InvariantViolation("top run crosses a saddle boundary")
+    if len(run_edges) != len(saddles[sid].squares):
+        raise InvariantViolation("top run length disagrees with its saddle")
     return sid
 
 

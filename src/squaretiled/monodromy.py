@@ -29,7 +29,6 @@ from .errors import HypothesisFailed, NotAStabilizer
 from .homology import (
     HomologyBasis,
     core_curve_class,
-    core_span_rank,
     dual_graph,
     homology_basis,
     relabel_action_matrix,
@@ -293,7 +292,10 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     r"""
     Upper bound ``min over directions of 2·(g - core span rank)`` for the
     dimension of an isometrically-moving subspace, with the per-direction
-    case labels as evidence.
+    case labels as evidence.  The core span rank of a direction is the
+    cycle rank of its pinch dual graph (equal to
+    :func:`~squaretiled.homology.core_span_rank`, which builds a homology
+    basis).
 
     EXAMPLES::
 
@@ -309,9 +311,12 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     best = 2 * g
     witnesses = []
     for slope in enumerate_slopes(direction_bound):
-        d = periodic_decomposition(o, slope)
-        rank = core_span_rank(d)
-        label = str(classify_case(dual_graph(d)))
+        graph = dual_graph(periodic_decomposition(o, slope))
+        # the component boundaries span the relations among the core
+        # curves and sum to zero, so the span has rank E - V + 1: the
+        # cycle rank of the (connected) dual graph
+        rank = len(graph.edges) - len(graph.vertices) + 1
+        label = str(classify_case(graph))
         witnesses.append((slope, label, rank))
         best = min(best, 2 * (g - rank))
     return ForniReport(best, tuple(witnesses))

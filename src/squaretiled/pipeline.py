@@ -48,7 +48,6 @@ from .transverse import (
     window_feasible,
 )
 
-_HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
@@ -136,31 +135,45 @@ def _window_extraction(d, c1, c2):
     pinned modulo 1/2; the window coordinate ``t_start`` measures how far
     the starting saddle sits from the nearer forbidden interval.  The
     surface survives only when no such trajectory exists, i.e. when
-    ``0 <= t_start <= 1 - 2*t0 - 2*s0``."""
-    net = d.to_net()
-    w = net.cylinders[c1].circumference
-    assert net.cylinders[c2].circumference == w
+    ``0 <= t_start <= 1 - 2*t0 - 2*s0``.
 
-    def longest_bottom(cid):
-        word = net.diagram.bottom_words[cid]
-        sid = max(word, key=lambda s: (net.saddle_lengths[s], -word.index(s)))
-        return sid, net.saddle_lengths[sid] / w
+    Every length and position on an origami decomposition is a whole
+    number of squares, so the coordinates are read off as integers.  Let
+    ``w`` be the common circumference, ``L_tau`` and ``L_sigma`` the
+    lengths of the longest bottom saddles tau of ``c1`` and sigma of
+    ``c2`` (the first in word order on a tie), ``Q_b``, ``Q_t`` the
+    positions of tau on the bottom of ``c1`` and the top of ``c2``, and
+    ``P_t``, ``P_b`` those of sigma on the top of ``c1`` and the bottom of
+    ``c2``.  In units of ``1/(2w)``, the closing drift and the gap from
+    tau to the interval of starting points whose trajectory pierces sigma
+    are::
 
-    tau0, t0 = longest_bottom(c1)
-    sigma0, s0 = longest_bottom(c2)
-    q1 = net.bottom_positions(c1)[tau0] / w
-    q2 = net.top_positions(c2)[tau0] / w
-    p1 = net.top_positions(c1)[sigma0] / w
-    p2 = net.bottom_positions(c2)[sigma0] / w
-    # drift t of a crossing trajectory through the interiors of both
-    # saddles: closing forces 2t = q2 - q1 + p1 - p2 (mod 1), so the two
-    # crossing families sit at drifts t_close and t_close + 1/2
-    t_close = ((q2 - q1 + p1 - p2) % 1) / 2
-    # position, relative to tau0, of the interval of starting points whose
-    # drift-t_close trajectory pierces sigma0; the second copy is 1/2 away
-    gap = ((p1 - t_close - q1) % 1) % _HALF
-    t_start = (2 * ((gap - t0) % _HALF)) % 1
-    return t0, s0, t_start
+        T = (Q_t - Q_b + P_t - P_b) mod w
+        G = (2*P_t - T - 2*Q_b) mod w
+
+    and the coordinates are ``t0 = L_tau / w``, ``s0 = L_sigma / w`` and
+    ``t_start = ((G - 2*L_tau) mod w) / w``.
+
+    Raises :class:`~squaretiled.errors.InvariantViolation` when the two
+    cylinders have different circumferences.
+    """
+    w = len(d.cylinders[c1].rows[0])
+    if len(d.cylinders[c2].rows[0]) != w:
+        raise InvariantViolation("homologous cylinders must have equal "
+                                 "circumferences")
+    words, saddles = d.diagram.bottom_words, d.saddles
+    tau = max(words[c1], key=lambda s: len(saddles[s].squares))
+    sigma = max(words[c2], key=lambda s: len(saddles[s].squares))
+    l_tau = len(saddles[tau].squares)
+    q_b, q_t = d.bottom_positions[c1][tau], d.top_positions[c2][tau]
+    p_t, p_b = d.top_positions[c1][sigma], d.bottom_positions[c2][sigma]
+    # closing forces twice the drift to be Q_t - Q_b + P_t - P_b (mod w),
+    # so the two crossing families sit at drifts T and T + w
+    drift = (q_t - q_b + p_t - p_b) % w
+    # the second copy of the piercing interval is w (one half) further on
+    gap = (2 * p_t - drift - 2 * q_b) % w
+    return (Fraction(l_tau, w), Fraction(len(saddles[sigma].squares), w),
+            Fraction((gap - 2 * l_tau) % w, w))
 
 
 def _metric_chain(d, graph) -> EquivalenceResult:
@@ -175,15 +188,10 @@ def _metric_chain(d, graph) -> EquivalenceResult:
     if forcing.verdict != "consistent":
         return EquivalenceResult(False, "unequal moduli are forced away",
                                  forcing=forcing)
-    # order the cylinders so the first carries the longest bottom saddle
-    best = None
-    for c1, c2 in (cids, cids[::-1]):
-        t0, s0, t_start = _window_extraction(d, c1, c2)
-        if t0 >= s0:
-            best = (t0, s0, t_start)
-            break
-    t0, s0, t_start = best if best is not None else \
-        _window_extraction(d, *cids)
+    t0, s0, t_start = _window_extraction(d, *cids)
+    if t0 < s0:
+        # order the cylinders so the first carries the longest bottom saddle
+        t0, s0, t_start = _window_extraction(d, *cids[::-1])
     constraint = WindowConstraint(t0, s0, t_start, min_saddle=_QUARTER)
     record = window_feasible(constraint)
     if not record.feasible:
@@ -231,10 +239,8 @@ def wollmilchsau_equivalent(o: Origami) -> EquivalenceResult:
 
     # feasibility pins every saddle length to a quarter circumference;
     # the unique matching diagram is the reference one
-    net = d.to_net()
-    w = net.cylinders[d.cylinders[0].id].circumference
-    if any(length / w != _QUARTER
-           for length in net.saddle_lengths.values()):
+    w = len(d.cylinders[0].rows[0])
+    if any(4 * len(s.squares) != w for s in d.saddles.values()):
         return EquivalenceResult(False, "saddle lengths are not all equal",
                                  constraint=constraint, record=record)
     if d.diagram.canonical_key() != _reference_diagram_key():
@@ -411,8 +417,10 @@ def _one_cylinder_diagrams(stratum: Stratum):
     m = sum(stratum.kappa) + len(stratum.kappa)
     h = tuple((i + 1) % m for i in range(m))
     seen = {}
-    for v in itertools.permutations(range(m)):
-        o = build_origami(h, v)
+    # v and h^a v differ by a twist of the single cylinder, which changes
+    # neither the diagram nor the stratum: v[0] = 0 reaches every diagram
+    for rest in itertools.permutations(range(1, m)):
+        o = build_origami(h, (0,) + rest)
         if singularity_data(o).kappa != stratum.kappa:
             continue
         d = horizontal_decomposition(o)

@@ -8,11 +8,11 @@ import random
 import pytest
 
 from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
-from squaretiled.cylinders import horizontal_decomposition, \
+from squaretiled.cylinders import classify_case, horizontal_decomposition, \
     periodic_decomposition
 from squaretiled.errors import HypothesisFailed, NotAStabilizer
-from squaretiled.homology import core_curve_class, homology_basis, \
-    word_action_matrix
+from squaretiled.homology import core_curve_class, core_span_rank, \
+    dual_graph, homology_basis, word_action_matrix
 from squaretiled.intlinalg import identity_matrix, invert_integer_matrix, \
     mat_mul, solve_rational
 from squaretiled.monodromy import (
@@ -26,7 +26,7 @@ from squaretiled.monodromy import (
     stabilizer_generators,
     zero_eval_check,
 )
-from squaretiled.surface import parse_origami
+from squaretiled.surface import parse_origami, singularity_data
 
 H4_LINE = 'origami h="(1 3)(2 4)" v="(0 3 4)"'
 
@@ -214,6 +214,26 @@ def test_wollmilchsau_upper_bound():
     assert report.upper_bound == 4
     assert all(label == "Case6" for _, label, _ in report.witnesses)
     assert all(rank == 1 for _, _, rank in report.witnesses)
+
+
+def test_upper_bound_witnesses_match_homology_rank(rng):
+    surfaces = {2: [], 3: [wollmilchsau()]}
+    while min(len(found) for found in surfaces.values()) < 10:
+        o = random_origami(rng, max_squares=9)
+        genus = singularity_data(o).genus
+        if genus in surfaces:
+            surfaces[genus].append(o)
+    for genus, found in surfaces.items():
+        for o in found:
+            report = forni_upper_bound(o, 2)
+            expected = []
+            for slope in enumerate_slopes(2):
+                d = periodic_decomposition(o, slope)
+                expected.append((slope, str(classify_case(dual_graph(d))),
+                                 core_span_rank(d)))
+            assert list(report.witnesses) == expected
+            assert report.upper_bound == min(
+                [2 * genus] + [2 * (genus - r) for _, _, r in expected])
 
 
 def test_upper_bound_needs_higher_genus():

@@ -1,7 +1,9 @@
 """End-to-end classification, diagram catalogs, report rendering, and the
 command-line entry points."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,15 @@ import pytest
 
 from conftest import EXEMPLARS, exemplar, l_origami, wollmilchsau
 from squaretiled.cli import main as cli_main
-from squaretiled.cylinders import horizontal_decomposition
+from squaretiled.cylinders import (
+    CaseLabel,
+    CylinderDecomposition,
+    classify_case,
+    horizontal_decomposition,
+    periodic_decomposition,
+)
+from squaretiled.homology import dual_graph
+from squaretiled.monodromy import enumerate_slopes
 from squaretiled import pipeline
 from squaretiled.errors import CaseMismatch, GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
@@ -22,7 +32,14 @@ from squaretiled.pipeline import (
     render_report,
     wollmilchsau_equivalent,
 )
-from squaretiled.surface import act_sl2z, origami_isomorphism, parse_origami
+from squaretiled.surface import (
+    act_sl2z,
+    build_origami,
+    origami_isomorphism,
+    parse_origami,
+    perm_from_cycles,
+    singularity_data,
+)
 
 
 def record_for(verdict, slope):
@@ -92,6 +109,88 @@ def test_simple_cylinder_fallback():
     assert record.mechanism.startswith("simple transverse cylinder")
 
 
+def net_window_extraction(d, c1, c2):
+    """The window coordinates computed in exact rationals on the metric net
+    of the decomposition: the oracle for the integer extraction."""
+    net = d.to_net()
+    w = net.cylinders[c1].circumference
+    assert net.cylinders[c2].circumference == w
+
+    def longest_bottom(cid):
+        word = net.diagram.bottom_words[cid]
+        sid = max(word, key=lambda s: (net.saddle_lengths[s], -word.index(s)))
+        return sid, net.saddle_lengths[sid] / w
+
+    half = Fraction(1, 2)
+    tau0, t0 = longest_bottom(c1)
+    sigma0, s0 = longest_bottom(c2)
+    q1 = net.bottom_positions(c1)[tau0] / w
+    q2 = net.top_positions(c2)[tau0] / w
+    p1 = net.top_positions(c1)[sigma0] / w
+    p2 = net.bottom_positions(c2)[sigma0] / w
+    t_close = ((q2 - q1 + p1 - p2) % 1) / 2
+    gap = ((p1 - t_close - q1) % 1) % half
+    t_start = (2 * ((gap - t0) % half)) % 1
+    return t0, s0, t_start
+
+
+def random_boundary_exchange(rng):
+    """A random origami of two horizontal k x 1 cylinders, 2 <= k <= 5,
+    each top glued to the other's bottom."""
+    while True:
+        k = rng.randint(2, 5)
+        h = perm_from_cycles([tuple(range(k)), tuple(range(k, 2 * k))],
+                             2 * k)
+        up, down = list(range(k, 2 * k)), list(range(k))
+        rng.shuffle(up)
+        rng.shuffle(down)
+        o = build_origami(h, tuple(up + down))
+        if len(horizontal_decomposition(o).cylinders) == 2:
+            return o
+
+
+def test_window_extraction_matches_net_oracle(rng):
+    ref = horizontal_decomposition(reference_surface())
+    quarter = Fraction(1, 4)
+    assert pipeline._window_extraction(ref, 0, 1) == (quarter, quarter, 0)
+    assert net_window_extraction(ref, 0, 1) == (quarter, quarter, 0)
+    words = ((), ("T",), ("S",), ("T", "S"), ("S", "T^-1"))
+    extractions, triples = 0, set()
+    while extractions < 300:
+        o = random_boundary_exchange(rng)
+        for word in words:
+            image = act_sl2z(o, list(word))
+            for slope in enumerate_slopes(3):
+                d = periodic_decomposition(image, slope)
+                if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
+                    continue
+                ids = [c.id for c in d.cylinders]
+                for c1, c2 in (ids, ids[::-1]):
+                    triple = pipeline._window_extraction(d, c1, c2)
+                    assert triple == net_window_extraction(d, c1, c2), \
+                        (image, slope, c1)
+                    triples.add(triple)
+                    extractions += 1
+    assert len(triples) > 10
+
+
+def test_window_extraction_rejects_unequal_circumferences():
+    d = horizontal_decomposition(l_origami())
+    assert [len(c.rows[0]) for c in d.cylinders] == [2, 1]
+    with pytest.raises(InvariantViolation, match="circumferences"):
+        pipeline._window_extraction(d, 0, 1)
+
+
+def test_case6_chain_builds_no_net(monkeypatch):
+    def no_net(self):
+        raise AssertionError("the Case 6 chain built a metric net")
+
+    monkeypatch.setattr(CylinderDecomposition, "to_net", no_net)
+    verdict = classify_surface(reference_surface())
+    assert verdict.status == "WollmilchsauEquivalent"
+    assert not wollmilchsau_equivalent(exemplar("Case6"))
+
+
 def test_case6_nonreference_excluded_by_window():
     verdict = classify_surface(exemplar("Case6"))
     horizontal = record_for(verdict, (0, 1))
@@ -106,6 +205,22 @@ def test_catalog_counts():
     assert len(enumerate_diagrams((2,), "one_cylinder")) == 1
     assert len(enumerate_diagrams((1, 1, 1, 1), "case6")) == 1
     assert len(enumerate_diagrams((2,), "case6")) == 0
+
+
+@pytest.mark.parametrize("kappa", [(2,), (1, 1), (4,), (3, 1), (2, 2),
+                                   (2, 1, 1)],
+                         ids=lambda k: "H" + ",".join(map(str, k)))
+def test_one_cylinder_catalog_matches_brute_force(kappa):
+    # every v, not only v[0] = 0, for the m-cycle h
+    m = sum(kappa) + len(kappa)
+    h = tuple((i + 1) % m for i in range(m))
+    keys = set()
+    for v in itertools.permutations(range(m)):
+        o = build_origami(h, v)
+        if singularity_data(o).kappa == kappa:
+            keys.add(horizontal_decomposition(o).diagram.canonical_key())
+    catalog = enumerate_diagrams(kappa, "one_cylinder")
+    assert [d.canonical_key() for d in catalog.diagrams] == sorted(keys)
 
 
 def test_case6_catalog_entry_is_the_reference_diagram():
