@@ -209,6 +209,27 @@ def _reference_diagram_key():
         .canonical_key()
 
 
+def _reference_equivalence(d, chain) -> EquivalenceResult:
+    """Final step of the two-cylinder chain: given a horizontal
+    decomposition ``d`` whose metric chain ``chain`` is truthy, compare its
+    cylinder diagram with the reference one.
+
+    No saddle lengths need checking first.  Window feasibility forces
+    ``t0 = s0 = 1/4``, so every saddle on either bottom is at most a
+    quarter circumference long, and each bottom needs at least four
+    saddles.  A genus-3 decomposition has ``4 + n`` saddle connections,
+    ``n <= 4`` being the number of zeros, hence at most eight: both bottoms
+    carry exactly four, each exactly a quarter circumference long, and
+    ``n = 4`` puts the surface in ``H(1,1,1,1)``."""
+    if d.diagram.canonical_key() != _reference_diagram_key():
+        return EquivalenceResult(False, "cylinder diagram differs from the "
+                                 "reference", constraint=chain.constraint,
+                                 record=chain.record)
+    return EquivalenceResult(True, "window forcing resolves to the "
+                             "reference surface", constraint=chain.constraint,
+                             record=chain.record)
+
+
 def wollmilchsau_equivalent(o: Origami) -> EquivalenceResult:
     r"""
     Decide whether a horizontally two-cylinder surface with homologous
@@ -235,21 +256,7 @@ def wollmilchsau_equivalent(o: Origami) -> EquivalenceResult:
     chain = _metric_chain(d, graph)
     if not chain:
         return chain
-    constraint, record = chain.constraint, chain.record
-
-    # feasibility pins every saddle length to a quarter circumference;
-    # the unique matching diagram is the reference one
-    w = len(d.cylinders[0].rows[0])
-    if any(4 * len(s.squares) != w for s in d.saddles.values()):
-        return EquivalenceResult(False, "saddle lengths are not all equal",
-                                 constraint=constraint, record=record)
-    if d.diagram.canonical_key() != _reference_diagram_key():
-        return EquivalenceResult(False, "cylinder diagram differs from the "
-                                 "reference", constraint=constraint,
-                                 record=record)
-    return EquivalenceResult(True, "window forcing resolves to the "
-                             "reference surface", constraint=constraint,
-                             record=record)
+    return _reference_equivalence(d, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +280,14 @@ _GENERIC_CASE3_VALUES = {"theta1_p": 1, "theta1_q": 1,
 
 
 def _analyze_direction(o: Origami, slope):
-    """Record for one direction, plus ``True`` when the direction excludes
-    a nontrivial isometric subspace on its own."""
+    """Record for one direction, ``True`` when the direction excludes a
+    nontrivial isometric subspace on its own, and the decomposition."""
     d = periodic_decomposition(o, slope)
     graph = dual_graph(d)
     label = classify_case(graph)
     name = str(label) if label is not None else None
     if label is None:
-        return DirectionRecord(slope, None, "unmatched pinch graph"), False
+        return DirectionRecord(slope, None, "unmatched pinch graph"), False, d
     if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
         net = d.to_net()
         if label is CaseLabel.CASE4:
@@ -292,53 +299,38 @@ def _analyze_direction(o: Origami, slope):
             witness = find_crossing_cylinder(net, name)
         if witness is None:
             return DirectionRecord(slope, name, "no crossing witness "
-                                   "found"), False
+                                   "found"), False, d
         return DirectionRecord(slope, name, "transverse crossing cylinder",
-                               witness), True
+                               witness), True, d
     if label is CaseLabel.CASE3:
         verdict = case3_verdict(_case3_weighted_graph(d, graph),
                                 _GENERIC_CASE3_VALUES)
-        return DirectionRecord(slope, name, "period forcing", verdict), True
+        return DirectionRecord(slope, name, "period forcing", verdict), \
+            True, d
     if label is CaseLabel.CASE5:
         return DirectionRecord(slope, name, "defer to a simple transverse "
-                               "cylinder"), False
+                               "cylinder"), False, d
     chain = _metric_chain(d, graph)
     if not chain:
-        return DirectionRecord(slope, name, "window forcing", chain), True
+        return DirectionRecord(slope, name, "window forcing", chain), True, d
     return DirectionRecord(slope, name, "two homologous cylinders",
-                           chain), False
+                           chain), False, d
 
 
-def _simple_cylinder_exclusion(o: Origami, direction_bound):
-    """Resolve a fully-periodic one-cylinder direction by locating a
-    transverse direction with a simple cylinder (one saddle per boundary)
-    and excluding through that direction's own mechanism."""
-    for slope in enumerate_slopes(direction_bound):
-        d = periodic_decomposition(o, slope)
-        simple = any(
-            len(d.diagram.bottom_words[c.id]) == 1
-            and len(d.diagram.top_words[c.id]) == 1
-            for c in d.cylinders
-        )
-        if not simple:
-            continue
-        record, excludes = _analyze_direction(o, slope)
-        if excludes:
-            return DirectionRecord(
-                record.slope, record.label,
-                "simple transverse cylinder; " + record.mechanism,
-                record.witness)
-    return None
+# threads analysing the directions of one surface
+_POOL_SIZE = 4
 
 
-def classify_surface(o: Origami, direction_bound=3,
-                     max_workers=4) -> Verdict:
+def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     r"""
     Classify a genus-3 origami by analyzing every reduced direction up to
-    ``direction_bound``: any direction with a non-two-homologous-cylinder
-    pinch shape is excluded by its mechanism (trivial isometric subspace);
-    if every direction shows the two-cylinder shape the metric window
-    chain decides between the reference survivor and triviality.
+    ``direction_bound``.  The status is ``TrivialForni`` when some
+    direction excludes a nontrivial isometric subspace through its
+    mechanism; otherwise ``Undetermined`` when some direction is Case 5,
+    unmatched, or Case 1/2/4 without a crossing witness; otherwise every
+    direction shows two homologous cylinders with consistent metrics, and
+    the horizontal cylinder diagram decides between
+    ``WollmilchsauEquivalent`` and ``TrivialForni``.
 
     EXAMPLES::
 
@@ -355,37 +347,20 @@ def classify_surface(o: Origami, direction_bound=3,
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % stratum.genus)
     slopes = enumerate_slopes(direction_bound)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(_POOL_SIZE) as pool:
         results = list(pool.map(lambda s: _analyze_direction(o, s), slopes))
-    evidence = []
-    exclusion = None
-    saw_case5 = False
-    unresolved = False
-    for record, excludes in results:
-        evidence.append(record)
-        if excludes and exclusion is None:
-            exclusion = record
-        if record.label == "Case5":
-            saw_case5 = True
-        if not excludes and record.label not in ("Case5", "Case6"):
-            unresolved = True
-    if exclusion is not None:
-        return Verdict("TrivialForni", tuple(evidence), o)
-    if saw_case5:
-        record = _simple_cylinder_exclusion(o, direction_bound)
-        if record is not None:
-            evidence.append(record)
-            return Verdict("TrivialForni", tuple(evidence), o)
-        unresolved = True
-    if unresolved:
-        return Verdict("Undetermined", tuple(evidence), o)
-    # every analyzed direction shows two homologous cylinders
-    result = wollmilchsau_equivalent(o)
-    evidence.append(DirectionRecord((0, 1), "Case6", "window forcing",
-                                    result))
-    if result:
-        return Verdict("WollmilchsauEquivalent", tuple(evidence), o)
-    return Verdict("TrivialForni", tuple(evidence), o)
+    evidence = tuple(record for record, _, _ in results)
+    if any(excludes for _, excludes, _ in results):
+        return Verdict("TrivialForni", evidence, o)
+    if any(record.label != "Case6" for record in evidence):
+        return Verdict("Undetermined", evidence, o)
+    # every direction shows two homologous cylinders whose metric chain is
+    # consistent; the horizontal diagram decides
+    horizontal, _, d = results[slopes.index((0, 1))]
+    result = _reference_equivalence(d, horizontal.witness)
+    evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
+    status = "WollmilchsauEquivalent" if result else "TrivialForni"
+    return Verdict(status, evidence, o)
 
 
 # ---------------------------------------------------------------------------

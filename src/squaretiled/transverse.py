@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .cylinders import CaseLabel, classify_case
-from .errors import CaseMismatch, LengthMismatch
+from .errors import CaseMismatch, InvariantViolation, LengthMismatch
 from .homology import dual_graph
 
 # ---------------------------------------------------------------------------
@@ -263,9 +263,12 @@ class TransverseWitness:
     kind: str = ""
 
     def __post_init__(self):
-        assert self.width > 0
-        assert len(set(self.crossed)) == len(self.crossed), \
-            "each cylinder must be crossed exactly once"
+        if self.width <= 0:
+            raise InvariantViolation("a transverse cylinder needs positive "
+                                     "width")
+        if len(set(self.crossed)) != len(self.crossed):
+            raise InvariantViolation("each cylinder must be crossed exactly "
+                                     "once")
 
 
 def _net_view(net):
@@ -480,7 +483,8 @@ def _case4a_witness(net, c1, c4, middles):
             return None
         pa, pb, off = f.piece_at(x)
         eps = min(pb - x, s - x)
-        assert eps > 0
+        if eps <= 0:
+            raise InvariantViolation("boundary witness of zero width")
         return TransverseWitness(
             crossed=(c1, wide, c4),
             width=eps,

@@ -102,11 +102,59 @@ def test_exemplars_have_trivial_subspaces(name):
     assert horizontal.mechanism == mechanism
 
 
-def test_simple_cylinder_fallback():
-    from squaretiled.pipeline import _simple_cylinder_exclusion
-    record = _simple_cylinder_exclusion(exemplar("Case5"), 3)
-    assert record is not None
-    assert record.mechanism.startswith("simple transverse cylinder")
+EXCLUDING_MECHANISMS = ("transverse crossing cylinder", "period forcing",
+                        "window forcing")
+
+
+def has_simple_cylinder(d):
+    return any(len(d.diagram.bottom_words[c.id]) == 1
+               and len(d.diagram.top_words[c.id]) == 1 for c in d.cylinders)
+
+
+def test_case5_excluded_through_a_simple_cylinder_direction():
+    o = exemplar("Case5")
+    verdict = classify_surface(o, direction_bound=3)
+    assert verdict.status == "TrivialForni"
+    assert any(r.mechanism in EXCLUDING_MECHANISMS
+               and has_simple_cylinder(periodic_decomposition(o, r.slope))
+               for r in verdict.evidence)
+
+
+UNDETERMINED_CASE5 = 'origami n=5 h="(1 2 3)" v="(0 1)(3 4)"'
+
+
+def test_case5_without_exclusion_is_undetermined():
+    verdict = classify_surface(parse_origami(UNDETERMINED_CASE5),
+                               direction_bound=3)
+    assert verdict.status == "Undetermined"
+    assert len(verdict.evidence) == 16
+    assert {r.label for r in verdict.evidence} <= {"Case5", None}
+
+
+@pytest.mark.parametrize("text", [str(reference_surface()),
+                                  UNDETERMINED_CASE5],
+                         ids=["reference", "undetermined"])
+def test_each_direction_analysed_once(monkeypatch, text):
+    o = parse_origami(text)
+    classify_surface(o, direction_bound=3)  # warm-up: reference key cached
+    calls = []
+
+    def counted(name):
+        inner = getattr(pipeline, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in ("periodic_decomposition", "dual_graph", "_metric_chain"):
+        counted(name)
+    classify_surface(o, direction_bound=3)
+    slopes = len(enumerate_slopes(3))
+    assert slopes == 16
+    assert calls.count("periodic_decomposition") == slopes
+    assert calls.count("dual_graph") == slopes
+    assert calls.count("_metric_chain") <= slopes
 
 
 def net_window_extraction(d, c1, c2):
@@ -149,21 +197,50 @@ def random_boundary_exchange(rng):
             return o
 
 
+WORDS = ((), ("T",), ("S",), ("T", "S"), ("S", "T^-1"))
+
+
+def feasible_window_has_quarter_saddles(o, d):
+    """On a Case 6 decomposition ``d`` of ``o`` whose metric chain is
+    consistent, every saddle is a quarter circumference long and the
+    stratum is H(1,1,1,1): the counting argument that lets the final step
+    compare diagrams alone.  Returns whether ``d`` is such a
+    decomposition."""
+    graph = dual_graph(d)
+    if classify_case(graph) is not CaseLabel.CASE6 \
+            or not pipeline._metric_chain(d, graph):
+        return False
+    w = len(d.cylinders[0].rows[0])
+    assert all(4 * len(s.squares) == w for s in d.saddles.values()), \
+        (o, d.direction)
+    assert str(singularity_data(o)) == "H(1,1,1,1)"
+    return True
+
+
+@pytest.mark.parametrize("word", WORDS, ids=lambda w: "".join(w) or "id")
+def test_feasible_windows_force_quarter_saddles(word):
+    image = act_sl2z(reference_surface(), list(word))
+    feasible = [feasible_window_has_quarter_saddles(
+        image, periodic_decomposition(image, slope))
+        for slope in enumerate_slopes(3)]
+    assert any(feasible)
+
+
 def test_window_extraction_matches_net_oracle(rng):
     ref = horizontal_decomposition(reference_surface())
     quarter = Fraction(1, 4)
     assert pipeline._window_extraction(ref, 0, 1) == (quarter, quarter, 0)
     assert net_window_extraction(ref, 0, 1) == (quarter, quarter, 0)
-    words = ((), ("T",), ("S",), ("T", "S"), ("S", "T^-1"))
     extractions, triples = 0, set()
     while extractions < 300:
         o = random_boundary_exchange(rng)
-        for word in words:
+        for word in WORDS:
             image = act_sl2z(o, list(word))
             for slope in enumerate_slopes(3):
                 d = periodic_decomposition(image, slope)
                 if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
                     continue
+                feasible_window_has_quarter_saddles(image, d)
                 ids = [c.id for c in d.cylinders]
                 for c1, c2 in (ids, ids[::-1]):
                     triple = pipeline._window_extraction(d, c1, c2)
@@ -331,6 +408,17 @@ except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """
 
+FORGED_WITNESS = """
+import sys
+from squaretiled.errors import InvariantViolation
+from squaretiled.transverse import TransverseWitness
+try:
+    TransverseWitness(crossed=(0, 1), width=0, start_interface=("bottom", 0),
+                      start_interval=(0, 0), direction=(1, 1))
+except InvariantViolation as exc:
+    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+"""
+
 
 def test_forged_survivor_verdict_raises():
     with pytest.raises(InvariantViolation, match="Case 6"):
@@ -355,3 +443,7 @@ def test_checks_survive_python_O():
     forged = run("-c", FORGED_SURVIVOR)
     assert forged.returncode == 0, forged.stderr
     assert forged.stdout.startswith("optimize=1 raised: survivor verdicts")
+    forged = run("-c", FORGED_WITNESS)
+    assert forged.returncode == 0, forged.stderr
+    assert forged.stdout.startswith("optimize=1 raised: a transverse "
+                                    "cylinder needs positive width")

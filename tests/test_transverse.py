@@ -8,9 +8,14 @@ import pytest
 
 from conftest import exemplar, random_case4a_net, torus, wollmilchsau
 from squaretiled.cylinders import horizontal_decomposition
-from squaretiled.errors import CaseMismatch, LengthMismatch
+from squaretiled.errors import (
+    CaseMismatch,
+    InvariantViolation,
+    LengthMismatch,
+)
 from squaretiled.transverse import (
     IntervalMap,
+    TransverseWitness,
     WindowConstraint,
     boundary_hit,
     build_interval_map,
@@ -33,6 +38,17 @@ def test_interval_map_normalization_and_apply():
     assert f.apply(Fraction(5, 2)) == Fraction(7, 2)
     assert f.apply(3) == 0
     assert f.piece_at(Fraction(7, 2)) == (3, 4, 1)
+
+
+@pytest.mark.parametrize("crossed, width, message", [
+    ((0, 1), 0, "positive width"),
+    ((0, 1, 0), 1, "crossed exactly once"),
+])
+def test_malformed_witness_raises(crossed, width, message):
+    with pytest.raises(InvariantViolation, match=message):
+        TransverseWitness(crossed=crossed, width=width,
+                          start_interface=("bottom", 0),
+                          start_interval=(0, width), direction=(1, 1))
 
 
 def test_interval_map_requires_partition():
