@@ -8,12 +8,12 @@ Modules
 - :mod:`squaretiled.cylinders` — cylinder decompositions, diagrams, moduli
 - :mod:`squaretiled.homology` — integer homology, intersection form, dual
   graphs of cylinder pinches, adapted symplectic bases
-- :mod:`squaretiled.jump` — leading-order period asymptotics along a
-  degeneration and the two analytic forcing arguments
+- :mod:`squaretiled.jump` — leading-order series along a degeneration and
+  the two analytic forcing arguments
 - :mod:`squaretiled.transverse` — exact interval maps and transverse-cylinder
   searches; the window-inequality solver
 - :mod:`squaretiled.monodromy` — affine stabilizer, its symplectic action on
-  homology, exact finiteness decision, isometric-subspace criteria
+  homology, exact finiteness decision, core-curve dimension bound
 - :mod:`squaretiled.pipeline` — the end-to-end classification pipeline,
   diagram catalogs and report rendering
 """

@@ -35,11 +35,6 @@ class ZeroNodeValue(SquareTiledError, ValueError):
     """A differential evaluation at a node was zero where nonzero is required."""
 
 
-class UnsupportedLength(SquareTiledError, ValueError):
-    """A dual-graph path longer than two edges was requested from the
-    leading-order calculus, which only tracks one- and two-edge paths."""
-
-
 class LengthMismatch(SquareTiledError, ValueError):
     """Two interfaces that should have equal total length do not."""
 
@@ -50,13 +45,6 @@ class CaseMismatch(SquareTiledError, ValueError):
 
 class NotAStabilizer(SquareTiledError, ValueError):
     """The given word does not stabilize the origami up to relabeling."""
-
-
-class HypothesisFailed(SquareTiledError, ValueError):
-    """A hypothesis of the elliptic-component criterion fails.
-
-    The message names the failing hypothesis.
-    """
 
 
 class GenusMismatch(SquareTiledError, ValueError):

@@ -1,36 +1,31 @@
 r"""
-Leading-order calculus for period asymptotics along a cylinder pinch, and
-the two analytic forcing arguments built on it.
+Leading-order series for period asymptotics along a cylinder pinch, and
+the two analytic forcing arguments built on them.
 
 When all cylinders of a periodic direction are stretched to infinite
 modulus, the surface degenerates onto a nodal curve whose dual graph
 carries one plumbing parameter per node, ``s_e = a_e · s^{n_e} · (1 +
-O(s))``.  Periods of the normalized differentials on the smoothing are
-analytic in ``s`` up to one logarithmic term; the exponent of the first
-non-constant term is the minimal weighted path length between the supports
-of the two differentials involved, and its coefficient is an explicit
-product of nodal evaluations.  Everything here is exact: scalars are
-rationals, series keep one tracked non-constant term, and verdicts rely
+O(s))``.  The Case 3 argument reads the first non-constant term of a
+period off the node exponents; the Case 6 argument shows that unequal
+exponents give the derivative of the period matrix a determinant with a
+nonzero leading term.  Everything here is exact: scalars are rationals,
+series keep their determined terms and one remainder, and verdicts rely
 only on nonvanishing.
 
 EXAMPLES::
 
-    >>> f = LeadingSeries.log(2) + LeadingSeries.monomial(3, 2)
-    >>> f.derivative().coefficient(-1)
-    Fraction(2, 1)
+    >>> f = LeadingSeries.monomial(2, 1) + LeadingSeries.big_o(3)
+    >>> (f * LeadingSeries.monomial(3, -1)).leading()
+    (0, Fraction(6, 1))
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ShapeMismatch, UnsupportedLength, ZeroNodeValue
+from .errors import InvariantViolation, ShapeMismatch, ZeroNodeValue
 from .homology import AdaptedBasis, DualGraph
-
-_INF = float("inf")
 
 
 def _frac(x):
@@ -44,13 +39,13 @@ def _frac(x):
 
 class LeadingSeries:
     r"""
-    A germ ``c_log·ln(s) + [unknown constant] + Σ_k terms[k]·s^k +
-    O(s^order)`` with exact rational coefficients.
+    A germ ``[unknown constant] + Σ_k terms[k]·s^k + O(s^order)`` with
+    exact rational coefficients.
 
     ``order`` is ``None`` for an exact expression (no remainder).  The
     optional unknown constant stands for a closed-form constant the
-    calculus never needs to evaluate; it differentiates to zero and blocks
-    any multiplication that would smear it across other exponents.
+    calculus never needs to evaluate; it blocks any multiplication that
+    would smear it across other exponents.
 
     EXAMPLES::
 
@@ -58,14 +53,13 @@ class LeadingSeries:
         >>> g = LeadingSeries.monomial(5, -1)
         >>> (f * g).terms
         {2: Fraction(10, 1)}
-        >>> LeadingSeries.log(1).derivative().terms
-        {-1: Fraction(1, 1)}
+        >>> LeadingSeries({1: 2}, order=3, unknown_const=True)
+        LeadingSeries(C + 2*s^1 + O(s^3))
     """
 
-    __slots__ = ("c_log", "terms", "order", "unknown_const")
+    __slots__ = ("terms", "order", "unknown_const")
 
-    def __init__(self, c_log=0, terms=None, order=None, unknown_const=False):
-        self.c_log = _frac(c_log)
+    def __init__(self, terms=None, order=None, unknown_const=False):
         self.order = order
         self.unknown_const = bool(unknown_const)
         self.terms = {}
@@ -78,19 +72,11 @@ class LeadingSeries:
 
     @classmethod
     def constant(cls, c):
-        return cls(terms={0: c})
-
-    @classmethod
-    def unknown_constant(cls):
-        return cls(unknown_const=True)
-
-    @classmethod
-    def log(cls, coeff):
-        return cls(c_log=coeff)
+        return cls({0: c})
 
     @classmethod
     def monomial(cls, coeff, k):
-        return cls(terms={k: coeff})
+        return cls({k: coeff})
 
     @classmethod
     def big_o(cls, order):
@@ -101,18 +87,8 @@ class LeadingSeries:
     @property
     def is_known_scalar(self):
         """True when the expression is a single exactly-known number."""
-        return (self.c_log == 0 and not self.unknown_const
-                and self.order is None
+        return (not self.unknown_const and self.order is None
                 and all(k == 0 for k in self.terms))
-
-    def coefficient(self, k):
-        """Exact coefficient of ``s^k``; raises if it is not determined."""
-        if self.order is not None and k >= self.order:
-            raise ValueError("coefficient at s^%d is inside O(s^%d)"
-                             % (k, self.order))
-        if k == 0 and self.unknown_const:
-            raise ValueError("constant term is symbolic")
-        return self.terms.get(k, Fraction(0))
 
     def leading(self):
         """``(exponent, coefficient)`` of the lowest determined nonzero
@@ -142,14 +118,13 @@ class LeadingSeries:
             order = self.order
         else:
             order = min(self.order, other.order)
-        return LeadingSeries(self.c_log + other.c_log, terms, order,
+        return LeadingSeries(terms, order,
                              self.unknown_const or other.unknown_const)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LeadingSeries(-self.c_log,
-                             {k: -c for k, c in self.terms.items()},
+        return LeadingSeries({k: -c for k, c in self.terms.items()},
                              self.order, self.unknown_const)
 
     def __sub__(self, other):
@@ -161,8 +136,7 @@ class LeadingSeries:
         c = _frac(c)
         if c == 0:
             return LeadingSeries()
-        return LeadingSeries(self.c_log * c,
-                             {k: v * c for k, v in self.terms.items()},
+        return LeadingSeries({k: v * c for k, v in self.terms.items()},
                              self.order, self.unknown_const)
 
     def __mul__(self, other):
@@ -172,9 +146,6 @@ class LeadingSeries:
             return other.scale(self.terms.get(0, Fraction(0)))
         if other.is_known_scalar:
             return self.scale(other.terms.get(0, Fraction(0)))
-        if self.c_log != 0 or other.c_log != 0:
-            raise ValueError("product with a logarithmic term is outside "
-                             "the tracked calculus")
         if self.unknown_const or other.unknown_const:
             raise ValueError("product with a symbolic constant is outside "
                              "the tracked calculus")
@@ -192,33 +163,19 @@ class LeadingSeries:
                 if g.order is not None:
                     orders.append(f.order + g.order)
         order = min(orders) if orders else None
-        return LeadingSeries(0, terms, order)
+        return LeadingSeries(terms, order)
 
     __rmul__ = __mul__
-
-    def derivative(self):
-        """Formal ``d/ds``; the unknown constant drops out exactly."""
-        terms = {}
-        if self.c_log:
-            terms[-1] = self.c_log
-        for k, c in self.terms.items():
-            if k != 0:
-                terms[k - 1] = terms.get(k - 1, Fraction(0)) + k * c
-        order = None if self.order is None else self.order - 1
-        return LeadingSeries(0, terms, order)
 
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, LeadingSeries)
-                and self.c_log == other.c_log and self.terms == other.terms
-                and self.order == other.order
+                and self.terms == other.terms and self.order == other.order
                 and self.unknown_const == other.unknown_const)
 
     def __repr__(self):
         parts = []
-        if self.c_log:
-            parts.append("%s*ln(s)" % self.c_log)
         if self.unknown_const:
             parts.append("C")
         for k in sorted(self.terms):
@@ -251,26 +208,8 @@ def series_determinant(matrix):
     return total
 
 
-def s_coordinate(t, modulus, r):
-    r"""
-    The plumbing coordinate ``exp(-2·pi·(modulus/r)·t)`` of a cylinder of
-    the given modulus after flowing for time ``t``; cylinders whose
-    modulus-to-exponent ratio agrees share the same coordinate.
-
-    EXAMPLES::
-
-        >>> s_coordinate(0, Fraction(1, 4), 1)
-        1.0
-        >>> round(s_coordinate(2 * math.log(2) / math.pi, Fraction(1, 4), 1), 12)
-        0.5
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return math.exp(-2 * math.pi * (Fraction(modulus) / r) * t)
-
-
 # ---------------------------------------------------------------------------
-# weighted dual graphs and differential symbols
+# weighted dual graphs
 # ---------------------------------------------------------------------------
 
 
@@ -278,14 +217,11 @@ def s_coordinate(t, modulus, r):
 class WeightedDualGraph:
     """A dual graph with plumbing data: per edge an exponent ``n_e >= 1``
     and a nonzero scale ``a_e`` (the node parameter is ``a_e·s^{n_e}`` to
-    leading order), plus a point label for each edge endpoint on its
-    component.  ``node_points[(edge, end)]`` is the label at position
-    ``end`` (0 or 1) of the edge's vertex pair."""
+    leading order)."""
 
     graph: DualGraph
     n_e: dict
     a_e: dict
-    node_points: dict = field(default_factory=dict)
 
     def __post_init__(self):
         edge_ids = {e for e, _ in self.graph.edges}
@@ -294,115 +230,6 @@ class WeightedDualGraph:
                 raise ValueError("edge exponent must be >= 1")
             if _frac(self.a_e[e]) == 0:
                 raise ZeroNodeValue("edge scale a_e must be nonzero")
-
-    def endpoints(self, e):
-        for eid, uv in self.graph.edges:
-            if eid == e:
-                return uv
-        raise KeyError(e)
-
-
-@dataclass(frozen=True)
-class DifferentialSymbol:
-    """A normalized differential known only through where it lives and how
-    it evaluates at nodes: its support (dual-graph vertices), the edges its
-    dual cycle crosses (where it acquires simple poles with residues
-    ``±1``), and exact nonzero evaluations of its holomorphic part at
-    labeled node points."""
-
-    index: int
-    support: frozenset
-    pole_edges: frozenset = frozenset()
-    node_values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.support:
-            raise ValueError("support must be nonempty")
-        for label, val in self.node_values.items():
-            if _frac(val) == 0:
-                raise ZeroNodeValue("node value at %r is zero" % (label,))
-
-    def value_at(self, label):
-        try:
-            return _frac(self.node_values[label])
-        except KeyError:
-            raise ZeroNodeValue("no node value supplied at %r" % (label,))
-
-
-@dataclass(frozen=True)
-class OrientedPath:
-    """A path in the dual graph as ``(edge id, direction)`` steps;
-    direction ``+1`` traverses the edge from endpoint 0 to endpoint 1."""
-
-    steps: tuple
-
-    def __len__(self):
-        return len(self.steps)
-
-    def weighted_length(self, g: WeightedDualGraph):
-        return sum(g.n_e[e] for e, _ in self.steps)
-
-    def start_vertex(self, g):
-        e, d = self.steps[0]
-        uv = g.endpoints(e)
-        return uv[0] if d == +1 else uv[1]
-
-    def end_vertex(self, g):
-        e, d = self.steps[-1]
-        uv = g.endpoints(e)
-        return uv[1] if d == +1 else uv[0]
-
-    def entry_point(self, g, k):
-        """Node-point label where step ``k`` leaves its start component."""
-        e, d = self.steps[k]
-        return g.node_points[(e, 0 if d == +1 else 1)]
-
-    def exit_point(self, g, k):
-        """Node-point label where step ``k`` arrives on its end component."""
-        e, d = self.steps[k]
-        return g.node_points[(e, 1 if d == +1 else 0)]
-
-
-def jump_distance(g: WeightedDualGraph, ti: DifferentialSymbol,
-                  tj: DifferentialSymbol):
-    r"""
-    Minimal weighted length of an oriented dual-graph path from the support
-    of ``ti`` to the support of ``tj``; 0 when the supports meet, infinity
-    when no path exists.
-
-    EXAMPLES::
-
-        >>> g = _path_graph_example()
-        >>> ti = DifferentialSymbol(0, frozenset({0}))
-        >>> tj = DifferentialSymbol(1, frozenset({2}))
-        >>> jump_distance(g, ti, tj)
-        5
-    """
-    if ti.support & tj.support:
-        return 0
-    dist = {v: _INF for v, _ in g.graph.vertices}
-    heap = []
-    for v in ti.support:
-        dist[v] = 0
-        heapq.heappush(heap, (0, v))
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for e, (a, b) in g.graph.edges:
-            for u, w in ((a, b), (b, a)):
-                if u == v and d + g.n_e[e] < dist[w]:
-                    dist[w] = d + g.n_e[e]
-                    heapq.heappush(heap, (dist[w], w))
-    best = min(dist[v] for v in tj.support)
-    return best
-
-
-def _path_graph_example():
-    """Three components in a chain with edge weights 2 and 3."""
-    graph = DualGraph(((0, 1), (1, 1), (2, 1)),
-                      ((0, (0, 1)), (1, (1, 2))))
-    return WeightedDualGraph(graph, {0: 2, 1: 3}, {0: 1, 1: 1})
 
 
 def log_coefficient(basis: AdaptedBasis, i, j):
@@ -425,123 +252,6 @@ def log_coefficient(basis: AdaptedBasis, i, j):
         out[cid] = basis.pair(core, basis.betas[i]) * \
             basis.pair(core, basis.betas[j])
     return out
-
-
-def genus0_bidifferential(z, w):
-    """The fundamental bidifferential of the Riemann sphere evaluated at
-    two affine coordinates: ``-1/(z - w)^2``."""
-    z, w = _frac(z), _frac(w)
-    if z == w:
-        raise ZeroNodeValue("coincident sphere points")
-    return Fraction(-1) / (z - w) ** 2
-
-
-def path_coefficient(g: WeightedDualGraph, gamma: OrientedPath,
-                     ti: DifferentialSymbol, tj: DifferentialSymbol,
-                     omega=None):
-    r"""
-    Coefficient contributed by one oriented path of one or two edges to the
-    first non-constant period term.
-
-    One edge ``e``: ``-a_e·Θi(entry)·Θj(exit)``.  Two edges: ``a_1·a_2·
-    Θi(entry_1)·Θj(exit_2)·ω(exit_1, entry_2)`` where ``ω`` is the middle
-    component's bidifferential — caller-supplied, or the sphere kernel
-    when the middle component has genus 0 and numeric point labels.  An
-    immediate backtrack into a genus-0 component contributes 0.
-
-    EXAMPLES::
-
-        >>> g = _path_graph_example()
-        >>> ti = DifferentialSymbol(0, frozenset({0}), node_values={"q+": 3})
-        >>> tj = DifferentialSymbol(1, frozenset({1}), node_values={"q-": 5})
-        >>> g2 = WeightedDualGraph(g.graph, g.n_e, {0: 2, 1: 1},
-        ...                        {(0, 0): "q+", (0, 1): "q-"})
-        >>> path_coefficient(g2, OrientedPath(((0, +1),)), ti, tj)
-        Fraction(-30, 1)
-    """
-    if len(gamma) == 1:
-        e, _ = gamma.steps[0]
-        return (-_frac(g.a_e[e]) * ti.value_at(gamma.entry_point(g, 0))
-                * tj.value_at(gamma.exit_point(g, 0)))
-    if len(gamma) == 2:
-        (e1, d1), (e2, d2) = gamma.steps
-        uv1 = g.endpoints(e1)
-        middle = uv1[1] if d1 == +1 else uv1[0]
-        middle_genus = dict(g.graph.vertices)[middle]
-        if e1 == e2 and d1 == -d2 and middle_genus == 0:
-            return Fraction(0)
-        z = gamma.exit_point(g, 0)
-        w = gamma.entry_point(g, 1)
-        if omega is not None:
-            kernel = _frac(omega(z, w)) if callable(omega) else _frac(omega)
-        elif middle_genus == 0:
-            kernel = genus0_bidifferential(z, w)
-        else:
-            raise ZeroNodeValue(
-                "bidifferential required for the positive-genus middle "
-                "component")
-        return (_frac(g.a_e[e1]) * _frac(g.a_e[e2])
-                * ti.value_at(gamma.entry_point(g, 0))
-                * tj.value_at(gamma.exit_point(g, 1)) * kernel)
-    raise UnsupportedLength("only one- and two-edge paths are tracked")
-
-
-def _minimal_paths(g: WeightedDualGraph, ti, tj, dist):
-    """All oriented paths of weighted length exactly ``dist`` from the
-    support of ``ti`` to the support of ``tj`` (backtracking allowed)."""
-    incident = {v: [] for v, _ in g.graph.vertices}
-    for e, (a, b) in g.graph.edges:
-        incident[a].append((e, +1, b))
-        incident[b].append((e, -1, a))
-    out = []
-
-    def extend(vertex, steps, weight):
-        if weight == dist and steps and vertex in tj.support:
-            out.append(OrientedPath(tuple(steps)))
-        if weight >= dist:
-            return
-        for e, d, nxt in incident[vertex]:
-            if weight + g.n_e[e] <= dist:
-                steps.append((e, d))
-                extend(nxt, steps, weight + g.n_e[e])
-                steps.pop()
-
-    for v in ti.support:
-        extend(v, [], 0)
-    return out
-
-
-def period_leading(g: WeightedDualGraph, ti: DifferentialSymbol,
-                   tj: DifferentialSymbol, log_coefficients=None,
-                   omega=None) -> LeadingSeries:
-    r"""
-    Leading-order behavior of the ``(i, j)`` period as a
-    :class:`LeadingSeries`: logarithmic term from the supplied per-edge
-    coefficients, a symbolic constant, and the first non-constant
-    coefficient summed over all minimal paths.
-
-    EXAMPLES::
-
-        >>> g = _path_graph_example()
-        >>> ti = DifferentialSymbol(0, frozenset({0}))
-        >>> tj = DifferentialSymbol(1, frozenset({0}))
-        >>> period_leading(g, ti, tj).unknown_const
-        True
-    """
-    c_log = Fraction(0)
-    if log_coefficients:
-        for e, coeff in log_coefficients.items():
-            c_log += coeff * g.n_e[e]
-    dist = jump_distance(g, ti, tj)
-    if dist == _INF:
-        return LeadingSeries(c_log, unknown_const=True)
-    if dist == 0:
-        return LeadingSeries(c_log, order=1, unknown_const=True)
-    total = Fraction(0)
-    for gamma in _minimal_paths(g, ti, tj, dist):
-        total += path_coefficient(g, gamma, ti, tj, omega=omega)
-    return LeadingSeries(c_log, {dist: total}, order=dist + 1,
-                         unknown_const=True)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +290,12 @@ def _case3_shape(graph: DualGraph):
     if dict(graph.edges)[loops[0]][0] != rational:
         raise ShapeMismatch("the loop must sit on the genus-0 component")
     return elliptic, rational, loops[0], cross
+
+
+def _check_nonzero(coeff):
+    if coeff == 0:
+        raise InvariantViolation("the obstructing coefficient must be "
+                                 "nonzero")
 
 
 def case3_verdict(g: WeightedDualGraph, node_values) -> ForcingVerdict:
@@ -627,9 +343,8 @@ def case3_verdict(g: WeightedDualGraph, node_values) -> ForcingVerdict:
                 node_values["theta1_q"]
             k = n2
         coeff = -a_min * _frac(theta3) * _frac(theta1)
-        assert coeff != 0
-        series = LeadingSeries(0, {k: coeff}, order=k + 1,
-                               unknown_const=True)
+        _check_nonzero(coeff)
+        series = LeadingSeries({k: coeff}, order=k + 1, unknown_const=True)
         return ForcingVerdict("Forni impossible", "unequal_exponents",
                               k, coeff, series)
     # equal exponents: the sphere kernel between coordinates 0 and 1 is
@@ -637,8 +352,8 @@ def case3_verdict(g: WeightedDualGraph, node_values) -> ForcingVerdict:
     k = n1 + n2
     coeff = 2 * a1 * a2 * _frac(node_values["theta1_p"]) \
         * _frac(node_values["theta1_q"]) * Fraction(1)
-    assert coeff != 0
-    series = LeadingSeries(0, {k: coeff}, order=k + 1, unknown_const=True)
+    _check_nonzero(coeff)
+    series = LeadingSeries({k: coeff}, order=k + 1, unknown_const=True)
     return ForcingVerdict("Forni impossible", "equal_exponents",
                           k, coeff, series)
 
@@ -651,10 +366,7 @@ def _case3_graph_example(n1, n2):
     graph = DualGraph(((0, 1), (1, 0)),
                       ((0, (0, 1)), (1, (0, 1)), (2, (1, 1))))
     return WeightedDualGraph(graph, {0: n1, 1: n2, 2: 1},
-                             {0: 1, 1: 1, 2: 1},
-                             {(0, 0): "p", (0, 1): 0,
-                              (1, 0): "q", (1, 1): 1,
-                              (2, 0): "r0", (2, 1): "r1"})
+                             {0: 1, 1: 1, 2: 1})
 
 
 def _case6_shape(graph: DualGraph):
@@ -711,8 +423,13 @@ def case6_moduli_forcing(r1, r2, node_values, graph=None) -> ForcingVerdict:
     det = series_determinant(matrix)
     k = 2 * r - 3
     lead = det.leading()
-    assert lead is not None and lead[0] == k and lead[1] != 0
+    if lead is None or lead[0] != k or lead[1] == 0:
+        raise InvariantViolation("the determinant must lead at s^%d, got %r"
+                                 % (k, det))
     coeff = (r1 + r2) * (r * t1 * t2) ** 2
-    assert abs(lead[1]) == coeff
+    if abs(lead[1]) != coeff:
+        raise InvariantViolation("the determinant's leading coefficient %s "
+                                 "is not the closed form %s up to sign"
+                                 % (lead[1], coeff))
     return ForcingVerdict("r1 = r2 forced", "unequal_exponents",
                           k, coeff, det)

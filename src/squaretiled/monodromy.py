@@ -2,7 +2,7 @@ r"""
 The affine group of an origami acting on integer homology: stabilizer
 words, their symplectic matrices, the restriction to the zero-holonomy
 subspace, an exact finiteness decision by reduction mod 3, and the
-executable isometric-subspace criteria.
+core-curve upper bound on the isometric-subspace dimension.
 
 The computable surrogate for an isometrically-moving subspace is the
 monodromy of the affine group on the kernel of the two holonomy covectors:
@@ -21,20 +21,18 @@ EXAMPLES::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .cylinders import classify_case, periodic_decomposition
-from .errors import HypothesisFailed, NotAStabilizer
+from .errors import InvariantViolation, NotAStabilizer
 from .homology import (
     HomologyBasis,
-    core_curve_class,
     dual_graph,
     homology_basis,
     relabel_action_matrix,
     word_action_matrix,
 )
-from .intlinalg import identity_matrix, integer_kernel, mat_mul, mat_vec, \
+from .intlinalg import identity_matrix, integer_kernel, mat_mul, \
     solve_rational
 from .surface import Origami, act_sl2z, origami_isomorphism, singularity_data
 
@@ -112,15 +110,16 @@ def homology_action(o: Origami, gen, basis: HomologyBasis = None):
     target, m = word_action_matrix(o, word, source=basis)
     relabel = relabel_action_matrix(target, basis, perm)
     result = mat_mul(relabel, m)
-    _assert_symplectic_matrix(result, basis.omega)
+    _check_symplectic_matrix(result, basis.omega)
     return result
 
 
-def _assert_symplectic_matrix(m, omega):
+def _check_symplectic_matrix(m, omega):
     n = len(m)
     mt_omega_m = mat_mul([[m[i][j] for i in range(n)] for j in range(n)],
                          mat_mul(omega, m))
-    assert mt_omega_m == omega, "homology action must preserve the form"
+    if mt_omega_m != omega:
+        raise InvariantViolation("homology action must preserve the form")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def holonomy_covector(basis: HomologyBasis) -> HolonomyCovector:
 def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
     r"""
     Express each symplectic matrix on an integer basis of the
-    zero-holonomy subspace.  The subspace is invariant (asserted), so the
+    zero-holonomy subspace.  The subspace is invariant (checked), so the
     restriction ``X`` solves ``K·X = M·K`` for the kernel columns ``K``.
 
     EXAMPLES::
@@ -176,8 +175,12 @@ def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
         for j in range(dim):
             rhs = [mk[i][j] for i in range(basis.rank)]
             sol = solve_rational(k, rhs)
-            assert sol is not None, "zero-holonomy subspace must be invariant"
-            assert all(v.denominator == 1 for v in sol)
+            if sol is None:
+                raise InvariantViolation("zero-holonomy subspace must be "
+                                         "invariant")
+            if any(v.denominator != 1 for v in sol):
+                raise InvariantViolation("restricted action must be "
+                                         "integral")
             x.append([int(v) for v in sol])
         out.append([[x[j][i] for j in range(dim)] for i in range(dim)])
     return out
@@ -262,7 +265,7 @@ def closure_classify(generators) -> ClosureResult:
 
 
 # ---------------------------------------------------------------------------
-# dimension bounds and criteria
+# dimension bound
 # ---------------------------------------------------------------------------
 
 
@@ -320,69 +323,3 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
         witnesses.append((slope, label, rank))
         best = min(best, 2 * (g - rank))
     return ForniReport(best, tuple(witnesses))
-
-
-def zero_eval_check(covector, core_classes) -> bool:
-    r"""
-    Whether an exact covector on homology annihilates every listed class —
-    the constraint an isometric subspace imposes on cylinder core curves.
-
-    EXAMPLES::
-
-        >>> zero_eval_check((0, 0), [(1, 0), (0, 1)])
-        True
-        >>> zero_eval_check((1, 0), [(1, 0)])
-        False
-    """
-    return all(sum(Fraction(c) * x for c, x in zip(covector, cls)) == 0
-               for cls in core_classes)
-
-
-def new_forni_criterion(d, beta, witness_slope):
-    r"""
-    The elliptic-path criterion: a decomposition whose pinch has geometric
-    genus one admits no nontrivial isometric subspace as soon as some core
-    curve of a transverse periodic direction crosses the pinch's elliptic
-    component between two distinct punctures.
-
-    ``d`` is a horizontal decomposition, ``beta`` a homology class on
-    ``d.origami`` (coordinates), and ``witness_slope`` a reduced slope
-    whose decomposition must contain ``±beta`` among its core classes.
-    All three hypotheses are re-verified;
-    :class:`~squaretiled.errors.HypothesisFailed` names the failing one.
-    Returns the verdict string ``"trivial Forni subspace"``.
-    """
-    graph = dual_graph(d)
-    if graph.geometric_genus != 1:
-        raise HypothesisFailed("geometric genus of the pinch is %d, not 1"
-                               % graph.geometric_genus)
-    elliptic = next(v for v, gn in graph.vertices if gn == 1)
-
-    basis = homology_basis(d.origami)
-    beta = list(beta)
-    punctures = 0
-    for c in d.cylinders:
-        crossings = abs(basis.pair(beta, core_curve_class(d, c.id, basis)))
-        if crossings > 1:
-            raise HypothesisFailed(
-                "class crosses cylinder %d more than once" % c.id)
-        if crossings == 0:
-            continue
-        ends = sum(1 for u in dict(graph.edges)[c.id] if u == elliptic)
-        punctures += ends
-    if punctures < 2:
-        raise HypothesisFailed(
-            "restriction to the elliptic component does not join two "
-            "distinct punctures")
-
-    dw = periodic_decomposition(d.origami, witness_slope)
-    # transport beta into the homology of the sheared witness origami
-    target_basis, m = word_action_matrix(d.origami, dw.word, source=basis)
-    beta_w = mat_vec(m, beta)
-    cores = [core_curve_class(dw, c.id, target_basis) for c in dw.cylinders]
-    neg = [x * -1 for x in beta_w]
-    if beta_w not in [list(c) for c in cores] and \
-            neg not in [list(c) for c in cores]:
-        raise HypothesisFailed(
-            "class is not a core curve of the witness direction")
-    return "trivial Forni subspace"

@@ -268,11 +268,7 @@ def _case3_weighted_graph(d, graph):
     exps = moduli_exponents(d)
     n_e = {c.id: exps[i] for i, c in enumerate(d.cylinders)}
     a_e = {c.id: 1 for c in d.cylinders}
-    node_points = {}
-    for e, _ in graph.edges:
-        node_points[(e, 0)] = ("n", e, 0)
-        node_points[(e, 1)] = ("n", e, 1)
-    return WeightedDualGraph(graph, n_e, a_e, node_points)
+    return WeightedDualGraph(graph, n_e, a_e)
 
 
 _GENERIC_CASE3_VALUES = {"theta1_p": 1, "theta1_q": 1,

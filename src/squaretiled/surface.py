@@ -504,19 +504,6 @@ def parse_origami(line: str) -> Origami:
 
 
 @dataclass(frozen=True)
-class SaddleConnection:
-    """A horizontal boundary edge of a net: id, exact length and the zero
-    labels at its two endpoints (start, end along the boundary orientation)."""
-
-    id: object
-    length: Fraction
-    endpoints: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "length", Fraction(self.length))
-
-
-@dataclass(frozen=True)
 class CylinderGeometry:
     """Metric data of one net cylinder: circumference, height and twist."""
 

@@ -1,45 +1,38 @@
-"""Leading-order series calculus and the degeneration forcing arguments:
-distances on weighted dual graphs, period leading terms, and the
-case-specific exclusion verdicts."""
+"""Leading-order series arithmetic, the logarithmic period coefficients
+of an adapted basis, and the case-specific forcing verdicts."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import wollmilchsau
+from conftest import exemplar, wollmilchsau
 from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.errors import ShapeMismatch, ZeroNodeValue
 from squaretiled.homology import DualGraph, adapted_basis
 from squaretiled.jump import (
-    DifferentialSymbol,
     LeadingSeries,
     WeightedDualGraph,
     case3_verdict,
     case6_moduli_forcing,
-    jump_distance,
     log_coefficient,
-    period_leading,
-    s_coordinate,
     series_determinant,
 )
+from squaretiled.pipeline import classify_surface
 
 
-def random_series(rng, allow_special=True):
+def random_series(rng):
     terms = {rng.randint(-3, 4): Fraction(rng.randint(-5, 5),
                                           rng.randint(1, 4))
              for _ in range(rng.randint(0, 3))}
     order = rng.choice([None, rng.randint(2, 6)])
-    if allow_special and rng.random() < 0.3:
-        return LeadingSeries(Fraction(rng.randint(-3, 3)), terms, order)
-    return LeadingSeries(0, terms, order)
+    return LeadingSeries(terms, order)
 
 
 def test_series_ring_axioms(rng):
     for _ in range(150):
-        a = random_series(rng, allow_special=False)
-        b = random_series(rng, allow_special=False)
-        c = random_series(rng, allow_special=False)
+        a = random_series(rng)
+        b = random_series(rng)
+        c = random_series(rng)
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         left = (a * (b + c)).terms
@@ -48,37 +41,12 @@ def test_series_ring_axioms(rng):
         assert all(left[k] == right[k] for k in common)
 
 
-def test_series_leibniz_rule(rng):
-    for _ in range(150):
-        a = random_series(rng, allow_special=False)
-        b = random_series(rng, allow_special=False)
-        d1 = (a * b).derivative()
-        d2 = a.derivative() * b + a * b.derivative()
-        if d1.order is None and d2.order is None:
-            assert d1 == d2
-        else:
-            horizon = min(x for x in (d1.order, d2.order) if x is not None)
-            for k in range(-8, horizon):
-                assert d1.coefficient(k) == d2.coefficient(k)
-
-
-def test_unknown_constant_drops_under_derivative():
-    s = LeadingSeries.unknown_constant() + LeadingSeries.monomial(3, 2)
-    assert s.derivative() == LeadingSeries.monomial(6, 1)
-
-
-def test_log_derivative():
-    assert LeadingSeries.log(5).derivative() == LeadingSeries.monomial(5, -1)
-
-
 def test_guarded_products():
-    log = LeadingSeries.log(1)
+    symbolic = LeadingSeries(unknown_const=True)
     mono = LeadingSeries.monomial(1, 1)
     with pytest.raises(ValueError):
-        log * mono
-    with pytest.raises(ValueError):
-        LeadingSeries.unknown_constant() * mono
-    assert (log * LeadingSeries.constant(2)).c_log == 2
+        symbolic * mono
+    assert (symbolic * LeadingSeries.constant(2)).unknown_const
 
 
 def test_series_determinant_two_by_two():
@@ -88,40 +56,6 @@ def test_series_determinant_two_by_two():
     d = LeadingSeries.monomial(1, -1)
     det = series_determinant([[a, b], [c, d]])
     assert det == a * d - b * c
-
-
-def test_s_coordinate_monotone():
-    assert s_coordinate(Fraction(0), Fraction(1, 4), 1) == 1
-    v1 = s_coordinate(Fraction(1), Fraction(1, 4), 1)
-    v2 = s_coordinate(Fraction(2), Fraction(1, 4), 1)
-    assert 0 < v2 < v1 < 1
-
-
-def chain_graph(n1, n2):
-    graph = DualGraph(((0, 1), (1, 0), (2, 1)),
-                      ((0, (0, 1)), (1, (1, 2))))
-    return WeightedDualGraph(graph, {0: n1, 1: n2}, {0: 1, 1: 1},
-                             {(0, 0): "p", (0, 1): 0,
-                              (1, 0): 1, (1, 1): "q"})
-
-
-def test_jump_distance():
-    g = chain_graph(2, 3)
-    ti = DifferentialSymbol(0, frozenset({0}))
-    tj = DifferentialSymbol(1, frozenset({2}))
-    assert jump_distance(g, ti, tj) == 5
-    assert jump_distance(g, ti, DifferentialSymbol(0, frozenset({0}))) == 0
-
-
-def test_period_leading_order_and_symbolic_constant():
-    g = chain_graph(2, 3)
-    ti = DifferentialSymbol(0, frozenset({0}), node_values={"p": 1, 0: 1})
-    tj = DifferentialSymbol(1, frozenset({2}), node_values={1: 1, "q": 1})
-    series = period_leading(g, ti, tj)
-    assert series.unknown_const
-    assert series.order == 6
-    k, coeff = series.leading()
-    assert k == 5 and coeff != 0
 
 
 def test_log_coefficient_symmetry():
@@ -151,10 +85,7 @@ def case3_graph(n1, n2):
     graph = DualGraph(((0, 1), (1, 0)),
                       ((0, (0, 1)), (1, (0, 1)), (2, (1, 1))))
     return WeightedDualGraph(graph, {0: n1, 1: n2, 2: 1},
-                             {0: 1, 1: 1, 2: 1},
-                             {(0, 0): "p", (0, 1): 0,
-                              (1, 0): "q", (1, 1): 1,
-                              (2, 0): "r0", (2, 1): "r1"})
+                             {0: 1, 1: 1, 2: 1})
 
 
 def random_node_values(rng):
@@ -202,6 +133,39 @@ def test_case6_known_values():
     assert case6_moduli_forcing(3, 3, {"theta1_p1": 1,
                                        "theta2_p2": 1}).verdict == \
         "consistent"
+
+
+UNIT_CASE3 = {"theta1_p": 1, "theta1_q": 1, "theta3_0": 1, "theta3_1": 1}
+UNIT_CASE6 = {"theta1_p1": 1, "theta2_p2": 1}
+
+
+def test_forcing_evidence_is_frozen():
+    """The full evidence reprs, series included, as the classifier has
+    always printed them."""
+    assert repr(case3_verdict(case3_graph(1, 2), UNIT_CASE3)) == (
+        "ForcingVerdict(verdict='Forni impossible', "
+        "branch='unequal_exponents', exponent=1, "
+        "coefficient=Fraction(-1, 1), "
+        "series=LeadingSeries(C + -1*s^1 + O(s^2)))")
+    assert repr(case3_verdict(case3_graph(1, 1), UNIT_CASE3)) == (
+        "ForcingVerdict(verdict='Forni impossible', "
+        "branch='equal_exponents', exponent=2, "
+        "coefficient=Fraction(2, 1), "
+        "series=LeadingSeries(C + 2*s^2 + O(s^3)))")
+    assert repr(case6_moduli_forcing(1, 2, UNIT_CASE6)) == (
+        "ForcingVerdict(verdict='r1 = r2 forced', "
+        "branch='unequal_exponents', exponent=-1, "
+        "coefficient=Fraction(3, 1), "
+        "series=LeadingSeries(-3*s^-1 + O(s^0)))")
+    records = [r for r in classify_surface(exemplar("Case3")).evidence
+               if r.label == "Case3"]
+    assert [repr(r) for r in records] == [
+        "DirectionRecord(slope=(0, 1), label='Case3', "
+        "mechanism='period forcing', "
+        "witness=ForcingVerdict(verdict='Forni impossible', "
+        "branch='equal_exponents', exponent=2, "
+        "coefficient=Fraction(2, 1), "
+        "series=LeadingSeries(C + 2*s^2 + O(s^3))))"]
 
 
 def test_case6_guards():

@@ -1,30 +1,26 @@
 """Affine-group monodromy on homology: stabilizer words, symplectic
 actions, the zero-holonomy restriction, closure finiteness, and the
-isometric-subspace criteria."""
+core-curve upper bound on the isometric-subspace dimension."""
 
 import itertools
 import random
 
 import pytest
 
-from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
-from squaretiled.cylinders import classify_case, horizontal_decomposition, \
-    periodic_decomposition
-from squaretiled.errors import HypothesisFailed, NotAStabilizer
-from squaretiled.homology import core_curve_class, core_span_rank, \
-    dual_graph, homology_basis, word_action_matrix
+from conftest import l_origami, torus, wollmilchsau, random_origami
+from squaretiled.cylinders import classify_case, periodic_decomposition
+from squaretiled.errors import NotAStabilizer
+from squaretiled.homology import core_span_rank, dual_graph, homology_basis
 from squaretiled.intlinalg import identity_matrix, invert_integer_matrix, \
-    mat_mul, solve_rational
+    mat_mul
 from squaretiled.monodromy import (
     closure_classify,
     enumerate_slopes,
     forni_upper_bound,
     holonomy_covector,
     homology_action,
-    new_forni_criterion,
     restrict_to_zero_holonomy,
     stabilizer_generators,
-    zero_eval_check,
 )
 from squaretiled.surface import parse_origami, singularity_data
 
@@ -239,46 +235,3 @@ def test_upper_bound_witnesses_match_homology_rank(rng):
 def test_upper_bound_needs_higher_genus():
     with pytest.raises(ValueError):
         forni_upper_bound(torus(), 1)
-
-
-def test_zero_eval_check():
-    assert zero_eval_check((0, 0, 0), [(1, 2, 3)])
-    assert not zero_eval_check((1, 0, 0), [(1, 0, 0)])
-
-
-def criterion_outcomes(name):
-    """Run the elliptic-path criterion on every integral pull-back of a
-    core curve of the vertical direction."""
-    o = exemplar(name)
-    d = horizontal_decomposition(o)
-    b = homology_basis(o)
-    dw = periodic_decomposition(o, (1, 0))
-    tb, m = word_action_matrix(o, dw.word, source=b)
-    outcomes = {}
-    for c in dw.cylinders:
-        core = list(core_curve_class(dw, c.id, tb))
-        sol = solve_rational(m, core)
-        assert sol is not None
-        assert all(v.denominator == 1 for v in sol)
-        beta = [int(v) for v in sol]
-        try:
-            outcomes[c.id] = new_forni_criterion(d, beta, (1, 0))
-        except HypothesisFailed as e:
-            outcomes[c.id] = "failed: %s" % e
-    return outcomes
-
-
-def test_criterion_on_genus_one_pinches():
-    out1 = criterion_outcomes("Case1")
-    assert out1[1] == out1[2] == "trivial Forni subspace"
-    assert "crosses cylinder" in out1[0]
-    out2 = criterion_outcomes("Case2")
-    assert out2[0] == out2[1] == "trivial Forni subspace"
-    assert "crosses cylinder" in out2[2]
-
-
-def test_criterion_rejects_higher_genus_pinch():
-    d = horizontal_decomposition(wollmilchsau())
-    beta = [0] * homology_basis(d.origami).rank
-    with pytest.raises(HypothesisFailed):
-        new_forni_criterion(d, beta, (1, 0))

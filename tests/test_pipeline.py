@@ -226,6 +226,19 @@ def test_feasible_windows_force_quarter_saddles(word):
     assert any(feasible)
 
 
+def test_random_feasible_windows_force_quarter_saddles(rng):
+    """Feasible windows are rare among random boundary-exchanging
+    surfaces, so draw until five horizontal decompositions have one (1356
+    draws at the fixture's seed) and check the saddle count on each."""
+    found = draws = 0
+    while found < 5 and draws < 3000:
+        o = random_boundary_exchange(rng)
+        draws += 1
+        found += feasible_window_has_quarter_saddles(
+            o, horizontal_decomposition(o))
+    assert found == 5, draws
+
+
 def test_window_extraction_matches_net_oracle(rng):
     ref = horizontal_decomposition(reference_surface())
     quarter = Fraction(1, 4)
@@ -419,6 +432,46 @@ except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """
 
+FORGED_FORCING = """
+import sys
+from squaretiled import jump
+from squaretiled.errors import InvariantViolation
+from squaretiled.homology import DualGraph
+graph = jump.WeightedDualGraph(
+    DualGraph(((0, 1), (1, 0)), ((0, (0, 1)), (1, (0, 1)), (2, (1, 1)))),
+    {0: 1, 1: 2, 2: 1}, {0: 1, 1: 1, 2: 1})
+graph.a_e[0] = 0  # forged after the constructor's check
+try:
+    jump.case3_verdict(graph, {"theta1_p": 1, "theta1_q": 1,
+                               "theta3_0": 1, "theta3_1": 1})
+except InvariantViolation as exc:
+    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+jump.series_determinant = lambda matrix: jump.LeadingSeries.monomial(1, -1)
+try:
+    jump.case6_moduli_forcing(1, 2, {"theta1_p1": 1, "theta2_p2": 1})
+except InvariantViolation as exc:
+    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+"""
+
+FORGED_ACTION = """
+import sys
+from squaretiled import monodromy
+from squaretiled.errors import InvariantViolation
+from squaretiled.homology import homology_basis
+from squaretiled.surface import build_origami
+l_shape = build_origami((1, 0, 2), (2, 1, 0))
+shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+try:
+    monodromy.restrict_to_zero_holonomy([shear], homology_basis(l_shape))
+except InvariantViolation as exc:
+    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+monodromy.relabel_action_matrix = lambda *args: [[2, 0], [0, 1]]
+try:
+    monodromy.homology_action(build_origami((0,), (0,)), (("T",), (0,)))
+except InvariantViolation as exc:
+    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+"""
+
 
 def test_forged_survivor_verdict_raises():
     with pytest.raises(InvariantViolation, match="Case 6"):
@@ -447,3 +500,14 @@ def test_checks_survive_python_O():
     assert forged.returncode == 0, forged.stderr
     assert forged.stdout.startswith("optimize=1 raised: a transverse "
                                     "cylinder needs positive width")
+    forged = run("-c", FORGED_FORCING)
+    assert forged.returncode == 0, forged.stderr
+    assert forged.stdout.splitlines() == [
+        "optimize=1 raised: the obstructing coefficient must be nonzero",
+        "optimize=1 raised: the determinant's leading coefficient 1 is not "
+        "the closed form 3 up to sign"]
+    forged = run("-c", FORGED_ACTION)
+    assert forged.returncode == 0, forged.stderr
+    assert forged.stdout.splitlines() == [
+        "optimize=1 raised: zero-holonomy subspace must be invariant",
+        "optimize=1 raised: homology action must preserve the form"]
