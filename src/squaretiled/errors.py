@@ -53,5 +53,6 @@ class GenusMismatch(SquareTiledError, ValueError):
 
 class InvariantViolation(SquareTiledError):
     """An internal consistency check failed: a malformed cylinder diagram,
-    or a verdict whose evidence does not support it.  Raised explicitly, so
-    the check also runs under ``python -O``."""
+    a homology computation that breaks its own invariants, or a verdict
+    whose evidence does not support it.  Raised explicitly, so the check
+    also runs under ``python -O``."""

@@ -22,15 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import (
-    det_rational,
-    invert_integer_matrix,
-    mat_vec,
-    rank_rational,
-    smith_normal_form,
-    snf_rank,
-    solve_integer,
-)
+from .errors import InvariantViolation
+from .intlinalg import mat_vec, smith_normal_form, snf_rank, solve_integer
 from .surface import Origami, perm_inverse, singularity_data
 
 # ---------------------------------------------------------------------------
@@ -40,6 +33,13 @@ from .surface import Origami, perm_inverse, singularity_data
 # A chain is a list of 2n integers: entry i is the coefficient of h_i
 # (bottom edge of square i, oriented rightward) and entry n+i that of v_i
 # (left edge of square i, oriented upward).
+
+
+def _require(condition, message):
+    """Raise :class:`InvariantViolation` unless ``condition`` holds (an
+    explicit check, so it also runs under ``python -O``)."""
+    if not condition:
+        raise InvariantViolation(message)
 
 
 def _zero_chain(n):
@@ -55,9 +55,9 @@ class HomologyBasis:
 
     Attributes of interest: ``rank`` (2·genus), ``omega`` (the skew
     unimodular Gram matrix of the chosen basis), ``basis_chains`` (cycle
-    representatives).  Use :meth:`coords` / :meth:`lift` to move between
-    cycles on the complex and coordinate vectors, and :meth:`pair_chains` /
-    :meth:`pair` for intersection numbers.
+    representatives).  Use :meth:`coords` for the coordinate vector of a
+    cycle on the complex, and :meth:`pair_chains` / :meth:`pair` for
+    intersection numbers.
     """
 
     def __init__(self, o: Origami):
@@ -96,7 +96,7 @@ class HomologyBasis:
                     parent[u] = (e, -1)
                     in_tree[e] = True
                     frontier.append(u)
-        assert len(parent) == self.num_vertices, "complex must be connected"
+        _require(len(parent) == self.num_vertices, "complex must be connected")
         self._tree_parent = parent
         self.nontree_edges = [e for e in range(2 * n) if not in_tree[e]]
         self._nontree_index = {e: k for k, e in enumerate(self.nontree_edges)}
@@ -110,7 +110,8 @@ class HomologyBasis:
             # walk w back to the root, then the root out to u
             chain = _add_chain(chain, self._tree_path(w), -1)
             chain = _add_chain(chain, self._tree_path(u), +1)
-            assert self.boundary(chain) == [0] * self.num_vertices
+            _require(self.boundary(chain) == [0] * self.num_vertices,
+                     "fundamental cycle must have zero boundary")
             self.fundamental_cycles.append(chain)
 
         # face relations in fundamental-cycle coordinates
@@ -118,23 +119,26 @@ class HomologyBasis:
         faces = [self.face_chain(i) for i in range(n)]
         face_cols = [[f[e] for e in self.nontree_edges] for f in faces]
         a = [[face_cols[i][j] for i in range(n)] for j in range(k)]  # k x n
-        u_mat, s, _ = smith_normal_form(a)
+        u_mat, s, _, u_inv, _ = smith_normal_form(a)
         r = snf_rank(s)
-        assert all(s[i][i] == 1 for i in range(r)), "face lattice must be primitive"
+        _require(all(s[i][i] == 1 for i in range(r)),
+                 "face lattice must be primitive")
         self._proj_rows = u_mat[r:]  # quotient coordinates: x -> (Ux)[r:]
-        u_inv = invert_integer_matrix(u_mat)
-        self._lift_cols = [[u_inv[i][r + j] for i in range(k)]
-                           for j in range(k - r)]
         self.rank = k - r
-        stratum = singularity_data(o)
-        assert self.rank == 2 * stratum.genus
+        _require(self.rank == 2 * singularity_data(o).genus,
+                 "rank must be twice the genus")
 
-        self.basis_chains = [self._chain_from_fc(col) for col in self._lift_cols]
+        # basis class j lifts to column r + j of U^-1
+        self.basis_chains = [self._chain_from_fc([row[r + j] for row in u_inv])
+                             for j in range(self.rank)]
         self.omega = [[self.pair_chains(x, y) for y in self.basis_chains]
                       for x in self.basis_chains]
-        assert all(self.omega[i][j] == -self.omega[j][i]
-                   for i in range(self.rank) for j in range(self.rank))
-        assert abs(det_rational(self.omega)) == 1
+        _require(all(self.omega[i][j] == -self.omega[j][i]
+                     for i in range(self.rank) for j in range(self.rank)),
+                 "intersection form must be skew")
+        s = smith_normal_form(self.omega)[1]
+        _require(all(s[i][i] == 1 for i in range(self.rank)),
+                 "intersection form must be unimodular")
 
     # -- cell complex ------------------------------------------------------
 
@@ -176,7 +180,7 @@ class HomologyBasis:
         for c, fc in zip(coeffs, self.fundamental_cycles):
             if c:
                 recombined = _add_chain(recombined, fc, c)
-        assert recombined == list(chain), "chain is not a cycle"
+        _require(recombined == list(chain), "chain is not a cycle")
         return coeffs
 
     def _chain_from_fc(self, coeffs):
@@ -198,14 +202,6 @@ class HomologyBasis:
             [1, 0]
         """
         return mat_vec(self._proj_rows, self._fc_coords(chain))
-
-    def lift(self, coords):
-        """A cycle representative of the homology class ``coords``."""
-        chain = _zero_chain(self.n)
-        for c, col in zip(coords, self._lift_cols):
-            if c:
-                chain = _add_chain(chain, self._chain_from_fc(col), c)
-        return chain
 
     # -- intersection numbers ---------------------------------------------
 
@@ -244,14 +240,16 @@ class HomologyBasis:
                 orbit.append(x)
                 seen[x] = True
                 x = rho[x]
-            assert sum(d[x] for x in orbit) == 0, "cycle has nonzero boundary"
+            _require(sum(d[x] for x in orbit) == 0,
+                     "cycle has nonzero boundary")
             transfer = 0
             for x in orbit:
                 transfer += d[x]
                 if transfer:
                     face = self.vi[self.hi[x]]
                     out = _add_chain(out, self.face_chain(face), transfer)
-        assert all(t == 0 for t in self._corner_imbalance(out))
+        _require(all(t == 0 for t in self._corner_imbalance(out)),
+                 "balanced chain must have no corner imbalance")
         return out
 
     def pair_chains(self, x, y):
@@ -416,7 +414,8 @@ def dual_graph(d) -> DualGraph:
         zeros = {z for sid in saddles for z in d.diagram.saddle_zeros[sid]}
         euler = len(zeros) - len(saddles)
         genus2 = 2 - euler - comp_ends[vid]
-        assert genus2 >= 0 and genus2 % 2 == 0
+        _require(genus2 >= 0 and genus2 % 2 == 0,
+                 "component genus must be a whole number")
         vertices.append((vid, genus2 // 2))
         vertex_saddles.append(tuple(sorted(saddles)))
 
@@ -429,7 +428,8 @@ def dual_graph(d) -> DualGraph:
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
     if getattr(d, "origami", None) is not None:
         total = g.geometric_genus + (len(g.edges) - len(g.vertices) + 1)
-        assert total * 2 == homology_rank_of(d)
+        _require(total * 2 == homology_rank_of(d),
+                 "dual graph must carry the surface's genus")
     return g
 
 
@@ -453,7 +453,7 @@ def core_span_rank(d) -> int:
     """
     basis = homology_basis(d.origami)
     rows = [core_curve_class(d, c.id, basis) for c in d.cylinders]
-    return rank_rational(rows)
+    return snf_rank(smith_normal_form(rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +523,8 @@ def _symplectic_pairs(vectors, pair_fn):
                     q = p[b][c] // m
                     work[c] = [x + q * y for x, y in zip(work[c], work[a])]
                     reduced = True
-            if not reduced:
-                raise AssertionError(
-                    "component pairing is not unimodular; no symplectic basis"
-                )
+            _require(reduced, "component pairing is not unimodular; no "
+                              "symplectic basis")
             continue
         alpha, beta = work[a], work[b]
         rest = [work[c] for c in range(k) if c not in (a, b)]
@@ -586,7 +584,8 @@ def adapted_basis(d) -> AdaptedBasis:
                     tree[a] = (sid, -1)
                     in_tree.add(sid)
                     changed = True
-        assert len(tree) == len(zeros), "component boundary graph is connected"
+        _require(len(tree) == len(zeros),
+                 "component boundary graph must be connected")
 
         def saddle_chain(sid):
             chain = _zero_chain(d.origami.n)
@@ -613,15 +612,16 @@ def adapted_basis(d) -> AdaptedBasis:
             cyc = _add_chain(cyc, path_to_root(a), -1)
             candidates.append(basis.coords(cyc))
         pairs, _radical = _symplectic_pairs(candidates, basis.pair)
-        assert len(pairs) == genus, "component symplectic rank must match genus"
+        _require(len(pairs) == genus,
+                 "component symplectic rank must match genus")
         comp_pairs.append((vid, pairs))
 
     cylinder_cores = {c.id: basis.coords(core_curve_chain(d, c.id))
                       for c in d.cylinders}
     core_subset = []
     for cid in sorted(cylinder_cores):
-        if rank_rational([cylinder_cores[c] for c in core_subset + [cid]]) \
-                == len(core_subset) + 1:
+        rows = [cylinder_cores[c] for c in core_subset + [cid]]
+        if snf_rank(smith_normal_form(rows)[1]) == len(rows):
             core_subset.append(cid)
 
     alphas, betas = [], []
@@ -632,8 +632,10 @@ def adapted_basis(d) -> AdaptedBasis:
             alphas.append(alpha)
             betas.append(beta)
     g_prime = len(alphas)
-    assert g_prime == graph.geometric_genus
-    assert g_prime + len(core_subset) == g
+    _require(g_prime == graph.geometric_genus,
+             "component pairs must match the geometric genus")
+    _require(g_prime + len(core_subset) == g,
+             "component pairs and core curves must fill the genus")
 
     core_flags = {}
     for cid in core_subset:
@@ -656,7 +658,7 @@ def adapted_basis(d) -> AdaptedBasis:
         # <u, x> = u^T Omega x = ((Omega^T) u)^T x and Omega^T = -Omega
         rows = [[-x for x in row] for row in rows]
         sol = solve_integer(rows, rhs)
-        assert sol is not None, "symplectic completion must exist"
+        _require(sol is not None, "symplectic completion must exist")
         core_betas.append(sol)
     # zero the beta-beta pairings without disturbing anything else
     for j in range(len(core_betas)):
@@ -668,17 +670,19 @@ def adapted_basis(d) -> AdaptedBasis:
 
     ab = AdaptedBasis(alphas, betas, g_prime, core_flags,
                       component_assignment, basis, graph, cylinder_cores)
-    _assert_symplectic(ab)
+    _check_symplectic(ab)
     return ab
 
 
-def _assert_symplectic(ab: AdaptedBasis):
+def _check_symplectic(ab: AdaptedBasis):
     g = ab.genus
     for i in range(g):
         for j in range(g):
-            assert ab.pair(ab.alphas[i], ab.alphas[j]) == 0
-            assert ab.pair(ab.betas[i], ab.betas[j]) == 0
-            assert ab.pair(ab.alphas[i], ab.betas[j]) == (1 if i == j else 0)
+            delta = 1 if i == j else 0
+            _require(ab.pair(ab.alphas[i], ab.alphas[j]) == 0
+                     and ab.pair(ab.betas[i], ab.betas[j]) == 0
+                     and ab.pair(ab.alphas[i], ab.betas[j]) == delta,
+                     "adapted basis must be symplectic")
 
 
 # ---------------------------------------------------------------------------

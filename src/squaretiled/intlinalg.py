@@ -1,17 +1,18 @@
 r"""
-Exact integer and rational linear algebra helpers.
+Exact integer linear algebra helpers.
 
-Everything in this module works with plain Python lists of lists over
-``int`` or :class:`fractions.Fraction`; matrices are small (a few dozen
-rows), so simplicity and exactness win over asymptotics.
+Everything in this module works with plain Python lists of lists of
+``int``; matrices are small (a few dozen rows), so simplicity and
+exactness win over asymptotics.
 
-The main tool is the Smith normal form with unimodular transforms, from
-which integer solvability, integer kernels and quotient-lattice bases all
-follow.
+Every fact is read off one Smith normal form, which comes with its two
+unimodular transforms and their inverses: rank, integer solvability,
+integer kernels, quotient-lattice bases, unimodularity and the inverse of
+a unimodular matrix.
 
 EXAMPLES::
 
-    >>> U, S, V = smith_normal_form([[2, 4], [6, 8]])
+    >>> U, S, V, U_inv, V_inv = smith_normal_form([[2, 4], [6, 8]])
     >>> [S[0][0], S[1][1]]
     [2, 4]
     >>> mat_mul(mat_mul(U, [[2, 4], [6, 8]]), V) == S
@@ -20,7 +21,7 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .errors import InvariantViolation
 
 
 def identity_matrix(n):
@@ -37,7 +38,8 @@ def mat_mul(a, b):
         [[2, 1], [1, 1]]
     """
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(r) == inner for r in a)
+    if not all(len(r) == inner for r in a):
+        raise InvariantViolation("matrix shapes do not match")
     return [
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
@@ -52,66 +54,78 @@ def mat_vec(a, x):
         >>> mat_vec([[0, -1], [1, 0]], [2, 3])
         [-3, 2]
     """
-    assert all(len(r) == len(x) for r in a)
+    if not all(len(r) == len(x) for r in a):
+        raise InvariantViolation("matrix and vector shapes do not match")
     return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
-
-
-def transpose(a):
-    """Return the transpose of ``a``."""
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def smith_normal_form(a):
     r"""
-    Return ``(U, S, V)`` with ``U @ a @ V == S`` in Smith normal form.
+    Return ``(U, S, V, U_inv, V_inv)`` with ``U @ a @ V == S`` in Smith
+    normal form.
 
-    ``U`` and ``V`` are unimodular integer matrices and ``S`` is diagonal
-    with each diagonal entry dividing the next.
+    ``U`` and ``V`` are unimodular integer matrices with inverses ``U_inv``
+    and ``V_inv``, and ``S`` is diagonal with each diagonal entry dividing
+    the next.
 
     EXAMPLES::
 
-        >>> U, S, V = smith_normal_form([[1, 2], [3, 4]])
+        >>> U, S, V, U_inv, V_inv = smith_normal_form([[1, 2], [3, 4]])
         >>> [S[0][0], S[1][1]]
         [1, 2]
+        >>> mat_mul(U, U_inv) == mat_mul(V_inv, V) == identity_matrix(2)
+        True
 
     TESTS::
 
-        >>> U, S, V = smith_normal_form([[0, 0], [0, 0]])
-        >>> S
+        >>> smith_normal_form([[0, 0], [0, 0]])[1]
         [[0, 0], [0, 0]]
     """
     s = [list(row) for row in a]
     m = len(s)
     n = len(s[0]) if m else 0
-    u = identity_matrix(m)
-    v = identity_matrix(n)
+    u, u_inv = identity_matrix(m), identity_matrix(m)
+    v, v_inv = identity_matrix(n), identity_matrix(n)
 
+    # a row operation E (u <- E u) is undone on the right of u_inv
+    # (u_inv <- u_inv E^-1); a column operation F (v <- v F) on the left of
+    # v_inv (v_inv <- F^-1 v_inv)
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, c):
-        # row dst += c * row src
+        # row dst += c * row src; column src of u_inv -= c * column dst
         for k in range(n):
             s[dst][k] += c * s[src][k]
         for k in range(m):
             u[dst][k] += c * u[src][k]
+        for row in u_inv:
+            row[src] -= c * row[dst]
 
     def add_col(src, dst, c):
+        # column dst += c * column src; row src of v_inv -= c * row dst
         for row in s:
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
+        for k in range(n):
+            v_inv[src][k] -= c * v_inv[dst][k]
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
+        for row in u_inv:
+            row[i] = -row[i]
 
     t = 0
     while True:
@@ -162,7 +176,7 @@ def smith_normal_form(a):
         t += 1
         if t == m or t == n:
             break
-    return u, s, v
+    return u, s, v, u_inv, v_inv
 
 
 def snf_rank(s):
@@ -183,7 +197,7 @@ def solve_integer(a, b):
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    u, s, v = smith_normal_form(a)
+    u, s, v, _, _ = smith_normal_form(a)
     c = mat_vec(u, b)
     y = [0] * n
     r = min(m, n)
@@ -210,135 +224,30 @@ def integer_kernel(a):
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    _, s, v = smith_normal_form(a)
+    _, s, v, _, _ = smith_normal_form(a)
     r = snf_rank(s)
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def rank_rational(rows):
-    r"""
-    Rank over the rationals of the span of the given vectors.
-
-    EXAMPLES::
-
-        >>> rank_rational([[1, 2], [2, 4], [0, 1]])
-        2
-    """
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pr = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col] / pr[col]
-                work[i] = [x - f * y for x, y in zip(work[i], pr)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def det_rational(a):
-    r"""
-    Exact determinant of a square matrix, as a :class:`Fraction`.
-
-    EXAMPLES::
-
-        >>> det_rational([[0, 1], [-1, 0]])
-        Fraction(1, 1)
-    """
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for i in range(col + 1, n):
-            if work[i][col] != 0:
-                f = work[i][col] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return det
 
 
 def invert_integer_matrix(a):
     r"""
     Inverse of an integer matrix with determinant ±1.
 
-    Raises ``ValueError`` when the matrix is not invertible over the
-    integers.
+    When ``U @ a @ V`` is the identity, the inverse is ``V @ U``.  Raises
+    ``ValueError`` when the matrix is not invertible over the integers.
 
     EXAMPLES::
 
         >>> invert_integer_matrix([[1, 1], [0, 1]])
         [[1, -1], [0, 1]]
+        >>> invert_integer_matrix([[2, 0], [0, 1]])
+        Traceback (most recent call last):
+        ...
+        ValueError: matrix is not unimodular
     """
     n = len(a)
-    d = det_rational(a)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {d})")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = [[x for x in row[n:]] for row in aug]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
-
-
-def solve_rational(a, b):
-    r"""
-    Solve ``a @ x == b`` over the rationals; return ``None`` if inconsistent.
-
-    When the system is underdetermined an arbitrary solution is returned.
-
-    EXAMPLES::
-
-        >>> solve_rational([[2, 0], [0, 4]], [1, 1])
-        [Fraction(1, 2), Fraction(1, 4)]
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    work = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [x * inv for x in work[row]]
-        for i in range(m):
-            if i != row and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if work[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = work[r][n]
-    return x
+    u, s, v, _, _ = smith_normal_form(a)
+    if any(len(row) != n for row in a) or \
+            any(s[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(v, u)

@@ -21,8 +21,10 @@ EXAMPLES::
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import InvariantViolation, ShapeMismatch, ZeroNodeValue
 from .homology import AdaptedBasis, DualGraph
@@ -217,13 +219,16 @@ def series_determinant(matrix):
 class WeightedDualGraph:
     """A dual graph with plumbing data: per edge an exponent ``n_e >= 1``
     and a nonzero scale ``a_e`` (the node parameter is ``a_e·s^{n_e}`` to
-    leading order)."""
+    leading order).  Both are kept as read-only copies, so the values
+    checked here are the values the forcing arguments read."""
 
     graph: DualGraph
-    n_e: dict
-    a_e: dict
+    n_e: Mapping
+    a_e: Mapping
 
     def __post_init__(self):
+        object.__setattr__(self, "n_e", MappingProxyType(dict(self.n_e)))
+        object.__setattr__(self, "a_e", MappingProxyType(dict(self.a_e)))
         edge_ids = {e for e, _ in self.graph.edges}
         for e in edge_ids:
             if self.n_e[e] < 1:

@@ -33,7 +33,7 @@ from .homology import (
     word_action_matrix,
 )
 from .intlinalg import identity_matrix, integer_kernel, mat_mul, \
-    solve_rational
+    smith_normal_form, snf_rank
 from .surface import Origami, act_sl2z, origami_isomorphism, singularity_data
 
 _LETTERS = ("T", "T^-1", "S")
@@ -150,8 +150,15 @@ def holonomy_covector(basis: HomologyBasis) -> HolonomyCovector:
 def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
     r"""
     Express each symplectic matrix on an integer basis of the
-    zero-holonomy subspace.  The subspace is invariant (checked), so the
-    restriction ``X`` solves ``K·X = M·K`` for the kernel columns ``K``.
+    zero-holonomy subspace.
+
+    The Smith normal form ``U·H·V = S`` of the two holonomy rows ``H``
+    has rank ``r``; the last columns ``K`` of ``V`` are the kernel basis
+    of :meth:`HolonomyCovector.kernel`.  In the basis of all columns of
+    ``V``, ``M·K`` has coordinates ``Y = V⁻¹·M·K``.  The subspace is
+    invariant exactly when the top ``r`` rows of ``Y`` vanish (checked),
+    and then the other rows are the restriction ``X`` with ``K·X = M·K``,
+    integral by construction.
 
     EXAMPLES::
 
@@ -161,28 +168,18 @@ def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
         >>> restrict_to_zero_holonomy([identity_matrix(2)], b)
         []
     """
-    kernel_cols = holonomy_covector(basis).kernel()
-    if not kernel_cols or not kernel_cols[0]:
+    _, s, v, _, v_inv = smith_normal_form(list(basis.holonomy_covectors()))
+    r = snf_rank(s)
+    if r == basis.rank:
         return []
-    k = [[col[i] for col in kernel_cols] for i in range(basis.rank)]
-    dim = len(kernel_cols)
-    if dim == 0:
-        return []
+    k = [row[r:] for row in v]
     out = []
     for m in matrices:
-        mk = mat_mul(m, k)
-        x = []
-        for j in range(dim):
-            rhs = [mk[i][j] for i in range(basis.rank)]
-            sol = solve_rational(k, rhs)
-            if sol is None:
-                raise InvariantViolation("zero-holonomy subspace must be "
-                                         "invariant")
-            if any(v.denominator != 1 for v in sol):
-                raise InvariantViolation("restricted action must be "
-                                         "integral")
-            x.append([int(v) for v in sol])
-        out.append([[x[j][i] for j in range(dim)] for i in range(dim)])
+        y = mat_mul(v_inv, mat_mul(m, k))
+        if any(any(row) for row in y[:r]):
+            raise InvariantViolation("zero-holonomy subspace must be "
+                                     "invariant")
+        out.append(y[r:])
     return out
 
 

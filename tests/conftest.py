@@ -67,6 +67,18 @@ def random_origami(rng, max_squares=10):
             continue
 
 
+def random_unimodular(rng, n):
+    """A random n-by-n integer matrix of determinant 1 (n >= 2): a
+    product of elementary row additions."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m = [[m[r][k] + (c * m[j][k] if r == i else 0) for k in range(n)]
+             for r in range(n)]
+    return m
+
+
 # the four-cylinder "stacked pair with two middles" diagram: outer
 # cylinders 0 and 3 share a full interface, middles 1 (wide) and 2 sit
 # between the top of 0 and the bottom of 3

@@ -2,6 +2,7 @@
 graphs, adapted symplectic bases, and the homology action of shears."""
 
 from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
+from fraction_oracle import det_rational
 from squaretiled.cylinders import horizontal_decomposition, \
     periodic_decomposition
 from squaretiled.homology import (
@@ -41,7 +42,6 @@ def test_pairing_is_antisymmetric_and_unimodular(rng):
             for j in range(n):
                 assert omega[i][j] == -omega[j][i]
         # a symplectic form on the full lattice has determinant one
-        from squaretiled.intlinalg import det_rational
         assert abs(det_rational(omega)) == 1
 
 

@@ -7,12 +7,13 @@ import random
 
 import pytest
 
-from conftest import l_origami, torus, wollmilchsau, random_origami
+from conftest import l_origami, torus, wollmilchsau, random_origami, \
+    random_unimodular
+from fraction_oracle import invert_unimodular
 from squaretiled.cylinders import classify_case, periodic_decomposition
 from squaretiled.errors import NotAStabilizer
 from squaretiled.homology import core_span_rank, dual_graph, homology_basis
-from squaretiled.intlinalg import identity_matrix, invert_integer_matrix, \
-    mat_mul
+from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
     closure_classify,
     enumerate_slopes,
@@ -117,7 +118,7 @@ def word_product(generators, word):
     out = identity_matrix(n)
     for idx in word:
         g = generators[abs(idx) - 1]
-        out = mat_mul(out, g if idx > 0 else invert_integer_matrix(g))
+        out = mat_mul(out, g if idx > 0 else invert_unimodular(g))
     return out
 
 
@@ -132,18 +133,8 @@ def hyperoctahedral_generators(n, conjugator=None):
             perm_matrix([(i + 1) % n for i in range(n)]), flip]
     if conjugator is None:
         return gens
-    inv = invert_integer_matrix(conjugator)
+    inv = invert_unimodular(conjugator)
     return [mat_mul(conjugator, mat_mul(g, inv)) for g in gens]
-
-
-def random_unimodular(rng, n):
-    m = identity_matrix(n)
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        m = [[m[r][k] + (c * m[j][k] if r == i else 0) for k in range(n)]
-             for r in range(n)]
-    return m
 
 
 def random_unipotent(rng, n):
@@ -153,7 +144,7 @@ def random_unipotent(rng, n):
         u[i][j] = rng.randint(-3, 3)
     u[0][n - 1] = rng.choice((-2, -1, 1, 2))
     p = random_unimodular(rng, n)
-    return mat_mul(p, mat_mul(u, invert_integer_matrix(p)))
+    return mat_mul(p, mat_mul(u, invert_unimodular(p)))
 
 
 def test_wollmilchsau_restricted_closure_is_finite():

@@ -440,7 +440,12 @@ from squaretiled.homology import DualGraph
 graph = jump.WeightedDualGraph(
     DualGraph(((0, 1), (1, 0)), ((0, (0, 1)), (1, (0, 1)), (2, (1, 1)))),
     {0: 1, 1: 2, 2: 1}, {0: 1, 1: 1, 2: 1})
-graph.a_e[0] = 0  # forged after the constructor's check
+try:
+    graph.a_e[0] = 0
+except TypeError:
+    print("a_e is read-only")
+# forged past the constructor's check
+object.__setattr__(graph, "a_e", {0: 0, 1: 1, 2: 1})
 try:
     jump.case3_verdict(graph, {"theta1_p": 1, "theta1_q": 1,
                                "theta3_0": 1, "theta3_1": 1})
@@ -470,6 +475,21 @@ try:
     monodromy.homology_action(build_origami((0,), (0,)), (("T",), (0,)))
 except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+"""
+
+FORGED_HOMOLOGY = """
+import sys
+from squaretiled import homology
+from squaretiled.errors import InvariantViolation
+from squaretiled.surface import build_origami
+pair = homology.HomologyBasis.pair_chains
+for forged in (lambda self, x, y: 1,
+               lambda self, x, y: 2 * pair(self, x, y)):
+    homology.HomologyBasis.pair_chains = forged
+    try:
+        homology.homology_basis(build_origami((1, 0, 2), (2, 1, 0)))
+    except InvariantViolation as exc:
+        print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """
 
 
@@ -503,6 +523,7 @@ def test_checks_survive_python_O():
     forged = run("-c", FORGED_FORCING)
     assert forged.returncode == 0, forged.stderr
     assert forged.stdout.splitlines() == [
+        "a_e is read-only",
         "optimize=1 raised: the obstructing coefficient must be nonzero",
         "optimize=1 raised: the determinant's leading coefficient 1 is not "
         "the closed form 3 up to sign"]
@@ -511,3 +532,8 @@ def test_checks_survive_python_O():
     assert forged.stdout.splitlines() == [
         "optimize=1 raised: zero-holonomy subspace must be invariant",
         "optimize=1 raised: homology action must preserve the form"]
+    forged = run("-c", FORGED_HOMOLOGY)
+    assert forged.returncode == 0, forged.stderr
+    assert forged.stdout.splitlines() == [
+        "optimize=1 raised: intersection form must be skew",
+        "optimize=1 raised: intersection form must be unimodular"]
