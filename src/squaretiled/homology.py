@@ -353,6 +353,13 @@ class DualGraph:
     def geometric_genus(self):
         return sum(genus for _, genus in self.vertices)
 
+    @property
+    def cycle_rank(self):
+        """``E - V + 1``, the first Betti number of the (connected) graph:
+        the rank of the span of the core curves, whose only relations are
+        the component boundaries, which sum to zero."""
+        return len(self.edges) - len(self.vertices) + 1
+
 
 def dual_graph(d) -> DualGraph:
     r"""
@@ -427,7 +434,7 @@ def dual_graph(d) -> DualGraph:
                   tuple(sorted(comp_of.items())))
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
     if getattr(d, "origami", None) is not None:
-        total = g.geometric_genus + (len(g.edges) - len(g.vertices) + 1)
+        total = g.geometric_genus + g.cycle_rank
         _require(total * 2 == homology_rank_of(d),
                  "dual graph must carry the surface's genus")
     return g

@@ -7,8 +7,7 @@ exactness win over asymptotics.
 
 Every fact is read off one Smith normal form, which comes with its two
 unimodular transforms and their inverses: rank, integer solvability,
-integer kernels, quotient-lattice bases, unimodularity and the inverse of
-a unimodular matrix.
+integer kernels, quotient-lattice bases and unimodularity.
 
 EXAMPLES::
 
@@ -227,27 +226,3 @@ def integer_kernel(a):
     _, s, v, _, _ = smith_normal_form(a)
     r = snf_rank(s)
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def invert_integer_matrix(a):
-    r"""
-    Inverse of an integer matrix with determinant ±1.
-
-    When ``U @ a @ V`` is the identity, the inverse is ``V @ U``.  Raises
-    ``ValueError`` when the matrix is not invertible over the integers.
-
-    EXAMPLES::
-
-        >>> invert_integer_matrix([[1, 1], [0, 1]])
-        [[1, -1], [0, 1]]
-        >>> invert_integer_matrix([[2, 0], [0, 1]])
-        Traceback (most recent call last):
-        ...
-        ValueError: matrix is not unimodular
-    """
-    n = len(a)
-    u, s, v, _, _ = smith_normal_form(a)
-    if any(len(row) != n for row in a) or \
-            any(s[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return mat_mul(v, u)

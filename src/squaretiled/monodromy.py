@@ -293,9 +293,9 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     Upper bound ``min over directions of 2·(g - core span rank)`` for the
     dimension of an isometrically-moving subspace, with the per-direction
     case labels as evidence.  The core span rank of a direction is the
-    cycle rank of its pinch dual graph (equal to
-    :func:`~squaretiled.homology.core_span_rank`, which builds a homology
-    basis).
+    :attr:`~squaretiled.homology.DualGraph.cycle_rank` of its pinch dual
+    graph (equal to :func:`~squaretiled.homology.core_span_rank`, which
+    builds a homology basis).
 
     EXAMPLES::
 
@@ -312,10 +312,7 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     witnesses = []
     for slope in enumerate_slopes(direction_bound):
         graph = dual_graph(periodic_decomposition(o, slope))
-        # the component boundaries span the relations among the core
-        # curves and sum to zero, so the span has rank E - V + 1: the
-        # cycle rank of the (connected) dual graph
-        rank = len(graph.edges) - len(graph.vertices) + 1
+        rank = graph.cycle_rank
         label = str(classify_case(graph))
         witnesses.append((slope, label, rank))
         best = min(best, 2 * (g - rank))

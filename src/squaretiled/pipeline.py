@@ -1,9 +1,11 @@
 r"""
 The end-to-end classification of genus-3 square-tiled surfaces: analyze
-every periodic direction up to a bound, exclude each non-survivor pinch
-shape by its dedicated mechanism, force the two-cylinder metric
-constraints, and either certify equivalence with the unique 8-square
-survivor or report a trivial isometric subspace.
+the periodic directions up to a bound one at a time and stop at the first
+that excludes a nontrivial isometric subspace, either through the
+mechanism of its pinch shape or because its core curves span a Lagrangian
+subspace; when none does, force the two-cylinder metric constraints and
+either certify equivalence with the unique 8-square survivor or report a
+trivial isometric subspace.
 
 The survivor is the 8-square origami with ``h = (0 1 2 3)(4 7 6 5)`` and
 ``v = (0 4 2 6)(1 5 3 7)``: two horizontal 4x1 cylinders with homologous
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +76,8 @@ def reference_surface() -> Origami:
 class DirectionRecord:
     """One analyzed direction: the reduced slope, the pinch case label (or
     ``None`` for an unmatched graph), the exclusion mechanism applied, and
-    the supporting witness object."""
+    the supporting witness object (the dual graph's cycle rank for the
+    Lagrangian core-curve mechanism)."""
 
     slope: tuple
     label: str
@@ -88,9 +90,12 @@ class Verdict:
     """Classification outcome with its per-direction evidence trail.
 
     ``status`` is ``TrivialForni``, ``WollmilchsauEquivalent`` or
-    ``Undetermined``; ``WollmilchsauEquivalent`` is only ever produced when
-    every analyzed direction carries the two-homologous-cylinders label and
-    the metric constraints resolve to the reference surface."""
+    ``Undetermined``.  A ``TrivialForni`` trail ends at the first
+    direction that excludes a nontrivial isometric subspace; the other
+    statuses carry every direction analyzed.  ``WollmilchsauEquivalent``
+    is only ever produced when every analyzed direction carries the
+    two-homologous-cylinders label and the metric constraints resolve to
+    the reference surface."""
 
     status: str
     evidence: tuple
@@ -277,9 +282,17 @@ _GENERIC_CASE3_VALUES = {"theta1_p": 1, "theta1_q": 1,
 
 def _analyze_direction(o: Origami, slope):
     """Record for one direction, ``True`` when the direction excludes a
-    nontrivial isometric subspace on its own, and the decomposition."""
+    nontrivial isometric subspace on its own, and the decomposition.
+
+    A dual graph of cycle rank 3 has geometric genus 0, a shape none of
+    Cases 1-6 has: the core curves span a Lagrangian subspace of
+    homology, and Forni's geometric criterion (J. Mod. Dyn. 5, 2011) then
+    makes every Lyapunov exponent nonzero."""
     d = periodic_decomposition(o, slope)
     graph = dual_graph(d)
+    if graph.cycle_rank == 3:
+        return DirectionRecord(slope, None, "Lagrangian core curves",
+                               graph.cycle_rank), True, d
     label = classify_case(graph)
     name = str(label) if label is not None else None
     if label is None:
@@ -313,20 +326,20 @@ def _analyze_direction(o: Origami, slope):
                            chain), False, d
 
 
-# threads analysing the directions of one surface
-_POOL_SIZE = 4
-
-
 def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     r"""
-    Classify a genus-3 origami by analyzing every reduced direction up to
-    ``direction_bound``.  The status is ``TrivialForni`` when some
-    direction excludes a nontrivial isometric subspace through its
-    mechanism; otherwise ``Undetermined`` when some direction is Case 5,
-    unmatched, or Case 1/2/4 without a crossing witness; otherwise every
-    direction shows two homologous cylinders with consistent metrics, and
-    the horizontal cylinder diagram decides between
-    ``WollmilchsauEquivalent`` and ``TrivialForni``.
+    Classify a genus-3 origami by analyzing the reduced directions up to
+    ``direction_bound`` in the order of
+    :func:`~squaretiled.monodromy.enumerate_slopes`, horizontal first.
+    The status is ``TrivialForni`` as soon as one direction excludes a
+    nontrivial isometric subspace, through the mechanism of its pinch
+    shape or through Lagrangian core curves, and the evidence stops at
+    that direction.  Otherwise every direction is analyzed: the status is
+    ``Undetermined`` when some direction is Case 5, unmatched, or Case
+    1/2/4 without a crossing witness; otherwise every direction shows two
+    homologous cylinders with consistent metrics, and the horizontal
+    cylinder diagram decides between ``WollmilchsauEquivalent`` and
+    ``TrivialForni``.
 
     EXAMPLES::
 
@@ -342,18 +355,21 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     if stratum.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % stratum.genus)
-    slopes = enumerate_slopes(direction_bound)
-    with ThreadPoolExecutor(_POOL_SIZE) as pool:
-        results = list(pool.map(lambda s: _analyze_direction(o, s), slopes))
-    evidence = tuple(record for record, _, _ in results)
-    if any(excludes for _, excludes, _ in results):
-        return Verdict("TrivialForni", evidence, o)
+    evidence = []
+    for slope in enumerate_slopes(direction_bound):
+        record, excludes, d = _analyze_direction(o, slope)
+        evidence.append(record)
+        if excludes:
+            return Verdict("TrivialForni", tuple(evidence), o)
+        if slope == (0, 1):
+            horizontal = record, d
+    evidence = tuple(evidence)
     if any(record.label != "Case6" for record in evidence):
         return Verdict("Undetermined", evidence, o)
     # every direction shows two homologous cylinders whose metric chain is
     # consistent; the horizontal diagram decides
-    horizontal, _, d = results[slopes.index((0, 1))]
-    result = _reference_equivalence(d, horizontal.witness)
+    record, d = horizontal
+    result = _reference_equivalence(d, record.witness)
     evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
     status = "WollmilchsauEquivalent" if result else "TrivialForni"
     return Verdict(status, evidence, o)

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EXEMPLARS, exemplar, l_origami, wollmilchsau
+from conftest import EXEMPLARS, exemplar, l_origami, random_origami, \
+    wollmilchsau
 from squaretiled.cli import main as cli_main
 from squaretiled.cylinders import (
     CaseLabel,
@@ -19,9 +20,9 @@ from squaretiled.cylinders import (
     horizontal_decomposition,
     periodic_decomposition,
 )
-from squaretiled.homology import dual_graph
+from squaretiled.homology import core_span_rank, dual_graph
 from squaretiled.monodromy import enumerate_slopes
-from squaretiled import pipeline
+from squaretiled import homology, pipeline
 from squaretiled.errors import CaseMismatch, GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
     DirectionRecord,
@@ -35,6 +36,7 @@ from squaretiled.pipeline import (
 from squaretiled.surface import (
     act_sl2z,
     build_origami,
+    canonical_form,
     origami_isomorphism,
     parse_origami,
     perm_from_cycles,
@@ -115,28 +117,50 @@ def test_case5_excluded_through_a_simple_cylinder_direction():
     o = exemplar("Case5")
     verdict = classify_surface(o, direction_bound=3)
     assert verdict.status == "TrivialForni"
-    assert any(r.mechanism in EXCLUDING_MECHANISMS
-               and has_simple_cylinder(periodic_decomposition(o, r.slope))
-               for r in verdict.evidence)
+    results = [pipeline._analyze_direction(o, s) for s in enumerate_slopes(3)]
+    assert any(excludes and r.mechanism in EXCLUDING_MECHANISMS
+               and has_simple_cylinder(d) for r, excludes, d in results)
 
 
-UNDETERMINED_CASE5 = 'origami n=5 h="(1 2 3)" v="(0 1)(3 4)"'
+# every direction up to bound 1 is Case 5, and none excludes
+UNDETERMINED_CASE5 = 'origami n=7 h="(0 6 3 4 1 2 5)" v="(0 1 6 5 3 2 4)"'
+# Case 5 or unmatched in every direction up to bound 3
+LAGRANGIAN_CASE5 = 'origami n=5 h="(1 2 3)" v="(0 1)(3 4)"'
 
 
-def test_case5_without_exclusion_is_undetermined():
+def test_case5_without_exclusion_is_undetermined(monkeypatch):
     verdict = classify_surface(parse_origami(UNDETERMINED_CASE5),
-                               direction_bound=3)
+                               direction_bound=1)
     assert verdict.status == "Undetermined"
-    assert len(verdict.evidence) == 16
-    assert {r.label for r in verdict.evidence} <= {"Case5", None}
+    assert [(r.label, r.mechanism) for r in verdict.evidence] == \
+        [("Case5", "defer to a simple transverse cylinder")] * 4
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the Lagrangian rule built a homology basis")
+
+    monkeypatch.setattr(homology, "HomologyBasis", no_basis)
+    o = parse_origami(LAGRANGIAN_CASE5)
+    verdict = classify_surface(o, direction_bound=3)
+    assert verdict.status == "TrivialForni"
+    assert verdict.evidence == (
+        DirectionRecord((0, 1), None, "Lagrangian core curves", 3),)
+    records = [pipeline._analyze_direction(o, s)[0]
+               for s in enumerate_slopes(3)]
+    assert len(records) == 16
+    assert {r.label for r in records} <= {"Case5", None}
+    assert all(r.mechanism == "Lagrangian core curves"
+               for r in records if r.label is None)
 
 
-@pytest.mark.parametrize("text", [str(reference_surface()),
-                                  UNDETERMINED_CASE5],
+@pytest.mark.parametrize("text, bound, slopes",
+                         [(str(reference_surface()), 3, 16),
+                          (UNDETERMINED_CASE5, 1, 4)],
                          ids=["reference", "undetermined"])
-def test_each_direction_analysed_once(monkeypatch, text):
+def test_each_direction_analysed_once(monkeypatch, text, bound, slopes):
     o = parse_origami(text)
-    classify_surface(o, direction_bound=3)  # warm-up: reference key cached
+    # warm-up: reference key cached
+    assert classify_surface(o, direction_bound=bound).status != \
+        "TrivialForni"
     calls = []
 
     def counted(name):
@@ -149,12 +173,113 @@ def test_each_direction_analysed_once(monkeypatch, text):
 
     for name in ("periodic_decomposition", "dual_graph", "_metric_chain"):
         counted(name)
-    classify_surface(o, direction_bound=3)
-    slopes = len(enumerate_slopes(3))
-    assert slopes == 16
+    classify_surface(o, direction_bound=bound)
+    assert len(enumerate_slopes(bound)) == slopes
     assert calls.count("periodic_decomposition") == slopes
     assert calls.count("dual_graph") == slopes
     assert calls.count("_metric_chain") <= slopes
+
+
+def full_scan(analyses, bound):
+    """The verdict as a scan of every direction up to ``bound`` decides it,
+    from ``analyses`` (slope -> :func:`pipeline._analyze_direction`
+    result): the oracle for the lazy classifier.  Returns the status, the
+    records of every direction, and the index of the first excluding one
+    (``None`` when none excludes)."""
+    results = [analyses[s] for s in enumerate_slopes(bound)]
+    records = [record for record, _, _ in results]
+    first = next((i for i, (_, excludes, _) in enumerate(results)
+                  if excludes), None)
+    if first is not None:
+        status = "TrivialForni"
+    elif any(r.label != "Case6" for r in records):
+        status = "Undetermined"
+    else:
+        horizontal, _, d = results[0]
+        status = ("WollmilchsauEquivalent" if pipeline._reference_equivalence(
+            d, horizontal.witness) else "TrivialForni")
+    return status, records, first
+
+
+def random_genus3(rng, low, high):
+    """A random transitive genus-3 permutation pair on ``low``..``high``
+    squares."""
+    while True:
+        o = random_origami(rng, high)
+        if o.n >= low and singularity_data(o).genus == 3:
+            return o
+
+
+def test_lazy_evidence_is_the_full_scan_prefix():
+    rng = random.Random(909)
+    surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
+    # the random draw decides every surface; these two are not decided
+    # by an exclusion
+    surfaces += [parse_origami(UNDETERMINED_CASE5), reference_surface()]
+    statuses, stops = set(), 0
+    for o in surfaces:
+        analyses = {s: pipeline._analyze_direction(o, s)
+                    for s in enumerate_slopes(3)}
+        for bound in (1, 2, 3):
+            status, records, first = full_scan(analyses, bound)
+            verdict = classify_surface(o, direction_bound=bound)
+            assert verdict.status == status, (o, bound)
+            if first is None:
+                # plus the final diagram comparison when all are Case 6
+                assert verdict.evidence[:len(records)] == tuple(records)
+                assert len(verdict.evidence) <= len(records) + 1
+            else:
+                assert verdict.evidence == tuple(records[:first + 1])
+                stops += first + 1 < len(records)
+            statuses.add(status)
+            for r in verdict.evidence:
+                if r.mechanism == "Lagrangian core curves":
+                    d = periodic_decomposition(o, r.slope)
+                    assert r.witness == core_span_rank(d) == 3
+                    assert dual_graph(d).geometric_genus == 0
+    assert statuses == {"TrivialForni", "Undetermined",
+                        "WollmilchsauEquivalent"}
+    assert stops > 2 * len(surfaces)
+
+
+# one representative of each 7-square SL(2,Z)-orbit whose members the
+# Case 1-6 mechanisms alone leave split between TrivialForni and
+# Undetermined at bound 3
+SPLIT_ORBITS = [("(0 1 3 4 5 6 2)", v) for v in (
+    "(0 3 1 5 6 2 4)", "(0 2 6 5 1 4 3)", "(0 2 5 1 4 6 3)",
+    "(0 2)(1 4 3 5)", "(0 2)(1 4 6 5)")] + \
+    [("(0 1 3 4 6 5 2)", "(1 2 6 4)(3 5)")]
+
+
+def sl2z_orbit(o):
+    members = {canonical_form(o)}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for letter in ("T", "S"):
+            y = canonical_form(act_sl2z(x, [letter]))
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+@pytest.mark.parametrize("h, v", SPLIT_ORBITS,
+                         ids=[v.replace(" ", "_") for _, v in SPLIT_ORBITS])
+def test_split_orbits_are_trivial_forni(h, v):
+    members = sl2z_orbit(parse_origami('origami n=7 h="%s" v="%s"' % (h, v)))
+    for o in members:
+        assert classify_surface(o, direction_bound=3).status == \
+            "TrivialForni", o
+
+    def lagrangian_only(o):
+        return {r.mechanism for r, excludes, _ in
+                (pipeline._analyze_direction(o, s)
+                 for s in enumerate_slopes(3))
+                if excludes} == {"Lagrangian core curves"}
+
+    # a member that only the Lagrangian rule decides
+    assert any(lagrangian_only(o) for o in members)
 
 
 def net_window_extraction(d, c1, c2):
@@ -404,10 +529,13 @@ def test_missing_crossing_witness_does_not_exclude(monkeypatch):
     assert [(r.label, r.mechanism, r.witness) for r in verdict.evidence] == \
         [("Case1", "no crossing witness found", None)] * 4
     # the period-forcing exclusion does not depend on a crossing witness
-    verdict = classify_surface(exemplar("Case3"))
+    o = exemplar("Case3")
+    verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
-    assert record_for(verdict, (1, 0)).mechanism == \
-        "no crossing witness found"
+    assert [r.mechanism for r in verdict.evidence] == ["period forcing"]
+    record, excludes, _ = pipeline._analyze_direction(o, (1, 0))
+    assert (record.mechanism, excludes) == ("no crossing witness found",
+                                            False)
 
 
 FORGED_SURVIVOR = """
