@@ -10,7 +10,7 @@ combinatorial computation on the two permutations.  This module computes
   with all saddle connections on the cylinder boundaries,
 - decompositions in arbitrary rational directions
   (:func:`periodic_decomposition`) by shearing the direction to horizontal
-  with an ``SL(2, Z)`` word,
+  with an ``SL(2, Z)`` word (:func:`direction_member`),
 - the combinatorial cylinder diagram with a relabeling-invariant canonical
   form (:class:`CylinderDiagram`),
 - integer moduli exponents (:func:`moduli_exponents`), and
@@ -518,7 +518,41 @@ def _close_top_run(run_edges, edge_saddle, saddles):
     return sid
 
 
-def periodic_decomposition(o: Origami, slope):
+def direction_member(o: Origami, slope):
+    r"""
+    The ``SL(2, Z)`` word carrying the direction of ``slope`` to the
+    horizontal, and the image of ``o`` under it: the member of the
+    ``SL(2, Z)``-orbit of ``o`` whose horizontal decomposition is the
+    decomposition of ``o`` in that direction.
+
+    ``slope`` is a reduced pair ``(p, q)`` meaning direction vector
+    ``(q, p)``.  The horizontal slope ``(0, 1)`` has the empty word and
+    the member ``o`` itself.
+
+    EXAMPLES::
+
+        >>> from squaretiled.surface import build_origami
+        >>> o = build_origami((1, 0, 2), (0, 2, 1))
+        >>> direction_member(o, (0, 1)) == ((), o)
+        True
+        >>> word, member = direction_member(o, (1, 0))   # vertical
+        >>> member.h == o.v
+        True
+    """
+    p, q = slope
+    if gcd(p, q) != 1:
+        raise ValueError(f"slope {slope} is not reduced")
+    # direction vector (q, p); find M in SL(2, Z) with M (q, p)^T = (1, 0)^T
+    if (q, p) == (1, 0):
+        word = ()
+    else:
+        # a*q + b*p == 1 via the extended Euclidean algorithm
+        a, b = _bezout(q, p)
+        word = tuple(matrix_word(((a, b), (-p, q))))
+    return word, act_sl2z(o, word)
+
+
+def periodic_decomposition(o: Origami, slope, member=None):
     r"""
     Cylinder decomposition of ``o`` in the rational direction of ``slope``.
 
@@ -526,6 +560,8 @@ def periodic_decomposition(o: Origami, slope):
     ``(q, p)``; ``(1, 0)`` is the vertical direction and ``(0, 1)``
     horizontal.  The origami is carried to a horizontally periodic one by
     an ``SL(2, Z)`` word (recorded on the result) and decomposed there.
+    ``member``, when given, is the pair ``direction_member(o, slope)``
+    already built by the caller.
 
     EXAMPLES::
 
@@ -536,19 +572,10 @@ def periodic_decomposition(o: Origami, slope):
         >>> [(c.circumference, c.height) for c in dv.cylinders]
         [(Fraction(4, 1), Fraction(1, 1)), (Fraction(4, 1), Fraction(1, 1))]
     """
+    word, sheared = member if member is not None \
+        else direction_member(o, slope)
     p, q = slope
-    if gcd(p, q) != 1:
-        raise ValueError(f"slope {slope} is not reduced")
-    # direction vector (q, p); find M in SL(2, Z) with M (q, p)^T = (1, 0)^T
-    if (q, p) == (1, 0):
-        word = []
-    else:
-        # a*q + b*p == 1 via the extended Euclidean algorithm
-        a, b = _bezout(q, p)
-        m = ((a, b), (-p, q))
-        word = matrix_word(m)
-    sheared = act_sl2z(o, word)
-    return horizontal_decomposition(sheared, base=o, word=tuple(word),
+    return horizontal_decomposition(sheared, base=o, word=word,
                                     direction=(q, p))
 
 

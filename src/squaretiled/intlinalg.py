@@ -211,18 +211,3 @@ def solve_integer(a, b):
             y[i] = c[i] // d
     return mat_vec(v, y)
 
-
-def integer_kernel(a):
-    r"""
-    Return a basis (list of vectors) of the integer kernel of ``a``.
-
-    EXAMPLES::
-
-        >>> integer_kernel([[1, 1, 0]])
-        [[-1, 1, 0], [0, 0, 1]]
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    _, s, v, _, _ = smith_normal_form(a)
-    r = snf_rank(s)
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]

@@ -32,8 +32,8 @@ from .homology import (
     relabel_action_matrix,
     word_action_matrix,
 )
-from .intlinalg import identity_matrix, integer_kernel, mat_mul, \
-    smith_normal_form, snf_rank
+from .intlinalg import identity_matrix, mat_mul, smith_normal_form, \
+    snf_rank
 from .surface import Origami, act_sl2z, origami_isomorphism, singularity_data
 
 _LETTERS = ("T", "T^-1", "S")
@@ -127,38 +127,18 @@ def _check_symplectic_matrix(m, omega):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HolonomyCovector:
-    """The horizontal and vertical holonomy evaluations on a homology
-    basis; their joint kernel is the zero-holonomy subspace of rank
-    ``2g - 2``."""
-
-    horizontal: tuple
-    vertical: tuple
-
-    def kernel(self):
-        """Integer basis (as columns) of the joint kernel."""
-        rows = [list(self.horizontal), list(self.vertical)]
-        return integer_kernel(rows)
-
-
-def holonomy_covector(basis: HomologyBasis) -> HolonomyCovector:
-    hx, hy = basis.holonomy_covectors()
-    return HolonomyCovector(tuple(hx), tuple(hy))
-
-
 def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
     r"""
     Express each symplectic matrix on an integer basis of the
     zero-holonomy subspace.
 
     The Smith normal form ``U·H·V = S`` of the two holonomy rows ``H``
-    has rank ``r``; the last columns ``K`` of ``V`` are the kernel basis
-    of :meth:`HolonomyCovector.kernel`.  In the basis of all columns of
-    ``V``, ``M·K`` has coordinates ``Y = V⁻¹·M·K``.  The subspace is
-    invariant exactly when the top ``r`` rows of ``Y`` vanish (checked),
-    and then the other rows are the restriction ``X`` with ``K·X = M·K``,
-    integral by construction.
+    has rank ``r``; the last columns ``K`` of ``V`` are an integer basis
+    of the zero-holonomy subspace, of rank ``2g - 2``.  In the basis of
+    all columns of ``V``, ``M·K`` has coordinates ``Y = V⁻¹·M·K``.  The
+    subspace is invariant exactly when the top ``r`` rows of ``Y`` vanish
+    (checked), and then the other rows are the restriction ``X`` with
+    ``K·X = M·K``, integral by construction.
 
     EXAMPLES::
 

@@ -7,6 +7,14 @@ subspace; when none does, force the two-cylinder metric constraints and
 either certify equivalence with the unique 8-square survivor or report a
 trivial isometric subspace.
 
+A direction is analyzed on its member, the surface of the
+``SL(2, Z)``-orbit in which it is horizontal.  Directions whose members
+are isomorphic share one analysis: the record of a direction that
+excludes nothing does not depend on the labels of the squares, so the
+record of the first such direction is reused with the slope replaced.
+The reference surface's orbit is a single point, so all its directions
+share one analysis.
+
 The survivor is the 8-square origami with ``h = (0 1 2 3)(4 7 6 5)`` and
 ``v = (0 4 2 6)(1 5 3 7)``: two horizontal 4x1 cylinders with homologous
 core curves, all four zeros simple, all eight saddle connections of equal
@@ -22,12 +30,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cylinders import (
     CaseLabel,
     classify_case,
+    direction_member,
     horizontal_decomposition,
     moduli_exponents,
     periodic_decomposition,
@@ -40,6 +49,7 @@ from .surface import (
     Origami,
     Stratum,
     build_origami,
+    origami_isomorphism,
     perm_from_cycles,
     singularity_data,
 )
@@ -92,10 +102,11 @@ class Verdict:
     ``status`` is ``TrivialForni``, ``WollmilchsauEquivalent`` or
     ``Undetermined``.  A ``TrivialForni`` trail ends at the first
     direction that excludes a nontrivial isometric subspace; the other
-    statuses carry every direction analyzed.  ``WollmilchsauEquivalent``
-    is only ever produced when every analyzed direction carries the
-    two-homologous-cylinders label and the metric constraints resolve to
-    the reference surface."""
+    statuses carry a record for every direction up to the bound, shared
+    between directions with isomorphic members.
+    ``WollmilchsauEquivalent`` is only ever produced when every direction
+    carries the two-homologous-cylinders label and the metric constraints
+    resolve to the reference surface."""
 
     status: str
     evidence: tuple
@@ -280,15 +291,17 @@ _GENERIC_CASE3_VALUES = {"theta1_p": 1, "theta1_q": 1,
                          "theta3_0": 1, "theta3_1": 1}
 
 
-def _analyze_direction(o: Origami, slope):
+def _analyze_direction(o: Origami, slope, member=None):
     """Record for one direction, ``True`` when the direction excludes a
     nontrivial isometric subspace on its own, and the decomposition.
+    ``member`` is passed on to
+    :func:`~squaretiled.cylinders.periodic_decomposition`.
 
     A dual graph of cycle rank 3 has geometric genus 0, a shape none of
     Cases 1-6 has: the core curves span a Lagrangian subspace of
     homology, and Forni's geometric criterion (J. Mod. Dyn. 5, 2011) then
     makes every Lyapunov exponent nonzero."""
-    d = periodic_decomposition(o, slope)
+    d = periodic_decomposition(o, slope, member)
     graph = dual_graph(d)
     if graph.cycle_rank == 3:
         return DirectionRecord(slope, None, "Lagrangian core curves",
@@ -341,6 +354,13 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     cylinder diagram decides between ``WollmilchsauEquivalent`` and
     ``TrivialForni``.
 
+    Each direction is analyzed on its member
+    (:func:`~squaretiled.cylinders.direction_member`).  A direction whose
+    member is isomorphic to that of an earlier non-excluding direction
+    is not analyzed again: its record is the earlier one with the slope
+    replaced, which is the record its own analysis would give.  Nothing is
+    kept between calls.
+
     EXAMPLES::
 
         >>> classify_surface(reference_surface()).status
@@ -356,11 +376,21 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % stratum.genus)
     evidence = []
+    # (member, record) of each non-excluding direction analyzed
+    analyzed = []
     for slope in enumerate_slopes(direction_bound):
-        record, excludes, d = _analyze_direction(o, slope)
+        member = direction_member(o, slope)
+        record = next((r for m, r in analyzed
+                       if origami_isomorphism(member[1], m) is not None),
+                      None)
+        if record is not None:
+            evidence.append(replace(record, slope=slope))
+            continue
+        record, excludes, d = _analyze_direction(o, slope, member)
         evidence.append(record)
         if excludes:
             return Verdict("TrivialForni", tuple(evidence), o)
+        analyzed.append((member[1], record))
         if slope == (0, 1):
             horizontal = record, d
     evidence = tuple(evidence)

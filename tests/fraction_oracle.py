@@ -1,8 +1,29 @@
 """Slow, independent rational linear algebra by Gauss-Jordan elimination in
 :class:`fractions.Fraction`: the reference that the integer Smith normal
-form results of ``squaretiled.intlinalg`` are compared against."""
+form results of ``squaretiled.intlinalg`` are compared against.  Also the
+integer kernels the tests need, read off the Smith form."""
 
 from fractions import Fraction
+
+from squaretiled.intlinalg import smith_normal_form, snf_rank
+
+
+def integer_kernel(a):
+    """A basis (list of vectors) of the integer kernel of ``a``: the last
+    columns of ``V`` in the Smith normal form ``U·a·V = S``.
+
+    >>> integer_kernel([[1, 1, 0]])
+    [[-1, 1, 0], [0, 0, 1]]
+    """
+    n = len(a[0]) if a else 0
+    _, s, v, _, _ = smith_normal_form(a)
+    return [[v[i][j] for i in range(n)] for j in range(snf_rank(s), n)]
+
+
+def holonomy_kernel(basis):
+    """Integer basis of the zero-holonomy subspace of a homology basis:
+    the joint kernel of its two holonomy covectors."""
+    return integer_kernel(list(basis.holonomy_covectors()))
 
 
 def rank_rational(rows):

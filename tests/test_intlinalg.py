@@ -2,12 +2,12 @@
 Fraction elimination oracle on random integer matrices."""
 
 from conftest import random_unimodular, wollmilchsau
-from fraction_oracle import det_rational, rank_rational, solve_rational
+from fraction_oracle import det_rational, holonomy_kernel, integer_kernel, \
+    rank_rational, solve_rational
 from squaretiled.homology import homology_basis
-from squaretiled.intlinalg import identity_matrix, integer_kernel, \
-    mat_mul, smith_normal_form, snf_rank
+from squaretiled.intlinalg import identity_matrix, mat_mul, \
+    smith_normal_form, snf_rank
 from squaretiled.monodromy import (
-    holonomy_covector,
     homology_action,
     restrict_to_zero_holonomy,
     stabilizer_generators,
@@ -71,7 +71,7 @@ def test_smith_normal_form_properties(rng):
 def rational_restriction(matrices, basis):
     """The zero-holonomy restriction column by column with a Fraction
     solve of ``K·x = M·k_j``."""
-    kernel_cols = holonomy_covector(basis).kernel()
+    kernel_cols = holonomy_kernel(basis)
     k = [[col[i] for col in kernel_cols] for i in range(basis.rank)]
     out = []
     for m in matrices:
