@@ -30,7 +30,7 @@ def main():
     for c in d.cylinders:
         print("  cylinder %d: circumference %s, height %s, modulus %s"
               % (c.id, c.circumference, c.height, c.modulus))
-    lengths = sorted(str(s.length) for s in d.saddles.values())
+    lengths = sorted(str(length) for length in d.saddle_lengths.values())
     print("saddle lengths:", ", ".join(lengths))
 
     b = homology_basis(o)

@@ -7,7 +7,9 @@ combinatorial computation on the two permutations.  This module computes
 
 - the horizontal decomposition (:func:`horizontal_decomposition`): maximal
   stacks of ``h``-cycles glued along cone-point-free interfaces, together
-  with all saddle connections on the cylinder boundaries,
+  with all saddle connections on the cylinder boundaries and their
+  integer lengths and positions, which the transverse-cylinder searches
+  read directly,
 - decompositions in arbitrary rational directions
   (:func:`periodic_decomposition`) by shearing the direction to horizontal
   with an ``SL(2, Z)`` word (:func:`direction_member`),
@@ -36,14 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import Incommensurable, InvariantViolation
-from .surface import (
-    CylinderGeometry,
-    Origami,
-    act_sl2z,
-    build_net,
-    matrix_word,
-    perm_cycles,
-)
+from .surface import Origami, act_sl2z, matrix_word, perm_cycles
 
 
 @dataclass(frozen=True)
@@ -79,10 +74,6 @@ class DecompositionSaddle:
     squares: tuple
     start_zero: int
     end_zero: int
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(len(self.squares))
 
 
 @dataclass
@@ -263,24 +254,25 @@ class CylinderDecomposition:
 
     All combinatorial and metric data refer to the sheared origami
     ``origami`` in whose coordinates the direction is horizontal;
-    ``word`` is the ``SL(2, Z)`` word carrying ``base_origami`` there
+    ``word`` is the ``SL(2, Z)`` word carrying the analysed surface there
     (empty for the horizontal direction).  ``direction`` is the primitive
-    direction vector ``(dx, dy)`` in base coordinates.
+    direction vector ``(dx, dy)`` in the analysed surface's coordinates.
+    ``saddle_lengths`` maps a saddle id to its length in squares;
     ``bottom_positions`` and ``top_positions`` map a cylinder id to the
     integer start coordinate, in squares, of every saddle on that
     boundary; the bottom word starts at 0 and the top coordinates are
-    reduced mod the circumference.
+    reduced mod the circumference.  These are the metric data the
+    transverse-cylinder searches read, the same interface as a
+    :class:`~squaretiled.surface.FlatSurfaceNet`.
     """
 
     origami: Origami
-    base_origami: Origami
     word: tuple
     direction: tuple
     cylinders: tuple
     diagram: CylinderDiagram
     saddles: dict
-    square_cylinder: dict = field(repr=False)
-    square_x: dict = field(repr=False)
+    saddle_lengths: dict = field(repr=False)
     bottom_positions: dict = field(repr=False)
     top_positions: dict = field(repr=False)
 
@@ -295,18 +287,6 @@ class CylinderDecomposition:
         """The bottom row of cylinder ``cid``; its squares' bottom edges sum
         to a core-curve representative."""
         return self.cylinders[cid].rows[0]
-
-    def to_net(self):
-        """The decomposition as a metric :class:`FlatSurfaceNet` (twists are
-        read off from the square coordinates)."""
-        geoms = {}
-        for c in self.cylinders:
-            first_top = self.diagram.top_words[c.id][0]
-            geoms[c.id] = CylinderGeometry(
-                c.circumference, c.height, self.top_positions[c.id][first_top]
-            )
-        lengths = {sid: s.length for sid, s in self.saddles.items()}
-        return build_net(geoms, self.diagram, lengths)
 
 
 def _marked_corners(o: Origami):
@@ -323,7 +303,7 @@ def _marked_corners(o: Origami):
     return marked, corner_class
 
 
-def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
+def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
     r"""
     Decompose an origami into maximal horizontal cylinders.
 
@@ -375,7 +355,6 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
         components.setdefault(find(ri), []).append(ri)
 
     cylinders = []
-    square_cylinder = {}
     square_x = {}
     for comp in components.values():
         merged_up = set(above.get(ri) for ri in comp)
@@ -403,21 +382,13 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
             for sq, below in zip(nxt, prev):
                 square_x[sq] = square_x[below]
             stacked.append(nxt)
-        for row in stacked:
-            for sq in row:
-                square_cylinder[sq] = cid
         cylinders.append(Cylinder(
             cid, tuple(stacked), Fraction(len(r0)), Fraction(len(stacked))
         ))
     # deterministic ids: sort by smallest square of the bottom row
     cylinders.sort(key=lambda c: min(c.rows[0]))
-    remap = {}
-    relabeled = []
-    for new_id, c in enumerate(cylinders):
-        remap[c.id] = new_id
-        relabeled.append(Cylinder(new_id, c.rows, c.circumference, c.height))
-    cylinders = relabeled
-    square_cylinder = {sq: remap[cid] for sq, cid in square_cylinder.items()}
+    cylinders = [Cylinder(new_id, c.rows, c.circumference, c.height)
+                 for new_id, c in enumerate(cylinders)]
 
     # saddle connections: runs between marked corners on each bottom row
     saddles = {}
@@ -482,14 +453,12 @@ def horizontal_decomposition(o: Origami, base=None, word=(), direction=(1, 0)):
     diagram.validate()
     d = CylinderDecomposition(
         origami=o,
-        base_origami=base if base is not None else o,
         word=tuple(word),
         direction=tuple(direction),
         cylinders=tuple(cylinders),
         diagram=diagram,
         saddles=saddles,
-        square_cylinder=square_cylinder,
-        square_x=square_x,
+        saddle_lengths={sid: len(s.squares) for sid, s in saddles.items()},
         bottom_positions=bottom_positions,
         top_positions=top_positions,
     )
@@ -575,8 +544,7 @@ def periodic_decomposition(o: Origami, slope, member=None):
     word, sheared = member if member is not None \
         else direction_member(o, slope)
     p, q = slope
-    return horizontal_decomposition(sheared, base=o, word=word,
-                                    direction=(q, p))
+    return horizontal_decomposition(sheared, word=word, direction=(q, p))
 
 
 def _bezout(x, y):

@@ -363,13 +363,15 @@ class DualGraph:
 
 def dual_graph(d) -> DualGraph:
     r"""
-    Dual graph of the pinch of decomposition ``d``.
+    Dual graph of the pinch of decomposition ``d``, or of a metric net:
+    only ``d.diagram`` is read.
 
     Vertices are the connected components obtained by cutting every
     cylinder along its core curve; the genus label is computed from the
     Euler characteristic of the component's boundary graph (saddles and
     zeros), and each cylinder becomes an edge joining the components of its
-    two halves.
+    two halves.  When ``d`` carries an ``origami``, the genus labels and
+    cycle rank must add up to its genus.
 
     EXAMPLES::
 
@@ -379,7 +381,9 @@ def dual_graph(d) -> DualGraph:
         >>> g.vertices, g.edges
         (((0, 0),), ((0, (0, 0)),))
     """
-    halves = [(c.id, side) for c in d.cylinders for side in ("bot", "top")]
+    diagram = d.diagram
+    cids = diagram.cylinder_ids
+    halves = [(cid, side) for cid in cids for side in ("bot", "top")]
     parent = {h: h for h in halves}
 
     def find(x):
@@ -393,12 +397,12 @@ def dual_graph(d) -> DualGraph:
         if ra != rb:
             parent[ra] = rb
 
-    bottom_owner = {sid: cid for cid, word in d.diagram.bottom_words.items()
+    bottom_owner = {sid: cid for cid, word in diagram.bottom_words.items()
                     for sid in word}
-    top_owner = {sid: cid for cid, word in d.diagram.top_words.items()
+    top_owner = {sid: cid for cid, word in diagram.top_words.items()
                  for sid in word}
-    for sid in d.saddles:
-        union((bottom_owner[sid], "bot"), (top_owner[sid], "top"))
+    for sid, cid in bottom_owner.items():
+        union((cid, "bot"), (top_owner[sid], "top"))
 
     comp_ids = {}
     for h in halves:
@@ -408,8 +412,8 @@ def dual_graph(d) -> DualGraph:
     comp_of = {h: comp_ids[find(h)] for h in halves}
 
     comp_saddles = {v: set() for v in comp_ids.values()}
-    for sid in d.saddles:
-        comp_saddles[comp_of[(bottom_owner[sid], "bot")]].add(sid)
+    for sid, cid in bottom_owner.items():
+        comp_saddles[comp_of[(cid, "bot")]].add(sid)
     comp_ends = {v: 0 for v in comp_ids.values()}
     for h in halves:
         comp_ends[comp_of[h]] += 1
@@ -418,7 +422,7 @@ def dual_graph(d) -> DualGraph:
     vertex_saddles = []
     for vid in sorted(comp_ids.values()):
         saddles = comp_saddles[vid]
-        zeros = {z for sid in saddles for z in d.diagram.saddle_zeros[sid]}
+        zeros = {z for sid in saddles for z in diagram.saddle_zeros[sid]}
         euler = len(zeros) - len(saddles)
         genus2 = 2 - euler - comp_ends[vid]
         _require(genus2 >= 0 and genus2 % 2 == 0,
@@ -426,10 +430,8 @@ def dual_graph(d) -> DualGraph:
         vertices.append((vid, genus2 // 2))
         vertex_saddles.append(tuple(sorted(saddles)))
 
-    edges = tuple(
-        (c.id, (comp_of[(c.id, "bot")], comp_of[(c.id, "top")]))
-        for c in d.cylinders
-    )
+    edges = tuple((cid, (comp_of[(cid, "bot")], comp_of[(cid, "top")]))
+                  for cid in cids)
     g = DualGraph(tuple(vertices), edges, tuple(vertex_saddles),
                   tuple(sorted(comp_of.items())))
     # stable-curve genus formula: sum of genera plus cycle rank of the graph

@@ -41,7 +41,7 @@ from .cylinders import (
     moduli_exponents,
     periodic_decomposition,
 )
-from .errors import CaseMismatch, GenusMismatch, InvariantViolation
+from .errors import GenusMismatch, InvariantViolation
 from .homology import dual_graph
 from .jump import WeightedDualGraph, case3_verdict, case6_moduli_forcing
 from .monodromy import enumerate_slopes
@@ -143,7 +143,7 @@ class EquivalenceResult:
 
 def _window_extraction(d, c1, c2):
     """Normalized window coordinates (t0, s0, t_start) for cylinder ``c1``
-    (carrying the longest bottom saddle) against ``c2``.
+    against ``c2``.
 
     A straight trajectory starting inside the longest bottom saddle of
     ``c1``, piercing the longest bottom saddle of ``c2`` and closing when
@@ -157,18 +157,22 @@ def _window_extraction(d, c1, c2):
     number of squares, so the coordinates are read off as integers.  Let
     ``w`` be the common circumference, ``L_tau`` and ``L_sigma`` the
     lengths of the longest bottom saddles tau of ``c1`` and sigma of
-    ``c2`` (the first in word order on a tie), ``Q_b``, ``Q_t`` the
-    positions of tau on the bottom of ``c1`` and the top of ``c2``, and
-    ``P_t``, ``P_b`` those of sigma on the top of ``c1`` and the bottom of
-    ``c2``.  In units of ``1/(2w)``, the closing drift and the gap from
-    tau to the interval of starting points whose trajectory pierces sigma
-    are::
+    ``c2``, ``Q_b``, ``Q_t`` the positions of tau on the bottom of ``c1``
+    and the top of ``c2``, and ``P_t``, ``P_b`` those of sigma on the top
+    of ``c1`` and the bottom of ``c2``.  In units of ``1/(2w)``, the
+    closing drift and the gap from tau to the interval of starting points
+    whose trajectory pierces sigma are::
 
         T = (Q_t - Q_b + P_t - P_b) mod w
         G = (2*P_t - T - 2*Q_b) mod w
 
     and the coordinates are ``t0 = L_tau / w``, ``s0 = L_sigma / w`` and
     ``t_start = ((G - 2*L_tau) mod w) / w``.
+
+    Two longest saddles on one bottom are told apart by word order; the
+    choice does not change ``t_start``.  The order of the two cylinders
+    does, which :func:`_metric_chain` settles without reference to their
+    labels.
 
     Raises :class:`~squaretiled.errors.InvariantViolation` when the two
     cylinders have different circumferences.
@@ -177,10 +181,10 @@ def _window_extraction(d, c1, c2):
     if len(d.cylinders[c2].rows[0]) != w:
         raise InvariantViolation("homologous cylinders must have equal "
                                  "circumferences")
-    words, saddles = d.diagram.bottom_words, d.saddles
-    tau = max(words[c1], key=lambda s: len(saddles[s].squares))
-    sigma = max(words[c2], key=lambda s: len(saddles[s].squares))
-    l_tau = len(saddles[tau].squares)
+    words, lengths = d.diagram.bottom_words, d.saddle_lengths
+    tau = max(words[c1], key=lengths.__getitem__)
+    sigma = max(words[c2], key=lengths.__getitem__)
+    l_tau = lengths[tau]
     q_b, q_t = d.bottom_positions[c1][tau], d.top_positions[c2][tau]
     p_t, p_b = d.top_positions[c1][sigma], d.bottom_positions[c2][sigma]
     # closing forces twice the drift to be Q_t - Q_b + P_t - P_b (mod w),
@@ -188,7 +192,7 @@ def _window_extraction(d, c1, c2):
     drift = (q_t - q_b + p_t - p_b) % w
     # the second copy of the piercing interval is w (one half) further on
     gap = (2 * p_t - drift - 2 * q_b) % w
-    return (Fraction(l_tau, w), Fraction(len(saddles[sigma].squares), w),
+    return (Fraction(l_tau, w), Fraction(lengths[sigma], w),
             Fraction((gap - 2 * l_tau) % w, w))
 
 
@@ -204,10 +208,12 @@ def _metric_chain(d, graph) -> EquivalenceResult:
     if forcing.verdict != "consistent":
         return EquivalenceResult(False, "unequal moduli are forced away",
                                  forcing=forcing)
-    t0, s0, t_start = _window_extraction(d, *cids)
-    if t0 < s0:
-        # order the cylinders so the first carries the longest bottom saddle
-        t0, s0, t_start = _window_extraction(d, *cids[::-1])
+    # the first cylinder carries the longest bottom saddle; when both
+    # longest saddles are equally long, the order with the smaller t_start
+    # is kept, so the record does not depend on the cylinder labels
+    t0, s0, t_start = min((_window_extraction(d, *order)
+                           for order in (cids, cids[::-1])),
+                          key=lambda c: (-c[0], c[2]))
     constraint = WindowConstraint(t0, s0, t_start, min_saddle=_QUARTER)
     record = window_feasible(constraint)
     if not record.feasible:
@@ -246,35 +252,6 @@ def _reference_equivalence(d, chain) -> EquivalenceResult:
                              record=chain.record)
 
 
-def wollmilchsau_equivalent(o: Origami) -> EquivalenceResult:
-    r"""
-    Decide whether a horizontally two-cylinder surface with homologous
-    cores is the reference survivor: force equal moduli, extract the
-    normalized window coordinates, check the window inequalities (feasible
-    only at ``t0 = s0 = 1/4``, ``t_start = 0``), and compare cylinder
-    diagrams.
-
-    Raises :class:`~squaretiled.errors.CaseMismatch` when the horizontal
-    pinch is not two genus-1 components joined at two nodes.  The result is
-    truthy exactly on surfaces equivalent to the reference; falsy results
-    carry the violated constraint or forcing verdict.
-
-    EXAMPLES::
-
-        >>> bool(wollmilchsau_equivalent(reference_surface()))
-        True
-    """
-    d = horizontal_decomposition(o)
-    graph = dual_graph(d)
-    if classify_case(graph) is not CaseLabel.CASE6:
-        raise CaseMismatch("horizontal pinch is not two elliptic "
-                           "components joined at two nodes")
-    chain = _metric_chain(d, graph)
-    if not chain:
-        return chain
-    return _reference_equivalence(d, chain)
-
-
 # ---------------------------------------------------------------------------
 # per-direction analysis
 # ---------------------------------------------------------------------------
@@ -311,14 +288,7 @@ def _analyze_direction(o: Origami, slope, member=None):
     if label is None:
         return DirectionRecord(slope, None, "unmatched pinch graph"), False, d
     if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
-        net = d.to_net()
-        if label is CaseLabel.CASE4:
-            try:
-                witness = find_crossing_cylinder(net, "Case4A")
-            except CaseMismatch:
-                witness = find_crossing_cylinder(net, "Case4B")
-        else:
-            witness = find_crossing_cylinder(net, name)
+        witness = find_crossing_cylinder(d, name)
         if witness is None:
             return DirectionRecord(slope, name, "no crossing witness "
                                    "found"), False, d

@@ -13,7 +13,9 @@ neighbor and ``v`` to its upper neighbor.  This module provides
 - relabeling-invariant canonical forms (:func:`canonical_form`,
   :func:`origami_isomorphism`), and
 - exact metric nets of cylinders glued along saddle connections
-  (:func:`build_net`), the input to the transverse-cylinder searches.
+  (:func:`build_net`), the carrier of rational-length data; the
+  transverse-cylinder searches read a net or an origami's cylinder
+  decomposition alike.
 
 EXAMPLES::
 
@@ -525,34 +527,31 @@ class FlatSurfaceNet:
     ``diagram`` provides the cyclic boundary words (``bottom_words`` /
     ``top_words`` mapping cylinder id to a tuple of saddle ids);
     ``saddle_lengths`` assigns an exact length to every saddle id.
+    ``bottom_positions`` and ``top_positions`` map a cylinder id to the
+    start coordinate of every saddle on that boundary, reduced mod the
+    circumference.
 
     Coordinates: each cylinder is the rectangle ``[0, w) x [0, height]``.
     Its bottom word is laid out left to right starting at ``x = 0`` and its
-    top word starting at ``x = twist`` (mod ``w``); vertical straight-line
-    flow connects equal ``x``.
+    top word starting at ``x = twist``, reduced mod ``w``; vertical
+    straight-line flow connects equal ``x``.
     """
 
     cylinders: dict
     diagram: object
     saddle_lengths: dict
+    bottom_positions: dict
+    top_positions: dict
 
-    def bottom_positions(self, cid):
-        """Map saddle id -> start coordinate on the bottom of cylinder ``cid``."""
-        pos, x = {}, Fraction(0)
-        for sid in self.diagram.bottom_words[cid]:
-            pos[sid] = x
-            x += self.saddle_lengths[sid]
-        return pos
 
-    def top_positions(self, cid):
-        """Map saddle id -> start coordinate on the top of cylinder ``cid``,
-        reduced mod the circumference."""
-        w = self.cylinders[cid].circumference
-        pos, x = {}, self.cylinders[cid].twist % w
-        for sid in self.diagram.top_words[cid]:
-            pos[sid] = x % w
-            x += self.saddle_lengths[sid]
-        return pos
+def _word_positions(word, start, lengths, w):
+    """Map saddle id -> start coordinate, reduced mod ``w``, along a
+    boundary word laid out from ``start``."""
+    pos, x = {}, start
+    for sid in word:
+        pos[sid] = x % w
+        x += lengths[sid]
+    return pos
 
 
 def build_net(cylinders, diagram, saddle_lengths, degenerate_saddle=None) -> FlatSurfaceNet:
@@ -594,4 +593,10 @@ def build_net(cylinders, diagram, saddle_lengths, degenerate_saddle=None) -> Fla
                     f"cylinder {cid}: {side} saddle lengths sum to {total}, "
                     f"expected {geom.circumference}"
                 )
-    return FlatSurfaceNet(geoms, diagram, lengths)
+    bottoms = {cid: _word_positions(diagram.bottom_words[cid], 0, lengths,
+                                    g.circumference)
+               for cid, g in geoms.items()}
+    tops = {cid: _word_positions(diagram.top_words[cid], g.twist, lengths,
+                                 g.circumference)
+            for cid, g in geoms.items()}
+    return FlatSurfaceNet(geoms, diagram, lengths, bottoms, tops)

@@ -3,11 +3,14 @@ Exact piecewise isometries between cylinder interfaces, constructive
 searches for transverse cylinders in the two-, three- and four-cylinder
 configurations, and the window-inequality solver.
 
-All interval endpoints are exact rationals.  The searches return witness
-records (crossed-cylinder sequence, width, average direction) that are
-re-verified combinatorially; existence arguments that the source material
-phrases through shearing and cutting-and-regluing become coordinate
-re-origin choices here.
+All interval endpoints are exact rationals.  The searches read the
+metric data of an origami's cylinder decomposition directly (whole
+numbers of squares) and equally a metric net, the carrier of
+rational-length data.  They return witness records (crossed-cylinder
+sequence, width, average direction) that are re-verified
+combinatorially; existence arguments that the source material phrases
+through shearing and cutting-and-regluing become coordinate re-origin
+choices here.
 
 EXAMPLES::
 
@@ -21,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
-from .cylinders import CaseLabel, classify_case
+from .cylinders import classify_case
 from .errors import CaseMismatch, InvariantViolation, LengthMismatch
 from .homology import dual_graph
 
@@ -114,16 +116,17 @@ class IntervalMap:
         raise ValueError("point outside [0, L)")
 
 
-def build_interval_map(net, from_interface, to_interface) -> IntervalMap:
+def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
     r"""
     The identification of one cylinder interface with another, as an
-    :class:`IntervalMap` between their boundary coordinates.
+    :class:`IntervalMap` between their boundary coordinates, on a cylinder
+    decomposition or a metric net ``d``.
 
     Interfaces are ``("bottom", cid)`` or ``("top", cid)``; every saddle of
     the source interface must appear on the target interface and the two
     total lengths must agree (:class:`~squaretiled.errors.LengthMismatch`
-    otherwise).  A point at distance ``d`` into a saddle on the source is
-    sent to distance ``d`` into the same saddle on the target.
+    otherwise).  A point at distance ``t`` into a saddle on the source is
+    sent to distance ``t`` into the same saddle on the target.
 
     EXAMPLES::
 
@@ -141,14 +144,14 @@ def build_interval_map(net, from_interface, to_interface) -> IntervalMap:
     def interface_data(interface):
         side, cid = interface
         if side == "bottom":
-            word = net.diagram.bottom_words[cid]
-            pos = net.bottom_positions(cid)
+            word = d.diagram.bottom_words[cid]
+            pos = d.bottom_positions[cid]
         elif side == "top":
-            word = net.diagram.top_words[cid]
-            pos = net.top_positions(cid)
+            word = d.diagram.top_words[cid]
+            pos = d.top_positions[cid]
         else:
             raise ValueError("interface side must be 'bottom' or 'top'")
-        return word, pos, net.cylinders[cid].circumference
+        return word, pos, d.cylinders[cid].circumference
 
     from_word, from_pos, from_len = interface_data(from_interface)
     to_word, to_pos, to_len = interface_data(to_interface)
@@ -160,11 +163,11 @@ def build_interval_map(net, from_interface, to_interface) -> IntervalMap:
     pieces = []
     for sid in from_word:
         a = from_pos[sid]
-        ln = net.saddle_lengths[sid]
+        ln = d.saddle_lengths[sid]
         if ln == 0:
             continue
-        # a point at distance d into the saddle sits at (a + d) mod L and
-        # maps to (to_pos + d) mod L, so the offset is the same mod L on
+        # a point at distance t into the saddle sits at (a + t) mod L and
+        # maps to (to_pos + t) mod L, so the offset is the same mod L on
         # both parts of a source saddle that wraps past the end of [0, L)
         off = to_pos[sid] - a
         if a + ln <= from_len:
@@ -271,66 +274,49 @@ class TransverseWitness:
                                      "once")
 
 
-def _net_view(net):
-    """Adapter letting a metric net reuse the decomposition-level dual
-    graph machinery (no origami attached, so genus cross-checks are
-    skipped)."""
-    return SimpleNamespace(
-        cylinders=[SimpleNamespace(id=cid) for cid in sorted(net.cylinders)],
-        diagram=net.diagram,
-        saddles={sid: None for sid in net.saddle_lengths},
-        origami=None,
-    )
-
-
-def net_case_label(net) -> CaseLabel:
-    """Classify the net's cylinder diagram by its pinch dual graph."""
-    return classify_case(dual_graph(_net_view(net)))
-
-
-def _matched_pair(net):
+def _matched_pair(d):
     """The pair ``(c1, c4)`` with ``bottom(c1)`` and ``top(c4)`` carrying
     the same saddles, plus the middle cylinders over ``top(c1)``."""
-    cids = sorted(net.cylinders)
-    bottom_owner = {s: c for c in cids for s in net.diagram.bottom_words[c]}
+    cids = d.diagram.cylinder_ids
+    bottom_owner = {s: c for c in cids for s in d.diagram.bottom_words[c]}
     for c1 in cids:
         for c4 in cids:
             if c1 == c4:
                 continue
-            if set(net.diagram.bottom_words[c1]) == \
-                    set(net.diagram.top_words[c4]):
+            if set(d.diagram.bottom_words[c1]) == \
+                    set(d.diagram.top_words[c4]):
                 middles = {bottom_owner[s]
-                           for s in net.diagram.top_words[c1]}
+                           for s in d.diagram.top_words[c1]}
                 if c1 not in middles and c4 not in middles:
                     return c1, c4, tuple(sorted(middles))
     raise CaseMismatch("no pair of cylinders glued along a full interface")
 
 
-def _saddle_arc(word, positions, lengths, saddles, circumference):
-    """Start position and total length of the (cyclically contiguous) run
-    of ``saddles`` inside ``word``."""
+def _saddle_arc(word, positions, saddles):
+    """Start position of the (cyclically contiguous) run of ``saddles``
+    inside ``word``."""
     idx = [i for i, s in enumerate(word) if s in saddles]
     k = len(word)
     if len(idx) != len(saddles):
         raise CaseMismatch("middle cylinder interface is not a sub-run")
-    rotation = None
     for start in idx:
         if all((start + t) % k in idx for t in range(len(idx))):
             if (start - 1) % k not in idx or len(idx) == k:
-                rotation = start
-                break
-    if rotation is None:
-        raise CaseMismatch("middle cylinder interface is not contiguous")
-    first = word[rotation]
-    total = sum(lengths[s] for s in saddles)
-    return positions[first], total
+                return positions[word[start]]
+    raise CaseMismatch("middle cylinder interface is not contiguous")
 
 
-def find_crossing_cylinder(net, case) -> TransverseWitness:
+def find_crossing_cylinder(d, case) -> TransverseWitness:
     r"""
     A transverse cylinder for one of the named two-, three- and
     four-cylinder configurations, or ``None`` when the configuration's
     guarantee does not apply to the given metric data.
+
+    ``d`` is an origami's cylinder decomposition, whose lengths and
+    positions are whole numbers of squares, or a metric net with rational
+    lengths; the search reads the diagram, the circumference and height of
+    each cylinder, the saddle lengths and the saddle positions on every
+    boundary, which both carry.
 
     - ``Case1``: a saddle on both sides of one cylinder spans a simple
       transverse cylinder crossing that cylinder once.
@@ -344,71 +330,86 @@ def find_crossing_cylinder(net, case) -> TransverseWitness:
     - ``Case4B``: every saddle on the top of the outer partner recurs on
       the bottom of the outer cylinder; any of them spans a cylinder
       crossing the three stacked cylinders once each.
+    - ``Case4``: ``Case4A`` when two middle cylinders sit between the
+      outer pair, ``Case4B`` when one does.
 
-    The requested case must match the net's diagram
+    The requested case must match the shape of ``d``'s pinch dual graph
     (:class:`~squaretiled.errors.CaseMismatch` otherwise).
+
+    EXAMPLES::
+
+        >>> from squaretiled.cylinders import horizontal_decomposition
+        >>> from squaretiled.surface import parse_origami
+        >>> o = parse_origami('origami n=6 h="(1 3 2 4)" v="(0 5 2 1)"')
+        >>> w = find_crossing_cylinder(horizontal_decomposition(o), "Case1")
+        >>> w.crossed, w.width, w.kind
+        ((1,), 1, 'simple-over-1')
     """
     case = str(case)
-    label = str(net_case_label(net))
-    expected = {"Case1": "Case1", "Case2": "Case2",
+    expected = {"Case1": "Case1", "Case2": "Case2", "Case4": "Case4",
                 "Case4A": "Case4", "Case4B": "Case4"}
     if case not in expected:
         raise CaseMismatch("unsupported case %r" % (case,))
+    label = str(classify_case(dual_graph(d)))
     if label != expected[case]:
-        raise CaseMismatch("net diagram is %s, not %s" % (label, case))
+        raise CaseMismatch("diagram is %s, not %s" % (label, case))
     if case == "Case1":
-        return _case1_witness(net)
+        return _case1_witness(d)
     if case == "Case2":
-        return _case2_witness(net)
-    c1, c4, middles = _matched_pair(net)
+        return _case2_witness(d)
+    c1, c4, middles = _matched_pair(d)
+    if case == "Case4":
+        case = "Case4A" if len(middles) == 2 else "Case4B"
     if case == "Case4A":
         if len(middles) != 2:
-            raise CaseMismatch("net has the stacked (4B) shape")
-        return _case4a_witness(net, c1, c4, middles)
+            raise CaseMismatch("diagram has the stacked (4B) shape")
+        return _case4a_witness(d, c1, c4, middles)
     if len(middles) != 1:
-        raise CaseMismatch("net has the side-by-side (4A) shape")
-    return _case4b_witness(net, c1, c4, middles[0])
+        raise CaseMismatch("diagram has the side-by-side (4A) shape")
+    return _case4b_witness(d, c1, c4, middles[0])
 
 
-def _case1_witness(net):
-    for cid in sorted(net.cylinders):
-        both = set(net.diagram.bottom_words[cid]) & \
-            set(net.diagram.top_words[cid])
+def _case1_witness(d):
+    for cid in d.diagram.cylinder_ids:
+        both = set(d.diagram.bottom_words[cid]) & \
+            set(d.diagram.top_words[cid])
         for sid in sorted(both, key=lambda s: str(s)):
-            if net.saddle_lengths[sid] == 0:
+            length = d.saddle_lengths[sid]
+            if length == 0:
                 continue
-            bp = net.bottom_positions(cid)[sid]
-            tp = net.top_positions(cid)[sid]
+            bp = d.bottom_positions[cid][sid]
+            tp = d.top_positions[cid][sid]
             return TransverseWitness(
                 crossed=(cid,),
-                width=net.saddle_lengths[sid],
+                width=length,
                 start_interface=("bottom", cid),
-                start_interval=(bp, bp + net.saddle_lengths[sid]),
-                direction=(tp - bp, net.cylinders[cid].height),
+                start_interval=(bp, bp + length),
+                direction=(tp - bp, d.cylinders[cid].height),
                 kind="simple-over-%s" % (sid,),
             )
     return None
 
 
-def _case2_witness(net):
-    cids = sorted(net.cylinders)
+def _case2_witness(d):
+    cids = d.diagram.cylinder_ids
+    lengths = d.saddle_lengths
     for c1 in cids:
-        for sigma in net.diagram.bottom_words[c1]:
-            if net.saddle_lengths[sigma] == 0:
+        for sigma in d.diagram.bottom_words[c1]:
+            if lengths[sigma] == 0:
                 continue
             c2 = next(c for c in cids
-                      if sigma in net.diagram.top_words[c])
+                      if sigma in d.diagram.top_words[c])
             if c2 == c1:
                 continue
-            shared = set(net.diagram.top_words[c1]) & \
-                set(net.diagram.bottom_words[c2])
-            taus = [t for t in shared if net.saddle_lengths[t] > 0]
+            shared = set(d.diagram.top_words[c1]) & \
+                set(d.diagram.bottom_words[c2])
+            taus = [t for t in shared if lengths[t] > 0]
             if not taus:
                 continue
-            tau = max(taus, key=lambda t: (net.saddle_lengths[t], str(t)))
-            width = min(net.saddle_lengths[sigma], net.saddle_lengths[tau])
-            bp = net.bottom_positions(c1)[sigma]
-            rise = net.cylinders[c1].height + net.cylinders[c2].height
+            tau = max(taus, key=lambda t: (lengths[t], str(t)))
+            width = min(lengths[sigma], lengths[tau])
+            bp = d.bottom_positions[c1][sigma]
+            rise = d.cylinders[c1].height + d.cylinders[c2].height
             return TransverseWitness(
                 crossed=(c1, c2),
                 width=width,
@@ -420,25 +421,23 @@ def _case2_witness(net):
     return None
 
 
-def case4a_window_map(net, c1=None, c4=None, middles=None):
+def case4a_window_map(d, c1=None, c4=None, middles=None):
     """The normalized interval map of the four-cylinder window argument:
     the gluing of the bottom of ``c1`` to the top of ``c4``, in coordinates
     re-cut so that the wider middle cylinder spans ``[0, s)`` on both of
     its interfaces.  Returns ``(map, s)``."""
     if c1 is None:
-        c1, c4, middles = _matched_pair(net)
-    lengths = net.saddle_lengths
-    wide = max(middles, key=lambda c: (net.cylinders[c].circumference, c))
-    w = net.cylinders[c1].circumference
-    if net.cylinders[c4].circumference != w:
+        c1, c4, middles = _matched_pair(d)
+    wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
+    w = d.cylinders[c1].circumference
+    if d.cylinders[c4].circumference != w:
         raise CaseMismatch("outer cylinders must have equal circumference")
-    s = net.cylinders[wide].circumference
-    a_top = _saddle_arc(net.diagram.top_words[c1], net.top_positions(c1),
-                        lengths, set(net.diagram.bottom_words[wide]), w)[0]
-    a_bot = _saddle_arc(net.diagram.bottom_words[c4],
-                        net.bottom_positions(c4), lengths,
-                        set(net.diagram.top_words[wide]), w)[0]
-    raw = build_interval_map(net, ("bottom", c1), ("top", c4))
+    s = d.cylinders[wide].circumference
+    a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
+                        set(d.diagram.bottom_words[wide]))
+    a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions[c4],
+                        set(d.diagram.top_words[wide]))
+    raw = build_interval_map(d, ("bottom", c1), ("top", c4))
     pieces = []
     for a, b, off in raw.pieces:
         pieces.append(((a - a_top) % w, (a - a_top) % w + (b - a),
@@ -454,14 +453,14 @@ def case4a_window_map(net, c1=None, c4=None, middles=None):
     return IntervalMap(w, fixed), s
 
 
-def _case4a_witness(net, c1, c4, middles):
-    f, s = case4a_window_map(net, c1, c4, middles)
+def _case4a_witness(d, c1, c4, middles):
+    f, s = case4a_window_map(d, c1, c4, middles)
     w = f.length
     if 2 * s < w:
         return None
-    wide = max(middles, key=lambda c: (net.cylinders[c].circumference, c))
-    rise = (net.cylinders[c1].height + net.cylinders[wide].height
-            + net.cylinders[c4].height)
+    wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
+    rise = (d.cylinders[c1].height + d.cylinders[wide].height
+            + d.cylinders[c4].height)
     hit = find_window_hit(f, (Fraction(0), s), (Fraction(0), s))
     if hit is not None:
         # shrink into a single continuity piece so the image is a translate
@@ -496,26 +495,26 @@ def _case4a_witness(net, c1, c4, middles):
     return None
 
 
-def _case4b_witness(net, c1, c4, mid):
-    top4 = set(net.diagram.top_words[c4])
-    bot1 = set(net.diagram.bottom_words[c1])
+def _case4b_witness(d, c1, c4, mid):
+    top4 = set(d.diagram.top_words[c4])
+    bot1 = set(d.diagram.bottom_words[c1])
     if not top4 <= bot1:
         raise CaseMismatch("stacked shape requires the outer interfaces to "
                            "share all saddles")
-    candidates = [s for s in sorted(top4, key=str)
-                  if net.saddle_lengths[s] > 0]
+    lengths = d.saddle_lengths
+    candidates = [s for s in sorted(top4, key=str) if lengths[s] > 0]
     if not candidates:
         return None
-    sigma = max(candidates, key=lambda s: (net.saddle_lengths[s], str(s)))
-    bp = net.bottom_positions(c1)[sigma]
-    tp = net.top_positions(c4)[sigma]
-    rise = (net.cylinders[c1].height + net.cylinders[mid].height
-            + net.cylinders[c4].height)
+    sigma = max(candidates, key=lambda s: (lengths[s], str(s)))
+    bp = d.bottom_positions[c1][sigma]
+    tp = d.top_positions[c4][sigma]
+    rise = (d.cylinders[c1].height + d.cylinders[mid].height
+            + d.cylinders[c4].height)
     return TransverseWitness(
         crossed=(c1, mid, c4),
-        width=net.saddle_lengths[sigma],
+        width=lengths[sigma],
         start_interface=("bottom", c1),
-        start_interval=(bp, bp + net.saddle_lengths[sigma]),
+        start_interval=(bp, bp + lengths[sigma]),
         direction=(tp - bp, rise),
         kind="over-%s" % (sigma,),
     )

@@ -13,6 +13,7 @@ from squaretiled.surface import (
     build_net,
     build_origami,
     perm_from_cycles,
+    singularity_data,
 )
 
 
@@ -65,6 +66,15 @@ def random_origami(rng, max_squares=10):
             return build_origami(tuple(h), tuple(v))
         except NotTransitive:
             continue
+
+
+def random_genus3(rng, low, high):
+    """A random transitive genus-3 permutation pair on ``low``..``high``
+    squares."""
+    while True:
+        o = random_origami(rng, high)
+        if o.n >= low and singularity_data(o).genus == 3:
+            return o
 
 
 def random_unimodular(rng, n):
@@ -121,6 +131,19 @@ def random_case4a_net(rng, denominator=8):
 
     return build_net({c: geom(c) for c in range(4)}, CASE4A_DIAGRAM,
                      lengths)
+
+
+def decomposition_net(d):
+    """The metric net of an origami's cylinder decomposition ``d``: lengths
+    become ``Fraction``s, and :func:`build_net` recomputes every saddle
+    position from the lengths and each cylinder's twist, read as the start
+    of its first top saddle."""
+    geoms = {c.id: CylinderGeometry(
+        c.circumference, c.height,
+        d.top_positions[c.id][d.diagram.top_words[c.id][0]])
+        for c in d.cylinders}
+    lengths = {sid: Fraction(len(s.squares)) for sid, s in d.saddles.items()}
+    return build_net(geoms, d.diagram, lengths)
 
 
 @pytest.fixture

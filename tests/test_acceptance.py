@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import (
+    decomposition_net,
     l_origami,
     random_case4a_net,
     random_origami,
@@ -196,16 +197,18 @@ def test_criterion_8_structural_suites():
                         cj = ab.pair(ab.betas[j], ab.cylinder_cores[cid])
                         assert value == ci * cj
                         assert (value == 0) == (ci == 0 or cj == 0)
-            net = d.to_net()
+            net = decomposition_net(d)
             for ci in d.cylinders:
                 for cj in d.cylinders:
-                    if set(net.diagram.bottom_words[ci.id]) != \
-                            set(net.diagram.top_words[cj.id]):
+                    if set(d.diagram.bottom_words[ci.id]) != \
+                            set(d.diagram.top_words[cj.id]):
                         continue
-                    f = build_interval_map(net, ("bottom", ci.id),
+                    f = build_interval_map(d, ("bottom", ci.id),
                                            ("top", cj.id))
                     assert total_length(f.image_intervals()) == \
                         ci.circumference
+                    assert f.pieces == build_interval_map(
+                        net, ("bottom", ci.id), ("top", cj.id)).pieces
                     maps_checked += 1
             for slope in ((0, 1), (1, 0), (1, 1)):
                 assert periodic_decomposition(o, slope).area == o.n

@@ -37,7 +37,7 @@ def test_wollmilchsau_horizontal_decomposition():
     assert cylinder_shapes(d) == [(4, 1), (4, 1)]
     assert d.area == 8
     assert all(len(d.diagram.bottom_words[c.id]) == 4 for c in d.cylinders)
-    assert all(s.length == 1 for s in d.saddles.values())
+    assert all(length == 1 for length in d.saddle_lengths.values())
 
 
 def test_simple_decompositions():
@@ -93,9 +93,11 @@ def test_saddle_words_partition_boundaries(rng):
         o = random_origami(rng)
         d = horizontal_decomposition(o)
         d.diagram.validate()
+        assert d.saddle_lengths == {sid: len(s.squares)
+                                    for sid, s in d.saddles.items()}
         for c in d.cylinders:
             for words in (d.diagram.bottom_words, d.diagram.top_words):
-                total = sum(d.saddles[s].length for s in words[c.id])
+                total = sum(d.saddle_lengths[s] for s in words[c.id])
                 assert total == c.circumference
 
 

@@ -11,12 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EXEMPLARS, exemplar, l_origami, random_origami, \
-    wollmilchsau
+from conftest import EXEMPLARS, decomposition_net, exemplar, l_origami, \
+    random_genus3, wollmilchsau
 from squaretiled.cli import main as cli_main
 from squaretiled.cylinders import (
     CaseLabel,
-    CylinderDecomposition,
     classify_case,
     direction_member,
     horizontal_decomposition,
@@ -25,7 +24,7 @@ from squaretiled.cylinders import (
 from squaretiled.homology import core_span_rank, dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled import homology, pipeline
-from squaretiled.errors import CaseMismatch, GenusMismatch, InvariantViolation
+from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
     DirectionRecord,
     Verdict,
@@ -33,9 +32,9 @@ from squaretiled.pipeline import (
     enumerate_diagrams,
     reference_surface,
     render_report,
-    wollmilchsau_equivalent,
 )
 from squaretiled.surface import (
+    FlatSurfaceNet,
     act_sl2z,
     build_origami,
     canonical_form,
@@ -67,11 +66,6 @@ def test_reference_surface_survives():
     assert (result.constraint.t0, result.constraint.s0,
             result.constraint.t_start) == (q, q, 0)
     assert result.record.boundary
-
-
-def test_equivalence_gate_requires_two_cylinder_pinch():
-    with pytest.raises(CaseMismatch):
-        wollmilchsau_equivalent(exemplar("Case1"))
 
 
 def test_verdict_invariant_under_shears():
@@ -217,15 +211,6 @@ def full_scan(analyses, bound):
     return status, records, first
 
 
-def random_genus3(rng, low, high):
-    """A random transitive genus-3 permutation pair on ``low``..``high``
-    squares."""
-    while True:
-        o = random_origami(rng, high)
-        if o.n >= low and singularity_data(o).genus == 3:
-            return o
-
-
 def test_lazy_evidence_is_the_full_scan_prefix():
     rng = random.Random(909)
     surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
@@ -308,75 +293,115 @@ def relabelled(rng, x):
     return build_origami(tuple(h), tuple(v))
 
 
-def tied_case6(x):
-    """Whether the horizontal decomposition of ``x`` is Case 6 and some
-    cylinder has two longest bottom saddles, the tie that the window
-    extraction breaks by word order."""
-    d = horizontal_decomposition(x)
-    if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
-        return False
+def tied_case6(d):
+    """Whether some cylinder of the Case 6 decomposition ``d`` has two
+    longest bottom saddles, the tie that the window extraction breaks by
+    word order without changing ``t_start``."""
     for c in d.cylinders:
-        lengths = [len(d.saddles[s].squares)
-                   for s in d.diagram.bottom_words[c.id]]
+        lengths = [d.saddle_lengths[s] for s in d.diagram.bottom_words[c.id]]
         if lengths.count(max(lengths)) > 1:
             return True
     return False
 
 
+def order_dependent_window(d):
+    """Whether the Case 6 decomposition ``d`` has equally long longest
+    saddles on its two bottoms and a ``t_start`` that depends on which
+    cylinder comes first, the choice the metric chain makes without
+    reference to labels."""
+    first, second = (pipeline._window_extraction(d, *order)
+                     for order in ((0, 1), (1, 0)))
+    return first[0] == second[0] and first[2] != second[2]
+
+
+# a Case 6 surface whose excluding window record gave t_start 0, while its
+# relabelled copy below gave 2/3, when the cylinder order followed labels
+ORDER_DEPENDENT_CASE6 = ('origami n=6 h="(0 1 2)(3 4 5)" v="(0 3 1 5 2 4)"',
+                         'origami n=6 h="(0 5 3)(1 4 2)" v="(0 4 3 2 5 1)"')
+
+
 def test_direction_record_is_invariant_under_relabelling():
     """The fact behind sharing one analysis between directions with
-    isomorphic members: the record of a non-excluding direction is the
-    record of its member's horizontal direction, and that record does not
-    change when the member's squares are relabelled."""
+    isomorphic members: the record of a direction is the record of its
+    member's horizontal direction, and that record does not change when
+    the member's squares are relabelled.  A transverse crossing cylinder
+    names the member's cylinders and saddles, so for it the label and
+    mechanism are compared; every other record, the excluding window and
+    period forcing records included, is compared whole."""
     rng = random.Random(1010)
     surfaces = [act_sl2z(reference_surface(), list(w)) for w in WORDS]
     for h, v in SPLIT_ORBITS:
         surfaces += sorted(sl2z_orbit(parse_origami(
             'origami n=7 h="%s" v="%s"' % (h, v))), key=str)
     surfaces += [random_genus3(rng, 5, 12) for _ in range(120)]
-    compared = ties = 0
+    surfaces += [parse_origami(ORDER_DEPENDENT_CASE6[0])]
+    surfaces += [random_boundary_exchange(rng) for _ in range(30)]
+    compared = ties = excluding = order_dependent = 0
     for o in surfaces:
         for slope in enumerate_slopes(3):
-            record, excludes, _ = pipeline._analyze_direction(o, slope)
-            if excludes:
-                continue
+            record, excludes, d = pipeline._analyze_direction(o, slope)
             x = direction_member(o, slope)[1]
-            own = pipeline._analyze_direction(x, (0, 1))[0]
-            assert record == dataclasses.replace(own, slope=slope), \
-                (o, slope)
+            own = dataclasses.replace(record, slope=(0, 1))
+            if not excludes:
+                # classify_surface reuses only non-excluding records
+                assert pipeline._analyze_direction(x, (0, 1))[0] == own, \
+                    (o, slope)
             copy = relabelled(rng, x)
-            assert pipeline._analyze_direction(copy, (0, 1))[0] == own, \
-                (x, copy)
+            other = pipeline._analyze_direction(copy, (0, 1))[0]
+            if own.mechanism == "transverse crossing cylinder":
+                assert (other.label, other.mechanism) == \
+                    (own.label, own.mechanism), (x, copy)
+            else:
+                assert other == own, (x, copy)
             compared += 1
-            ties += tied_case6(x)
-    # 3161 directions, 80 of them tied Case 6, at this seed
-    assert compared > 3000
+            excluding += excludes
+            if record.label == "Case6":
+                if excludes:
+                    order_dependent += order_dependent_window(d)
+                else:
+                    ties += tied_case6(d)
+    # at this seed: 3345 non-excluding directions, 96 of them tied Case 6,
+    # and 6447 excluding ones, 16 of them Case 6 windows whose t_start
+    # depends on the cylinder order
+    assert compared - excluding > 3000
     assert ties > 50
+    assert excluding > 6000
+    assert order_dependent > 10
+    own, other = (pipeline._analyze_direction(parse_origami(text), (0, 1))[0]
+                  for text in ORDER_DEPENDENT_CASE6)
+    assert own.mechanism == "window forcing"
+    assert other == own
 
 
 def net_window_extraction(d, c1, c2):
     """The window coordinates computed in exact rationals on the metric net
-    of the decomposition: the oracle for the integer extraction."""
-    net = d.to_net()
+    of the decomposition: the oracle for the integer extraction.  Every
+    choice among tied longest bottom saddles gives the same coordinates."""
+    net = decomposition_net(d)
     w = net.cylinders[c1].circumference
     assert net.cylinders[c2].circumference == w
 
-    def longest_bottom(cid):
+    def longest_bottoms(cid):
         word = net.diagram.bottom_words[cid]
-        sid = max(word, key=lambda s: (net.saddle_lengths[s], -word.index(s)))
-        return sid, net.saddle_lengths[sid] / w
+        longest = max(net.saddle_lengths[s] for s in word)
+        return [s for s in word if net.saddle_lengths[s] == longest]
 
     half = Fraction(1, 2)
-    tau0, t0 = longest_bottom(c1)
-    sigma0, s0 = longest_bottom(c2)
-    q1 = net.bottom_positions(c1)[tau0] / w
-    q2 = net.top_positions(c2)[tau0] / w
-    p1 = net.top_positions(c1)[sigma0] / w
-    p2 = net.bottom_positions(c2)[sigma0] / w
-    t_close = ((q2 - q1 + p1 - p2) % 1) / 2
-    gap = ((p1 - t_close - q1) % 1) % half
-    t_start = (2 * ((gap - t0) % half)) % 1
-    return t0, s0, t_start
+    triples = set()
+    for tau0 in longest_bottoms(c1):
+        for sigma0 in longest_bottoms(c2):
+            t0 = net.saddle_lengths[tau0] / w
+            s0 = net.saddle_lengths[sigma0] / w
+            q1 = net.bottom_positions[c1][tau0] / w
+            q2 = net.top_positions[c2][tau0] / w
+            p1 = net.top_positions[c1][sigma0] / w
+            p2 = net.bottom_positions[c2][sigma0] / w
+            t_close = ((q2 - q1 + p1 - p2) % 1) / 2
+            gap = ((p1 - t_close - q1) % 1) % half
+            t_start = (2 * ((gap - t0) % half)) % 1
+            triples.add((t0, s0, t_start))
+    assert len(triples) == 1, (d.origami, c1, triples)
+    return triples.pop()
 
 
 def random_boundary_exchange(rng):
@@ -469,13 +494,20 @@ def test_window_extraction_rejects_unequal_circumferences():
 
 
 def test_case6_chain_builds_no_net(monkeypatch):
-    def no_net(self):
-        raise AssertionError("the Case 6 chain built a metric net")
+    """Classification reads every metric fact off the decomposition: neither
+    the Case 6 chain nor the Case 1/2/4 crossing-cylinder searches build a
+    metric net."""
+    def no_net(*args, **kwargs):
+        raise AssertionError("the classification built a metric net")
 
-    monkeypatch.setattr(CylinderDecomposition, "to_net", no_net)
+    monkeypatch.setattr(FlatSurfaceNet, "__init__", no_net)
     verdict = classify_surface(reference_surface())
     assert verdict.status == "WollmilchsauEquivalent"
-    assert not wollmilchsau_equivalent(exemplar("Case6"))
+    for name in sorted(EXEMPLARS):
+        verdict = classify_surface(exemplar(name))
+        assert verdict.status == "TrivialForni"
+        assert record_for(verdict, (0, 1)).mechanism == \
+            EXPECTED_HORIZONTAL[name][1]
 
 
 def test_case6_nonreference_excluded_by_window():

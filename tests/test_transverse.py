@@ -2,17 +2,26 @@
 crossing-cylinder witnesses for the stacked configurations, and the window
 inequalities."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import exemplar, random_case4a_net, torus, wollmilchsau
-from squaretiled.cylinders import horizontal_decomposition
+from conftest import decomposition_net, exemplar, random_case4a_net, \
+    random_genus3, torus, wollmilchsau
+from squaretiled.cylinders import (
+    classify_case,
+    horizontal_decomposition,
+    periodic_decomposition,
+)
 from squaretiled.errors import (
     CaseMismatch,
     InvariantViolation,
     LengthMismatch,
 )
+from squaretiled.homology import dual_graph
+from squaretiled.monodromy import enumerate_slopes
 from squaretiled.transverse import (
     IntervalMap,
     TransverseWitness,
@@ -22,7 +31,6 @@ from squaretiled.transverse import (
     case4a_window_map,
     find_crossing_cylinder,
     find_window_hit,
-    net_case_label,
     window_feasible,
     window_feasible_pairs,
 )
@@ -74,22 +82,28 @@ def test_interval_map_measure_preservation(rng):
         assert total_length(f.image_intervals()) == 6
 
 
+def carriers(o):
+    """The horizontal decomposition of ``o`` and its metric net."""
+    d = horizontal_decomposition(o)
+    return d, decomposition_net(d)
+
+
 def test_torus_interface_map_is_twist_translation():
-    net = horizontal_decomposition(torus()).to_net()
-    f = build_interval_map(net, ("bottom", 0), ("top", 0))
-    assert f.pieces == ((0, 1, 0),)
+    for carrier in carriers(torus()):
+        f = build_interval_map(carrier, ("bottom", 0), ("top", 0))
+        assert f.pieces == ((0, 1, 0),)
 
 
 def test_wollmilchsau_interface_map_oracle():
-    net = horizontal_decomposition(wollmilchsau()).to_net()
-    f = build_interval_map(net, ("bottom", 0), ("top", 1))
-    assert f.pieces == ((0, 1, 2), (1, 2, 0), (2, 3, 2), (3, 4, 0))
+    for carrier in carriers(wollmilchsau()):
+        f = build_interval_map(carrier, ("bottom", 0), ("top", 1))
+        assert f.pieces == ((0, 1, 2), (1, 2, 0), (2, 3, 2), (3, 4, 0))
 
 
 def test_interface_map_rejects_mismatched_interfaces():
-    net = horizontal_decomposition(wollmilchsau()).to_net()
-    with pytest.raises((LengthMismatch, KeyError, AssertionError)):
-        build_interval_map(net, ("bottom", 0), ("bottom", 1))
+    for carrier in carriers(wollmilchsau()):
+        with pytest.raises((LengthMismatch, KeyError, AssertionError)):
+            build_interval_map(carrier, ("bottom", 0), ("bottom", 1))
 
 
 def test_find_window_hit_basic():
@@ -110,25 +124,60 @@ def test_boundary_hit():
 
 def test_net_case_labels():
     for name in ("Case1", "Case2", "Case4A", "Case4B"):
-        net = horizontal_decomposition(exemplar(name)).to_net()
+        d, net = carriers(exemplar(name))
         expected = "Case4" if name.startswith("Case4") else name
-        assert str(net_case_label(net)) == expected
+        assert str(classify_case(dual_graph(net))) == expected
+        assert dual_graph(net) == dual_graph(d)
 
 
 @pytest.mark.parametrize("name", ["Case1", "Case2", "Case4A", "Case4B"])
 def test_exemplar_witnesses(name):
-    net = horizontal_decomposition(exemplar(name)).to_net()
-    witness = find_crossing_cylinder(net, name)
+    d = horizontal_decomposition(exemplar(name))
+    witness = find_crossing_cylinder(d, name)
     assert witness is not None
     assert witness.width > 0
     a, b = witness.start_interval
     assert a < b
+    if name.startswith("Case4"):
+        assert find_crossing_cylinder(d, "Case4") == witness
 
 
 def test_witness_case_validation():
-    net = horizontal_decomposition(exemplar("Case1")).to_net()
-    with pytest.raises(CaseMismatch):
-        find_crossing_cylinder(net, "Case2")
+    for name, wrong in (("Case1", "Case2"), ("Case4A", "Case4B"),
+                        ("Case4B", "Case4A"), ("Case2", "Case4")):
+        for carrier in carriers(exemplar(name)):
+            with pytest.raises(CaseMismatch):
+                find_crossing_cylinder(carrier, wrong)
+    with pytest.raises(CaseMismatch, match="unsupported"):
+        find_crossing_cylinder(horizontal_decomposition(exemplar("Case1")),
+                               "Case3")
+
+
+def test_decomposition_and_net_witnesses_agree():
+    """The searches read an origami's decomposition directly; on every Case
+    1/2/4 direction up to bound 3 of the exemplars and of random genus-3
+    surfaces, the witness equals the one found on the decomposition's
+    metric net."""
+    rng = random.Random(4242)
+    surfaces = [exemplar(name) for name in ("Case1", "Case2", "Case4A",
+                                            "Case4B")]
+    surfaces += [random_genus3(rng, 5, 12) for _ in range(200)]
+    found = Counter()
+    for o in surfaces:
+        for slope in enumerate_slopes(3):
+            d = periodic_decomposition(o, slope)
+            label = str(classify_case(dual_graph(d)))
+            if label not in ("Case1", "Case2", "Case4"):
+                continue
+            witness = find_crossing_cylinder(d, label)
+            assert witness == find_crossing_cylinder(decomposition_net(d),
+                                                     label), (o, slope)
+            found[label, witness is not None] += 1
+    # at this seed: 1486 Case 1, 12 Case 2 and 2 Case 4 directions, every
+    # one with a witness
+    assert found["Case1", True] > 1000
+    assert found["Case2", True] > 5
+    assert found["Case4", True] >= 2
 
 
 def brute_window_point(net, denominator=16):
@@ -142,13 +191,12 @@ def brute_window_point(net, denominator=16):
     w = net.cylinders[c1].circumference
     s = net.cylinders[wide].circumference
     lengths = net.saddle_lengths
-    a_top = _saddle_arc(net.diagram.top_words[c1], net.top_positions(c1),
-                        lengths, set(net.diagram.bottom_words[wide]), w)[0]
-    a_bot = _saddle_arc(net.diagram.bottom_words[c4],
-                        net.bottom_positions(c4),
-                        lengths, set(net.diagram.top_words[wide]), w)[0]
-    bp1 = net.bottom_positions(c1)
-    tp4 = net.top_positions(c4)
+    a_top = _saddle_arc(net.diagram.top_words[c1], net.top_positions[c1],
+                        set(net.diagram.bottom_words[wide]))
+    a_bot = _saddle_arc(net.diagram.bottom_words[c4], net.bottom_positions[c4],
+                        set(net.diagram.top_words[wide]))
+    bp1 = net.bottom_positions[c1]
+    tp4 = net.top_positions[c4]
     hits = []
     grid = [Fraction(k, denominator) for k in range(1, int(s * denominator))]
     for x in grid:
