@@ -87,10 +87,13 @@ def _cmd_monodromy(args):
     for (word, _), m in zip(gens, matrices):
         print("  %-20s %dx%d symplectic" % (" ".join(word), len(m), len(m)))
     restricted = restrict_to_zero_holonomy(matrices, basis)
-    dim = len(restricted[0]) if restricted else 0
-    print("zero-holonomy restriction: dimension %d" % dim)
-    closure = closure_classify(restricted)
-    if closure.is_finite:
+    # the two holonomy covectors of an origami are independent
+    print("zero-holonomy restriction: dimension %d" % (basis.rank - 2))
+    closure = closure_classify(restricted) if gens else None
+    if closure is None:
+        print("restricted closure: not computed, no stabilizer words up "
+              "to length %d" % args.word_bound)
+    elif closure.is_finite:
         print("restricted closure: Finite, order %d" % closure.order)
     else:
         print("restricted closure: Unbounded (element of infinite order, "

@@ -32,6 +32,7 @@ EXAMPLES::
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,7 +143,11 @@ class CylinderDiagram:
         One traversal costs O(s) in the number of saddles s, so a key costs
         O(s^2) times the number of rotations the branches try.  The
         reference two-cylinder diagram (8 saddles) branches once per
-        anchor, into 4 rotations: 32 traversals.
+        anchor, into 4 rotations: at most 32 traversals.  A traversal
+        stops at the first placed word greater than the same word of the
+        least encoding found so far, since it can only end above it; the
+        key does not change.  To compare a diagram with a known key,
+        :meth:`has_canonical_key` is cheaper still.
 
         Raises :class:`~squaretiled.errors.InvariantViolation` when the
         diagram fails :meth:`validate` or is disconnected.
@@ -158,57 +163,123 @@ class CylinderDiagram:
             >>> d1.canonical_key()
             (((0, 0, (0, 1)), (1, 0, (0, 1))), ((0, 0), (0, 0)))
         """
-        self.validate()
-        words = {}
-        where = {}
-        for side, table in enumerate((self.bottom_words, self.top_words)):
-            for cid, word in table.items():
-                words[side, cid] = word
-                for i, sid in enumerate(word):
-                    where[side, sid] = (cid, i)
+        search = _Search(self)
         best = None
-        for cid in self.cylinder_ids:
-            for rot in range(len(self.bottom_words[cid])):
-                traversal = _Traversal(words, where, self.saddle_zeros)
-                for enc in traversal.run(0, cid, rot):
-                    if best is None or enc < best:
-                        best = enc
+        for enc in search.encodings():
+            if best is None or enc < best:
+                best = enc
+                search.bound = enc[0]
         return best
+
+    def has_canonical_key(self, key):
+        r"""
+        Whether :meth:`canonical_key` equals ``key``, decided without
+        computing the key.
+
+        The traversals of :meth:`canonical_key` run against the words of
+        ``key``: each stops at the first placed word that differs from the
+        word in the same place of ``key``, and the answer is ``True`` at
+        the first complete encoding, zeros included, equal to ``key``.
+        This is exact: an encoding lists every word, so a diagram has an
+        encoding equal to ``key`` exactly when it is isomorphic to a
+        diagram whose key is ``key``, and then its own key is ``key``.
+
+        Raises :class:`~squaretiled.errors.InvariantViolation` when the
+        diagram fails :meth:`validate`.  A disconnected diagram has no
+        complete encoding, so it either raises the same error or gives
+        ``False``.
+
+        EXAMPLES::
+
+            >>> d1 = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")},
+            ...                      {"a": (0, 0), "b": (0, 0)})
+            >>> d2 = CylinderDiagram({5: ("x", "y")}, {5: ("x", "y")},
+            ...                      {"x": (1, 1), "y": (1, 1)})
+            >>> d2.has_canonical_key(d1.canonical_key())
+            True
+            >>> d3 = CylinderDiagram({0: ("a",)}, {0: ("a",)}, {"a": (0, 0)})
+            >>> d3.has_canonical_key(d1.canonical_key())
+            False
+        """
+        search = _Search(self, bound=key[0], exact=True)
+        # the traversals read the bound word by word, so it must not run
+        # out before the diagram's words do
+        if len(search.words) != len(key[0]):
+            return False
+        return any(enc == key for enc in search.encodings())
+
+
+class _Search:
+    """The boundary words of one diagram, indexed for its first-seen
+    traversals (see :meth:`CylinderDiagram.canonical_key`), and the word
+    sequence ``bound`` they are held to.
+
+    ``words`` maps (side, cylinder) to a boundary word and ``where`` maps
+    (side, saddle) to (cylinder, index in that word), side 0 being the
+    bottom.  A traversal whose words so far equal those of ``bound`` stops
+    at the first word that is greater, or, when ``exact``, different.
+    ``bound`` may be lowered while the traversals run.
+
+    Raises :class:`~squaretiled.errors.InvariantViolation` when the
+    diagram fails :meth:`CylinderDiagram.validate`.
+    """
+
+    __slots__ = ("diagram", "words", "where", "bound", "exact")
+
+    def __init__(self, diagram, bound=None, exact=False):
+        diagram.validate()
+        self.diagram = diagram
+        self.words = {}
+        self.where = {}
+        for side, table in enumerate((diagram.bottom_words,
+                                      diagram.top_words)):
+            for cid, word in table.items():
+                self.words[side, cid] = word
+                for i, sid in enumerate(word):
+                    self.where[side, sid] = (cid, i)
+        self.bound = bound
+        self.exact = exact
+
+    def encodings(self):
+        """Yield the encoding of every anchor and branch whose traversal
+        is not stopped by ``bound``."""
+        bottoms = self.diagram.bottom_words
+        for cid in self.diagram.cylinder_ids:
+            for rot in range(len(bottoms[cid])):
+                yield from _Traversal(self).run(0, cid, rot)
 
 
 class _Traversal:
     """The state of one first-seen traversal of a diagram's boundary words
-    (see :meth:`CylinderDiagram.canonical_key`).
-
-    ``words`` maps (side, cylinder) to a boundary word, ``where`` maps
-    (side, saddle) to (cylinder, index in that word), side 0 being the
-    bottom, and ``saddle_zeros`` is the diagram's.
+    (see :meth:`CylinderDiagram.canonical_key`) within a :class:`_Search`.
     """
 
-    __slots__ = ("words", "where", "saddle_zeros", "encoding", "names",
-                 "order", "cylinders", "placed")
+    __slots__ = ("search", "encoding", "names", "order", "cylinders",
+                 "placed", "tied")
 
-    def __init__(self, words, where, saddle_zeros):
-        self.words = words
-        self.where = where
-        self.saddle_zeros = saddle_zeros
+    def __init__(self, search):
+        self.search = search
         self.encoding = []
         self.names = {}       # saddle -> first-seen name
         self.order = []       # saddles by name
         self.cylinders = {}   # cylinder -> first-seen name
         self.placed = {}      # (side, cylinder) in placement order
+        self.tied = True      # the encoding so far is a prefix of the bound
 
     def _copy(self):
-        other = _Traversal(self.words, self.where, self.saddle_zeros)
+        other = _Traversal(self.search)
         other.encoding = list(self.encoding)
         other.names = dict(self.names)
         other.order = list(self.order)
         other.cylinders = dict(self.cylinders)
         other.placed = dict(self.placed)
+        other.tied = self.tied
         return other
 
     def _place(self, side, cid, rot):
-        word = self.words[side, cid]
+        """Place word (side, cid) rotated by ``rot``; ``False`` when the
+        search's bound stops the traversal there."""
+        word = self.search.words[side, cid]
         word = word[rot:] + word[:rot]
         names = self.names
         for sid in word:
@@ -216,35 +287,47 @@ class _Traversal:
                 names[sid] = len(names)
                 self.order.append(sid)
         self.placed[side, cid] = None
-        self.encoding.append(
-            (side, self.cylinders.setdefault(cid, len(self.cylinders)),
-             tuple(names[sid] for sid in word)))
+        entry = (side, self.cylinders.setdefault(cid, len(self.cylinders)),
+                 tuple(names[sid] for sid in word))
+        encoding = self.encoding
+        encoding.append(entry)
+        bound = self.search.bound
+        if self.tied and bound is not None:
+            other = bound[len(encoding) - 1]
+            if entry != other:
+                if self.search.exact or entry > other:
+                    return False
+                self.tied = False
+        return True
 
     def run(self, side, cid, rot, next_saddle=0):
         """Place word (side, cid) rotated by ``rot``, extend through saddles,
         and yield the encoding of each completed branch."""
-        self._place(side, cid, rot)
-        order, placed, where = self.order, self.placed, self.where
+        if not self._place(side, cid, rot):
+            return
+        order, placed = self.order, self.placed
+        where, words = self.search.where, self.search.words
         while next_saddle < len(order):
             sid = order[next_saddle]
             next_saddle += 1
             for s in (0, 1):
                 c, i = where[s, sid]
-                if (s, c) not in placed:
-                    self._place(s, c, i)
-        if len(placed) == len(self.words):
+                if (s, c) not in placed and not self._place(s, c, i):
+                    return
+        if len(placed) == len(words):
             zeros = {}
+            saddle_zeros = self.search.diagram.saddle_zeros
             yield tuple(self.encoding), tuple(
                 (zeros.setdefault(a, len(zeros)),
                  zeros.setdefault(b, len(zeros)))
-                for a, b in (self.saddle_zeros[sid] for sid in order))
+                for a, b in (saddle_zeros[sid] for sid in order))
             return
         for s, c in placed:
             if (1 - s, c) not in placed:
                 break
         else:
             raise InvariantViolation("cylinder diagram is disconnected")
-        for r in range(max(len(self.words[1 - s, c]), 1)):
+        for r in range(max(len(words[1 - s, c]), 1)):
             yield from self._copy().run(1 - s, c, r, next_saddle)
 
 
@@ -496,7 +579,8 @@ def direction_member(o: Origami, slope):
 
     ``slope`` is a reduced pair ``(p, q)`` meaning direction vector
     ``(q, p)``.  The horizontal slope ``(0, 1)`` has the empty word and
-    the member ``o`` itself.
+    the member ``o`` itself.  The word depends on the slope alone and is
+    computed once per process for each slope (:func:`_slope_word`).
 
     EXAMPLES::
 
@@ -508,17 +592,23 @@ def direction_member(o: Origami, slope):
         >>> member.h == o.v
         True
     """
-    p, q = slope
+    word = _slope_word(*slope)
+    return word, act_sl2z(o, word)
+
+
+@functools.lru_cache(maxsize=4096)
+def _slope_word(p, q):
+    """The word of :func:`direction_member` for slope ``(p, q)``; the
+    table holds the words of up to 4096 slopes, every slope up to
+    direction bound 50, for the life of the process."""
     if gcd(p, q) != 1:
-        raise ValueError(f"slope {slope} is not reduced")
+        raise ValueError(f"slope {(p, q)} is not reduced")
     # direction vector (q, p); find M in SL(2, Z) with M (q, p)^T = (1, 0)^T
     if (q, p) == (1, 0):
-        word = ()
-    else:
-        # a*q + b*p == 1 via the extended Euclidean algorithm
-        a, b = _bezout(q, p)
-        word = tuple(matrix_word(((a, b), (-p, q))))
-    return word, act_sl2z(o, word)
+        return ()
+    # a*q + b*p == 1 via the extended Euclidean algorithm
+    a, b = _bezout(q, p)
+    return tuple(matrix_word(((a, b), (-p, q))))
 
 
 def periodic_decomposition(o: Origami, slope, member=None):

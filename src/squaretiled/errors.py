@@ -20,7 +20,7 @@ class SumMismatch(SquareTiledError, ValueError):
 
 
 class NegativeLength(SquareTiledError, ValueError):
-    """A saddle connection length is negative, or zero outside degenerate mode."""
+    """A saddle connection length or cylinder dimension is not positive."""
 
 
 class Incommensurable(SquareTiledError, ValueError):

@@ -55,7 +55,7 @@ from .surface import (
 )
 from .transverse import (
     WindowConstraint,
-    find_crossing_cylinder,
+    _crossing_witness,
     window_feasible,
 )
 
@@ -242,8 +242,14 @@ def _reference_equivalence(d, chain) -> EquivalenceResult:
     saddles.  A genus-3 decomposition has ``4 + n`` saddle connections,
     ``n <= 4`` being the number of zeros, hence at most eight: both bottoms
     carry exactly four, each exactly a quarter circumference long, and
-    ``n = 4`` puts the surface in ``H(1,1,1,1)``."""
-    if d.diagram.canonical_key() != _reference_diagram_key():
+    ``n = 4`` puts the surface in ``H(1,1,1,1)``.
+
+    The diagram is matched against the cached reference key with
+    :meth:`~squaretiled.cylinders.CylinderDiagram.has_canonical_key`,
+    which stops each traversal at its first word that differs from the
+    key and answers at the first encoding equal to it, instead of
+    computing the diagram's own key."""
+    if not d.diagram.has_canonical_key(_reference_diagram_key()):
         return EquivalenceResult(False, "cylinder diagram differs from the "
                                  "reference", constraint=chain.constraint,
                                  record=chain.record)
@@ -288,7 +294,8 @@ def _analyze_direction(o: Origami, slope, member=None):
     if label is None:
         return DirectionRecord(slope, None, "unmatched pinch graph"), False, d
     if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
-        witness = find_crossing_cylinder(d, name)
+        # the label was just read off this graph: skip the public check
+        witness = _crossing_witness(d, name)
         if witness is None:
             return DirectionRecord(slope, name, "no crossing witness "
                                    "found"), False, d
@@ -328,8 +335,9 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     (:func:`~squaretiled.cylinders.direction_member`).  A direction whose
     member is isomorphic to that of an earlier non-excluding direction
     is not analyzed again: its record is the earlier one with the slope
-    replaced, which is the record its own analysis would give.  Nothing is
-    kept between calls.
+    replaced, which is the record its own analysis would give.  Only the
+    table of slope words (:func:`~squaretiled.cylinders.direction_member`)
+    and the reference diagram's key are kept for the life of the process.
 
     EXAMPLES::
 

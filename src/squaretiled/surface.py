@@ -89,7 +89,7 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
         >>> perm_compose((1, 0, 2), (0, 2, 1))
         (1, 2, 0)
     """
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[j] for j in q])
 
 
 def perm_cycles(p: Perm, include_fixed=True):
@@ -291,10 +291,17 @@ def act_letter(o: Origami, letter: str) -> Origami:
 
 def act_sl2z(o: Origami, word) -> Origami:
     r"""
-    Apply a word over ``{"T", "T^-1", "S"}``, first letter first.
+    Apply a word over ``{"T", "T^-1", "S"}``, first letter first: the
+    result equals applying :func:`act_letter` letter by letter.
 
     The result corresponds to acting by the matrix product
     ``M(word[-1]) ··· M(word[0])``.
+
+    The inverses ``h⁻¹`` and ``v⁻¹`` are carried along the word and
+    built only when a letter first needs them.  ``S`` then rotates the
+    four permutations, ``(h, v, h⁻¹, v⁻¹) ↦ (v, h⁻¹, v⁻¹, h)``, and a
+    shear composes ``v`` with ``h⁻¹`` or ``h``, after which ``v⁻¹`` is
+    rebuilt on demand.
 
     EXAMPLES::
 
@@ -304,9 +311,22 @@ def act_sl2z(o: Origami, word) -> Origami:
         >>> act_sl2z(o, ["S", "S", "S", "S"]) == o
         True
     """
+    h, v = o.h, o.v
+    hi = vi = None
     for letter in word:
-        o = act_letter(o, letter)
-    return o
+        if letter == "S":
+            if hi is None:
+                hi = perm_inverse(h)
+            h, v, hi, vi = v, hi, vi, h
+        elif letter == "T":
+            if hi is None:
+                hi = perm_inverse(h)
+            v, vi = perm_compose(v, hi), None
+        elif letter == "T^-1":
+            v, vi = perm_compose(v, h), None
+        else:
+            raise ValueError(f"unknown generator letter {letter!r}")
+    return Origami(h, v)
 
 
 def word_matrix(word):
@@ -554,14 +574,12 @@ def _word_positions(word, start, lengths, w):
     return pos
 
 
-def build_net(cylinders, diagram, saddle_lengths, degenerate_saddle=None) -> FlatSurfaceNet:
+def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
     r"""
     Validate and assemble a :class:`FlatSurfaceNet`.
 
     Saddle lengths must be positive and, per cylinder, sum to the
-    circumference on the top and on the bottom.  Degeneration mode: passing
-    ``degenerate_saddle=<id>`` permits that single saddle to have length
-    zero (collapsing two zeros into one of higher order).
+    circumference on the top and on the bottom.
 
     EXAMPLES::
 
@@ -583,7 +601,7 @@ def build_net(cylinders, diagram, saddle_lengths, degenerate_saddle=None) -> Fla
         geoms[cid] = geom
     lengths = {sid: Fraction(val) for sid, val in saddle_lengths.items()}
     for sid, val in lengths.items():
-        if val < 0 or (val == 0 and sid != degenerate_saddle):
+        if val <= 0:
             raise NegativeLength(f"saddle {sid} must have positive length")
     for cid, geom in geoms.items():
         for side, words in (("bottom", diagram.bottom_words), ("top", diagram.top_words)):

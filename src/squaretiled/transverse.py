@@ -164,8 +164,6 @@ def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
     for sid in from_word:
         a = from_pos[sid]
         ln = d.saddle_lengths[sid]
-        if ln == 0:
-            continue
         # a point at distance t into the saddle sits at (a + t) mod L and
         # maps to (to_pos + t) mod L, so the offset is the same mod L on
         # both parts of a source saddle that wraps past the end of [0, L)
@@ -334,7 +332,9 @@ def find_crossing_cylinder(d, case) -> TransverseWitness:
       outer pair, ``Case4B`` when one does.
 
     The requested case must match the shape of ``d``'s pinch dual graph
-    (:class:`~squaretiled.errors.CaseMismatch` otherwise).
+    (:class:`~squaretiled.errors.CaseMismatch` otherwise).  The
+    classifier, which has just matched that shape, skips this check and
+    so builds no second dual graph.
 
     EXAMPLES::
 
@@ -353,6 +353,12 @@ def find_crossing_cylinder(d, case) -> TransverseWitness:
     label = str(classify_case(dual_graph(d)))
     if label != expected[case]:
         raise CaseMismatch("diagram is %s, not %s" % (label, case))
+    return _crossing_witness(d, case)
+
+
+def _crossing_witness(d, case):
+    """:func:`find_crossing_cylinder` for a ``case`` already known to name
+    the shape of ``d``'s pinch dual graph."""
     if case == "Case1":
         return _case1_witness(d)
     if case == "Case2":
@@ -373,20 +379,20 @@ def _case1_witness(d):
     for cid in d.diagram.cylinder_ids:
         both = set(d.diagram.bottom_words[cid]) & \
             set(d.diagram.top_words[cid])
-        for sid in sorted(both, key=lambda s: str(s)):
-            length = d.saddle_lengths[sid]
-            if length == 0:
-                continue
-            bp = d.bottom_positions[cid][sid]
-            tp = d.top_positions[cid][sid]
-            return TransverseWitness(
-                crossed=(cid,),
-                width=length,
-                start_interface=("bottom", cid),
-                start_interval=(bp, bp + length),
-                direction=(tp - bp, d.cylinders[cid].height),
-                kind="simple-over-%s" % (sid,),
-            )
+        if not both:
+            continue
+        sid = min(both, key=str)
+        length = d.saddle_lengths[sid]
+        bp = d.bottom_positions[cid][sid]
+        tp = d.top_positions[cid][sid]
+        return TransverseWitness(
+            crossed=(cid,),
+            width=length,
+            start_interface=("bottom", cid),
+            start_interval=(bp, bp + length),
+            direction=(tp - bp, d.cylinders[cid].height),
+            kind="simple-over-%s" % (sid,),
+        )
     return None
 
 
@@ -395,18 +401,15 @@ def _case2_witness(d):
     lengths = d.saddle_lengths
     for c1 in cids:
         for sigma in d.diagram.bottom_words[c1]:
-            if lengths[sigma] == 0:
-                continue
             c2 = next(c for c in cids
                       if sigma in d.diagram.top_words[c])
             if c2 == c1:
                 continue
             shared = set(d.diagram.top_words[c1]) & \
                 set(d.diagram.bottom_words[c2])
-            taus = [t for t in shared if lengths[t] > 0]
-            if not taus:
+            if not shared:
                 continue
-            tau = max(taus, key=lambda t: (lengths[t], str(t)))
+            tau = max(shared, key=lambda t: (lengths[t], str(t)))
             width = min(lengths[sigma], lengths[tau])
             bp = d.bottom_positions[c1][sigma]
             rise = d.cylinders[c1].height + d.cylinders[c2].height
@@ -502,10 +505,7 @@ def _case4b_witness(d, c1, c4, mid):
         raise CaseMismatch("stacked shape requires the outer interfaces to "
                            "share all saddles")
     lengths = d.saddle_lengths
-    candidates = [s for s in sorted(top4, key=str) if lengths[s] > 0]
-    if not candidates:
-        return None
-    sigma = max(candidates, key=lambda s: (lengths[s], str(s)))
+    sigma = max(top4, key=lambda s: (lengths[s], str(s)))
     bp = d.bottom_positions[c1][sigma]
     tp = d.top_positions[c4][sigma]
     rise = (d.cylinders[c1].height + d.cylinders[mid].height

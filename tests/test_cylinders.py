@@ -18,14 +18,18 @@ from conftest import (
 from squaretiled.cylinders import (
     CaseLabel,
     CylinderDiagram,
+    _Search,
     classify_case,
+    direction_member,
     horizontal_decomposition,
     moduli_exponents,
     periodic_decomposition,
 )
 from squaretiled.errors import Incommensurable, InvariantViolation
 from squaretiled.homology import dual_graph
+from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import enumerate_diagrams
+from squaretiled.surface import word_matrix
 
 
 def cylinder_shapes(d):
@@ -205,6 +209,61 @@ def test_canonical_key_classes_match_brute_force(rng):
     # equal new keys exactly when equal brute-force keys, for every pair
     assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))
     assert len(set(new)) > 40
+
+
+def test_pruned_key_is_the_least_encoding(rng):
+    # an unpruned search (no bound) yields every encoding of every anchor
+    # and branch; the key's pruning must not change their minimum
+    diagrams = [horizontal_decomposition(wollmilchsau()).diagram,
+                CASE4A_DIAGRAM, BRANCHING_DIAGRAM] + random_diagrams(rng, 60)
+    for diagram in diagrams:
+        assert diagram.canonical_key() == min(_Search(diagram).encodings())
+
+
+def test_key_match_agrees_with_key_equality(rng):
+    diagrams = random_diagrams(rng, 320)
+    keys = [d.canonical_key() for d in diagrams]
+    distinct = sorted(set(keys))
+    assert len(distinct) > 40
+    for diagram, key in zip(diagrams, keys):
+        assert [diagram.has_canonical_key(k) for k in distinct] == \
+            [k == key for k in distinct]
+    for diagram, key in zip(diagrams[:80], keys):
+        copy = scrambled(diagram, rng)
+        assert copy.has_canonical_key(key)
+        assert copy.has_canonical_key(BRANCHING_DIAGRAM.canonical_key()) \
+            == (key == BRANCHING_DIAGRAM.canonical_key())
+    reference = horizontal_decomposition(wollmilchsau()).diagram
+    ref_key = reference.canonical_key()
+    matches = []
+    for shape in ("one_cylinder", "case6"):
+        for diagram in enumerate_diagrams((1, 1, 1, 1), shape).diagrams:
+            matches.append(diagram.has_canonical_key(ref_key))
+            assert matches[-1] == (diagram.canonical_key() == ref_key)
+    assert matches == [False] * 4 + [True]
+    assert scrambled(reference, rng).has_canonical_key(ref_key)
+    # the same boundary words with every saddle joining one zero
+    merged = CylinderDiagram(reference.bottom_words, reference.top_words,
+                             {s: (0, 0) for s in reference.saddle_zeros})
+    assert merged.canonical_key()[0] == ref_key[0]
+    assert not merged.has_canonical_key(ref_key)
+    with pytest.raises(InvariantViolation, match="repeated on bottoms"):
+        CylinderDiagram({0: (0, 0)}, {0: (0, 1)},
+                        {0: (0, 0), 1: (0, 0)}).has_canonical_key(ref_key)
+
+
+def test_slope_words_carry_the_direction_to_horizontal():
+    o = wollmilchsau()
+    slopes = enumerate_slopes(7) + [(0, -1), (-1, 0), (5, -3)]
+    for p, q in slopes:
+        word, _ = direction_member(o, (p, q))
+        (a, b), (c, d) = word_matrix(word)
+        assert (a * q + b * p, c * q + d * p) == (1, 0), (p, q)
+        # one word per slope for the life of the process
+        assert direction_member(torus(), (p, q))[0] is word
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not reduced"):
+            direction_member(o, (2, 4))
 
 
 def test_one_cylinder_catalog_keys_are_pairwise_distinct():

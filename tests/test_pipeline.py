@@ -623,9 +623,56 @@ def test_cli_error_exits(tmp_path):
     assert cli_main(["analyze", genus2]) == 2
 
 
+def test_cli_monodromy_without_stabilizer_words(tmp_path, capsys):
+    path = tmp_path / "case5.txt"
+    path.write_text(UNDETERMINED_CASE5 + "\n", encoding="utf-8")
+    assert cli_main(["monodromy", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "stabilizer words up to length 1: 0" in out
+    assert "zero-holonomy restriction: dimension 4" in out
+    assert ("restricted closure: not computed, no stabilizer words up to "
+            "length 1") in out
+    assert "Finite" not in out
+    # a word bound that reaches a stabilizer word restricts to the same
+    # dimension and reports its closure
+    assert cli_main(["monodromy", str(path), "--word-bound", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "zero-holonomy restriction: dimension 4" in out
+    assert "restricted closure: Finite, order 2" in out
+
+
+def test_one_dual_graph_per_analysed_direction(monkeypatch):
+    """A Case 1, 2 or 4 direction reaches its crossing-witness search
+    without a second dual graph."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("squaretiled") and \
+                    getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+
+    counted(dual_graph)
+    counted(periodic_decomposition)
+    rng = random.Random(4242)
+    surfaces = [exemplar(name) for name in EXEMPLARS]
+    surfaces += [random_genus3(rng, 5, 12) for _ in range(100)]
+    labels = []
+    for o in surfaces:
+        verdict = classify_surface(o, direction_bound=3)
+        labels += [r.label for r in verdict.evidence
+                   if r.mechanism == "transverse crossing cylinder"]
+    assert {"Case1", "Case2", "Case4"} <= set(labels)
+    assert calls.count("dual_graph") == \
+        calls.count("periodic_decomposition") > 100
+
+
 def test_missing_crossing_witness_does_not_exclude(monkeypatch):
-    monkeypatch.setattr(pipeline, "find_crossing_cylinder",
-                        lambda net, case: None)
+    monkeypatch.setattr(pipeline, "_crossing_witness",
+                        lambda d, case: None)
     # every direction up to bound 1 is Case 1
     o = parse_origami('origami n=6 h="(0 4 5 3)(1 2)" v="(0 4 1 3 2)"')
     verdict = classify_surface(o, direction_bound=1)

@@ -2,14 +2,18 @@
 isomorphism and canonical forms, the text format, and metric nets."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import l_origami, torus, wollmilchsau, random_origami
-from squaretiled.errors import NotTransitive
+from squaretiled.cylinders import CylinderDiagram
+from squaretiled.errors import NegativeLength, NotTransitive
 from squaretiled.surface import (
+    CylinderGeometry,
     act_letter,
     act_sl2z,
+    build_net,
     build_origami,
     canonical_form,
     matrix_word,
@@ -60,6 +64,24 @@ def test_action_letter_inverses():
         assert act_sl2z(o, ["S", "S", "S", "S"]).h == o.h
 
 
+def test_word_action_is_the_letter_fold(rng):
+    letters = ["T", "T^-1", "S"]
+    for _ in range(200):
+        o = random_origami(rng)
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 9))]
+        folded = o
+        for letter in word:
+            folded = act_letter(folded, letter)
+        assert act_sl2z(o, word) == folded
+        assert act_sl2z(o, tuple(word)) == folded
+    o = random_origami(rng)
+    for word in (["R"], ["T", "S", "T^+1"], ["S", "S", "s"]):
+        with pytest.raises(ValueError, match="unknown generator letter"):
+            act_sl2z(o, word)
+        with pytest.raises(ValueError, match="unknown generator letter"):
+            act_letter(o, word[-1])
+
+
 def test_action_is_stratum_preserving(rng):
     for _ in range(20):
         o = random_origami(rng)
@@ -92,3 +114,15 @@ def test_isomorphism_rejects_different_surfaces():
 def test_parse_roundtrip():
     ew = wollmilchsau()
     assert parse_origami(str(ew)) == ew
+
+
+def test_net_saddles_need_positive_length():
+    diagram = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")},
+                              {"a": (0, 0), "b": (0, 0)})
+    geometry = {0: CylinderGeometry(1, 1, 0)}
+    net = build_net(geometry, diagram, {"a": Fraction(1, 3),
+                                        "b": Fraction(2, 3)})
+    assert net.top_positions[0] == {"b": 0, "a": Fraction(2, 3)}
+    for lengths in ({"a": 1, "b": 0}, {"a": 2, "b": -1}):
+        with pytest.raises(NegativeLength, match="saddle b"):
+            build_net(geometry, diagram, lengths)
