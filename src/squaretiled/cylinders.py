@@ -142,12 +142,10 @@ class CylinderDiagram:
 
         One traversal costs O(s) in the number of saddles s, so a key costs
         O(s^2) times the number of rotations the branches try.  The
-        reference two-cylinder diagram (8 saddles) branches once per
-        anchor, into 4 rotations: at most 32 traversals.  A traversal
-        stops at the first placed word greater than the same word of the
-        least encoding found so far, since it can only end above it; the
-        key does not change.  To compare a diagram with a known key,
-        :meth:`has_canonical_key` is cheaper still.
+        reference two-cylinder diagram (8 saddles, so 8 anchors) branches
+        once per anchor, into 4 rotations: 32 complete encodings.  To
+        compare a diagram with a key already known,
+        :meth:`has_canonical_key` stops most of them after a few words.
 
         Raises :class:`~squaretiled.errors.InvariantViolation` when the
         diagram fails :meth:`validate` or is disconnected.
@@ -163,26 +161,28 @@ class CylinderDiagram:
             >>> d1.canonical_key()
             (((0, 0, (0, 1)), (1, 0, (0, 1))), ((0, 0), (0, 0)))
         """
-        search = _Search(self)
         best = None
-        for enc in search.encodings():
+        for enc in _Search(self).encodings():
             if best is None or enc < best:
                 best = enc
-                search.bound = enc[0]
         return best
 
     def has_canonical_key(self, key):
         r"""
-        Whether :meth:`canonical_key` equals ``key``, decided without
-        computing the key.
+        Whether :meth:`canonical_key` equals ``key``, for a ``key`` that
+        :meth:`canonical_key` returned, decided without computing this
+        diagram's key.
 
         The traversals of :meth:`canonical_key` run against the words of
         ``key``: each stops at the first placed word that differs from the
         word in the same place of ``key``, and the answer is ``True`` at
         the first complete encoding, zeros included, equal to ``key``.
-        This is exact: an encoding lists every word, so a diagram has an
-        encoding equal to ``key`` exactly when it is isomorphic to a
-        diagram whose key is ``key``, and then its own key is ``key``.
+        So the method decides whether the diagram has *some* encoding
+        equal to ``key``.  For a key this is exact: an encoding lists
+        every word, so the diagram then is isomorphic to the diagram the
+        key came from, and has the same key.  Any other complete encoding
+        is outside the contract: the diagram it encodes answers ``True``
+        although its key is a smaller encoding.
 
         Raises :class:`~squaretiled.errors.InvariantViolation` when the
         diagram fails :meth:`validate`.  A disconnected diagram has no
@@ -201,8 +201,8 @@ class CylinderDiagram:
             >>> d3.has_canonical_key(d1.canonical_key())
             False
         """
-        search = _Search(self, bound=key[0], exact=True)
-        # the traversals read the bound word by word, so it must not run
+        search = _Search(self, target=key[0])
+        # the traversals read the target word by word, so it must not run
         # out before the diagram's words do
         if len(search.words) != len(key[0]):
             return False
@@ -212,21 +212,20 @@ class CylinderDiagram:
 class _Search:
     """The boundary words of one diagram, indexed for its first-seen
     traversals (see :meth:`CylinderDiagram.canonical_key`), and the word
-    sequence ``bound`` they are held to.
+    sequence ``target`` they are held to, if any.
 
     ``words`` maps (side, cylinder) to a boundary word and ``where`` maps
     (side, saddle) to (cylinder, index in that word), side 0 being the
-    bottom.  A traversal whose words so far equal those of ``bound`` stops
-    at the first word that is greater, or, when ``exact``, different.
-    ``bound`` may be lowered while the traversals run.
+    bottom.  With a ``target``, a traversal stops at its first placed word
+    that differs from the word in the same place of ``target``.
 
     Raises :class:`~squaretiled.errors.InvariantViolation` when the
     diagram fails :meth:`CylinderDiagram.validate`.
     """
 
-    __slots__ = ("diagram", "words", "where", "bound", "exact")
+    __slots__ = ("diagram", "words", "where", "target")
 
-    def __init__(self, diagram, bound=None, exact=False):
+    def __init__(self, diagram, target=None):
         diagram.validate()
         self.diagram = diagram
         self.words = {}
@@ -237,12 +236,11 @@ class _Search:
                 self.words[side, cid] = word
                 for i, sid in enumerate(word):
                     self.where[side, sid] = (cid, i)
-        self.bound = bound
-        self.exact = exact
+        self.target = target
 
     def encodings(self):
         """Yield the encoding of every anchor and branch whose traversal
-        is not stopped by ``bound``."""
+        is not stopped by ``target``."""
         bottoms = self.diagram.bottom_words
         for cid in self.diagram.cylinder_ids:
             for rot in range(len(bottoms[cid])):
@@ -255,7 +253,7 @@ class _Traversal:
     """
 
     __slots__ = ("search", "encoding", "names", "order", "cylinders",
-                 "placed", "tied")
+                 "placed")
 
     def __init__(self, search):
         self.search = search
@@ -264,7 +262,6 @@ class _Traversal:
         self.order = []       # saddles by name
         self.cylinders = {}   # cylinder -> first-seen name
         self.placed = {}      # (side, cylinder) in placement order
-        self.tied = True      # the encoding so far is a prefix of the bound
 
     def _copy(self):
         other = _Traversal(self.search)
@@ -273,12 +270,11 @@ class _Traversal:
         other.order = list(self.order)
         other.cylinders = dict(self.cylinders)
         other.placed = dict(self.placed)
-        other.tied = self.tied
         return other
 
     def _place(self, side, cid, rot):
         """Place word (side, cid) rotated by ``rot``; ``False`` when the
-        search's bound stops the traversal there."""
+        search's target stops the traversal there."""
         word = self.search.words[side, cid]
         word = word[rot:] + word[:rot]
         names = self.names
@@ -291,14 +287,8 @@ class _Traversal:
                  tuple(names[sid] for sid in word))
         encoding = self.encoding
         encoding.append(entry)
-        bound = self.search.bound
-        if self.tied and bound is not None:
-            other = bound[len(encoding) - 1]
-            if entry != other:
-                if self.search.exact or entry > other:
-                    return False
-                self.tied = False
-        return True
+        target = self.search.target
+        return target is None or entry == target[len(encoding) - 1]
 
     def run(self, side, cid, rot, next_saddle=0):
         """Place word (side, cid) rotated by ``rot``, extend through saddles,

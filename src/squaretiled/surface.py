@@ -269,10 +269,8 @@ LETTER_MATRICES = {
 def act_letter(o: Origami, letter: str) -> Origami:
     r"""
     Apply one generator: ``T`` is the full right Dehn shear of every
-    horizontal cylinder, ``S`` the counterclockwise quarter turn.
-
-    On permutation pairs: ``T: (h, v) ↦ (h, v∘h⁻¹)``,
-    ``T^-1: (h, v) ↦ (h, v∘h)``, ``S: (h, v) ↦ (v, h⁻¹)``.
+    horizontal cylinder, ``S`` the counterclockwise quarter turn.  This is
+    ``act_sl2z(o, (letter,))``.
 
     EXAMPLES::
 
@@ -280,21 +278,16 @@ def act_letter(o: Origami, letter: str) -> Origami:
         >>> act_letter(o, "S").h
         (0, 1, 2)
     """
-    if letter == "T":
-        return Origami(o.h, perm_compose(o.v, perm_inverse(o.h)))
-    if letter == "T^-1":
-        return Origami(o.h, perm_compose(o.v, o.h))
-    if letter == "S":
-        return Origami(o.v, perm_inverse(o.h))
-    raise ValueError(f"unknown generator letter {letter!r}")
+    return act_sl2z(o, (letter,))
 
 
 def act_sl2z(o: Origami, word) -> Origami:
     r"""
-    Apply a word over ``{"T", "T^-1", "S"}``, first letter first: the
-    result equals applying :func:`act_letter` letter by letter.
+    Apply a word over ``{"T", "T^-1", "S"}``, first letter first.
 
-    The result corresponds to acting by the matrix product
+    On permutation pairs: ``T: (h, v) ↦ (h, v∘h⁻¹)``,
+    ``T^-1: (h, v) ↦ (h, v∘h)``, ``S: (h, v) ↦ (v, h⁻¹)``.  The result
+    corresponds to acting by the matrix product
     ``M(word[-1]) ··· M(word[0])``.
 
     The inverses ``h⁻¹`` and ``v⁻¹`` are carried along the word and

@@ -211,13 +211,17 @@ def test_canonical_key_classes_match_brute_force(rng):
     assert len(set(new)) > 40
 
 
-def test_pruned_key_is_the_least_encoding(rng):
-    # an unpruned search (no bound) yields every encoding of every anchor
-    # and branch; the key's pruning must not change their minimum
-    diagrams = [horizontal_decomposition(wollmilchsau()).diagram,
-                CASE4A_DIAGRAM, BRANCHING_DIAGRAM] + random_diagrams(rng, 60)
-    for diagram in diagrams:
-        assert diagram.canonical_key() == min(_Search(diagram).encodings())
+def test_key_match_takes_a_key_not_any_encoding():
+    # the match decides whether the diagram has an encoding equal to its
+    # argument; only for a key, the least encoding, is that key equality
+    encodings = set(_Search(BRANCHING_DIAGRAM).encodings())
+    key = BRANCHING_DIAGRAM.canonical_key()
+    assert key == min(encodings) and len(encodings) > 1
+    for enc in encodings:
+        assert BRANCHING_DIAGRAM.has_canonical_key(enc)
+    # out of contract: a non-least encoding of the diagram answers True
+    # although the diagram's key is smaller
+    assert max(encodings) != key
 
 
 def test_key_match_agrees_with_key_equality(rng):

@@ -11,6 +11,7 @@ from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NegativeLength, NotTransitive
 from squaretiled.surface import (
     CylinderGeometry,
+    Origami,
     act_letter,
     act_sl2z,
     build_net,
@@ -65,9 +66,15 @@ def test_action_letter_inverses():
 
 
 def test_word_action_is_the_letter_fold(rng):
+    """A word carries h^-1 and v^-1 from letter to letter; the result must
+    match one-letter calls, which build every inverse afresh."""
     letters = ["T", "T^-1", "S"]
     for _ in range(200):
         o = random_origami(rng)
+        h_inv = perm_inverse(o.h)
+        assert act_letter(o, "T") == Origami(o.h, perm_compose(o.v, h_inv))
+        assert act_letter(o, "T^-1") == Origami(o.h, perm_compose(o.v, o.h))
+        assert act_letter(o, "S") == Origami(o.v, h_inv)
         word = [rng.choice(letters) for _ in range(rng.randint(0, 9))]
         folded = o
         for letter in word:
