@@ -202,8 +202,7 @@ class CylinderDiagram:
             False
         """
         search = _Search(self, target=key[0])
-        # the traversals read the target word by word, so it must not run
-        # out before the diagram's words do
+        # an encoding lists every boundary word once
         if len(search.words) != len(key[0]):
             return False
         return any(enc == key for enc in search.encodings())
