@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import Incommensurable, InvariantViolation
-from .surface import Origami, act_sl2z, matrix_word, perm_cycles
+from .surface import Origami, act_sl2z, matrix_word
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,9 @@ class CylinderDecomposition:
     boundary; the bottom word starts at 0 and the top coordinates are
     reduced mod the circumference.  These are the metric data the
     transverse-cylinder searches read, the same interface as a
-    :class:`~squaretiled.surface.FlatSurfaceNet`.
+    :class:`~squaretiled.surface.FlatSurfaceNet`.  ``genus`` is the genus
+    of ``origami``, read off the corner permutation that also marks the
+    cone points.
     """
 
     origami: Origami
@@ -347,6 +349,7 @@ class CylinderDecomposition:
     saddle_lengths: dict = field(repr=False)
     bottom_positions: dict = field(repr=False)
     top_positions: dict = field(repr=False)
+    genus: int
 
     @property
     def area(self) -> Fraction:
@@ -361,20 +364,6 @@ class CylinderDecomposition:
         return self.cylinders[cid].rows[0]
 
 
-def _marked_corners(o: Origami):
-    """Corners carrying cone points; for genus one (no cone points) the
-    single corner of square 0 is marked so boundaries carry a saddle."""
-    orbits = o.vertex_orbits()
-    corner_class = {}
-    for idx, orbit in enumerate(orbits):
-        for sq in orbit:
-            corner_class[sq] = idx
-    marked = {sq for orbit in orbits if len(orbit) > 1 for sq in orbit}
-    if not marked:
-        marked = {0}
-    return marked, corner_class
-
-
 def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
     r"""
     Decompose an origami into maximal horizontal cylinders.
@@ -385,178 +374,183 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
     of unit edges on the cylinder boundaries, and the diagram records their
     cyclic order on every top and bottom.
 
+    One pass over the corner permutation ``h∘v∘h⁻¹∘v⁻¹`` gives the corner
+    classes (the zeros, numbered by their smallest square), the marked
+    corners (cone points; for genus one the corner of square 0) and the
+    genus, which the decomposition carries as ``genus``.  Cylinders are
+    numbered by the smallest square of their bottom row, which starts at
+    its first marked corner.
+
+    Raises :class:`~squaretiled.errors.InvariantViolation` when a stack of
+    rows has no unique bottom row or is not one chain, when a top boundary
+    has no marked corner, when a run of top edges leaves its saddle or
+    differs from it in length, when the diagram fails
+    :meth:`CylinderDiagram.validate`, or when the cylinder areas do not
+    sum to the number of squares.
+
     EXAMPLES::
 
         >>> from squaretiled.surface import build_origami
         >>> torus = build_origami((0,), (0,))
         >>> d = horizontal_decomposition(torus)
-        >>> len(d.cylinders), d.cylinders[0].circumference
-        (1, Fraction(1, 1))
+        >>> len(d.cylinders), d.cylinders[0].circumference, d.genus
+        (1, Fraction(1, 1), 1)
         >>> d.diagram.bottom_words, d.diagram.top_words
         ({0: (0,)}, {0: (0,)})
     """
-    n = o.n
-    marked, corner_class = _marked_corners(o)
-    rows = perm_cycles(o.h)
-    row_of = {}
-    for ri, row in enumerate(rows):
-        for sq in row:
-            row_of[sq] = ri
+    h, v = o.h, o.v
+    n = len(h)
+    # the corner permutation without inverses: c(v(h(j))) = h(v(j))
+    corner = [0] * n
+    for j in range(n):
+        corner[v[h[j]]] = h[v[j]]
+    corner_class = [-1] * n
+    marked = [False] * n
+    classes = 0
+    for s in range(n):
+        if corner_class[s] < 0:
+            corner_class[s] = classes
+            t = corner[s]
+            if t != s:
+                marked[s] = True
+                while t != s:
+                    corner_class[t] = classes
+                    marked[t] = True
+                    t = corner[t]
+            classes += 1
+    if classes == n:
+        marked[0] = True   # genus one: no cone point
+    # Euler characteristic: classes - 2n + n
+    genus = (2 - classes + n) // 2
 
-    # merge rows across interfaces without marked corners
-    parent = list(range(len(rows)))
+    # rows: the h-cycles, numbered by their smallest square
+    row_of = [-1] * n
+    rows = []
+    for s in range(n):
+        if row_of[s] < 0:
+            r = len(rows)
+            row = [s]
+            row_of[s] = r
+            t = h[s]
+            while t != s:
+                row_of[t] = r
+                row.append(t)
+                t = h[t]
+            rows.append(row)
+    # the row directly above each row whose top interface is free of cone
+    # points, and the rows with such a row below
+    above = [-1] * len(rows)
+    merged_up = [False] * len(rows)
+    for r, row in enumerate(rows):
+        for s in row:
+            if marked[v[s]]:
+                break
+        else:
+            up = row_of[v[row[0]]]
+            above[r] = up
+            merged_up[up] = True
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    above = {}  # row -> row directly above, when the interface is regular
-    for ri, row in enumerate(rows):
-        upstairs = [o.v[sq] for sq in row]
-        if not any(sq in marked for sq in upstairs):
-            rj = row_of[upstairs[0]]
-            above[ri] = rj
-            ra, rb = find(ri), find(rj)
-            if ra != rb:
-                parent[ra] = rb
-
-    components = {}
-    for ri in range(len(rows)):
-        components.setdefault(find(ri), []).append(ri)
-
+    # each unmerged row starts a stack; the rows are numbered by their
+    # smallest square, so the cylinders come out numbered the same way
+    owner = [-1] * len(rows)
     cylinders = []
-    square_x = {}
-    for comp in components.values():
-        merged_up = set(above.get(ri) for ri in comp)
-        bottoms = [ri for ri in comp if ri not in merged_up]
-        if len(bottoms) != 1:
-            raise InvariantViolation("cylinder stack must have a unique "
-                                     "bottom row")
-        chain = [bottoms[0]]
-        while chain[-1] in above:
-            chain.append(above[chain[-1]])
-        if sorted(chain) != sorted(comp):
-            raise InvariantViolation("cylinder stack is not one chain of "
-                                     "rows")
-        # rotate the bottom row to start at its smallest marked corner
-        r0 = rows[chain[0]]
-        start = min(i for i, sq in enumerate(r0) if sq in marked)
-        r0 = r0[start:] + r0[:start]
+    for r, row in enumerate(rows):
+        if merged_up[r]:
+            continue
         cid = len(cylinders)
-        stacked = [r0]
-        for sq_i, sq in enumerate(r0):
-            square_x[sq] = sq_i
-        for ri in chain[1:]:
-            prev = stacked[-1]
-            nxt = tuple(o.v[sq] for sq in prev)
-            for sq, below in zip(nxt, prev):
-                square_x[sq] = square_x[below]
-            stacked.append(nxt)
-        cylinders.append(Cylinder(
-            cid, tuple(stacked), Fraction(len(r0)), Fraction(len(stacked))
-        ))
-    # deterministic ids: sort by smallest square of the bottom row
-    cylinders.sort(key=lambda c: min(c.rows[0]))
-    cylinders = [Cylinder(new_id, c.rows, c.circumference, c.height)
-                 for new_id, c in enumerate(cylinders)]
+        k = 0
+        while not marked[row[k]]:
+            k += 1
+        bottom = tuple(row[k:] + row[:k])
+        stacked = [bottom]
+        owner[r] = cid
+        up = above[r]
+        while up >= 0:
+            if owner[up] >= 0:
+                raise InvariantViolation(
+                    "cylinder stack is not one chain of rows"
+                    if owner[up] == cid else
+                    "cylinder stack must have a unique bottom row")
+            owner[up] = cid
+            stacked.append(tuple([v[s] for s in stacked[-1]]))
+            up = above[up]
+        cylinders.append(Cylinder(cid, tuple(stacked), Fraction(len(bottom)),
+                                  Fraction(len(stacked))))
+    if -1 in owner:
+        raise InvariantViolation("cylinder stack must have a unique bottom "
+                                 "row")
 
-    # saddle connections: runs between marked corners on each bottom row
+    # bottom saddles: runs from each marked corner to the next
     saddles = {}
-    edge_saddle = {}
+    saddle_lengths = {}
+    saddle_zeros = {}
+    edge_saddle = [-1] * n
     bottom_words = {}
     bottom_positions = {}
     for c in cylinders:
-        word_ids = []
+        bottom = c.rows[0]
+        w = len(bottom)
+        starts = [i for i, s in enumerate(bottom) if marked[s]]
+        ids = []
         positions = {}
-        run = []
-        run_start_x = 0
-        for i, sq in enumerate(c.rows[0]):
-            if sq in marked and run:
-                sid = len(saddles)
-                _close_run(saddles, edge_saddle, sid, run, corner_class, o)
-                word_ids.append(sid)
-                positions[sid] = run_start_x
-                run = []
-            if not run:
-                run_start_x = i
-            run.append(sq)
-        sid = len(saddles)
-        _close_run(saddles, edge_saddle, sid, run, corner_class, o)
-        word_ids.append(sid)
-        positions[sid] = run_start_x
-        bottom_words[c.id] = tuple(word_ids)
+        for a, b in zip(starts, starts[1:] + [w]):
+            sid = len(saddles)
+            run = bottom[a:b]
+            zeros = (corner_class[run[0]], corner_class[bottom[b % w]])
+            saddles[sid] = DecompositionSaddle(sid, run, *zeros)
+            saddle_lengths[sid] = b - a
+            saddle_zeros[sid] = zeros
+            for s in run:
+                edge_saddle[s] = sid
+            ids.append(sid)
+            positions[sid] = a
+        bottom_words[c.id] = tuple(ids)
         bottom_positions[c.id] = positions
 
-    # top words: read the same quotient edges along each cylinder's top row
+    # top words: the same edges read along each cylinder's top row, from
+    # its first marked corner; x is the index in the row
     top_words = {}
     top_positions = {}
     for c in cylinders:
-        rt = c.rows[-1]
-        w = len(rt)
-        starts = [i for i, sq in enumerate(rt) if o.v[sq] in marked]
+        top = c.rows[-1]
+        w = len(top)
+        starts = [i for i, s in enumerate(top) if marked[v[s]]]
         if not starts:
             raise InvariantViolation("top boundary must contain a marked "
                                      "corner")
-        k0 = min(starts, key=lambda i: square_x[rt[i]])
-        rt = rt[k0:] + rt[:k0]
-        word_ids = []
+        k0 = starts[0]
+        edges = [edge_saddle[v[s]] for s in top[k0:] + top[:k0]]
+        ids = []
         positions = {}
-        run_edges = []
-        run_start = None
-        for sq in rt:
-            edge = o.v[sq]
-            if edge in marked and run_edges:
-                word_ids.append(_close_top_run(run_edges, edge_saddle, saddles))
-                positions[word_ids[-1]] = square_x[run_start]
-                run_edges = []
-            if not run_edges:
-                run_start = sq
-            run_edges.append(edge)
-        word_ids.append(_close_top_run(run_edges, edge_saddle, saddles))
-        positions[word_ids[-1]] = square_x[run_start]
-        top_words[c.id] = tuple(word_ids)
+        for a, b in zip(starts, starts[1:] + [k0 + w]):
+            sid = edges[a - k0]
+            if edges[a - k0:b - k0].count(sid) != b - a:
+                raise InvariantViolation("top run crosses a saddle boundary")
+            if b - a != saddle_lengths[sid]:
+                raise InvariantViolation("top run length disagrees with its "
+                                         "saddle")
+            ids.append(sid)
+            positions[sid] = a
+        top_words[c.id] = tuple(ids)
         top_positions[c.id] = positions
 
-    diagram = CylinderDiagram(bottom_words, top_words,
-                              {sid: (s.start_zero, s.end_zero)
-                               for sid, s in saddles.items()})
+    diagram = CylinderDiagram(bottom_words, top_words, saddle_zeros)
     diagram.validate()
-    d = CylinderDecomposition(
+    if sum(len(c.rows[0]) * len(c.rows) for c in cylinders) != n:
+        raise InvariantViolation("cylinder areas must sum to the number of "
+                                 "squares")
+    return CylinderDecomposition(
         origami=o,
         word=tuple(word),
         direction=tuple(direction),
         cylinders=tuple(cylinders),
         diagram=diagram,
         saddles=saddles,
-        saddle_lengths={sid: len(s.squares) for sid, s in saddles.items()},
+        saddle_lengths=saddle_lengths,
         bottom_positions=bottom_positions,
         top_positions=top_positions,
+        genus=genus,
     )
-    if sum(len(c.squares) for c in cylinders) != n:
-        raise InvariantViolation("cylinder areas must sum to the number of "
-                                 "squares")
-    return d
-
-
-def _close_run(saddles, edge_saddle, sid, run, corner_class, o):
-    start = run[0]
-    end = o.h[run[-1]]
-    saddles[sid] = DecompositionSaddle(
-        sid, tuple(run), corner_class[start], corner_class[end]
-    )
-    for sq in run:
-        edge_saddle[sq] = sid
-
-
-def _close_top_run(run_edges, edge_saddle, saddles):
-    sid = edge_saddle[run_edges[0]]
-    if any(edge_saddle[e] != sid for e in run_edges):
-        raise InvariantViolation("top run crosses a saddle boundary")
-    if len(run_edges) != len(saddles[sid].squares):
-        raise InvariantViolation("top run length disagrees with its saddle")
-    return sid
 
 
 def direction_member(o: Origami, slope):
@@ -687,29 +681,32 @@ class CaseLabel(enum.Enum):
         return f"Case{self.value}"
 
 
-def _reference_graphs():
-    # (genus labels, edges as vertex-index pairs)
-    return {
-        CaseLabel.CASE1: ([1], [(0, 0), (0, 0)]),
-        CaseLabel.CASE2: ([0, 1], [(0, 1), (0, 1), (0, 1)]),
-        CaseLabel.CASE3: ([0, 1], [(0, 0), (0, 1), (0, 1)]),
-        CaseLabel.CASE4: ([0, 0, 1], [(0, 1), (0, 1), (0, 2), (1, 2)]),
-        CaseLabel.CASE5: ([2], [(0, 0)]),
-        CaseLabel.CASE6: ([1, 1], [(0, 1), (0, 1)]),
-    }
+def _shape_key(genera, edges):
+    """The least ``(genus labels, sorted edges)`` over every numbering of
+    the vertices of a genus-labelled multigraph (vertices ``0..V-1``,
+    edges as vertex pairs): two such graphs are isomorphic exactly when
+    their keys are equal."""
+    keys = []
+    for order in itertools.permutations(range(len(genera))):
+        new = [0] * len(order)
+        for k, i in enumerate(order):
+            new[i] = k
+        keys.append((tuple([genera[i] for i in order]), tuple(sorted(
+            (new[u], new[w]) if new[u] <= new[w] else (new[w], new[u])
+            for u, w in edges))))
+    return min(keys)
 
 
-def _multigraph_isomorphic(genera_a, edges_a, genera_b, edges_b):
-    if sorted(genera_a) != sorted(genera_b) or len(edges_a) != len(edges_b):
-        return False
-    nv = len(genera_a)
-    for perm in itertools.permutations(range(nv)):
-        if any(genera_a[i] != genera_b[perm[i]] for i in range(nv)):
-            continue
-        mapped = sorted(tuple(sorted((perm[u], perm[w]))) for u, w in edges_a)
-        if mapped == sorted(tuple(sorted(e)) for e in edges_b):
-            return True
-    return False
+# the six reference shapes (genus labels, edges as vertex-index pairs),
+# keyed by their shape key
+_CASE_SHAPES = {_shape_key(genera, edges): label for label, genera, edges in (
+    (CaseLabel.CASE1, [1], [(0, 0), (0, 0)]),
+    (CaseLabel.CASE2, [0, 1], [(0, 1), (0, 1), (0, 1)]),
+    (CaseLabel.CASE3, [0, 1], [(0, 0), (0, 1), (0, 1)]),
+    (CaseLabel.CASE4, [0, 0, 1], [(0, 1), (0, 1), (0, 2), (1, 2)]),
+    (CaseLabel.CASE5, [2], [(0, 0)]),
+    (CaseLabel.CASE6, [1, 1], [(0, 1), (0, 1)]),
+)}
 
 
 def classify_case(g):
@@ -718,7 +715,10 @@ def classify_case(g):
 
     Returns the :class:`CaseLabel`, or ``None`` when the graph matches no
     reference shape (in particular for every input whose genus labels and
-    cycle rank do not add up to genus 3).
+    cycle rank do not add up to genus 3).  The graph's shape key, its
+    least form over every numbering of at most three vertices, is looked
+    up in a table of the six reference shapes built once at import; a
+    graph with more vertices matches none.
 
     EXAMPLES::
 
@@ -728,10 +728,9 @@ def classify_case(g):
         >>> str(classify_case(g))
         'Case6'
     """
+    if len(g.vertices) > 3:   # no reference shape has more vertices
+        return None
     index = {vid: i for i, (vid, _) in enumerate(g.vertices)}
     genera = [genus for _, genus in g.vertices]
     edges = [(index[u], index[w]) for _, (u, w) in g.edges]
-    for label, (ref_genera, ref_edges) in _reference_graphs().items():
-        if _multigraph_isomorphic(genera, edges, ref_genera, ref_edges):
-            return label
-    return None
+    return _CASE_SHAPES.get(_shape_key(genera, edges))

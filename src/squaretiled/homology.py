@@ -347,7 +347,6 @@ class DualGraph:
     vertices: tuple
     edges: tuple
     vertex_saddles: tuple = ()   # per vertex: saddle ids on its boundary circles
-    half_assignment: tuple = ()  # ((cid, side) -> vertex) as a sorted tuple
 
     @property
     def geometric_genus(self):
@@ -364,14 +363,17 @@ class DualGraph:
 def dual_graph(d) -> DualGraph:
     r"""
     Dual graph of the pinch of decomposition ``d``, or of a metric net:
-    only ``d.diagram`` is read.
+    only ``d.diagram`` is read, and ``d.genus`` when ``d`` has one.
 
     Vertices are the connected components obtained by cutting every
     cylinder along its core curve; the genus label is computed from the
     Euler characteristic of the component's boundary graph (saddles and
     zeros), and each cylinder becomes an edge joining the components of its
-    two halves.  When ``d`` carries an ``origami``, the genus labels and
-    cycle rank must add up to its genus.
+    two halves.  The halves are numbered ``2·i`` (bottom) and ``2·i + 1``
+    (top) for the ``i``-th cylinder id, every saddle joins the bottom half
+    it lies on to the top half it lies on, and the components are numbered
+    by their smallest half.  When ``d`` carries a ``genus`` (an origami's
+    decomposition does), the genus labels and cycle rank must add up to it.
 
     EXAMPLES::
 
@@ -383,68 +385,57 @@ def dual_graph(d) -> DualGraph:
     """
     diagram = d.diagram
     cids = diagram.cylinder_ids
-    halves = [(cid, side) for cid in cids for side in ("bot", "top")]
-    parent = {h: h for h in halves}
+    bottom_half = {cid: 2 * i for i, cid in enumerate(cids)}
+    top_half = {}
+    for cid, word in diagram.top_words.items():
+        for sid in word:
+            top_half[sid] = bottom_half[cid] + 1
+    parent = list(range(2 * len(cids)))
+    for cid, word in diagram.bottom_words.items():
+        for sid in word:
+            a, b = bottom_half[cid], top_half[sid]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+    roots = {}
+    comp_of = []
+    for half in range(len(parent)):
+        root = half
+        while parent[root] != root:
+            root = parent[root]
+        comp_of.append(roots.setdefault(root, len(roots)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    bottom_owner = {sid: cid for cid, word in diagram.bottom_words.items()
-                    for sid in word}
-    top_owner = {sid: cid for cid, word in diagram.top_words.items()
-                 for sid in word}
-    for sid, cid in bottom_owner.items():
-        union((cid, "bot"), (top_owner[sid], "top"))
-
-    comp_ids = {}
-    for h in halves:
-        root = find(h)
-        if root not in comp_ids:
-            comp_ids[root] = len(comp_ids)
-    comp_of = {h: comp_ids[find(h)] for h in halves}
-
-    comp_saddles = {v: set() for v in comp_ids.values()}
-    for sid, cid in bottom_owner.items():
-        comp_saddles[comp_of[(cid, "bot")]].add(sid)
-    comp_ends = {v: 0 for v in comp_ids.values()}
-    for h in halves:
-        comp_ends[comp_of[h]] += 1
-
+    ends = [0] * len(roots)
+    for vid in comp_of:
+        ends[vid] += 1
+    comp_saddles = [set() for _ in roots]
+    comp_zeros = [set() for _ in roots]
+    saddle_zeros = diagram.saddle_zeros
+    for cid, word in diagram.bottom_words.items():
+        vid = comp_of[bottom_half[cid]]
+        comp_saddles[vid].update(word)
+        for sid in word:
+            comp_zeros[vid].update(saddle_zeros[sid])
     vertices = []
-    vertex_saddles = []
-    for vid in sorted(comp_ids.values()):
-        saddles = comp_saddles[vid]
-        zeros = {z for sid in saddles for z in diagram.saddle_zeros[sid]}
-        euler = len(zeros) - len(saddles)
-        genus2 = 2 - euler - comp_ends[vid]
+    for vid, (saddles, zeros) in enumerate(zip(comp_saddles, comp_zeros)):
+        genus2 = 2 - len(zeros) + len(saddles) - ends[vid]
         _require(genus2 >= 0 and genus2 % 2 == 0,
                  "component genus must be a whole number")
         vertices.append((vid, genus2 // 2))
-        vertex_saddles.append(tuple(sorted(saddles)))
 
-    edges = tuple((cid, (comp_of[(cid, "bot")], comp_of[(cid, "top")]))
-                  for cid in cids)
-    g = DualGraph(tuple(vertices), edges, tuple(vertex_saddles),
-                  tuple(sorted(comp_of.items())))
+    edges = tuple((cid, (comp_of[2 * i], comp_of[2 * i + 1]))
+                  for i, cid in enumerate(cids))
+    g = DualGraph(tuple(vertices), edges,
+                  tuple(tuple(sorted(saddles)) for saddles in comp_saddles))
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
-    if getattr(d, "origami", None) is not None:
-        total = g.geometric_genus + g.cycle_rank
-        _require(total * 2 == homology_rank_of(d),
+    genus = getattr(d, "genus", None)
+    if genus is not None:
+        _require(g.geometric_genus + g.cycle_rank == genus,
                  "dual graph must carry the surface's genus")
     return g
-
-
-def homology_rank_of(d):
-    """2·genus of the decomposition's origami, from its stratum."""
-    return 2 * singularity_data(d.origami).genus
 
 
 def core_span_rank(d) -> int:

@@ -274,46 +274,43 @@ _GENERIC_CASE3_VALUES = {"theta1_p": 1, "theta1_q": 1,
                          "theta3_0": 1, "theta3_1": 1}
 
 
-def _analyze_direction(o: Origami, slope, member=None):
-    """Record for one direction, ``True`` when the direction excludes a
-    nontrivial isometric subspace on its own, and the decomposition.
-    ``member`` is passed on to
-    :func:`~squaretiled.cylinders.periodic_decomposition`.
+def _analyze_direction(d, slope):
+    """Record for the direction of ``slope``, whose decomposition is
+    ``d``, and ``True`` when the direction excludes a nontrivial
+    isometric subspace on its own.
 
     A dual graph of cycle rank 3 has geometric genus 0, a shape none of
     Cases 1-6 has: the core curves span a Lagrangian subspace of
     homology, and Forni's geometric criterion (J. Mod. Dyn. 5, 2011) then
     makes every Lyapunov exponent nonzero."""
-    d = periodic_decomposition(o, slope, member)
     graph = dual_graph(d)
     if graph.cycle_rank == 3:
         return DirectionRecord(slope, None, "Lagrangian core curves",
-                               graph.cycle_rank), True, d
+                               graph.cycle_rank), True
     label = classify_case(graph)
     name = str(label) if label is not None else None
     if label is None:
-        return DirectionRecord(slope, None, "unmatched pinch graph"), False, d
+        return DirectionRecord(slope, None, "unmatched pinch graph"), False
     if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
         # the label was just read off this graph: skip the public check
         witness = _crossing_witness(d, name)
         if witness is None:
             return DirectionRecord(slope, name, "no crossing witness "
-                                   "found"), False, d
+                                   "found"), False
         return DirectionRecord(slope, name, "transverse crossing cylinder",
-                               witness), True, d
+                               witness), True
     if label is CaseLabel.CASE3:
         verdict = case3_verdict(_case3_weighted_graph(d, graph),
                                 _GENERIC_CASE3_VALUES)
-        return DirectionRecord(slope, name, "period forcing", verdict), \
-            True, d
+        return DirectionRecord(slope, name, "period forcing", verdict), True
     if label is CaseLabel.CASE5:
         return DirectionRecord(slope, name, "defer to a simple transverse "
-                               "cylinder"), False, d
+                               "cylinder"), False
     chain = _metric_chain(d, graph)
     if not chain:
-        return DirectionRecord(slope, name, "window forcing", chain), True, d
+        return DirectionRecord(slope, name, "window forcing", chain), True
     return DirectionRecord(slope, name, "two homologous cylinders",
-                           chain), False, d
+                           chain), False
 
 
 def classify_surface(o: Origami, direction_bound=3) -> Verdict:
@@ -330,6 +327,10 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     homologous cylinders with consistent metrics, and the horizontal
     cylinder diagram decides between ``WollmilchsauEquivalent`` and
     ``TrivialForni``.
+
+    The genus is read off the horizontal decomposition, which the first
+    direction analyzes; a surface of any other genus than 3 raises
+    :class:`~squaretiled.errors.GenusMismatch`.
 
     Each direction is analyzed on its member
     (:func:`~squaretiled.cylinders.direction_member`).  A direction whose
@@ -349,10 +350,10 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
         ...
         squaretiled.errors.GenusMismatch: genus 2 surface; this classification needs genus 3
     """
-    stratum = singularity_data(o)
-    if stratum.genus != 3:
+    horizontal = periodic_decomposition(o, (0, 1))
+    if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
-                            "genus 3" % stratum.genus)
+                            "genus 3" % horizontal.genus)
     evidence = []
     # (member, record) of each non-excluding direction analyzed
     analyzed = []
@@ -364,20 +365,19 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
         if record is not None:
             evidence.append(replace(record, slope=slope))
             continue
-        record, excludes, d = _analyze_direction(o, slope, member)
+        d = horizontal if slope == (0, 1) else \
+            periodic_decomposition(o, slope, member)
+        record, excludes = _analyze_direction(d, slope)
         evidence.append(record)
         if excludes:
             return Verdict("TrivialForni", tuple(evidence), o)
         analyzed.append((member[1], record))
-        if slope == (0, 1):
-            horizontal = record, d
     evidence = tuple(evidence)
     if any(record.label != "Case6" for record in evidence):
         return Verdict("Undetermined", evidence, o)
     # every direction shows two homologous cylinders whose metric chain is
     # consistent; the horizontal diagram decides
-    record, d = horizontal
-    result = _reference_equivalence(d, record.witness)
+    result = _reference_equivalence(horizontal, evidence[0].witness)
     evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
     status = "WollmilchsauEquivalent" if result else "TrivialForni"
     return Verdict(status, evidence, o)

@@ -426,10 +426,11 @@ def origami_isomorphism(a: Origami, b: Origami):
                 elif p[j] != pj:
                     ok = False
                     break
-        if ok and None not in p and sorted(p) == list(range(n)):
-            # transitivity makes the propagation reach every square
-            if all(p[a.h[i]] == b.h[p[i]] and p[a.v[i]] == b.v[p[i]] for i in range(n)):
-                return tuple(p)
+        # the propagation checked both constraints at every square it
+        # reached; a map that reaches every square and is injective is a
+        # relabeling (``b`` need not be transitive)
+        if ok and None not in p and len(set(p)) == n:
+            return tuple(p)
     return None
 
 
@@ -439,7 +440,10 @@ def canonical_form(o: Origami) -> Origami:
 
     The relabeling is produced by breadth-first traversals (neighbors in the
     fixed order right, left, up, down) from every start square; two origamis
-    are isomorphic exactly when their canonical forms are equal.
+    are isomorphic exactly when their canonical forms are equal.  Each
+    start's relabeled ``h`` is compared with the least one so far while
+    the traversal assigns the labels, and the start is abandoned at its
+    first larger entry; ``v`` is compared only when ``h`` ties.
 
     EXAMPLES::
 
@@ -449,26 +453,34 @@ def canonical_form(o: Origami) -> Origami:
         True
     """
     n = o.n
-    hi, vi = perm_inverse(o.h), perm_inverse(o.v)
-    best = None
+    h, v = o.h, o.v
+    hi, vi = perm_inverse(h), perm_inverse(v)
+    best_h = best_v = None
     for start in range(n):
-        label = [None] * n
+        label = [-1] * n
         label[start] = 0
         order = [start]
-        head = 0
-        while head < len(order):
-            i = order[head]
-            head += 1
-            for j in (o.h[i], hi[i], o.v[i], vi[i]):
-                if label[j] is None:
+        new_h = []
+        # whether new_h equals best_h so far; a start is abandoned at its
+        # first entry above best_h
+        tied = best_h is not None
+        for k in range(n):
+            i = order[k]
+            for j in (h[i], hi[i], v[i], vi[i]):
+                if label[j] < 0:
                     label[j] = len(order)
                     order.append(j)
-        new_h = tuple(label[o.h[order[k]]] for k in range(n))
-        new_v = tuple(label[o.v[order[k]]] for k in range(n))
-        cand = (new_h, new_v)
-        if best is None or cand < best:
-            best = cand
-    return Origami(*best)
+            x = label[h[i]]
+            if tied and x != best_h[k]:
+                if x > best_h[k]:
+                    break
+                tied = False
+            new_h.append(x)
+        else:
+            new_v = [label[v[i]] for i in order]
+            if not tied or new_v < best_v:
+                best_h, best_v = new_h, new_v
+    return Origami(tuple(best_h), tuple(best_v))
 
 
 # -- text format -------------------------------------------------------------

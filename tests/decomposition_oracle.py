@@ -1,0 +1,313 @@
+"""Slow, independent horizontal cylinder decomposition, pinch dual graph
+and case matching: set-based versions that rebuild the vertex orbits,
+build every cylinder twice, label the halves of the dual graph by
+``(cylinder, side)`` pairs and try every vertex permutation against each
+reference shape.  The reference that the one-pass integer versions of
+``squaretiled.cylinders.horizontal_decomposition`` and
+``squaretiled.homology.dual_graph`` and the table lookup of
+``squaretiled.cylinders.classify_case`` are compared against.
+
+The oracle decomposition carries no genus (``genus=None``); the tests
+compare the genus of the package's decomposition with
+``singularity_data``.
+"""
+
+import itertools
+from fractions import Fraction
+
+from squaretiled.cylinders import (
+    CaseLabel,
+    Cylinder,
+    CylinderDecomposition,
+    CylinderDiagram,
+    DecompositionSaddle,
+)
+from squaretiled.errors import InvariantViolation
+from squaretiled.homology import DualGraph
+from squaretiled.surface import perm_cycles, singularity_data
+
+
+def _marked_corners(o):
+    """Corners carrying cone points; for genus one (no cone points) the
+    single corner of square 0 is marked so boundaries carry a saddle."""
+    orbits = o.vertex_orbits()
+    corner_class = {}
+    for idx, orbit in enumerate(orbits):
+        for sq in orbit:
+            corner_class[sq] = idx
+    marked = {sq for orbit in orbits if len(orbit) > 1 for sq in orbit}
+    if not marked:
+        marked = {0}
+    return marked, corner_class
+
+
+def horizontal_decomposition(o, word=(), direction=(1, 0)):
+    """Maximal horizontal cylinders, saddle connections and their
+    positions, as :func:`squaretiled.cylinders.horizontal_decomposition`
+    computes them, with ``genus=None``."""
+    n = o.n
+    marked, corner_class = _marked_corners(o)
+    rows = perm_cycles(o.h)
+    row_of = {}
+    for ri, row in enumerate(rows):
+        for sq in row:
+            row_of[sq] = ri
+
+    # merge rows across interfaces without marked corners
+    parent = list(range(len(rows)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    above = {}  # row -> row directly above, when the interface is regular
+    for ri, row in enumerate(rows):
+        upstairs = [o.v[sq] for sq in row]
+        if not any(sq in marked for sq in upstairs):
+            rj = row_of[upstairs[0]]
+            above[ri] = rj
+            ra, rb = find(ri), find(rj)
+            if ra != rb:
+                parent[ra] = rb
+
+    components = {}
+    for ri in range(len(rows)):
+        components.setdefault(find(ri), []).append(ri)
+
+    cylinders = []
+    square_x = {}
+    for comp in components.values():
+        merged_up = set(above.get(ri) for ri in comp)
+        bottoms = [ri for ri in comp if ri not in merged_up]
+        if len(bottoms) != 1:
+            raise InvariantViolation("cylinder stack must have a unique "
+                                     "bottom row")
+        chain = [bottoms[0]]
+        while chain[-1] in above:
+            chain.append(above[chain[-1]])
+        if sorted(chain) != sorted(comp):
+            raise InvariantViolation("cylinder stack is not one chain of "
+                                     "rows")
+        # rotate the bottom row to start at its smallest marked corner
+        r0 = rows[chain[0]]
+        start = min(i for i, sq in enumerate(r0) if sq in marked)
+        r0 = r0[start:] + r0[:start]
+        cid = len(cylinders)
+        stacked = [r0]
+        for sq_i, sq in enumerate(r0):
+            square_x[sq] = sq_i
+        for ri in chain[1:]:
+            prev = stacked[-1]
+            nxt = tuple(o.v[sq] for sq in prev)
+            for sq, below in zip(nxt, prev):
+                square_x[sq] = square_x[below]
+            stacked.append(nxt)
+        cylinders.append(Cylinder(
+            cid, tuple(stacked), Fraction(len(r0)), Fraction(len(stacked))
+        ))
+    # deterministic ids: sort by smallest square of the bottom row
+    cylinders.sort(key=lambda c: min(c.rows[0]))
+    cylinders = [Cylinder(new_id, c.rows, c.circumference, c.height)
+                 for new_id, c in enumerate(cylinders)]
+
+    # saddle connections: runs between marked corners on each bottom row
+    saddles = {}
+    edge_saddle = {}
+    bottom_words = {}
+    bottom_positions = {}
+    for c in cylinders:
+        word_ids = []
+        positions = {}
+        run = []
+        run_start_x = 0
+        for i, sq in enumerate(c.rows[0]):
+            if sq in marked and run:
+                sid = len(saddles)
+                _close_run(saddles, edge_saddle, sid, run, corner_class, o)
+                word_ids.append(sid)
+                positions[sid] = run_start_x
+                run = []
+            if not run:
+                run_start_x = i
+            run.append(sq)
+        sid = len(saddles)
+        _close_run(saddles, edge_saddle, sid, run, corner_class, o)
+        word_ids.append(sid)
+        positions[sid] = run_start_x
+        bottom_words[c.id] = tuple(word_ids)
+        bottom_positions[c.id] = positions
+
+    # top words: read the same quotient edges along each cylinder's top row
+    top_words = {}
+    top_positions = {}
+    for c in cylinders:
+        rt = c.rows[-1]
+        starts = [i for i, sq in enumerate(rt) if o.v[sq] in marked]
+        if not starts:
+            raise InvariantViolation("top boundary must contain a marked "
+                                     "corner")
+        k0 = min(starts, key=lambda i: square_x[rt[i]])
+        rt = rt[k0:] + rt[:k0]
+        word_ids = []
+        positions = {}
+        run_edges = []
+        run_start = None
+        for sq in rt:
+            edge = o.v[sq]
+            if edge in marked and run_edges:
+                word_ids.append(_close_top_run(run_edges, edge_saddle,
+                                               saddles))
+                positions[word_ids[-1]] = square_x[run_start]
+                run_edges = []
+            if not run_edges:
+                run_start = sq
+            run_edges.append(edge)
+        word_ids.append(_close_top_run(run_edges, edge_saddle, saddles))
+        positions[word_ids[-1]] = square_x[run_start]
+        top_words[c.id] = tuple(word_ids)
+        top_positions[c.id] = positions
+
+    diagram = CylinderDiagram(bottom_words, top_words,
+                              {sid: (s.start_zero, s.end_zero)
+                               for sid, s in saddles.items()})
+    diagram.validate()
+    d = CylinderDecomposition(
+        origami=o,
+        word=tuple(word),
+        direction=tuple(direction),
+        cylinders=tuple(cylinders),
+        diagram=diagram,
+        saddles=saddles,
+        saddle_lengths={sid: len(s.squares) for sid, s in saddles.items()},
+        bottom_positions=bottom_positions,
+        top_positions=top_positions,
+        genus=None,
+    )
+    if sum(len(c.squares) for c in cylinders) != n:
+        raise InvariantViolation("cylinder areas must sum to the number of "
+                                 "squares")
+    return d
+
+
+def _close_run(saddles, edge_saddle, sid, run, corner_class, o):
+    start = run[0]
+    end = o.h[run[-1]]
+    saddles[sid] = DecompositionSaddle(
+        sid, tuple(run), corner_class[start], corner_class[end]
+    )
+    for sq in run:
+        edge_saddle[sq] = sid
+
+
+def _close_top_run(run_edges, edge_saddle, saddles):
+    sid = edge_saddle[run_edges[0]]
+    if any(edge_saddle[e] != sid for e in run_edges):
+        raise InvariantViolation("top run crosses a saddle boundary")
+    if len(run_edges) != len(saddles[sid].squares):
+        raise InvariantViolation("top run length disagrees with its saddle")
+    return sid
+
+
+def dual_graph(d):
+    """The pinch dual graph of ``d`` (a decomposition or a net), as
+    :func:`squaretiled.homology.dual_graph` computes it, with halves
+    labelled ``(cylinder, "bot" | "top")``; the genus check reads the
+    stratum of ``d.origami`` when ``d`` carries one."""
+    diagram = d.diagram
+    cids = diagram.cylinder_ids
+    halves = [(cid, side) for cid in cids for side in ("bot", "top")]
+    parent = {h: h for h in halves}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    bottom_owner = {sid: cid for cid, word in diagram.bottom_words.items()
+                    for sid in word}
+    top_owner = {sid: cid for cid, word in diagram.top_words.items()
+                 for sid in word}
+    for sid, cid in bottom_owner.items():
+        union((cid, "bot"), (top_owner[sid], "top"))
+
+    comp_ids = {}
+    for h in halves:
+        root = find(h)
+        if root not in comp_ids:
+            comp_ids[root] = len(comp_ids)
+    comp_of = {h: comp_ids[find(h)] for h in halves}
+
+    comp_saddles = {v: set() for v in comp_ids.values()}
+    for sid, cid in bottom_owner.items():
+        comp_saddles[comp_of[(cid, "bot")]].add(sid)
+    comp_ends = {v: 0 for v in comp_ids.values()}
+    for h in halves:
+        comp_ends[comp_of[h]] += 1
+
+    vertices = []
+    vertex_saddles = []
+    for vid in sorted(comp_ids.values()):
+        saddles = comp_saddles[vid]
+        zeros = {z for sid in saddles for z in diagram.saddle_zeros[sid]}
+        euler = len(zeros) - len(saddles)
+        genus2 = 2 - euler - comp_ends[vid]
+        if genus2 < 0 or genus2 % 2:
+            raise InvariantViolation("component genus must be a whole number")
+        vertices.append((vid, genus2 // 2))
+        vertex_saddles.append(tuple(sorted(saddles)))
+
+    edges = tuple((cid, (comp_of[(cid, "bot")], comp_of[(cid, "top")]))
+                  for cid in cids)
+    g = DualGraph(tuple(vertices), edges, tuple(vertex_saddles))
+    # stable-curve genus formula: sum of genera plus cycle rank of the graph
+    if getattr(d, "origami", None) is not None:
+        if g.geometric_genus + g.cycle_rank != \
+                singularity_data(d.origami).genus:
+            raise InvariantViolation("dual graph must carry the surface's "
+                                     "genus")
+    return g
+
+
+_REFERENCE_GRAPHS = {
+    # (genus labels, edges as vertex-index pairs)
+    CaseLabel.CASE1: ([1], [(0, 0), (0, 0)]),
+    CaseLabel.CASE2: ([0, 1], [(0, 1), (0, 1), (0, 1)]),
+    CaseLabel.CASE3: ([0, 1], [(0, 0), (0, 1), (0, 1)]),
+    CaseLabel.CASE4: ([0, 0, 1], [(0, 1), (0, 1), (0, 2), (1, 2)]),
+    CaseLabel.CASE5: ([2], [(0, 0)]),
+    CaseLabel.CASE6: ([1, 1], [(0, 1), (0, 1)]),
+}
+
+
+def _multigraph_isomorphic(genera_a, edges_a, genera_b, edges_b):
+    if sorted(genera_a) != sorted(genera_b) or len(edges_a) != len(edges_b):
+        return False
+    nv = len(genera_a)
+    for perm in itertools.permutations(range(nv)):
+        if any(genera_a[i] != genera_b[perm[i]] for i in range(nv)):
+            continue
+        mapped = sorted(tuple(sorted((perm[u], perm[w]))) for u, w in edges_a)
+        if mapped == sorted(tuple(sorted(e)) for e in edges_b):
+            return True
+    return False
+
+
+def classify_case(g):
+    """The first reference shape that ``g`` is isomorphic to, tried one
+    vertex permutation at a time, as
+    :func:`squaretiled.cylinders.classify_case` decides it."""
+    index = {vid: i for i, (vid, _) in enumerate(g.vertices)}
+    genera = [genus for _, genus in g.vertices]
+    edges = [(index[u], index[w]) for _, (u, w) in g.edges]
+    for label, (ref_genera, ref_edges) in _REFERENCE_GRAPHS.items():
+        if _multigraph_isomorphic(genera, edges, ref_genera, ref_edges):
+            return label
+    return None

@@ -1,16 +1,22 @@
 """Cylinder decompositions: areas, saddles, diagram canonical keys, case
 classification of pinch graphs, and moduli exponents."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
+import decomposition_oracle
 from conftest import (
     CASE4A_DIAGRAM,
+    EXEMPLARS,
     exemplar,
     l_origami,
+    random_case4a_net,
+    random_genus3,
     random_origami,
     torus,
     wollmilchsau,
@@ -26,10 +32,10 @@ from squaretiled.cylinders import (
     periodic_decomposition,
 )
 from squaretiled.errors import Incommensurable, InvariantViolation
-from squaretiled.homology import dual_graph
+from squaretiled.homology import DualGraph, dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import enumerate_diagrams
-from squaretiled.surface import word_matrix
+from squaretiled.surface import Origami, singularity_data, word_matrix
 
 
 def cylinder_shapes(d):
@@ -83,6 +89,71 @@ def test_wollmilchsau_slope_one_is_case6():
 def test_genus_two_graphs_match_no_case():
     d = horizontal_decomposition(l_origami())
     assert classify_case(dual_graph(d)) is None
+
+
+def test_decomposition_matches_the_oracle():
+    """The one-pass integer decomposition, dual graph and case label equal
+    the set-based ones of the oracle on every slope up to bound 3, down to
+    the key order of every mapping; the new ``genus`` field is the
+    stratum's genus."""
+    rng = random.Random(1313)
+    surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
+    surfaces += [exemplar(name) for name in EXEMPLARS]
+    surfaces += [wollmilchsau(), torus(), l_origami()]
+    labels = set()
+    for o in surfaces:
+        for slope in enumerate_slopes(3):
+            word, member = direction_member(o, slope)
+            d = periodic_decomposition(o, slope, (word, member))
+            old = decomposition_oracle.horizontal_decomposition(
+                member, word, slope[::-1])
+            assert d.genus == singularity_data(member).genus
+            assert dataclasses.replace(d, genus=None) == old, (o, slope)
+            assert list(d.saddles) == list(old.saddles)
+            for new_map, old_map in ((d.bottom_positions, old.bottom_positions),
+                                     (d.top_positions, old.top_positions)):
+                assert [list(m) for m in new_map.values()] == \
+                    [list(m) for m in old_map.values()]
+            g = dual_graph(d)
+            assert g == decomposition_oracle.dual_graph(old), (o, slope)
+            label = classify_case(g)
+            assert label is decomposition_oracle.classify_case(g)
+            labels.add(label)
+    assert labels == set(CaseLabel) | {None}
+    # nets carry no genus; their dual graphs match as well
+    for _ in range(20):
+        net = random_case4a_net(rng)
+        assert dual_graph(net) == decomposition_oracle.dual_graph(net)
+
+
+def test_case_table_matches_the_permutation_search():
+    """The shape-key lookup gives the label of the vertex-permutation
+    search on every small genus-labelled multigraph drawn, matched or
+    not."""
+    rng = random.Random(1314)
+    labels = set()
+    for _ in range(3000):
+        nv = rng.randint(1, 4)
+        edges = tuple((cid, tuple(sorted(rng.sample(range(nv), 2)
+                                         if nv > 1 and rng.random() < 0.7
+                                         else [rng.randrange(nv)] * 2)))
+                      for cid in range(rng.randint(1, 5)))
+        g = DualGraph(tuple((vid, rng.randint(0, 2)) for vid in range(nv)),
+                      edges)
+        label = classify_case(g)
+        assert label is decomposition_oracle.classify_case(g), g
+        labels.add(label)
+    assert labels == set(CaseLabel) | {None}
+
+
+def test_malformed_origami_raises_as_the_oracle_does():
+    """Two 1-square tori, bypassing the transitivity check: the second
+    torus's row sits on itself, so its stack has no bottom row."""
+    two_tori = Origami((0, 1), (0, 1))
+    for decompose in (horizontal_decomposition,
+                      decomposition_oracle.horizontal_decomposition):
+        with pytest.raises(InvariantViolation, match="unique bottom row"):
+            decompose(two_tori)
 
 
 def test_area_conservation_under_direction_change(rng):

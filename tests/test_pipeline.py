@@ -49,6 +49,13 @@ def record_for(verdict, slope):
     return next(r for r in verdict.evidence if r.slope == slope)
 
 
+def analyze(o, slope):
+    """The record of the direction of ``slope`` on ``o``, whether it
+    excludes, and its decomposition."""
+    d = periodic_decomposition(o, slope)
+    return pipeline._analyze_direction(d, slope) + (d,)
+
+
 def test_reference_surface_matches_fixture():
     assert origami_isomorphism(reference_surface(), wollmilchsau()) \
         is not None
@@ -75,8 +82,18 @@ def test_verdict_invariant_under_shears():
 
 
 def test_genus_gate():
-    with pytest.raises(GenusMismatch):
-        classify_surface(l_origami())
+    """The gate reads the genus off the horizontal decomposition; the
+    message is the same as when it was read off the stratum."""
+    for text, genus in (
+            ('origami n=1 h="" v=""', 1),
+            (str(l_origami()), 2),
+            ('origami n=7 h="(0 1 2 3 4 5 6)" v="(1 2)(3 4)(5 6)"', 4)):
+        o = parse_origami(text)
+        assert singularity_data(o).genus == genus
+        with pytest.raises(GenusMismatch) as raised:
+            classify_surface(o)
+        assert str(raised.value) == \
+            "genus %d surface; this classification needs genus 3" % genus
 
 
 EXPECTED_HORIZONTAL = {
@@ -113,7 +130,7 @@ def test_case5_excluded_through_a_simple_cylinder_direction():
     o = exemplar("Case5")
     verdict = classify_surface(o, direction_bound=3)
     assert verdict.status == "TrivialForni"
-    results = [pipeline._analyze_direction(o, s) for s in enumerate_slopes(3)]
+    results = [analyze(o, s) for s in enumerate_slopes(3)]
     assert any(excludes and r.mechanism in EXCLUDING_MECHANISMS
                and has_simple_cylinder(d) for r, excludes, d in results)
 
@@ -140,7 +157,7 @@ def test_case5_without_exclusion_is_undetermined(monkeypatch):
     assert verdict.status == "TrivialForni"
     assert verdict.evidence == (
         DirectionRecord((0, 1), None, "Lagrangian core curves", 3),)
-    records = [pipeline._analyze_direction(o, s)[0]
+    records = [analyze(o, s)[0]
                for s in enumerate_slopes(3)]
     assert len(records) == 16
     assert {r.label for r in records} <= {"Case5", None}
@@ -192,7 +209,7 @@ def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
 
 def full_scan(analyses, bound):
     """The verdict as a scan of every direction up to ``bound`` decides it,
-    from ``analyses`` (slope -> :func:`pipeline._analyze_direction`
+    from ``analyses`` (slope -> :func:`analyze`
     result): the oracle for the lazy classifier.  Returns the status, the
     records of every direction, and the index of the first excluding one
     (``None`` when none excludes)."""
@@ -219,7 +236,7 @@ def test_lazy_evidence_is_the_full_scan_prefix():
     surfaces += [parse_origami(UNDETERMINED_CASE5), reference_surface()]
     statuses, stops = set(), 0
     for o in surfaces:
-        analyses = {s: pipeline._analyze_direction(o, s)
+        analyses = {s: analyze(o, s)
                     for s in enumerate_slopes(3)}
         for bound in (1, 2, 3):
             status, records, first = full_scan(analyses, bound)
@@ -275,7 +292,7 @@ def test_split_orbits_are_trivial_forni(h, v):
 
     def lagrangian_only(o):
         return {r.mechanism for r, excludes, _ in
-                (pipeline._analyze_direction(o, s)
+                (analyze(o, s)
                  for s in enumerate_slopes(3))
                 if excludes} == {"Lagrangian core curves"}
 
@@ -339,15 +356,15 @@ def test_direction_record_is_invariant_under_relabelling():
     compared = ties = excluding = order_dependent = 0
     for o in surfaces:
         for slope in enumerate_slopes(3):
-            record, excludes, d = pipeline._analyze_direction(o, slope)
+            record, excludes, d = analyze(o, slope)
             x = direction_member(o, slope)[1]
             own = dataclasses.replace(record, slope=(0, 1))
             if not excludes:
                 # classify_surface reuses only non-excluding records
-                assert pipeline._analyze_direction(x, (0, 1))[0] == own, \
+                assert analyze(x, (0, 1))[0] == own, \
                     (o, slope)
             copy = relabelled(rng, x)
-            other = pipeline._analyze_direction(copy, (0, 1))[0]
+            other = analyze(copy, (0, 1))[0]
             if own.mechanism == "transverse crossing cylinder":
                 assert (other.label, other.mechanism) == \
                     (own.label, own.mechanism), (x, copy)
@@ -367,7 +384,7 @@ def test_direction_record_is_invariant_under_relabelling():
     assert ties > 50
     assert excluding > 6000
     assert order_dependent > 10
-    own, other = (pipeline._analyze_direction(parse_origami(text), (0, 1))[0]
+    own, other = (analyze(parse_origami(text), (0, 1))[0]
                   for text in ORDER_DEPENDENT_CASE6)
     assert own.mechanism == "window forcing"
     assert other == own
@@ -684,7 +701,7 @@ def test_missing_crossing_witness_does_not_exclude(monkeypatch):
     verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
     assert [r.mechanism for r in verdict.evidence] == ["period forcing"]
-    record, excludes, _ = pipeline._analyze_direction(o, (1, 0))
+    record, excludes, _ = analyze(o, (1, 0))
     assert (record.mechanism, excludes) == ("no crossing witness found",
                                             False)
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import l_origami, torus, wollmilchsau, random_origami
+import canonical_form_oracle
+from conftest import l_origami, random_genus3, random_origami, torus, \
+    wollmilchsau
 from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NegativeLength, NotTransitive
 from squaretiled.surface import (
@@ -116,6 +118,52 @@ def test_isomorphism_and_canonical_form(rng):
 
 def test_isomorphism_rejects_different_surfaces():
     assert origami_isomorphism(l_origami(), torus()) is None
+
+
+def test_isomorphism_rejects_a_non_injective_map():
+    """Propagating from a transitive source reaches every square, but onto
+    a target that is not transitive the map need not be a bijection: the
+    2-square torus sends both squares onto one of two 1-square tori."""
+    two_square_torus = build_origami((1, 0), (0, 1))
+    two_tori = Origami((0, 1), (0, 1))
+    assert origami_isomorphism(two_square_torus, two_tori) is None
+    assert origami_isomorphism(two_square_torus, two_square_torus) == (0, 1)
+
+
+def relabelled(rng, o):
+    p = list(range(o.n))
+    rng.shuffle(p)
+    h, v = [0] * o.n, [0] * o.n
+    for i in range(o.n):
+        h[p[i]], v[p[i]] = p[o.h[i]], p[o.v[i]]
+    return build_origami(tuple(h), tuple(v))
+
+
+def test_isomorphism_agrees_with_canonical_forms():
+    rng = random.Random(13)
+    outcomes = []
+    for _ in range(200):
+        a = random_origami(rng, 5)
+        b = relabelled(rng, a) if rng.random() < 0.5 else \
+            random_origami(rng, 5)
+        found = origami_isomorphism(a, b) is not None
+        assert found == (canonical_form(a) == canonical_form(b)), (a, b)
+        outcomes.append(found)
+    # both answers occur: relabelled copies, and random pairs that are
+    # mostly not isomorphic
+    assert 50 < sum(outcomes) < 180
+
+
+def test_canonical_form_matches_the_full_scan():
+    """The canonical form that abandons a start square at its first
+    relabelled ``h`` entry above the best so far is the least pair of the
+    full scan that builds every start's relabelling."""
+    rng = random.Random(14)
+    for _ in range(2000):
+        o = random_genus3(rng, 5, 12)
+        for x in (o, act_sl2z(o, ["T"]), act_sl2z(o, ["S"])):
+            assert canonical_form(x) == canonical_form_oracle.canonical_form(
+                x), x
 
 
 def test_parse_roundtrip():
