@@ -350,7 +350,8 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
         ...
         squaretiled.errors.GenusMismatch: genus 2 surface; this classification needs genus 3
     """
-    horizontal = periodic_decomposition(o, (0, 1))
+    # the horizontal direction's member is o itself, with the empty word
+    horizontal = periodic_decomposition(o, (0, 1), ((), o))
     if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % horizontal.genus)
