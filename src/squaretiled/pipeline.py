@@ -377,7 +377,7 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     if any(record.label != "Case6" for record in evidence):
         return Verdict("Undetermined", evidence, o)
     # every direction shows two homologous cylinders whose metric chain is
-    # consistent; the horizontal diagram decides
+    # consistent; the horizontal diagram, whose record comes first, decides
     result = _reference_equivalence(horizontal, evidence[0].witness)
     evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
     status = "WollmilchsauEquivalent" if result else "TrivialForni"
