@@ -66,17 +66,6 @@ class Cylinder:
         return self.height / self.circumference
 
 
-@dataclass(frozen=True)
-class DecompositionSaddle:
-    """A saddle connection on a horizontal boundary: its unit squares (the
-    bottom edges traversed left to right) and zero labels at both ends."""
-
-    id: int
-    squares: tuple
-    start_zero: int
-    end_zero: int
-
-
 @dataclass
 class CylinderDiagram:
     """Combinatorics of a cylinder decomposition with metric data forgotten.
@@ -345,7 +334,6 @@ class CylinderDecomposition:
     direction: tuple
     cylinders: tuple
     diagram: CylinderDiagram
-    saddles: dict
     saddle_lengths: dict = field(repr=False)
     bottom_positions: dict = field(repr=False)
     top_positions: dict = field(repr=False)
@@ -481,7 +469,6 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
                                  "row")
 
     # bottom saddles: runs from each marked corner to the next
-    saddles = {}
     saddle_lengths = {}
     saddle_zeros = {}
     edge_saddle = [-1] * n
@@ -494,13 +481,11 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
         ids = []
         positions = {}
         for a, b in zip(starts, starts[1:] + [w]):
-            sid = len(saddles)
-            run = bottom[a:b]
-            zeros = (corner_class[run[0]], corner_class[bottom[b % w]])
-            saddles[sid] = DecompositionSaddle(sid, run, *zeros)
+            sid = len(saddle_lengths)
             saddle_lengths[sid] = b - a
-            saddle_zeros[sid] = zeros
-            for s in run:
+            saddle_zeros[sid] = (corner_class[bottom[a]],
+                                 corner_class[bottom[b % w]])
+            for s in bottom[a:b]:
                 edge_saddle[s] = sid
             ids.append(sid)
             positions[sid] = a
@@ -545,7 +530,6 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
         direction=tuple(direction),
         cylinders=tuple(cylinders),
         diagram=diagram,
-        saddles=saddles,
         saddle_lengths=saddle_lengths,
         bottom_positions=bottom_positions,
         top_positions=top_positions,

@@ -1,6 +1,7 @@
 r"""
 Integer homology of an origami with its intersection form, dual graphs of
-cylinder pinches, and symplectic bases adapted to a pinch.
+cylinder pinches, symplectic bases adapted to a pinch, and the transport
+of chains through the ``SL(2, Z)`` generators.
 
 The square tiling is a cell complex: one vertex per cone-point corner
 class, edges ``h_i`` (bottom side of square ``i``) and ``v_i`` (left side),
@@ -9,6 +10,12 @@ and one square face per square giving the relation
 lattice modulo the face lattice, computed with an integer Smith normal
 form; the algebraic intersection number is evaluated on cycle
 representatives directly on the complex.
+
+The affine action on homology is computed on chains: the cycles of one
+basis are pushed letter by letter through a word
+(:func:`transport_chains`), which needs only the gluings of consecutive
+origamis, and coordinates are read once, in that basis, after the pushed
+cycles are brought back by a relabelling.
 
 EXAMPLES::
 
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .intlinalg import mat_vec, smith_normal_form, snf_rank, solve_integer
-from .surface import Origami, perm_inverse, singularity_data
+from .surface import Origami, act_sl2z, perm_inverse, singularity_data
 
 # ---------------------------------------------------------------------------
 # chains on the square complex
@@ -558,6 +565,14 @@ def adapted_basis(d) -> AdaptedBasis:
     basis = homology_basis(d.origami)
     graph = dual_graph(d)
     g = basis.rank // 2
+    # the unit edges of each saddle: a bottom run starts at a marked
+    # corner of the bottom row, so it never wraps
+    saddle_squares = {}
+    for cid, word in d.diagram.bottom_words.items():
+        row = d.core_row(cid)
+        for sid in word:
+            a = d.bottom_positions[cid][sid]
+            saddle_squares[sid] = row[a:a + d.saddle_lengths[sid]]
 
     comp_pairs = []  # (vertex id, [(alpha, beta), ...])
     for (vid, genus), saddles in zip(graph.vertices, graph.vertex_saddles):
@@ -589,7 +604,7 @@ def adapted_basis(d) -> AdaptedBasis:
 
         def saddle_chain(sid):
             chain = _zero_chain(d.origami.n)
-            for sq in d.saddles[sid].squares:
+            for sq in saddle_squares[sid]:
                 chain[sq] += 1
             return chain
 
@@ -686,114 +701,53 @@ def _check_symplectic(ab: AdaptedBasis):
 
 
 # ---------------------------------------------------------------------------
-# homology action of the shear and rotation generators
+# transport of chains through the shear and rotation generators
 # ---------------------------------------------------------------------------
 
 
-def letter_action_matrix(o: Origami, letter: str,
-                         source: HomologyBasis = None):
+def transport_chains(o: Origami, word, chains):
     r"""
-    Matrix of the chain map induced by one generator letter.
+    Push edge chains on ``o`` through the affine maps of a word in ``T``,
+    ``T^-1``, ``S`` (letters applied first to last).
 
-    Returns ``(target_basis, m)`` where ``m`` maps homology coordinates on
-    ``o`` to coordinates on the transformed origami (columns are images of
-    the source basis).  The map is induced by the affine homeomorphism, so
-    it preserves intersection numbers and transforms holonomy by the
-    letter's matrix.
+    Returns ``(target, pushed)``: the transformed origami
+    ``act_sl2z(o, word)`` and the image chains on it.  Each letter acts
+    by a chain map, so cycles go to cycles and classes to the classes of
+    the affine map's images; no homology basis is built along the way.
+    With ``v`` and ``v'`` the vertical gluings before and after a letter:
+
+    - ``T`` keeps bottom edges and sends the left edge of square ``i`` to
+      the diagonal of its image square, ``v_i + h_{v'(i)}``;
+    - ``T^-1`` sends it to the antidiagonal of its left neighbour,
+      ``v_i - h_{v(i)}``: up that square's right side, then back along
+      its top;
+    - ``S``, the quarter rotation, turns bottom edges into left edges,
+      ``h_i ↦ v_i``, and left edges into reversed bottom edges of the
+      image squares, ``v_i ↦ -h_{v'(i)}``.
 
     EXAMPLES::
 
         >>> from squaretiled.surface import build_origami
-        >>> _, m = letter_action_matrix(build_origami((0,), (0,)), "T")
-        >>> m
-        [[1, 1], [0, 1]]
+        >>> torus = build_origami((0,), (0,))
+        >>> transport_chains(torus, ["T"], [[1, 0], [0, 1]])[1]
+        [[1, 0], [1, 1]]
     """
-    from .surface import act_letter
-
-    if source is None:
-        source = HomologyBasis(o)
     n = o.n
-    o1 = act_letter(o, letter)
-    target = HomologyBasis(o1)
-
-    def push(chain):
-        out = _zero_chain(n)
-        if letter == "T":
-            # the shear keeps bottom edges and sends each left edge to the
-            # diagonal of its image square
-            for i in range(n):
-                out[i] += chain[i]
-                out[n + i] += chain[n + i]
-                out[o1.v[i]] += chain[n + i]
-        elif letter == "T^-1":
-            # the inverse shear sends each left edge to the antidiagonal of
-            # its left neighbour: up that square's right side, then back
-            # along its top, the bottom edge of square o.v[i]
-            for i in range(n):
-                out[i] += chain[i]
-                out[n + i] += chain[n + i]
-                out[o.v[i]] -= chain[n + i]
-        elif letter == "S":
-            # quarter rotation: bottom edges become left edges; left edges
-            # reverse onto bottom edges of the image squares
-            for i in range(n):
-                out[n + i] += chain[i]
-                out[o1.v[i]] -= chain[n + i]
-        else:
-            raise ValueError("unknown letter: %r" % (letter,))
-        return out
-
-    cols = [target.coords(push(c)) for c in source.basis_chains]
-    m = [[cols[j][i] for j in range(source.rank)] for i in range(source.rank)]
-    return target, m
-
-
-def word_action_matrix(o: Origami, word,
-                       source: HomologyBasis = None):
-    r"""
-    Matrix of the chain map induced by a word in ``T``, ``T^-1``, ``S``
-    (letters applied first to last), from homology coordinates on ``o``
-    to coordinates on the transformed origami.
-
-    Returns ``(target_basis, m)``.
-
-    EXAMPLES::
-
-        >>> from squaretiled.surface import build_origami
-        >>> from squaretiled.surface import word_matrix
-        >>> _, m = word_action_matrix(build_origami((0,), (0,)), ["T", "S"])
-        >>> m == [list(row) for row in word_matrix(["T", "S"])]
-        True
-    """
-    from .intlinalg import mat_mul
-
-    if source is None:
-        source = HomologyBasis(o)
-    current_o, current_b = o, source
-    m = [[1 if i == j else 0 for j in range(source.rank)]
-         for i in range(source.rank)]
     for letter in word:
-        current_b, step = letter_action_matrix(current_o, letter,
-                                               source=current_b)
-        from .surface import act_letter
-        current_o = act_letter(current_o, letter)
-        m = mat_mul(step, m)
-    return current_b, m
-
-
-def relabel_action_matrix(source: HomologyBasis, target: HomologyBasis,
-                          relabeling):
-    """Matrix of the isomorphism sending square ``i`` of the source origami
-    to square ``relabeling[i]`` of the target origami."""
-    n = source.n
-    cols = []
-    for chain in source.basis_chains:
-        out = _zero_chain(n)
-        for i in range(n):
-            out[relabeling[i]] += chain[i]
-            out[n + relabeling[i]] += chain[n + i]
-        cols.append(target.coords(out))
-    return [[cols[j][i] for j in range(source.rank)]
-            for i in range(source.rank)]
-
-
+        nxt = act_sl2z(o, (letter,))
+        if letter == "T":
+            sign, v = 1, nxt.v
+        elif letter == "T^-1":
+            sign, v = -1, o.v
+        else:
+            sign, v = -1, nxt.v
+        pushed = []
+        for chain in chains:
+            out = [0] * n + list(chain[:n]) if letter == "S" else list(chain)
+            for i in range(n):
+                c = chain[n + i]
+                if c:
+                    out[v[i]] += sign * c
+            pushed.append(out)
+        o, chains = nxt, pushed
+    return o, chains

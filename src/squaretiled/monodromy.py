@@ -29,8 +29,7 @@ from .homology import (
     HomologyBasis,
     dual_graph,
     homology_basis,
-    relabel_action_matrix,
-    word_action_matrix,
+    transport_chains,
 )
 from .intlinalg import identity_matrix, mat_mul, smith_normal_form, \
     snf_rank
@@ -80,8 +79,15 @@ def stabilizer_generators(o: Origami, word_bound: int):
 def homology_action(o: Origami, gen, basis: HomologyBasis = None):
     r"""
     The integer symplectic matrix of one stabilizer generator on the
-    homology basis of ``o``: transport of edge chains through the word's
-    shears and rotations followed by the relabeling.
+    homology basis of ``o``.
+
+    The basis cycles are transported through the word's shears and
+    rotations (:func:`~squaretiled.homology.transport_chains`), the image
+    chains are re-indexed by the relabelling permutation back onto the
+    squares of ``o``, and their coordinates in ``basis`` are the columns.
+    This builds no homology basis beyond ``basis`` and reads each column
+    with one coordinate solve, which also checks that the image is a
+    cycle.  The matrix must preserve the intersection form.
 
     ``gen`` is a ``(word, permutation)`` pair as produced by
     :func:`stabilizer_generators`; a bare word is accepted and the
@@ -101,15 +107,22 @@ def homology_action(o: Origami, gen, basis: HomologyBasis = None):
         word, perm = gen
     else:
         word, perm = tuple(gen), None
-    transformed = act_sl2z(o, word)
+    transformed, images = transport_chains(o, word, basis.basis_chains)
     if perm is None:
         perm = origami_isomorphism(transformed, o)
     if perm is None:
         raise NotAStabilizer("word %r does not stabilize the origami"
                              % (word,))
-    target, m = word_action_matrix(o, word, source=basis)
-    relabel = relabel_action_matrix(target, basis, perm)
-    result = mat_mul(relabel, m)
+    n = o.n
+    cols = []
+    for chain in images:
+        # square i of the transformed origami is square perm[i] of o
+        relabelled = [0] * (2 * n)
+        for i, j in enumerate(perm):
+            relabelled[j] = chain[i]
+            relabelled[n + j] = chain[n + i]
+        cols.append(basis.coords(relabelled))
+    result = [list(row) for row in zip(*cols)]
     _check_symplectic_matrix(result, basis.omega)
     return result
 

@@ -142,7 +142,8 @@ def decomposition_net(d):
         c.circumference, c.height,
         d.top_positions[c.id][d.diagram.top_words[c.id][0]])
         for c in d.cylinders}
-    lengths = {sid: Fraction(len(s.squares)) for sid, s in d.saddles.items()}
+    lengths = {sid: Fraction(length)
+               for sid, length in d.saddle_lengths.items()}
     return build_net(geoms, d.diagram, lengths)
 
 

@@ -9,10 +9,14 @@ reference shape.  The reference that the one-pass integer versions of
 
 The oracle decomposition carries no genus (``genus=None``); the tests
 compare the genus of the package's decomposition with
-``singularity_data``.
+``singularity_data``.  Its saddles are objects of their own
+(:class:`DecompositionSaddle`), which the package's decomposition does
+not build: there a saddle's squares are the run of its bottom row that
+``bottom_positions`` and ``saddle_lengths`` give.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from squaretiled.cylinders import (
@@ -20,7 +24,6 @@ from squaretiled.cylinders import (
     Cylinder,
     CylinderDecomposition,
     CylinderDiagram,
-    DecompositionSaddle,
 )
 from squaretiled.errors import InvariantViolation
 from squaretiled.homology import DualGraph
@@ -41,10 +44,27 @@ def _marked_corners(o):
     return marked, corner_class
 
 
+@dataclass(frozen=True)
+class DecompositionSaddle:
+    """A saddle connection on a horizontal boundary: its unit squares (the
+    bottom edges traversed left to right) and zero labels at both ends."""
+
+    id: int
+    squares: tuple
+    start_zero: int
+    end_zero: int
+
+
 def horizontal_decomposition(o, word=(), direction=(1, 0)):
     """Maximal horizontal cylinders, saddle connections and their
     positions, as :func:`squaretiled.cylinders.horizontal_decomposition`
     computes them, with ``genus=None``."""
+    return decomposition_with_saddles(o, word, direction)[0]
+
+
+def decomposition_with_saddles(o, word=(), direction=(1, 0)):
+    """:func:`horizontal_decomposition` and its saddles, a dict from saddle
+    id to :class:`DecompositionSaddle`."""
     n = o.n
     marked, corner_class = _marked_corners(o)
     rows = perm_cycles(o.h)
@@ -179,7 +199,6 @@ def horizontal_decomposition(o, word=(), direction=(1, 0)):
         direction=tuple(direction),
         cylinders=tuple(cylinders),
         diagram=diagram,
-        saddles=saddles,
         saddle_lengths={sid: len(s.squares) for sid, s in saddles.items()},
         bottom_positions=bottom_positions,
         top_positions=top_positions,
@@ -188,7 +207,7 @@ def horizontal_decomposition(o, word=(), direction=(1, 0)):
     if sum(len(c.squares) for c in cylinders) != n:
         raise InvariantViolation("cylinder areas must sum to the number of "
                                  "squares")
-    return d
+    return d, saddles
 
 
 def _close_run(saddles, edge_saddle, sid, run, corner_class, o):

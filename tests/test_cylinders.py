@@ -91,6 +91,14 @@ def test_genus_two_graphs_match_no_case():
     assert classify_case(dual_graph(d)) is None
 
 
+def bottom_runs(d):
+    """Each saddle's unit squares: the run of its bottom row that
+    ``bottom_positions`` and ``saddle_lengths`` give."""
+    return {sid: d.core_row(cid)[a:a + d.saddle_lengths[sid]]
+            for cid, positions in d.bottom_positions.items()
+            for sid, a in positions.items()}
+
+
 def test_decomposition_matches_the_oracle():
     """The one-pass integer decomposition, dual graph and case label equal
     the set-based ones of the oracle on every slope up to bound 3, down to
@@ -105,11 +113,13 @@ def test_decomposition_matches_the_oracle():
         for slope in enumerate_slopes(3):
             word, member = direction_member(o, slope)
             d = periodic_decomposition(o, slope, (word, member))
-            old = decomposition_oracle.horizontal_decomposition(
+            old, old_saddles = decomposition_oracle.decomposition_with_saddles(
                 member, word, slope[::-1])
             assert d.genus == singularity_data(member).genus
             assert dataclasses.replace(d, genus=None) == old, (o, slope)
-            assert list(d.saddles) == list(old.saddles)
+            assert list(d.saddle_lengths) == list(old_saddles)
+            assert bottom_runs(d) == {sid: s.squares
+                                      for sid, s in old_saddles.items()}
             for new_map, old_map in ((d.bottom_positions, old.bottom_positions),
                                      (d.top_positions, old.top_positions)):
                 assert [list(m) for m in new_map.values()] == \
@@ -168,9 +178,11 @@ def test_saddle_words_partition_boundaries(rng):
         o = random_origami(rng)
         d = horizontal_decomposition(o)
         d.diagram.validate()
-        assert d.saddle_lengths == {sid: len(s.squares)
-                                    for sid, s in d.saddles.items()}
         for c in d.cylinders:
+            word = d.diagram.bottom_words[c.id]
+            lengths = [d.saddle_lengths[s] for s in word]
+            assert [d.bottom_positions[c.id][s] for s in word] == \
+                list(itertools.accumulate([0] + lengths[:-1]))
             for words in (d.diagram.bottom_words, d.diagram.top_words):
                 total = sum(d.saddle_lengths[s] for s in words[c.id])
                 assert total == c.circumference

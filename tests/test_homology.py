@@ -1,22 +1,25 @@
 """Integer homology: ranks, the intersection pairing, holonomy, dual
-graphs, adapted symplectic bases, and the homology action of shears."""
+graphs, adapted symplectic bases, and the transport of chains through
+shears and rotations."""
 
 from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
 from fraction_oracle import det_rational
 from squaretiled.cylinders import horizontal_decomposition, \
     periodic_decomposition
 from squaretiled.homology import (
+    HomologyBasis,
     adapted_basis,
     core_curve_class,
     core_span_rank,
     dual_graph,
     homology_basis,
-    letter_action_matrix,
-    relabel_action_matrix,
-    word_action_matrix,
+    transport_chains,
 )
-from squaretiled.intlinalg import mat_mul, mat_vec
+from squaretiled.intlinalg import identity_matrix
+from squaretiled.monodromy import homology_action
 from squaretiled.surface import act_sl2z, singularity_data, word_matrix
+
+LETTERS = ("T", "T^-1", "S")
 
 
 def test_rank_is_twice_genus():
@@ -107,42 +110,49 @@ def test_adapted_basis_core_block():
 
 
 def test_letter_action_preserves_intersection(rng):
+    """Every letter, and random words, send the basis cycles to cycles on
+    the transformed origami whose intersection numbers are ``omega``."""
+    letters = [("T",), ("T^-1",), ("S",)]
     for _ in range(12):
         o = random_origami(rng)
         b = homology_basis(o)
-        for letter in ("T", "T^-1", "S"):
-            target, m = letter_action_matrix(o, letter, source=b)
-            mt = [[m[i][j] for i in range(len(m))] for j in range(len(m))]
-            assert mat_mul(mt, mat_mul(target.omega, m)) == b.omega
+        words = letters + [[rng.choice(LETTERS) for _ in range(3)]]
+        for word in words:
+            target_o, images = transport_chains(o, word, b.basis_chains)
+            assert target_o == act_sl2z(o, word)
+            target = HomologyBasis(target_o)
+            for x in images:
+                target.coords(x)   # raises unless x is a cycle
+            assert [[target.pair_chains(x, y) for y in images]
+                    for x in images] == b.omega
 
 
 def test_word_action_composes(rng):
+    """Transporting by ``w1 + w2`` is transporting by ``w1`` and then by
+    ``w2``, chain for chain."""
     for _ in range(8):
         o = random_origami(rng)
         b = homology_basis(o)
-        w1 = [rng.choice(["T", "T^-1", "S"]) for _ in range(2)]
-        w2 = [rng.choice(["T", "T^-1", "S"]) for _ in range(2)]
-        t1, m1 = word_action_matrix(o, w1, source=b)
-        o1 = act_sl2z(o, w1)
-        t2, m2 = word_action_matrix(o1, w2, source=t1)
-        t12, m12 = word_action_matrix(o, w1 + w2, source=b)
-        assert mat_mul(m2, m1) == m12
+        w1 = [rng.choice(LETTERS) for _ in range(2)]
+        w2 = [rng.choice(LETTERS) for _ in range(2)]
+        o1, chains1 = transport_chains(o, w1, b.basis_chains)
+        assert transport_chains(o1, w2, chains1) == \
+            transport_chains(o, w1 + w2, b.basis_chains)
 
 
 def test_holonomy_transforms_by_word_matrix(rng):
     for _ in range(10):
         o = random_origami(rng)
         b = homology_basis(o)
-        word = [rng.choice(["T", "T^-1", "S"]) for _ in range(3)]
-        target, m = word_action_matrix(o, word, source=b)
+        word = [rng.choice(LETTERS) for _ in range(3)]
+        target_o, images = transport_chains(o, word, b.basis_chains)
+        target = HomologyBasis(target_o)
         a = word_matrix(word)
         hx, hy = b.holonomy_covectors()
         tx, ty = target.holonomy_covectors()
-        for col in range(b.rank):
-            e = [1 if i == col else 0 for i in range(b.rank)]
-            img = mat_vec(m, e)
-            x0 = sum(p * q for p, q in zip(hx, e))
-            y0 = sum(p * q for p, q in zip(hy, e))
+        for col, image in enumerate(images):
+            img = target.coords(image)
+            x0, y0 = hx[col], hy[col]
             x1 = sum(p * q for p, q in zip(tx, img))
             y1 = sum(p * q for p, q in zip(ty, img))
             assert (x1, y1) == (a[0][0] * x0 + a[0][1] * y0,
@@ -150,9 +160,10 @@ def test_holonomy_transforms_by_word_matrix(rng):
 
 
 def test_relabel_action_identity():
+    """The empty word and ``S^4``, relabelled by the identity, act as the
+    identity matrix."""
     o = wollmilchsau()
     b = homology_basis(o)
-    ident = relabel_action_matrix(b, b, tuple(range(o.n)))
-    n = b.rank
-    assert ident == [[1 if i == j else 0 for j in range(n)]
-                     for i in range(n)]
+    ident = identity_matrix(b.rank)
+    for word in ((), ("S",) * 4):
+        assert homology_action(o, (word, tuple(range(o.n))), b) == ident

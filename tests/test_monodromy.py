@@ -7,12 +7,14 @@ import random
 
 import pytest
 
+import action_oracle
 from conftest import l_origami, torus, wollmilchsau, random_origami, \
     random_unimodular
 from fraction_oracle import holonomy_kernel, invert_unimodular
 from squaretiled.cylinders import classify_case, periodic_decomposition
 from squaretiled.errors import NotAStabilizer
-from squaretiled.homology import core_span_rank, dual_graph, homology_basis
+from squaretiled.homology import HomologyBasis, core_span_rank, dual_graph, \
+    homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
     closure_classify,
@@ -65,6 +67,37 @@ def test_action_is_functorial(rng):
         for m in mats:
             mt = [[m[i][j] for i in range(n)] for j in range(n)]
             assert mat_mul(mt, mat_mul(omega, m)) == omega
+
+
+def test_action_matches_the_per_letter_oracle(monkeypatch):
+    """Every bound-3 stabilizer generator of the reference, of the H(4)
+    surface and of random origamis gets the matrix of the per-letter
+    oracle, and the chain transport builds no homology basis beyond the
+    one it is given."""
+    rng = random.Random(1414)
+    surfaces = [wollmilchsau(), parse_origami(H4_LINE)]
+    surfaces += [random_origami(rng) for _ in range(40)]
+    built = []
+    init = HomologyBasis.__init__
+
+    def counting_init(self, o):
+        built.append(o)
+        init(self, o)
+
+    checked = 0
+    for o in surfaces:
+        b = homology_basis(o)
+        for gen in stabilizer_generators(o, 3):
+            expected = action_oracle.homology_action(o, gen, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(HomologyBasis, "__init__", counting_init)
+                assert homology_action(o, gen, b) == expected, (o, gen[0])
+            checked += 1
+    assert checked == 160 and built == []
+    with monkeypatch.context() as patch:
+        patch.setattr(HomologyBasis, "__init__", counting_init)
+        homology_action(o, gen)
+    assert built == [o]
 
 
 def test_zero_holonomy_subspace_is_invariant():
