@@ -94,10 +94,12 @@ def test_action_matches_the_per_letter_oracle(monkeypatch):
                 assert homology_action(o, gen, b) == expected, (o, gen[0])
             checked += 1
     assert checked == 160 and built == []
+    # the counter does see the basis built when none is passed
+    reference = surfaces[0]
     with monkeypatch.context() as patch:
         patch.setattr(HomologyBasis, "__init__", counting_init)
-        homology_action(o, gen)
-    assert built == [o]
+        homology_action(reference, stabilizer_generators(reference, 1)[0])
+    assert built == [reference]
 
 
 def test_zero_holonomy_subspace_is_invariant():
