@@ -8,7 +8,7 @@ Modules
   carrying rational-length data
 - :mod:`squaretiled.cylinders` — cylinder decompositions, diagrams, moduli
 - :mod:`squaretiled.homology` — integer homology, intersection form, dual
-  graphs of cylinder pinches, adapted symplectic bases
+  graphs of cylinder pinches
 - :mod:`squaretiled.jump` — leading-order series along a degeneration and
   the two analytic forcing arguments
 - :mod:`squaretiled.transverse` — exact interval maps and transverse-cylinder

@@ -79,8 +79,8 @@ def _cmd_monodromy(args):
     o = _load_origami(args.file)
     basis = homology_basis(o)
     gens = stabilizer_generators(o, args.word_bound)
-    print("surface: %s, genus %d" % (singularity_data(o),
-                                     singularity_data(o).genus))
+    stratum = singularity_data(o)
+    print("surface: %s, genus %d" % (stratum, stratum.genus))
     print("stabilizer words up to length %d: %d"
           % (args.word_bound, len(gens)))
     matrices = [homology_action(o, gen, basis) for gen in gens]
@@ -98,7 +98,7 @@ def _cmd_monodromy(args):
     else:
         print("restricted closure: Unbounded (element of infinite order, "
               "witness word length %d)" % len(closure.witness))
-    if singularity_data(o).genus >= 2:
+    if stratum.genus >= 2:
         report = forni_upper_bound(o, args.direction_bound)
         print("isometric-subspace dimension bound: %d" % report.upper_bound)
     return 0

@@ -56,11 +56,6 @@ class Cylinder:
     height: Fraction
 
     @property
-    def squares(self):
-        """All squares of the cylinder."""
-        return tuple(sq for row in self.rows for sq in row)
-
-    @property
     def modulus(self) -> Fraction:
         """height / circumference."""
         return self.height / self.circumference
@@ -343,9 +338,6 @@ class CylinderDecomposition:
     def area(self) -> Fraction:
         return sum((c.circumference * c.height for c in self.cylinders), Fraction(0))
 
-    def cylinder(self, cid) -> Cylinder:
-        return self.cylinders[cid]
-
     def core_row(self, cid):
         """The bottom row of cylinder ``cid``; its squares' bottom edges sum
         to a core-curve representative."""
@@ -624,8 +616,8 @@ def moduli_exponents(d):
     Integer exponents ``r_e`` proportional to the cylinder moduli with
     overall gcd one.
 
-    Accepts a :class:`CylinderDecomposition`, a net, or a plain iterable of
-    exact rational moduli.
+    Accepts a :class:`CylinderDecomposition` or a plain iterable of exact
+    rational moduli.
 
     EXAMPLES::
 
@@ -635,8 +627,7 @@ def moduli_exponents(d):
         (1, 1)
     """
     if hasattr(d, "cylinders"):
-        cyls = d.cylinders.values() if isinstance(d.cylinders, dict) else d.cylinders
-        moduli = [c.modulus for c in cyls]
+        moduli = [c.modulus for c in d.cylinders]
     else:
         moduli = list(d)
     if not moduli:

@@ -1,7 +1,7 @@
 r"""
 Integer homology of an origami with its intersection form, dual graphs of
-cylinder pinches, symplectic bases adapted to a pinch, and the transport
-of chains through the ``SL(2, Z)`` generators.
+cylinder pinches, and the transport of chains through the ``SL(2, Z)``
+generators.
 
 The square tiling is a cell complex: one vertex per cone-point corner
 class, edges ``h_i`` (bottom side of square ``i``) and ``v_i`` (left side),
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .intlinalg import mat_vec, smith_normal_form, snf_rank, solve_integer
+from .intlinalg import mat_vec, smith_normal_form, snf_rank
 from .surface import Origami, act_sl2z, perm_inverse, singularity_data
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,6 @@ class HomologyBasis:
         _require(len(parent) == self.num_vertices, "complex must be connected")
         self._tree_parent = parent
         self.nontree_edges = [e for e in range(2 * n) if not in_tree[e]]
-        self._nontree_index = {e: k for k, e in enumerate(self.nontree_edges)}
 
         # fundamental cycle of each non-tree edge
         self.fundamental_cycles = []
@@ -461,243 +460,6 @@ def core_span_rank(d) -> int:
     basis = homology_basis(d.origami)
     rows = [core_curve_class(d, c.id, basis) for c in d.cylinders]
     return snf_rank(smith_normal_form(rows)[1])
-
-
-# ---------------------------------------------------------------------------
-# adapted symplectic bases
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AdaptedBasis:
-    """A symplectic basis adapted to a cylinder pinch.
-
-    Indices ``0..g_prime-1`` carry pairs supported on single positive-genus
-    components (``component_assignment`` maps the index to the dual-graph
-    vertex); indices ``g_prime..g-1`` have core-curve alphas
-    (``core_flags`` maps the index to the cylinder id).
-    ``cylinder_cores`` stores the core class of every cylinder, independent
-    subset or not, for intersection bookkeeping.
-    """
-
-    alphas: list
-    betas: list
-    g_prime: int
-    core_flags: dict
-    component_assignment: dict
-    basis: HomologyBasis
-    graph: DualGraph
-    cylinder_cores: dict
-
-    @property
-    def genus(self):
-        return len(self.alphas)
-
-    def pair(self, a, b):
-        return self.basis.pair(a, b)
-
-
-def _symplectic_pairs(vectors, pair_fn):
-    """Integer symplectic Gram-Schmidt: return (pairs, radical) where pairs
-    are (a, b) with <a,b> = 1 and everything else orthogonal."""
-    work = [list(v) for v in vectors]
-    pairs = []
-    while True:
-        k = len(work)
-        p = [[pair_fn(work[i], work[j]) for j in range(k)] for i in range(k)]
-        best = None
-        for i in range(k):
-            for j in range(k):
-                if p[i][j] != 0 and (best is None or abs(p[i][j]) < abs(p[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            return pairs, work
-        a, b = best
-        m = p[a][b]
-        if m < 0:
-            a, b = b, a
-            m = -m
-        if m > 1:
-            reduced = False
-            for c in range(k):
-                if c in (a, b):
-                    continue
-                if p[a][c] % m != 0:
-                    q = p[a][c] // m
-                    work[c] = [x - q * y for x, y in zip(work[c], work[b])]
-                    reduced = True
-                elif p[b][c] % m != 0:
-                    q = p[b][c] // m
-                    work[c] = [x + q * y for x, y in zip(work[c], work[a])]
-                    reduced = True
-            _require(reduced, "component pairing is not unimodular; no "
-                              "symplectic basis")
-            continue
-        alpha, beta = work[a], work[b]
-        rest = [work[c] for c in range(k) if c not in (a, b)]
-        cleaned = []
-        for c in rest:
-            c1 = [x - pair_fn(alpha, c) * y for x, y in zip(c, beta)]
-            c2 = [x + pair_fn(beta, c1) * y for x, y in zip(c1, alpha)]
-            cleaned.append(c2)
-        pairs.append((alpha, beta))
-        work = cleaned
-
-
-def adapted_basis(d) -> AdaptedBasis:
-    r"""
-    Construct a symplectic basis adapted to the pinch of ``d``.
-
-    For every positive-genus component of the cut surface, a symplectic
-    basis supported on that component is extracted from the cycle space of
-    its boundary graph; a maximal independent subset of core-curve classes
-    (lowest cylinder id first) supplies the remaining alphas, and their
-    betas are completed by integer linear algebra.
-
-    EXAMPLES::
-
-        >>> from squaretiled.surface import build_origami
-        >>> from squaretiled.cylinders import horizontal_decomposition
-        >>> ab = adapted_basis(horizontal_decomposition(build_origami((0,), (0,))))
-        >>> ab.g_prime, ab.core_flags
-        (0, {0: 0})
-    """
-    basis = homology_basis(d.origami)
-    graph = dual_graph(d)
-    g = basis.rank // 2
-    # the unit edges of each saddle: a bottom run starts at a marked
-    # corner of the bottom row, so it never wraps
-    saddle_squares = {}
-    for cid, word in d.diagram.bottom_words.items():
-        row = d.core_row(cid)
-        for sid in word:
-            a = d.bottom_positions[cid][sid]
-            saddle_squares[sid] = row[a:a + d.saddle_lengths[sid]]
-
-    comp_pairs = []  # (vertex id, [(alpha, beta), ...])
-    for (vid, genus), saddles in zip(graph.vertices, graph.vertex_saddles):
-        if genus == 0:
-            continue
-        # cycle space of the component's boundary graph (vertices = zeros,
-        # edges = saddles), as chains on the square complex
-        zeros = sorted({z for sid in saddles
-                        for z in d.diagram.saddle_zeros[sid]})
-        tree = {zeros[0]: None}
-        in_tree = set()
-        changed = True
-        while changed:
-            changed = False
-            for sid in saddles:
-                if sid in in_tree:
-                    continue
-                a, b = d.diagram.saddle_zeros[sid]
-                if a in tree and b not in tree:
-                    tree[b] = (sid, +1)
-                    in_tree.add(sid)
-                    changed = True
-                elif b in tree and a not in tree:
-                    tree[a] = (sid, -1)
-                    in_tree.add(sid)
-                    changed = True
-        _require(len(tree) == len(zeros),
-                 "component boundary graph must be connected")
-
-        def saddle_chain(sid):
-            chain = _zero_chain(d.origami.n)
-            for sq in saddle_squares[sid]:
-                chain[sq] += 1
-            return chain
-
-        def path_to_root(z):
-            chain = _zero_chain(d.origami.n)
-            while tree[z] is not None:
-                sid, direction = tree[z]
-                chain = _add_chain(chain, saddle_chain(sid), -direction)
-                a, b = d.diagram.saddle_zeros[sid]
-                z = a if direction == +1 else b
-            return chain
-
-        candidates = []
-        for sid in saddles:
-            if sid in in_tree:
-                continue
-            a, b = d.diagram.saddle_zeros[sid]
-            cyc = saddle_chain(sid)
-            cyc = _add_chain(cyc, path_to_root(b), +1)
-            cyc = _add_chain(cyc, path_to_root(a), -1)
-            candidates.append(basis.coords(cyc))
-        pairs, _radical = _symplectic_pairs(candidates, basis.pair)
-        _require(len(pairs) == genus,
-                 "component symplectic rank must match genus")
-        comp_pairs.append((vid, pairs))
-
-    cylinder_cores = {c.id: basis.coords(core_curve_chain(d, c.id))
-                      for c in d.cylinders}
-    core_subset = []
-    for cid in sorted(cylinder_cores):
-        rows = [cylinder_cores[c] for c in core_subset + [cid]]
-        if snf_rank(smith_normal_form(rows)[1]) == len(rows):
-            core_subset.append(cid)
-
-    alphas, betas = [], []
-    component_assignment = {}
-    for vid, pairs in sorted(comp_pairs):
-        for alpha, beta in pairs:
-            component_assignment[len(alphas)] = vid
-            alphas.append(alpha)
-            betas.append(beta)
-    g_prime = len(alphas)
-    _require(g_prime == graph.geometric_genus,
-             "component pairs must match the geometric genus")
-    _require(g_prime + len(core_subset) == g,
-             "component pairs and core curves must fill the genus")
-
-    core_flags = {}
-    for cid in core_subset:
-        core_flags[len(alphas)] = cid
-        alphas.append(cylinder_cores[cid])
-
-    # complete the core alphas to a symplectic basis: solve for integral
-    # betas pairing 1 with their own core and 0 with everything else chosen
-    known = [(vec, 0) for vec in alphas[:g_prime]] + \
-            [(vec, 0) for vec in betas[:g_prime]]
-    core_betas = []
-    for j, cid in enumerate(core_subset):
-        rows, rhs = [], []
-        for vec, _ in known:
-            rows.append(mat_vec(basis.omega, vec))
-            rhs.append(0)
-        for m, cid_m in enumerate(core_subset):
-            rows.append(mat_vec(basis.omega, alphas[g_prime + m]))
-            rhs.append(1 if m == j else 0)
-        # <u, x> = u^T Omega x = ((Omega^T) u)^T x and Omega^T = -Omega
-        rows = [[-x for x in row] for row in rows]
-        sol = solve_integer(rows, rhs)
-        _require(sol is not None, "symplectic completion must exist")
-        core_betas.append(sol)
-    # zero the beta-beta pairings without disturbing anything else
-    for j in range(len(core_betas)):
-        for m in range(j):
-            t = basis.pair(core_betas[m], core_betas[j])
-            if t:
-                core_betas[j] = _add_chain(core_betas[j], alphas[g_prime + m], t)
-    betas.extend(core_betas)
-
-    ab = AdaptedBasis(alphas, betas, g_prime, core_flags,
-                      component_assignment, basis, graph, cylinder_cores)
-    _check_symplectic(ab)
-    return ab
-
-
-def _check_symplectic(ab: AdaptedBasis):
-    g = ab.genus
-    for i in range(g):
-        for j in range(g):
-            delta = 1 if i == j else 0
-            _require(ab.pair(ab.alphas[i], ab.alphas[j]) == 0
-                     and ab.pair(ab.betas[i], ab.betas[j]) == 0
-                     and ab.pair(ab.alphas[i], ab.betas[j]) == delta,
-                     "adapted basis must be symplectic")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Everything in this module works with plain Python lists of lists of
 exactness win over asymptotics.
 
 Every fact is read off one Smith normal form, which comes with its two
-unimodular transforms and their inverses: rank, integer solvability,
-integer kernels, quotient-lattice bases and unimodularity.
+unimodular transforms and their inverses: rank, integer kernels,
+quotient-lattice bases and unimodularity.
 
 EXAMPLES::
 
@@ -181,33 +181,3 @@ def smith_normal_form(a):
 def snf_rank(s):
     """Number of nonzero diagonal entries of a Smith form matrix."""
     return sum(1 for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0)
-
-
-def solve_integer(a, b):
-    r"""
-    Return an integer solution ``x`` of ``a @ x == b``, or ``None``.
-
-    EXAMPLES::
-
-        >>> solve_integer([[2, 0], [0, 3]], [4, 9])
-        [2, 3]
-        >>> solve_integer([[2]], [3]) is None
-        True
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u, s, v, _, _ = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * n
-    r = min(m, n)
-    for i in range(m):
-        d = s[i][i] if i < r else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(v, y)
-

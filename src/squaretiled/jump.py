@@ -27,7 +27,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import InvariantViolation, ShapeMismatch, ZeroNodeValue
-from .homology import AdaptedBasis, DualGraph
+from .homology import DualGraph
 
 
 def _frac(x):
@@ -235,28 +235,6 @@ class WeightedDualGraph:
                 raise ValueError("edge exponent must be >= 1")
             if _frac(self.a_e[e]) == 0:
                 raise ZeroNodeValue("edge scale a_e must be nonzero")
-
-
-def log_coefficient(basis: AdaptedBasis, i, j):
-    r"""
-    Per-cylinder coefficient of ``ln(s_e)`` in the ``(i, j)`` period:
-    the product of intersection numbers of the cylinder's core class with
-    the two beta classes.  Indices are 0-based into the adapted basis.
-
-    EXAMPLES::
-
-        >>> from squaretiled.surface import build_origami
-        >>> from squaretiled.cylinders import horizontal_decomposition
-        >>> from squaretiled.homology import adapted_basis
-        >>> ab = adapted_basis(horizontal_decomposition(build_origami((0,), (0,))))
-        >>> log_coefficient(ab, 0, 0)
-        {0: 1}
-    """
-    out = {}
-    for cid, core in sorted(basis.cylinder_cores.items()):
-        out[cid] = basis.pair(core, basis.betas[i]) * \
-            basis.pair(core, basis.betas[j])
-    return out
 
 
 # ---------------------------------------------------------------------------

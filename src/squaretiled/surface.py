@@ -266,24 +266,11 @@ LETTER_MATRICES = {
 }
 
 
-def act_letter(o: Origami, letter: str) -> Origami:
-    r"""
-    Apply one generator: ``T`` is the full right Dehn shear of every
-    horizontal cylinder, ``S`` the counterclockwise quarter turn.  This is
-    ``act_sl2z(o, (letter,))``.
-
-    EXAMPLES::
-
-        >>> o = build_origami((1, 2, 0), (0, 1, 2))
-        >>> act_letter(o, "S").h
-        (0, 1, 2)
-    """
-    return act_sl2z(o, (letter,))
-
-
 def act_sl2z(o: Origami, word) -> Origami:
     r"""
-    Apply a word over ``{"T", "T^-1", "S"}``, first letter first.
+    Apply a word over ``{"T", "T^-1", "S"}``, first letter first: ``T``
+    is the full right Dehn shear of every horizontal cylinder, ``S`` the
+    counterclockwise quarter turn.
 
     On permutation pairs: ``T: (h, v) ↦ (h, v∘h⁻¹)``,
     ``T^-1: (h, v) ↦ (h, v∘h)``, ``S: (h, v) ↦ (v, h⁻¹)``.  The result

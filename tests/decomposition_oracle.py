@@ -204,7 +204,7 @@ def decomposition_with_saddles(o, word=(), direction=(1, 0)):
         top_positions=top_positions,
         genus=None,
     )
-    if sum(len(c.squares) for c in cylinders) != n:
+    if sum(len(row) for c in cylinders for row in c.rows) != n:
         raise InvariantViolation("cylinder areas must sum to the number of "
                                  "squares")
     return d, saddles

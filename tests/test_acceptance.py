@@ -17,10 +17,9 @@ from conftest import (
 from test_transverse import brute_window_point, total_length
 from squaretiled.cylinders import classify_case, horizontal_decomposition, \
     periodic_decomposition
-from squaretiled.homology import adapted_basis, core_curve_class, \
-    dual_graph, homology_basis
-from squaretiled.jump import case3_verdict, case6_moduli_forcing, \
-    log_coefficient
+from squaretiled.homology import core_curve_class, dual_graph, \
+    homology_basis
+from squaretiled.jump import case3_verdict, case6_moduli_forcing
 from squaretiled.monodromy import closure_classify, homology_action, \
     restrict_to_zero_holonomy, stabilizer_generators
 from squaretiled.pipeline import classify_surface, enumerate_diagrams, \
@@ -179,24 +178,6 @@ def test_criterion_8_structural_suites():
         maps_checked = 0
         for o in corpus:
             d = horizontal_decomposition(o)
-            ab = adapted_basis(d)
-            n = len(ab.alphas)
-            for i in range(n):
-                for j in range(n):
-                    assert ab.pair(ab.alphas[i], ab.alphas[j]) == 0
-                    assert ab.pair(ab.betas[i], ab.betas[j]) == 0
-                    assert ab.pair(ab.alphas[i], ab.betas[j]) == \
-                        (1 if i == j else 0)
-            g = ab.genus
-            for i in range(g):
-                for j in range(g):
-                    coeffs = log_coefficient(ab, i, j)
-                    assert coeffs == log_coefficient(ab, j, i)
-                    for cid, value in coeffs.items():
-                        ci = ab.pair(ab.betas[i], ab.cylinder_cores[cid])
-                        cj = ab.pair(ab.betas[j], ab.cylinder_cores[cid])
-                        assert value == ci * cj
-                        assert (value == 0) == (ci == 0 or cj == 0)
             net = decomposition_net(d)
             for ci in d.cylinders:
                 for cj in d.cylinders:

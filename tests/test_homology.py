@@ -1,14 +1,11 @@
 """Integer homology: ranks, the intersection pairing, holonomy, dual
-graphs, adapted symplectic bases, and the transport of chains through
-shears and rotations."""
+graphs, and the transport of chains through shears and rotations."""
 
 from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
 from fraction_oracle import det_rational
-from squaretiled.cylinders import horizontal_decomposition, \
-    periodic_decomposition
+from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.homology import (
     HomologyBasis,
-    adapted_basis,
     core_curve_class,
     core_span_rank,
     dual_graph,
@@ -81,32 +78,6 @@ def test_core_span_ranks():
     assert core_span_rank(d) == 1
     d5 = horizontal_decomposition(exemplar("Case5"))
     assert core_span_rank(d5) == 1
-
-
-def test_adapted_basis_is_symplectic(rng):
-    for _ in range(12):
-        o = random_origami(rng)
-        for slope in ((0, 1), (1, 1)):
-            d = periodic_decomposition(o, slope)
-            ab = adapted_basis(d)
-            n = len(ab.alphas)
-            assert len(ab.betas) == n
-            for i in range(n):
-                for j in range(n):
-                    assert ab.pair(ab.alphas[i], ab.alphas[j]) == 0
-                    assert ab.pair(ab.betas[i], ab.betas[j]) == 0
-                    assert ab.pair(ab.alphas[i], ab.betas[j]) == \
-                        (1 if i == j else 0)
-
-
-def test_adapted_basis_core_block():
-    d = horizontal_decomposition(wollmilchsau())
-    ab = adapted_basis(d)
-    assert ab.core_flags
-    for index, cid in ab.core_flags.items():
-        core = list(ab.cylinder_cores[cid])
-        alpha = list(ab.alphas[index])
-        assert alpha == core or alpha == [-x for x in core]
 
 
 def test_letter_action_preserves_intersection(rng):

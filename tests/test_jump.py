@@ -1,20 +1,18 @@
-"""Leading-order series arithmetic, the logarithmic period coefficients
-of an adapted basis, and the case-specific forcing verdicts."""
+"""Leading-order series arithmetic and the case-specific forcing
+verdicts."""
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import exemplar, wollmilchsau
-from squaretiled.cylinders import horizontal_decomposition
+from conftest import exemplar
 from squaretiled.errors import ShapeMismatch, ZeroNodeValue
-from squaretiled.homology import DualGraph, adapted_basis
+from squaretiled.homology import DualGraph
 from squaretiled.jump import (
     LeadingSeries,
     WeightedDualGraph,
     case3_verdict,
     case6_moduli_forcing,
-    log_coefficient,
     series_determinant,
 )
 from squaretiled.pipeline import classify_surface
@@ -56,29 +54,6 @@ def test_series_determinant_two_by_two():
     d = LeadingSeries.monomial(1, -1)
     det = series_determinant([[a, b], [c, d]])
     assert det == a * d - b * c
-
-
-def test_log_coefficient_symmetry():
-    ab = adapted_basis(horizontal_decomposition(wollmilchsau()))
-    g = ab.genus
-    for i in range(g):
-        for j in range(g):
-            assert log_coefficient(ab, i, j) == log_coefficient(ab, j, i)
-
-
-def test_log_coefficient_vanishing_condition():
-    """The ln(s) coefficient of a period vanishes exactly when, for every
-    cylinder, one of the two classes misses its core curve."""
-    ab = adapted_basis(horizontal_decomposition(wollmilchsau()))
-    g = ab.genus
-    for i in range(g):
-        for j in range(g):
-            coeffs = log_coefficient(ab, i, j)
-            for cid, value in coeffs.items():
-                ci = ab.pair(ab.betas[i], ab.cylinder_cores[cid])
-                cj = ab.pair(ab.betas[j], ab.cylinder_cores[cid])
-                assert value == ci * cj
-                assert (value == 0) == (ci == 0 or cj == 0)
 
 
 def case3_graph(n1, n2):

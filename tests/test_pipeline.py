@@ -1,6 +1,7 @@
 """End-to-end classification, diagram catalogs, report rendering, and the
 command-line entry points."""
 
+import ast
 import dataclasses
 import itertools
 import os
@@ -839,3 +840,19 @@ def test_checks_survive_python_O():
     assert forged.stdout.splitlines() == [
         "optimize=1 raised: intersection form must be skew",
         "optimize=1 raised: intersection form must be unimodular"]
+
+
+def test_no_assert_statement_in_the_package():
+    """``python -O`` strips ``assert`` statements, so every check in the
+    package is an explicit ``raise``; this keeps a new one out."""
+    package = os.path.dirname(pipeline.__file__)
+    modules = sorted(n for n in os.listdir(package) if n.endswith(".py"))
+    assert "pipeline.py" in modules
+    found = []
+    for name in modules:
+        path = os.path.join(package, name)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

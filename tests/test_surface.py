@@ -14,7 +14,6 @@ from squaretiled.errors import NegativeLength, NotTransitive
 from squaretiled.surface import (
     CylinderGeometry,
     Origami,
-    act_letter,
     act_sl2z,
     build_net,
     build_origami,
@@ -63,7 +62,7 @@ def test_action_letter_inverses():
     rng = random.Random(11)
     for _ in range(20):
         o = random_origami(rng)
-        assert act_letter(act_letter(o, "T"), "T^-1").v == o.v
+        assert act_sl2z(act_sl2z(o, ("T",)), ("T^-1",)).v == o.v
         assert act_sl2z(o, ["S", "S", "S", "S"]).h == o.h
 
 
@@ -74,13 +73,13 @@ def test_word_action_is_the_letter_fold(rng):
     for _ in range(200):
         o = random_origami(rng)
         h_inv = perm_inverse(o.h)
-        assert act_letter(o, "T") == Origami(o.h, perm_compose(o.v, h_inv))
-        assert act_letter(o, "T^-1") == Origami(o.h, perm_compose(o.v, o.h))
-        assert act_letter(o, "S") == Origami(o.v, h_inv)
+        assert act_sl2z(o, ("T",)) == Origami(o.h, perm_compose(o.v, h_inv))
+        assert act_sl2z(o, ("T^-1",)) == Origami(o.h, perm_compose(o.v, o.h))
+        assert act_sl2z(o, ("S",)) == Origami(o.v, h_inv)
         word = [rng.choice(letters) for _ in range(rng.randint(0, 9))]
         folded = o
         for letter in word:
-            folded = act_letter(folded, letter)
+            folded = act_sl2z(folded, (letter,))
         assert act_sl2z(o, word) == folded
         assert act_sl2z(o, tuple(word)) == folded
     o = random_origami(rng)
@@ -88,7 +87,7 @@ def test_word_action_is_the_letter_fold(rng):
         with pytest.raises(ValueError, match="unknown generator letter"):
             act_sl2z(o, word)
         with pytest.raises(ValueError, match="unknown generator letter"):
-            act_letter(o, word[-1])
+            act_sl2z(o, (word[-1],))
 
 
 def test_action_is_stratum_preserving(rng):
