@@ -63,8 +63,8 @@ class HomologyBasis:
     Attributes of interest: ``rank`` (2·genus), ``omega`` (the skew
     unimodular Gram matrix of the chosen basis), ``basis_chains`` (cycle
     representatives).  Use :meth:`coords` for the coordinate vector of a
-    cycle on the complex, and :meth:`pair_chains` / :meth:`pair` for
-    intersection numbers.
+    cycle on the complex, and :meth:`pair_chains` for intersection
+    numbers.
     """
 
     def __init__(self, o: Origami):
@@ -277,12 +277,6 @@ class HomologyBasis:
             total += x[o.v[i]] * yb[n + i]
             total -= x[n + o.h[i]] * yb[i]
         return total
-
-    def pair(self, a, b):
-        """Intersection number of two classes in homology coordinates."""
-        return sum(a[i] * self.omega[i][j] * b[j]
-                   for i in range(self.rank) for j in range(self.rank)
-                   if a[i] and self.omega[i][j])
 
     def holonomy_covectors(self):
         """Two integer covectors evaluating horizontal and vertical holonomy

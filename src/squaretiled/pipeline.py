@@ -29,7 +29,7 @@ EXAMPLES::
 from __future__ import annotations
 
 import functools
-import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -51,7 +51,6 @@ from .surface import (
     build_origami,
     origami_isomorphism,
     perm_from_cycles,
-    singularity_data,
 )
 from .transverse import (
     WindowConstraint,
@@ -68,6 +67,7 @@ def reference_surface() -> Origami:
 
     EXAMPLES::
 
+        >>> from squaretiled.surface import singularity_data
         >>> str(singularity_data(reference_surface()))
         'H(1,1,1,1)'
     """
@@ -409,21 +409,72 @@ def _as_stratum(stratum):
     return Stratum(kappa, (sum(kappa) + 2) // 2)
 
 
+def _gluings(h, images, kappa):
+    """In lexicographic order, the ``v`` with ``v[j]`` in ``images[j]``
+    whose corner cycles have the lengths ``k + 1``, ``k`` in ``kappa``."""
+    n = len(h)
+    # c(v(h(p))) = h(v(p)) is known once the later of p, h(p) is placed
+    due = [[p for p in range(n) if max(p, h[p]) == j] for j in range(n)]
+    need = Counter(k + 1 for k in kappa)
+    longest = max(need)
+    v, used, trail = [-1] * n, [False] * n, []
+    # the known corner entries form chains: first[t] starts the chain that
+    # ends at t, last[s] ends the chain that starts at s, size[s] counts it
+    first, last, size = list(range(n)), list(range(n)), [1] * n
+
+    def link(a, b):
+        """Add ``c(a) = b`` unless that closes an unneeded cycle length or
+        makes a chain longer than the longest cycle."""
+        s, t = first[a], last[b]
+        if s == b:
+            if not need[size[b]]:
+                return False
+            need[size[b]] -= 1
+        elif size[s] + size[b] > longest:
+            return False
+        trail.append((s, t, a, b, size[s]))
+        if s != b:
+            last[s], first[t], size[s] = t, s, size[s] + size[b]
+        return True
+
+    def place(j):
+        if j == n:
+            yield tuple(v)
+            return
+        for x in images[j]:
+            if used[x]:
+                continue
+            v[j], mark = x, len(trail)
+            if all(link(v[h[p]], h[v[p]]) for p in due[j]):
+                used[x] = True
+                yield from place(j + 1)
+                used[x] = False
+            while len(trail) > mark:
+                s, t, a, b, old = trail.pop()
+                if s == b:
+                    need[old] += 1
+                last[s], first[t], size[s] = a, b, old
+            v[j] = -1
+
+    return place(0)
+
+
+def _first_diagrams(h, images, stratum, cylinders):
+    """The diagram of the first gluing of each key, in key order."""
+    seen = {}
+    for v in _gluings(h, images, stratum.kappa):
+        d = horizontal_decomposition(Origami(h, v))
+        if len(d.cylinders) != cylinders or cylinders == 2 and \
+                classify_case(dual_graph(d)) is not CaseLabel.CASE6:
+            continue
+        seen.setdefault(d.diagram.canonical_key(), d.diagram)
+    return tuple(seen[key] for key in sorted(seen))
+
+
 def _one_cylinder_diagrams(stratum: Stratum):
     m = sum(stratum.kappa) + len(stratum.kappa)
     h = tuple((i + 1) % m for i in range(m))
-    seen = {}
-    # v and h^a v differ by a twist of the single cylinder, which changes
-    # neither the diagram nor the stratum: v[0] = 0 reaches every diagram
-    for rest in itertools.permutations(range(1, m)):
-        o = build_origami(h, (0,) + rest)
-        if singularity_data(o).kappa != stratum.kappa:
-            continue
-        d = horizontal_decomposition(o)
-        if len(d.cylinders) != 1:
-            continue
-        seen.setdefault(d.diagram.canonical_key(), d.diagram)
-    return tuple(seen[k] for k in sorted(seen))
+    return _first_diagrams(h, [(0,)] + [range(1, m)] * (m - 1), stratum, 1)
 
 
 def _case6_diagrams(stratum: Stratum):
@@ -432,34 +483,27 @@ def _case6_diagrams(stratum: Stratum):
         return ()
     k = total // 2
     h = perm_from_cycles([tuple(range(k)), tuple(range(k, 2 * k))], 2 * k)
-    top1 = tuple(range(k))
-    bottom2 = tuple(range(k, 2 * k))
-    seen = {}
-    for img1 in itertools.permutations(bottom2):
-        for img2 in itertools.permutations(top1):
-            v = [0] * (2 * k)
-            for i, j in zip(top1, img1):
-                v[i] = j
-            for i, j in zip(bottom2, img2):
-                v[i] = j
-            o = build_origami(h, tuple(v))
-            if singularity_data(o).kappa != stratum.kappa:
-                continue
-            d = horizontal_decomposition(o)
-            if len(d.cylinders) != 2:
-                continue
-            if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
-                continue
-            seen.setdefault(d.diagram.canonical_key(), d.diagram)
-    return tuple(seen[key] for key in sorted(seen))
+    images = ([(k,)] + [range(k + 1, 2 * k)] * (k - 1)
+              + [(0,)] + [range(1, k)] * (k - 1))
+    return _first_diagrams(h, images, stratum, 2)
 
 
 def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     r"""
-    Exhaustive catalog of cylinder diagrams in a genus <= 3 stratum, up to
-    relabeling and boundary rotation.  ``shape`` is ``"one_cylinder"`` for
-    single-cylinder diagrams or ``"case6"`` for two cylinders exchanging
-    their boundaries.
+    Exhaustive catalog of cylinder diagrams in a genus 2 or 3 stratum, up
+    to relabeling and boundary rotation.  ``shape`` is ``"one_cylinder"``
+    for single-cylinder diagrams or ``"case6"`` for two cylinders
+    exchanging their boundaries.  Zero orders must be positive.
+
+    ``h`` is one cycle, or two ``k``-cycles glued top to bottom, on
+    ``sum(k_i + 1)`` squares, so every corner is a zero.  The gluings ``v``
+    are searched in lexicographic order, square by square; the corner
+    permutation ``c(v(h(j))) = h(v(j))`` grows once ``v[j]`` and
+    ``v[h[j]]`` are placed, and a branch is cut when a corner cycle closes
+    with a length ``k_i + 1`` not still needed or a corner chain outgrows
+    the longest.  A cylinder twist rotates its block of ``v`` and keeps the
+    diagram, so each block starts at its smallest image (``v[0] = 0``; or
+    ``v[0] = k``, ``v[k] = 0``), as the first ``v`` of every diagram does.
 
     EXAMPLES::
 
@@ -469,8 +513,8 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
         1
     """
     stratum = _as_stratum(stratum)
-    if stratum.genus > 3:
-        raise ValueError("catalogs cover genus at most 3")
+    if not 2 <= stratum.genus <= 3:
+        raise ValueError("catalogs cover genus 2 and 3")
     if shape == "one_cylinder":
         diagrams = _one_cylinder_diagrams(stratum)
     elif shape == "case6":

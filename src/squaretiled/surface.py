@@ -185,6 +185,8 @@ class Stratum:
     genus: int
 
     def __post_init__(self):
+        if any(k < 1 for k in self.kappa):
+            raise ValueError(f"zero orders {self.kappa} must be positive")
         if sum(self.kappa) != 2 * self.genus - 2:
             raise ValueError(
                 f"kappa {self.kappa} incompatible with genus {self.genus}"

@@ -1,0 +1,74 @@
+"""Slow, independent diagram catalogs: build and validate every candidate
+gluing ``v`` of the one-cylinder and two-cylinder ``h``, read its stratum
+with ``singularity_data`` and keep the diagram of the first candidate of
+each canonical key.  The reference that the pruned corner-cycle search of
+``squaretiled.pipeline.enumerate_diagrams`` is compared against, entry by
+entry.
+
+The one-cylinder scan fixes ``v[0] = 0`` (a twist of the cylinder) and
+tries the ``(m - 1)!`` others; the Case 6 scan fixes no twist and tries all
+``k!**2`` gluings of the two cylinders.
+"""
+
+import itertools
+
+from squaretiled.cylinders import (
+    CaseLabel,
+    classify_case,
+    horizontal_decomposition,
+)
+from squaretiled.homology import dual_graph
+from squaretiled.surface import (
+    Stratum,
+    build_origami,
+    perm_from_cycles,
+    singularity_data,
+)
+
+
+def one_cylinder_diagrams(stratum: Stratum):
+    m = sum(stratum.kappa) + len(stratum.kappa)
+    h = tuple((i + 1) % m for i in range(m))
+    seen = {}
+    # v and h^a v differ by a twist of the single cylinder, which changes
+    # neither the diagram nor the stratum: v[0] = 0 reaches every diagram
+    for rest in itertools.permutations(range(1, m)):
+        o = build_origami(h, (0,) + rest)
+        if singularity_data(o).kappa != stratum.kappa:
+            continue
+        d = horizontal_decomposition(o)
+        if len(d.cylinders) != 1:
+            continue
+        seen.setdefault(d.diagram.canonical_key(), d.diagram)
+    return tuple(seen[k] for k in sorted(seen))
+
+
+def case6_diagrams(stratum: Stratum):
+    total = sum(stratum.kappa) + len(stratum.kappa)
+    if total % 2:
+        return ()
+    k = total // 2
+    h = perm_from_cycles([tuple(range(k)), tuple(range(k, 2 * k))], 2 * k)
+    top1 = tuple(range(k))
+    bottom2 = tuple(range(k, 2 * k))
+    seen = {}
+    for img1 in itertools.permutations(bottom2):
+        for img2 in itertools.permutations(top1):
+            v = [0] * (2 * k)
+            for i, j in zip(top1, img1):
+                v[i] = j
+            for i, j in zip(bottom2, img2):
+                v[i] = j
+            o = build_origami(h, tuple(v))
+            if singularity_data(o).kappa != stratum.kappa:
+                continue
+            d = horizontal_decomposition(o)
+            if len(d.cylinders) != 2:
+                continue
+            if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
+                continue
+            seen.setdefault(d.diagram.canonical_key(), d.diagram)
+    return tuple(seen[key] for key in sorted(seen))
+
+
+DIAGRAMS = {"one_cylinder": one_cylinder_diagrams, "case6": case6_diagrams}

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import catalog_oracle
 from conftest import EXEMPLARS, decomposition_net, exemplar, l_origami, \
     random_genus3, wollmilchsau
 from squaretiled.cli import main as cli_main
@@ -528,6 +529,20 @@ def test_case6_chain_builds_no_net(monkeypatch):
             EXPECTED_HORIZONTAL[name][1]
 
 
+def test_case6_unequal_moduli_are_forced_away():
+    # the reference diagram with cylinder heights 1 and 2
+    o = parse_origami('origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
+                      'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"')
+    verdict = classify_surface(o)
+    assert verdict.status == "TrivialForni"
+    horizontal = record_for(verdict, (0, 1))
+    assert horizontal.label == "Case6"
+    chain = horizontal.witness
+    assert not chain
+    assert chain.reason == "unequal moduli are forced away"
+    assert chain.forcing.branch == "unequal_exponents"
+
+
 def test_case6_nonreference_excluded_by_window():
     verdict = classify_surface(exemplar("Case6"))
     horizontal = record_for(verdict, (0, 1))
@@ -560,6 +575,37 @@ def test_one_cylinder_catalog_matches_brute_force(kappa):
     assert [d.canonical_key() for d in catalog.diagrams] == sorted(keys)
 
 
+CATALOG_STRATA = [(2,), (1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("kappa", CATALOG_STRATA,
+                         ids=lambda k: "H" + ",".join(map(str, k)))
+def test_catalog_matches_the_oracle(kappa):
+    # the same representative diagrams in the same order as the scan over
+    # every candidate gluing, not only the same keys
+    for shape, oracle in catalog_oracle.DIAGRAMS.items():
+        catalog = enumerate_diagrams(kappa, shape)
+        expected = oracle(catalog.stratum)
+        assert len(catalog.diagrams) == len(expected), shape
+        for got, want in zip(catalog.diagrams, expected):
+            assert got.bottom_words == want.bottom_words, shape
+            assert got.top_words == want.top_words, shape
+            assert got.saddle_zeros == want.saddle_zeros, shape
+
+
+@pytest.mark.parametrize("kappa", [(1, 1), (3, 1), (2, 1, 1)],
+                         ids=lambda k: "H" + ",".join(map(str, k)))
+def test_gluings_are_the_filtered_permutations_in_order(kappa):
+    # the pruned search against a filter of every permutation by the cycle
+    # lengths of its corner permutation
+    m = sum(kappa) + len(kappa)
+    h = tuple((i + 1) % m for i in range(m))
+    expected = [v for v in itertools.permutations(range(m))
+                if sorted(map(len, build_origami(h, v).vertex_orbits()))
+                == sorted(k + 1 for k in kappa)]
+    assert list(pipeline._gluings(h, [range(m)] * m, kappa)) == expected
+
+
 def test_case6_catalog_entry_is_the_reference_diagram():
     catalog = enumerate_diagrams((1, 1, 1, 1), "case6")
     ref = horizontal_decomposition(reference_surface())
@@ -572,6 +618,9 @@ def test_catalog_rejects_bad_input():
         enumerate_diagrams((1, 1), "three_cylinder")
     with pytest.raises(ValueError):
         enumerate_diagrams((8,), "one_cylinder")
+    for kappa in [(0,), (3, -1), (1, 1, 0), ()]:
+        with pytest.raises(ValueError):
+            enumerate_diagrams(kappa, "one_cylinder")
 
 
 def test_render_text_reports():
@@ -611,6 +660,16 @@ def test_cli_enumerate(capsys):
     assert cli_main(["enumerate", "--stratum", "1,1,1,1",
                      "--shape", "case6"]) == 0
     assert "1" in capsys.readouterr().out
+
+
+def test_cli_enumerate_rejects_nonpositive_orders(capsys):
+    for stratum, shape in [("-1,3", "one_cylinder"), ("0", "case6"),
+                           ("0", "one_cylinder"), ("1,1,0", "case6")]:
+        assert cli_main(["enumerate", "--stratum=" + stratum,
+                         "--shape", shape]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err
 
 
 def test_cli_monodromy(tmp_path, capsys):
