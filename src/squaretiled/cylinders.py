@@ -318,8 +318,7 @@ class CylinderDecomposition:
     integer start coordinate, in squares, of every saddle on that
     boundary; the bottom word starts at 0 and the top coordinates are
     reduced mod the circumference.  These are the metric data the
-    transverse-cylinder searches read, the same interface as a
-    :class:`~squaretiled.surface.FlatSurfaceNet`.  ``genus`` is the genus
+    transverse-cylinder searches read.  ``genus`` is the genus
     of ``origami``, read off the corner permutation that also marks the
     cone points.
     """

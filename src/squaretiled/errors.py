@@ -27,14 +27,6 @@ class Incommensurable(SquareTiledError, ValueError):
     """Cylinder moduli have an irrational ratio; no integer exponents exist."""
 
 
-class ShapeMismatch(SquareTiledError, ValueError):
-    """A weighted dual graph does not have the required reference shape."""
-
-
-class ZeroNodeValue(SquareTiledError, ValueError):
-    """A differential evaluation at a node was zero where nonzero is required."""
-
-
 class LengthMismatch(SquareTiledError, ValueError):
     """Two interfaces that should have equal total length do not."""
 

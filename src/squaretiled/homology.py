@@ -362,8 +362,8 @@ class DualGraph:
 
 def dual_graph(d) -> DualGraph:
     r"""
-    Dual graph of the pinch of decomposition ``d``, or of a metric net:
-    only ``d.diagram`` is read, and ``d.genus`` when ``d`` has one.
+    Dual graph of the pinch of decomposition ``d``: only ``d.diagram`` is
+    read, and ``d.genus`` when ``d`` has one.
 
     Vertices are the connected components obtained by cutting every
     cylinder along its core curve; the genus label is computed from the
@@ -436,24 +436,6 @@ def dual_graph(d) -> DualGraph:
         _require(g.geometric_genus + g.cycle_rank == genus,
                  "dual graph must carry the surface's genus")
     return g
-
-
-def core_span_rank(d) -> int:
-    r"""
-    Rank of the span of all core-curve classes of the decomposition.
-
-    EXAMPLES::
-
-        >>> from squaretiled.surface import build_origami, perm_from_cycles
-        >>> from squaretiled.cylinders import horizontal_decomposition
-        >>> o = build_origami(perm_from_cycles([(0, 1)], 3),
-        ...                   perm_from_cycles([(0, 2)], 3))
-        >>> core_span_rank(horizontal_decomposition(o))
-        2
-    """
-    basis = homology_basis(d.origami)
-    rows = [core_curve_class(d, c.id, basis) for c in d.cylinders]
-    return snf_rank(smith_normal_form(rows)[1])
 
 
 # ---------------------------------------------------------------------------

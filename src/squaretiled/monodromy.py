@@ -287,8 +287,8 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     dimension of an isometrically-moving subspace, with the per-direction
     case labels as evidence.  The core span rank of a direction is the
     :attr:`~squaretiled.homology.DualGraph.cycle_rank` of its pinch dual
-    graph (equal to :func:`~squaretiled.homology.core_span_rank`, which
-    builds a homology basis).
+    graph, which equals the rank of the span of the core-curve classes in
+    homology without building a homology basis.
 
     EXAMPLES::
 

@@ -43,7 +43,7 @@ from .cylinders import (
 )
 from .errors import GenusMismatch, InvariantViolation
 from .homology import dual_graph
-from .jump import WeightedDualGraph, case3_verdict, case6_moduli_forcing
+from .jump import case3_verdict, case6_moduli_forcing
 from .monodromy import enumerate_slopes
 from .surface import (
     Origami,
@@ -196,15 +196,13 @@ def _window_extraction(d, c1, c2):
             Fraction((gap - 2 * l_tau) % w, w))
 
 
-def _metric_chain(d, graph) -> EquivalenceResult:
+def _metric_chain(d) -> EquivalenceResult:
     """Moduli forcing plus window feasibility for one two-homologous-
     cylinder decomposition; truthy when the metric constraints are
     consistent with the reference surface (diagram not yet compared)."""
     cids = [c.id for c in d.cylinders]
     r1, r2 = moduli_exponents(d)
-    forcing = case6_moduli_forcing(r1, r2,
-                                   {"theta1_p1": 1, "theta2_p2": 1},
-                                   graph=graph)
+    forcing = case6_moduli_forcing(r1, r2)
     if forcing.verdict != "consistent":
         return EquivalenceResult(False, "unequal moduli are forced away",
                                  forcing=forcing)
@@ -263,17 +261,6 @@ def _reference_equivalence(d, chain) -> EquivalenceResult:
 # ---------------------------------------------------------------------------
 
 
-def _case3_weighted_graph(d, graph):
-    exps = moduli_exponents(d)
-    n_e = {c.id: exps[i] for i, c in enumerate(d.cylinders)}
-    a_e = {c.id: 1 for c in d.cylinders}
-    return WeightedDualGraph(graph, n_e, a_e)
-
-
-_GENERIC_CASE3_VALUES = {"theta1_p": 1, "theta1_q": 1,
-                         "theta3_0": 1, "theta3_1": 1}
-
-
 def _analyze_direction(d, slope):
     """Record for the direction of ``slope``, whose decomposition is
     ``d``, and ``True`` when the direction excludes a nontrivial
@@ -300,13 +287,17 @@ def _analyze_direction(d, slope):
         return DirectionRecord(slope, name, "transverse crossing cylinder",
                                witness), True
     if label is CaseLabel.CASE3:
-        verdict = case3_verdict(_case3_weighted_graph(d, graph),
-                                _GENERIC_CASE3_VALUES)
+        # the exponents of the two nodes joining the elliptic and the
+        # rational component, the edges whose endpoints differ
+        exponents = dict(zip((c.id for c in d.cylinders),
+                             moduli_exponents(d)))
+        verdict = case3_verdict(*(exponents[e] for e, (a, b) in graph.edges
+                                  if a != b))
         return DirectionRecord(slope, name, "period forcing", verdict), True
     if label is CaseLabel.CASE5:
         return DirectionRecord(slope, name, "defer to a simple transverse "
                                "cylinder"), False
-    chain = _metric_chain(d, graph)
+    chain = _metric_chain(d)
     if not chain:
         return DirectionRecord(slope, name, "window forcing", chain), True
     return DirectionRecord(slope, name, "two homologous cylinders",

@@ -1,5 +1,5 @@
 r"""
-Square-tiled translation surfaces (origamis) and metric cylinder-strip nets.
+Square-tiled translation surfaces (origamis).
 
 An origami is a translation surface tiled by ``n`` unit squares, encoded by
 two permutations of ``{0, ..., n-1}``: ``h`` sends each square to its right
@@ -11,11 +11,7 @@ neighbor and ``v`` to its upper neighbor.  This module provides
   (:func:`singularity_data`),
 - the shear/rotation action of ``SL(2, Z)`` (:func:`act_sl2z`),
 - relabeling-invariant canonical forms (:func:`canonical_form`,
-  :func:`origami_isomorphism`), and
-- exact metric nets of cylinders glued along saddle connections
-  (:func:`build_net`), the carrier of rational-length data; the
-  transverse-cylinder searches read a net or an origami's cylinder
-  decomposition alike.
+  :func:`origami_isomorphism`).
 
 EXAMPLES::
 
@@ -29,9 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NegativeLength, NotTransitive, SumMismatch
+from .errors import NotTransitive
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -260,14 +255,6 @@ def singularity_data(o: Origami) -> Stratum:
 
 # -- SL(2, Z) action ---------------------------------------------------------
 
-#: Matrices of the three generator letters, acting on column vectors.
-LETTER_MATRICES = {
-    "T": ((1, 1), (0, 1)),
-    "T^-1": ((1, -1), (0, 1)),
-    "S": ((0, -1), (1, 0)),
-}
-
-
 def act_sl2z(o: Origami, word) -> Origami:
     r"""
     Apply a word over ``{"T", "T^-1", "S"}``, first letter first: ``T``
@@ -277,7 +264,8 @@ def act_sl2z(o: Origami, word) -> Origami:
     On permutation pairs: ``T: (h, v) ↦ (h, v∘h⁻¹)``,
     ``T^-1: (h, v) ↦ (h, v∘h)``, ``S: (h, v) ↦ (v, h⁻¹)``.  The result
     corresponds to acting by the matrix product
-    ``M(word[-1]) ··· M(word[0])``.
+    ``M(word[-1]) ··· M(word[0])``, where ``M(T) = ((1, 1), (0, 1))`` and
+    ``M(S) = ((0, -1), (1, 0))`` act on column vectors.
 
     The inverses ``h⁻¹`` and ``v⁻¹`` are carried along the word and
     built only when a letter first needs them.  ``S`` then rotates the
@@ -311,35 +299,18 @@ def act_sl2z(o: Origami, word) -> Origami:
     return Origami(h, v)
 
 
-def word_matrix(word):
-    """The 2x2 integer matrix of an ``act_sl2z`` word (first letter first).
-
-    EXAMPLES::
-
-        >>> word_matrix(["T", "T"])
-        ((1, 2), (0, 1))
-    """
-    m = ((1, 0), (0, 1))
-    for letter in word:
-        a = LETTER_MATRICES[letter]
-        m = (
-            (a[0][0] * m[0][0] + a[0][1] * m[1][0], a[0][0] * m[0][1] + a[0][1] * m[1][1]),
-            (a[1][0] * m[0][0] + a[1][1] * m[1][0], a[1][0] * m[0][1] + a[1][1] * m[1][1]),
-        )
-    return m
-
-
 def matrix_word(m):
     r"""
-    A word over ``{"T", "T^-1", "S"}`` whose :func:`word_matrix` equals the
-    given ``SL(2, Z)`` matrix.
+    A word over ``{"T", "T^-1", "S"}`` whose matrix product
+    ``M(word[-1]) ··· M(word[0])`` (see :func:`act_sl2z`) equals the given
+    ``SL(2, Z)`` matrix.
 
     EXAMPLES::
 
-        >>> word_matrix(matrix_word(((0, -1), (1, 0))))
-        ((0, -1), (1, 0))
-        >>> word_matrix(matrix_word(((2, 3), (1, 2))))
-        ((2, 3), (1, 2))
+        >>> matrix_word(((0, -1), (1, 0)))
+        ['S']
+        >>> matrix_word(((2, 3), (1, 2)))
+        ['T', 'T', 'S', 'T', 'T']
     """
     (a, b), (c, d) = m
     if a * d - b * c != 1:
@@ -512,103 +483,3 @@ def parse_origami(line: str) -> Origami:
         (x for c in hc + vc for x in c), default=0
     )
     return build_origami(perm_from_cycles(hc, n), perm_from_cycles(vc, n))
-
-
-# ---------------------------------------------------------------------------
-# metric nets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CylinderGeometry:
-    """Metric data of one net cylinder: circumference, height and twist."""
-
-    circumference: Fraction
-    height: Fraction
-    twist: Fraction
-
-    def __post_init__(self):
-        for field in ("circumference", "height", "twist"):
-            object.__setattr__(self, field, Fraction(getattr(self, field)))
-
-
-@dataclass(frozen=True)
-class FlatSurfaceNet:
-    """A translation surface presented as horizontal cylinders glued along
-    labeled saddle connections.
-
-    ``cylinders`` maps a cylinder id to its :class:`CylinderGeometry`;
-    ``diagram`` provides the cyclic boundary words (``bottom_words`` /
-    ``top_words`` mapping cylinder id to a tuple of saddle ids);
-    ``saddle_lengths`` assigns an exact length to every saddle id.
-    ``bottom_positions`` and ``top_positions`` map a cylinder id to the
-    start coordinate of every saddle on that boundary, reduced mod the
-    circumference.
-
-    Coordinates: each cylinder is the rectangle ``[0, w) x [0, height]``.
-    Its bottom word is laid out left to right starting at ``x = 0`` and its
-    top word starting at ``x = twist``, reduced mod ``w``; vertical
-    straight-line flow connects equal ``x``.
-    """
-
-    cylinders: dict
-    diagram: object
-    saddle_lengths: dict
-    bottom_positions: dict
-    top_positions: dict
-
-
-def _word_positions(word, start, lengths, w):
-    """Map saddle id -> start coordinate, reduced mod ``w``, along a
-    boundary word laid out from ``start``."""
-    pos, x = {}, start
-    for sid in word:
-        pos[sid] = x % w
-        x += lengths[sid]
-    return pos
-
-
-def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
-    r"""
-    Validate and assemble a :class:`FlatSurfaceNet`.
-
-    Saddle lengths must be positive and, per cylinder, sum to the
-    circumference on the top and on the bottom.
-
-    EXAMPLES::
-
-        >>> from squaretiled.cylinders import CylinderDiagram
-        >>> diag = CylinderDiagram(bottom_words={0: ("a",)}, top_words={0: ("a",)},
-        ...                        saddle_zeros={"a": (0, 0)})
-        >>> net = build_net({0: CylinderGeometry(1, 1, 0)}, diag, {"a": 1})
-        >>> net.cylinders[0].height
-        Fraction(1, 1)
-    """
-    geoms = {}
-    for cid, geom in cylinders.items():
-        if not isinstance(geom, CylinderGeometry):
-            geom = CylinderGeometry(*geom)
-        if geom.circumference <= 0 or geom.height <= 0:
-            raise NegativeLength(f"cylinder {cid} must have positive dimensions")
-        if not 0 <= geom.twist < geom.circumference:
-            raise ValueError(f"cylinder {cid}: twist must lie in [0, circumference)")
-        geoms[cid] = geom
-    lengths = {sid: Fraction(val) for sid, val in saddle_lengths.items()}
-    for sid, val in lengths.items():
-        if val <= 0:
-            raise NegativeLength(f"saddle {sid} must have positive length")
-    for cid, geom in geoms.items():
-        for side, words in (("bottom", diagram.bottom_words), ("top", diagram.top_words)):
-            total = sum(lengths[sid] for sid in words[cid])
-            if total != geom.circumference:
-                raise SumMismatch(
-                    f"cylinder {cid}: {side} saddle lengths sum to {total}, "
-                    f"expected {geom.circumference}"
-                )
-    bottoms = {cid: _word_positions(diagram.bottom_words[cid], 0, lengths,
-                                    g.circumference)
-               for cid, g in geoms.items()}
-    tops = {cid: _word_positions(diagram.top_words[cid], g.twist, lengths,
-                                 g.circumference)
-            for cid, g in geoms.items()}
-    return FlatSurfaceNet(geoms, diagram, lengths, bottoms, tops)

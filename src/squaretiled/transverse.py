@@ -5,8 +5,7 @@ configurations, and the window-inequality solver.
 
 All interval endpoints are exact rationals.  The searches read the
 metric data of an origami's cylinder decomposition directly (whole
-numbers of squares) and equally a metric net, the carrier of
-rational-length data.  They return witness records (crossed-cylinder
+numbers of squares).  They return witness records (crossed-cylinder
 sequence, width, average direction) that are re-verified
 combinatorially; existence arguments that the source material phrases
 through shearing and cutting-and-regluing become coordinate re-origin
@@ -120,7 +119,7 @@ def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
     r"""
     The identification of one cylinder interface with another, as an
     :class:`IntervalMap` between their boundary coordinates, on a cylinder
-    decomposition or a metric net ``d``.
+    decomposition ``d``.
 
     Interfaces are ``("bottom", cid)`` or ``("top", cid)``; every saddle of
     the source interface must appear on the target interface and the two
@@ -130,16 +129,13 @@ def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
 
     EXAMPLES::
 
-        >>> from squaretiled.cylinders import CylinderDiagram
-        >>> from squaretiled.surface import CylinderGeometry, build_net
-        >>> diag = CylinderDiagram(bottom_words={0: ("a",)},
-        ...                        top_words={0: ("a",)},
-        ...                        saddle_zeros={"a": (0, 0)})
-        >>> net = build_net({0: CylinderGeometry(1, 1, Fraction(1, 3))},
-        ...                 diag, {"a": 1})
-        >>> f = build_interval_map(net, ("bottom", 0), ("top", 0))
-        >>> f.apply(Fraction(0))
-        Fraction(1, 3)
+        >>> from squaretiled.cylinders import horizontal_decomposition
+        >>> from squaretiled.surface import build_origami
+        >>> # one cylinder of three squares, its top glued with twist 1
+        >>> d = horizontal_decomposition(build_origami((1, 2, 0), (2, 0, 1)))
+        >>> f = build_interval_map(d, ("bottom", 0), ("top", 0))
+        >>> f.apply(0)
+        Fraction(1, 1)
     """
     def interface_data(interface):
         side, cid = interface
@@ -311,10 +307,9 @@ def find_crossing_cylinder(d, case) -> TransverseWitness:
     guarantee does not apply to the given metric data.
 
     ``d`` is an origami's cylinder decomposition, whose lengths and
-    positions are whole numbers of squares, or a metric net with rational
-    lengths; the search reads the diagram, the circumference and height of
-    each cylinder, the saddle lengths and the saddle positions on every
-    boundary, which both carry.
+    positions are whole numbers of squares; the search reads the diagram,
+    the circumference and height of each cylinder, the saddle lengths and
+    the saddle positions on every boundary.
 
     - ``Case1``: a saddle on both sides of one cylinder spans a simple
       transverse cylinder crossing that cylinder once.
@@ -591,28 +586,3 @@ def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
     feasible = not violated
     boundary = feasible and slack == 0 and c.t_start == 0
     return FeasibilityRecord(feasible, slack, tuple(violated), boundary)
-
-
-def window_feasible_pairs(max_denominator, min_saddle=Fraction(1, 4)):
-    r"""
-    All pairs ``(t0, s0)`` on the rational grid with denominators up to
-    ``max_denominator`` for which some ``t_start`` satisfies the window
-    inequalities.  With the bound 1/4 the grid contains exactly one pair.
-
-    EXAMPLES::
-
-        >>> window_feasible_pairs(12)
-        [(Fraction(1, 4), Fraction(1, 4))]
-    """
-    grid = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
-                   for p in range(1, q)})
-    out = []
-    for t0 in grid:
-        # a feasible s0 needs min_saddle <= s0 <= min(t0, (1 - 2*t0)/2)
-        hi = min(t0, Fraction(1 - 2 * t0, 2))
-        if hi < min_saddle:
-            continue
-        for s0 in grid:
-            if min_saddle <= s0 <= hi:
-                out.append((t0, s0))
-    return out

@@ -3,12 +3,38 @@ per letter between the homology bases of consecutive origamis, their
 product, and a relabelling matrix into the source basis.  Every
 intermediate origami gets its own :class:`HomologyBasis` and every letter
 its own coordinate solve.  The reference that the chain-level
-``squaretiled.monodromy.homology_action`` is compared against.
+``squaretiled.monodromy.homology_action`` is compared against.  Also the
+2x2 matrix of an ``act_sl2z`` word, which the holonomy of the action is
+compared against.
 """
 
 from squaretiled.homology import HomologyBasis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.surface import act_sl2z
+
+
+#: Matrices of the three generator letters, acting on column vectors.
+LETTER_MATRICES = {
+    "T": ((1, 1), (0, 1)),
+    "T^-1": ((1, -1), (0, 1)),
+    "S": ((0, -1), (1, 0)),
+}
+
+
+def word_matrix(word):
+    """The 2x2 integer matrix of an ``act_sl2z`` word (first letter first).
+
+    >>> word_matrix(["T", "T"])
+    ((1, 2), (0, 1))
+    """
+    m = ((1, 0), (0, 1))
+    for letter in word:
+        a = LETTER_MATRICES[letter]
+        m = (
+            (a[0][0] * m[0][0] + a[0][1] * m[1][0], a[0][0] * m[0][1] + a[0][1] * m[1][1]),
+            (a[1][0] * m[0][0] + a[1][1] * m[1][0], a[1][0] * m[0][1] + a[1][1] * m[1][1]),
+        )
+    return m
 
 
 def _transpose(cols):

@@ -6,15 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from net_oracle import CylinderGeometry, build_net
 from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NotTransitive
-from squaretiled.surface import (
-    CylinderGeometry,
-    build_net,
-    build_origami,
-    perm_from_cycles,
-    singularity_data,
-)
+from squaretiled.surface import build_origami, perm_from_cycles, \
+    singularity_data
 
 
 def wollmilchsau():

@@ -5,7 +5,9 @@ build every cylinder twice, label the halves of the dual graph by
 reference shape.  The reference that the one-pass integer versions of
 ``squaretiled.cylinders.horizontal_decomposition`` and
 ``squaretiled.homology.dual_graph`` and the table lookup of
-``squaretiled.cylinders.classify_case`` are compared against.
+``squaretiled.cylinders.classify_case`` are compared against.  Also the
+rank of the span of the core-curve classes in homology, which the dual
+graph's cycle rank is compared against.
 
 The oracle decomposition carries no genus (``genus=None``); the tests
 compare the genus of the package's decomposition with
@@ -26,7 +28,9 @@ from squaretiled.cylinders import (
     CylinderDiagram,
 )
 from squaretiled.errors import InvariantViolation
-from squaretiled.homology import DualGraph
+from squaretiled.homology import DualGraph, core_curve_class, \
+    homology_basis
+from squaretiled.intlinalg import smith_normal_form, snf_rank
 from squaretiled.surface import perm_cycles, singularity_data
 
 
@@ -330,3 +334,19 @@ def classify_case(g):
         if _multigraph_isomorphic(genera, edges, ref_genera, ref_edges):
             return label
     return None
+
+
+def core_span_rank(d) -> int:
+    """Rank of the span of all core-curve classes of the decomposition,
+    computed in a homology basis of ``d.origami``.
+
+    >>> from squaretiled.surface import build_origami, perm_from_cycles
+    >>> from squaretiled.cylinders import horizontal_decomposition
+    >>> o = build_origami(perm_from_cycles([(0, 1)], 3),
+    ...                   perm_from_cycles([(0, 2)], 3))
+    >>> core_span_rank(horizontal_decomposition(o))
+    2
+    """
+    basis = homology_basis(d.origami)
+    rows = [core_curve_class(d, c.id, basis) for c in d.cylinders]
+    return snf_rank(smith_normal_form(rows)[1])

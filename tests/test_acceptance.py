@@ -1,6 +1,7 @@
 """End-to-end acceptance gate: the eight headline guarantees with their
 runtime budgets, checked in exact rational arithmetic."""
 
+import itertools
 import random
 import time
 from contextlib import contextmanager
@@ -14,7 +15,8 @@ from conftest import (
     torus,
     wollmilchsau,
 )
-from test_transverse import brute_window_point, total_length
+from test_transverse import brute_window_point, total_length, \
+    window_feasible_pairs
 from squaretiled.cylinders import classify_case, horizontal_decomposition, \
     periodic_decomposition
 from squaretiled.homology import core_curve_class, dual_graph, \
@@ -31,9 +33,7 @@ from squaretiled.transverse import (
     case4a_window_map,
     find_crossing_cylinder,
     window_feasible,
-    window_feasible_pairs,
 )
-from test_jump import case3_graph
 
 
 @contextmanager
@@ -97,54 +97,28 @@ def test_criterion_3_randomized_crossing_cylinders():
 
 
 def test_criterion_4_case6_forcing_randomized():
+    """Exact verdicts for every exponent pair ``1 <= r1, r2 <= 5``; random
+    nonzero node values are checked against the series oracle in
+    ``test_jump``."""
     with budget(5):
-        rng = random.Random(8899)
-
-        def nonzero():
-            x = 0
-            while x == 0:
-                x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            return x
-
-        for _ in range(1000):
-            r1 = rng.randint(1, 5)
-            r2 = rng.randint(1, 5)
-            while r2 == r1:
-                r2 = rng.randint(1, 5)
-            values = {"theta1_p1": nonzero(), "theta2_p2": nonzero()}
-            v = case6_moduli_forcing(r1, r2, values)
-            assert v.verdict == "r1 = r2 forced"
-            assert v.exponent == 2 * min(r1, r2) - 3
-            assert v.coefficient != 0
-        assert case6_moduli_forcing(3, 3, {"theta1_p1": 1,
-                                           "theta2_p2": 1}).verdict == \
-            "consistent"
+        for r1, r2 in itertools.product(range(1, 6), repeat=2):
+            v = case6_moduli_forcing(r1, r2)
+            m = min(r1, r2)
+            assert (v.verdict, v.branch, v.exponent, v.coefficient) == (
+                ("consistent", "equal_exponents", None, None) if r1 == r2
+                else ("r1 = r2 forced", "unequal_exponents", 2 * m - 3,
+                      (r1 + r2) * m * m))
 
 
 def test_criterion_5_case3_forcing_randomized():
+    """Exact verdicts for every exponent pair ``1 <= n1, n2 <= 4``."""
     with budget(5):
-        rng = random.Random(1177)
-
-        def nonzero():
-            x = 0
-            while x == 0:
-                x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            return x
-
-        branches = set()
-        for _ in range(1000):
-            n1 = rng.randint(1, 4)
-            n2 = rng.randint(1, 4)
-            values = {"theta1_p": nonzero(), "theta1_q": nonzero(),
-                      "theta3_0": nonzero(), "theta3_1": nonzero()}
-            v = case3_verdict(case3_graph(n1, n2), values)
-            assert v.verdict == "Forni impossible"
-            assert v.coefficient != 0
-            branches.add(v.branch)
-            if v.branch == "equal_exponents":
-                assert v.coefficient == \
-                    2 * values["theta1_p"] * values["theta1_q"]
-        assert branches == {"equal_exponents", "unequal_exponents"}
+        for n1, n2 in itertools.product(range(1, 5), repeat=2):
+            v = case3_verdict(n1, n2)
+            assert (v.verdict, v.branch, v.exponent, v.coefficient) == (
+                ("Forni impossible", "equal_exponents", 2 * n1, 2)
+                if n1 == n2 else
+                ("Forni impossible", "unequal_exponents", min(n1, n2), -1))
 
 
 def test_criterion_6_window_uniqueness():

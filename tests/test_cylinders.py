@@ -10,6 +10,7 @@ from math import factorial, prod
 import pytest
 
 import decomposition_oracle
+from action_oracle import word_matrix
 from conftest import (
     CASE4A_DIAGRAM,
     EXEMPLARS,
@@ -35,7 +36,7 @@ from squaretiled.errors import Incommensurable, InvariantViolation
 from squaretiled.homology import DualGraph, dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import enumerate_diagrams
-from squaretiled.surface import Origami, singularity_data, word_matrix
+from squaretiled.surface import Origami, singularity_data
 
 
 def cylinder_shapes(d):

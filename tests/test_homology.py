@@ -1,20 +1,21 @@
 """Integer homology: ranks, the intersection pairing, holonomy, dual
 graphs, and the transport of chains through shears and rotations."""
 
+from action_oracle import word_matrix
 from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
+from decomposition_oracle import core_span_rank
 from fraction_oracle import det_rational
 from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.homology import (
     HomologyBasis,
     core_curve_class,
-    core_span_rank,
     dual_graph,
     homology_basis,
     transport_chains,
 )
 from squaretiled.intlinalg import identity_matrix
 from squaretiled.monodromy import homology_action
-from squaretiled.surface import act_sl2z, singularity_data, word_matrix
+from squaretiled.surface import act_sl2z, singularity_data
 
 LETTERS = ("T", "T^-1", "S")
 

@@ -1,21 +1,27 @@
-"""Leading-order series arithmetic and the case-specific forcing
-verdicts."""
+"""The closed-form Case 3 and Case 6 forcing verdicts, and the series
+calculus of ``series_oracle`` they are checked against."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import exemplar
-from squaretiled.errors import ShapeMismatch, ZeroNodeValue
-from squaretiled.homology import DualGraph
-from squaretiled.jump import (
-    LeadingSeries,
-    WeightedDualGraph,
-    case3_verdict,
-    case6_moduli_forcing,
-    series_determinant,
-)
+from series_oracle import LeadingSeries, case6_period_derivative, \
+    series_determinant
+from squaretiled.errors import InvariantViolation
+from squaretiled.jump import ForcingVerdict, case3_verdict, \
+    case6_moduli_forcing
 from squaretiled.pipeline import classify_surface
+from squaretiled.surface import parse_origami
+
+
+def nonzero(rng):
+    x = 0
+    while x == 0:
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return x
 
 
 def random_series(rng):
@@ -39,14 +45,6 @@ def test_series_ring_axioms(rng):
         assert all(left[k] == right[k] for k in common)
 
 
-def test_guarded_products():
-    symbolic = LeadingSeries(unknown_const=True)
-    mono = LeadingSeries.monomial(1, 1)
-    with pytest.raises(ValueError):
-        symbolic * mono
-    assert (symbolic * LeadingSeries.constant(2)).unknown_const
-
-
 def test_series_determinant_two_by_two():
     a = LeadingSeries.monomial(1, 1)
     b = LeadingSeries.monomial(2, 0)
@@ -56,82 +54,70 @@ def test_series_determinant_two_by_two():
     assert det == a * d - b * c
 
 
-def case3_graph(n1, n2):
-    graph = DualGraph(((0, 1), (1, 0)),
-                      ((0, (0, 1)), (1, (0, 1)), (2, (1, 1))))
-    return WeightedDualGraph(graph, {0: n1, 1: n2, 2: 1},
-                             {0: 1, 1: 1, 2: 1})
-
-
-def random_node_values(rng):
-    def nz():
-        x = 0
-        while x == 0:
-            x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        return x
-    return {"theta1_p": nz(), "theta1_q": nz(),
-            "theta3_0": nz(), "theta3_1": nz()}
+def test_case6_closed_form_matches_the_series_oracle():
+    """The determinant of the period-matrix derivative leads at
+    ``s^(2m-3)`` with ``-(r1+r2)·(m·Θ1·Θ2)²`` for random nonzero node
+    values; at node values 1 its magnitude is the reported coefficient."""
+    rng = random.Random(8899)
+    for r1, r2 in itertools.permutations(range(1, 13), 2):
+        m = min(r1, r2)
+        t1, t2 = nonzero(rng), nonzero(rng)
+        det = series_determinant(case6_period_derivative(r1, r2, t1, t2))
+        assert det.order > 2 * m - 3
+        assert det.leading() == (2 * m - 3, -(r1 + r2) * (m * t1 * t2) ** 2)
+        lead = series_determinant(
+            case6_period_derivative(r1, r2, 1, 1)).leading()
+        v = case6_moduli_forcing(r1, r2)
+        assert (v.exponent, v.coefficient) == (lead[0], abs(lead[1]))
 
 
 def test_case3_known_values():
-    v = case3_verdict(case3_graph(1, 2),
-                      {"theta1_p": 1, "theta1_q": 1,
-                       "theta3_0": 1, "theta3_1": 1})
+    v = case3_verdict(1, 2)
     assert (v.verdict, v.branch, v.exponent) == \
         ("Forni impossible", "unequal_exponents", 1)
     assert v.coefficient == -1
-    v = case3_verdict(case3_graph(1, 1),
-                      {"theta1_p": 1, "theta1_q": 1,
-                       "theta3_0": 1, "theta3_1": 1})
+    assert case3_verdict(4, 3) == case3_verdict(3, 4)
+    v = case3_verdict(1, 1)
     assert (v.branch, v.exponent, v.coefficient) == \
         ("equal_exponents", 2, 2)
 
 
-def test_case3_shape_and_zero_guards():
-    bad = WeightedDualGraph(
-        DualGraph(((0, 1), (1, 1)), ((0, (0, 1)), (1, (0, 1)))),
-        {0: 1, 1: 1}, {0: 1, 1: 1})
-    with pytest.raises(ShapeMismatch):
-        case3_verdict(bad, {"theta1_p": 1, "theta1_q": 1,
-                            "theta3_0": 1, "theta3_1": 1})
-    with pytest.raises(ZeroNodeValue):
-        case3_verdict(case3_graph(1, 1),
-                      {"theta1_p": 0, "theta1_q": 1,
-                       "theta3_0": 1, "theta3_1": 1})
+def test_exponent_and_zero_coefficient_guards():
+    for n1, n2 in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            case3_verdict(n1, n2)
+    with pytest.raises(InvariantViolation, match="must be nonzero"):
+        ForcingVerdict("Forni impossible", "equal_exponents", 2, Fraction(0))
 
 
 def test_case6_known_values():
-    v = case6_moduli_forcing(1, 2, {"theta1_p1": 1, "theta2_p2": 1})
+    v = case6_moduli_forcing(1, 2)
     assert v.verdict == "r1 = r2 forced"
     assert v.exponent == -1
     assert v.coefficient == 3
-    assert case6_moduli_forcing(3, 3, {"theta1_p1": 1,
-                                       "theta2_p2": 1}).verdict == \
-        "consistent"
+    v = case6_moduli_forcing(5, 2)
+    assert (v.exponent, v.coefficient) == (1, 28)
+    assert case6_moduli_forcing(3, 3).verdict == "consistent"
 
 
-UNIT_CASE3 = {"theta1_p": 1, "theta1_q": 1, "theta3_0": 1, "theta3_1": 1}
-UNIT_CASE6 = {"theta1_p1": 1, "theta2_p2": 1}
+PROVENANCE = "provenance='paper argument, node values assumed nonzero')"
 
 
 def test_forcing_evidence_is_frozen():
-    """The full evidence reprs, series included, as the classifier has
-    always printed them."""
-    assert repr(case3_verdict(case3_graph(1, 2), UNIT_CASE3)) == (
+    """The full evidence reprs, provenance included, as the classifier
+    prints them."""
+    assert repr(case3_verdict(1, 2)) == (
         "ForcingVerdict(verdict='Forni impossible', "
         "branch='unequal_exponents', exponent=1, "
-        "coefficient=Fraction(-1, 1), "
-        "series=LeadingSeries(C + -1*s^1 + O(s^2)))")
-    assert repr(case3_verdict(case3_graph(1, 1), UNIT_CASE3)) == (
+        "coefficient=Fraction(-1, 1), " + PROVENANCE)
+    assert repr(case3_verdict(1, 1)) == (
         "ForcingVerdict(verdict='Forni impossible', "
         "branch='equal_exponents', exponent=2, "
-        "coefficient=Fraction(2, 1), "
-        "series=LeadingSeries(C + 2*s^2 + O(s^3)))")
-    assert repr(case6_moduli_forcing(1, 2, UNIT_CASE6)) == (
+        "coefficient=Fraction(2, 1), " + PROVENANCE)
+    assert repr(case6_moduli_forcing(1, 2)) == (
         "ForcingVerdict(verdict='r1 = r2 forced', "
         "branch='unequal_exponents', exponent=-1, "
-        "coefficient=Fraction(3, 1), "
-        "series=LeadingSeries(-3*s^-1 + O(s^0)))")
+        "coefficient=Fraction(3, 1), " + PROVENANCE)
     records = [r for r in classify_surface(exemplar("Case3")).evidence
                if r.label == "Case3"]
     assert [repr(r) for r in records] == [
@@ -139,12 +125,18 @@ def test_forcing_evidence_is_frozen():
         "mechanism='period forcing', "
         "witness=ForcingVerdict(verdict='Forni impossible', "
         "branch='equal_exponents', exponent=2, "
-        "coefficient=Fraction(2, 1), "
-        "series=LeadingSeries(C + 2*s^2 + O(s^3))))"]
+        "coefficient=Fraction(2, 1), " + PROVENANCE + ")"]
+    # the reference diagram with cylinder heights 1 and 2
+    o = parse_origami('origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
+                      'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"')
+    chain = classify_surface(o).evidence[0].witness
+    assert repr(chain.forcing) == (
+        "ForcingVerdict(verdict='r1 = r2 forced', "
+        "branch='unequal_exponents', exponent=-1, "
+        "coefficient=Fraction(3, 1), " + PROVENANCE)
 
 
 def test_case6_guards():
-    with pytest.raises(ZeroNodeValue):
-        case6_moduli_forcing(1, 2, {"theta1_p1": 0, "theta2_p2": 1})
-    with pytest.raises(ValueError):
-        case6_moduli_forcing(0, 2, {"theta1_p1": 1, "theta2_p2": 1})
+    for r1, r2 in ((0, 2), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError):
+            case6_moduli_forcing(r1, r2)

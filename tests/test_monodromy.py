@@ -10,11 +10,11 @@ import pytest
 import action_oracle
 from conftest import l_origami, torus, wollmilchsau, random_origami, \
     random_unimodular
+from decomposition_oracle import core_span_rank
 from fraction_oracle import holonomy_kernel, invert_unimodular
 from squaretiled.cylinders import classify_case, periodic_decomposition
 from squaretiled.errors import NotAStabilizer
-from squaretiled.homology import HomologyBasis, core_span_rank, dual_graph, \
-    homology_basis
+from squaretiled.homology import HomologyBasis, dual_graph, homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
     closure_classify,

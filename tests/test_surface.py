@@ -7,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 import canonical_form_oracle
+from action_oracle import word_matrix
 from conftest import l_origami, random_genus3, random_origami, torus, \
     wollmilchsau
+from net_oracle import CylinderGeometry, build_net
 from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NegativeLength, NotTransitive
 from squaretiled.surface import (
-    CylinderGeometry,
     Origami,
     act_sl2z,
-    build_net,
     build_origami,
     canonical_form,
     matrix_word,
@@ -25,7 +25,6 @@ from squaretiled.surface import (
     perm_from_cycles,
     perm_inverse,
     singularity_data,
-    word_matrix,
 )
 
 

@@ -32,8 +32,30 @@ from squaretiled.transverse import (
     find_crossing_cylinder,
     find_window_hit,
     window_feasible,
-    window_feasible_pairs,
 )
+
+
+def window_feasible_pairs(max_denominator, min_saddle=Fraction(1, 4)):
+    r"""
+    All pairs ``(t0, s0)`` on the rational grid with denominators up to
+    ``max_denominator`` for which some ``t_start`` satisfies the window
+    inequalities.  With the bound 1/4 the grid contains exactly one pair.
+
+    >>> window_feasible_pairs(12)
+    [(Fraction(1, 4), Fraction(1, 4))]
+    """
+    grid = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
+                   for p in range(1, q)})
+    out = []
+    for t0 in grid:
+        # a feasible s0 needs min_saddle <= s0 <= min(t0, (1 - 2*t0)/2)
+        hi = min(t0, Fraction(1 - 2 * t0, 2))
+        if hi < min_saddle:
+            continue
+        for s0 in grid:
+            if min_saddle <= s0 <= hi:
+                out.append((t0, s0))
+    return out
 
 
 def total_length(intervals):
