@@ -127,9 +127,7 @@ class CylinderDiagram:
         One traversal costs O(s) in the number of saddles s, so a key costs
         O(s^2) times the number of rotations the branches try.  The
         reference two-cylinder diagram (8 saddles, so 8 anchors) branches
-        once per anchor, into 4 rotations: 32 complete encodings.  To
-        compare a diagram with a key already known,
-        :meth:`has_canonical_key` stops most of them after a few words.
+        once per anchor, into 4 rotations: 32 complete encodings.
 
         Raises :class:`~squaretiled.errors.InvariantViolation` when the
         diagram fails :meth:`validate` or is disconnected.
@@ -145,101 +143,34 @@ class CylinderDiagram:
             >>> d1.canonical_key()
             (((0, 0, (0, 1)), (1, 0, (0, 1))), ((0, 0), (0, 0)))
         """
-        best = None
-        for enc in _Search(self).encodings():
-            if best is None or enc < best:
-                best = enc
-        return best
-
-    def has_canonical_key(self, key):
-        r"""
-        Whether :meth:`canonical_key` equals ``key``, for a ``key`` that
-        :meth:`canonical_key` returned, decided without computing this
-        diagram's key.
-
-        The traversals of :meth:`canonical_key` run against the words of
-        ``key``: each stops at the first placed word that differs from the
-        word in the same place of ``key``, and the answer is ``True`` at
-        the first complete encoding, zeros included, equal to ``key``.
-        So the method decides whether the diagram has *some* encoding
-        equal to ``key``.  For a key this is exact: an encoding lists
-        every word, so the diagram then is isomorphic to the diagram the
-        key came from, and has the same key.  Any other complete encoding
-        is outside the contract: the diagram it encodes answers ``True``
-        although its key is a smaller encoding.
-
-        Raises :class:`~squaretiled.errors.InvariantViolation` when the
-        diagram fails :meth:`validate`.  A disconnected diagram has no
-        complete encoding, so it either raises the same error or gives
-        ``False``.
-
-        EXAMPLES::
-
-            >>> d1 = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")},
-            ...                      {"a": (0, 0), "b": (0, 0)})
-            >>> d2 = CylinderDiagram({5: ("x", "y")}, {5: ("x", "y")},
-            ...                      {"x": (1, 1), "y": (1, 1)})
-            >>> d2.has_canonical_key(d1.canonical_key())
-            True
-            >>> d3 = CylinderDiagram({0: ("a",)}, {0: ("a",)}, {"a": (0, 0)})
-            >>> d3.has_canonical_key(d1.canonical_key())
-            False
-        """
-        search = _Search(self, target=key[0])
-        # an encoding lists every boundary word once
-        if len(search.words) != len(key[0]):
-            return False
-        return any(enc == key for enc in search.encodings())
-
-
-class _Search:
-    """The boundary words of one diagram, indexed for its first-seen
-    traversals (see :meth:`CylinderDiagram.canonical_key`), and the word
-    sequence ``target`` they are held to, if any.
-
-    ``words`` maps (side, cylinder) to a boundary word and ``where`` maps
-    (side, saddle) to (cylinder, index in that word), side 0 being the
-    bottom.  With a ``target``, a traversal stops at its first placed word
-    that differs from the word in the same place of ``target``.
-
-    Raises :class:`~squaretiled.errors.InvariantViolation` when the
-    diagram fails :meth:`CylinderDiagram.validate`.
-    """
-
-    __slots__ = ("diagram", "words", "where", "target")
-
-    def __init__(self, diagram, target=None):
-        diagram.validate()
-        self.diagram = diagram
-        self.words = {}
-        self.where = {}
-        for side, table in enumerate((diagram.bottom_words,
-                                      diagram.top_words)):
+        self.validate()
+        # (side, cylinder) -> boundary word and (side, saddle) ->
+        # (cylinder, index in that word), side 0 being the bottom
+        words, where = {}, {}
+        for side, table in enumerate((self.bottom_words, self.top_words)):
             for cid, word in table.items():
-                self.words[side, cid] = word
+                words[side, cid] = word
                 for i, sid in enumerate(word):
-                    self.where[side, sid] = (cid, i)
-        self.target = target
-
-    def encodings(self):
-        """Yield the encoding of every anchor and branch whose traversal
-        is not stopped by ``target``."""
-        bottoms = self.diagram.bottom_words
-        for cid in self.diagram.cylinder_ids:
-            for rot in range(len(bottoms[cid])):
-                yield from _Traversal(self).run(0, cid, rot)
+                    where[side, sid] = (cid, i)
+        return min((enc for cid in self.cylinder_ids
+                    for rot in range(len(self.bottom_words[cid]))
+                    for enc in _Traversal(self, words, where).run(0, cid,
+                                                                   rot)),
+                   default=None)
 
 
 class _Traversal:
     """The state of one first-seen traversal of a diagram's boundary words
-    (see :meth:`CylinderDiagram.canonical_key`) within a :class:`_Search`.
-    """
+    (see :meth:`CylinderDiagram.canonical_key`), which ``words`` and
+    ``where`` index as there."""
 
-    __slots__ = ("search", "encoding", "names", "order", "cylinders",
-                 "placed")
+    __slots__ = ("diagram", "words", "where", "encoding", "names", "order",
+                 "cylinders", "placed")
 
-    def __init__(self, search):
-        self.search = search
+    def __init__(self, diagram, words, where):
+        self.diagram = diagram
+        self.words = words
+        self.where = where
         self.encoding = []
         self.names = {}       # saddle -> first-seen name
         self.order = []       # saddles by name
@@ -247,7 +178,7 @@ class _Traversal:
         self.placed = {}      # (side, cylinder) in placement order
 
     def _copy(self):
-        other = _Traversal(self.search)
+        other = _Traversal(self.diagram, self.words, self.where)
         other.encoding = list(self.encoding)
         other.names = dict(self.names)
         other.order = list(self.order)
@@ -256,9 +187,8 @@ class _Traversal:
         return other
 
     def _place(self, side, cid, rot):
-        """Place word (side, cid) rotated by ``rot``; ``False`` when the
-        search's target stops the traversal there."""
-        word = self.search.words[side, cid]
+        """Place word (side, cid) rotated by ``rot``."""
+        word = self.words[side, cid]
         word = word[rot:] + word[:rot]
         names = self.names
         for sid in word:
@@ -266,30 +196,26 @@ class _Traversal:
                 names[sid] = len(names)
                 self.order.append(sid)
         self.placed[side, cid] = None
-        entry = (side, self.cylinders.setdefault(cid, len(self.cylinders)),
-                 tuple(names[sid] for sid in word))
-        encoding = self.encoding
-        encoding.append(entry)
-        target = self.search.target
-        return target is None or entry == target[len(encoding) - 1]
+        self.encoding.append(
+            (side, self.cylinders.setdefault(cid, len(self.cylinders)),
+             tuple(names[sid] for sid in word)))
 
     def run(self, side, cid, rot, next_saddle=0):
         """Place word (side, cid) rotated by ``rot``, extend through saddles,
         and yield the encoding of each completed branch."""
-        if not self._place(side, cid, rot):
-            return
+        self._place(side, cid, rot)
         order, placed = self.order, self.placed
-        where, words = self.search.where, self.search.words
+        where, words = self.where, self.words
         while next_saddle < len(order):
             sid = order[next_saddle]
             next_saddle += 1
             for s in (0, 1):
                 c, i = where[s, sid]
-                if (s, c) not in placed and not self._place(s, c, i):
-                    return
+                if (s, c) not in placed:
+                    self._place(s, c, i)
         if len(placed) == len(words):
             zeros = {}
-            saddle_zeros = self.search.diagram.saddle_zeros
+            saddle_zeros = self.diagram.saddle_zeros
             yield tuple(self.encoding), tuple(
                 (zeros.setdefault(a, len(zeros)),
                  zeros.setdefault(b, len(zeros)))
@@ -332,10 +258,6 @@ class CylinderDecomposition:
     bottom_positions: dict = field(repr=False)
     top_positions: dict = field(repr=False)
     genus: int
-
-    @property
-    def area(self) -> Fraction:
-        return sum((c.circumference * c.height for c in self.cylinders), Fraction(0))
 
     def core_row(self, cid):
         """The bottom row of cylinder ``cid``; its squares' bottom edges sum

@@ -15,14 +15,6 @@ class NotTransitive(SquareTiledError, ValueError):
     """The two permutations generate an intransitive group (disconnected surface)."""
 
 
-class SumMismatch(SquareTiledError, ValueError):
-    """Saddle lengths on a cylinder boundary do not sum to its circumference."""
-
-
-class NegativeLength(SquareTiledError, ValueError):
-    """A saddle connection length or cylinder dimension is not positive."""
-
-
 class Incommensurable(SquareTiledError, ValueError):
     """Cylinder moduli have an irrational ratio; no integer exponents exist."""
 

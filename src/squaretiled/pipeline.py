@@ -3,9 +3,11 @@ The end-to-end classification of genus-3 square-tiled surfaces: analyze
 the periodic directions up to a bound one at a time and stop at the first
 that excludes a nontrivial isometric subspace, either through the
 mechanism of its pinch shape or because its core curves span a Lagrangian
-subspace; when none does, force the two-cylinder metric constraints and
-either certify equivalence with the unique 8-square survivor or report a
-trivial isometric subspace.
+subspace.  When none does and every direction shows two homologous
+cylinders with consistent metric constraints, the window forcing of the
+horizontal direction already pins the surface to the unique 8-square
+survivor's cylinder diagram, and the surface is certified equivalent to
+it.
 
 A direction is analyzed on its member, the surface of the
 ``SL(2, Z)``-orbit in which it is horizontal.  Directions whose members
@@ -28,7 +30,6 @@ EXAMPLES::
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -105,8 +106,8 @@ class Verdict:
     statuses carry a record for every direction up to the bound, shared
     between directions with isomorphic members.
     ``WollmilchsauEquivalent`` is only ever produced when every direction
-    carries the two-homologous-cylinders label and the metric constraints
-    resolve to the reference surface."""
+    carries the two-homologous-cylinders label with consistent metric
+    constraints, which resolve to the reference surface."""
 
     status: str
     evidence: tuple
@@ -123,8 +124,9 @@ class Verdict:
 @dataclass(frozen=True)
 class EquivalenceResult:
     """Boolean-valued outcome of the two-cylinder metric chain with the
-    decisive record attached: a moduli forcing verdict, a window
-    feasibility record, or the final diagram comparison."""
+    decisive record attached: a moduli forcing verdict or a window
+    feasibility record.  The survivor's final record restates the
+    horizontal chain's window data as the certificate."""
 
     value: bool
     reason: str
@@ -199,7 +201,8 @@ def _window_extraction(d, c1, c2):
 def _metric_chain(d) -> EquivalenceResult:
     """Moduli forcing plus window feasibility for one two-homologous-
     cylinder decomposition; truthy when the metric constraints are
-    consistent with the reference surface (diagram not yet compared)."""
+    consistent, which forces the reference diagram (see
+    :func:`classify_surface`)."""
     cids = [c.id for c in d.cylinders]
     r1, r2 = moduli_exponents(d)
     forcing = case6_moduli_forcing(r1, r2)
@@ -219,41 +222,6 @@ def _metric_chain(d) -> EquivalenceResult:
                                  constraint=constraint, record=record)
     return EquivalenceResult(True, "metric constraints consistent",
                              constraint=constraint, record=record)
-
-
-@functools.cache
-def _reference_diagram_key():
-    """Canonical key of the reference surface's horizontal diagram,
-    computed on first use and kept for the life of the process."""
-    return horizontal_decomposition(reference_surface()).diagram \
-        .canonical_key()
-
-
-def _reference_equivalence(d, chain) -> EquivalenceResult:
-    """Final step of the two-cylinder chain: given a horizontal
-    decomposition ``d`` whose metric chain ``chain`` is truthy, compare its
-    cylinder diagram with the reference one.
-
-    No saddle lengths need checking first.  Window feasibility forces
-    ``t0 = s0 = 1/4``, so every saddle on either bottom is at most a
-    quarter circumference long, and each bottom needs at least four
-    saddles.  A genus-3 decomposition has ``4 + n`` saddle connections,
-    ``n <= 4`` being the number of zeros, hence at most eight: both bottoms
-    carry exactly four, each exactly a quarter circumference long, and
-    ``n = 4`` puts the surface in ``H(1,1,1,1)``.
-
-    The diagram is matched against the cached reference key with
-    :meth:`~squaretiled.cylinders.CylinderDiagram.has_canonical_key`,
-    which stops each traversal at its first word that differs from the
-    key and answers at the first encoding equal to it, instead of
-    computing the diagram's own key."""
-    if not d.diagram.has_canonical_key(_reference_diagram_key()):
-        return EquivalenceResult(False, "cylinder diagram differs from the "
-                                 "reference", constraint=chain.constraint,
-                                 record=chain.record)
-    return EquivalenceResult(True, "window forcing resolves to the "
-                             "reference surface", constraint=chain.constraint,
-                             record=chain.record)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +283,11 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     that direction.  Otherwise every direction is analyzed: the status is
     ``Undetermined`` when some direction is Case 5, unmatched, or Case
     1/2/4 without a crossing witness; otherwise every direction shows two
-    homologous cylinders with consistent metrics, and the horizontal
-    cylinder diagram decides between ``WollmilchsauEquivalent`` and
-    ``TrivialForni``.
+    homologous cylinders with consistent metrics, and the status is
+    ``WollmilchsauEquivalent``.  Consistent window data in the horizontal
+    direction leave the reference diagram as the only one possible, so
+    the final record, ``window forcing``, restates that direction's
+    window data as the certificate.
 
     The genus is read off the horizontal decomposition, which the first
     direction analyzes; a surface of any other genus than 3 raises
@@ -329,7 +299,7 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     is not analyzed again: its record is the earlier one with the slope
     replaced, which is the record its own analysis would give.  Only the
     table of slope words (:func:`~squaretiled.cylinders.direction_member`)
-    and the reference diagram's key are kept for the life of the process.
+    is kept for the life of the process.
 
     EXAMPLES::
 
@@ -367,12 +337,24 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     evidence = tuple(evidence)
     if any(record.label != "Case6" for record in evidence):
         return Verdict("Undetermined", evidence, o)
-    # every direction shows two homologous cylinders whose metric chain is
-    # consistent; the horizontal diagram, whose record comes first, decides
-    result = _reference_equivalence(horizontal, evidence[0].witness)
+    # Every direction shows two homologous cylinders whose metric chain is
+    # consistent, and the horizontal chain alone, whose record comes first,
+    # pins the reference diagram.  Its feasible window forces
+    # t0 = s0 = 1/4: no saddle on either bottom is longer than a quarter
+    # circumference, so each bottom carries at least four saddles.  A
+    # genus-3 decomposition has 4 + n saddle connections, n <= 4 being the
+    # number of zeros, so both bottoms carry exactly four, each a quarter
+    # circumference long, and n = 4 puts the surface in H(1,1,1,1).  The
+    # catalog of two-cylinder boundary-exchanging diagrams there,
+    # enumerate_diagrams((1, 1, 1, 1), "case6"), has one entry: the
+    # reference diagram.
+    chain = evidence[0].witness
+    result = EquivalenceResult(True, "window forcing resolves to the "
+                               "reference surface",
+                               constraint=chain.constraint,
+                               record=chain.record)
     evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
-    status = "WollmilchsauEquivalent" if result else "TrivialForni"
-    return Verdict(status, evidence, o)
+    return Verdict("WollmilchsauEquivalent", evidence, o)
 
 
 # ---------------------------------------------------------------------------

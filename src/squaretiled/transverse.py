@@ -317,9 +317,13 @@ def find_crossing_cylinder(d, case) -> TransverseWitness:
       of another, with a second shared saddle between them, spans a
       cylinder crossing both exactly once (twists are free parameters).
     - ``Case4A``: the window argument on the interval map from the bottom
-      of the outer cylinder to the top of its partner; a witness always
-      exists when the larger middle circumference is at least half the
-      outer one, via the boundary construction in the critical case.
+      of the outer cylinder to the top of its partner.  The top of the
+      outer cylinder is exactly the bottoms of the two middles, so the
+      wider middle spans at least half the outer circumference and a
+      witness always exists: a window hit, or in the critical case of
+      exactly half, where ``f`` maps ``[0, s)`` onto ``[s, w)``, the
+      boundary construction at the preimage of ``s``, which lies in
+      ``[0, s)``.
     - ``Case4B``: every saddle on the top of the outer partner recurs on
       the bottom of the outer cylinder; any of them spans a cylinder
       crossing the three stacked cylinders once each.
@@ -454,8 +458,6 @@ def case4a_window_map(d, c1=None, c4=None, middles=None):
 def _case4a_witness(d, c1, c4, middles):
     f, s = case4a_window_map(d, c1, c4, middles)
     w = f.length
-    if 2 * s < w:
-        return None
     wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
     rise = (d.cylinders[c1].height + d.cylinders[wide].height
             + d.cylinders[c4].height)
@@ -476,8 +478,6 @@ def _case4a_witness(d, c1, c4, middles):
                 )
     if 2 * s == w:
         x = boundary_hit(f, s)
-        if x >= s:
-            return None
         pa, pb, off = f.piece_at(x)
         eps = min(pb - x, s - x)
         if eps <= 0:

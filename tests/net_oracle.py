@@ -11,7 +11,15 @@ origami's saddle positions from its lengths and twists independently.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from squaretiled.errors import NegativeLength, SumMismatch
+from squaretiled.errors import SquareTiledError
+
+
+class SumMismatch(SquareTiledError, ValueError):
+    """Saddle lengths on a cylinder boundary do not sum to its circumference."""
+
+
+class NegativeLength(SquareTiledError, ValueError):
+    """A saddle connection length or cylinder dimension is not positive."""
 
 
 @dataclass(frozen=True)

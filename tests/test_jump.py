@@ -126,6 +126,16 @@ def test_forcing_evidence_is_frozen():
         "witness=ForcingVerdict(verdict='Forni impossible', "
         "branch='equal_exponents', exponent=2, "
         "coefficient=Fraction(2, 1), " + PROVENANCE + ")"]
+    # the Case 3 exemplar with a second row stacked on one connecting
+    # cylinder: the two connecting exponents differ
+    o = parse_origami('origami n=10 h="(0 6 5)(2 3 4)(7 8 9)" '
+                      'v="(0 7 2 5 9 4)(1 3 6 8)"')
+    assert repr(classify_surface(o).evidence[0]) == (
+        "DirectionRecord(slope=(0, 1), label='Case3', "
+        "mechanism='period forcing', "
+        "witness=ForcingVerdict(verdict='Forni impossible', "
+        "branch='unequal_exponents', exponent=1, "
+        "coefficient=Fraction(-1, 1), " + PROVENANCE + ")")
     # the reference diagram with cylinder heights 1 and 2
     o = parse_origami('origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
                       'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"')

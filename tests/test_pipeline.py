@@ -16,7 +16,6 @@ import catalog_oracle
 from conftest import EXEMPLARS, decomposition_net, exemplar, l_origami, \
     random_genus3, wollmilchsau
 from decomposition_oracle import core_span_rank
-from net_oracle import FlatSurfaceNet
 from squaretiled.cli import main as cli_main
 from squaretiled.cylinders import (
     CaseLabel,
@@ -38,6 +37,7 @@ from squaretiled.pipeline import (
     render_report,
 )
 from squaretiled.surface import (
+    Origami,
     act_sl2z,
     build_origami,
     canonical_form,
@@ -182,9 +182,6 @@ def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
     distinct = {canonical_form(periodic_decomposition(o, s).origami)
                 for s in enumerate_slopes(bound)}
     assert len(distinct) == members
-    # warm-up: reference key cached
-    assert classify_surface(o, direction_bound=bound).status != \
-        "TrivialForni"
     calls = []
 
     def counted(name):
@@ -199,8 +196,8 @@ def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
         counted(name)
     verdict = classify_surface(o, direction_bound=bound)
     assert verdict.status != "TrivialForni"
-    # one record per slope, plus the final diagram comparison unless
-    # some direction left the surface undetermined
+    # one record per slope, plus the survivor's certificate unless some
+    # direction left the surface undetermined
     assert [r.slope for r in verdict.evidence[:slopes]] == \
         enumerate_slopes(bound)
     assert len(verdict.evidence) == \
@@ -210,12 +207,18 @@ def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
     assert calls.count("_metric_chain") <= members
 
 
+REFERENCE_KEY = horizontal_decomposition(reference_surface()).diagram \
+    .canonical_key()
+
+
 def full_scan(analyses, bound):
     """The verdict as a scan of every direction up to ``bound`` decides it,
     from ``analyses`` (slope -> :func:`analyze`
-    result): the oracle for the lazy classifier.  Returns the status, the
-    records of every direction, and the index of the first excluding one
-    (``None`` when none excludes)."""
+    result): the oracle for the lazy classifier.  When every direction is
+    Case 6 with a consistent chain, the horizontal cylinder diagram is
+    compared with the reference one.  Returns the status, the records of
+    every direction, and the index of the first excluding one (``None``
+    when none excludes)."""
     results = [analyses[s] for s in enumerate_slopes(bound)]
     records = [record for record, _, _ in results]
     first = next((i for i, (_, excludes, _) in enumerate(results)
@@ -225,9 +228,10 @@ def full_scan(analyses, bound):
     elif any(r.label != "Case6" for r in records):
         status = "Undetermined"
     else:
-        horizontal, _, d = results[0]
-        status = ("WollmilchsauEquivalent" if pipeline._reference_equivalence(
-            d, horizontal.witness) else "TrivialForni")
+        d = results[0][2]
+        status = ("WollmilchsauEquivalent"
+                  if d.diagram.canonical_key() == REFERENCE_KEY
+                  else "TrivialForni")
     return status, records, first
 
 
@@ -246,7 +250,7 @@ def test_lazy_evidence_is_the_full_scan_prefix():
             verdict = classify_surface(o, direction_bound=bound)
             assert verdict.status == status, (o, bound)
             if first is None:
-                # plus the final diagram comparison when all are Case 6
+                # plus the survivor's certificate when all are Case 6
                 assert verdict.evidence[:len(records)] == tuple(records)
                 assert len(verdict.evidence) <= len(records) + 1
             else:
@@ -513,23 +517,6 @@ def test_window_extraction_rejects_unequal_circumferences():
         pipeline._window_extraction(d, 0, 1)
 
 
-def test_case6_chain_builds_no_net(monkeypatch):
-    """Classification reads every metric fact off the decomposition: neither
-    the Case 6 chain nor the Case 1/2/4 crossing-cylinder searches build a
-    metric net."""
-    def no_net(*args, **kwargs):
-        raise AssertionError("the classification built a metric net")
-
-    monkeypatch.setattr(FlatSurfaceNet, "__init__", no_net)
-    verdict = classify_surface(reference_surface())
-    assert verdict.status == "WollmilchsauEquivalent"
-    for name in sorted(EXEMPLARS):
-        verdict = classify_surface(exemplar(name))
-        assert verdict.status == "TrivialForni"
-        assert record_for(verdict, (0, 1)).mechanism == \
-            EXPECTED_HORIZONTAL[name][1]
-
-
 def test_case6_unequal_moduli_are_forced_away():
     # the reference diagram with cylinder heights 1 and 2
     o = parse_origami('origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
@@ -542,6 +529,47 @@ def test_case6_unequal_moduli_are_forced_away():
     assert not chain
     assert chain.reason == "unequal moduli are forced away"
     assert chain.forcing.branch == "unequal_exponents"
+
+
+def exchanging_cylinders(heights, twist, a_to_b, b_to_a):
+    """Two cylinders A, B of circumference 4 and the given heights, A's
+    rows glued with ``twist``, the top row of A glued to the bottom row of
+    B by ``a_to_b`` and the top row of B to the bottom row of A by
+    ``b_to_a``."""
+    ha, hb = heights
+    rows = [[4 * r + i for i in range(4)] for r in range(ha + hb)]
+    h, v = [0] * (4 * (ha + hb)), [0] * (4 * (ha + hb))
+    for r, row in enumerate(rows):
+        for i, x in enumerate(row):
+            h[x] = row[(i + 1) % 4]
+            if r == ha - 1:
+                v[x] = rows[ha][a_to_b[i]]
+            elif r == ha + hb - 1:
+                v[x] = rows[0][b_to_a[i]]
+            else:
+                v[x] = rows[r + 1][(i + twist) % 4 if r < ha else i]
+    return Origami(tuple(h), tuple(v))
+
+
+def test_consistent_window_chain_is_the_reference_diagram():
+    """A consistent horizontal chain forces quarter saddles, four on each
+    bottom, so H(1,1,1,1); its one boundary-exchanging diagram is the
+    reference one.  Checked on every boundary exchange of two cylinders of
+    circumference 4."""
+    gluings = list(itertools.permutations(range(4)))
+    consistent = 0
+    for heights, twist, a_to_b, b_to_a in itertools.product(
+            ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)), range(4), gluings,
+            gluings):
+        o = exchanging_cylinders(heights, twist, a_to_b, b_to_a)
+        d = horizontal_decomposition(o)
+        if classify_case(dual_graph(d)) is CaseLabel.CASE6 and \
+                pipeline._metric_chain(d):
+            consistent += 1
+            assert d.diagram.canonical_key() == REFERENCE_KEY, o
+            assert classify_surface(o, 2).status == \
+                "WollmilchsauEquivalent", o
+    assert consistent > 0
 
 
 def test_case6_nonreference_excluded_by_window():

@@ -10,9 +10,9 @@ import canonical_form_oracle
 from action_oracle import word_matrix
 from conftest import l_origami, random_genus3, random_origami, torus, \
     wollmilchsau
-from net_oracle import CylinderGeometry, build_net
+from net_oracle import CylinderGeometry, NegativeLength, build_net
 from squaretiled.cylinders import CylinderDiagram
-from squaretiled.errors import NegativeLength, NotTransitive
+from squaretiled.errors import NotTransitive
 from squaretiled.surface import (
     Origami,
     act_sl2z,
