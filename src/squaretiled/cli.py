@@ -19,6 +19,7 @@ is 0 on success and 2 on validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -113,7 +114,10 @@ def _cmd_report(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later
+    :func:`main` call in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="squaretiled",
         description="Classification toolkit for genus-3 square-tiled "

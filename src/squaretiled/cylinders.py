@@ -538,7 +538,10 @@ def moduli_exponents(d):
     overall gcd one.
 
     Accepts a :class:`CylinderDecomposition` or a plain iterable of exact
-    rational moduli.
+    rational moduli.  Each modulus is a height over a circumference, read
+    as integers (a cylinder's stack depth and row length, or a rational's
+    numerator and denominator); scaling every height by the least common
+    multiple of the circumferences over its own makes the moduli integers.
 
     EXAMPLES::
 
@@ -548,18 +551,19 @@ def moduli_exponents(d):
         (1, 1)
     """
     if hasattr(d, "cylinders"):
-        moduli = [c.modulus for c in d.cylinders]
+        pairs = [(len(c.rows), len(c.rows[0])) for c in d.cylinders]
     else:
-        moduli = list(d)
-    if not moduli:
+        pairs = []
+        for m in d:
+            if not isinstance(m, (int, Fraction)):
+                raise Incommensurable(f"modulus {m!r} is not an exact "
+                                      "rational")
+            pairs.append((m.numerator, m.denominator))
+    if not pairs:
         return ()
-    for m in moduli:
-        if not isinstance(m, (int, Fraction)):
-            raise Incommensurable(f"modulus {m!r} is not an exact rational")
-    scale = lcm(*(Fraction(m).denominator for m in moduli)) if len(moduli) > 1 \
-        else Fraction(moduli[0]).denominator
-    ints = [int(Fraction(m) * scale) for m in moduli]
-    g = gcd(*ints) if len(ints) > 1 else ints[0]
+    scale = lcm(*(w for _, w in pairs))
+    ints = [h * (scale // w) for h, w in pairs]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 

@@ -14,8 +14,12 @@ A direction is analyzed on its member, the surface of the
 are isomorphic share one analysis: the record of a direction that
 excludes nothing does not depend on the labels of the squares, so the
 record of the first such direction is reused with the slope replaced.
-The reference surface's orbit is a single point, so all its directions
-share one analysis.
+When the horizontal direction excludes nothing and both generators ``T``
+and ``S`` carry the surface to an isomorphic copy, its orbit is a single
+point and every member is isomorphic to the surface itself, so every
+direction gets the horizontal record without building its member.  The
+reference surface's Veech group is all of ``SL(2, Z)``, so it is
+certified this way, from one direction analysis and two sheared copies.
 
 The survivor is the 8-square origami with ``h = (0 1 2 3)(4 7 6 5)`` and
 ``v = (0 4 2 6)(1 5 3 7)``: two horizontal 4x1 cylinders with homologous
@@ -30,6 +34,7 @@ EXAMPLES::
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -49,6 +54,7 @@ from .monodromy import enumerate_slopes
 from .surface import (
     Origami,
     Stratum,
+    act_sl2z,
     build_origami,
     origami_isomorphism,
     perm_from_cycles,
@@ -144,8 +150,8 @@ class EquivalenceResult:
 
 
 def _window_extraction(d, c1, c2):
-    """Normalized window coordinates (t0, s0, t_start) for cylinder ``c1``
-    against ``c2``.
+    """Window coordinates (t0, s0, t_start) for cylinder ``c1`` against
+    ``c2``, as integer numerators over the common circumference ``w``.
 
     A straight trajectory starting inside the longest bottom saddle of
     ``c1``, piercing the longest bottom saddle of ``c2`` and closing when
@@ -169,7 +175,8 @@ def _window_extraction(d, c1, c2):
         G = (2*P_t - T - 2*Q_b) mod w
 
     and the coordinates are ``t0 = L_tau / w``, ``s0 = L_sigma / w`` and
-    ``t_start = ((G - 2*L_tau) mod w) / w``.
+    ``t_start = ((G - 2*L_tau) mod w) / w``, returned as the numerators
+    ``(L_tau, L_sigma, (G - 2*L_tau) mod w)``.
 
     Two longest saddles on one bottom are told apart by word order; the
     choice does not change ``t_start``.  The order of the two cylinders
@@ -194,8 +201,7 @@ def _window_extraction(d, c1, c2):
     drift = (q_t - q_b + p_t - p_b) % w
     # the second copy of the piercing interval is w (one half) further on
     gap = (2 * p_t - drift - 2 * q_b) % w
-    return (Fraction(l_tau, w), Fraction(lengths[sigma], w),
-            Fraction((gap - 2 * l_tau) % w, w))
+    return l_tau, lengths[sigma], (gap - 2 * l_tau) % w
 
 
 def _metric_chain(d) -> EquivalenceResult:
@@ -211,11 +217,14 @@ def _metric_chain(d) -> EquivalenceResult:
                                  forcing=forcing)
     # the first cylinder carries the longest bottom saddle; when both
     # longest saddles are equally long, the order with the smaller t_start
-    # is kept, so the record does not depend on the cylinder labels
+    # is kept, so the record does not depend on the cylinder labels.  Both
+    # orders share the denominator w, so their numerators compare alone.
     t0, s0, t_start = min((_window_extraction(d, *order)
                            for order in (cids, cids[::-1])),
                           key=lambda c: (-c[0], c[2]))
-    constraint = WindowConstraint(t0, s0, t_start, min_saddle=_QUARTER)
+    w = len(d.cylinders[0].rows[0])
+    constraint = WindowConstraint(Fraction(t0, w), Fraction(s0, w),
+                                  Fraction(t_start, w), min_saddle=_QUARTER)
     record = window_feasible(constraint)
     if not record.feasible:
         return EquivalenceResult(False, "window inequalities violated",
@@ -227,6 +236,13 @@ def _metric_chain(d) -> EquivalenceResult:
 # ---------------------------------------------------------------------------
 # per-direction analysis
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def _slopes(bound):
+    """:func:`~squaretiled.monodromy.enumerate_slopes` of ``bound`` as a
+    tuple, built once per bound for the life of the process."""
+    return tuple(enumerate_slopes(bound))
 
 
 def _analyze_direction(d, slope):
@@ -297,9 +313,14 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     (:func:`~squaretiled.cylinders.direction_member`).  A direction whose
     member is isomorphic to that of an earlier non-excluding direction
     is not analyzed again: its record is the earlier one with the slope
-    replaced, which is the record its own analysis would give.  Only the
-    table of slope words (:func:`~squaretiled.cylinders.direction_member`)
-    is kept for the life of the process.
+    replaced, which is the record its own analysis would give.  When the
+    horizontal direction excludes nothing, ``S·o`` and ``T·o`` are tested
+    for isomorphism with ``o``; if both are, every ``SL(2, Z)`` word maps
+    ``o`` to an isomorphic copy, so the orbit is one point and every
+    later direction gets the horizontal record with its own slope, no
+    member built.  Only the table of slope words
+    (:func:`~squaretiled.cylinders.direction_member`) and the tuple of
+    slopes of each bound are kept for the life of the process.
 
     EXAMPLES::
 
@@ -316,25 +337,35 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % horizontal.genus)
-    evidence = []
-    # (member, record) of each non-excluding direction analyzed
-    analyzed = []
-    for slope in enumerate_slopes(direction_bound):
-        member = direction_member(o, slope)
-        record = next((r for m, r in analyzed
-                       if origami_isomorphism(member[1], m) is not None),
-                      None)
-        if record is not None:
-            evidence.append(replace(record, slope=slope))
-            continue
-        d = horizontal if slope == (0, 1) else \
-            periodic_decomposition(o, slope, member)
-        record, excludes = _analyze_direction(d, slope)
-        evidence.append(record)
-        if excludes:
-            return Verdict("TrivialForni", tuple(evidence), o)
-        analyzed.append((member[1], record))
-    evidence = tuple(evidence)
+    first, excludes = _analyze_direction(horizontal, (0, 1))
+    if excludes:
+        return Verdict("TrivialForni", (first,), o)
+    # every slope list starts with the horizontal (0, 1)
+    slopes = _slopes(direction_bound)[1:]
+    if all(origami_isomorphism(act_sl2z(o, (g,)), o) is not None
+           for g in ("S", "T")):
+        evidence = (first,) + tuple(
+            DirectionRecord(slope, first.label, first.mechanism,
+                            first.witness) for slope in slopes)
+    else:
+        evidence = [first]
+        # (member, record) of each non-excluding direction analyzed
+        analyzed = [(o, first)]
+        for slope in slopes:
+            member = direction_member(o, slope)
+            record = next((r for m, r in analyzed
+                           if origami_isomorphism(member[1], m) is not None),
+                          None)
+            if record is not None:
+                evidence.append(replace(record, slope=slope))
+                continue
+            record, excludes = _analyze_direction(
+                periodic_decomposition(o, slope, member), slope)
+            evidence.append(record)
+            if excludes:
+                return Verdict("TrivialForni", tuple(evidence), o)
+            analyzed.append((member[1], record))
+        evidence = tuple(evidence)
     if any(record.label != "Case6" for record in evidence):
         return Verdict("Undetermined", evidence, o)
     # Every direction shows two homologous cylinders whose metric chain is

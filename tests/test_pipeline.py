@@ -13,20 +13,22 @@ from fractions import Fraction
 import pytest
 
 import catalog_oracle
+import survivor_oracle
 from conftest import EXEMPLARS, decomposition_net, exemplar, l_origami, \
     random_genus3, wollmilchsau
 from decomposition_oracle import core_span_rank
-from squaretiled.cli import main as cli_main
+from squaretiled.cli import build_parser, main as cli_main
 from squaretiled.cylinders import (
     CaseLabel,
     classify_case,
     direction_member,
     horizontal_decomposition,
+    moduli_exponents,
     periodic_decomposition,
 )
 from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes
-from squaretiled import homology, pipeline
+from squaretiled import cylinders, homology, pipeline
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
     DirectionRecord,
@@ -168,15 +170,25 @@ def test_case5_without_exclusion_is_undetermined(monkeypatch):
                for r in records if r.label is None)
 
 
-@pytest.mark.parametrize("text, bound, slopes, members",
-                         [(str(reference_surface()), 3, 16, 1),
-                          (UNDETERMINED_CASE5, 1, 4, 4)],
-                         ids=["reference", "undetermined"])
+# two cylinders with both heights 2; T fixes its isomorphism class and S
+# does not, so it is tested with one sheared copy
+SURVIVOR16 = ('origami n=16 h="(0 1 5 2)(3 6 12 8)(4 9 13 7)(10 15 11 14)" '
+              'v="(0 3 10 13 5 12 11 4)(1 6 14 9 2 8 15 7)"')
+
+
+@pytest.mark.parametrize("text, bound, slopes, members, copies",
+                         [(str(reference_surface()), 3, 16, 1, 2),
+                          (SURVIVOR16, 3, 16, 3, 1 + 15),
+                          (UNDETERMINED_CASE5, 1, 4, 4, 1 + 3)],
+                         ids=["reference", "survivor16", "undetermined"])
 def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
-                                      members):
-    """Each isomorphism class of direction members is analysed once: the
-    reference surface's orbit is a single point, so its 16 directions
-    share one analysis."""
+                                      members, copies):
+    """Each isomorphism class of direction members is analysed once.  The
+    reference surface's orbit is a single point, which ``T`` and ``S``
+    show with two sheared copies, so its 16 directions share one
+    analysis and build no member.  Any other surface builds the member of
+    every direction but the horizontal one, whose member is the surface
+    itself, besides the copy of the ``S`` test, which fails first."""
     o = parse_origami(text)
     assert len(enumerate_slopes(bound)) == slopes
     distinct = {canonical_form(periodic_decomposition(o, s).origami)
@@ -184,16 +196,19 @@ def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
     assert len(distinct) == members
     calls = []
 
-    def counted(name):
-        inner = getattr(pipeline, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
             return inner(*args, **kwargs)
-        monkeypatch.setattr(pipeline, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("periodic_decomposition", "dual_graph", "_metric_chain"):
-        counted(name)
+    for name in ("periodic_decomposition", "dual_graph", "_metric_chain",
+                 "direction_member", "act_sl2z"):
+        counted(pipeline, name)
+    # direction_member shears through the name cylinders imported
+    counted(cylinders, "act_sl2z")
     verdict = classify_surface(o, direction_bound=bound)
     assert verdict.status != "TrivialForni"
     # one record per slope, plus the survivor's certificate unless some
@@ -205,6 +220,44 @@ def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
     assert calls.count("periodic_decomposition") == members
     assert calls.count("dual_graph") == members
     assert calls.count("_metric_chain") <= members
+    assert calls.count("act_sl2z") == copies
+    assert calls.count("direction_member") == \
+        (0 if members == 1 else slopes - 1)
+
+
+# the 16-square survivor, a Case 6 surface with unequal moduli and a
+# Case 3 surface with unequal exponents
+NAMED_SURFACES = [
+    SURVIVOR16,
+    'origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
+    'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"',
+    'origami n=10 h="(0 6 5)(2 3 4)(7 8 9)" v="(0 7 2 5 9 4)(1 3 6 8)"']
+
+
+def test_one_point_rule_matches_the_per_slope_loop():
+    """The verdict of every surface, at bounds 1-3, is the one the scan
+    that builds every direction's member gives: on the reference and
+    relabelled copies of it, whose orbit is a single point, on the
+    16-, 12- and 10-square surfaces above, the exemplars and random
+    surfaces."""
+    rng = random.Random(1919)
+    surfaces = [reference_surface()]
+    surfaces += [relabelled(rng, reference_surface()) for _ in range(20)]
+    surfaces += [parse_origami(text) for text in NAMED_SURFACES]
+    surfaces += [exemplar(name) for name in sorted(EXEMPLARS)]
+    surfaces += [random_genus3(rng, 5, 12) for _ in range(500)]
+    one_point, statuses = 0, set()
+    for o in surfaces:
+        one_point += all(origami_isomorphism(act_sl2z(o, [g]), o) is not None
+                         for g in ("T", "S"))
+        for bound in (1, 2, 3):
+            verdict = classify_surface(o, direction_bound=bound)
+            assert verdict == survivor_oracle.classify_per_slope(o, bound), \
+                (o, bound)
+            statuses.add(verdict.status)
+    assert one_point >= 21
+    assert statuses == {"TrivialForni", "Undetermined",
+                        "WollmilchsauEquivalent"}
 
 
 REFERENCE_KEY = horizontal_decomposition(reference_surface()).diagram \
@@ -485,10 +538,19 @@ def test_random_feasible_windows_force_quarter_saddles(rng):
     assert found == 5, draws
 
 
+def window_coordinates(d, c1, c2):
+    """The window coordinates of cylinder ``c1`` against ``c2`` as
+    fractions of their common circumference."""
+    w = len(d.cylinders[c1].rows[0])
+    return tuple(Fraction(x, w) for x in
+                 pipeline._window_extraction(d, c1, c2))
+
+
 def test_window_extraction_matches_net_oracle(rng):
     ref = horizontal_decomposition(reference_surface())
     quarter = Fraction(1, 4)
-    assert pipeline._window_extraction(ref, 0, 1) == (quarter, quarter, 0)
+    assert pipeline._window_extraction(ref, 0, 1) == (1, 1, 0)
+    assert window_coordinates(ref, 0, 1) == (quarter, quarter, 0)
     assert net_window_extraction(ref, 0, 1) == (quarter, quarter, 0)
     extractions, triples = 0, set()
     while extractions < 300:
@@ -502,7 +564,7 @@ def test_window_extraction_matches_net_oracle(rng):
                 feasible_window_has_quarter_saddles(image, d)
                 ids = [c.id for c in d.cylinders]
                 for c1, c2 in (ids, ids[::-1]):
-                    triple = pipeline._window_extraction(d, c1, c2)
+                    triple = window_coordinates(d, c1, c2)
                     assert triple == net_window_extraction(d, c1, c2), \
                         (image, slope, c1)
                     triples.add(triple)
@@ -557,19 +619,63 @@ def test_consistent_window_chain_is_the_reference_diagram():
     reference one.  Checked on every boundary exchange of two cylinders of
     circumference 4."""
     gluings = list(itertools.permutations(range(4)))
-    consistent = 0
+    case6 = consistent = 0
     for heights, twist, a_to_b, b_to_a in itertools.product(
             ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)), range(4), gluings,
             gluings):
         o = exchanging_cylinders(heights, twist, a_to_b, b_to_a)
         d = horizontal_decomposition(o)
-        if classify_case(dual_graph(d)) is CaseLabel.CASE6 and \
-                pipeline._metric_chain(d):
+        if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
+            continue
+        case6 += 1
+        chain = pipeline._metric_chain(d)
+        # the integer chain against the Fraction one
+        assert chain == survivor_oracle.metric_chain(d), o
+        assert moduli_exponents(d) == survivor_oracle.moduli_exponents(d)
+        if chain:
             consistent += 1
             assert d.diagram.canonical_key() == REFERENCE_KEY, o
             assert classify_surface(o, 2).status == \
                 "WollmilchsauEquivalent", o
-    assert consistent > 0
+    assert case6 == 8000
+    assert consistent == 32
+
+
+def test_integer_chain_matches_the_fraction_oracle():
+    """The moduli exponents of every direction up to bound 3, and the
+    metric chain of every Case 6 one, equal those computed in fractions
+    from the cylinder moduli, on random surfaces and boundary exchanges,
+    the reference and the surfaces above, and on random lists of rational
+    moduli."""
+    rng = random.Random(2020)
+    surfaces = [random_genus3(rng, 5, 12) for _ in range(150)]
+    surfaces += [random_boundary_exchange(rng) for _ in range(150)]
+    surfaces += [reference_surface()]
+    surfaces += [parse_origami(text) for text in NAMED_SURFACES]
+    directions = chains = 0
+    feasible = set()
+    for o in surfaces:
+        for slope in enumerate_slopes(3):
+            d = periodic_decomposition(o, slope)
+            assert moduli_exponents(d) == \
+                survivor_oracle.moduli_exponents(d), (o, slope)
+            directions += 1
+            if classify_case(dual_graph(d)) is CaseLabel.CASE6:
+                chain = pipeline._metric_chain(d)
+                assert chain == survivor_oracle.metric_chain(d), (o, slope)
+                chains += 1
+                feasible.add(chain.reason)
+    assert directions == 16 * len(surfaces)
+    assert chains > 150
+    assert feasible == {"unequal moduli are forced away",
+                        "window inequalities violated",
+                        "metric constraints consistent"}
+    for _ in range(500):
+        moduli = [Fraction(rng.randint(0, 30), rng.randint(1, 30))
+                  for _ in range(rng.randint(1, 5))]
+        if any(moduli):
+            assert moduli_exponents(moduli) == \
+                survivor_oracle.moduli_exponents(moduli), moduli
 
 
 def test_case6_nonreference_excluded_by_window():
@@ -720,13 +826,26 @@ def test_cli_monodromy_unbounded(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_cli_error_exits(tmp_path):
+def test_cli_error_exits(tmp_path, capsys):
     assert cli_main(["analyze", str(tmp_path / "missing.txt")]) == 2
     bad = tmp_path / "bad.txt"
     bad.write_text("not an origami line\n", encoding="utf-8")
     assert cli_main(["analyze", str(bad)]) == 2
     genus2 = origami_file(tmp_path, l_origami())
     assert cli_main(["analyze", genus2]) == 2
+    # one parser serves every call in the process; a usage error leaves
+    # it as it was
+    assert build_parser() is build_parser()
+    capsys.readouterr()
+    assert cli_main(["report"]) == 0
+    report = capsys.readouterr().out
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["report", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert cli_main(["report"]) == 0
+    assert capsys.readouterr().out == report
 
 
 def test_cli_monodromy_without_stabilizer_words(tmp_path, capsys):
