@@ -11,8 +11,9 @@ Modules
   graphs of cylinder pinches
 - :mod:`squaretiled.jump` — the two analytic forcing arguments along a
   cylinder pinch, as closed forms in the node exponents
-- :mod:`squaretiled.transverse` — exact interval maps and transverse-cylinder
-  searches on a cylinder decomposition; the window-inequality solver
+- :mod:`squaretiled.transverse` — transverse-cylinder searches on a
+  cylinder decomposition, the Case 4A window argument over whole-unit
+  cells; the window-inequality solver
 - :mod:`squaretiled.monodromy` — affine stabilizer, its symplectic action on
   homology, exact finiteness decision, core-curve dimension bound
 - :mod:`squaretiled.pipeline` — the end-to-end classification pipeline,

@@ -1,22 +1,24 @@
 r"""
-Exact piecewise isometries between cylinder interfaces, constructive
-searches for transverse cylinders in the two-, three- and four-cylinder
-configurations, and the window-inequality solver.
+Constructive searches for transverse cylinders in the two-, three- and
+four-cylinder configurations, and the window-inequality solver.
 
-All interval endpoints are exact rationals.  The searches read the
-metric data of an origami's cylinder decomposition directly (whole
-numbers of squares).  They return witness records (crossed-cylinder
-sequence, width, average direction) that are re-verified
-combinatorially; existence arguments that the source material phrases
-through shearing and cutting-and-regluing become coordinate re-origin
-choices here.
+The searches read the metric data of an origami's cylinder decomposition
+directly: every length and position is a whole number of squares, so the
+four-cylinder window argument runs over unit cells.  They return witness
+records (crossed-cylinder sequence, width, average direction) that are
+re-verified combinatorially; existence arguments that the source
+material phrases through shearing and cutting-and-regluing become
+coordinate re-origin choices here.
 
 EXAMPLES::
 
-    >>> from fractions import Fraction
-    >>> f = IntervalMap(Fraction(1), ((Fraction(0), Fraction(1), Fraction(1, 3)),))
-    >>> f.apply(Fraction(5, 6))
-    Fraction(1, 6)
+    >>> from squaretiled.cylinders import horizontal_decomposition
+    >>> from squaretiled.surface import parse_origami
+    >>> o = parse_origami('origami n=12 h="(0 1 2 3)(4 5)(6 7)(8 9 10 11)" '
+    ...                   'v="(0 4 8 3 7 11)(1 5 9 2 6 10)"')
+    >>> w = find_crossing_cylinder(horizontal_decomposition(o), "Case4")
+    >>> w.kind, w.crossed, w.width, w.start_interval
+    ('boundary', (0, 2, 3), 1, (1, 2))
 """
 
 from __future__ import annotations
@@ -25,221 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cylinders import classify_case
-from .errors import CaseMismatch, InvariantViolation, LengthMismatch
+from .errors import CaseMismatch, InvariantViolation
 from .homology import dual_graph
-
-# ---------------------------------------------------------------------------
-# interval maps
-# ---------------------------------------------------------------------------
-
-
-class IntervalMap:
-    r"""
-    A measure-preserving piecewise isometry of ``[0, L)``: each piece is a
-    half-open source interval translated by an offset, with the image taken
-    mod ``L``.
-
-    On construction the pieces are normalized: sorted, offsets reduced mod
-    ``L``, and any piece whose image would wrap is split, so every stored
-    piece has a straight (non-wrapping) image.  Both the sources and the
-    images must partition ``[0, L)``.
-
-    EXAMPLES::
-
-        >>> rot = IntervalMap(Fraction(1),
-        ...                   ((Fraction(0), Fraction(1), Fraction(1, 3)),))
-        >>> [p[:2] for p in rot.pieces]
-        [(Fraction(0, 1), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 1))]
-        >>> rot.apply(Fraction(1, 2))
-        Fraction(5, 6)
-    """
-
-    def __init__(self, length, pieces):
-        self.length = Fraction(length)
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        split = []
-        for a, b, off in pieces:
-            a, b, off = Fraction(a), Fraction(b), Fraction(off) % self.length
-            if not (0 <= a < b <= self.length):
-                raise ValueError("piece outside [0, L)")
-            wrap = self.length - off
-            if off and a < wrap < b:
-                split.append((a, wrap, off))
-                split.append((wrap, b, off))
-            else:
-                split.append((a, b, off))
-        split.sort()
-        self.pieces = tuple(split)
-        self._validate()
-
-    def _validate(self):
-        x = Fraction(0)
-        for a, b, _ in self.pieces:
-            if a != x:
-                raise ValueError("source intervals do not partition [0, L)")
-            x = b
-        if x != self.length:
-            raise ValueError("source intervals do not partition [0, L)")
-        images = sorted(self.image_intervals())
-        x = Fraction(0)
-        for a, b in images:
-            if a != x:
-                raise ValueError("image intervals do not partition [0, L)")
-            x = b
-        if x != self.length:
-            raise ValueError("image intervals do not partition [0, L)")
-
-    def image_intervals(self):
-        """The (non-wrapping) image interval of each piece."""
-        out = []
-        for a, b, off in self.pieces:
-            ia = (a + off) % self.length
-            out.append((ia, ia + (b - a)))
-        return out
-
-    def apply(self, x):
-        """Image of the point ``x``."""
-        x = Fraction(x)
-        for a, b, off in self.pieces:
-            if a <= x < b:
-                return (x + off) % self.length
-        raise ValueError("point outside [0, L)")
-
-    def piece_at(self, x):
-        """The piece ``(a, b, offset)`` whose source contains ``x``."""
-        x = Fraction(x)
-        for piece in self.pieces:
-            if piece[0] <= x < piece[1]:
-                return piece
-        raise ValueError("point outside [0, L)")
-
-
-def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
-    r"""
-    The identification of one cylinder interface with another, as an
-    :class:`IntervalMap` between their boundary coordinates, on a cylinder
-    decomposition ``d``.
-
-    Interfaces are ``("bottom", cid)`` or ``("top", cid)``; every saddle of
-    the source interface must appear on the target interface and the two
-    total lengths must agree (:class:`~squaretiled.errors.LengthMismatch`
-    otherwise).  A point at distance ``t`` into a saddle on the source is
-    sent to distance ``t`` into the same saddle on the target.
-
-    EXAMPLES::
-
-        >>> from squaretiled.cylinders import horizontal_decomposition
-        >>> from squaretiled.surface import build_origami
-        >>> # one cylinder of three squares, its top glued with twist 1
-        >>> d = horizontal_decomposition(build_origami((1, 2, 0), (2, 0, 1)))
-        >>> f = build_interval_map(d, ("bottom", 0), ("top", 0))
-        >>> f.apply(0)
-        Fraction(1, 1)
-    """
-    def interface_data(interface):
-        side, cid = interface
-        if side == "bottom":
-            word = d.diagram.bottom_words[cid]
-            pos = d.bottom_positions[cid]
-        elif side == "top":
-            word = d.diagram.top_words[cid]
-            pos = d.top_positions[cid]
-        else:
-            raise ValueError("interface side must be 'bottom' or 'top'")
-        return word, pos, d.cylinders[cid].circumference
-
-    from_word, from_pos, from_len = interface_data(from_interface)
-    to_word, to_pos, to_len = interface_data(to_interface)
-    if from_len != to_len:
-        raise LengthMismatch("interfaces have lengths %s and %s"
-                             % (from_len, to_len))
-    if set(from_word) != set(to_word):
-        raise LengthMismatch("interfaces do not carry the same saddles")
-    pieces = []
-    for sid in from_word:
-        a = from_pos[sid]
-        ln = d.saddle_lengths[sid]
-        # a point at distance t into the saddle sits at (a + t) mod L and
-        # maps to (to_pos + t) mod L, so the offset is the same mod L on
-        # both parts of a source saddle that wraps past the end of [0, L)
-        off = to_pos[sid] - a
-        if a + ln <= from_len:
-            pieces.append((a, a + ln, off))
-        else:
-            pieces.append((a, from_len, off))
-            pieces.append((Fraction(0), a + ln - from_len, off))
-    return IntervalMap(from_len, pieces)
-
-
-def find_window_hit(f: IntervalMap, j, w):
-    r"""
-    A maximal open interval ``(a, b)`` inside the window ``j`` whose image
-    under ``f`` lies inside the window ``w``, chosen leftmost among the
-    longest; ``None`` if no positive-length interval qualifies.
-
-    EXAMPLES::
-
-        >>> ident = IntervalMap(1, ((0, 1, 0),))
-        >>> find_window_hit(ident, (0, Fraction(1, 2)), (0, Fraction(1, 2)))
-        (Fraction(0, 1), Fraction(1, 2))
-        >>> rot = IntervalMap(1, ((0, 1, Fraction(1, 3)),))
-        >>> find_window_hit(rot, (0, Fraction(1, 3)),
-        ...                 (Fraction(1, 3), Fraction(2, 3)))
-        (Fraction(0, 1), Fraction(1, 3))
-        >>> swap = IntervalMap(1, ((0, Fraction(1, 2), Fraction(1, 2)),
-        ...                        (Fraction(1, 2), 1, Fraction(1, 2))))
-        >>> find_window_hit(swap, (0, Fraction(1, 2)),
-        ...                 (0, Fraction(1, 2))) is None
-        True
-    """
-    j0, j1 = Fraction(j[0]), Fraction(j[1])
-    w0, w1 = Fraction(w[0]), Fraction(w[1])
-    hits = []
-    for a, b, off in f.pieces:
-        s0, s1 = max(a, j0), min(b, j1)
-        if s0 >= s1:
-            continue
-        i0 = (s0 + off) % f.length
-        i1 = i0 + (s1 - s0)
-        m0, m1 = max(i0, w0), min(i1, w1)
-        if m0 < m1:
-            hits.append((s0 + (m0 - i0), s0 + (m1 - i0)))
-    if not hits:
-        return None
-    hits.sort()
-    merged = [list(hits[0])]
-    for a, b in hits[1:]:
-        if a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    best = max(merged, key=lambda ab: ab[1] - ab[0])
-    return (best[0], best[1])
-
-
-def boundary_hit(f: IntervalMap, value):
-    r"""
-    The unique preimage of ``value`` under ``f`` (raises if the preimage is
-    not unique).  Used for the boundary case where the window hit
-    degenerates to a point.
-
-    EXAMPLES::
-
-        >>> rot = IntervalMap(1, ((0, 1, Fraction(1, 3)),))
-        >>> boundary_hit(rot, Fraction(1, 2))
-        Fraction(1, 6)
-    """
-    value = Fraction(value) % f.length
-    found = []
-    for a, b, off in f.pieces:
-        x = (value - off) % f.length
-        if a <= x < b:
-            found.append(x)
-    if len(found) != 1:
-        raise ValueError("preimage of %s is not unique" % (value,))
-    return found[0]
-
 
 # ---------------------------------------------------------------------------
 # transverse-cylinder witnesses
@@ -303,27 +92,33 @@ def _saddle_arc(word, positions, saddles):
 def find_crossing_cylinder(d, case) -> TransverseWitness:
     r"""
     A transverse cylinder for one of the named two-, three- and
-    four-cylinder configurations, or ``None`` when the configuration's
-    guarantee does not apply to the given metric data.
+    four-cylinder configurations, or ``None`` when a two-cylinder
+    configuration's guarantee does not apply to the given metric data;
+    ``Case4`` always returns a witness.
 
     ``d`` is an origami's cylinder decomposition, whose lengths and
     positions are whole numbers of squares; the search reads the diagram,
     the circumference and height of each cylinder, the saddle lengths and
-    the saddle positions on every boundary.
+    the saddle positions on every boundary.  The ``Case4A`` search runs
+    over unit cells and raises
+    :class:`~squaretiled.errors.InvariantViolation` on any length or
+    position that is not whole.
 
     - ``Case1``: a saddle on both sides of one cylinder spans a simple
       transverse cylinder crossing that cylinder once.
     - ``Case2``: a saddle shared by the bottom of one cylinder and the top
       of another, with a second shared saddle between them, spans a
       cylinder crossing both exactly once (twists are free parameters).
-    - ``Case4A``: the window argument on the interval map from the bottom
-      of the outer cylinder to the top of its partner.  The top of the
-      outer cylinder is exactly the bottoms of the two middles, so the
-      wider middle spans at least half the outer circumference and a
-      witness always exists: a window hit, or in the critical case of
-      exactly half, where ``f`` maps ``[0, s)`` onto ``[s, w)``, the
-      boundary construction at the preimage of ``s``, which lies in
-      ``[0, s)``.
+    - ``Case4A``: the window argument on the gluing of the bottom of the
+      outer cylinder to the top of its partner, both re-cut so that the
+      wider middle spans the window ``[0, s)`` of the circumference
+      ``w``.  The top of the outer cylinder is exactly the bottoms of the
+      two middles, so ``2s >= w``.  When ``2s > w`` the window and its
+      preimage hold ``2s > w`` cells between them, so by pigeonhole some
+      window cell is glued into the window: the witness is a run of such
+      cells.  When ``2s = w`` and no cell is, the gluing maps ``[0, s)``
+      onto ``[s, w)``, and the witness is the boundary construction at
+      the preimage of ``s``, which lies in ``[0, s)``.
     - ``Case4B``: every saddle on the top of the outer partner recurs on
       the bottom of the outer cylinder; any of them spans a cylinder
       crossing the three stacked cylinders once each.
@@ -423,74 +218,71 @@ def _case2_witness(d):
     return None
 
 
-def case4a_window_map(d, c1=None, c4=None, middles=None):
-    """The normalized interval map of the four-cylinder window argument:
-    the gluing of the bottom of ``c1`` to the top of ``c4``, in coordinates
-    re-cut so that the wider middle cylinder spans ``[0, s)`` on both of
-    its interfaces.  Returns ``(map, s)``."""
-    if c1 is None:
-        c1, c4, middles = _matched_pair(d)
-    wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
-    w = d.cylinders[c1].circumference
-    if d.cylinders[c4].circumference != w:
-        raise CaseMismatch("outer cylinders must have equal circumference")
-    s = d.cylinders[wide].circumference
-    a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
-                        set(d.diagram.bottom_words[wide]))
-    a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions[c4],
-                        set(d.diagram.top_words[wide]))
-    raw = build_interval_map(d, ("bottom", c1), ("top", c4))
-    pieces = []
-    for a, b, off in raw.pieces:
-        pieces.append(((a - a_top) % w, (a - a_top) % w + (b - a),
-                       off + a_top - a_bot))
-    # re-splitting at 0 after the shift
-    fixed = []
-    for a, b, off in pieces:
-        if b <= w:
-            fixed.append((a, b, off))
-        else:
-            fixed.append((a, w, off))
-            fixed.append((Fraction(0), b - w, off))
-    return IntervalMap(w, fixed), s
+def _whole(x):
+    """``x`` as an ``int``; :class:`InvariantViolation` unless it is a whole
+    number."""
+    n = int(x)
+    if n != x:
+        raise InvariantViolation("the cell search needs whole-unit lengths "
+                                 "and positions, got %s" % (x,))
+    return n
 
 
 def _case4a_witness(d, c1, c4, middles):
-    f, s = case4a_window_map(d, c1, c4, middles)
-    w = f.length
-    wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
-    rise = (d.cylinders[c1].height + d.cylinders[wide].height
-            + d.cylinders[c4].height)
-    hit = find_window_hit(f, (Fraction(0), s), (Fraction(0), s))
-    if hit is not None:
-        # shrink into a single continuity piece so the image is a translate
-        a, b = hit
-        for pa, pb, off in f.pieces:
-            lo, hi = max(a, pa), min(b, pb)
-            if lo < hi:
-                return TransverseWitness(
-                    crossed=(c1, wide, c4),
-                    width=hi - lo,
-                    start_interface=("bottom", c1),
-                    start_interval=(lo, hi),
-                    direction=(off if off <= w - off else off - w, rise),
-                    kind="window",
-                )
-    if 2 * s == w:
-        x = boundary_hit(f, s)
-        pa, pb, off = f.piece_at(x)
-        eps = min(pb - x, s - x)
-        if eps <= 0:
-            raise InvariantViolation("boundary witness of zero width")
-        return TransverseWitness(
-            crossed=(c1, wide, c4),
-            width=eps,
-            start_interface=("bottom", c1),
-            start_interval=(x, x + eps),
-            direction=(off if off <= w - off else off - w, rise),
-            kind="boundary",
-        )
-    return None
+    """The window argument over unit cells.  Both outer interfaces are
+    re-cut so that the wide middle spans ``[0, s)``; ``image[x]`` is the
+    cell on the top of ``c4`` glued to cell ``x`` of the bottom of ``c1``.
+    A continuity piece starts at cell 0, at each saddle and wherever the
+    image jumps."""
+    cyl = d.cylinders
+    wide = max(middles, key=lambda c: (cyl[c].circumference, c))
+    w = _whole(cyl[c1].circumference)
+    if _whole(cyl[c4].circumference) != w:
+        raise CaseMismatch("outer cylinders must have equal circumference")
+    s = _whole(cyl[wide].circumference)
+    a_top = _whole(_saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
+                               set(d.diagram.bottom_words[wide])))
+    a_bot = _whole(_saddle_arc(d.diagram.bottom_words[c4],
+                               d.bottom_positions[c4],
+                               set(d.diagram.top_words[wide])))
+    image = [None] * w
+    starts = {0}
+    for sid in d.diagram.bottom_words[c1]:
+        x = _whole(d.bottom_positions[c1][sid]) - a_top
+        y = _whole(d.top_positions[c4][sid]) - a_bot
+        starts.add(x % w)
+        for t in range(_whole(d.saddle_lengths[sid])):
+            image[(x + t) % w] = (y + t) % w
+    if set(image) != set(range(w)):
+        raise InvariantViolation("the outer gluing must permute the cells")
+    starts.update(x for x in range(1, w) if image[x] != image[x - 1] + 1)
+    # the leftmost longest run of window cells whose images lie in the
+    # window; the wide middle spans at least half of w, so a run exists
+    # unless 2s = w and the window maps onto its complement
+    best, run = (0, 0), 0
+    for x in range(s):
+        run = run + 1 if image[x] < s else 0
+        if run > best[1] - best[0]:
+            best = (x + 1 - run, x + 1)
+    if best[0] < best[1]:
+        kind, (lo, hi) = "window", best
+    elif 2 * s == w:
+        lo = image.index(s)
+        kind, hi = "boundary", s
+    else:
+        raise InvariantViolation("no window cell is glued into the window "
+                                 "although 2s != w")
+    hi = min(hi, min((x for x in starts if x > lo), default=w))
+    off = (image[lo] - lo) % w
+    rise = cyl[c1].height + cyl[wide].height + cyl[c4].height
+    return TransverseWitness(
+        crossed=(c1, wide, c4),
+        width=hi - lo,
+        start_interface=("bottom", c1),
+        start_interval=(lo, hi),
+        direction=(off if off <= w - off else off - w, rise),
+        kind=kind,
+    )
 
 
 def _case4b_witness(d, c1, c4, mid):
@@ -533,12 +325,10 @@ class WindowConstraint:
     min_saddle: Fraction = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t0", Fraction(self.t0))
-        object.__setattr__(self, "s0", Fraction(self.s0))
-        object.__setattr__(self, "t_start", Fraction(self.t_start))
-        if self.min_saddle is not None:
-            object.__setattr__(self, "min_saddle",
-                               Fraction(self.min_saddle))
+        values = (self.t0, self.s0, self.t_start, self.min_saddle)
+        if not all(isinstance(v, (int, Fraction)) for v in values
+                   if v is not None):
+            raise ValueError("window data must be exact: int or Fraction")
         if not (0 < self.t0 < 1 and 0 < self.s0 < 1):
             raise ValueError("saddle lengths must lie in (0, 1)")
         if not (0 <= self.t_start < 1):

@@ -11,6 +11,7 @@ from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NotTransitive
 from squaretiled.surface import build_origami, perm_from_cycles, \
     singularity_data
+from squaretiled.transverse import TransverseWitness
 
 
 def wollmilchsau():
@@ -43,6 +44,13 @@ EXEMPLARS = {
     "Case5": ((2, 5, 1, 0, 3, 4), (2, 1, 0, 5, 3, 4)),
     "Case6": ((2, 3, 5, 4, 1, 0), (3, 5, 1, 2, 0, 4)),
 }
+
+
+# an H(1,1,1,1) surface whose horizontal direction is Case 4A with the
+# wide middle spanning exactly half of the outer circumference and no
+# window cell glued into the window: the boundary construction
+BOUNDARY_4A = ('origami n=12 h="(0 1 2 3)(4 5)(6 7)(8 9 10 11)" '
+               'v="(0 4 8 3 7 11)(1 5 9 2 6 10)"')
 
 
 def exemplar(name):
@@ -141,6 +149,26 @@ def decomposition_net(d):
     lengths = {sid: Fraction(length)
                for sid, length in d.saddle_lengths.items()}
     return build_net(geoms, d.diagram, lengths)
+
+
+def scaled_net(net, k):
+    """``net`` with every length, position and height multiplied by ``k``;
+    ``k = 16`` takes a :func:`random_case4a_net` to whole units."""
+    geoms = {c: CylinderGeometry(g.circumference * k, g.height * k,
+                                 g.twist * k)
+             for c, g in net.cylinders.items()}
+    return build_net(geoms, net.diagram,
+                     {sid: length * k
+                      for sid, length in net.saddle_lengths.items()})
+
+
+def scaled_witness(witness, k):
+    """``witness`` with its width, start interval and direction multiplied
+    by ``k``: the witness of the net scaled by ``k``."""
+    return TransverseWitness(
+        witness.crossed, witness.width * k, witness.start_interface,
+        tuple(x * k for x in witness.start_interval),
+        tuple(x * k for x in witness.direction), witness.kind)
 
 
 @pytest.fixture

@@ -12,9 +12,13 @@ from conftest import (
     l_origami,
     random_case4a_net,
     random_origami,
+    scaled_net,
+    scaled_witness,
     torus,
     wollmilchsau,
 )
+from interval_oracle import build_interval_map, case4a_window_map, \
+    case4a_window_witness
 from test_transverse import brute_window_point, total_length, \
     window_feasible_pairs
 from squaretiled.cylinders import classify_case, horizontal_decomposition, \
@@ -29,8 +33,6 @@ from squaretiled.pipeline import classify_surface, enumerate_diagrams, \
 from squaretiled.surface import singularity_data
 from squaretiled.transverse import (
     WindowConstraint,
-    build_interval_map,
-    case4a_window_map,
     find_crossing_cylinder,
     window_feasible,
 )
@@ -74,10 +76,13 @@ def test_criterion_2_diagram_uniqueness():
 
 
 def test_criterion_3_randomized_crossing_cylinders():
+    """Random Case 4A nets scaled to whole units, each witness checked
+    against the rational interval-map oracle."""
     with budget(30):
         rng = random.Random(4242)
         for _ in range(200):
-            net = random_case4a_net(rng)
+            small = random_case4a_net(rng)
+            net = scaled_net(small, 16)
             witness = find_crossing_cylinder(net, "Case4A")
             assert witness is not None
             assert witness.width > 0
@@ -94,6 +99,8 @@ def test_criterion_3_randomized_crossing_cylinders():
                 witness.kind == "boundary"
             assert brute_window_point(net), \
                 "independent direction scan must confirm the witness"
+            assert witness == \
+                scaled_witness(case4a_window_witness(small), 16)
 
 
 def test_criterion_4_case6_forcing_randomized():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exemplar
+from conftest import BOUNDARY_4A, exemplar
 from series_oracle import LeadingSeries, case6_period_derivative, \
     series_determinant
 from squaretiled.errors import InvariantViolation
@@ -144,6 +144,15 @@ def test_forcing_evidence_is_frozen():
         "ForcingVerdict(verdict='r1 = r2 forced', "
         "branch='unequal_exponents', exponent=-1, "
         "coefficient=Fraction(3, 1), " + PROVENANCE)
+    # the Case 4A boundary branch on an origami
+    verdict = classify_surface(parse_origami(BOUNDARY_4A))
+    assert verdict.status == "TrivialForni"
+    assert [repr(r) for r in verdict.evidence] == [
+        "DirectionRecord(slope=(0, 1), label='Case4', "
+        "mechanism='transverse crossing cylinder', "
+        "witness=TransverseWitness(crossed=(0, 2, 3), width=1, "
+        "start_interface=('bottom', 0), start_interval=(1, 2), "
+        "direction=(1, Fraction(3, 1)), kind='boundary'))"]
 
 
 def test_case6_guards():

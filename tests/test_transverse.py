@@ -1,15 +1,20 @@
-"""Interval maps between cylinder interfaces, window searches, transverse
-crossing-cylinder witnesses for the stacked configurations, and the window
-inequalities."""
+"""Transverse crossing-cylinder witnesses for the stacked configurations,
+the Case 4A cell search against the rational interval-map oracle, and the
+window inequalities."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import decomposition_net, exemplar, random_case4a_net, \
-    random_genus3, torus, wollmilchsau
+from conftest import BOUNDARY_4A, CASE4A_DIAGRAM, decomposition_net, \
+    exemplar, random_case4a_net, random_genus3, scaled_net, scaled_witness, \
+    torus, wollmilchsau
+from interval_oracle import IntervalMap, boundary_hit, build_interval_map, \
+    case4a_window_map, case4a_window_witness, find_window_hit
+from net_oracle import CylinderGeometry, build_net
 from squaretiled.cylinders import (
     classify_case,
     horizontal_decomposition,
@@ -22,15 +27,11 @@ from squaretiled.errors import (
 )
 from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes
+from squaretiled.surface import parse_origami
 from squaretiled.transverse import (
-    IntervalMap,
     TransverseWitness,
     WindowConstraint,
-    boundary_hit,
-    build_interval_map,
-    case4a_window_map,
     find_crossing_cylinder,
-    find_window_hit,
     window_feasible,
 )
 
@@ -234,16 +235,60 @@ def brute_window_point(net, denominator=16):
 
 
 def test_case4a_random_nets_with_brute_oracle(rng):
+    """Random nets scaled to whole units: the witness lies in the window,
+    maps into it, matches a brute-force scan, and is the oracle's witness
+    on the unscaled net, scaled."""
     for _ in range(60):
-        net = random_case4a_net(rng)
+        small = random_case4a_net(rng)
+        net = scaled_net(small, 16)
         witness = find_crossing_cylinder(net, "Case4A")
         assert witness is not None
         f, s = case4a_window_map(net)
         a, b = witness.start_interval
-        mid = a + (b - a) / 2
+        mid = a + Fraction(b - a, 2)
         assert 0 <= a < b <= s
         assert 0 <= f.apply(mid) < s
         assert brute_window_point(net), "brute scan must confirm existence"
+        assert witness == scaled_witness(case4a_window_witness(small), 16)
+
+
+def test_case4a_cell_search_matches_the_interval_oracle():
+    """The cell search returns the rational oracle's witness on the Case 4A
+    exemplar, the boundary surface, every whole-unit net over the Case 4A
+    diagram with circumferences 4/2/2/4 (every twist, heights 1-2), and
+    2000 random nets scaled by 16, where the oracle runs on the unscaled
+    net and its witness is scaled."""
+    found = Counter()
+
+    def check(d, expected):
+        witness = find_crossing_cylinder(d, "Case4A")
+        assert witness == expected, d
+        found[witness.kind] += 1
+
+    for o in (exemplar("Case4A"), parse_origami(BOUNDARY_4A)):
+        d = horizontal_decomposition(o)
+        check(d, case4a_window_witness(d))
+    widths = (4, 2, 2, 4)
+    lengths = {0: 1, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2}
+    for twists in itertools.product(*(range(w) for w in widths)):
+        for heights in itertools.product((1, 2), repeat=4):
+            net = build_net({c: CylinderGeometry(widths[c], heights[c],
+                                                 twists[c])
+                             for c in range(4)}, CASE4A_DIAGRAM, lengths)
+            check(net, case4a_window_witness(net))
+    rng = random.Random(4242)
+    for _ in range(2000):
+        small = random_case4a_net(rng)
+        check(scaled_net(small, 16),
+              scaled_witness(case4a_window_witness(small), 16))
+    assert sum(found.values()) == 3026
+    assert found["boundary"] > 0 and found["window"] > 0
+
+
+def test_case4a_cell_search_needs_whole_units():
+    net = random_case4a_net(random.Random(4242))
+    with pytest.raises(InvariantViolation, match="whole-unit"):
+        find_crossing_cylinder(net, "Case4A")
 
 
 def test_window_feasible_known_points():
@@ -253,6 +298,16 @@ def test_window_feasible_known_points():
     rec = window_feasible(WindowConstraint(Fraction(1, 3), q, 0, q))
     assert not rec.feasible
     assert rec.slack == Fraction(-1, 6)
+
+
+def test_window_constraint_needs_exact_values():
+    q = Fraction(1, 4)
+    assert WindowConstraint(q, q, 0).t_start == 0
+    for args in ((0.25, q, 0), (q, q, 0.0), (q, q, 0, 0.25)):
+        with pytest.raises(ValueError, match="exact"):
+            WindowConstraint(*args)
+    with pytest.raises(ValueError, match="in \\(0, 1\\)"):
+        WindowConstraint(1, q, 0)
 
 
 def test_window_feasible_pairs_unique():
