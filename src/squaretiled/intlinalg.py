@@ -20,6 +20,8 @@ EXAMPLES::
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import InvariantViolation
 
 
@@ -29,20 +31,20 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    """Multiply two matrices given as lists of rows.
+    """Multiply two matrices given as lists (or tuples) of rows, each row
+    of ``a`` against the columns of ``b``; the result is a list of lists.
 
     EXAMPLES::
 
         >>> mat_mul([[1, 1], [0, 1]], [[1, 0], [1, 1]])
         [[2, 1], [1, 1]]
     """
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if not all(len(r) == inner for r in a):
+    inner = len(b)
+    if not all(len(r) == inner for r in a) or \
+            len({len(r) for r in b}) > 1:
         raise InvariantViolation("matrix shapes do not match")
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, x):

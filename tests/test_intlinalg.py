@@ -1,9 +1,14 @@
 """The Smith normal form and everything read off it, checked against the
-Fraction elimination oracle on random integer matrices."""
+Fraction elimination oracle on random integer matrices; the zipped-column
+matrix product, checked against the index-based one."""
 
+import pytest
+
+import closure_oracle
 from conftest import random_unimodular, wollmilchsau
 from fraction_oracle import det_rational, holonomy_kernel, integer_kernel, \
     rank_rational, solve_rational
+from squaretiled.errors import InvariantViolation
 from squaretiled.homology import homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul, \
     smith_normal_form, snf_rank
@@ -92,3 +97,27 @@ def test_restriction_matches_rational_solve():
     assert len(matrices) == 10
     restricted = restrict_to_zero_holonomy(matrices, basis)
     assert restricted == rational_restriction(matrices, basis)
+
+
+def test_mat_mul_matches_the_index_product(rng):
+    shapes = [(0, 0, 0), (2, 0, 3), (3, 2, 0), (0, 2, 2), (1, 1, 1)]
+    shapes += [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(200)]
+    for rows, inner, cols in shapes:
+        a = random_matrix(rng, rows, inner)
+        b = random_matrix(rng, inner, cols)
+        expected = closure_oracle.mat_mul(a, b)
+        assert mat_mul(a, b) == expected
+        assert mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b))) == \
+            expected
+        assert all(type(row) is list for row in mat_mul(a, b))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1, 2]], [[1, 0], [0, 1], [1, 1]]),
+    ([[1, 2], [3]], [[1, 0], [0, 1]]),
+    ([[1, 2]], [[1, 0], [0]]),
+    ([[1]], []),
+], ids=["inner sizes", "ragged left", "ragged right", "empty right"])
+def test_mat_mul_shape_mismatch_raises(a, b):
+    with pytest.raises(InvariantViolation):
+        mat_mul(a, b)

@@ -8,12 +8,13 @@ import random
 import pytest
 
 import action_oracle
+import closure_oracle
 from conftest import l_origami, torus, wollmilchsau, random_origami, \
     random_unimodular
 from decomposition_oracle import core_span_rank
 from fraction_oracle import holonomy_kernel, invert_unimodular
 from squaretiled.cylinders import classify_case, periodic_decomposition
-from squaretiled.errors import NotAStabilizer
+from squaretiled.errors import InvariantViolation, NotAStabilizer
 from squaretiled.homology import HomologyBasis, dual_graph, homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
@@ -200,26 +201,106 @@ def test_closure_order_of_signed_permutation_groups(rng, n, order):
         assert result.order == order == brute_force_order(gens)
 
 
-@pytest.mark.parametrize("case", ["torus shear", "H(4)", 2, 3, 4])
+def assert_kernel_witness(generators, witness):
+    """The witness word multiplies out to a nonidentity matrix that is the
+    identity mod 3, and returns that product."""
+    w = word_product(generators, witness)
+    assert w != identity_matrix(len(generators[0]))
+    assert all(e % 3 == (i == j) for i, row in enumerate(w)
+               for j, e in enumerate(row))
+    return w
+
+
+@pytest.mark.parametrize("case", ["torus shear", "H(4)", 2, 3, 4,
+                                  "residue collision"])
 def test_unbounded_witness_has_infinite_order(case):
     if case == "torus shear":
         generators = [homology_action(torus(), ("T",))]
     elif case == "H(4)":
         generators = restricted_generators(parse_origami(H4_LINE), 2)
+    elif case == "residue collision":
+        # the shear is the identity mod 3 but not an element of <S>
+        generators = [[[0, -1], [1, 0]], [[1, 3], [0, 1]]]
     else:  # a random unipotent of dimension `case`
         generators = [random_unipotent(random.Random(case), case)]
     result = closure_classify(generators)
     assert result.status == "Unbounded"
-    n = len(generators[0])
-    ident = identity_matrix(n)
-    w = word_product(generators, result.witness)
-    assert w != ident
-    assert all(e % 3 == (i == j) for i, row in enumerate(w)
-               for j, e in enumerate(row))
+    if case == "residue collision":
+        assert result.witness == (2,)
+    ident = identity_matrix(len(generators[0]))
+    w = assert_kernel_witness(generators, result.witness)
     power = ident
     for _ in range(24):  # every torsion order in GL_n(Z), n <= 4
         power = mat_mul(power, w)
         assert power != ident
+
+
+def closure_parity_inputs():
+    """Generator lists on which the closure is compared with the BFS
+    oracle: the hyperoctahedral groups with and without a conjugator, the
+    reference's restricted generators at word bounds 1-3, and 300 random
+    genus-2 and genus-3 origamis at word bounds 1-2."""
+    rng = random.Random(2121)
+    for n in (2, 3, 4):
+        yield hyperoctahedral_generators(n)
+        yield hyperoctahedral_generators(n, random_unimodular(rng, n))
+    for word_bound in (1, 2, 3):
+        yield restricted_generators(wollmilchsau(), word_bound)
+    surfaces = 0
+    while surfaces < 300:
+        o = random_origami(rng, max_squares=9)
+        if singularity_data(o).genus not in (2, 3):
+            continue
+        surfaces += 1
+        b = homology_basis(o)
+        for word_bound in (1, 2):
+            mats = [homology_action(o, g, b)
+                    for g in stabilizer_generators(o, word_bound)]
+            yield restrict_to_zero_holonomy(mats, b)
+
+
+def test_closure_matches_the_bfs_oracle():
+    statuses = []
+    for generators in closure_parity_inputs():
+        result = closure_classify(generators)
+        expected = closure_oracle.closure_classify(generators)
+        assert (result.status, result.order) == \
+            (expected.status, expected.order), generators
+        if not result.is_finite:
+            assert_kernel_witness(generators, result.witness)
+        used = result.generated_by
+        assert list(used) == sorted(set(used))
+        assert all(1 <= j <= len(generators) for j in used)
+        if result.is_finite:  # the other generators add nothing
+            subgroup = [generators[j - 1] for j in used]
+            assert closure_oracle.closure_classify(subgroup).order == \
+                result.order
+        statuses.append(result.status)
+    assert len(statuses) == 6 + 3 + 600
+    assert 50 <= statuses.count("Unbounded") <= 550
+
+
+def test_reference_closure_is_generated_by_t_and_s():
+    o = wollmilchsau()
+    for word_bound in (1, 2, 3):
+        words = [w for w, _ in stabilizer_generators(o, word_bound)]
+        result = closure_classify(restricted_generators(o, word_bound))
+        assert (result.status, result.order) == ("Finite", 96)
+        assert result.generated_by == (1, 3)
+        assert [words[j - 1] for j in result.generated_by] == \
+            [("T",), ("S",)]
+
+
+@pytest.mark.parametrize("generators", [
+    [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    [[[1, 0], [0, 1]], [[1, 0], [0]]],
+    [[[1, 0, 0], [0, 1, 0]]],
+    [[[1], [0]]],
+    [[[0, -1], [1, 0]], [[1, 1, 0], [0, 1]]],
+], ids=["mixed sizes", "short row", "wide", "tall", "long row"])
+def test_closure_needs_square_generators_of_one_size(generators):
+    with pytest.raises(InvariantViolation):
+        closure_classify(generators)
 
 
 def test_enumerate_slopes():
