@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import Incommensurable, InvariantViolation
+from .errors import InvariantViolation
 from .surface import Origami, act_sl2z, matrix_word
 
 
@@ -534,33 +533,26 @@ def _bezout(x, y):
 
 def moduli_exponents(d):
     r"""
-    Integer exponents ``r_e`` proportional to the cylinder moduli with
-    overall gcd one.
+    Integer exponents ``r_e`` proportional to the cylinder moduli of the
+    decomposition ``d``, with overall gcd one.
 
-    Accepts a :class:`CylinderDecomposition` or a plain iterable of exact
-    rational moduli.  Each modulus is a height over a circumference, read
-    as integers (a cylinder's stack depth and row length, or a rational's
-    numerator and denominator); scaling every height by the least common
-    multiple of the circumferences over its own makes the moduli integers.
+    Each modulus is a height over a circumference, read as integers (a
+    cylinder's stack depth and row length); scaling every height by the
+    least common multiple of the circumferences over its own makes the
+    moduli integers.
 
     EXAMPLES::
 
-        >>> moduli_exponents([Fraction(1, 2), Fraction(1, 3)])
+        >>> from squaretiled.surface import parse_origami
+        >>> o = parse_origami('origami n=5 h="(0 1)(2 3 4)" v="(1 2)"')
+        >>> moduli_exponents(horizontal_decomposition(o))   # moduli 1/2, 1/3
         (3, 2)
-        >>> moduli_exponents([Fraction(1, 4), Fraction(1, 4)])
+        >>> o = parse_origami('origami h="(0 1 2 3)(4 7 6 5)" '
+        ...                   'v="(0 4 2 6)(1 5 3 7)"')
+        >>> moduli_exponents(horizontal_decomposition(o))   # moduli 1/4, 1/4
         (1, 1)
     """
-    if hasattr(d, "cylinders"):
-        pairs = [(len(c.rows), len(c.rows[0])) for c in d.cylinders]
-    else:
-        pairs = []
-        for m in d:
-            if not isinstance(m, (int, Fraction)):
-                raise Incommensurable(f"modulus {m!r} is not an exact "
-                                      "rational")
-            pairs.append((m.numerator, m.denominator))
-    if not pairs:
-        return ()
+    pairs = [(len(c.rows), len(c.rows[0])) for c in d.cylinders]
     scale = lcm(*(w for _, w in pairs))
     ints = [h * (scale // w) for h, w in pairs]
     g = gcd(*ints)
@@ -581,32 +573,16 @@ class CaseLabel(enum.Enum):
         return f"Case{self.value}"
 
 
-def _shape_key(genera, edges):
-    """The least ``(genus labels, sorted edges)`` over every numbering of
-    the vertices of a genus-labelled multigraph (vertices ``0..V-1``,
-    edges as vertex pairs): two such graphs are isomorphic exactly when
-    their keys are equal."""
-    keys = []
-    for order in itertools.permutations(range(len(genera))):
-        new = [0] * len(order)
-        for k, i in enumerate(order):
-            new[i] = k
-        keys.append((tuple([genera[i] for i in order]), tuple(sorted(
-            (new[u], new[w]) if new[u] <= new[w] else (new[w], new[u])
-            for u, w in edges))))
-    return min(keys)
-
-
-# the six reference shapes (genus labels, edges as vertex-index pairs),
-# keyed by their shape key
-_CASE_SHAPES = {_shape_key(genera, edges): label for label, genera, edges in (
-    (CaseLabel.CASE1, [1], [(0, 0), (0, 0)]),
-    (CaseLabel.CASE2, [0, 1], [(0, 1), (0, 1), (0, 1)]),
-    (CaseLabel.CASE3, [0, 1], [(0, 0), (0, 1), (0, 1)]),
-    (CaseLabel.CASE4, [0, 0, 1], [(0, 1), (0, 1), (0, 2), (1, 2)]),
-    (CaseLabel.CASE5, [2], [(0, 0)]),
-    (CaseLabel.CASE6, [1, 1], [(0, 1), (0, 1)]),
-)}
+# the six genus-3 pinch shapes, keyed by their sorted per-vertex
+# (genus, valence, loops); a loop adds two to its vertex's valence
+_CASE_SIGNATURES = {
+    ((1, 4, 2),): CaseLabel.CASE1,
+    ((0, 3, 0), (1, 3, 0)): CaseLabel.CASE2,
+    ((0, 4, 1), (1, 2, 0)): CaseLabel.CASE3,
+    ((0, 3, 0), (0, 3, 0), (1, 2, 0)): CaseLabel.CASE4,
+    ((2, 2, 1),): CaseLabel.CASE5,
+    ((1, 2, 0), (1, 2, 0)): CaseLabel.CASE6,
+}
 
 
 def classify_case(g):
@@ -615,10 +591,32 @@ def classify_case(g):
 
     Returns the :class:`CaseLabel`, or ``None`` when the graph matches no
     reference shape (in particular for every input whose genus labels and
-    cycle rank do not add up to genus 3).  The graph's shape key, its
-    least form over every numbering of at most three vertices, is looked
-    up in a table of the six reference shapes built once at import; a
-    graph with more vertices matches none.
+    cycle rank do not add up to genus 3).  One pass over the edges gives
+    each vertex's ``(genus, valence, loops)``, and the sorted triples are
+    looked up in a table of the six shapes.  The triples fix each shape up
+    to isomorphism: once the loops are placed, the other edge ends pair up
+    in one way only.  (In Case 4 the genus-1 vertex cannot send both its
+    edges to one genus-0 vertex, which would leave the other one three
+    edge ends and a single free end to join.)
+
+    On the pinch of a genus-3 origami of cycle rank 1 or 2 the label is
+    never ``None``:
+
+    - A core curve has nonzero holonomy, so it does not separate, and the
+      graph has no bridge.
+    - A component of genus ``g`` with ``k`` boundary circles holds at
+      least one zero, and Gauss-Bonnet gives ``2g - 2 + k`` as the sum of
+      the orders of its zeros.  So a genus-0 vertex has valence at least
+      3, and a vertex of valence 2 has genus at least 1.
+    - The genus labels sum to ``3 - h``, ``h`` the cycle rank.  For
+      ``h = 1`` the graph is a cycle, every vertex of valence 2: one
+      vertex of genus 2 with a loop (Case 5) or two of genus 1 (Case 6).
+    - For ``h = 2`` it is a theta or a figure-eight, possibly with edges
+      subdivided, and one vertex has genus 1.  That vertex either sits at
+      the branch point (Case 2 on a theta, Case 1 on a figure-eight) or is
+      the one vertex that subdivides an edge (Case 4, Case 3).
+    - ``h = 3`` leaves every label 0, the Lagrangian branch that no case
+      covers, and ``h = 0`` would make every edge a bridge.
 
     EXAMPLES::
 
@@ -628,9 +626,12 @@ def classify_case(g):
         >>> str(classify_case(g))
         'Case6'
     """
-    if len(g.vertices) > 3:   # no reference shape has more vertices
-        return None
-    index = {vid: i for i, (vid, _) in enumerate(g.vertices)}
-    genera = [genus for _, genus in g.vertices]
-    edges = [(index[u], index[w]) for _, (u, w) in g.edges]
-    return _CASE_SHAPES.get(_shape_key(genera, edges))
+    valence = dict.fromkeys((vid for vid, _ in g.vertices), 0)
+    loops = dict(valence)
+    for _, (u, w) in g.edges:
+        valence[u] += 1
+        valence[w] += 1
+        if u == w:
+            loops[u] += 1
+    return _CASE_SIGNATURES.get(tuple(sorted(
+        (genus, valence[vid], loops[vid]) for vid, genus in g.vertices)))

@@ -15,10 +15,6 @@ class NotTransitive(SquareTiledError, ValueError):
     """The two permutations generate an intransitive group (disconnected surface)."""
 
 
-class Incommensurable(SquareTiledError, ValueError):
-    """Cylinder moduli have an irrational ratio; no integer exponents exist."""
-
-
 class LengthMismatch(SquareTiledError, ValueError):
     """Two interfaces that should have equal total length do not."""
 

@@ -91,10 +91,10 @@ def reference_surface() -> Origami:
 
 @dataclass(frozen=True)
 class DirectionRecord:
-    """One analyzed direction: the reduced slope, the pinch case label (or
-    ``None`` for an unmatched graph), the exclusion mechanism applied, and
-    the supporting witness object (the dual graph's cycle rank for the
-    Lagrangian core-curve mechanism)."""
+    """One analyzed direction: the reduced slope, the pinch case label, the
+    exclusion mechanism applied, and the supporting witness object.  The
+    label is ``None`` only on the Lagrangian core-curve record, whose
+    witness is the dual graph's cycle rank."""
 
     slope: tuple
     label: str
@@ -253,23 +253,26 @@ def _analyze_direction(d, slope):
     A dual graph of cycle rank 3 has geometric genus 0, a shape none of
     Cases 1-6 has: the core curves span a Lagrangian subspace of
     homology, and Forni's geometric criterion (J. Mod. Dyn. 5, 2011) then
-    makes every Lyapunov exponent nonzero."""
+    makes every Lyapunov exponent nonzero.  Any other pinch of a genus-3
+    origami has one of the six shapes
+    (:func:`~squaretiled.cylinders.classify_case`), and Cases 1, 2 and 4
+    always have a crossing witness; a graph with no label raises
+    :class:`~squaretiled.errors.InvariantViolation`."""
     graph = dual_graph(d)
     if graph.cycle_rank == 3:
         return DirectionRecord(slope, None, "Lagrangian core curves",
                                graph.cycle_rank), True
     label = classify_case(graph)
-    name = str(label) if label is not None else None
     if label is None:
-        return DirectionRecord(slope, None, "unmatched pinch graph"), False
+        raise InvariantViolation("a pinch graph of cycle rank %d and genus "
+                                 "labels summing to %d matches none of the "
+                                 "six shapes" % (graph.cycle_rank,
+                                                 graph.geometric_genus))
+    name = str(label)
     if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
         # the label was just read off this graph: skip the public check
-        witness = _crossing_witness(d, name)
-        if witness is None:
-            return DirectionRecord(slope, name, "no crossing witness "
-                                   "found"), False
         return DirectionRecord(slope, name, "transverse crossing cylinder",
-                               witness), True
+                               _crossing_witness(d, name)), True
     if label is CaseLabel.CASE3:
         # the exponents of the two nodes joining the elliptic and the
         # rational component, the edges whose endpoints differ
@@ -297,13 +300,12 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     nontrivial isometric subspace, through the mechanism of its pinch
     shape or through Lagrangian core curves, and the evidence stops at
     that direction.  Otherwise every direction is analyzed: the status is
-    ``Undetermined`` when some direction is Case 5, unmatched, or Case
-    1/2/4 without a crossing witness; otherwise every direction shows two
-    homologous cylinders with consistent metrics, and the status is
-    ``WollmilchsauEquivalent``.  Consistent window data in the horizontal
-    direction leave the reference diagram as the only one possible, so
-    the final record, ``window forcing``, restates that direction's
-    window data as the certificate.
+    ``Undetermined`` when some direction is Case 5; otherwise every
+    direction shows two homologous cylinders with consistent metrics, and
+    the status is ``WollmilchsauEquivalent``.  Consistent window data in
+    the horizontal direction leave the reference diagram as the only one
+    possible, so the final record, ``window forcing``, restates that
+    direction's window data as the certificate.
 
     The genus is read off the horizontal decomposition, which the first
     direction analyzes; a surface of any other genus than 3 raises

@@ -92,9 +92,9 @@ def _saddle_arc(word, positions, saddles):
 def find_crossing_cylinder(d, case) -> TransverseWitness:
     r"""
     A transverse cylinder for one of the named two-, three- and
-    four-cylinder configurations, or ``None`` when a two-cylinder
-    configuration's guarantee does not apply to the given metric data;
-    ``Case4`` always returns a witness.
+    four-cylinder configurations.  Every diagram of one of these shapes
+    has one, whatever its metric data, so a witness is always returned;
+    the searches state why.
 
     ``d`` is an origami's cylinder decomposition, whose lengths and
     positions are whole numbers of squares; the search reads the diagram,
@@ -170,6 +170,18 @@ def _crossing_witness(d, case):
 
 
 def _case1_witness(d):
+    """A simple cylinder over a saddle on both the bottom and the top of
+    one cylinder, the first in cylinder order.
+
+    Every Case 1 diagram has such a saddle.  Its pinch is one component
+    with the two cylinders ``A`` and ``B`` as loops.  If neither cylinder
+    had a saddle on both sides, every saddle of ``bottom(A)`` would lie on
+    ``top(B)`` and every saddle of ``bottom(B)`` on ``top(A)``; both sides
+    list every saddle once, so these inclusions would be equalities.  The
+    halves of ``A`` and ``B`` would then fall into two components,
+    ``bottom(A)`` with ``top(B)`` and ``bottom(B)`` with ``top(A)``: the
+    shape of Case 6.  So :class:`InvariantViolation` is raised only when
+    ``d`` is not Case 1."""
     for cid in d.diagram.cylinder_ids:
         both = set(d.diagram.bottom_words[cid]) & \
             set(d.diagram.top_words[cid])
@@ -187,10 +199,29 @@ def _case1_witness(d):
             direction=(tp - bp, d.cylinders[cid].height),
             kind="simple-over-%s" % (sid,),
         )
-    return None
+    raise InvariantViolation("no cylinder has a saddle on both its bottom "
+                             "and its top: the diagram is not Case 1")
 
 
 def _case2_witness(d):
+    """A cylinder through a saddle ``sigma`` on the bottom of a cylinder
+    ``c1`` and the top of another, ``c2``, and back through the longest
+    saddle ``tau`` that the top of ``c1`` shares with the bottom of
+    ``c2``; the first such pair in cylinder and word order.
+
+    Every Case 2 diagram has one, at its first saddle.  Its pinch is a
+    theta: each of the three cylinders joins the genus-0 component to the
+    genus-1 one.  The boundary circles of a component sum to zero in
+    homology and every core curve has positive holonomy, so each component
+    holds the bottom of one cylinder and the top of another: two
+    cylinders share one orientation and the third, the lone one, has the
+    other.  A saddle ``sigma`` on the bottom of ``c1`` lies on the top of
+    a cylinder ``c2`` in the same component, so ``c2`` has the other
+    orientation and is not ``c1``.  One of ``c1`` and ``c2`` is the lone
+    cylinder, and its side in the other component, the top of ``c1`` or
+    the bottom of ``c2``, carries every saddle of that component, the
+    other's side among them.  So the two sides share a saddle, and
+    :class:`InvariantViolation` is raised only when ``d`` is not Case 2."""
     cids = d.diagram.cylinder_ids
     lengths = d.saddle_lengths
     for c1 in cids:
@@ -215,7 +246,8 @@ def _case2_witness(d):
                 direction=(Fraction(0), rise),
                 kind="through-%s-%s" % (sigma, tau),
             )
-    return None
+    raise InvariantViolation("no two cylinders share a saddle both ways: "
+                             "the diagram is not Case 2")
 
 
 def _whole(x):

@@ -1,6 +1,7 @@
 """Shared fixtures: frozen exemplar surfaces (one per pinch shape) and
 random-instance generators used across the suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -79,6 +80,38 @@ def random_genus3(rng, low, high):
         o = random_origami(rng, high)
         if o.n >= low and singularity_data(o).genus == 3:
             return o
+
+
+def _partitions(n, largest=None):
+    """The partitions of ``n`` into parts of at most ``largest``, parts in
+    decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def genus3_origamis(max_squares):
+    """Every transitive genus-3 origami on at most ``max_squares`` squares
+    whose ``h`` is the representative of its cycle type that cycles
+    consecutive squares, paired with every ``v``.  Relabeling carries any
+    origami to one of these, so up to isomorphism the set holds every
+    genus-3 origami of that size and every member of its ``SL(2, Z)``
+    orbit."""
+    for n in range(1, max_squares + 1):
+        for cycle_type in _partitions(n):
+            starts = itertools.accumulate((0,) + cycle_type)
+            h = perm_from_cycles([tuple(range(a, a + k)) for a, k in
+                                  zip(starts, cycle_type)], n)
+            for v in itertools.permutations(range(n)):
+                try:
+                    o = build_origami(h, v)
+                except NotTransitive:
+                    continue
+                if singularity_data(o).genus == 3:
+                    yield o
 
 
 def random_unimodular(rng, n):

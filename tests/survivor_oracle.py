@@ -11,8 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from squaretiled.cylinders import direction_member, periodic_decomposition
-from squaretiled.errors import GenusMismatch, Incommensurable, \
-    InvariantViolation
+from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.jump import case6_moduli_forcing
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import (
@@ -27,7 +26,9 @@ from squaretiled.transverse import WindowConstraint, window_feasible
 
 def moduli_exponents(d):
     """Integer exponents proportional to the moduli ``height /
-    circumference``, scaled by the lcm of their denominators."""
+    circumference`` of a decomposition, or of a plain list of exact
+    rational moduli, scaled by the lcm of their denominators.  Only the
+    oracle reads plain lists; the package's version reads decompositions."""
     if hasattr(d, "cylinders"):
         moduli = [c.modulus for c in d.cylinders]
     else:
@@ -36,7 +37,7 @@ def moduli_exponents(d):
         return ()
     for m in moduli:
         if not isinstance(m, (int, Fraction)):
-            raise Incommensurable(f"modulus {m!r} is not an exact rational")
+            raise ValueError(f"modulus {m!r} is not an exact rational")
     scale = lcm(*(Fraction(m).denominator for m in moduli)) \
         if len(moduli) > 1 else Fraction(moduli[0]).denominator
     ints = [int(Fraction(m) * scale) for m in moduli]

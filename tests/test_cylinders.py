@@ -10,6 +10,7 @@ from math import factorial, prod
 import pytest
 
 import decomposition_oracle
+import survivor_oracle
 from action_oracle import word_matrix
 from conftest import (
     CASE4A_DIAGRAM,
@@ -31,11 +32,11 @@ from squaretiled.cylinders import (
     moduli_exponents,
     periodic_decomposition,
 )
-from squaretiled.errors import Incommensurable, InvariantViolation
+from squaretiled.errors import InvariantViolation
 from squaretiled.homology import DualGraph, dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import enumerate_diagrams
-from squaretiled.surface import Origami, singularity_data
+from squaretiled.surface import Origami, parse_origami, singularity_data
 
 
 def cylinder_shapes(d):
@@ -136,20 +137,37 @@ def test_decomposition_matches_the_oracle():
         assert dual_graph(net) == decomposition_oracle.dual_graph(net)
 
 
-def test_case_table_matches_the_permutation_search():
-    """The shape-key lookup gives the label of the vertex-permutation
-    search on every small genus-labelled multigraph drawn, matched or
-    not."""
+def small_multigraphs():
+    """Every genus-labelled multigraph on vertices ``0..V-1`` with
+    ``V <= 3``, at most five edges (loops allowed) and genus labels 0 to
+    2, as a :class:`DualGraph`: 12 996 graphs, isomorphic ones repeated."""
+    for nv in range(1, 4):
+        pairs = list(itertools.combinations_with_replacement(range(nv), 2))
+        for ne in range(6):
+            for chosen in itertools.combinations_with_replacement(pairs, ne):
+                edges = tuple(enumerate(chosen))
+                for genera in itertools.product(range(3), repeat=nv):
+                    yield DualGraph(tuple(enumerate(genera)), edges)
+
+
+def test_closed_form_matches_the_permutation_search():
+    """The per-vertex (genus, valence, loops) lookup gives the label of the
+    vertex-permutation search on every multigraph of
+    :func:`small_multigraphs` and on every small genus-labelled multigraph
+    drawn, matched or not."""
+    graphs = list(small_multigraphs())
+    assert len(graphs) == 12996
     rng = random.Random(1314)
-    labels = set()
     for _ in range(3000):
         nv = rng.randint(1, 4)
         edges = tuple((cid, tuple(sorted(rng.sample(range(nv), 2)
                                          if nv > 1 and rng.random() < 0.7
                                          else [rng.randrange(nv)] * 2)))
                       for cid in range(rng.randint(1, 5)))
-        g = DualGraph(tuple((vid, rng.randint(0, 2)) for vid in range(nv)),
-                      edges)
+        graphs.append(DualGraph(tuple((vid, rng.randint(0, 2))
+                                      for vid in range(nv)), edges))
+    labels = set()
+    for g in graphs:
         label = classify_case(g)
         assert label is decomposition_oracle.classify_case(g), g
         labels.add(label)
@@ -333,9 +351,16 @@ def test_malformed_diagrams_raise():
 
 
 def test_moduli_exponents():
-    assert moduli_exponents([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
-    assert moduli_exponents([Fraction(1, 4), Fraction(1, 4)]) == (1, 1)
+    """The exponents of a decomposition; plain lists of moduli go to the
+    fraction oracle, the only code that reads them."""
+    o = parse_origami('origami n=5 h="(0 1)(2 3 4)" v="(1 2)"')
+    assert moduli_exponents(horizontal_decomposition(o)) == (3, 2)
+    assert moduli_exponents(horizontal_decomposition(l_origami())) == (1, 2)
     assert moduli_exponents(horizontal_decomposition(wollmilchsau())) == \
         (1, 1)
-    with pytest.raises(Incommensurable):
-        moduli_exponents([0.5, Fraction(1, 3)])
+    assert survivor_oracle.moduli_exponents(
+        [Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
+    assert survivor_oracle.moduli_exponents(
+        [Fraction(1, 4), Fraction(1, 4)]) == (1, 1)
+    with pytest.raises(ValueError, match="not an exact rational"):
+        survivor_oracle.moduli_exponents([0.5, Fraction(1, 3)])

@@ -8,18 +8,22 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import catalog_oracle
+import decomposition_oracle
 import survivor_oracle
-from conftest import EXEMPLARS, decomposition_net, exemplar, l_origami, \
-    random_genus3, wollmilchsau
+from conftest import EXEMPLARS, decomposition_net, exemplar, \
+    genus3_origamis, l_origami, random_genus3, wollmilchsau
 from decomposition_oracle import core_span_rank
 from squaretiled.cli import build_parser, main as cli_main
 from squaretiled.cylinders import (
     CaseLabel,
+    Cylinder,
     classify_case,
     direction_member,
     horizontal_decomposition,
@@ -28,7 +32,7 @@ from squaretiled.cylinders import (
 )
 from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes
-from squaretiled import cylinders, homology, pipeline
+from squaretiled import cylinders, homology, pipeline, transverse
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
     DirectionRecord,
@@ -48,6 +52,7 @@ from squaretiled.surface import (
     perm_from_cycles,
     singularity_data,
 )
+from squaretiled.transverse import TransverseWitness
 
 
 def record_for(verdict, slope):
@@ -142,7 +147,8 @@ def test_case5_excluded_through_a_simple_cylinder_direction():
 
 # every direction up to bound 1 is Case 5, and none excludes
 UNDETERMINED_CASE5 = 'origami n=7 h="(0 6 3 4 1 2 5)" v="(0 1 6 5 3 2 4)"'
-# Case 5 or unmatched in every direction up to bound 3
+# Case 5 or Lagrangian core curves (cycle rank 3, no case label) in every
+# direction up to bound 3
 LAGRANGIAN_CASE5 = 'origami n=5 h="(1 2 3)" v="(0 1)(3 4)"'
 
 
@@ -404,7 +410,10 @@ def test_direction_record_is_invariant_under_relabelling():
     the member's squares are relabelled.  A transverse crossing cylinder
     names the member's cylinders and saddles, so for it the label and
     mechanism are compared; every other record, the excluding window and
-    period forcing records included, is compared whole."""
+    period forcing records included, is compared whole.  A boundary
+    exchange of another genus than 3, which :func:`classify_surface`
+    refuses, can have a pinch of none of the six shapes; its analysis
+    raises, and so does that of the relabelled copy."""
     rng = random.Random(1010)
     surfaces = [act_sl2z(reference_surface(), list(w)) for w in WORDS]
     for h, v in SPLIT_ORBITS:
@@ -413,17 +422,24 @@ def test_direction_record_is_invariant_under_relabelling():
     surfaces += [random_genus3(rng, 5, 12) for _ in range(120)]
     surfaces += [parse_origami(ORDER_DEPENDENT_CASE6[0])]
     surfaces += [random_boundary_exchange(rng) for _ in range(30)]
-    compared = ties = excluding = order_dependent = 0
+    compared = ties = excluding = order_dependent = unlabelled = 0
     for o in surfaces:
         for slope in enumerate_slopes(3):
-            record, excludes, d = analyze(o, slope)
             x = direction_member(o, slope)[1]
+            copy = relabelled(rng, x)
+            try:
+                record, excludes, d = analyze(o, slope)
+            except InvariantViolation:
+                assert singularity_data(o).genus != 3, (o, slope)
+                with pytest.raises(InvariantViolation, match="six shapes"):
+                    analyze(copy, (0, 1))
+                unlabelled += 1
+                continue
             own = dataclasses.replace(record, slope=(0, 1))
             if not excludes:
                 # classify_surface reuses only non-excluding records
                 assert analyze(x, (0, 1))[0] == own, \
                     (o, slope)
-            copy = relabelled(rng, x)
             other = analyze(copy, (0, 1))[0]
             if own.mechanism == "transverse crossing cylinder":
                 assert (other.label, other.mechanism) == \
@@ -437,13 +453,14 @@ def test_direction_record_is_invariant_under_relabelling():
                     order_dependent += order_dependent_window(d)
                 else:
                     ties += tied_case6(d)
-    # at this seed: 3345 non-excluding directions, 96 of them tied Case 6,
-    # and 6447 excluding ones, 16 of them Case 6 windows whose t_start
-    # depends on the cylinder order
+    # at this seed: 3271 non-excluding directions, 96 of them tied Case 6,
+    # 6447 excluding ones, 16 of them Case 6 windows whose t_start depends
+    # on the cylinder order, and 74 unlabelled ones of other genera
     assert compared - excluding > 3000
     assert ties > 50
     assert excluding > 6000
     assert order_dependent > 10
+    assert unlabelled > 50
     own, other = (analyze(parse_origami(text), (0, 1))[0]
                   for text in ORDER_DEPENDENT_CASE6)
     assert own.mechanism == "window forcing"
@@ -670,12 +687,18 @@ def test_integer_chain_matches_the_fraction_oracle():
     assert feasible == {"unequal moduli are forced away",
                         "window inequalities violated",
                         "metric constraints consistent"}
+    # stacks of random shape, read through their moduli by the oracle
     for _ in range(500):
-        moduli = [Fraction(rng.randint(0, 30), rng.randint(1, 30))
+        shapes = [(rng.randint(1, 30), rng.randint(1, 30))
                   for _ in range(rng.randint(1, 5))]
-        if any(moduli):
-            assert moduli_exponents(moduli) == \
-                survivor_oracle.moduli_exponents(moduli), moduli
+        stub = SimpleNamespace(cylinders=tuple(
+            Cylinder(i, ((0,) * width,) * height, Fraction(width),
+                     Fraction(height))
+            for i, (height, width) in enumerate(shapes)))
+        assert moduli_exponents(stub) == \
+            survivor_oracle.moduli_exponents(stub) == \
+            survivor_oracle.moduli_exponents(
+                [Fraction(height, width) for height, width in shapes]), shapes
 
 
 def test_case6_nonreference_excluded_by_window():
@@ -895,23 +918,86 @@ def test_one_dual_graph_per_analysed_direction(monkeypatch):
         calls.count("periodic_decomposition") > 100
 
 
-def test_missing_crossing_witness_does_not_exclude(monkeypatch):
-    monkeypatch.setattr(pipeline, "_crossing_witness",
-                        lambda d, case: None)
-    # every direction up to bound 1 is Case 1
-    o = parse_origami('origami n=6 h="(0 4 5 3)(1 2)" v="(0 4 1 3 2)"')
-    verdict = classify_surface(o, direction_bound=1)
-    assert verdict.status == "Undetermined"
-    assert [(r.label, r.mechanism, r.witness) for r in verdict.evidence] == \
-        [("Case1", "no crossing witness found", None)] * 4
-    # the period-forcing exclusion does not depend on a crossing witness
+def test_every_small_genus3_direction_has_a_shape_and_a_witness():
+    """The horizontal direction of every genus-3 origami on at most six
+    squares, and so every direction of each, since the set is closed
+    under ``SL(2, Z)``: the closed-form label is the oracle's, it is
+    ``None`` only at cycle rank 3, the direction analysis never raises,
+    and every Case 1, 2 and 4 record carries a crossing witness."""
+    records = Counter()
+    for o in genus3_origamis(6):
+        d = horizontal_decomposition(o)
+        graph = dual_graph(d)
+        label = classify_case(graph)
+        assert label is decomposition_oracle.classify_case(graph), o
+        assert (label is None) == (graph.cycle_rank == 3), o
+        record, excludes = pipeline._analyze_direction(d, (0, 1))
+        if record.label in ("Case1", "Case2", "Case4"):
+            assert excludes, o
+            assert isinstance(record.witness, TransverseWitness), o
+        records[record.label, record.mechanism] += 1
+    assert records == {
+        ("Case1", "transverse crossing cylinder"): 1646,
+        ("Case5", "defer to a simple transverse cylinder"): 544,
+        ("Case6", "window forcing"): 9,
+        (None, "Lagrangian core curves"): 1880,
+    }
+
+
+WITNESSLESS = """
+import sys
+from squaretiled import transverse
+from squaretiled.cylinders import horizontal_decomposition
+from squaretiled.errors import InvariantViolation
+from squaretiled.pipeline import reference_surface
+from squaretiled.surface import build_origami
+for search, o in ((transverse._case1_witness, reference_surface()),
+                  (transverse._case2_witness, build_origami(%r, %r))):
+    try:
+        search(horizontal_decomposition(o))
+    except InvariantViolation as exc:
+        print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
+""" % EXEMPLARS["Case5"]
+
+
+def test_witness_searches_raise_without_a_witness(monkeypatch):
+    """The Case 1 and Case 2 searches raise, also under ``python -O``, on a
+    diagram without their witness: the reference's horizontal diagram
+    (Case 6), where no cylinder has a saddle on both sides, and the Case 5
+    exemplar's, whose one cylinder has no other to pair with.  Period
+    forcing needs no crossing witness."""
+    with pytest.raises(InvariantViolation, match="not Case 1"):
+        transverse._case1_witness(
+            horizontal_decomposition(reference_surface()))
+    with pytest.raises(InvariantViolation, match="not Case 2"):
+        transverse._case2_witness(horizontal_decomposition(exemplar("Case5")))
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-O", "-c", WITNESSLESS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "optimize=1 raised: no cylinder has a saddle on both its bottom and "
+        "its top: the diagram is not Case 1",
+        "optimize=1 raised: no two cylinders share a saddle both ways: the "
+        "diagram is not Case 2"]
+
+    class WitnessAsked(Exception):
+        pass
+
+    def no_witness(d, case):
+        raise WitnessAsked(case)
+
+    monkeypatch.setattr(pipeline, "_crossing_witness", no_witness)
     o = exemplar("Case3")
     verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
     assert [r.mechanism for r in verdict.evidence] == ["period forcing"]
-    record, excludes, _ = analyze(o, (1, 0))
-    assert (record.mechanism, excludes) == ("no crossing witness found",
-                                            False)
+    # the vertical direction is the one that asks for a crossing witness
+    with pytest.raises(WitnessAsked):
+        analyze(o, (1, 0))
 
 
 FORGED_SURVIVOR = """
