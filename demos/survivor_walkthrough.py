@@ -29,7 +29,8 @@ def main():
     print("\nhorizontal cylinders:")
     for c in d.cylinders:
         print("  cylinder %d: circumference %s, height %s, modulus %s"
-              % (c.id, c.circumference, c.height, c.modulus))
+              % (c.id, c.circumference, c.height,
+                 Fraction(c.height, c.circumference)))
     lengths = sorted(str(length) for length in d.saddle_lengths.values())
     print("saddle lengths:", ", ".join(lengths))
 
@@ -48,11 +49,13 @@ def main():
         print("  slope %-8s %-6s via %s"
               % (record.slope, record.label, record.mechanism))
     final = verdict.evidence[-1].witness
+    window = final.constraint
+    t0, s0, t_start = (Fraction(x, window.w)
+                       for x in (window.t0, window.s0, window.t_start))
     print("\nwindow coordinates: t0 = %s, s0 = %s, t_start = %s"
-          % (final.constraint.t0, final.constraint.s0,
-             final.constraint.t_start))
+          % (t0, s0, t_start))
     print("feasible only at the boundary:", final.record.boundary)
-    assert final.constraint.t0 == Fraction(1, 4)
+    assert t0 == Fraction(1, 4)
     print("\nverdict:", verdict.status)
 
 

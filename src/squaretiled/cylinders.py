@@ -26,7 +26,7 @@ EXAMPLES::
     ...                   perm_from_cycles([(0, 2)], 3))
     >>> d = horizontal_decomposition(o)
     >>> [(c.circumference, c.height) for c in d.cylinders]
-    [(Fraction(2, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(1, 1))]
+    [(2, 1), (1, 1)]
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvariantViolation
@@ -46,18 +45,14 @@ class Cylinder:
     """A maximal horizontal cylinder of an origami decomposition.
 
     ``rows`` lists the constituent ``h``-cycles from bottom to top, each
-    rotated so that its first square sits at ``x = 0`` of the cylinder.
+    rotated so that its first square sits at ``x = 0`` of the cylinder;
+    ``circumference`` and ``height`` are whole numbers of squares.
     """
 
     id: int
     rows: tuple
-    circumference: Fraction
-    height: Fraction
-
-    @property
-    def modulus(self) -> Fraction:
-        """height / circumference."""
-        return self.height / self.circumference
+    circumference: int
+    height: int
 
 
 @dataclass
@@ -294,7 +289,7 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
         >>> torus = build_origami((0,), (0,))
         >>> d = horizontal_decomposition(torus)
         >>> len(d.cylinders), d.cylinders[0].circumference, d.genus
-        (1, Fraction(1, 1), 1)
+        (1, 1, 1)
         >>> d.diagram.bottom_words, d.diagram.top_words
         ({0: (0,)}, {0: (0,)})
     """
@@ -374,8 +369,8 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
             owner[up] = cid
             stacked.append(tuple([v[s] for s in stacked[-1]]))
             up = above[up]
-        cylinders.append(Cylinder(cid, tuple(stacked), Fraction(len(bottom)),
-                                  Fraction(len(stacked))))
+        cylinders.append(Cylinder(cid, tuple(stacked), len(bottom),
+                                  len(stacked)))
     if -1 in owner:
         raise InvariantViolation("cylinder stack must have a unique bottom "
                                  "row")
@@ -508,7 +503,7 @@ def periodic_decomposition(o: Origami, slope, member=None):
         ...                    perm_from_cycles([(0, 4, 2, 6), (1, 5, 3, 7)], 8))
         >>> dv = periodic_decomposition(ew, (1, 0))   # vertical
         >>> [(c.circumference, c.height) for c in dv.cylinders]
-        [(Fraction(4, 1), Fraction(1, 1)), (Fraction(4, 1), Fraction(1, 1))]
+        [(4, 1), (4, 1)]
     """
     word, sheared = member if member is not None \
         else direction_member(o, slope)
@@ -536,10 +531,10 @@ def moduli_exponents(d):
     Integer exponents ``r_e`` proportional to the cylinder moduli of the
     decomposition ``d``, with overall gcd one.
 
-    Each modulus is a height over a circumference, read as integers (a
-    cylinder's stack depth and row length); scaling every height by the
-    least common multiple of the circumferences over its own makes the
-    moduli integers.
+    Each modulus is a cylinder's height over its circumference, both
+    whole numbers of squares; scaling every height by the least common
+    multiple of the circumferences over its own makes the moduli
+    integers.
 
     EXAMPLES::
 
@@ -552,7 +547,7 @@ def moduli_exponents(d):
         >>> moduli_exponents(horizontal_decomposition(o))   # moduli 1/4, 1/4
         (1, 1)
     """
-    pairs = [(len(c.rows), len(c.rows[0])) for c in d.cylinders]
+    pairs = [(c.height, c.circumference) for c in d.cylinders]
     scale = lcm(*(w for _, w in pairs))
     ints = [h * (scale // w) for h, w in pairs]
     g = gcd(*ints)

@@ -19,13 +19,12 @@ EXAMPLES::
     >>> case3_verdict(2, 3).exponent
     2
     >>> case6_moduli_forcing(2, 5).coefficient
-    Fraction(28, 1)
+    28
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation
 
@@ -35,15 +34,15 @@ PROVENANCE = "paper argument, node values assumed nonzero"
 @dataclass(frozen=True)
 class ForcingVerdict:
     """Outcome of an analytic forcing argument: which branch fired, the
-    exponent and exact nonzero coefficient of the obstructing term at node
-    values 1, a short verdict string, and where the fact comes from.  A
-    zero coefficient is rejected by an explicit ``raise``, so the check
+    exponent and nonzero integer coefficient of the obstructing term at
+    node values 1, a short verdict string, and where the fact comes from.
+    A zero coefficient is rejected by an explicit ``raise``, so the check
     also runs under ``python -O``."""
 
     verdict: str
     branch: str
     exponent: int = None
-    coefficient: Fraction = None
+    coefficient: int = None
     provenance: str = PROVENANCE
 
     def __post_init__(self):
@@ -80,17 +79,16 @@ def case3_verdict(n1, n2) -> ForcingVerdict:
 
         >>> v = case3_verdict(1, 2)
         >>> v.verdict, v.branch, v.exponent, v.coefficient
-        ('Forni impossible', 'unequal_exponents', 1, Fraction(-1, 1))
+        ('Forni impossible', 'unequal_exponents', 1, -1)
         >>> v = case3_verdict(1, 1)
         >>> v.branch, v.exponent, v.coefficient
-        ('equal_exponents', 2, Fraction(2, 1))
+        ('equal_exponents', 2, 2)
     """
     _check_exponents(n1, n2)
     if n1 != n2:
         return ForcingVerdict("Forni impossible", "unequal_exponents",
-                              min(n1, n2), Fraction(-1))
-    return ForcingVerdict("Forni impossible", "equal_exponents", 2 * n1,
-                          Fraction(2))
+                              min(n1, n2), -1)
+    return ForcingVerdict("Forni impossible", "equal_exponents", 2 * n1, 2)
 
 
 def case6_moduli_forcing(r1, r2) -> ForcingVerdict:
@@ -113,7 +111,7 @@ def case6_moduli_forcing(r1, r2) -> ForcingVerdict:
 
         >>> v = case6_moduli_forcing(1, 2)
         >>> v.verdict, v.exponent, v.coefficient
-        ('r1 = r2 forced', -1, Fraction(3, 1))
+        ('r1 = r2 forced', -1, 3)
         >>> case6_moduli_forcing(1, 1).verdict
         'consistent'
     """
@@ -122,4 +120,4 @@ def case6_moduli_forcing(r1, r2) -> ForcingVerdict:
         return ForcingVerdict("consistent", "equal_exponents")
     m = min(r1, r2)
     return ForcingVerdict("r1 = r2 forced", "unequal_exponents", 2 * m - 3,
-                          Fraction((r1 + r2) * m * m))
+                          (r1 + r2) * m * m)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from math import gcd
 
 from .cylinders import (
     CaseLabel,
@@ -64,8 +64,6 @@ from .transverse import (
     _crossing_witness,
     window_feasible,
 )
-
-_QUARTER = Fraction(1, 4)
 
 
 def reference_surface() -> Origami:
@@ -186,8 +184,8 @@ def _window_extraction(d, c1, c2):
     Raises :class:`~squaretiled.errors.InvariantViolation` when the two
     cylinders have different circumferences.
     """
-    w = len(d.cylinders[c1].rows[0])
-    if len(d.cylinders[c2].rows[0]) != w:
+    w = d.cylinders[c1].circumference
+    if d.cylinders[c2].circumference != w:
         raise InvariantViolation("homologous cylinders must have equal "
                                  "circumferences")
     words, lengths = d.diagram.bottom_words, d.saddle_lengths
@@ -222,9 +220,8 @@ def _metric_chain(d) -> EquivalenceResult:
     t0, s0, t_start = min((_window_extraction(d, *order)
                            for order in (cids, cids[::-1])),
                           key=lambda c: (-c[0], c[2]))
-    w = len(d.cylinders[0].rows[0])
-    constraint = WindowConstraint(Fraction(t0, w), Fraction(s0, w),
-                                  Fraction(t_start, w), min_saddle=_QUARTER)
+    constraint = WindowConstraint(t0, s0, t_start,
+                                  d.cylinders[0].circumference)
     record = window_feasible(constraint)
     if not record.feasible:
         return EquivalenceResult(False, "window inequalities violated",
@@ -250,16 +247,17 @@ def _analyze_direction(d, slope):
     ``d``, and ``True`` when the direction excludes a nontrivial
     isometric subspace on its own.
 
-    A dual graph of cycle rank 3 has geometric genus 0, a shape none of
-    Cases 1-6 has: the core curves span a Lagrangian subspace of
-    homology, and Forni's geometric criterion (J. Mod. Dyn. 5, 2011) then
-    makes every Lyapunov exponent nonzero.  Any other pinch of a genus-3
-    origami has one of the six shapes
+    A dual graph whose cycle rank is the genus has geometric genus 0, a
+    shape none of Cases 1-6 has: the core curves span a Lagrangian
+    subspace of homology, and Forni's geometric criterion (J. Mod. Dyn. 5,
+    2011) then makes every Lyapunov exponent nonzero.  Any other pinch of
+    a genus-3 origami has one of the six shapes
     (:func:`~squaretiled.cylinders.classify_case`), and Cases 1, 2 and 4
-    always have a crossing witness; a graph with no label raises
+    always have a crossing witness; a graph with no label, such as a
+    pinch of another genus whose cycle rank falls short of it, raises
     :class:`~squaretiled.errors.InvariantViolation`."""
     graph = dual_graph(d)
-    if graph.cycle_rank == 3:
+    if graph.cycle_rank == d.genus:
         return DirectionRecord(slope, None, "Lagrangian core curves",
                                graph.cycle_rank), True
     label = classify_case(graph)
@@ -611,6 +609,14 @@ def _dual_graph_svg(graph, scale=60):
     return _svg_document(elements, 4 * scale + 40, 4 * scale + 40)
 
 
+def _over(numerator, w):
+    """``numerator / w`` in lowest terms, as ``str`` of a fraction prints
+    it: ``1/4``, ``-1/2``, ``0``."""
+    g = gcd(numerator, w)
+    return "%d" % (numerator // g) if g == w else \
+        "%d/%d" % (numerator // g, w // g)
+
+
 def _verdict_text(verdict: Verdict):
     lines = ["classification: %s" % verdict.status,
              "directions analyzed: %d" % len(verdict.evidence), ""]
@@ -621,10 +627,12 @@ def _verdict_text(verdict: Verdict):
         if isinstance(rec.witness, EquivalenceResult):
             w = rec.witness
             lines.append("    -> %s" % w.reason)
-            if w.constraint is not None:
+            c = w.constraint
+            if c is not None:
                 lines.append("    -> t0=%s s0=%s t_start=%s slack=%s"
-                             % (w.constraint.t0, w.constraint.s0,
-                                w.constraint.t_start, w.record.slack))
+                             % (_over(c.t0, c.w), _over(c.s0, c.w),
+                                _over(c.t_start, c.w),
+                                _over(w.record.slack, c.w)))
             if w.record is not None and w.record.violated:
                 lines.append("    -> violated: %s"
                              % ", ".join(w.record.violated))

@@ -24,7 +24,6 @@ EXAMPLES::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cylinders import classify_case
 from .errors import CaseMismatch, InvariantViolation
@@ -42,7 +41,7 @@ class TransverseWitness:
     starts from, and the average direction ``(dx, dy)`` of its core."""
 
     crossed: tuple
-    width: Fraction
+    width: int
     start_interface: tuple
     start_interval: tuple
     direction: tuple
@@ -243,21 +242,11 @@ def _case2_witness(d):
                 width=width,
                 start_interface=("bottom", c1),
                 start_interval=(bp, bp + width),
-                direction=(Fraction(0), rise),
+                direction=(0, rise),
                 kind="through-%s-%s" % (sigma, tau),
             )
     raise InvariantViolation("no two cylinders share a saddle both ways: "
                              "the diagram is not Case 2")
-
-
-def _whole(x):
-    """``x`` as an ``int``; :class:`InvariantViolation` unless it is a whole
-    number."""
-    n = int(x)
-    if n != x:
-        raise InvariantViolation("the cell search needs whole-unit lengths "
-                                 "and positions, got %s" % (x,))
-    return n
 
 
 def _case4a_witness(d, c1, c4, middles):
@@ -268,22 +257,28 @@ def _case4a_witness(d, c1, c4, middles):
     image jumps."""
     cyl = d.cylinders
     wide = max(middles, key=lambda c: (cyl[c].circumference, c))
-    w = _whole(cyl[c1].circumference)
-    if _whole(cyl[c4].circumference) != w:
+    w = cyl[c1].circumference
+    if cyl[c4].circumference != w:
         raise CaseMismatch("outer cylinders must have equal circumference")
-    s = _whole(cyl[wide].circumference)
-    a_top = _whole(_saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
-                               set(d.diagram.bottom_words[wide])))
-    a_bot = _whole(_saddle_arc(d.diagram.bottom_words[c4],
-                               d.bottom_positions[c4],
-                               set(d.diagram.top_words[wide])))
+    s = cyl[wide].circumference
+    a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
+                        set(d.diagram.bottom_words[wide]))
+    a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions[c4],
+                        set(d.diagram.top_words[wide]))
+    # (start of the saddle on the bottom of c1, start of its image on the
+    # top of c4, length), both starts re-cut to the window
+    saddles = [(d.bottom_positions[c1][sid] - a_top,
+                d.top_positions[c4][sid] - a_bot, d.saddle_lengths[sid])
+               for sid in d.diagram.bottom_words[c1]]
+    values = [w, s] + [v for triple in saddles for v in triple]
+    if not all(isinstance(v, int) for v in values):
+        raise InvariantViolation("the cell search needs whole-unit lengths "
+                                 "and positions")
     image = [None] * w
     starts = {0}
-    for sid in d.diagram.bottom_words[c1]:
-        x = _whole(d.bottom_positions[c1][sid]) - a_top
-        y = _whole(d.top_positions[c4][sid]) - a_bot
+    for x, y, length in saddles:
         starts.add(x % w)
-        for t in range(_whole(d.saddle_lengths[sid])):
+        for t in range(length):
             image[(x + t) % w] = (y + t) % w
     if set(image) != set(range(w)):
         raise InvariantViolation("the outer gluing must permute the cells")
@@ -346,60 +341,63 @@ def _case4b_witness(d, c1, c4, mid):
 
 @dataclass(frozen=True)
 class WindowConstraint:
-    """Normalized window data for the two-cylinder forcing: the longest
-    saddle lengths ``t0 >= s0`` on the two bottoms (circumference 1), the
-    offset ``t_start`` of the upper window, and the lower bound
-    ``min_saddle`` that the longest saddle must satisfy."""
+    """Window data for the two-cylinder forcing as integer numerators over
+    the shared circumference ``w``: the longest saddle lengths ``t0 >= s0``
+    on the two bottoms and the offset ``t_start`` of the upper window.
+    The inequalities bound ``s0`` below by ``min_saddle``, a quarter of
+    the circumference.  Every check is an explicit ``raise``, so it also
+    runs under ``python -O``."""
 
-    t0: Fraction
-    s0: Fraction
-    t_start: Fraction
-    min_saddle: Fraction = None
+    t0: int
+    s0: int
+    t_start: int
+    w: int
 
     def __post_init__(self):
-        values = (self.t0, self.s0, self.t_start, self.min_saddle)
-        if not all(isinstance(v, (int, Fraction)) for v in values
-                   if v is not None):
-            raise ValueError("window data must be exact: int or Fraction")
-        if not (0 < self.t0 < 1 and 0 < self.s0 < 1):
-            raise ValueError("saddle lengths must lie in (0, 1)")
-        if not (0 <= self.t_start < 1):
-            raise ValueError("t_start must lie in [0, 1)")
+        if not all(type(v) is int
+                   for v in (self.t0, self.s0, self.t_start, self.w)):
+            raise ValueError("window data must be exact: integer "
+                             "numerators over w")
+        if not (0 < self.t0 < self.w and 0 < self.s0 < self.w):
+            raise ValueError("saddle lengths must lie in (0, w)")
+        if not (0 <= self.t_start < self.w):
+            raise ValueError("t_start must lie in [0, w)")
 
 
 @dataclass(frozen=True)
 class FeasibilityRecord:
     """Outcome of the window inequalities ``t0 >= s0 >= min_saddle`` and
-    ``0 <= t_start <= 1 - 2·t0 - 2·s0``; ``slack`` is the right-hand
-    room ``1 - 2·t0 - 2·s0``, and ``boundary`` flags the degenerate
-    feasible point where every inequality is tight."""
+    ``0 <= t_start <= 1 - 2·t0 - 2·s0`` in units of the circumference;
+    ``slack`` is the numerator over ``w`` of the right-hand room
+    ``1 - 2·t0 - 2·s0``, and ``boundary`` flags the degenerate feasible
+    point where every inequality is tight."""
 
     feasible: bool
-    slack: Fraction
+    slack: int
     violated: tuple
     boundary: bool
 
 
 def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
     r"""
-    Evaluate the window inequalities exactly.
+    Decide the window inequalities on the numerators over ``c.w``: the
+    room is ``w - 2·t0 - 2·s0`` and the quarter bound ``4·s0 >= w``.
 
     EXAMPLES::
 
-        >>> q = Fraction
-        >>> window_feasible(WindowConstraint(q(1, 4), q(1, 4), 0, q(1, 4)))
-        FeasibilityRecord(feasible=True, slack=Fraction(0, 1), violated=(), boundary=True)
-        >>> r = window_feasible(WindowConstraint(q(1, 3), q(1, 4), 0, q(1, 4)))
-        >>> r.feasible, r.slack
-        (False, Fraction(-1, 6))
-        >>> window_feasible(WindowConstraint(q(1, 5), q(1, 5), q(1, 10))).feasible
-        True
+        >>> window_feasible(WindowConstraint(1, 1, 0, 4))
+        FeasibilityRecord(feasible=True, slack=0, violated=(), boundary=True)
+        >>> r = window_feasible(WindowConstraint(4, 3, 0, 12))
+        >>> r.feasible, r.slack       # 1 - 2/3 - 1/2 = -1/6
+        (False, -2)
+        >>> window_feasible(WindowConstraint(3, 2, 1, 12)).violated
+        ('s0 >= min_saddle',)
     """
-    slack = 1 - 2 * c.t0 - 2 * c.s0
+    slack = c.w - 2 * (c.t0 + c.s0)
     violated = []
     if c.t0 < c.s0:
         violated.append("t0 >= s0")
-    if c.min_saddle is not None and c.s0 < c.min_saddle:
+    if 4 * c.s0 < c.w:
         violated.append("s0 >= min_saddle")
     if c.t_start < 0:
         violated.append("t_start >= 0")

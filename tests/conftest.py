@@ -171,17 +171,14 @@ def random_case4a_net(rng, denominator=8):
 
 
 def decomposition_net(d):
-    """The metric net of an origami's cylinder decomposition ``d``: lengths
-    become ``Fraction``s, and :func:`build_net` recomputes every saddle
-    position from the lengths and each cylinder's twist, read as the start
-    of its first top saddle."""
+    """The metric net of an origami's cylinder decomposition ``d``:
+    :func:`build_net` recomputes every saddle position from the lengths and
+    each cylinder's twist, read as the start of its first top saddle."""
     geoms = {c.id: CylinderGeometry(
         c.circumference, c.height,
         d.top_positions[c.id][d.diagram.top_words[c.id][0]])
         for c in d.cylinders}
-    lengths = {sid: Fraction(length)
-               for sid, length in d.saddle_lengths.items()}
-    return build_net(geoms, d.diagram, lengths)
+    return build_net(geoms, d.diagram, d.saddle_lengths)
 
 
 def scaled_net(net, k):

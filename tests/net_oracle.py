@@ -6,12 +6,20 @@ cylinder decomposition (``cylinders``, ``diagram``, ``saddle_lengths``,
 searches and the dual graph read it alike.  The tests use nets to reach
 rational-length configurations that no origami has, and to recompute an
 origami's saddle positions from its lengths and twists independently.
+Whole values are stored as ``int``, as on a decomposition, and the others
+as ``Fraction``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from squaretiled.errors import SquareTiledError
+
+
+def _exact(x):
+    """``x`` as an ``int`` when it is whole, otherwise as a ``Fraction``."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class SumMismatch(SquareTiledError, ValueError):
@@ -32,7 +40,7 @@ class CylinderGeometry:
 
     def __post_init__(self):
         for field in ("circumference", "height", "twist"):
-            object.__setattr__(self, field, Fraction(getattr(self, field)))
+            object.__setattr__(self, field, _exact(getattr(self, field)))
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ def _word_positions(word, start, lengths, w):
     boundary word laid out from ``start``."""
     pos, x = {}, start
     for sid in word:
-        pos[sid] = x % w
+        pos[sid] = _exact(x % w)
         x += lengths[sid]
     return pos
 
@@ -82,8 +90,8 @@ def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
     >>> diag = CylinderDiagram(bottom_words={0: ("a",)}, top_words={0: ("a",)},
     ...                        saddle_zeros={"a": (0, 0)})
     >>> net = build_net({0: CylinderGeometry(1, 1, 0)}, diag, {"a": 1})
-    >>> net.cylinders[0].height
-    Fraction(1, 1)
+    >>> net.cylinders[0].height, net.bottom_positions[0]
+    (1, {'a': 0})
     """
     geoms = {}
     for cid, geom in cylinders.items():
@@ -94,7 +102,7 @@ def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
         if not 0 <= geom.twist < geom.circumference:
             raise ValueError(f"cylinder {cid}: twist must lie in [0, circumference)")
         geoms[cid] = geom
-    lengths = {sid: Fraction(val) for sid, val in saddle_lengths.items()}
+    lengths = {sid: _exact(val) for sid, val in saddle_lengths.items()}
     for sid, val in lengths.items():
         if val <= 0:
             raise NegativeLength(f"saddle {sid} must have positive length")

@@ -2,11 +2,13 @@
 ``squaretiled.pipeline.classify_surface``: the per-slope loop that builds
 the member of every direction and tests it for isomorphism with each
 member analyzed before, and the two-cylinder metric chain computed in
-:class:`fractions.Fraction` from the cylinder moduli.  The reference that
-the one-point-orbit rule and the integer chain are compared against.
+:class:`fractions.Fraction` from the cylinder moduli, with the window
+inequalities evaluated on fractions of the circumference.  The reference
+that the one-point-orbit rule, the integer chain and the integer window
+inequalities are compared against.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,7 +23,72 @@ from squaretiled.pipeline import (
     _analyze_direction,
 )
 from squaretiled.surface import origami_isomorphism
-from squaretiled.transverse import WindowConstraint, window_feasible
+
+
+@dataclass(frozen=True)
+class WindowConstraint:
+    """Normalized window data for the two-cylinder forcing: the longest
+    saddle lengths ``t0 >= s0`` on the two bottoms (circumference 1), the
+    offset ``t_start`` of the upper window, and the lower bound
+    ``min_saddle`` that the longest saddle must satisfy."""
+
+    t0: Fraction
+    s0: Fraction
+    t_start: Fraction
+    min_saddle: Fraction = None
+
+    def __post_init__(self):
+        values = (self.t0, self.s0, self.t_start, self.min_saddle)
+        if not all(isinstance(v, (int, Fraction)) for v in values
+                   if v is not None):
+            raise ValueError("window data must be exact: int or Fraction")
+        if not (0 < self.t0 < 1 and 0 < self.s0 < 1):
+            raise ValueError("saddle lengths must lie in (0, 1)")
+        if not (0 <= self.t_start < 1):
+            raise ValueError("t_start must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class FeasibilityRecord:
+    """Outcome of the window inequalities ``t0 >= s0 >= min_saddle`` and
+    ``0 <= t_start <= 1 - 2·t0 - 2·s0``; ``slack`` is the right-hand
+    room ``1 - 2·t0 - 2·s0``, and ``boundary`` flags the degenerate
+    feasible point where every inequality is tight."""
+
+    feasible: bool
+    slack: Fraction
+    violated: tuple
+    boundary: bool
+
+
+def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
+    r"""
+    Evaluate the window inequalities exactly.
+
+    EXAMPLES::
+
+        >>> q = Fraction
+        >>> window_feasible(WindowConstraint(q(1, 4), q(1, 4), 0, q(1, 4)))
+        FeasibilityRecord(feasible=True, slack=Fraction(0, 1), violated=(), boundary=True)
+        >>> r = window_feasible(WindowConstraint(q(1, 3), q(1, 4), 0, q(1, 4)))
+        >>> r.feasible, r.slack
+        (False, Fraction(-1, 6))
+        >>> window_feasible(WindowConstraint(q(1, 5), q(1, 5), q(1, 10))).feasible
+        True
+    """
+    slack = 1 - 2 * c.t0 - 2 * c.s0
+    violated = []
+    if c.t0 < c.s0:
+        violated.append("t0 >= s0")
+    if c.min_saddle is not None and c.s0 < c.min_saddle:
+        violated.append("s0 >= min_saddle")
+    if c.t_start < 0:
+        violated.append("t_start >= 0")
+    if c.t_start > slack:
+        violated.append("t_start <= 1 - 2*t0 - 2*s0")
+    feasible = not violated
+    boundary = feasible and slack == 0 and c.t_start == 0
+    return FeasibilityRecord(feasible, slack, tuple(violated), boundary)
 
 
 def moduli_exponents(d):
@@ -30,7 +97,7 @@ def moduli_exponents(d):
     rational moduli, scaled by the lcm of their denominators.  Only the
     oracle reads plain lists; the package's version reads decompositions."""
     if hasattr(d, "cylinders"):
-        moduli = [c.modulus for c in d.cylinders]
+        moduli = [Fraction(c.height, c.circumference) for c in d.cylinders]
     else:
         moduli = list(d)
     if not moduli:
@@ -66,7 +133,8 @@ def window_extraction(d, c1, c2):
 
 def metric_chain(d):
     """Moduli forcing plus window feasibility, comparing the two cylinder
-    orders by their fractional coordinates."""
+    orders by their fractional coordinates; the window constraint and its
+    record are the oracle's fraction versions."""
     cids = [c.id for c in d.cylinders]
     r1, r2 = moduli_exponents(d)
     forcing = case6_moduli_forcing(r1, r2)

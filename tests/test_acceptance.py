@@ -63,8 +63,10 @@ def test_criterion_1_reference_end_to_end():
         verdict = classify_surface(o)
         assert verdict.status == "WollmilchsauEquivalent"
         constraint = verdict.evidence[-1].witness.constraint
+        assert constraint == WindowConstraint(1, 1, 0, 4)
         q = Fraction(1, 4)
-        assert (constraint.t0, constraint.s0, constraint.t_start) == \
+        assert tuple(Fraction(x, constraint.w) for x in (
+            constraint.t0, constraint.s0, constraint.t_start)) == \
             (q, q, Fraction(0))
 
 
@@ -132,9 +134,11 @@ def test_criterion_6_window_uniqueness():
     with budget(5):
         q = Fraction(1, 4)
         assert window_feasible_pairs(100) == [(q, q)]
-        rec = window_feasible(WindowConstraint(Fraction(1, 3), q, 0, q))
+        # t0 = 1/3 and s0 = 1/4 of a circumference of 12
+        rec = window_feasible(WindowConstraint(4, 3, 0, 12))
         assert not rec.feasible
-        assert rec.slack == Fraction(-1, 6)
+        assert type(rec.slack) is int
+        assert Fraction(rec.slack, 12) == Fraction(-1, 6)
 
 
 def test_criterion_7_monodromy_evidence():

@@ -104,7 +104,8 @@ def test_decomposition_matches_the_oracle():
     """The one-pass integer decomposition, dual graph and case label equal
     the set-based ones of the oracle on every slope up to bound 3, down to
     the key order of every mapping; the new ``genus`` field is the
-    stratum's genus."""
+    stratum's genus, and every cylinder's circumference and height, equal
+    to the oracle's ``Fraction``s, are ``int``s."""
     rng = random.Random(1313)
     surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
     surfaces += [exemplar(name) for name in EXEMPLARS]
@@ -118,6 +119,8 @@ def test_decomposition_matches_the_oracle():
                 member, word, slope[::-1])
             assert d.genus == singularity_data(member).genus
             assert dataclasses.replace(d, genus=None) == old, (o, slope)
+            assert all(type(c.circumference) is int and type(c.height) is int
+                       for c in d.cylinders)
             assert list(d.saddle_lengths) == list(old_saddles)
             assert bottom_runs(d) == {sid: s.squares
                                       for sid, s in old_saddles.items()}

@@ -79,9 +79,8 @@ def test_reference_surface_survives():
     assert final.mechanism == "window forcing"
     result = final.witness
     assert bool(result)
-    q = Fraction(1, 4)
-    assert (result.constraint.t0, result.constraint.s0,
-            result.constraint.t_start) == (q, q, 0)
+    # t0 = s0 = 1/4 and t_start = 0 over the circumference 4
+    assert result.constraint == transverse.WindowConstraint(1, 1, 0, 4)
     assert result.record.boundary
 
 
@@ -413,7 +412,8 @@ def test_direction_record_is_invariant_under_relabelling():
     period forcing records included, is compared whole.  A boundary
     exchange of another genus than 3, which :func:`classify_surface`
     refuses, can have a pinch of none of the six shapes; its analysis
-    raises, and so does that of the relabelled copy."""
+    raises, and so does that of the relabelled copy.  A Lagrangian record
+    has the genus as its cycle rank."""
     rng = random.Random(1010)
     surfaces = [act_sl2z(reference_surface(), list(w)) for w in WORDS]
     for h, v in SPLIT_ORBITS:
@@ -435,6 +435,8 @@ def test_direction_record_is_invariant_under_relabelling():
                     analyze(copy, (0, 1))
                 unlabelled += 1
                 continue
+            if record.label is None:
+                assert record.witness == d.genus, (o, slope)
             own = dataclasses.replace(record, slope=(0, 1))
             if not excludes:
                 # classify_surface reuses only non-excluding records
@@ -454,17 +456,36 @@ def test_direction_record_is_invariant_under_relabelling():
                 else:
                     ties += tied_case6(d)
     # at this seed: 3271 non-excluding directions, 96 of them tied Case 6,
-    # 6447 excluding ones, 16 of them Case 6 windows whose t_start depends
-    # on the cylinder order, and 74 unlabelled ones of other genera
+    # 6437 excluding ones, 16 of them Case 6 windows whose t_start depends
+    # on the cylinder order, and 84 unlabelled ones of other genera, ten of
+    # them of cycle rank 3
     assert compared - excluding > 3000
     assert ties > 50
     assert excluding > 6000
     assert order_dependent > 10
-    assert unlabelled > 50
+    assert unlabelled > 80
     own, other = (analyze(parse_origami(text), (0, 1))[0]
                   for text in ORDER_DEPENDENT_CASE6)
     assert own.mechanism == "window forcing"
     assert other == own
+
+
+def test_lagrangian_rule_needs_the_full_genus():
+    """Core curves span a Lagrangian subspace when the cycle rank of the
+    pinch graph is the genus.  On a genus-4 boundary exchange the
+    direction (1, 1) has cycle rank 4 and gets the Lagrangian record; the
+    direction (2, 1) has cycle rank 3, short of the genus, matches none of
+    the six shapes and raises."""
+    o = parse_origami('origami n=10 h="(0 1 2 3 4)(5 6 7 8 9)" '
+                      'v="(0 6 2 7 3 5 4 9)(1 8)"')
+    assert singularity_data(o).genus == 4
+    record, excludes, _ = analyze(o, (1, 1))
+    assert record == DirectionRecord((1, 1), None, "Lagrangian core curves",
+                                     4)
+    assert excludes
+    with pytest.raises(InvariantViolation, match="cycle rank 3 and genus "
+                       "labels summing to 1 matches none of the six shapes"):
+        analyze(o, (2, 1))
 
 
 def net_window_extraction(d, c1, c2):
@@ -472,7 +493,7 @@ def net_window_extraction(d, c1, c2):
     of the decomposition: the oracle for the integer extraction.  Every
     choice among tied longest bottom saddles gives the same coordinates."""
     net = decomposition_net(d)
-    w = net.cylinders[c1].circumference
+    w = Fraction(net.cylinders[c1].circumference)
     assert net.cylinders[c2].circumference == w
 
     def longest_bottoms(cid):
@@ -558,9 +579,27 @@ def test_random_feasible_windows_force_quarter_saddles(rng):
 def window_coordinates(d, c1, c2):
     """The window coordinates of cylinder ``c1`` against ``c2`` as
     fractions of their common circumference."""
-    w = len(d.cylinders[c1].rows[0])
+    w = d.cylinders[c1].circumference
     return tuple(Fraction(x, w) for x in
                  pipeline._window_extraction(d, c1, c2))
+
+
+def fraction_view(chain):
+    """The integer metric chain ``chain`` as the fraction oracle states it:
+    each window numerator over ``w``, the record's slack over ``w``, and
+    the quarter bound as ``min_saddle = 1/4``.  Raises ``AssertionError``
+    unless every window value is an ``int``."""
+    c, rec = chain.constraint, chain.record
+    if c is None:
+        return chain
+    values = (c.t0, c.s0, c.t_start, c.w, rec.slack)
+    assert all(type(x) is int for x in values), values
+    constraint = survivor_oracle.WindowConstraint(
+        Fraction(c.t0, c.w), Fraction(c.s0, c.w), Fraction(c.t_start, c.w),
+        Fraction(1, 4))
+    record = survivor_oracle.FeasibilityRecord(
+        rec.feasible, Fraction(rec.slack, c.w), rec.violated, rec.boundary)
+    return dataclasses.replace(chain, constraint=constraint, record=record)
 
 
 def test_window_extraction_matches_net_oracle(rng):
@@ -647,7 +686,7 @@ def test_consistent_window_chain_is_the_reference_diagram():
         case6 += 1
         chain = pipeline._metric_chain(d)
         # the integer chain against the Fraction one
-        assert chain == survivor_oracle.metric_chain(d), o
+        assert fraction_view(chain) == survivor_oracle.metric_chain(d), o
         assert moduli_exponents(d) == survivor_oracle.moduli_exponents(d)
         if chain:
             consistent += 1
@@ -663,7 +702,9 @@ def test_integer_chain_matches_the_fraction_oracle():
     metric chain of every Case 6 one, equal those computed in fractions
     from the cylinder moduli, on random surfaces and boundary exchanges,
     the reference and the surfaces above, and on random lists of rational
-    moduli."""
+    moduli.  The chain holds integer window numerators over ``w``, which
+    read as the oracle's fractions, and its window inequalities, decided
+    on those numerators, give the oracle's record."""
     rng = random.Random(2020)
     surfaces = [random_genus3(rng, 5, 12) for _ in range(150)]
     surfaces += [random_boundary_exchange(rng) for _ in range(150)]
@@ -679,7 +720,8 @@ def test_integer_chain_matches_the_fraction_oracle():
             directions += 1
             if classify_case(dual_graph(d)) is CaseLabel.CASE6:
                 chain = pipeline._metric_chain(d)
-                assert chain == survivor_oracle.metric_chain(d), (o, slope)
+                assert fraction_view(chain) == \
+                    survivor_oracle.metric_chain(d), (o, slope)
                 chains += 1
                 feasible.add(chain.reason)
     assert directions == 16 * len(surfaces)
@@ -692,13 +734,32 @@ def test_integer_chain_matches_the_fraction_oracle():
         shapes = [(rng.randint(1, 30), rng.randint(1, 30))
                   for _ in range(rng.randint(1, 5))]
         stub = SimpleNamespace(cylinders=tuple(
-            Cylinder(i, ((0,) * width,) * height, Fraction(width),
-                     Fraction(height))
+            Cylinder(i, ((0,) * width,) * height, width, height)
             for i, (height, width) in enumerate(shapes)))
         assert moduli_exponents(stub) == \
             survivor_oracle.moduli_exponents(stub) == \
             survivor_oracle.moduli_exponents(
                 [Fraction(height, width) for height, width in shapes]), shapes
+
+
+def test_window_text_prints_reduced_fractions():
+    """The report prints each window numerator over ``w`` as ``str`` of the
+    fraction does: in lowest terms, a whole value without a denominator
+    and the sign on the numerator.  A horizontal Case 6 chain with quarter
+    and half values and a negative slack shows each form."""
+    for w in range(1, 25):
+        for n in range(-2 * w, 2 * w + 1):
+            assert pipeline._over(n, w) == str(Fraction(n, w)), (n, w)
+    text = render_report(classify_surface(reference_surface()))
+    assert "    -> t0=1/4 s0=1/4 t_start=0 slack=0\n" in text
+    o = parse_origami('origami n=8 h="(0 7 5 3)(1 4 6 2)" '
+                      'v="(0 6 7 1 3 4 5 2)"')
+    chain = classify_surface(o).evidence[0].witness
+    assert chain.constraint == transverse.WindowConstraint(2, 1, 3, 4)
+    assert chain.record.slack == -2
+    assert render_report(classify_surface(o)).endswith(
+        "    -> t0=1/2 s0=1/4 t_start=3/4 slack=-1/2\n"
+        "    -> violated: t_start <= 1 - 2*t0 - 2*s0\n")
 
 
 def test_case6_nonreference_excluded_by_window():
@@ -1024,11 +1085,10 @@ except InvariantViolation as exc:
 
 FORGED_FORCING = """
 import sys
-from fractions import Fraction
 from squaretiled.errors import InvariantViolation
 from squaretiled.jump import ForcingVerdict
 try:
-    ForcingVerdict("Forni impossible", "equal_exponents", 2, Fraction(0))
+    ForcingVerdict("Forni impossible", "equal_exponents", 2, 0)
 except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """

@@ -1,13 +1,18 @@
 """Transverse crossing-cylinder witnesses for the stacked configurations,
 the Case 4A cell search against the rational interval-map oracle, and the
-window inequalities."""
+window inequalities against the fraction oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+
+import survivor_oracle
 
 from conftest import BOUNDARY_4A, CASE4A_DIAGRAM, decomposition_net, \
     exemplar, random_case4a_net, random_genus3, scaled_net, scaled_witness, \
@@ -29,6 +34,7 @@ from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.surface import parse_origami
 from squaretiled.transverse import (
+    FeasibilityRecord,
     TransverseWitness,
     WindowConstraint,
     find_crossing_cylinder,
@@ -36,27 +42,28 @@ from squaretiled.transverse import (
 )
 
 
-def window_feasible_pairs(max_denominator, min_saddle=Fraction(1, 4)):
+def window_feasible_pairs(max_denominator):
     r"""
-    All pairs ``(t0, s0)`` on the rational grid with denominators up to
-    ``max_denominator`` for which some ``t_start`` satisfies the window
-    inequalities.  With the bound 1/4 the grid contains exactly one pair.
+    All pairs ``(t0, s0)`` of fractions of the circumference, over every
+    circumference ``w`` up to ``max_denominator``, for which some
+    ``t_start`` satisfies the window inequalities, as the integer
+    :func:`window_feasible` decides them.  Each numerator pair is decided
+    at ``t_start = 0``: the inequalities bound ``t_start`` by ``0`` below
+    and by the slack ``w - 2*t0 - 2*s0`` above, so ``0`` is feasible
+    whenever any value is.  A pair with ``t0 < s0`` violates ``t0 >= s0``
+    and one with ``2*t0 >= w`` has a negative slack, so only the pairs
+    ``s0 <= t0 < w/2`` are decided.  Exactly one pair survives.
 
     >>> window_feasible_pairs(12)
     [(Fraction(1, 4), Fraction(1, 4))]
     """
-    grid = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
-                   for p in range(1, q)})
-    out = []
-    for t0 in grid:
-        # a feasible s0 needs min_saddle <= s0 <= min(t0, (1 - 2*t0)/2)
-        hi = min(t0, Fraction(1 - 2 * t0, 2))
-        if hi < min_saddle:
-            continue
-        for s0 in grid:
-            if min_saddle <= s0 <= hi:
-                out.append((t0, s0))
-    return out
+    out = set()
+    for w in range(1, max_denominator + 1):
+        for t0 in range(1, (w + 1) // 2):
+            for s0 in range(1, t0 + 1):
+                if window_feasible(WindowConstraint(t0, s0, 0, w)).feasible:
+                    out.add((Fraction(t0, w), Fraction(s0, w)))
+    return sorted(out)
 
 
 def total_length(intervals):
@@ -292,22 +299,95 @@ def test_case4a_cell_search_needs_whole_units():
 
 
 def test_window_feasible_known_points():
-    q = Fraction(1, 4)
-    rec = window_feasible(WindowConstraint(q, q, 0, q))
-    assert rec.feasible and rec.boundary and rec.slack == 0
-    rec = window_feasible(WindowConstraint(Fraction(1, 3), q, 0, q))
-    assert not rec.feasible
-    assert rec.slack == Fraction(-1, 6)
+    rec = window_feasible(WindowConstraint(1, 1, 0, 4))
+    assert rec == FeasibilityRecord(True, 0, (), True)
+    assert type(rec.slack) is int
+    # t0 = 1/3, s0 = 1/4: the slack 1 - 2/3 - 1/2 = -1/6 is -2 twelfths
+    rec = window_feasible(WindowConstraint(4, 3, 0, 12))
+    assert rec == FeasibilityRecord(False, -2, ("t_start <= 1 - 2*t0 - 2*s0",),
+                                    False)
+
+
+# constraints with one value out of range or not an integer, and the
+# message each raises
+EXACT = "window data must be exact: integer numerators over w"
+BAD_WINDOWS = [
+    ((0, 1, 0, 4), "saddle lengths must lie in (0, w)"),
+    ((4, 1, 0, 4), "saddle lengths must lie in (0, w)"),
+    ((1, 0, 0, 4), "saddle lengths must lie in (0, w)"),
+    ((1, 4, 0, 4), "saddle lengths must lie in (0, w)"),
+    ((1, 1, 0, 1), "saddle lengths must lie in (0, w)"),
+    ((1, 1, -1, 4), "t_start must lie in [0, w)"),
+    ((1, 1, 4, 4), "t_start must lie in [0, w)"),
+    ((0.25, 1, 0, 4), EXACT),
+    ((1, Fraction(1), 0, 4), EXACT),
+    ((1, 1, 0.0, 4), EXACT),
+    ((1, 1, 0, 4.0), EXACT),
+    ((1, 1, 0, Fraction(4)), EXACT),
+    ((True, 1, 0, 4), EXACT),
+]
+
+RAISE_BAD_WINDOWS = """
+import sys
+from fractions import Fraction
+from squaretiled.transverse import WindowConstraint
+for args in %r:
+    try:
+        WindowConstraint(*args)
+    except ValueError as exc:
+        print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
+""" % [args for args, _ in BAD_WINDOWS]
 
 
 def test_window_constraint_needs_exact_values():
-    q = Fraction(1, 4)
-    assert WindowConstraint(q, q, 0).t_start == 0
-    for args in ((0.25, q, 0), (q, q, 0.0), (q, q, 0, 0.25)):
-        with pytest.raises(ValueError, match="exact"):
+    """Out-of-range and non-integer window data raise ``ValueError``, also
+    under ``python -O``: every check is an explicit ``raise``."""
+    assert WindowConstraint(1, 1, 0, 4).t_start == 0
+    for args, message in BAD_WINDOWS:
+        with pytest.raises(ValueError) as info:
             WindowConstraint(*args)
-    with pytest.raises(ValueError, match="in \\(0, 1\\)"):
-        WindowConstraint(1, q, 0)
+        assert str(info.value) == message, args
+    src = os.path.dirname(os.path.dirname(survivor_oracle.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(src, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-O", "-c", RAISE_BAD_WINDOWS],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "optimize=1 raised: " + message for _, message in BAD_WINDOWS]
+
+
+def test_integer_window_inequalities_match_the_fraction_oracle():
+    """For every circumference ``w`` from 1 to 16 and every numerator
+    triple the constraint accepts, the integer inequalities give the
+    oracle's verdict on the fractions of ``w`` with the quarter bound, and
+    the slack numerator is the oracle's slack times ``w``."""
+    seen = Counter()
+    for w in range(1, 17):
+        for t0, s0, t_start in itertools.product(range(1, w), range(1, w),
+                                                 range(w)):
+            rec = window_feasible(WindowConstraint(t0, s0, t_start, w))
+            oracle = survivor_oracle.window_feasible(
+                survivor_oracle.WindowConstraint(
+                    Fraction(t0, w), Fraction(s0, w), Fraction(t_start, w),
+                    Fraction(1, 4)))
+            assert (rec.feasible, rec.violated, rec.boundary) == \
+                (oracle.feasible, oracle.violated, oracle.boundary), \
+                (t0, s0, t_start, w)
+            assert type(rec.slack) is int
+            assert Fraction(rec.slack, w) == oracle.slack
+            seen[rec.violated, rec.boundary] += 1
+    assert sum(seen.values()) == sum((w - 1) ** 2 * w for w in range(1, 17))
+    # every inequality is violated somewhere except t_start >= 0, which
+    # the constraint's range already guarantees
+    assert {v for violated, _ in seen for v in violated} == {
+        "t0 >= s0", "s0 >= min_saddle", "t_start <= 1 - 2*t0 - 2*s0"}
+    # the feasible triples are the boundary point (w/4, w/4, 0) of
+    # w = 4, 8, 12 and 16
+    assert seen[(), True] == 4 and seen[(), False] == 0
 
 
 def test_window_feasible_pairs_unique():
