@@ -3,8 +3,9 @@ Walk through the full certification of the 8-square survivor.
 
 The script builds the reference origami, inspects its horizontal cylinder
 decomposition and pinch dual graph, extracts the normalized window
-coordinates, and runs the complete direction-by-direction classification,
-printing each piece of evidence along the way.
+coordinates, and runs the classification, printing each piece of evidence
+along the way: the horizontal Case 6 chain and the certificate, the matrix
+of the affine image of the reference and the relabelling onto it.
 
 Run with::
 
@@ -44,7 +45,7 @@ def main():
              classify_case(graph)))
 
     verdict = classify_surface(o)
-    print("\nper-direction evidence:")
+    print("\nevidence:")
     for record in verdict.evidence:
         print("  slope %-8s %-6s via %s"
               % (record.slope, record.label, record.mechanism))
@@ -55,6 +56,9 @@ def main():
     print("\nwindow coordinates: t0 = %s, s0 = %s, t_start = %s"
           % (t0, s0, t_start))
     print("feasible only at the boundary:", final.record.boundary)
+    (a, t), (_, h) = final.matrix
+    print("affine image of the reference: [[%d, %d], [0, %d]]" % (a, t, h))
+    print("relabelling onto it:", final.relabelling)
     assert t0 == Fraction(1, 4)
     print("\nverdict:", verdict.status)
 

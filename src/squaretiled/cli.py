@@ -5,11 +5,13 @@ evidence, and emit text or SVG reports.
 
 Subcommands::
 
-    squaretiled analyze <file> [--direction-bound B] [--format text|svg]
+    squaretiled analyze <file> [--format text|svg]
     squaretiled enumerate --stratum 1,1,1,1 --shape case6
     squaretiled monodromy <file> [--word-bound W] [--direction-bound B]
-    squaretiled report
+    squaretiled report [--format text|svg]
 
+``analyze`` decides a genus-3 surface from at most two directions; a
+survivor is certified as an affine image of the reference.
 Input files contain one origami line, e.g.
 ``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``.  Text goes to
 standard output; SVG files go to the ``--out`` directory.  The exit code
@@ -50,30 +52,28 @@ def _load_origami(path):
     raise ValueError(f"no origami line found in {path}")
 
 
-def _write_svgs(documents, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, content in sorted(documents.items()):
-        (out / name).write_text(content, encoding="utf-8")
-        print(f"wrote {out / name}")
+def _emit(record, args):
+    """Print the text report of ``record``; with ``--format svg``, also
+    write its SVG documents to the ``--out`` directory."""
+    print(render_report(record), end="")
+    if args.format == "svg":
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in sorted(render_report(record, "svg").items()):
+            (out / name).write_text(content, encoding="utf-8")
+            print(f"wrote {out / name}")
+    return 0
 
 
 def _cmd_analyze(args):
-    o = _load_origami(args.file)
-    verdict = classify_surface(o, direction_bound=args.direction_bound)
-    print(render_report(verdict), end="")
-    if args.format == "svg":
-        _write_svgs(render_report(verdict, format="svg"), args.out)
-    return 0
+    """``analyze``, and ``report`` on the reference surface (no file)."""
+    o = reference_surface() if args.file is None else _load_origami(args.file)
+    return _emit(classify_surface(o), args)
 
 
 def _cmd_enumerate(args):
     kappa = tuple(int(x) for x in args.stratum.split(","))
-    catalog = enumerate_diagrams(kappa, args.shape)
-    print(render_report(catalog), end="")
-    if args.format == "svg":
-        _write_svgs(render_report(catalog, format="svg"), args.out)
-    return 0
+    return _emit(enumerate_diagrams(kappa, args.shape), args)
 
 
 def _cmd_monodromy(args):
@@ -105,15 +105,6 @@ def _cmd_monodromy(args):
     return 0
 
 
-def _cmd_report(args):
-    verdict = classify_surface(reference_surface(),
-                               direction_bound=args.direction_bound)
-    print(render_report(verdict), end="")
-    if args.format == "svg":
-        _write_svgs(render_report(verdict, format="svg"), args.out)
-    return 0
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built on first use and shared by every later
@@ -123,21 +114,22 @@ def build_parser():
         description="Classification toolkit for genus-3 square-tiled "
                     "surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the report options of analyze, enumerate and report
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "svg"), default="text")
+    output.add_argument("--out", default="reports")
 
-    p = sub.add_parser("analyze", help="classify a surface from a file")
+    p = sub.add_parser("analyze", parents=[output],
+                       help="classify a surface from a file")
     p.add_argument("file")
-    p.add_argument("--direction-bound", type=int, default=3)
-    p.add_argument("--format", choices=("text", "svg"), default="text")
-    p.add_argument("--out", default="reports")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("enumerate", help="catalog cylinder diagrams")
+    p = sub.add_parser("enumerate", parents=[output],
+                       help="catalog cylinder diagrams")
     p.add_argument("--stratum", required=True,
                    help="comma-separated zero orders, e.g. 1,1,1,1")
     p.add_argument("--shape", choices=("one_cylinder", "case6"),
                    required=True)
-    p.add_argument("--format", choices=("text", "svg"), default="text")
-    p.add_argument("--out", default="reports")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("monodromy",
@@ -147,12 +139,9 @@ def build_parser():
     p.add_argument("--direction-bound", type=int, default=2)
     p.set_defaults(func=_cmd_monodromy)
 
-    p = sub.add_parser("report",
+    p = sub.add_parser("report", parents=[output],
                        help="reference report for the 8-square survivor")
-    p.add_argument("--direction-bound", type=int, default=2)
-    p.add_argument("--format", choices=("text", "svg"), default="text")
-    p.add_argument("--out", default="reports")
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_analyze, file=None)
     return parser
 
 

@@ -1,48 +1,28 @@
 r"""
-The end-to-end classification of genus-3 square-tiled surfaces: analyze
-the periodic directions up to a bound one at a time and stop at the first
-that excludes a nontrivial isometric subspace, either through the
-mechanism of its pinch shape or because its core curves span a Lagrangian
-subspace.  When none does and every direction shows two homologous
-cylinders with consistent metric constraints, the window forcing of the
-horizontal direction already pins the surface to the unique 8-square
-survivor's cylinder diagram, and the surface is certified equivalent to
-it.
-
-A direction is analyzed on its member, the surface of the
-``SL(2, Z)``-orbit in which it is horizontal.  Directions whose members
-are isomorphic share one analysis: the record of a direction that
-excludes nothing does not depend on the labels of the squares, so the
-record of the first such direction is reused with the slope replaced.
-When the horizontal direction excludes nothing and both generators ``T``
-and ``S`` carry the surface to an isomorphic copy, its orbit is a single
-point and every member is isomorphic to the surface itself, so every
-direction gets the horizontal record without building its member.  The
-reference surface's Veech group is all of ``SL(2, Z)``, so it is
-certified this way, from one direction analysis and two sheared copies.
-
-The survivor is the 8-square origami with ``h = (0 1 2 3)(4 7 6 5)`` and
-``v = (0 4 2 6)(1 5 3 7)``: two horizontal 4x1 cylinders with homologous
-core curves, all four zeros simple, all eight saddle connections of equal
-length.
+The end-to-end classification of genus-3 square-tiled surfaces, decided
+from at most two direction analyses (:func:`classify_surface`).  A
+surface that survives is certified as an affine image of the reference
+surface, the 8-square origami with ``h = (0 1 2 3)(4 7 6 5)`` and ``v =
+(0 4 2 6)(1 5 3 7)``: two horizontal 4x1 cylinders with homologous core
+curves, all four zeros simple, all eight saddle connections of equal
+length.  Diagram catalogs and reports live here too.
 
 EXAMPLES::
 
-    >>> classify_surface(reference_surface(), direction_bound=1).status
+    >>> classify_surface(reference_surface()).status
     'WollmilchsauEquivalent'
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .cylinders import (
     CaseLabel,
     classify_case,
-    direction_member,
     horizontal_decomposition,
     moduli_exponents,
     periodic_decomposition,
@@ -50,11 +30,9 @@ from .cylinders import (
 from .errors import GenusMismatch, InvariantViolation
 from .homology import dual_graph
 from .jump import case3_verdict, case6_moduli_forcing
-from .monodromy import enumerate_slopes
 from .surface import (
     Origami,
     Stratum,
-    act_sl2z,
     build_origami,
     origami_isomorphism,
     perm_from_cycles,
@@ -68,7 +46,7 @@ from .transverse import (
 
 def reference_surface() -> Origami:
     r"""
-    The 8-square genus-3 survivor origami.
+    The 8-square genus-3 survivor origami, ``affine_reference(1, 1, 0)``.
 
     EXAMPLES::
 
@@ -76,15 +54,54 @@ def reference_surface() -> Origami:
         >>> str(singularity_data(reference_surface()))
         'H(1,1,1,1)'
     """
-    return build_origami(
-        perm_from_cycles([(0, 1, 2, 3), (4, 7, 6, 5)], 8),
-        perm_from_cycles([(0, 4, 2, 6), (1, 5, 3, 7)], 8),
-    )
+    return affine_reference(1, 1, 0)
+
+
+# unit i atop reference cylinder c is unit _GLUING[c][i] of the other bottom
+_GLUING = ((0, 3, 2, 1), (2, 1, 0, 3))
+
+
+@lru_cache(maxsize=64)
+def affine_reference(a, h, t) -> Origami:
+    r"""
+    ``R(a, h, t) = [[a, t], [0, h]]·reference``: every square of the
+    reference stretched to an ``a`` by ``h`` block and both cylinders
+    sheared by ``t``.  Square ``x`` of row ``y`` of cylinder ``c`` is
+    ``(c·h + y)·4a + x`` (``-x mod 4a`` on cylinder 1), so ``R(1, 1, 0)``
+    has the reference's labels.  The last 64 images are kept: classifying
+    a survivor and checking its certificate both ask for its image.
+
+    EXAMPLES::
+
+        >>> # t counts mod a: [[a, t + a], [0, h]] = [[a, t], [0, h]]·T
+        >>> origami_isomorphism(affine_reference(2, 1, 3),
+        ...                     affine_reference(2, 1, 1)) is not None
+        True
+    """
+    w = 4 * a
+
+    def square(c, x, y):
+        return (c * h + y) * w + (-x % w if c else x)
+
+    right, up = [0] * (2 * w * h), [0] * (2 * w * h)
+    for c in (0, 1):
+        for y in range(h):
+            for x in range(w):
+                s = square(c, x, y)
+                right[s] = square(c, (x + 1) % w, y)
+                # the top at x is the point x - t of the stretched reference
+                i, r = divmod((x - t) % w, a)
+                up[s] = square(c, x, y + 1) if y + 1 < h else \
+                    square(1 - c, a * _GLUING[c][i] + r, 0)
+    return build_origami(right, up)
 
 
 # ---------------------------------------------------------------------------
 # verdicts and per-direction records
 # ---------------------------------------------------------------------------
+
+# the mechanism of the survivor's certificate record
+AFFINE_IMAGE = "affine image of the reference"
 
 
 @dataclass(frozen=True)
@@ -102,41 +119,55 @@ class DirectionRecord:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Classification outcome with its per-direction evidence trail.
-
-    ``status`` is ``TrivialForni``, ``WollmilchsauEquivalent`` or
-    ``Undetermined``.  A ``TrivialForni`` trail ends at the first
-    direction that excludes a nontrivial isometric subspace; the other
-    statuses carry a record for every direction up to the bound, shared
-    between directions with isomorphic members.
-    ``WollmilchsauEquivalent`` is only ever produced when every direction
-    carries the two-homologous-cylinders label with consistent metric
-    constraints, which resolve to the reference surface."""
+    """Classification outcome, ``TrivialForni`` or
+    ``WollmilchsauEquivalent``, with its evidence trail (see
+    :func:`classify_surface`)."""
 
     status: str
     evidence: tuple
     origami: Origami = None
 
-    def __post_init__(self):
-        if self.status == "WollmilchsauEquivalent" and not all(
-                r.label == "Case6" for r in self.evidence
-                if r.mechanism != "window forcing"):
-            raise InvariantViolation(
-                "survivor verdicts require every direction in Case 6")
+
+def _check_survivor(verdict):
+    """``verdict``, unless it is a survivor without a certificate that
+    checks: the consistent horizontal Case 6 record, then a record whose
+    matrix ``((a, t), (0, h))`` has ``0 <= t < a`` and whose relabelling
+    carries the surface onto ``affine_reference(a, h, t)``.  That raises
+    :class:`~squaretiled.errors.InvariantViolation`, also under ``-O``."""
+    trail, o = verdict.evidence, verdict.origami
+    if verdict.status != "WollmilchsauEquivalent":
+        return verdict
+    matrix = getattr(trail[-1].witness, "matrix", None) if trail else None
+    if o is not None and matrix and trail[0].witness and [
+            (r.slope, r.label, r.mechanism) for r in trail] == [
+            ((0, 1), "Case6", m)
+            for m in ("two homologous cylinders", AFFINE_IMAGE)]:
+        (a, t), (_, h), p = *matrix, trail[-1].witness.relabelling
+        r = affine_reference(a, h, t) if 0 <= t < a and h > 0 else None
+        if r is not None and r.n == o.n and sorted(p) == list(range(o.n)) \
+                and all(p[o.h[i]] == r.h[p[i]] and p[o.v[i]] == r.v[p[i]]
+                        for i in range(o.n)):
+            return verdict
+    raise InvariantViolation("survivor verdicts require a consistent "
+                             "horizontal Case 6 chain followed by its "
+                             "affine certificate")
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
     """Boolean-valued outcome of the two-cylinder metric chain with the
     decisive record attached: a moduli forcing verdict or a window
-    feasibility record.  The survivor's final record restates the
-    horizontal chain's window data as the certificate."""
+    feasibility record.  The survivor's certificate restates the window
+    data and adds the matrix ``((a, t), (0, h))`` of its image under
+    :func:`affine_reference` and the relabelling onto it."""
 
     value: bool
     reason: str
     constraint: WindowConstraint = None
     record: object = None
     forcing: object = None
+    matrix: tuple = None
+    relabelling: tuple = None
 
     def __bool__(self):
         return self.value
@@ -154,35 +185,24 @@ def _window_extraction(d, c1, c2):
     A straight trajectory starting inside the longest bottom saddle of
     ``c1``, piercing the longest bottom saddle of ``c2`` and closing when
     it returns through its starting saddle has its per-cylinder drift
-    pinned modulo 1/2; the window coordinate ``t_start`` measures how far
-    the starting saddle sits from the nearer forbidden interval.  The
-    surface survives only when no such trajectory exists, i.e. when
-    ``0 <= t_start <= 1 - 2*t0 - 2*s0``.
+    pinned modulo 1/2; ``t_start`` measures how far the starting saddle
+    sits from the nearer forbidden interval.  The surface survives only
+    when no such trajectory exists: ``0 <= t_start <= 1 - 2*t0 - 2*s0``.
 
-    Every length and position on an origami decomposition is a whole
-    number of squares, so the coordinates are read off as integers.  Let
-    ``w`` be the common circumference, ``L_tau`` and ``L_sigma`` the
-    lengths of the longest bottom saddles tau of ``c1`` and sigma of
-    ``c2``, ``Q_b``, ``Q_t`` the positions of tau on the bottom of ``c1``
-    and the top of ``c2``, and ``P_t``, ``P_b`` those of sigma on the top
-    of ``c1`` and the bottom of ``c2``.  In units of ``1/(2w)``, the
-    closing drift and the gap from tau to the interval of starting points
-    whose trajectory pierces sigma are::
+    Let ``L_tau``, ``L_sigma`` be the whole-unit lengths of the longest
+    bottom saddles tau of ``c1`` and sigma of ``c2``, ``Q_b``, ``Q_t`` the
+    positions of tau on the bottom of ``c1`` and the top of ``c2``, and
+    ``P_t``, ``P_b`` those of sigma on the top of ``c1`` and the bottom of
+    ``c2``.  In units of ``1/(2w)``, the closing drift and the gap from
+    tau to the interval of starting points whose trajectory pierces sigma
+    are ``T = (Q_t - Q_b + P_t - P_b) mod w`` and ``G = (2*P_t - T -
+    2*Q_b) mod w``, and the numerators returned are ``(L_tau, L_sigma,
+    (G - 2*L_tau) mod w)``.
 
-        T = (Q_t - Q_b + P_t - P_b) mod w
-        G = (2*P_t - T - 2*Q_b) mod w
-
-    and the coordinates are ``t0 = L_tau / w``, ``s0 = L_sigma / w`` and
-    ``t_start = ((G - 2*L_tau) mod w) / w``, returned as the numerators
-    ``(L_tau, L_sigma, (G - 2*L_tau) mod w)``.
-
-    Two longest saddles on one bottom are told apart by word order; the
-    choice does not change ``t_start``.  The order of the two cylinders
-    does, which :func:`_metric_chain` settles without reference to their
-    labels.
-
-    Raises :class:`~squaretiled.errors.InvariantViolation` when the two
-    cylinders have different circumferences.
+    Two longest saddles on one bottom are told apart by word order, which
+    does not change ``t_start``; the cylinder order does, which
+    :func:`_metric_chain` settles without reference to labels.  Unequal
+    circumferences raise :class:`~squaretiled.errors.InvariantViolation`.
     """
     w = d.cylinders[c1].circumference
     if d.cylinders[c2].circumference != w:
@@ -223,23 +243,14 @@ def _metric_chain(d) -> EquivalenceResult:
     constraint = WindowConstraint(t0, s0, t_start,
                                   d.cylinders[0].circumference)
     record = window_feasible(constraint)
-    if not record.feasible:
-        return EquivalenceResult(False, "window inequalities violated",
-                                 constraint=constraint, record=record)
-    return EquivalenceResult(True, "metric constraints consistent",
-                             constraint=constraint, record=record)
+    return EquivalenceResult(record.feasible, "metric constraints consistent"
+                             if record.feasible else "window inequalities "
+                             "violated", constraint=constraint, record=record)
 
 
 # ---------------------------------------------------------------------------
 # per-direction analysis
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=64)
-def _slopes(bound):
-    """:func:`~squaretiled.monodromy.enumerate_slopes` of ``bound`` as a
-    tuple, built once per bound for the life of the process."""
-    return tuple(enumerate_slopes(bound))
 
 
 def _analyze_direction(d, slope):
@@ -255,7 +266,8 @@ def _analyze_direction(d, slope):
     (:func:`~squaretiled.cylinders.classify_case`), and Cases 1, 2 and 4
     always have a crossing witness; a graph with no label, such as a
     pinch of another genus whose cycle rank falls short of it, raises
-    :class:`~squaretiled.errors.InvariantViolation`."""
+    :class:`~squaretiled.errors.InvariantViolation`.  A Case 5 record
+    carries the slope it defers to (:func:`classify_surface`)."""
     graph = dual_graph(d)
     if graph.cycle_rank == d.genus:
         return DirectionRecord(slope, None, "Lagrangian core curves",
@@ -280,8 +292,15 @@ def _analyze_direction(d, slope):
                                   if a != b))
         return DirectionRecord(slope, name, "period forcing", verdict), True
     if label is CaseLabel.CASE5:
+        (c,) = d.cylinders
+        w, h, bottoms = c.circumference, c.height, d.bottom_positions[c.id]
+        # tp - bp reduced into (-w/2, w/2]
+        dx = min(((tp - bottoms[s] + (w - 1) // 2) % w - (w - 1) // 2
+                  for s, tp in d.top_positions[c.id].items()),
+                 key=lambda x: (abs(x), x))
+        g = gcd(dx, h)
         return DirectionRecord(slope, name, "defer to a simple transverse "
-                               "cylinder"), False
+                               "cylinder", (h // g, dx // g)), False
     chain = _metric_chain(d)
     if not chain:
         return DirectionRecord(slope, name, "window forcing", chain), True
@@ -289,43 +308,53 @@ def _analyze_direction(d, slope):
                            chain), False
 
 
-def classify_surface(o: Origami, direction_bound=3) -> Verdict:
+def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
     r"""
-    Classify a genus-3 origami by analyzing the reduced directions up to
-    ``direction_bound`` in the order of
-    :func:`~squaretiled.monodromy.enumerate_slopes`, horizontal first.
-    The status is ``TrivialForni`` as soon as one direction excludes a
-    nontrivial isometric subspace, through the mechanism of its pinch
-    shape or through Lagrangian core curves, and the evidence stops at
-    that direction.  Otherwise every direction is analyzed: the status is
-    ``Undetermined`` when some direction is Case 5; otherwise every
-    direction shows two homologous cylinders with consistent metrics, and
-    the status is ``WollmilchsauEquivalent``.  Consistent window data in
-    the horizontal direction leave the reference diagram as the only one
-    possible, so the final record, ``window forcing``, restates that
-    direction's window data as the certificate.
+    Classify a genus-3 origami from at most two direction analyses;
+    ``direction_bound`` is ignored.  Any genus but 3, read off the horizontal
+    decomposition, raises :class:`~squaretiled.errors.GenusMismatch`.
 
-    The genus is read off the horizontal decomposition, which the first
-    direction analyzes; a surface of any other genus than 3 raises
-    :class:`~squaretiled.errors.GenusMismatch`.
+    The status is ``TrivialForni`` when the horizontal direction excludes
+    a nontrivial isometric subspace (:func:`_analyze_direction`), with that
+    one record as evidence.  Two shapes exclude nothing, and each takes
+    one more step, whose failure would raise
+    :class:`~squaretiled.errors.InvariantViolation`:
 
-    Each direction is analyzed on its member
-    (:func:`~squaretiled.cylinders.direction_member`).  A direction whose
-    member is isomorphic to that of an earlier non-excluding direction
-    is not analyzed again: its record is the earlier one with the slope
-    replaced, which is the record its own analysis would give.  When the
-    horizontal direction excludes nothing, ``S·o`` and ``T·o`` are tested
-    for isomorphism with ``o``; if both are, every ``SL(2, Z)`` word maps
-    ``o`` to an isomorphic copy, so the orbit is one point and every
-    later direction gets the horizontal record with its own slope, no
-    member built.  Only the table of slope words
-    (:func:`~squaretiled.cylinders.direction_member`) and the tuple of
-    slopes of each bound are kept for the life of the process.
+    *Case 5* has one cylinder, of circumference ``w`` and height ``h``; a
+    saddle at ``bp`` on its bottom lies at ``tp`` on its top.  Joining
+    each point of the saddle on the bottom to the same point on the top
+    sweeps a simple cylinder in direction ``(dx, h)``, bounded on each side
+    by one saddle connection; ``dx = tp - bp`` is taken in ``(-w/2, w/2]``
+    and of the least ``(|dx|, dx)``, which no square label changes.  That
+    direction is analyzed next, and excludes: a lone cylinder glued to
+    itself along one saddle connection is a torus, so it has two cylinders
+    or more and is not Case 5; its simple cylinder has one saddle on its
+    bottom, a consistent chain four (below), so it is not a consistent
+    Case 6; every other shape excludes.
+
+    *A consistent Case 6 chain* forces ``t0 = s0 = 1/4``.  A genus-3
+    decomposition has ``4 + n`` saddle connections, ``n <= 4`` the number
+    of zeros, so each bottom carries four of length ``a = w/4``, the
+    surface is in H(1,1,1,1), and its diagram is the one case6 entry of
+    :func:`enumerate_diagrams` there, the reference one.  Moduli forcing
+    leaves a common height ``h``, so the surface is fixed by the twists
+    ``t1``, ``t2`` (mod ``w``) of its cylinders: in the reference's saddle
+    labelling the top saddle at ``i·a`` sits at ``i·a + t_c``.  There, in
+    the order (0, 1), :func:`_window_extraction` reads ``Q_b = P_b = 0``,
+    ``Q_t = 2a + t2`` and ``P_t = t1``, so ``T = 2a + t1 + t2``, ``G = t1
+    - t2 - 2a`` and ``t_start = t1 - t2`` (mod ``w``); the order (1, 0)
+    gives ``t2 - t1``.  The feasible ``t_start = 0`` forces ``t1 = t2 =
+    t``, and the surface is ``[[a, t], [0, h]]·reference``.  As ``[[a, t
+    + a], [0, h]] = [[a, t], [0, h]]·T`` and ``T`` fixes the reference,
+    it is ``R(a, h, t mod a)`` (:func:`affine_reference`), ``t mod a``
+    being any top saddle position mod ``a``.  The certificate record
+    restates the window data and carries the matrix and the relabelling.
 
     EXAMPLES::
 
-        >>> classify_surface(reference_surface()).status
-        'WollmilchsauEquivalent'
+        >>> verdict = classify_surface(reference_surface())
+        >>> verdict.status, verdict.evidence[-1].witness.matrix
+        ('WollmilchsauEquivalent', ((1, 0), (0, 1)))
         >>> from squaretiled.surface import build_origami
         >>> classify_surface(build_origami((1, 2, 0), (0, 2, 1)))
         Traceback (most recent call last):
@@ -340,52 +369,31 @@ def classify_surface(o: Origami, direction_bound=3) -> Verdict:
     first, excludes = _analyze_direction(horizontal, (0, 1))
     if excludes:
         return Verdict("TrivialForni", (first,), o)
-    # every slope list starts with the horizontal (0, 1)
-    slopes = _slopes(direction_bound)[1:]
-    if all(origami_isomorphism(act_sl2z(o, (g,)), o) is not None
-           for g in ("S", "T")):
-        evidence = (first,) + tuple(
-            DirectionRecord(slope, first.label, first.mechanism,
-                            first.witness) for slope in slopes)
-    else:
-        evidence = [first]
-        # (member, record) of each non-excluding direction analyzed
-        analyzed = [(o, first)]
-        for slope in slopes:
-            member = direction_member(o, slope)
-            record = next((r for m, r in analyzed
-                           if origami_isomorphism(member[1], m) is not None),
-                          None)
-            if record is not None:
-                evidence.append(replace(record, slope=slope))
-                continue
-            record, excludes = _analyze_direction(
-                periodic_decomposition(o, slope, member), slope)
-            evidence.append(record)
-            if excludes:
-                return Verdict("TrivialForni", tuple(evidence), o)
-            analyzed.append((member[1], record))
-        evidence = tuple(evidence)
-    if any(record.label != "Case6" for record in evidence):
-        return Verdict("Undetermined", evidence, o)
-    # Every direction shows two homologous cylinders whose metric chain is
-    # consistent, and the horizontal chain alone, whose record comes first,
-    # pins the reference diagram.  Its feasible window forces
-    # t0 = s0 = 1/4: no saddle on either bottom is longer than a quarter
-    # circumference, so each bottom carries at least four saddles.  A
-    # genus-3 decomposition has 4 + n saddle connections, n <= 4 being the
-    # number of zeros, so both bottoms carry exactly four, each a quarter
-    # circumference long, and n = 4 puts the surface in H(1,1,1,1).  The
-    # catalog of two-cylinder boundary-exchanging diagrams there,
-    # enumerate_diagrams((1, 1, 1, 1), "case6"), has one entry: the
-    # reference diagram.
-    chain = evidence[0].witness
-    result = EquivalenceResult(True, "window forcing resolves to the "
-                               "reference surface",
-                               constraint=chain.constraint,
-                               record=chain.record)
-    evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
-    return Verdict("WollmilchsauEquivalent", evidence, o)
+    if first.label == "Case5":
+        slope = first.witness
+        record, excludes = _analyze_direction(
+            periodic_decomposition(o, slope), slope)
+        if not excludes:
+            raise InvariantViolation(
+                "the simple cylinder direction %s of a Case 5 direction "
+                "excludes nothing" % (slope,))
+        return Verdict("TrivialForni", (first, record), o)
+    chain, c = first.witness, horizontal.cylinders[0]
+    a, h = chain.constraint.t0, c.height
+    t = next(iter(horizontal.top_positions[c.id].values())) % a
+    relabelling = origami_isomorphism(o, affine_reference(a, h, t))
+    if relabelling is None:
+        raise InvariantViolation(
+            "a consistent Case 6 chain of saddle length %d and height %d is "
+            "not the affine image [[%d, %d], [0, %d]] of the reference"
+            % (a, h, a, t, h))
+    certificate = EquivalenceResult(
+        True, "window forcing resolves to the reference diagram",
+        constraint=chain.constraint, record=chain.record,
+        matrix=((a, t), (0, h)), relabelling=relabelling)
+    return _check_survivor(Verdict("WollmilchsauEquivalent", (
+        first, DirectionRecord((0, 1), "Case6", AFFINE_IMAGE, certificate)),
+        o))
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +548,9 @@ def _svg_document(elements, width, height):
             % (width, height, width, height, body))
 
 
-def _svg_rect(x, y, w, h, fill="#eef"):
-    return ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-            'fill="%s" stroke="black"/>' % (x, y, w, h, fill))
-
-
 def _svg_text(x, y, text, size=12):
     return ('<text x="%.2f" y="%.2f" font-size="%d" '
             'font-family="monospace">%s</text>' % (x, y, size, text))
-
-
-def _svg_line(x1, y1, x2, y2):
-    return ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-            'stroke="black"/>' % (x1, y1, x2, y2))
 
 
 def _diagram_svg(diagram, scale=40):
@@ -566,7 +564,8 @@ def _diagram_svg(diagram, scale=40):
         top = diagram.top_words[cid]
         w = max(len(bottom), len(top), 1) * scale
         max_w = max(max_w, w)
-        elements.append(_svg_rect(20, y, w, scale))
+        elements.append('<rect x="20.00" y="%.2f" width="%.2f" height="%.2f" '
+                        'fill="#eef" stroke="black"/>' % (y, w, scale))
         for i, sid in enumerate(top):
             elements.append(_svg_text(24 + i * scale, y - 4, str(sid), 10))
         for i, sid in enumerate(bottom):
@@ -600,7 +599,8 @@ def _dual_graph_svg(graph, scale=60):
                             % (xa + 18, ya - 18))
         else:
             xb, yb = pos[b]
-            elements.append(_svg_line(xa, ya, xb, yb))
+            elements.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                            'stroke="black"/>' % (xa, ya, xb, yb))
     for v in vs:
         x, y = pos[v]
         elements.append('<circle cx="%.2f" cy="%.2f" r="14" fill="#fee" '
@@ -619,11 +619,14 @@ def _over(numerator, w):
 
 def _verdict_text(verdict: Verdict):
     lines = ["classification: %s" % verdict.status,
-             "directions analyzed: %d" % len(verdict.evidence), ""]
+             "directions analyzed: %d"
+             % len({rec.slope for rec in verdict.evidence}), ""]
     for rec in verdict.evidence:
-        label = rec.label if rec.label is not None else "unmatched"
         lines.append("  slope %-8s %-9s %s"
-                     % (str(rec.slope), label, rec.mechanism))
+                     % (str(rec.slope), rec.label or "-", rec.mechanism))
+        if rec.label == "Case5":
+            lines.append("    -> simple cylinder at slope %s"
+                         % (rec.witness,))
         if isinstance(rec.witness, EquivalenceResult):
             w = rec.witness
             lines.append("    -> %s" % w.reason)
@@ -636,6 +639,12 @@ def _verdict_text(verdict: Verdict):
             if w.record is not None and w.record.violated:
                 lines.append("    -> violated: %s"
                              % ", ".join(w.record.violated))
+            if w.matrix is not None:
+                (a, t), (_, h) = w.matrix
+                lines.append("    -> %s: [[%d, %d], [0, %d]]"
+                             % (AFFINE_IMAGE, a, t, h))
+                lines.append("    -> relabelling: %s"
+                             % " ".join(map(str, w.relabelling)))
     return "\n".join(lines) + "\n"
 
 
@@ -674,11 +683,12 @@ def render_report(record, format="text"):
     if format not in ("text", "svg"):
         raise ValueError("format must be 'text' or 'svg'")
     if isinstance(record, Verdict):
+        _check_survivor(record)
         if format == "text":
             return _verdict_text(record)
         out = {}
         for rec in record.evidence:
-            if rec.mechanism == "window forcing" or record.origami is None:
+            if rec.mechanism == AFFINE_IMAGE or record.origami is None:
                 continue
             d = periodic_decomposition(record.origami, rec.slope)
             tag = "%d_%d" % rec.slope

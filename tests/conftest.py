@@ -93,6 +93,18 @@ def _partitions(n, largest=None):
             yield (part,) + rest
 
 
+def _cycle_count(p):
+    seen = [False] * len(p)
+    count = 0
+    for s in range(len(p)):
+        if not seen[s]:
+            count += 1
+            while not seen[s]:
+                seen[s] = True
+                s = p[s]
+    return count
+
+
 def genus3_origamis(max_squares):
     """Every transitive genus-3 origami on at most ``max_squares`` squares
     whose ``h`` is the representative of its cycle type that cycles
@@ -106,12 +118,18 @@ def genus3_origamis(max_squares):
             h = perm_from_cycles([tuple(range(a, a + k)) for a, k in
                                   zip(starts, cycle_type)], n)
             for v in itertools.permutations(range(n)):
+                # a connected surface of n squares has genus 3 when its
+                # corner permutation c(v(h(j))) = h(v(j)) has n - 4 cycles
+                corner = [0] * n
+                for j in range(n):
+                    corner[v[h[j]]] = h[v[j]]
+                if _cycle_count(corner) != n - 4:
+                    continue
                 try:
                     o = build_origami(h, v)
                 except NotTransitive:
                     continue
-                if singularity_data(o).genus == 3:
-                    yield o
+                yield o
 
 
 def random_unimodular(rng, n):

@@ -1,11 +1,11 @@
 """Slow, independent versions of the survivor path of
-``squaretiled.pipeline.classify_surface``: the per-slope loop that builds
-the member of every direction and tests it for isomorphism with each
-member analyzed before, and the two-cylinder metric chain computed in
-:class:`fractions.Fraction` from the cylinder moduli, with the window
-inequalities evaluated on fractions of the circumference.  The reference
-that the one-point-orbit rule, the integer chain and the integer window
-inequalities are compared against.
+``squaretiled.pipeline.classify_surface``: the per-slope loop that walks
+every direction up to a bound, building the member of each and testing it
+for isomorphism with each member analyzed before, and the two-cylinder
+metric chain computed in :class:`fractions.Fraction` from the cylinder
+moduli, with the window inequalities evaluated on fractions of the
+circumference.  The reference that the two-direction decision, the
+integer chain and the integer window inequalities are compared against.
 """
 
 from dataclasses import dataclass, replace
@@ -19,10 +19,20 @@ from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import (
     DirectionRecord,
     EquivalenceResult,
-    Verdict,
     _analyze_direction,
 )
 from squaretiled.surface import origami_isomorphism
+
+
+@dataclass(frozen=True)
+class SlopeVerdict:
+    """The outcome of :func:`classify_per_slope`: ``TrivialForni``,
+    ``WollmilchsauEquivalent`` or ``Undetermined``, which the package's
+    classifier no longer has, with the records of the walk."""
+
+    status: str
+    evidence: tuple
+    origami: object = None
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,10 @@ def metric_chain(d):
 def classify_per_slope(o, direction_bound=3):
     """The verdict of a scan that builds the member of every direction up
     to the bound and reuses the record of the first analyzed member it is
-    isomorphic to, stopping at the first excluding direction."""
+    isomorphic to, stopping at the first excluding direction: the
+    package's classifier as it was while it walked a box of slopes.  It
+    is ``Undetermined`` when no direction up to the bound excludes and
+    some direction is not Case 6."""
     horizontal = periodic_decomposition(o, (0, 1), ((), o))
     if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
@@ -177,15 +190,15 @@ def classify_per_slope(o, direction_bound=3):
         record, excludes = _analyze_direction(d, slope)
         evidence.append(record)
         if excludes:
-            return Verdict("TrivialForni", tuple(evidence), o)
+            return SlopeVerdict("TrivialForni", tuple(evidence), o)
         analyzed.append((member[1], record))
     evidence = tuple(evidence)
     if any(record.label != "Case6" for record in evidence):
-        return Verdict("Undetermined", evidence, o)
+        return SlopeVerdict("Undetermined", evidence, o)
     chain = evidence[0].witness
     result = EquivalenceResult(True, "window forcing resolves to the "
                                "reference surface",
                                constraint=chain.constraint,
                                record=chain.record)
     evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
-    return Verdict("WollmilchsauEquivalent", evidence, o)
+    return SlopeVerdict("WollmilchsauEquivalent", evidence, o)

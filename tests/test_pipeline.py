@@ -17,7 +17,7 @@ import pytest
 import catalog_oracle
 import decomposition_oracle
 import survivor_oracle
-from conftest import EXEMPLARS, decomposition_net, exemplar, \
+from conftest import BOUNDARY_4A, EXEMPLARS, decomposition_net, exemplar, \
     genus3_origamis, l_origami, random_genus3, wollmilchsau
 from decomposition_oracle import core_span_rank
 from squaretiled.cli import build_parser, main as cli_main
@@ -36,7 +36,9 @@ from squaretiled import cylinders, homology, pipeline, transverse
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
     DirectionRecord,
+    EquivalenceResult,
     Verdict,
+    affine_reference,
     classify_surface,
     enumerate_diagrams,
     reference_surface,
@@ -67,21 +69,28 @@ def analyze(o, slope):
 
 
 def test_reference_surface_matches_fixture():
-    assert origami_isomorphism(reference_surface(), wollmilchsau()) \
-        is not None
+    """The reference surface is the affine image at ``a = h = 1``,
+    ``t = 0``, with the fixture's labels."""
+    assert reference_surface() == affine_reference(1, 1, 0) == \
+        wollmilchsau()
 
 
 def test_reference_surface_survives():
     verdict = classify_surface(reference_surface())
     assert verdict.status == "WollmilchsauEquivalent"
-    assert all(r.label == "Case6" for r in verdict.evidence)
-    final = verdict.evidence[-1]
-    assert final.mechanism == "window forcing"
+    chain, final = verdict.evidence
+    assert (chain.slope, chain.label, chain.mechanism) == \
+        ((0, 1), "Case6", "two homologous cylinders")
+    assert (final.slope, final.label, final.mechanism) == \
+        ((0, 1), "Case6", "affine image of the reference")
     result = final.witness
     assert bool(result)
     # t0 = s0 = 1/4 and t_start = 0 over the circumference 4
-    assert result.constraint == transverse.WindowConstraint(1, 1, 0, 4)
+    assert result.constraint == chain.witness.constraint == \
+        transverse.WindowConstraint(1, 1, 0, 4)
     assert result.record.boundary
+    assert result.matrix == ((1, 0), (0, 1))
+    assert result.relabelling == tuple(range(8))
 
 
 def test_verdict_invariant_under_shears():
@@ -136,34 +145,54 @@ def has_simple_cylinder(d):
 
 
 def test_case5_excluded_through_a_simple_cylinder_direction():
+    """The Case 5 exemplar defers to the direction of a simple cylinder
+    over a saddle of its one cylinder; that direction has at least two
+    cylinders, the simple one among them, and excludes."""
     o = exemplar("Case5")
-    verdict = classify_surface(o, direction_bound=3)
+    verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
-    results = [analyze(o, s) for s in enumerate_slopes(3)]
-    assert any(excludes and r.mechanism in EXCLUDING_MECHANISMS
-               and has_simple_cylinder(d) for r, excludes, d in results)
+    first, second = verdict.evidence
+    assert (first.slope, first.label) == ((0, 1), "Case5")
+    assert second.slope == first.witness
+    record, excludes, d = analyze(o, first.witness)
+    assert excludes and record == second
+    assert len(d.cylinders) >= 2 and has_simple_cylinder(d)
 
 
-# every direction up to bound 1 is Case 5, and none excludes
-UNDETERMINED_CASE5 = 'origami n=7 h="(0 6 3 4 1 2 5)" v="(0 1 6 5 3 2 4)"'
+# the two 7-square surfaces whose four bound-1 directions are all Case 5,
+# which the slope walk left undetermined at bound 1, with the slopes of
+# the simple cylinders they defer to
+SEVEN_CASE5 = {
+    'origami n=7 h="(0 6 3 4 1 2 5)" v="(0 1 6 5 3 2 4)"': (1, 2),
+    'origami n=7 h="(0 5 1 6 2 3 4)" v="(0 1 3 5 2 4 6)"': (1, -2)}
+CASE5_SEVEN = next(iter(SEVEN_CASE5))
 # Case 5 or Lagrangian core curves (cycle rank 3, no case label) in every
 # direction up to bound 3
 LAGRANGIAN_CASE5 = 'origami n=5 h="(1 2 3)" v="(0 1)(3 4)"'
 
 
-def test_case5_without_exclusion_is_undetermined(monkeypatch):
-    verdict = classify_surface(parse_origami(UNDETERMINED_CASE5),
-                               direction_bound=1)
-    assert verdict.status == "Undetermined"
-    assert [(r.label, r.mechanism) for r in verdict.evidence] == \
-        [("Case5", "defer to a simple transverse cylinder")] * 4
+def test_case5_defers_to_its_simple_cylinder(monkeypatch):
+    """Both 7-square surfaces that no direction up to bound 1 decided are
+    ``TrivialForni`` from two records: the horizontal Case 5 record, whose
+    witness is the slope of its simple cylinder, and that direction's
+    Lagrangian record."""
+    for text, slope in SEVEN_CASE5.items():
+        o = parse_origami(text)
+        assert [analyze(o, s)[0].label for s in enumerate_slopes(1)] == \
+            ["Case5"] * 4
+        verdict = classify_surface(o)
+        assert verdict.status == "TrivialForni"
+        assert verdict.evidence == (
+            DirectionRecord((0, 1), "Case5",
+                            "defer to a simple transverse cylinder", slope),
+            DirectionRecord(slope, None, "Lagrangian core curves", 3))
 
     def no_basis(*args, **kwargs):
         raise AssertionError("the Lagrangian rule built a homology basis")
 
     monkeypatch.setattr(homology, "HomologyBasis", no_basis)
     o = parse_origami(LAGRANGIAN_CASE5)
-    verdict = classify_surface(o, direction_bound=3)
+    verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
     assert verdict.evidence == (
         DirectionRecord((0, 1), None, "Lagrangian core curves", 3),)
@@ -175,30 +204,23 @@ def test_case5_without_exclusion_is_undetermined(monkeypatch):
                for r in records if r.label is None)
 
 
-# two cylinders with both heights 2; T fixes its isomorphism class and S
-# does not, so it is tested with one sheared copy
+# two cylinders with both heights 2: R(1, 2, 0) relabelled
 SURVIVOR16 = ('origami n=16 h="(0 1 5 2)(3 6 12 8)(4 9 13 7)(10 15 11 14)" '
               'v="(0 3 10 13 5 12 11 4)(1 6 14 9 2 8 15 7)"')
 
 
-@pytest.mark.parametrize("text, bound, slopes, members, copies",
-                         [(str(reference_surface()), 3, 16, 1, 2),
-                          (SURVIVOR16, 3, 16, 3, 1 + 15),
-                          (UNDETERMINED_CASE5, 1, 4, 4, 1 + 3)],
-                         ids=["reference", "survivor16", "undetermined"])
-def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
-                                      members, copies):
-    """Each isomorphism class of direction members is analysed once.  The
-    reference surface's orbit is a single point, which ``T`` and ``S``
-    show with two sheared copies, so its 16 directions share one
-    analysis and build no member.  Any other surface builds the member of
-    every direction but the horizontal one, whose member is the surface
-    itself, besides the copy of the ``S`` test, which fails first."""
+@pytest.mark.parametrize("text, directions, isomorphisms",
+                         [(str(reference_surface()), 1, 1),
+                          (SURVIVOR16, 1, 1),
+                          (CASE5_SEVEN, 2, 0)],
+                         ids=["reference", "survivor16", "case5"])
+def test_each_direction_analysed_once(monkeypatch, text, directions,
+                                      isomorphisms):
+    """At most two directions are analysed, each once.  A survivor
+    analyses the horizontal direction alone, builds no member and makes
+    one isomorphism test, against its affine image of the reference; a
+    Case 5 surface builds the member of the one direction it defers to."""
     o = parse_origami(text)
-    assert len(enumerate_slopes(bound)) == slopes
-    distinct = {canonical_form(periodic_decomposition(o, s).origami)
-                for s in enumerate_slopes(bound)}
-    assert len(distinct) == members
     calls = []
 
     def counted(module, name):
@@ -210,24 +232,22 @@ def test_each_direction_analysed_once(monkeypatch, text, bound, slopes,
         monkeypatch.setattr(module, name, wrapper)
 
     for name in ("periodic_decomposition", "dual_graph", "_metric_chain",
-                 "direction_member", "act_sl2z"):
+                 "origami_isomorphism"):
         counted(pipeline, name)
-    # direction_member shears through the name cylinders imported
+    # periodic_decomposition builds members through the names cylinders
+    # imported
+    counted(cylinders, "direction_member")
     counted(cylinders, "act_sl2z")
-    verdict = classify_surface(o, direction_bound=bound)
-    assert verdict.status != "TrivialForni"
-    # one record per slope, plus the survivor's certificate unless some
-    # direction left the surface undetermined
-    assert [r.slope for r in verdict.evidence[:slopes]] == \
-        enumerate_slopes(bound)
-    assert len(verdict.evidence) == \
-        slopes + (verdict.status != "Undetermined")
-    assert calls.count("periodic_decomposition") == members
-    assert calls.count("dual_graph") == members
-    assert calls.count("_metric_chain") <= members
-    assert calls.count("act_sl2z") == copies
-    assert calls.count("direction_member") == \
-        (0 if members == 1 else slopes - 1)
+    verdict = classify_surface(o)
+    assert len({r.slope for r in verdict.evidence}) == directions
+    assert verdict.status == ("TrivialForni" if directions == 2
+                              else "WollmilchsauEquivalent")
+    assert calls.count("periodic_decomposition") == directions
+    assert calls.count("dual_graph") == directions
+    assert calls.count("_metric_chain") == 2 - directions
+    assert calls.count("direction_member") == directions - 1
+    assert calls.count("act_sl2z") == directions - 1
+    assert calls.count("origami_isomorphism") == isomorphisms
 
 
 # the 16-square survivor, a Case 6 surface with unequal moduli and a
@@ -239,90 +259,231 @@ NAMED_SURFACES = [
     'origami n=10 h="(0 6 5)(2 3 4)(7 8 9)" v="(0 7 2 5 9 4)(1 3 6 8)"']
 
 
-def test_one_point_rule_matches_the_per_slope_loop():
-    """The verdict of every surface, at bounds 1-3, is the one the scan
-    that builds every direction's member gives: on the reference and
-    relabelled copies of it, whose orbit is a single point, on the
-    16-, 12- and 10-square surfaces above, the exemplars and random
-    surfaces."""
+# the surfaces the console-script step of the CI workflow analyses
+CI_SURFACES = [
+    'origami n=8 h="(0 7 2 4)(1 5 3 6)" v="(0 5 2 6)(1 4 3 7)"',
+    'origami n=5 h="(1 2 3)" v="(0 1)(3 4)"',
+    'origami n=6 h="(1 3 2 4)" v="(0 5 2 1)"',
+    'origami n=8 h="(0 1 6 7)(2 5 3)" v="(0 4)(1 2)(3 6 5 7)"',
+    'origami n=7 h="(0 6 5)(2 3 4)" v="(0 2 5 4)(1 3 6)"',
+    'origami n=6 h="(0 2 1 5 4 3)" v="(0 2)(3 5 4)"',
+    'origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
+    'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"',
+    'origami n=8 h="(0 7 5 3)(1 4 6 2)" v="(0 6 7 1 3 4 5 2)"',
+    BOUNDARY_4A,
+    SURVIVOR16,
+    'origami n=7 h="(0 6 3 4 1 2 5)" v="(0 1 6 5 3 2 4)"']
+# random surfaces in the parity test, as many as the per-slope comparison it
+# replaced drew (3000 in a run outside the suite)
+PARITY_RANDOM = 500
+
+
+def test_verdict_matches_the_per_slope_loop():
+    """The two-direction verdict has the status of the bound-3 slope walk
+    wherever the walk decides, on the reference and relabelled copies of
+    it, the named and CI surfaces, the exemplars and random surfaces of
+    5-14 squares.  Its first record is the walk's; when that record
+    excludes, the trail is that record alone, as the walk's is, and a
+    Case 5 record is followed by the analysis of its slope.  Lagrangian
+    records carry the cycle rank 3 of a genus-0 pinch.  The ignored
+    ``direction_bound`` keyword leaves the verdict as it is."""
     rng = random.Random(1919)
     surfaces = [reference_surface()]
     surfaces += [relabelled(rng, reference_surface()) for _ in range(20)]
     surfaces += [parse_origami(text) for text in NAMED_SURFACES]
+    surfaces += [parse_origami(text) for text in CI_SURFACES]
+    surfaces += [parse_origami(text) for text in SEVEN_CASE5]
     surfaces += [exemplar(name) for name in sorted(EXEMPLARS)]
-    surfaces += [random_genus3(rng, 5, 12) for _ in range(500)]
-    one_point, statuses = 0, set()
-    for o in surfaces:
-        one_point += all(origami_isomorphism(act_sl2z(o, [g]), o) is not None
-                         for g in ("T", "S"))
-        for bound in (1, 2, 3):
-            verdict = classify_surface(o, direction_bound=bound)
-            assert verdict == survivor_oracle.classify_per_slope(o, bound), \
-                (o, bound)
-            statuses.add(verdict.status)
-    assert one_point >= 21
-    assert statuses == {"TrivialForni", "Undetermined",
-                        "WollmilchsauEquivalent"}
+    surfaces += [random_genus3(rng, 5, 14) for _ in range(PARITY_RANDOM)]
+    statuses, undecided, deferred = Counter(), 0, 0
+    for index, o in enumerate(surfaces):
+        verdict = classify_surface(o)
+        oracle = survivor_oracle.classify_per_slope(o, 3)
+        if oracle.status == "Undetermined":
+            undecided += 1
+        else:
+            assert verdict.status == oracle.status, o
+        statuses[verdict.status] += 1
+        first = verdict.evidence[0]
+        assert first == oracle.evidence[0], o
+        if first.label == "Case5":
+            deferred += 1
+            assert verdict.evidence[1] == analyze(o, first.witness)[0], o
+            assert len(verdict.evidence) == 2
+        elif verdict.status == "TrivialForni":
+            assert verdict.evidence == oracle.evidence, o
+        else:
+            assert verdict.evidence[-1].witness.constraint == \
+                oracle.evidence[-1].witness.constraint, o
+        for r in verdict.evidence:
+            # the rank is recomputed from a homology basis on the first
+            # surfaces only, a basis being slow to build
+            if r.mechanism == "Lagrangian core curves" and index < 400:
+                d = periodic_decomposition(o, r.slope)
+                assert r.witness == core_span_rank(d) == 3
+                assert dual_graph(d).geometric_genus == 0
+    assert statuses["WollmilchsauEquivalent"] == 24
+    assert deferred > 20 and undecided < deferred
+    o = parse_origami(CASE5_SEVEN)
+    assert classify_surface(o, direction_bound=3) == classify_surface(o)
 
 
 REFERENCE_KEY = horizontal_decomposition(reference_surface()).diagram \
     .canonical_key()
 
 
-def full_scan(analyses, bound):
-    """The verdict as a scan of every direction up to ``bound`` decides it,
-    from ``analyses`` (slope -> :func:`analyze`
-    result): the oracle for the lazy classifier.  When every direction is
-    Case 6 with a consistent chain, the horizontal cylinder diagram is
-    compared with the reference one.  Returns the status, the records of
-    every direction, and the index of the first excluding one (``None``
-    when none excludes)."""
-    results = [analyses[s] for s in enumerate_slopes(bound)]
-    records = [record for record, _, _ in results]
-    first = next((i for i, (_, excludes, _) in enumerate(results)
-                  if excludes), None)
-    if first is not None:
-        status = "TrivialForni"
-    elif any(r.label != "Case6" for r in records):
-        status = "Undetermined"
-    else:
-        d = results[0][2]
-        status = ("WollmilchsauEquivalent"
-                  if d.diagram.canonical_key() == REFERENCE_KEY
-                  else "TrivialForni")
-    return status, records, first
+def test_census_up_to_seven_squares():
+    """One pass over every genus-3 origami on at most seven squares, up to
+    isomorphism.  Every Case 5 horizontal direction defers to a direction
+    that excludes and shows the simple cylinder; every status is the bound-3
+    slope walk's wherever the walk decides; and the status does not change
+    along an edge ``T`` or ``S`` of the ``SL(2, Z)``-orbit graph, so every
+    member of an orbit gets the same status.  The walk is run where the
+    horizontal direction excludes nothing: elsewhere it stops at the same
+    horizontal record, as :func:`test_verdict_matches_the_per_slope_loop`
+    checks."""
+    census = {canonical_form(o) for o in genus3_origamis(7)}
+    assert len(census) == 40 + 479 + 2645
+    statuses, deferred, undecided = {}, Counter(), 0
+    for o in census:
+        verdict = classify_surface(o)
+        statuses[o] = verdict.status
+        first = verdict.evidence[0]
+        if len(verdict.evidence) == 1:
+            continue
+        if first.label == "Case5":
+            record, excludes, d = analyze(o, first.witness)
+            assert excludes and verdict.evidence == (first, record), o
+            assert len(d.cylinders) >= 2 and has_simple_cylinder(d), o
+            deferred[record.label, record.mechanism] += 1
+        oracle = survivor_oracle.classify_per_slope(o, 3).status
+        if oracle == "Undetermined":
+            undecided += 1
+        else:
+            assert verdict.status == oracle, o
+    for o in census:
+        for letter in ("T", "S"):
+            assert statuses[canonical_form(act_sl2z(o, [letter]))] == \
+                statuses[o], (o, letter)
+    # no genus-3 origami below eight squares is the reference's image
+    assert set(statuses.values()) == {"TrivialForni"}
+    assert deferred == {(None, "Lagrangian core curves"): 405,
+                        ("Case1", "transverse crossing cylinder"): 160,
+                        ("Case3", "period forcing"): 4}
+    assert undecided == 0
 
 
-def test_lazy_evidence_is_the_full_scan_prefix():
-    rng = random.Random(909)
-    surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
-    # the random draw decides every surface; these two are not decided
-    # by an exclusion
-    surfaces += [parse_origami(UNDETERMINED_CASE5), reference_surface()]
-    statuses, stops = set(), 0
-    for o in surfaces:
-        analyses = {s: analyze(o, s)
-                    for s in enumerate_slopes(3)}
-        for bound in (1, 2, 3):
-            status, records, first = full_scan(analyses, bound)
-            verdict = classify_surface(o, direction_bound=bound)
-            assert verdict.status == status, (o, bound)
-            if first is None:
-                # plus the survivor's certificate when all are Case 6
-                assert verdict.evidence[:len(records)] == tuple(records)
-                assert len(verdict.evidence) <= len(records) + 1
-            else:
-                assert verdict.evidence == tuple(records[:first + 1])
-                stops += first + 1 < len(records)
-            statuses.add(status)
-            for r in verdict.evidence:
-                if r.mechanism == "Lagrangian core curves":
-                    d = periodic_decomposition(o, r.slope)
-                    assert r.witness == core_span_rank(d) == 3
-                    assert dual_graph(d).geometric_genus == 0
-    assert statuses == {"TrivialForni", "Undetermined",
-                        "WollmilchsauEquivalent"}
-    assert stops > 2 * len(surfaces)
+def twisted_reference(a, h, t0, t1):
+    """The reference with every square cut into an ``a`` by ``h`` block
+    and the top of cylinder ``c`` glued ``t_c`` squares further right:
+    twists ``(t0, t1)`` on the reference diagram, built from the
+    reference's permutations square by square."""
+    ref = reference_surface()
+    twist = {s: (t0 if s < 4 else t1) for s in range(8)}
+
+    def label(s, i, j):
+        return (s * h + j) * a + i
+
+    def right(s, i, j, k=1):
+        # k steps to the right along the row of (s, i, j)
+        i += k
+        while i >= a:
+            s, i = ref.h[s], i - a
+        while i < 0:
+            s, i = ref.h.index(s), i + a
+        return s, i, j
+
+    n = 8 * a * h
+    hp, vp = [0] * n, [0] * n
+    for s in range(8):
+        for i in range(a):
+            for j in range(h):
+                hp[label(s, i, j)] = label(*right(s, i, j))
+                if j + 1 < h:
+                    vp[label(s, i, j)] = label(s, i, j + 1)
+                else:
+                    u, k, _ = right(s, i, j, -twist[s])
+                    vp[label(s, i, j)] = label(ref.v[u], k, 0)
+    return build_origami(hp, vp)
+
+
+def test_twist_family_is_certified_exactly_at_equal_twists():
+    """Every twist pair on the reference diagram with saddle length
+    ``a <= 3`` and height ``h <= 4``, relabelled at random: 896 surfaces.
+    Exactly the 96 with equal twists ``t`` are certified, each by the
+    matrix ``((a, t mod a), (0, h))`` and a relabelling onto
+    ``R(a, h, t mod a)``; every other one is excluded by window forcing in
+    the horizontal direction."""
+    rng = random.Random(2424)
+    certified = total = 0
+    for a in (1, 2, 3):
+        for h in (1, 2, 3, 4):
+            for t0, t1 in itertools.product(range(4 * a), repeat=2):
+                o = relabelled(rng, twisted_reference(a, h, t0, t1))
+                verdict = classify_surface(o)
+                total += 1
+                if t0 != t1:
+                    assert verdict.status == "TrivialForni", (a, h, t0, t1)
+                    assert [r.mechanism for r in verdict.evidence] == \
+                        ["window forcing"]
+                    continue
+                certified += 1
+                assert verdict.status == "WollmilchsauEquivalent"
+                result = verdict.evidence[-1].witness
+                assert result.matrix == ((a, t0 % a), (0, h))
+                image, p = affine_reference(a, h, t0 % a), result.relabelling
+                assert all(p[o.h[i]] == image.h[p[i]] and
+                           p[o.v[i]] == image.v[p[i]] for i in range(o.n))
+    assert (total, certified) == (896, 96)
+
+
+def test_relabelled_copy_keeps_the_deferral_and_the_certificate():
+    """A relabelled copy defers to the same slope, through the same
+    records, and is certified by the same matrix."""
+    rng = random.Random(77)
+    case5 = [parse_origami(text) for text in SEVEN_CASE5]
+    case5 += [exemplar("Case5")]
+    case5 += [o for o in (random_genus3(rng, 5, 12) for _ in range(400))
+              if analyze(o, (0, 1))[0].label == "Case5"]
+    assert len(case5) > 20
+    for o in case5:
+        own = classify_surface(o).evidence
+        for _ in range(3):
+            other = classify_surface(relabelled(rng, o)).evidence
+            assert other[0] == own[0], o
+            assert (other[1].slope, other[1].label, other[1].mechanism) == \
+                (own[1].slope, own[1].label, own[1].mechanism), o
+    for a, h, t in ((1, 1, 0), (1, 2, 0), (2, 1, 1), (3, 2, 2)):
+        o = affine_reference(a, h, t)
+        for _ in range(3):
+            copy = relabelled(rng, o)
+            assert classify_surface(copy).evidence[-1].witness.matrix == \
+                ((a, t), (0, h))
+
+
+def test_verdict_text_names_the_deferral_and_the_certificate():
+    """The label column prints ``-`` for a Lagrangian record, a Case 5
+    record names its slope, and a survivor prints its matrix and
+    relabelling."""
+    text = render_report(classify_surface(parse_origami(CASE5_SEVEN)))
+    assert text == (
+        "classification: TrivialForni\n"
+        "directions analyzed: 2\n"
+        "\n"
+        "  slope (0, 1)   Case5     defer to a simple transverse cylinder\n"
+        "    -> simple cylinder at slope (1, 2)\n"
+        "  slope (1, 2)   -         Lagrangian core curves\n")
+    text = render_report(classify_surface(parse_origami(SURVIVOR16)))
+    assert text.endswith(
+        "  slope (0, 1)   Case6     affine image of the reference\n"
+        "    -> window forcing resolves to the reference diagram\n"
+        "    -> t0=1/4 s0=1/4 t_start=0 slack=0\n"
+        "    -> affine image of the reference: [[1, 0], [0, 2]]\n"
+        "    -> relabelling: 0 1 3 4 14 2 5 15 7 13 8 10 6 12 9 11\n")
+    assert text.startswith("classification: WollmilchsauEquivalent\n"
+                           "directions analyzed: 1\n")
+
+
 
 
 # one representative of each 7-square SL(2,Z)-orbit whose members the
@@ -352,8 +513,7 @@ def sl2z_orbit(o):
 def test_split_orbits_are_trivial_forni(h, v):
     members = sl2z_orbit(parse_origami('origami n=7 h="%s" v="%s"' % (h, v)))
     for o in members:
-        assert classify_surface(o, direction_bound=3).status == \
-            "TrivialForni", o
+        assert classify_surface(o).status == "TrivialForni", o
 
     def lagrangian_only(o):
         return {r.mechanism for r, excludes, _ in
@@ -403,10 +563,11 @@ ORDER_DEPENDENT_CASE6 = ('origami n=6 h="(0 1 2)(3 4 5)" v="(0 3 1 5 2 4)"',
 
 
 def test_direction_record_is_invariant_under_relabelling():
-    """The fact behind sharing one analysis between directions with
-    isomorphic members: the record of a direction is the record of its
-    member's horizontal direction, and that record does not change when
-    the member's squares are relabelled.  A transverse crossing cylinder
+    """The record of a direction is the record of its member's horizontal
+    direction, and that record does not change when the member's squares
+    are relabelled, so the verdict does not depend on square labels.  A
+    Case 5 record, whose witness is the slope it defers to, is compared
+    whole.  A transverse crossing cylinder
     names the member's cylinders and saddles, so for it the label and
     mechanism are compared; every other record, the excluding window and
     period forcing records included, is compared whole.  A boundary
@@ -439,7 +600,6 @@ def test_direction_record_is_invariant_under_relabelling():
                 assert record.witness == d.genus, (o, slope)
             own = dataclasses.replace(record, slope=(0, 1))
             if not excludes:
-                # classify_surface reuses only non-excluding records
                 assert analyze(x, (0, 1))[0] == own, \
                     (o, slope)
             other = analyze(copy, (0, 1))[0]
@@ -691,7 +851,7 @@ def test_consistent_window_chain_is_the_reference_diagram():
         if chain:
             consistent += 1
             assert d.diagram.canonical_key() == REFERENCE_KEY, o
-            assert classify_surface(o, 2).status == \
+            assert classify_surface(o).status == \
                 "WollmilchsauEquivalent", o
     assert case6 == 8000
     assert consistent == 32
@@ -843,7 +1003,7 @@ def test_catalog_rejects_bad_input():
 
 
 def test_render_text_reports():
-    verdict = classify_surface(reference_surface(), direction_bound=2)
+    verdict = classify_surface(reference_surface())
     text = render_report(verdict)
     assert "WollmilchsauEquivalent" in text
     catalog_text = render_report(enumerate_diagrams((1, 1, 1, 1), "case6"))
@@ -851,9 +1011,11 @@ def test_render_text_reports():
 
 
 def test_render_svg_reports():
-    verdict = classify_surface(reference_surface(), direction_bound=2)
+    verdict = classify_surface(reference_surface())
     docs = render_report(verdict, format="svg")
-    assert docs
+    # one drawing of each kind for the one analysed direction
+    assert sorted(docs) == ["direction-0_1-cylinders.svg",
+                            "direction-0_1-dual-graph.svg"]
     for name, content in docs.items():
         assert name.endswith(".svg")
         assert content.startswith("<svg")
@@ -868,11 +1030,18 @@ def origami_file(tmp_path, o):
 def test_cli_analyze_and_report(tmp_path, capsys):
     path = origami_file(tmp_path, wollmilchsau())
     out = str(tmp_path / "svg")
-    assert cli_main(["analyze", path, "--direction-bound", "2",
-                     "--format", "svg", "--out", out]) == 0
+    assert cli_main(["analyze", path, "--format", "svg", "--out", out]) == 0
     captured = capsys.readouterr()
     assert "WollmilchsauEquivalent" in captured.out
     assert list((tmp_path / "svg").glob("*.svg"))
+    # no direction bound: the classifier analyses at most two directions
+    for argv in (["analyze", path, "--direction-bound", "2"],
+                 ["report", "--direction-bound", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --direction-bound" in \
+            capsys.readouterr().err
 
 
 def test_cli_enumerate(capsys):
@@ -917,6 +1086,10 @@ def test_cli_error_exits(tmp_path, capsys):
     assert cli_main(["analyze", str(bad)]) == 2
     genus2 = origami_file(tmp_path, l_origami())
     assert cli_main(["analyze", genus2]) == 2
+    # an empty path is an unreadable file, not the reference surface
+    capsys.readouterr()
+    assert cli_main(["analyze", ""]) == 2
+    assert capsys.readouterr().out == ""
     # one parser serves every call in the process; a usage error leaves
     # it as it was
     assert build_parser() is build_parser()
@@ -934,7 +1107,7 @@ def test_cli_error_exits(tmp_path, capsys):
 
 def test_cli_monodromy_without_stabilizer_words(tmp_path, capsys):
     path = tmp_path / "case5.txt"
-    path.write_text(UNDETERMINED_CASE5 + "\n", encoding="utf-8")
+    path.write_text(CASE5_SEVEN + "\n", encoding="utf-8")
     assert cli_main(["monodromy", str(path)]) == 0
     out = capsys.readouterr().out
     assert "stabilizer words up to length 1: 0" in out
@@ -971,7 +1144,7 @@ def test_one_dual_graph_per_analysed_direction(monkeypatch):
     surfaces += [random_genus3(rng, 5, 12) for _ in range(100)]
     labels = []
     for o in surfaces:
-        verdict = classify_surface(o, direction_bound=3)
+        verdict = classify_surface(o)
         labels += [r.label for r in verdict.evidence
                    if r.mechanism == "transverse crossing cylinder"]
     assert {"Case1", "Case2", "Case4"} <= set(labels)
@@ -1064,13 +1237,41 @@ def test_witness_searches_raise_without_a_witness(monkeypatch):
 FORGED_SURVIVOR = """
 import sys
 from squaretiled.errors import InvariantViolation
-from squaretiled.pipeline import DirectionRecord, Verdict
-try:
-    Verdict("WollmilchsauEquivalent",
-            (DirectionRecord((0, 1), "Case1", "transverse crossing cylinder"),))
-except InvariantViolation as exc:
-    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+from squaretiled.pipeline import (
+    Verdict, classify_surface, reference_surface, render_report)
+o = reference_surface()
+chain, certificate = classify_surface(o).evidence
+for trail in ((), (chain,), (certificate,), (chain, chain),
+              (certificate, chain), (chain, certificate, certificate)):
+    try:
+        render_report(Verdict("WollmilchsauEquivalent", trail, o))
+    except InvariantViolation as exc:
+        print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """
+
+# the raises of classify_surface, each reached by monkeypatching: a Case 5
+# surface whose deferred direction is made to exclude nothing, and the
+# reference with the isomorphism test made to fail or to return a
+# relabelling that is not an isomorphism
+FORGED_DECISIONS = """
+import sys
+from squaretiled import pipeline
+from squaretiled.errors import InvariantViolation
+from squaretiled.surface import parse_origami
+analyze = pipeline._analyze_direction
+pipeline._analyze_direction = lambda d, slope: (analyze(d, slope)[0], False)
+try:
+    pipeline.classify_surface(parse_origami(%r))
+except InvariantViolation as exc:
+    print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
+pipeline._analyze_direction = analyze
+for forged in (None, (1, 0, 2, 3, 4, 5, 6, 7)):
+    pipeline.origami_isomorphism = lambda a, b: forged
+    try:
+        pipeline.classify_surface(pipeline.reference_surface())
+    except InvariantViolation as exc:
+        print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
+""" % CASE5_SEVEN
 
 FORGED_WITNESS = """
 import sys
@@ -1132,10 +1333,79 @@ for forged in (lambda self, x, y: 1,
 
 
 def test_forged_survivor_verdict_raises():
-    with pytest.raises(InvariantViolation, match="Case 6"):
-        Verdict("WollmilchsauEquivalent",
-                (DirectionRecord((0, 1), "Case1",
-                                 "transverse crossing cylinder"),))
+    """A survivor is returned and reported only with the horizontal Case 6
+    record with a consistent chain followed by an affine certificate that
+    checks.  A hand-built survivor verdict without one can be constructed
+    (so a caller may build a deliberately wrong verdict) but not
+    reported."""
+    o = reference_surface()
+    chain, certificate = classify_surface(o).evidence
+    inconsistent = classify_surface(exemplar("Case6")).evidence[0]
+    case1 = DirectionRecord((0, 1), "Case1", "transverse crossing cylinder")
+    shifted = dataclasses.replace(chain, slope=(1, 0))
+
+    def forged(**changes):
+        return dataclasses.replace(certificate, witness=dataclasses.replace(
+            certificate.witness, **changes))
+
+    # the relabelled copy needs a relabelling other than the identity
+    copy = relabelled(random.Random(7), o)
+    assert copy != o
+    for trail, surface in (
+            ((case1,), o), ((), o), ((chain,), o), ((certificate,), o),
+            ((chain, chain), o), ((certificate, chain), o),
+            ((chain, certificate, certificate), o),
+            ((inconsistent, certificate), o), ((shifted, certificate), o),
+            ((chain, forged(matrix=None)), o), ((case1, certificate), o),
+            # t must lie in [0, a), and the image must be the surface's
+            ((chain, forged(matrix=((1, 1), (0, 1)))), o),
+            ((chain, forged(matrix=((1, 0), (0, 2)))), o),
+            ((chain, forged(relabelling=(1, 0, 2, 3, 4, 5, 6, 7))), o),
+            ((chain, certificate), copy), ((chain, certificate), None)):
+        verdict = Verdict("WollmilchsauEquivalent", trail, surface)
+        for format in ("text", "svg"):
+            with pytest.raises(InvariantViolation, match="Case 6"):
+                render_report(verdict, format=format)
+    genuine = Verdict("WollmilchsauEquivalent", (chain, certificate), o)
+    assert genuine == classify_surface(o)
+    assert render_report(genuine) == render_report(classify_surface(o))
+    assert classify_surface(copy).status == "WollmilchsauEquivalent"
+
+
+def test_decision_raises_survive_python_O(monkeypatch):
+    """A Case 5 direction whose deferred direction excluded nothing, or a
+    consistent chain without a relabelling onto its affine image, would
+    contradict the arguments of :func:`classify_surface`; both raise, also
+    under ``python -O``."""
+    analyze_direction = pipeline._analyze_direction
+    monkeypatch.setattr(pipeline, "_analyze_direction", lambda d, slope: (
+        analyze_direction(d, slope)[0], False))
+    with pytest.raises(InvariantViolation, match=r"direction \(1, 2\) of a "
+                       "Case 5 direction excludes nothing"):
+        classify_surface(parse_origami(CASE5_SEVEN))
+    monkeypatch.setattr(pipeline, "_analyze_direction", analyze_direction)
+    monkeypatch.setattr(pipeline, "origami_isomorphism", lambda a, b: None)
+    with pytest.raises(InvariantViolation, match="not the affine image"):
+        classify_surface(reference_surface())
+    monkeypatch.setattr(pipeline, "origami_isomorphism",
+                        lambda a, b: (1, 0, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(InvariantViolation, match="affine certificate"):
+        classify_surface(reference_surface())
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-O", "-c", FORGED_DECISIONS],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "optimize=1 raised: the simple cylinder direction (1, 2) of a Case 5 "
+        "direction excludes nothing",
+        "optimize=1 raised: a consistent Case 6 chain of saddle length 1 and "
+        "height 1 is not the affine image [[1, 0], [0, 1]] of the reference",
+        "optimize=1 raised: survivor verdicts require a consistent "
+        "horizontal Case 6 chain followed by its affine certificate"]
 
 
 def test_checks_survive_python_O():
@@ -1153,7 +1423,9 @@ def test_checks_survive_python_O():
     assert "classification: WollmilchsauEquivalent" in report.stdout
     forged = run("-c", FORGED_SURVIVOR)
     assert forged.returncode == 0, forged.stderr
-    assert forged.stdout.startswith("optimize=1 raised: survivor verdicts")
+    assert forged.stdout.splitlines() == [
+        "optimize=1 raised: survivor verdicts require a consistent "
+        "horizontal Case 6 chain followed by its affine certificate"] * 6
     forged = run("-c", FORGED_WITNESS)
     assert forged.returncode == 0, forged.stderr
     assert forged.stdout.startswith("optimize=1 raised: a transverse "
