@@ -2,12 +2,17 @@ r"""
 Compute the restricted monodromy closure for the 8-square survivor.
 
 The affine group of an origami acts on integer homology by symplectic
-matrices.  On the rank-4 kernel of the two holonomy covectors this action
-generates a finite matrix group for the survivor — the computable
-signature of an isometrically-moving subspace — while the torus shear
-generates an infinite group: its cube is congruent to the identity mod 3
-without being the identity.  The script prints the stabilizer words,
-their matrices, and both closure classifications.
+matrices.  Its generators are read off the surface's SL(2,Z)-orbit graph:
+one per edge outside a spanning tree, the cusp parabolics first.  The
+survivor's orbit is a single member, so ``T`` and ``S`` generate its
+affine group, and on the rank-4 kernel of the two holonomy covectors they
+generate a finite matrix group — the computable signature of an
+isometrically-moving subspace — while the torus shear generates an
+infinite group: its cube is congruent to the identity mod 3 without being
+the identity.  The H(4) surface's orbit has three cusps, and its first
+cusp parabolic already generates an infinite group.  The script prints
+the orbits, cusps and generators, their matrices, and the closure
+classifications.
 
 Run with::
 
@@ -19,26 +24,33 @@ from squaretiled.monodromy import (
     closure_classify,
     forni_upper_bound,
     homology_action,
+    orbit_graph,
     restrict_to_zero_holonomy,
-    stabilizer_generators,
 )
 from squaretiled.pipeline import reference_surface
-from squaretiled.surface import build_origami
+from squaretiled.surface import build_origami, parse_origami
+
+
+def restricted_closure(o):
+    """Print the orbit, cusps and generators of ``o`` and return the
+    restricted closure of its affine group."""
+    graph = orbit_graph(o)
+    print("orbit of %d member(s), cusp widths %s"
+          % (len(graph.members), [k for _, k in graph.cusps]))
+    basis = homology_basis(o)
+    matrices = [homology_action(o, gen, basis) for gen in graph.generators]
+    print("affine group generators: %d" % len(matrices))
+    for (word, _), m in zip(graph.generators, matrices):
+        print("  %-36s -> %dx%d symplectic matrix"
+              % (" ".join(word), len(m), len(m)))
+    restricted = restrict_to_zero_holonomy(matrices, basis)
+    print("zero-holonomy restriction: dimension %d" % len(restricted[0]))
+    return closure_classify(restricted)
 
 
 def main():
     o = reference_surface()
-    basis = homology_basis(o)
-    gens = stabilizer_generators(o, 2)
-    print("stabilizer words up to length 2: %d" % len(gens))
-    matrices = [homology_action(o, gen, basis) for gen in gens]
-    for (word, _), m in zip(gens, matrices):
-        print("  %-12s -> %dx%d symplectic matrix"
-              % (" ".join(word), len(m), len(m)))
-
-    restricted = restrict_to_zero_holonomy(matrices, basis)
-    print("\nzero-holonomy restriction: dimension %d" % len(restricted[0]))
-    closure = closure_classify(restricted)
+    closure = restricted_closure(o)
     print("restricted closure: %s, order %s"
           % (closure.status, closure.order))
 
@@ -51,6 +63,12 @@ def main():
     shear = homology_action(torus, ("T",))
     print("\ntorus shear %s generates: %s"
           % (shear, closure_classify([shear]).status))
+
+    print("\nH(4) surface:")
+    closure = restricted_closure(parse_origami(
+        'origami h="(1 3)(2 4)" v="(0 3 4)"'))
+    print("restricted closure: %s, witness %s"
+          % (closure.status, closure.witness))
 
 
 if __name__ == "__main__":

@@ -7,11 +7,14 @@ Subcommands::
 
     squaretiled analyze <file> [--format text|svg]
     squaretiled enumerate --stratum 1,1,1,1 --shape case6
-    squaretiled monodromy <file> [--word-bound W] [--direction-bound B]
+    squaretiled monodromy <file> [--direction-bound B]
     squaretiled report [--format text|svg]
 
 ``analyze`` decides a genus-3 surface from at most two directions; a
-survivor is certified as an affine image of the reference.
+survivor is certified as an affine image of the reference.  ``monodromy``
+walks the surface's ``SL(2, Z)``-orbit, reads the exact generators of its
+affine group off it and decides whether their action on zero-holonomy
+homology generates a finite group.
 Input files contain one origami line, e.g.
 ``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``.  Text goes to
 standard output; SVG files go to the ``--out`` directory.  The exit code
@@ -31,8 +34,8 @@ from .monodromy import (
     closure_classify,
     forni_upper_bound,
     homology_action,
+    orbit_graph,
     restrict_to_zero_holonomy,
-    stabilizer_generators,
 )
 from .pipeline import (
     classify_surface,
@@ -79,26 +82,32 @@ def _cmd_enumerate(args):
 def _cmd_monodromy(args):
     o = _load_origami(args.file)
     basis = homology_basis(o)
-    gens = stabilizer_generators(o, args.word_bound)
+    graph = orbit_graph(o)
+    gens = graph.generators
     stratum = singularity_data(o)
     print("surface: %s, genus %d" % (stratum, stratum.genus))
-    print("stabilizer words up to length %d: %d"
-          % (args.word_bound, len(gens)))
-    matrices = [homology_action(o, gen, basis) for gen in gens]
-    for (word, _), m in zip(gens, matrices):
-        print("  %-20s %dx%d symplectic" % (" ".join(word), len(m), len(m)))
-    restricted = restrict_to_zero_holonomy(matrices, basis)
+    print("orbit size: %d" % len(graph.members))
+    print("cusps: %d, widths %s" % (len(graph.cusps), " ".join(
+        str(k) for _, k in graph.cusps)))
+    print("affine group generators: %d (cusp parabolics first)" % len(gens))
     # the two holonomy covectors of an origami are independent
     print("zero-holonomy restriction: dimension %d" % (basis.rank - 2))
-    closure = closure_classify(restricted) if gens else None
-    if closure is None:
-        print("restricted closure: not computed, no stabilizer words up "
-              "to length %d" % args.word_bound)
-    elif closure.is_finite:
+    # closure_classify reads the generators in order, so an Unbounded
+    # closure of the cusp parabolics is the closure of them all
+    for part in (gens[:len(graph.cusps)], gens):
+        matrices = [homology_action(o, gen, basis) for gen in part]
+        closure = closure_classify(restrict_to_zero_holonomy(matrices, basis))
+        if not closure.is_finite:
+            break
+    if closure.is_finite:
         print("restricted closure: Finite, order %d" % closure.order)
     else:
         print("restricted closure: Unbounded (element of infinite order, "
               "witness word length %d)" % len(closure.witness))
+        first = abs(closure.witness[0])
+        print("witness starts from generator %d%s: %s"
+              % (first, ", a cusp parabolic" if first <= len(graph.cusps)
+                 else "", " ".join(gens[first - 1][0])))
     if stratum.genus >= 2:
         report = forni_upper_bound(o, args.direction_bound)
         print("isometric-subspace dimension bound: %d" % report.upper_bound)
@@ -135,7 +144,6 @@ def build_parser():
     p = sub.add_parser("monodromy",
                        help="affine-group action on homology")
     p.add_argument("file")
-    p.add_argument("--word-bound", type=int, default=1)
     p.add_argument("--direction-bound", type=int, default=2)
     p.set_defaults(func=_cmd_monodromy)
 

@@ -269,7 +269,8 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
     of unit edges on the cylinder boundaries, and the diagram records their
     cyclic order on every top and bottom.
 
-    One pass over the corner permutation ``h∘v∘h⁻¹∘v⁻¹`` gives the corner
+    One pass over the corner permutation ``h∘v∘h⁻¹∘v⁻¹``
+    (:meth:`~squaretiled.surface.Origami.commutator`) gives the corner
     classes (the zeros, numbered by their smallest square), the marked
     corners (cone points; for genus one the corner of square 0) and the
     genus, which the decomposition carries as ``genus``.  Cylinders are
@@ -295,10 +296,7 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
     """
     h, v = o.h, o.v
     n = len(h)
-    # the corner permutation without inverses: c(v(h(j))) = h(v(j))
-    corner = [0] * n
-    for j in range(n):
-        corner[v[h[j]]] = h[v[j]]
+    corner = o.commutator()
     corner_class = [-1] * n
     marked = [False] * n
     classes = 0

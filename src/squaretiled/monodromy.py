@@ -1,14 +1,19 @@
 r"""
-The affine group of an origami acting on integer homology: stabilizer
-words, their symplectic matrices, the restriction to the zero-holonomy
-subspace, an exact finiteness decision by reduction mod 3, and the
-core-curve upper bound on the isometric-subspace dimension.
+The affine group of an origami acting on integer homology: the
+``SL(2, Z)``-orbit graph and the Schreier generators of the Veech group
+read off it, their symplectic matrices, the restriction to the
+zero-holonomy subspace, an exact finiteness decision by reduction mod 3,
+and the core-curve upper bound on the isometric-subspace dimension.
 
 The computable surrogate for an isometrically-moving subspace is the
 monodromy of the affine group on the kernel of the two holonomy covectors:
 a compact (equivalently, finite) restricted monodromy group is what a
 maximal such subspace produces, and per-direction core-curve ranks bound
 its dimension from above.
+
+The generators are exact, not a search up to a word length: one per edge
+of the orbit graph outside a spanning tree (G. Schmithüsen, Experiment.
+Math. 13, 2004), the cusp parabolics first.
 
 The finiteness decision grows the group one generator at a time, with one
 exact lift per residue mod 3.  A generator whose residue's lift equals it
@@ -18,14 +23,14 @@ so the group is unbounded; any other generator extends the group, and each
 pair of an element and an added generator is multiplied once.  A finite
 group of order ``N`` so costs at most ``N`` products per generator that
 enlarged it: ``T`` and ``S`` generate the reference surface's group of
-order 96 in 192 products, whatever the word bound.
+order 96 in 192 products.
 
 EXAMPLES::
 
     >>> from squaretiled.surface import build_origami
-    >>> gens = stabilizer_generators(build_origami((0,), (0,)), 1)
+    >>> gens = stabilizer_generators(build_origami((0,), (0,)))
     >>> [w for w, _ in gens]
-    [('T',), ('T^-1',), ('S',)]
+    [('T',), ('S',)]
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .cylinders import classify_case, periodic_decomposition
 from .errors import InvariantViolation, NotAStabilizer
@@ -44,47 +50,139 @@ from .homology import (
 )
 from .intlinalg import identity_matrix, mat_mul, smith_normal_form, \
     snf_rank
-from .surface import Origami, act_sl2z, origami_isomorphism, singularity_data
+from .surface import Origami, act_sl2z, canonical_form, \
+    origami_isomorphism, singularity_data
 
-_LETTERS = ("T", "T^-1", "S")
-_INVERSE_BLOCK = {"T": "T^-1", "T^-1": "T"}
+_INVERSE_LETTER = {"T": ("T^-1",), "T^-1": ("T",), "S": ("S", "S", "S")}
 
 
 # ---------------------------------------------------------------------------
-# stabilizer generators and their homology action
+# the orbit graph and the Veech group's generators
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_generators(o: Origami, word_bound: int):
+def _inverse(word):
+    """The word of the inverse affine map: ``S⁻¹`` is ``S S S``."""
+    return tuple(x for letter in reversed(word)
+                 for x in _INVERSE_LETTER[letter])
+
+
+class OrbitGraph(NamedTuple):
+    """The ``SL(2, Z)``-orbit of an origami ``o`` as a graph on canonical
+    forms, from :func:`orbit_graph`; a named tuple, as a frozen dataclass
+    would add about 0.8 ms to importing the package.
+
+    ``members`` are the canonical forms, ``members[0]`` that of ``o``;
+    ``act_sl2z(o, words[i])`` is isomorphic to ``members[i]``, the words
+    following a spanning tree.  ``cusps`` lists each ``T``-cycle as
+    ``(first, width)``: ``T`` maps member ``first + a`` to
+    ``first + (a + 1) % width``.  ``s_images[i]`` is the index of ``S``
+    applied to member ``i``.  ``generators`` holds one ``(word,
+    relabelling)`` pair per edge outside the tree: the cusp parabolics
+    ``w T^k w⁻¹`` in cusp order, then the ``S``-edges in member order,
+    each with the relabelling of ``act_sl2z(o, word)`` onto ``o``."""
+
+    members: tuple
+    words: tuple
+    cusps: tuple
+    s_images: tuple
+    generators: tuple
+
+
+def orbit_graph(o: Origami) -> OrbitGraph:
     r"""
-    All words over ``T``, ``T^-1``, ``S`` of length up to ``word_bound``
-    (without immediate shear backtracking) whose action returns an origami
-    isomorphic to ``o``, paired with the relabeling permutation.
+    Walk ``T`` and ``S`` breadth-first over the canonical forms of the
+    ``SL(2, Z)``-orbit of ``o``.
+
+    A member reached for the first time through ``S`` (or ``o`` itself)
+    opens a cusp: its whole ``T``-cycle is walked at once and joins the
+    spanning tree along ``T``, so member ``first + a`` has the word
+    ``w T^a``.  The cycle's closing ``T``-edge is then the only ``T``-edge
+    outside the tree, and its Schreier generator ``w T^k (w T^0)⁻¹`` is
+    the cusp parabolic ``w T^k w⁻¹``.  An ``S``-edge from member ``i`` to
+    a member ``j`` already reached is outside the tree and gives
+    ``w_i S w_j⁻¹``.  A tree on ``|O|`` members has ``|O| - 1`` of the
+    ``2|O|`` edges, so there are ``|O| + 1`` generators, and
+    ``2|O| + 1`` canonical forms are computed.
+
+    Schreier's lemma makes these words generate the stabilizer of ``o`` in
+    the free group on ``T`` and ``S``, and the action on origamis factors
+    through ``SL(2, Z)``, so their matrices generate the Veech group.
+    Each word is paired with the relabelling of ``act_sl2z(o, word)`` onto
+    ``o`` from :func:`~squaretiled.surface.origami_isomorphism`, which
+    makes it an affine map of ``o`` with the word's matrix as derivative;
+    a word without one raises
+    :class:`~squaretiled.errors.InvariantViolation`.  These lifts may miss
+    translations of ``o``, which form a finite normal subgroup of the
+    affine group, so whether the restricted closure is finite does not
+    depend on them.
+
+    EXAMPLES::
+
+        >>> from squaretiled.surface import build_origami
+        >>> g = orbit_graph(build_origami((1, 0, 2), (2, 1, 0)))
+        >>> g.words, g.cusps, g.s_images
+        (((), ('T',), ('T', 'S')), ((0, 2), (2, 1)), (0, 2, 1))
+        >>> for word, relabelling in g.generators:
+        ...     print(" ".join(word))
+        T T
+        T S T S S S T^-1
+        S
+        T S S T^-1
+    """
+    members, words, index, cusps, s_images, schreier = [], [], {}, [], [], []
+
+    def walk_cusp(x, word):
+        # the T-cycle of a new member holds only new members, so the walk
+        # ends back at its first one
+        first = len(members)
+        while x not in index:
+            index[x] = len(members)
+            members.append(x)
+            words.append(word)
+            x = canonical_form(act_sl2z(x, ("T",)))
+            word += ("T",)
+        cusps.append((first, len(members) - first))
+
+    walk_cusp(canonical_form(o), ())
+    i = 0
+    while i < len(members):  # grows while it is read
+        x = canonical_form(act_sl2z(members[i], ("S",)))
+        word = words[i] + ("S",)
+        if x in index:
+            schreier.append(word + _inverse(words[index[x]]))
+        else:
+            walk_cusp(x, word)
+        s_images.append(index[x])
+        i += 1
+    parabolics = [words[first] + ("T",) * width + _inverse(words[first])
+                  for first, width in cusps]
+    generators = []
+    for word in parabolics + schreier:
+        perm = origami_isomorphism(act_sl2z(o, word), o)
+        if perm is None:
+            raise InvariantViolation("Schreier word %r does not stabilize "
+                                     "the origami" % (word,))
+        generators.append((word, perm))
+    return OrbitGraph(tuple(members), tuple(words), tuple(cusps),
+                      tuple(s_images), tuple(generators))
+
+
+def stabilizer_generators(o: Origami, word_bound=None):
+    r"""
+    The generators of the affine group of ``o`` as a list of ``(word,
+    relabelling)`` pairs, the cusp parabolics first: those of
+    :func:`orbit_graph`.  ``word_bound`` is ignored.
 
     EXAMPLES::
 
         >>> from squaretiled.surface import build_origami, perm_from_cycles
         >>> ew = build_origami(perm_from_cycles([(0, 1, 2, 3), (4, 7, 6, 5)], 8),
         ...                    perm_from_cycles([(0, 4, 2, 6), (1, 5, 3, 7)], 8))
-        >>> sorted(w for w, _ in stabilizer_generators(ew, 1))
-        [('S',), ('T',), ('T^-1',)]
+        >>> [w for w, _ in stabilizer_generators(ew)]
+        [('T',), ('S',)]
     """
-    out = []
-    frontier = [((), o)]
-    for _ in range(word_bound):
-        new_frontier = []
-        for word, current in frontier:
-            for letter in _LETTERS:
-                if word and _INVERSE_BLOCK.get(word[-1]) == letter:
-                    continue
-                nxt = act_sl2z(current, [letter])
-                new_word = word + (letter,)
-                perm = origami_isomorphism(nxt, o)
-                if perm is not None:
-                    out.append((new_word, perm))
-                new_frontier.append((new_word, nxt))
-        frontier = new_frontier
-    return out
+    return list(orbit_graph(o).generators)
 
 
 def homology_action(o: Origami, gen, basis: HomologyBasis = None):

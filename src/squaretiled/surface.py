@@ -150,19 +150,25 @@ class Origami:
 
     def commutator(self) -> Perm:
         r"""
-        The corner permutation ``h∘v∘h⁻¹∘v⁻¹``.
+        The corner permutation ``c = h∘v∘h⁻¹∘v⁻¹``.
 
         Its orbit through a square ``i`` walks the squares whose bottom-left
         corners meet at a single vertex of the surface; orbits of length one
-        are regular points, longer orbits are cone points.
+        are regular points, longer orbits are cone points.  It is built
+        without inverses from ``c(v(h(j))) = h(v(j))``.
 
         EXAMPLES::
 
             >>> build_origami((0,), (0,)).commutator()
             (0,)
+            >>> build_origami((1, 0, 2), (2, 1, 0)).commutator()
+            (1, 2, 0)
         """
-        hi, vi = perm_inverse(self.h), perm_inverse(self.v)
-        return tuple(self.h[self.v[hi[vi[i]]]] for i in range(self.n))
+        h, v = self.h, self.v
+        c = [0] * len(h)
+        for j in range(len(h)):
+            c[v[h[j]]] = h[v[j]]
+        return tuple(c)
 
     def vertex_orbits(self):
         """Orbits of :meth:`commutator`, one per vertex of the square tiling."""
@@ -400,10 +406,18 @@ def canonical_form(o: Origami) -> Origami:
 
     The relabeling is produced by breadth-first traversals (neighbors in the
     fixed order right, left, up, down) from every start square; two origamis
-    are isomorphic exactly when their canonical forms are equal.  Each
-    start's relabeled ``h`` is compared with the least one so far while
-    the traversal assigns the labels, and the start is abandoned at its
-    first larger entry; ``v`` is compared only when ``h`` ties.
+    are isomorphic exactly when their canonical forms are equal.
+
+    The traversals run in lock step.  At level ``k`` every surviving start
+    labels the neighbours of its ``k``-th square and reads entry ``k`` of
+    its relabelled ``h``, and only the starts whose entry is least survive.
+    The survivors share the least prefix of length ``k + 1`` of every
+    start's relabelled ``h``, so a start dropped at level ``k`` has an
+    ``h`` larger than some survivor's whatever follows, and cannot give the
+    least pair; after ``n`` levels the survivors are exactly the starts of
+    least ``h``, and ``v`` is compared among them alone.  Entry 0 needs no
+    traversal: it is 0 when ``h`` fixes the start and 1 otherwise, so only
+    the fixed points of ``h`` start when there are any.
 
     EXAMPLES::
 
@@ -411,35 +425,37 @@ def canonical_form(o: Origami) -> Origami:
         >>> b = build_origami((0, 2, 1), (1, 0, 2))   # relabeled copy of a
         >>> canonical_form(a) == canonical_form(b)
         True
+        >>> canonical_form(a)
+        Origami(h=(0, 2, 1), v=(1, 0, 2))
     """
     n = o.n
     h, v = o.h, o.v
-    hi, vi = perm_inverse(h), perm_inverse(v)
-    best_h = best_v = None
-    for start in range(n):
+    neighbours = tuple(zip(h, perm_inverse(h), v, perm_inverse(v)))
+    starts = [s for s in range(n) if h[s] == s] or range(n)
+    # one (labels, squares in label order) pair per surviving start
+    survivors = []
+    for s in starts:
         label = [-1] * n
-        label[start] = 0
-        order = [start]
-        new_h = []
-        # whether new_h equals best_h so far; a start is abandoned at its
-        # first entry above best_h
-        tied = best_h is not None
-        for k in range(n):
+        label[s] = 0
+        survivors.append((label, [s]))
+    best_h = []
+    for k in range(n):
+        least, kept = n, []
+        for state in survivors:
+            label, order = state
             i = order[k]
-            for j in (h[i], hi[i], v[i], vi[i]):
+            for j in neighbours[i]:
                 if label[j] < 0:
                     label[j] = len(order)
                     order.append(j)
             x = label[h[i]]
-            if tied and x != best_h[k]:
-                if x > best_h[k]:
-                    break
-                tied = False
-            new_h.append(x)
-        else:
-            new_v = [label[v[i]] for i in order]
-            if not tied or new_v < best_v:
-                best_h, best_v = new_h, new_v
+            if x < least:
+                least, kept = x, [state]
+            elif x == least:
+                kept.append(state)
+        survivors = kept
+        best_h.append(least)
+    best_v = min([label[v[i]] for i in order] for label, order in survivors)
     return Origami(tuple(best_h), tuple(best_v))
 
 

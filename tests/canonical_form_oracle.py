@@ -1,19 +1,18 @@
 """Slow, independent canonical form of an origami: every start square's
 breadth-first relabelling is built in full and the least ``(h, v)`` pair
 kept.  The reference that ``squaretiled.surface.canonical_form``, which
-abandons a start at its first relabelled entry above the best so far, is
-compared against."""
+runs the traversals in lock step and drops a start at its first relabelled
+``h`` entry above the least, is compared against."""
 
 from squaretiled.surface import Origami, perm_inverse
 
 
-def canonical_form(o):
-    """Lexicographically least ``(h, v)`` over the breadth-first
-    relabellings (neighbours right, left, up, down) from every start
-    square."""
+def relabellings(o):
+    """The breadth-first relabelling ``(h, v)`` (neighbours right, left,
+    up, down) from every start square, in start order."""
     n = o.n
     hi, vi = perm_inverse(o.h), perm_inverse(o.v)
-    best = None
+    out = []
     for start in range(n):
         label = [None] * n
         label[start] = 0
@@ -28,7 +27,10 @@ def canonical_form(o):
                     order.append(j)
         new_h = tuple(label[o.h[order[k]]] for k in range(n))
         new_v = tuple(label[o.v[order[k]]] for k in range(n))
-        cand = (new_h, new_v)
-        if best is None or cand < best:
-            best = cand
-    return Origami(*best)
+        out.append((new_h, new_v))
+    return out
+
+
+def canonical_form(o):
+    """Lexicographically least :func:`relabellings` pair."""
+    return Origami(*min(relabellings(o)))

@@ -1,6 +1,7 @@
 """Shared fixtures: frozen exemplar surfaces (one per pinch shape) and
 random-instance generators used across the suite."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -10,9 +11,17 @@ import pytest
 from net_oracle import CylinderGeometry, build_net
 from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NotTransitive
-from squaretiled.surface import build_origami, perm_from_cycles, \
-    singularity_data
+from squaretiled.surface import build_origami, canonical_form, \
+    perm_from_cycles, singularity_data
 from squaretiled.transverse import TransverseWitness
+
+
+# the H(4) surface of the monodromy tests and the benchmark: its orbit has
+# 10 members in 3 cusps and its restricted closure is unbounded
+H4_LINE = 'origami h="(1 3)(2 4)" v="(0 3 4)"'
+# a 6-square H(2,2) surface whose stabilizer words up to length 3 generate
+# a finite group of order 18, though its orbit's closure is unbounded
+SIX_SQUARES = 'origami n=6 h="(0 1 2)(3 4 5)" v="(0 3 1 5 2 4)"'
 
 
 def wollmilchsau():
@@ -130,6 +139,13 @@ def genus3_origamis(max_squares):
                 except NotTransitive:
                     continue
                 yield o
+
+
+@functools.cache
+def genus3_classes(max_squares):
+    """The canonical forms of :func:`genus3_origamis`, one per isomorphism
+    class, built once per session for every census test."""
+    return frozenset(canonical_form(o) for o in genus3_origamis(max_squares))
 
 
 def random_unimodular(rng, n):

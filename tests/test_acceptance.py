@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import (
+    H4_LINE,
     decomposition_net,
     l_origami,
     random_case4a_net,
@@ -30,7 +31,7 @@ from squaretiled.monodromy import closure_classify, homology_action, \
     restrict_to_zero_holonomy, stabilizer_generators
 from squaretiled.pipeline import classify_surface, enumerate_diagrams, \
     reference_surface
-from squaretiled.surface import singularity_data
+from squaretiled.surface import parse_origami, singularity_data
 from squaretiled.transverse import (
     WindowConstraint,
     find_crossing_cylinder,
@@ -142,14 +143,26 @@ def test_criterion_6_window_uniqueness():
 
 
 def test_criterion_7_monodromy_evidence():
+    """The exact generators of the reference's affine group are ``T`` and
+    ``S``, and their restricted closure is finite of order 96; the H(4)
+    surface's eleven generators have an unbounded closure."""
     with budget(60):
         o = wollmilchsau()
         b = homology_basis(o)
-        gens = stabilizer_generators(o, 2)
+        gens = stabilizer_generators(o)
+        assert [w for w, _ in gens] == [("T",), ("S",)]
         mats = [homology_action(o, g, b) for g in gens]  # asserts symplectic
         restricted = restrict_to_zero_holonomy(mats, b)
         result = closure_classify(restricted)
-        assert result.is_finite
+        assert result.is_finite and result.order == 96
+
+        h4 = parse_origami(H4_LINE)
+        b = homology_basis(h4)
+        gens = stabilizer_generators(h4)
+        assert len(gens) == 11
+        restricted = restrict_to_zero_holonomy(
+            [homology_action(h4, g, b) for g in gens], b)
+        assert closure_classify(restricted).status == "Unbounded"
 
         unipotent = homology_action(torus(), ("T",))
         assert closure_classify([unipotent]).status == "Unbounded"

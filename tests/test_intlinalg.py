@@ -5,7 +5,8 @@ matrix product, checked against the index-based one."""
 import pytest
 
 import closure_oracle
-from conftest import random_unimodular, wollmilchsau
+import word_oracle
+from conftest import H4_LINE, random_unimodular, wollmilchsau
 from fraction_oracle import det_rational, holonomy_kernel, integer_kernel, \
     rank_rational, solve_rational
 from squaretiled.errors import InvariantViolation
@@ -17,6 +18,7 @@ from squaretiled.monodromy import (
     restrict_to_zero_holonomy,
     stabilizer_generators,
 )
+from squaretiled.surface import parse_origami
 
 
 def random_matrix(rng, rows, cols):
@@ -90,13 +92,19 @@ def rational_restriction(matrices, basis):
 
 
 def test_restriction_matches_rational_solve():
-    o = wollmilchsau()
-    basis = homology_basis(o)
-    matrices = [homology_action(o, gen, basis)
-                for gen in stabilizer_generators(o, 2)]
-    assert len(matrices) == 10
-    restricted = restrict_to_zero_holonomy(matrices, basis)
-    assert restricted == rational_restriction(matrices, basis)
+    """The restriction of the reference's exact generators and of its ten
+    stabilizer words up to length 2, and of the H(4) surface's eleven
+    exact generators, equals the rational solve."""
+    reference, h4 = wollmilchsau(), parse_origami(H4_LINE)
+    cases = [(reference, stabilizer_generators(reference)
+              + word_oracle.stabilizer_generators(reference, 2), 12),
+             (h4, stabilizer_generators(h4), 11)]
+    for o, gens, count in cases:
+        assert len(gens) == count
+        basis = homology_basis(o)
+        matrices = [homology_action(o, gen, basis) for gen in gens]
+        restricted = restrict_to_zero_holonomy(matrices, basis)
+        assert restricted == rational_restriction(matrices, basis)
 
 
 def test_mat_mul_matches_the_index_product(rng):

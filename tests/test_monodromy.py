@@ -1,6 +1,7 @@
-"""Affine-group monodromy on homology: stabilizer words, symplectic
-actions, the zero-holonomy restriction, closure finiteness, and the
-core-curve upper bound on the isometric-subspace dimension."""
+"""Affine-group monodromy on homology: the orbit graph and its Schreier
+generators, symplectic actions, the zero-holonomy restriction, closure
+finiteness, and the core-curve upper bound on the isometric-subspace
+dimension."""
 
 import itertools
 import random
@@ -9,10 +10,12 @@ import pytest
 
 import action_oracle
 import closure_oracle
-from conftest import l_origami, torus, wollmilchsau, random_origami, \
-    random_unimodular
+import word_oracle
+from conftest import H4_LINE, SIX_SQUARES, genus3_classes, l_origami, \
+    torus, wollmilchsau, random_origami, random_unimodular
 from decomposition_oracle import core_span_rank
 from fraction_oracle import holonomy_kernel, invert_unimodular
+from squaretiled import monodromy
 from squaretiled.cylinders import classify_case, periodic_decomposition
 from squaretiled.errors import InvariantViolation, NotAStabilizer
 from squaretiled.homology import HomologyBasis, dual_graph, homology_basis
@@ -22,21 +25,22 @@ from squaretiled.monodromy import (
     enumerate_slopes,
     forni_upper_bound,
     homology_action,
+    orbit_graph,
     restrict_to_zero_holonomy,
     stabilizer_generators,
 )
-from squaretiled.surface import parse_origami, singularity_data
-
-H4_LINE = 'origami h="(1 3)(2 4)" v="(0 3 4)"'
+from squaretiled.surface import act_sl2z, canonical_form, parse_origami, \
+    singularity_data
+from test_pipeline import CASE5_SEVEN
 
 
 def test_torus_generators_and_actions():
     o = torus()
-    gens = stabilizer_generators(o, 1)
-    assert sorted(w for w, _ in gens) == [("S",), ("T",), ("T^-1",)]
-    by_word = {w: g for w, g in ((w, (w, p)) for w, p in gens)}
-    assert homology_action(o, by_word[("T",)]) == [[1, 1], [0, 1]]
-    assert homology_action(o, by_word[("S",)]) == [[0, -1], [1, 0]]
+    gens = stabilizer_generators(o)
+    assert gens == [(("T",), (0,)), (("S",), (0,))]
+    assert homology_action(o, gens[0]) == [[1, 1], [0, 1]]
+    assert homology_action(o, gens[1]) == [[0, -1], [1, 0]]
+    assert homology_action(o, ("T^-1",)) == [[1, -1], [0, 1]]
 
 
 def test_torus_restriction_is_empty():
@@ -56,9 +60,16 @@ def test_action_accepts_bare_word():
 
 
 def test_action_is_functorial(rng):
+    """Every action preserves the intersection form: the exact generators
+    of the reference and the H(4) surface, and the stabilizer words up to
+    length 2 of random origamis, whose orbits reach tens of thousands of
+    members at 9 squares."""
+    surfaces = [(o, stabilizer_generators(o))
+                for o in (wollmilchsau(), parse_origami(H4_LINE))]
     for _ in range(5):
         o = random_origami(rng)
-        gens = stabilizer_generators(o, 2)
+        surfaces.append((o, word_oracle.stabilizer_generators(o, 2)))
+    for o, gens in surfaces:
         if len(gens) < 2:
             continue
         b = homology_basis(o)
@@ -71,10 +82,10 @@ def test_action_is_functorial(rng):
 
 
 def test_action_matches_the_per_letter_oracle(monkeypatch):
-    """Every bound-3 stabilizer generator of the reference, of the H(4)
-    surface and of random origamis gets the matrix of the per-letter
-    oracle, and the chain transport builds no homology basis beyond the
-    one it is given."""
+    """Every exact generator of the reference and of the H(4) surface, and
+    every stabilizer word up to length 3 of those two and of random
+    origamis, gets the matrix of the per-letter oracle, and the chain
+    transport builds no homology basis beyond the one it is given."""
     rng = random.Random(1414)
     surfaces = [wollmilchsau(), parse_origami(H4_LINE)]
     surfaces += [random_origami(rng) for _ in range(40)]
@@ -86,33 +97,40 @@ def test_action_matches_the_per_letter_oracle(monkeypatch):
         init(self, o)
 
     checked = 0
-    for o in surfaces:
+    for index, o in enumerate(surfaces):
         b = homology_basis(o)
-        for gen in stabilizer_generators(o, 3):
+        exact = stabilizer_generators(o) if index < 2 else []
+        for gen in exact + word_oracle.stabilizer_generators(o, 3):
             expected = action_oracle.homology_action(o, gen, b)
             with monkeypatch.context() as patch:
                 patch.setattr(HomologyBasis, "__init__", counting_init)
                 assert homology_action(o, gen, b) == expected, (o, gen[0])
             checked += 1
-    assert checked == 160 and built == []
+    assert checked == 160 + 2 + 11 and built == []
     # the counter does see the basis built when none is passed
     reference = surfaces[0]
     with monkeypatch.context() as patch:
         patch.setattr(HomologyBasis, "__init__", counting_init)
-        homology_action(reference, stabilizer_generators(reference, 1)[0])
+        homology_action(reference, stabilizer_generators(reference)[0])
     assert built == [reference]
 
 
 def test_zero_holonomy_subspace_is_invariant():
-    o = wollmilchsau()
-    b = homology_basis(o)
-    kernel = holonomy_kernel(b)
-    assert len(kernel) == b.rank - 2
-    gens = stabilizer_generators(o, 2)
-    mats = [homology_action(o, g, b) for g in gens]
-    restricted = restrict_to_zero_holonomy(mats, b)
-    assert len(restricted) == len(mats)
-    assert all(len(r) == b.rank - 2 for r in restricted)
+    """The restriction checks invariance for the exact generators of the
+    reference and the H(4) surface, and for the reference's ten
+    stabilizer words up to length 2."""
+    reference, h4 = wollmilchsau(), parse_origami(H4_LINE)
+    for o, words, count in [(reference, word_oracle.stabilizer_generators(
+            reference, 2), 12), (h4, [], 11)]:
+        b = homology_basis(o)
+        kernel = holonomy_kernel(b)
+        assert len(kernel) == b.rank - 2
+        gens = stabilizer_generators(o) + words
+        assert len(gens) == count
+        mats = [homology_action(o, g, b) for g in gens]
+        restricted = restrict_to_zero_holonomy(mats, b)
+        assert len(restricted) == len(mats)
+        assert all(len(r) == b.rank - 2 for r in restricted)
 
 
 def test_closure_trivial_and_unipotent():
@@ -123,15 +141,23 @@ def test_closure_trivial_and_unipotent():
     assert result.witness
 
 
-def restricted_generators(o, word_bound):
+def restricted_generators_of(o, gens):
     b = homology_basis(o)
-    mats = [homology_action(o, g, b)
-            for g in stabilizer_generators(o, word_bound)]
-    return restrict_to_zero_holonomy(mats, b)
+    return restrict_to_zero_holonomy([homology_action(o, g, b)
+                                      for g in gens], b)
 
 
-def brute_force_order(generators):
-    """Order of a group known to be finite, by closing under products."""
+def restricted_generators(o, word_bound=None):
+    """The restricted actions of the exact generators of ``o``, or of its
+    stabilizer words up to ``word_bound`` from the word oracle."""
+    return restricted_generators_of(
+        o, stabilizer_generators(o) if word_bound is None
+        else word_oracle.stabilizer_generators(o, word_bound))
+
+
+def closure_elements(generators):
+    """The elements of a group known to be finite, by closing under
+    products."""
     n = len(generators[0])
     seen = {tuple(map(tuple, identity_matrix(n)))}
     frontier = [identity_matrix(n)]
@@ -145,7 +171,12 @@ def brute_force_order(generators):
                     seen.add(key)
                     new_frontier.append(prod)
         frontier = new_frontier
-    return len(seen)
+    return seen
+
+
+def brute_force_order(generators):
+    """Order of a group known to be finite, by closing under products."""
+    return len(closure_elements(generators))
 
 
 def word_product(generators, word):
@@ -184,8 +215,8 @@ def random_unipotent(rng, n):
 
 def test_wollmilchsau_restricted_closure_is_finite():
     o = wollmilchsau()
-    assert len(stabilizer_generators(o, 2)) == 10
-    restricted = restricted_generators(o, 2)
+    assert [w for w, _ in stabilizer_generators(o)] == [("T",), ("S",)]
+    restricted = restricted_generators(o)
     result = closure_classify(restricted)
     assert result.is_finite
     assert result.order == 96
@@ -217,7 +248,7 @@ def test_unbounded_witness_has_infinite_order(case):
     if case == "torus shear":
         generators = [homology_action(torus(), ("T",))]
     elif case == "H(4)":
-        generators = restricted_generators(parse_origami(H4_LINE), 2)
+        generators = restricted_generators(parse_origami(H4_LINE))
     elif case == "residue collision":
         # the shear is the identity mod 3 but not an element of <S>
         generators = [[[0, -1], [1, 0]], [[1, 3], [0, 1]]]
@@ -238,8 +269,9 @@ def test_unbounded_witness_has_infinite_order(case):
 def closure_parity_inputs():
     """Generator lists on which the closure is compared with the BFS
     oracle: the hyperoctahedral groups with and without a conjugator, the
-    reference's restricted generators at word bounds 1-3, and 300 random
-    genus-2 and genus-3 origamis at word bounds 1-2."""
+    reference's restricted stabilizer words up to lengths 1-3, and those of
+    300 random genus-2 and genus-3 origamis up to lengths 1-2, all from
+    the word oracle."""
     rng = random.Random(2121)
     for n in (2, 3, 4):
         yield hyperoctahedral_generators(n)
@@ -255,7 +287,7 @@ def closure_parity_inputs():
         b = homology_basis(o)
         for word_bound in (1, 2):
             mats = [homology_action(o, g, b)
-                    for g in stabilizer_generators(o, word_bound)]
+                    for g in word_oracle.stabilizer_generators(o, word_bound)]
             yield restrict_to_zero_holonomy(mats, b)
 
 
@@ -281,14 +313,126 @@ def test_closure_matches_the_bfs_oracle():
 
 
 def test_reference_closure_is_generated_by_t_and_s():
+    """The reference's orbit is one member, so its exact generators are
+    ``T`` and ``S``, and both enlarge the group; among its stabilizer words
+    up to lengths 1-3 the closure also needs only ``T`` and ``S``."""
     o = wollmilchsau()
+    graph = orbit_graph(o)
+    assert (graph.members, graph.words, graph.cusps, graph.s_images) == \
+        ((canonical_form(o),), ((),), ((0, 1),), (0,))
+    assert [w for w, _ in graph.generators] == [("T",), ("S",)]
+    result = closure_classify(restricted_generators(o))
+    assert (result.status, result.order, result.generated_by) == \
+        ("Finite", 96, (1, 2))
     for word_bound in (1, 2, 3):
-        words = [w for w, _ in stabilizer_generators(o, word_bound)]
+        words = [w for w, _ in word_oracle.stabilizer_generators(
+            o, word_bound)]
         result = closure_classify(restricted_generators(o, word_bound))
         assert (result.status, result.order) == ("Finite", 96)
         assert result.generated_by == (1, 3)
         assert [words[j - 1] for j in result.generated_by] == \
             [("T",), ("S",)]
+
+
+def test_capped_words_lie_in_the_reference_group():
+    """Every stabilizer word of length at most 3 that the capped search
+    finds on the reference, and every translation of the reference,
+    restricts to an element of the order-96 group that ``T`` and ``S``
+    generate."""
+    o = wollmilchsau()
+    group = closure_elements(restricted_generators(o))
+    assert len(group) == 96
+    words = word_oracle.stabilizer_generators(o, 3)
+    translations = [((), p) for p in itertools.permutations(range(o.n))
+                    if all(p[o.h[i]] == o.h[p[i]] and p[o.v[i]] == o.v[p[i]]
+                           for i in range(o.n))]
+    assert (len(words), len(translations)) == (27, 8)
+    b = homology_basis(o)
+    for m in restrict_to_zero_holonomy(
+            [homology_action(o, g, b) for g in words + translations], b):
+        assert tuple(map(tuple, m)) in group
+
+
+NAMED_ORBITS = {
+    # name: (line, orbit size, cusp widths, closure order or None)
+    "reference": (str(wollmilchsau()), 1, (1,), 96),
+    "H(4)": (H4_LINE, 10, (2, 3, 5), None),
+    "six squares": (SIX_SQUARES, 12, (1, 6, 3, 2), None),
+    "case5 seven": (CASE5_SEVEN, 72,
+                    (7, 7, 7, 7, 5, 2, 7, 3, 5, 6, 3, 5, 3, 5), None),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_ORBITS))
+def test_orbit_graph_generators_are_stabilizers(name):
+    """The orbit graph is closed under ``T`` and ``S`` and its tree words
+    reach its members; there are ``|O| + 1`` generators, the cusp
+    parabolics ``w T^k w⁻¹`` first, and each one's relabelling carries
+    ``act_sl2z(o, word)`` onto ``o`` square by square.  The reference is
+    ``Finite`` of order 96; the others, the two among them that the capped
+    search called ``Finite`` included, are ``Unbounded`` with a witness
+    from a cusp parabolic, which is then the closure of all generators."""
+    line, size, widths, order = NAMED_ORBITS[name]
+    o = parse_origami(line)
+    graph = orbit_graph(o)
+    members = graph.members
+    assert len(members) == len(set(members)) == size
+    assert tuple(k for _, k in graph.cusps) == widths
+    for i, word in enumerate(graph.words):
+        assert canonical_form(act_sl2z(o, word)) == members[i]
+        assert canonical_form(act_sl2z(members[i], ["S"])) == \
+            members[graph.s_images[i]]
+    for first, k in graph.cusps:
+        for a in range(k):
+            assert canonical_form(act_sl2z(members[first + a], ["T"])) == \
+                members[first + (a + 1) % k]
+    gens = stabilizer_generators(o)
+    assert gens == list(graph.generators) and len(gens) == size + 1
+    for (word, _), (first, k) in zip(gens, graph.cusps):
+        w = graph.words[first]
+        assert word == w + ("T",) * k + tuple(
+            x for letter in reversed(w)
+            for x in {"T": ("T^-1",), "S": ("S", "S", "S")}[letter])
+    for word, p in gens:
+        image = act_sl2z(o, word)
+        assert sorted(p) == list(range(o.n))
+        assert all(p[image.h[i]] == o.h[p[i]] and p[image.v[i]] == o.v[p[i]]
+                   for i in range(o.n)), word
+    restricted = restricted_generators(o)
+    result = closure_classify(restricted)
+    if order is not None:
+        assert (result.status, result.order) == ("Finite", order)
+        return
+    assert result.status == "Unbounded"
+    cusps = len(graph.cusps)
+    assert all(1 <= abs(j) <= cusps for j in result.witness)
+    assert closure_classify(restricted[:cusps]) == result
+    assert_kernel_witness(restricted, result.witness)
+
+
+def test_census_orbits_are_unbounded_from_a_cusp_parabolic():
+    """Every ``SL(2, Z)``-orbit of genus-3 origamis up to seven squares
+    (45 orbits, 3164 isomorphism classes) has an ``Unbounded`` restricted
+    closure with a witness among its cusp parabolics.  Only those are
+    acted on homology: ``closure_classify`` reads the generators in list
+    order, so the closure of all of them returns the same witness."""
+    classes = genus3_classes(7)
+    seen, orbits = set(), 0
+    for o in sorted(classes, key=lambda x: (x.n, x.h, x.v)):
+        if o in seen:
+            continue
+        graph = orbit_graph(o)
+        assert graph.members[0] == o and seen.isdisjoint(graph.members)
+        assert classes.issuperset(graph.members)
+        seen.update(graph.members)
+        orbits += 1
+        cusps = len(graph.cusps)
+        assert len(graph.generators) == len(graph.members) + 1
+        result = closure_classify(restricted_generators_of(
+            o, graph.generators[:cusps]))
+        assert result.status == "Unbounded", o
+        assert all(1 <= abs(j) <= cusps for j in result.witness), o
+    assert (orbits, len(seen)) == (45, len(classes)) == (45, 3164)
 
 
 @pytest.mark.parametrize("generators", [
@@ -341,3 +485,11 @@ def test_upper_bound_witnesses_match_homology_rank(rng):
 def test_upper_bound_needs_higher_genus():
     with pytest.raises(ValueError):
         forni_upper_bound(torus(), 1)
+
+
+def test_a_word_without_a_relabelling_raises(monkeypatch):
+    """A Schreier word that the relabelling search cannot carry onto the
+    origami raises instead of joining the generators."""
+    monkeypatch.setattr(monodromy, "origami_isomorphism", lambda a, b: None)
+    with pytest.raises(InvariantViolation, match="does not stabilize"):
+        orbit_graph(wollmilchsau())

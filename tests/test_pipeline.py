@@ -17,8 +17,9 @@ import pytest
 import catalog_oracle
 import decomposition_oracle
 import survivor_oracle
-from conftest import BOUNDARY_4A, EXEMPLARS, decomposition_net, exemplar, \
-    genus3_origamis, l_origami, random_genus3, wollmilchsau
+from conftest import BOUNDARY_4A, EXEMPLARS, H4_LINE, SIX_SQUARES, \
+    decomposition_net, exemplar, genus3_classes, genus3_origamis, \
+    l_origami, random_genus3, wollmilchsau
 from decomposition_oracle import core_span_rank
 from squaretiled.cli import build_parser, main as cli_main
 from squaretiled.cylinders import (
@@ -31,7 +32,7 @@ from squaretiled.cylinders import (
     periodic_decomposition,
 )
 from squaretiled.homology import dual_graph
-from squaretiled.monodromy import enumerate_slopes
+from squaretiled.monodromy import enumerate_slopes, orbit_graph
 from squaretiled import cylinders, homology, pipeline, transverse
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
@@ -342,7 +343,7 @@ def test_census_up_to_seven_squares():
     horizontal direction excludes nothing: elsewhere it stops at the same
     horizontal record, as :func:`test_verdict_matches_the_per_slope_loop`
     checks."""
-    census = {canonical_form(o) for o in genus3_origamis(7)}
+    census = genus3_classes(7)
     assert len(census) == 40 + 479 + 2645
     statuses, deferred, undecided = {}, Counter(), 0
     for o in census:
@@ -495,23 +496,11 @@ SPLIT_ORBITS = [("(0 1 3 4 5 6 2)", v) for v in (
     [("(0 1 3 4 6 5 2)", "(1 2 6 4)(3 5)")]
 
 
-def sl2z_orbit(o):
-    members = {canonical_form(o)}
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for letter in ("T", "S"):
-            y = canonical_form(act_sl2z(x, [letter]))
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return members
-
-
 @pytest.mark.parametrize("h, v", SPLIT_ORBITS,
                          ids=[v.replace(" ", "_") for _, v in SPLIT_ORBITS])
 def test_split_orbits_are_trivial_forni(h, v):
-    members = sl2z_orbit(parse_origami('origami n=7 h="%s" v="%s"' % (h, v)))
+    members = orbit_graph(parse_origami('origami n=7 h="%s" v="%s"'
+                                        % (h, v))).members
     for o in members:
         assert classify_surface(o).status == "TrivialForni", o
 
@@ -578,8 +567,8 @@ def test_direction_record_is_invariant_under_relabelling():
     rng = random.Random(1010)
     surfaces = [act_sl2z(reference_surface(), list(w)) for w in WORDS]
     for h, v in SPLIT_ORBITS:
-        surfaces += sorted(sl2z_orbit(parse_origami(
-            'origami n=7 h="%s" v="%s"' % (h, v))), key=str)
+        surfaces += sorted(orbit_graph(parse_origami(
+            'origami n=7 h="%s" v="%s"' % (h, v))).members, key=str)
     surfaces += [random_genus3(rng, 5, 12) for _ in range(120)]
     surfaces += [parse_origami(ORDER_DEPENDENT_CASE6[0])]
     surfaces += [random_boundary_exchange(rng) for _ in range(30)]
@@ -1064,19 +1053,36 @@ def test_cli_monodromy(tmp_path, capsys):
     path = origami_file(tmp_path, wollmilchsau())
     assert cli_main(["monodromy", path]) == 0
     out = capsys.readouterr().out
-    assert "restricted closure: Finite" in out
+    assert ("orbit size: 1\ncusps: 1, widths 1\n"
+            "affine group generators: 2 (cusp parabolics first)\n") in out
+    assert "restricted closure: Finite, order 96\n" in out
+    assert "witness" not in out
     assert "dimension bound: 4" in out
 
 
 def test_cli_monodromy_unbounded(tmp_path, capsys):
     path = tmp_path / "h4.txt"
-    path.write_text('origami h="(1 3)(2 4)" v="(0 3 4)"\n', encoding="utf-8")
-    assert cli_main(["monodromy", str(path), "--word-bound", "2"]) == 0
+    path.write_text(H4_LINE + "\n", encoding="utf-8")
+    assert cli_main(["monodromy", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert ("orbit size: 10\ncusps: 3, widths 2 3 5\n"
+            "affine group generators: 11 (cusp parabolics first)\n") in out
     assert ("restricted closure: Unbounded (element of infinite order, "
-            "witness word length 3)") in capsys.readouterr().out
+            "witness word length 3)\n"
+            "witness starts from generator 1, a cusp parabolic: T T\n") in out
     with pytest.raises(SystemExit) as exc:
         cli_main(["monodromy", str(path), "--norm-bound", "5"])
     assert exc.value.code == 2
+
+
+def test_cli_monodromy_takes_no_word_bound(tmp_path, capsys):
+    path = origami_file(tmp_path, wollmilchsau())
+    for argv in (["--word-bound", "1"], ["--word-bound=3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["monodromy", path] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --word-bound" in \
+            capsys.readouterr().err
 
 
 def test_cli_error_exits(tmp_path, capsys):
@@ -1105,22 +1111,27 @@ def test_cli_error_exits(tmp_path, capsys):
     assert capsys.readouterr().out == report
 
 
-def test_cli_monodromy_without_stabilizer_words(tmp_path, capsys):
-    path = tmp_path / "case5.txt"
-    path.write_text(CASE5_SEVEN + "\n", encoding="utf-8")
-    assert cli_main(["monodromy", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "stabilizer words up to length 1: 0" in out
-    assert "zero-holonomy restriction: dimension 4" in out
-    assert ("restricted closure: not computed, no stabilizer words up to "
-            "length 1") in out
-    assert "Finite" not in out
-    # a word bound that reaches a stabilizer word restricts to the same
-    # dimension and reports its closure
-    assert cli_main(["monodromy", str(path), "--word-bound", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "zero-holonomy restriction: dimension 4" in out
-    assert "restricted closure: Finite, order 2" in out
+def test_cli_monodromy_is_unbounded_where_the_word_cap_read_finite(
+        tmp_path, capsys):
+    """The 7-square Case 5 surface and the 6-square H(2,2) surface, whose
+    stabilizer words up to length 3 generate finite groups of order 2 and
+    18, have unbounded closures, witnessed from a cusp parabolic."""
+    for line, size, cusps, first in [
+            (CASE5_SEVEN, 72, 14, 5),
+            (SIX_SQUARES, 12, 4, 3)]:
+        path = tmp_path / "surface.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert cli_main(["monodromy", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "surface: H(2,2), genus 3\norbit size: %d\ncusps: %d, " \
+            % (size, cusps) in out
+        assert "affine group generators: %d " % (size + 1) in out
+        assert "zero-holonomy restriction: dimension 4" in out
+        assert "restricted closure: Unbounded" in out
+        assert "witness starts from generator %d, a cusp parabolic: " \
+            % first in out
+        assert "Finite" not in out
+        assert "isometric-subspace dimension bound: 0" in out
 
 
 def test_one_dual_graph_per_analysed_direction(monkeypatch):

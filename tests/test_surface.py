@@ -13,6 +13,7 @@ from conftest import l_origami, random_genus3, random_origami, torus, \
 from net_oracle import CylinderGeometry, NegativeLength, build_net
 from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NotTransitive
+from squaretiled.pipeline import affine_reference, reference_surface
 from squaretiled.surface import (
     Origami,
     act_sl2z,
@@ -153,15 +154,34 @@ def test_isomorphism_agrees_with_canonical_forms():
 
 
 def test_canonical_form_matches_the_full_scan():
-    """The canonical form that abandons a start square at its first
-    relabelled ``h`` entry above the best so far is the least pair of the
-    full scan that builds every start's relabelling."""
+    """The lock-step canonical form, which drops a start square at its
+    first relabelled ``h`` entry above the least, is the least pair of the
+    full scan that builds every start's relabelling: on random surfaces
+    and their ``T`` and ``S`` images, and on the reference, its affine
+    image ``affine_reference(2, 1, 1)`` and their images, where several
+    starts tie through all of ``h`` and ``v`` decides."""
     rng = random.Random(14)
     for _ in range(2000):
         o = random_genus3(rng, 5, 12)
         for x in (o, act_sl2z(o, ["T"]), act_sl2z(o, ["S"])):
             assert canonical_form(x) == canonical_form_oracle.canonical_form(
                 x), x
+    for o in (reference_surface(), affine_reference(2, 1, 1)):
+        for x in (o, act_sl2z(o, ["T"]), act_sl2z(o, ["S"])):
+            pairs = canonical_form_oracle.relabellings(x)
+            least = min(pairs)
+            assert canonical_form(x) == Origami(*least), x
+            assert sum(h == least[0] for h, _ in pairs) > 1, x
+
+
+def test_commutator_is_the_corner_permutation(rng):
+    """``Origami.commutator``, built without inverses, is
+    ``h∘v∘h⁻¹∘v⁻¹``."""
+    for _ in range(300):
+        o = random_origami(rng, max_squares=12)
+        expected = perm_compose(o.h, perm_compose(o.v, perm_compose(
+            perm_inverse(o.h), perm_inverse(o.v))))
+        assert o.commutator() == expected, o
 
 
 def test_parse_roundtrip():
