@@ -2,17 +2,17 @@ r"""
 Compute the restricted monodromy closure for the 8-square survivor.
 
 The affine group of an origami acts on integer homology by symplectic
-matrices.  Its generators are read off the surface's SL(2,Z)-orbit graph:
-one per edge outside a spanning tree, the cusp parabolics first.  The
-survivor's orbit is a single member, so ``T`` and ``S`` generate its
-affine group, and on the rank-4 kernel of the two holonomy covectors they
-generate a finite matrix group — the computable signature of an
-isometrically-moving subspace — while the torus shear generates an
-infinite group: its cube is congruent to the identity mod 3 without being
-the identity.  The H(4) surface's orbit has three cusps, and its first
-cusp parabolic already generates an infinite group.  The script prints
-the orbits, cusps and generators, their matrices, and the closure
-classifications.
+matrices.  Its generators are words in ``T`` and ``S`` read off the
+surface's SL(2,Z)-orbit graph: one per edge outside a spanning tree, the
+cusp parabolics first.  The survivor's orbit is a single member, so ``T``
+and ``S`` generate its affine group, and on the rank-4 kernel of the two
+holonomy covectors they generate a finite matrix group — the computable
+signature of an isometrically-moving subspace — while the torus shear
+generates an infinite group: its cube is congruent to the identity mod 3
+without being the identity.  The H(4) surface's orbit has three cusps,
+and its first cusp parabolic already generates an infinite group.  The
+script prints the orbits, cusps and generators, their matrices, and the
+closure classifications.
 
 Run with::
 
@@ -40,10 +40,10 @@ def restricted_closure(o):
     basis = homology_basis(o)
     matrices = [homology_action(o, gen, basis) for gen in graph.generators]
     print("affine group generators: %d" % len(matrices))
-    for (word, _), m in zip(graph.generators, matrices):
+    for word, m in zip(graph.generators, matrices):
         print("  %-36s -> %dx%d symplectic matrix"
               % (" ".join(word), len(m), len(m)))
-    restricted = restrict_to_zero_holonomy(matrices, basis)
+    restricted = list(restrict_to_zero_holonomy(matrices, basis))
     print("zero-holonomy restriction: dimension %d" % len(restricted[0]))
     return closure_classify(restricted)
 

@@ -13,8 +13,9 @@ Subcommands::
 ``analyze`` decides a genus-3 surface from at most two directions; a
 survivor is certified as an affine image of the reference.  ``monodromy``
 walks the surface's ``SL(2, Z)``-orbit, reads the exact generators of its
-affine group off it and decides whether their action on zero-holonomy
-homology generates a finite group.
+affine group off it as words and decides whether their action on
+zero-holonomy homology generates a finite group, acting on homology only
+with the generators the closure reads before its first witness.
 Input files contain one origami line, e.g.
 ``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``.  Text goes to
 standard output; SVG files go to the ``--out`` directory.  The exit code
@@ -92,13 +93,8 @@ def _cmd_monodromy(args):
     print("affine group generators: %d (cusp parabolics first)" % len(gens))
     # the two holonomy covectors of an origami are independent
     print("zero-holonomy restriction: dimension %d" % (basis.rank - 2))
-    # closure_classify reads the generators in order, so an Unbounded
-    # closure of the cusp parabolics is the closure of them all
-    for part in (gens[:len(graph.cusps)], gens):
-        matrices = [homology_action(o, gen, basis) for gen in part]
-        closure = closure_classify(restrict_to_zero_holonomy(matrices, basis))
-        if not closure.is_finite:
-            break
+    closure = closure_classify(restrict_to_zero_holonomy(
+        (homology_action(o, word, basis) for word in gens), basis))
     if closure.is_finite:
         print("restricted closure: Finite, order %d" % closure.order)
     else:
@@ -107,7 +103,7 @@ def _cmd_monodromy(args):
         first = abs(closure.witness[0])
         print("witness starts from generator %d%s: %s"
               % (first, ", a cusp parabolic" if first <= len(graph.cusps)
-                 else "", " ".join(gens[first - 1][0])))
+                 else "", " ".join(gens[first - 1])))
     if stratum.genus >= 2:
         report = forni_upper_bound(o, args.direction_bound)
         print("isometric-subspace dimension bound: %d" % report.upper_bound)

@@ -15,10 +15,6 @@ class NotTransitive(SquareTiledError, ValueError):
     """The two permutations generate an intransitive group (disconnected surface)."""
 
 
-class LengthMismatch(SquareTiledError, ValueError):
-    """Two interfaces that should have equal total length do not."""
-
-
 class CaseMismatch(SquareTiledError, ValueError):
     """The input's cylinder diagram does not match the requested case."""
 

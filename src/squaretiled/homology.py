@@ -346,7 +346,6 @@ class DualGraph:
 
     vertices: tuple
     edges: tuple
-    vertex_saddles: tuple = ()   # per vertex: saddle ids on its boundary circles
 
     @property
     def geometric_genus(self):
@@ -428,8 +427,7 @@ def dual_graph(d) -> DualGraph:
 
     edges = tuple((cid, (comp_of[2 * i], comp_of[2 * i + 1]))
                   for i, cid in enumerate(cids))
-    g = DualGraph(tuple(vertices), edges,
-                  tuple(tuple(sorted(saddles)) for saddles in comp_saddles))
+    g = DualGraph(tuple(vertices), edges)
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
     genus = getattr(d, "genus", None)
     if genus is not None:

@@ -11,9 +11,15 @@ a compact (equivalently, finite) restricted monodromy group is what a
 maximal such subspace produces, and per-direction core-curve ranks bound
 its dimension from above.
 
-The generators are exact, not a search up to a word length: one per edge
-of the orbit graph outside a spanning tree (G. Schmithüsen, Experiment.
-Math. 13, 2004), the cusp parabolics first.
+The generators are exact, not a search up to a word length: one word in
+``T`` and ``S`` per edge of the orbit graph outside a spanning tree
+(G. Schmithüsen, Experiment. Math. 13, 2004), the cusp parabolics first.
+A word becomes a matrix only when something reads it:
+:func:`homology_action` finds its relabelling onto ``o`` and its action on
+homology, :func:`restrict_to_zero_holonomy` yields the restrictions one
+at a time, and :func:`closure_classify` stops reading at its first
+witness, so an ``Unbounded`` closure acts on homology only with the
+generators up to that witness.
 
 The finiteness decision grows the group one generator at a time, with one
 exact lift per residue mod 3.  A generator whose residue's lift equals it
@@ -28,13 +34,13 @@ order 96 in 192 products.
 EXAMPLES::
 
     >>> from squaretiled.surface import build_origami
-    >>> gens = stabilizer_generators(build_origami((0,), (0,)))
-    >>> [w for w, _ in gens]
+    >>> stabilizer_generators(build_origami((0,), (0,)))
     [('T',), ('S',)]
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -77,10 +83,9 @@ class OrbitGraph(NamedTuple):
     following a spanning tree.  ``cusps`` lists each ``T``-cycle as
     ``(first, width)``: ``T`` maps member ``first + a`` to
     ``first + (a + 1) % width``.  ``s_images[i]`` is the index of ``S``
-    applied to member ``i``.  ``generators`` holds one ``(word,
-    relabelling)`` pair per edge outside the tree: the cusp parabolics
-    ``w T^k w⁻¹`` in cusp order, then the ``S``-edges in member order,
-    each with the relabelling of ``act_sl2z(o, word)`` onto ``o``."""
+    applied to member ``i``.  ``generators`` holds one word per edge
+    outside the tree: the cusp parabolics ``w T^k w⁻¹`` in cusp order,
+    then the ``S``-edges in member order."""
 
     members: tuple
     words: tuple
@@ -108,14 +113,12 @@ def orbit_graph(o: Origami) -> OrbitGraph:
     Schreier's lemma makes these words generate the stabilizer of ``o`` in
     the free group on ``T`` and ``S``, and the action on origamis factors
     through ``SL(2, Z)``, so their matrices generate the Veech group.
-    Each word is paired with the relabelling of ``act_sl2z(o, word)`` onto
-    ``o`` from :func:`~squaretiled.surface.origami_isomorphism`, which
-    makes it an affine map of ``o`` with the word's matrix as derivative;
-    a word without one raises
-    :class:`~squaretiled.errors.InvariantViolation`.  These lifts may miss
-    translations of ``o``, which form a finite normal subgroup of the
-    affine group, so whether the restricted closure is finite does not
-    depend on them.
+    The generators are plain words: no word is applied to ``o`` here.
+    :func:`homology_action` lifts a word to an affine map of ``o`` when it
+    is read, with the relabelling that carries the transformed origami
+    onto ``o``.  These lifts may miss translations of ``o``, which form a
+    finite normal subgroup of the affine group, so whether the restricted
+    closure is finite does not depend on them.
 
     EXAMPLES::
 
@@ -123,7 +126,7 @@ def orbit_graph(o: Origami) -> OrbitGraph:
         >>> g = orbit_graph(build_origami((1, 0, 2), (2, 1, 0)))
         >>> g.words, g.cusps, g.s_images
         (((), ('T',), ('T', 'S')), ((0, 2), (2, 1)), (0, 2, 1))
-        >>> for word, relabelling in g.generators:
+        >>> for word in g.generators:
         ...     print(" ".join(word))
         T T
         T S T S S S T^-1
@@ -157,71 +160,59 @@ def orbit_graph(o: Origami) -> OrbitGraph:
         i += 1
     parabolics = [words[first] + ("T",) * width + _inverse(words[first])
                   for first, width in cusps]
-    generators = []
-    for word in parabolics + schreier:
-        perm = origami_isomorphism(act_sl2z(o, word), o)
-        if perm is None:
-            raise InvariantViolation("Schreier word %r does not stabilize "
-                                     "the origami" % (word,))
-        generators.append((word, perm))
     return OrbitGraph(tuple(members), tuple(words), tuple(cusps),
-                      tuple(s_images), tuple(generators))
+                      tuple(s_images), tuple(parabolics + schreier))
 
 
 def stabilizer_generators(o: Origami, word_bound=None):
     r"""
-    The generators of the affine group of ``o`` as a list of ``(word,
-    relabelling)`` pairs, the cusp parabolics first: those of
-    :func:`orbit_graph`.  ``word_bound`` is ignored.
+    The generators of the affine group of ``o`` as a list of words, the
+    cusp parabolics first: those of :func:`orbit_graph`.  ``word_bound``
+    is ignored.
 
     EXAMPLES::
 
         >>> from squaretiled.surface import build_origami, perm_from_cycles
         >>> ew = build_origami(perm_from_cycles([(0, 1, 2, 3), (4, 7, 6, 5)], 8),
         ...                    perm_from_cycles([(0, 4, 2, 6), (1, 5, 3, 7)], 8))
-        >>> [w for w, _ in stabilizer_generators(ew)]
+        >>> stabilizer_generators(ew)
         [('T',), ('S',)]
     """
     return list(orbit_graph(o).generators)
 
 
-def homology_action(o: Origami, gen, basis: HomologyBasis = None):
+def homology_action(o: Origami, word, basis: HomologyBasis = None):
     r"""
-    The integer symplectic matrix of one stabilizer generator on the
-    homology basis of ``o``.
+    The integer symplectic matrix of a stabilizing word on the homology
+    basis of ``o``.
 
     The basis cycles are transported through the word's shears and
-    rotations (:func:`~squaretiled.homology.transport_chains`), the image
-    chains are re-indexed by the relabelling permutation back onto the
-    squares of ``o``, and their coordinates in ``basis`` are the columns.
-    This builds no homology basis beyond ``basis`` and reads each column
-    with one coordinate solve, which also checks that the image is a
-    cycle.  The matrix must preserve the intersection form.
-
-    ``gen`` is a ``(word, permutation)`` pair as produced by
-    :func:`stabilizer_generators`; a bare word is accepted and the
-    permutation recomputed (raising
-    :class:`~squaretiled.errors.NotAStabilizer` if there is none).
+    rotations (:func:`~squaretiled.homology.transport_chains`), which also
+    gives the transformed origami.  Its relabelling onto ``o``
+    (:func:`~squaretiled.surface.origami_isomorphism`) makes the word an
+    affine map of ``o``; a word without one raises
+    :class:`~squaretiled.errors.NotAStabilizer`, the one check that a
+    generator stabilizes ``o``.  The image chains are re-indexed by that
+    relabelling back onto the squares of ``o``, and their coordinates in
+    ``basis`` are the columns.  This builds no homology basis beyond
+    ``basis`` and reads each column with one coordinate solve, which also
+    checks that the image is a cycle.  The matrix must preserve the
+    intersection form.
 
     EXAMPLES::
 
         >>> from squaretiled.surface import build_origami
         >>> torus = build_origami((0,), (0,))
-        >>> homology_action(torus, (("T",), (0,)))
+        >>> homology_action(torus, ("T",))
         [[1, 1], [0, 1]]
     """
     if basis is None:
         basis = homology_basis(o)
-    if isinstance(gen, tuple) and len(gen) == 2 and not isinstance(gen[0], str):
-        word, perm = gen
-    else:
-        word, perm = tuple(gen), None
     transformed, images = transport_chains(o, word, basis.basis_chains)
-    if perm is None:
-        perm = origami_isomorphism(transformed, o)
+    perm = origami_isomorphism(transformed, o)
     if perm is None:
         raise NotAStabilizer("word %r does not stabilize the origami"
-                             % (word,))
+                             % (tuple(word),))
     n = o.n
     cols = []
     for chain in images:
@@ -248,8 +239,8 @@ def _check_symplectic_matrix(m, omega):
 
 def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
     r"""
-    Express each symplectic matrix on an integer basis of the
-    zero-holonomy subspace.
+    Yield each symplectic matrix of ``matrices``, an iterable read one
+    matrix at a time, on an integer basis of the zero-holonomy subspace.
 
     The Smith normal form ``U·H·V = S`` of the two holonomy rows ``H``
     has rank ``r``; the last columns ``K`` of ``V`` are an integer basis
@@ -257,29 +248,28 @@ def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
     all columns of ``V``, ``M·K`` has coordinates ``Y = V⁻¹·M·K``.  The
     subspace is invariant exactly when the top ``r`` rows of ``Y`` vanish
     (checked), and then the other rows are the restriction ``X`` with
-    ``K·X = M·K``, integral by construction.
+    ``K·X = M·K``, integral by construction.  A subspace of rank 0 has
+    nothing to restrict to, and then no matrix is read.
 
     EXAMPLES::
 
         >>> from squaretiled.surface import build_origami
         >>> torus = build_origami((0,), (0,))
         >>> b = homology_basis(torus)
-        >>> restrict_to_zero_holonomy([identity_matrix(2)], b)
+        >>> list(restrict_to_zero_holonomy([identity_matrix(2)], b))
         []
     """
     _, s, v, _, v_inv = smith_normal_form(list(basis.holonomy_covectors()))
     r = snf_rank(s)
     if r == basis.rank:
-        return []
+        return
     k = [row[r:] for row in v]
-    out = []
     for m in matrices:
         y = mat_mul(v_inv, mat_mul(m, k))
         if any(any(row) for row in y[:r]):
             raise InvariantViolation("zero-holonomy subspace must be "
                                      "invariant")
-        out.append(y[r:])
-    return out
+        yield y[r:]
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +312,12 @@ def _inverse_word(word):
     return tuple(-i for i in reversed(word))
 
 
-def _square_size(generators):
-    """The common size ``n`` of ``n``-by-``n`` generators, checked with an
-    explicit raise (a zipped product would silently truncate)."""
-    n = len(generators[0])
-    if not all(len(g) == n and all(len(row) == n for row in g)
-               for g in generators):
-        raise InvariantViolation("closure generators must be square "
-                                 "matrices of one size")
-    return n
-
-
 def closure_classify(generators) -> ClosureResult:
     r"""
-    Decide whether the group generated by invertible integer matrices is
-    finite.
+    Decide whether the group generated by invertible integer matrices,
+    read from an iterable, is finite.
 
-    The group is grown one generator at a time, in list order, keeping one
+    The group is grown one generator at a time, in order, keeping one
     exact integer lift per residue mod 3 of the elements reached, each with
     its tree word.  After each generator the lifts are closed under right
     multiplication by every generator added so far, so they are the group
@@ -365,9 +344,12 @@ def closure_classify(generators) -> ClosureResult:
     of generators that enlarged it, never more than ``N`` times the
     number of generators.  The image mod 3 is finite, so the search always
     ends and never needs inverses.  Products are taken on tuple rows
-    against each generator's columns.  Generators that are not square
-    matrices of one size raise
-    :class:`~squaretiled.errors.InvariantViolation` before any product.
+    against each generator's columns.  The generators are read only until
+    a witness is found, so a lazy iterable computes no generator after
+    it.  Each generator's shape is checked as it is read: one that is not
+    square of the first one's size raises
+    :class:`~squaretiled.errors.InvariantViolation` before any product
+    with it (a zipped product would silently truncate).
 
     EXAMPLES::
 
@@ -383,16 +365,21 @@ def closure_classify(generators) -> ClosureResult:
         >>> closure_classify([s, [[1, 3], [0, 1]]]).witness
         (2,)
     """
-    if not generators:
+    generators = iter(generators)
+    first = next(generators, None)
+    if first is None:
         return ClosureResult("Finite", order=1)
-    n = _square_size(generators)
+    n = len(first)
     ident = tuple(map(tuple, identity_matrix(n)))
     start = _residue(ident)
     lifts = {start: ident}
     parents = {start: None}
     reached = [start]
     added = []  # (index, columns) of the generators that enlarged the group
-    for j, g in enumerate(generators, 1):
+    for j, g in enumerate(itertools.chain((first,), generators), 1):
+        if len(g) != n or not all(len(row) == n for row in g):
+            raise InvariantViolation("closure generators must be square "
+                                     "matrices of one size")
         g = tuple(map(tuple, g))
         key = _residue(g)
         lift = lifts.get(key)

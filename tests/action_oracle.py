@@ -10,7 +10,7 @@ compared against.
 
 from squaretiled.homology import HomologyBasis
 from squaretiled.intlinalg import identity_matrix, mat_mul
-from squaretiled.surface import act_sl2z
+from squaretiled.surface import act_sl2z, origami_isomorphism
 
 
 #: Matrices of the three generator letters, acting on column vectors.
@@ -98,9 +98,10 @@ def relabel_action_matrix(source, target, relabeling):
     return _transpose(cols)
 
 
-def homology_action(o, gen, basis):
-    """The matrix of the stabilizer ``gen = (word, permutation)`` on
-    ``basis``, the homology basis of ``o``."""
-    word, perm = gen
+def homology_action(o, word, basis):
+    """The matrix of the stabilizing ``word`` on ``basis``, the homology
+    basis of ``o``, relabelled onto ``o`` by the isomorphism that
+    ``origami_isomorphism`` finds from ``act_sl2z(o, word)``."""
+    perm = origami_isomorphism(act_sl2z(o, word), o)
     target, m = word_action_matrix(o, word, basis)
     return mat_mul(relabel_action_matrix(target, basis, perm), m)

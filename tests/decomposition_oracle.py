@@ -276,7 +276,6 @@ def dual_graph(d):
         comp_ends[comp_of[h]] += 1
 
     vertices = []
-    vertex_saddles = []
     for vid in sorted(comp_ids.values()):
         saddles = comp_saddles[vid]
         zeros = {z for sid in saddles for z in diagram.saddle_zeros[sid]}
@@ -285,11 +284,10 @@ def dual_graph(d):
         if genus2 < 0 or genus2 % 2:
             raise InvariantViolation("component genus must be a whole number")
         vertices.append((vid, genus2 // 2))
-        vertex_saddles.append(tuple(sorted(saddles)))
 
     edges = tuple((cid, (comp_of[(cid, "bot")], comp_of[(cid, "top")]))
                   for cid in cids)
-    g = DualGraph(tuple(vertices), edges, tuple(vertex_saddles))
+    g = DualGraph(tuple(vertices), edges)
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
     if getattr(d, "origami", None) is not None:
         if g.geometric_genus + g.cycle_rank != \

@@ -16,9 +16,13 @@ EXAMPLES::
 from fractions import Fraction
 
 from squaretiled.errors import CaseMismatch, InvariantViolation, \
-    LengthMismatch
+    SquareTiledError
 from squaretiled.transverse import TransverseWitness, _matched_pair, \
     _saddle_arc
+
+
+class LengthMismatch(SquareTiledError, ValueError):
+    """Two interfaces that should have equal total length do not."""
 
 
 class IntervalMap:
@@ -111,9 +115,9 @@ def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
 
     Interfaces are ``("bottom", cid)`` or ``("top", cid)``; every saddle of
     the source interface must appear on the target interface and the two
-    total lengths must agree (:class:`~squaretiled.errors.LengthMismatch`
-    otherwise).  A point at distance ``t`` into a saddle on the source is
-    sent to distance ``t`` into the same saddle on the target.
+    total lengths must agree (:class:`LengthMismatch` otherwise).  A point
+    at distance ``t`` into a saddle on the source is sent to distance
+    ``t`` into the same saddle on the target.
 
     EXAMPLES::
 

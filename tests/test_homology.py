@@ -15,7 +15,8 @@ from squaretiled.homology import (
 )
 from squaretiled.intlinalg import identity_matrix
 from squaretiled.monodromy import homology_action
-from squaretiled.surface import act_sl2z, singularity_data
+from squaretiled.surface import act_sl2z, origami_isomorphism, \
+    singularity_data
 
 LETTERS = ("T", "T^-1", "S")
 
@@ -136,10 +137,12 @@ def test_holonomy_transforms_by_word_matrix(rng):
 
 
 def test_relabel_action_identity():
-    """The empty word and ``S^4``, relabelled by the identity, act as the
-    identity matrix."""
+    """The empty word and ``S^4`` return the origami itself, their
+    relabelling is the identity, and they act as the identity matrix."""
     o = wollmilchsau()
     b = homology_basis(o)
     ident = identity_matrix(b.rank)
     for word in ((), ("S",) * 4):
-        assert homology_action(o, (word, tuple(range(o.n))), b) == ident
+        assert origami_isomorphism(act_sl2z(o, word), o) == \
+            tuple(range(o.n))
+        assert homology_action(o, word, b) == ident

@@ -103,7 +103,7 @@ def test_restriction_matches_rational_solve():
         assert len(gens) == count
         basis = homology_basis(o)
         matrices = [homology_action(o, gen, basis) for gen in gens]
-        restricted = restrict_to_zero_holonomy(matrices, basis)
+        restricted = list(restrict_to_zero_holonomy(matrices, basis))
         assert restricted == rational_restriction(matrices, basis)
 
 

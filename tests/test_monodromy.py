@@ -3,6 +3,7 @@ generators, symplectic actions, the zero-holonomy restriction, closure
 finiteness, and the core-curve upper bound on the isometric-subspace
 dimension."""
 
+import functools
 import itertools
 import random
 
@@ -29,15 +30,17 @@ from squaretiled.monodromy import (
     restrict_to_zero_holonomy,
     stabilizer_generators,
 )
-from squaretiled.surface import act_sl2z, canonical_form, parse_origami, \
-    singularity_data
+from squaretiled.surface import act_sl2z, canonical_form, \
+    origami_isomorphism, parse_origami, singularity_data
 from test_pipeline import CASE5_SEVEN
 
 
 def test_torus_generators_and_actions():
     o = torus()
     gens = stabilizer_generators(o)
-    assert gens == [(("T",), (0,)), (("S",), (0,))]
+    assert gens == [("T",), ("S",)]
+    assert [origami_isomorphism(act_sl2z(o, w), o) for w in gens] == \
+        [(0,), (0,)]
     assert homology_action(o, gens[0]) == [[1, 1], [0, 1]]
     assert homology_action(o, gens[1]) == [[0, -1], [1, 0]]
     assert homology_action(o, ("T^-1",)) == [[1, -1], [0, 1]]
@@ -46,7 +49,7 @@ def test_torus_generators_and_actions():
 def test_torus_restriction_is_empty():
     b = homology_basis(torus())
     assert holonomy_kernel(b) == []
-    assert restrict_to_zero_holonomy([identity_matrix(2)], b) == []
+    assert list(restrict_to_zero_holonomy([identity_matrix(2)], b)) == []
 
 
 def test_not_a_stabilizer():
@@ -104,7 +107,7 @@ def test_action_matches_the_per_letter_oracle(monkeypatch):
             expected = action_oracle.homology_action(o, gen, b)
             with monkeypatch.context() as patch:
                 patch.setattr(HomologyBasis, "__init__", counting_init)
-                assert homology_action(o, gen, b) == expected, (o, gen[0])
+                assert homology_action(o, gen, b) == expected, (o, gen)
             checked += 1
     assert checked == 160 + 2 + 11 and built == []
     # the counter does see the basis built when none is passed
@@ -128,7 +131,7 @@ def test_zero_holonomy_subspace_is_invariant():
         gens = stabilizer_generators(o) + words
         assert len(gens) == count
         mats = [homology_action(o, g, b) for g in gens]
-        restricted = restrict_to_zero_holonomy(mats, b)
+        restricted = list(restrict_to_zero_holonomy(mats, b))
         assert len(restricted) == len(mats)
         assert all(len(r) == b.rank - 2 for r in restricted)
 
@@ -143,8 +146,8 @@ def test_closure_trivial_and_unipotent():
 
 def restricted_generators_of(o, gens):
     b = homology_basis(o)
-    return restrict_to_zero_holonomy([homology_action(o, g, b)
-                                      for g in gens], b)
+    return list(restrict_to_zero_holonomy(
+        (homology_action(o, g, b) for g in gens), b))
 
 
 def restricted_generators(o, word_bound=None):
@@ -215,7 +218,7 @@ def random_unipotent(rng, n):
 
 def test_wollmilchsau_restricted_closure_is_finite():
     o = wollmilchsau()
-    assert [w for w, _ in stabilizer_generators(o)] == [("T",), ("S",)]
+    assert stabilizer_generators(o) == [("T",), ("S",)]
     restricted = restricted_generators(o)
     result = closure_classify(restricted)
     assert result.is_finite
@@ -288,7 +291,7 @@ def closure_parity_inputs():
         for word_bound in (1, 2):
             mats = [homology_action(o, g, b)
                     for g in word_oracle.stabilizer_generators(o, word_bound)]
-            yield restrict_to_zero_holonomy(mats, b)
+            yield list(restrict_to_zero_holonomy(mats, b))
 
 
 def test_closure_matches_the_bfs_oracle():
@@ -320,13 +323,12 @@ def test_reference_closure_is_generated_by_t_and_s():
     graph = orbit_graph(o)
     assert (graph.members, graph.words, graph.cusps, graph.s_images) == \
         ((canonical_form(o),), ((),), ((0, 1),), (0,))
-    assert [w for w, _ in graph.generators] == [("T",), ("S",)]
+    assert graph.generators == (("T",), ("S",))
     result = closure_classify(restricted_generators(o))
     assert (result.status, result.order, result.generated_by) == \
         ("Finite", 96, (1, 2))
     for word_bound in (1, 2, 3):
-        words = [w for w, _ in word_oracle.stabilizer_generators(
-            o, word_bound)]
+        words = word_oracle.stabilizer_generators(o, word_bound)
         result = closure_classify(restricted_generators(o, word_bound))
         assert (result.status, result.order) == ("Finite", 96)
         assert result.generated_by == (1, 3)
@@ -343,13 +345,19 @@ def test_capped_words_lie_in_the_reference_group():
     group = closure_elements(restricted_generators(o))
     assert len(group) == 96
     words = word_oracle.stabilizer_generators(o, 3)
-    translations = [((), p) for p in itertools.permutations(range(o.n))
+    translations = [p for p in itertools.permutations(range(o.n))
                     if all(p[o.h[i]] == o.h[p[i]] and p[o.v[i]] == o.v[p[i]]
                            for i in range(o.n))]
     assert (len(words), len(translations)) == (27, 8)
     b = homology_basis(o)
+    # a translation is the empty word with a relabelling other than the
+    # one homology_action finds, so its matrix is the oracle's
+    moved = [action_oracle.relabel_action_matrix(b, b, p)
+             for p in translations]
+    for m in moved:
+        assert mat_mul(list(zip(*m)), mat_mul(b.omega, m)) == b.omega
     for m in restrict_to_zero_holonomy(
-            [homology_action(o, g, b) for g in words + translations], b):
+            [homology_action(o, g, b) for g in words] + moved, b):
         assert tuple(map(tuple, m)) in group
 
 
@@ -388,14 +396,15 @@ def test_orbit_graph_generators_are_stabilizers(name):
                 members[first + (a + 1) % k]
     gens = stabilizer_generators(o)
     assert gens == list(graph.generators) and len(gens) == size + 1
-    for (word, _), (first, k) in zip(gens, graph.cusps):
+    for word, (first, k) in zip(gens, graph.cusps):
         w = graph.words[first]
         assert word == w + ("T",) * k + tuple(
             x for letter in reversed(w)
             for x in {"T": ("T^-1",), "S": ("S", "S", "S")}[letter])
-    for word, p in gens:
+    for word in gens:
         image = act_sl2z(o, word)
-        assert sorted(p) == list(range(o.n))
+        p = origami_isomorphism(image, o)
+        assert p is not None and sorted(p) == list(range(o.n)), word
         assert all(p[image.h[i]] == o.h[p[i]] and p[image.v[i]] == o.v[p[i]]
                    for i in range(o.n)), word
     restricted = restricted_generators(o)
@@ -410,14 +419,13 @@ def test_orbit_graph_generators_are_stabilizers(name):
     assert_kernel_witness(restricted, result.witness)
 
 
-def test_census_orbits_are_unbounded_from_a_cusp_parabolic():
-    """Every ``SL(2, Z)``-orbit of genus-3 origamis up to seven squares
-    (45 orbits, 3164 isomorphism classes) has an ``Unbounded`` restricted
-    closure with a witness among its cusp parabolics.  Only those are
-    acted on homology: ``closure_classify`` reads the generators in list
-    order, so the closure of all of them returns the same witness."""
+@functools.cache
+def census_orbits():
+    """The orbit graph of every ``SL(2, Z)``-orbit of genus-3 origamis up
+    to seven squares, each from its least member, with the number of
+    isomorphism classes they cover."""
     classes = genus3_classes(7)
-    seen, orbits = set(), 0
+    seen, graphs = set(), []
     for o in sorted(classes, key=lambda x: (x.n, x.h, x.v)):
         if o in seen:
             continue
@@ -425,14 +433,48 @@ def test_census_orbits_are_unbounded_from_a_cusp_parabolic():
         assert graph.members[0] == o and seen.isdisjoint(graph.members)
         assert classes.issuperset(graph.members)
         seen.update(graph.members)
-        orbits += 1
+        graphs.append((o, graph))
+    assert len(seen) == len(classes)
+    return tuple(graphs), len(seen)
+
+
+def test_census_orbits_are_unbounded_from_a_cusp_parabolic():
+    """Every ``SL(2, Z)``-orbit of genus-3 origamis up to seven squares
+    (45 orbits, 3164 isomorphism classes) has an ``Unbounded`` restricted
+    closure with a witness among its cusp parabolics."""
+    graphs, classes = census_orbits()
+    for o, graph in graphs:
         cusps = len(graph.cusps)
         assert len(graph.generators) == len(graph.members) + 1
         result = closure_classify(restricted_generators_of(
             o, graph.generators[:cusps]))
         assert result.status == "Unbounded", o
         assert all(1 <= abs(j) <= cusps for j in result.witness), o
-    assert (orbits, len(seen)) == (45, len(classes)) == (45, 3164)
+    assert (len(graphs), classes) == (45, 3164)
+
+
+def test_lazy_closure_matches_the_cusp_prefix_closure():
+    """On every census orbit up to seven squares, the closure of all the
+    generators, acted on homology only as it reads them, equals the
+    closure of the cusp parabolics alone: same status, witness and
+    ``generated_by``.  It reads no generator past the one whose step
+    found the witness."""
+    graphs, _ = census_orbits()
+    for o, graph in graphs:
+        b = homology_basis(o)
+        prefix = closure_classify(restricted_generators_of(
+            o, graph.generators[:len(graph.cusps)]))
+        read = []
+
+        def actions():
+            for word in graph.generators:
+                read.append(word)
+                yield homology_action(o, word, b)
+        lazy = closure_classify(restrict_to_zero_holonomy(actions(), b))
+        assert lazy == prefix, o
+        assert len(read) == max(lazy.generated_by
+                                + (abs(lazy.witness[0]),)), o
+    assert len(graphs) == 45
 
 
 @pytest.mark.parametrize("generators", [
@@ -489,7 +531,14 @@ def test_upper_bound_needs_higher_genus():
 
 def test_a_word_without_a_relabelling_raises(monkeypatch):
     """A Schreier word that the relabelling search cannot carry onto the
-    origami raises instead of joining the generators."""
+    origami raises when the closure reads it, instead of joining the
+    generators: ``homology_action`` is the one stabilizer check."""
     monkeypatch.setattr(monodromy, "origami_isomorphism", lambda a, b: None)
-    with pytest.raises(InvariantViolation, match="does not stabilize"):
-        orbit_graph(wollmilchsau())
+    o = wollmilchsau()
+    b = homology_basis(o)
+    with pytest.raises(NotAStabilizer, match="does not stabilize"):
+        homology_action(o, orbit_graph(o).generators[0], b)
+    with pytest.raises(NotAStabilizer, match="does not stabilize"):
+        closure_classify(restrict_to_zero_holonomy(
+            (homology_action(o, w, b) for w in orbit_graph(o).generators),
+            b))

@@ -33,11 +33,10 @@ from squaretiled.cylinders import (
 )
 from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes, orbit_graph
-from squaretiled import cylinders, homology, pipeline, transverse
+from squaretiled import cli, cylinders, homology, pipeline, transverse
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
     DirectionRecord,
-    EquivalenceResult,
     Verdict,
     affine_reference,
     classify_surface,
@@ -50,7 +49,6 @@ from squaretiled.surface import (
     act_sl2z,
     build_origami,
     canonical_form,
-    origami_isomorphism,
     parse_origami,
     perm_from_cycles,
     singularity_data,
@@ -1134,6 +1132,32 @@ def test_cli_monodromy_is_unbounded_where_the_word_cap_read_finite(
         assert "isometric-subspace dimension bound: 0" in out
 
 
+def test_cli_monodromy_acts_only_on_the_generators_the_closure_reads(
+        tmp_path, capsys, monkeypatch):
+    """The closure reads the generators in order and stops at its first
+    witness, so ``monodromy`` acts on homology with the first cusp
+    parabolic of the H(4) surface, with ``T`` and ``S`` on the reference,
+    and with the first five cusp parabolics of the 7-square Case 5
+    surface, whose witness starts from the fifth."""
+    calls = []
+    action = cli.homology_action
+
+    def counted(o, word, basis=None):
+        calls.append(word)
+        return action(o, word, basis)
+    monkeypatch.setattr(cli, "homology_action", counted)
+    for line, reads in [(H4_LINE, 1), (str(wollmilchsau()), 2),
+                        (CASE5_SEVEN, 5)]:
+        path = tmp_path / "surface.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        del calls[:]
+        assert cli_main(["monodromy", str(path)]) == 0
+        assert len(calls) == reads, line
+        generators = orbit_graph(parse_origami(line)).generators
+        assert calls == list(generators[:reads])
+        assert "generators: %d " % len(generators) in capsys.readouterr().out
+
+
 def test_one_dual_graph_per_analysed_direction(monkeypatch):
     """A Case 1, 2 or 4 direction reaches its crossing-witness search
     without a second dual graph."""
@@ -1314,7 +1338,7 @@ from squaretiled.surface import build_origami
 l_shape = build_origami((1, 0, 2), (2, 1, 0))
 shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 try:
-    monodromy.restrict_to_zero_holonomy([shear], homology_basis(l_shape))
+    list(monodromy.restrict_to_zero_holonomy([shear], homology_basis(l_shape)))
 except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 # doubled cycles are still cycles: only the form check can reject them
@@ -1322,7 +1346,7 @@ transport = monodromy.transport_chains
 monodromy.transport_chains = lambda o, word, chains: transport(
     o, word, [[2 * x for x in chain] for chain in chains])
 try:
-    monodromy.homology_action(build_origami((0,), (0,)), (("T",), (0,)))
+    monodromy.homology_action(build_origami((0,), (0,)), ("T",))
 except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """

@@ -17,19 +17,16 @@ import survivor_oracle
 from conftest import BOUNDARY_4A, CASE4A_DIAGRAM, decomposition_net, \
     exemplar, random_case4a_net, random_genus3, scaled_net, scaled_witness, \
     torus, wollmilchsau
-from interval_oracle import IntervalMap, boundary_hit, build_interval_map, \
-    case4a_window_map, case4a_window_witness, find_window_hit
+from interval_oracle import IntervalMap, LengthMismatch, boundary_hit, \
+    build_interval_map, case4a_window_map, case4a_window_witness, \
+    find_window_hit
 from net_oracle import CylinderGeometry, build_net
 from squaretiled.cylinders import (
     classify_case,
     horizontal_decomposition,
     periodic_decomposition,
 )
-from squaretiled.errors import (
-    CaseMismatch,
-    InvariantViolation,
-    LengthMismatch,
-)
+from squaretiled.errors import CaseMismatch, InvariantViolation
 from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.surface import parse_origami

@@ -12,7 +12,7 @@ _INVERSE = {"T": "T^-1", "T^-1": "T"}
 
 def stabilizer_generators(o, word_bound):
     """The stabilizing words up to length ``word_bound`` in breadth-first
-    order, each paired with its relabelling onto ``o``."""
+    order."""
     out = []
     frontier = [((), o)]
     for _ in range(word_bound):
@@ -23,9 +23,8 @@ def stabilizer_generators(o, word_bound):
                     continue
                 nxt = act_sl2z(current, [letter])
                 new_word = word + (letter,)
-                perm = origami_isomorphism(nxt, o)
-                if perm is not None:
-                    out.append((new_word, perm))
+                if origami_isomorphism(nxt, o) is not None:
+                    out.append(new_word)
                 new_frontier.append((new_word, nxt))
         frontier = new_frontier
     return out
