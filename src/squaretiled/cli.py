@@ -7,7 +7,7 @@ Subcommands::
 
     squaretiled analyze <file> [--format text|svg]
     squaretiled enumerate --stratum 1,1,1,1 --shape case6
-    squaretiled monodromy <file> [--direction-bound B]
+    squaretiled monodromy <file>
     squaretiled report [--format text|svg]
 
 ``analyze`` decides a genus-3 surface from at most two directions; a
@@ -15,7 +15,9 @@ survivor is certified as an affine image of the reference.  ``monodromy``
 walks the surface's ``SL(2, Z)``-orbit, reads the exact generators of its
 affine group off it as words and decides whether their action on
 zero-holonomy homology generates a finite group, acting on homology only
-with the generators the closure reads before its first witness.
+with the generators the closure reads before its first witness; it
+prints cusp widths ascending, ``wxk`` for a width that occurs ``k > 1``
+times, and bounds the dimension from the slopes with entries up to 2.
 Input files contain one origami line, e.g.
 ``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``.  Text goes to
 standard output; SVG files go to the ``--out`` directory.  The exit code
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .errors import SquareTiledError
@@ -88,8 +91,10 @@ def _cmd_monodromy(args):
     stratum = singularity_data(o)
     print("surface: %s, genus %d" % (stratum, stratum.genus))
     print("orbit size: %d" % len(graph.members))
+    widths = Counter(k for _, k in graph.cusps)
     print("cusps: %d, widths %s" % (len(graph.cusps), " ".join(
-        str(k) for _, k in graph.cusps)))
+        str(k) if widths[k] == 1 else "%dx%d" % (k, widths[k])
+        for k in sorted(widths))))
     print("affine group generators: %d (cusp parabolics first)" % len(gens))
     # the two holonomy covectors of an origami are independent
     print("zero-holonomy restriction: dimension %d" % (basis.rank - 2))
@@ -105,7 +110,7 @@ def _cmd_monodromy(args):
               % (first, ", a cusp parabolic" if first <= len(graph.cusps)
                  else "", " ".join(gens[first - 1])))
     if stratum.genus >= 2:
-        report = forni_upper_bound(o, args.direction_bound)
+        report = forni_upper_bound(o, 2)
         print("isometric-subspace dimension bound: %d" % report.upper_bound)
     return 0
 
@@ -140,7 +145,6 @@ def build_parser():
     p = sub.add_parser("monodromy",
                        help="affine-group action on homology")
     p.add_argument("file")
-    p.add_argument("--direction-bound", type=int, default=2)
     p.set_defaults(func=_cmd_monodromy)
 
     p = sub.add_parser("report", parents=[output],

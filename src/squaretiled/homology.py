@@ -7,9 +7,9 @@ The square tiling is a cell complex: one vertex per cone-point corner
 class, edges ``h_i`` (bottom side of square ``i``) and ``v_i`` (left side),
 and one square face per square giving the relation
 ``h_i + v_{h(i)} - h_{v(i)} - v_i = 0``.  First homology is the cycle
-lattice modulo the face lattice, computed with an integer Smith normal
-form; the algebraic intersection number is evaluated on cycle
-representatives directly on the complex.
+lattice modulo the face lattice, both read off integer Smith normal forms;
+the algebraic intersection number is evaluated on cycle representatives
+directly on the complex.
 
 The affine action on homology is computed on chains: the cycles of one
 basis are pushed letter by letter through a word
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .intlinalg import mat_vec, smith_normal_form, snf_rank
+from .intlinalg import mat_mul, smith_normal_form, snf_rank
 from .surface import Origami, act_sl2z, perm_inverse, singularity_data
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,14 @@ def _add_chain(a, b, c=1):
 
 
 class HomologyBasis:
-    """Integer first homology of an origami, with intersection form.
+    r"""Integer first homology of an origami, with intersection form.
+
+    Cycles, coordinates and classes are read off Smith normal forms.  With
+    ``U·∂·V = S`` (rank ``r``) for the boundary map ``∂``, where ``h_i``
+    runs from corner ``i`` to ``h(i)`` and ``v_i`` to ``v(i)``, a chain
+    ``z`` is a cycle exactly when ``(V⁻¹z)[:r] = 0``, and ``(V⁻¹z)[r:]``
+    are its coordinates on the cycle basis ``V[:, r:]``; the Smith form of
+    the face relations in those coordinates gives the classes.
 
     Attributes of interest: ``rank`` (2·genus), ``omega`` (the skew
     unimodular Gram matrix of the chosen basis), ``basis_chains`` (cycle
@@ -74,69 +81,38 @@ class HomologyBasis:
         self.hi = perm_inverse(o.h)
         self.vi = perm_inverse(o.v)
         orbits = o.vertex_orbits()
-        self.corner_class = {}
-        for idx, orbit in enumerate(orbits):
-            for sq in orbit:
-                self.corner_class[sq] = idx
-        self.num_vertices = len(orbits)
-
-        # spanning tree of the 1-skeleton on the vertex classes
-        endpoints = []
+        corner = {sq: k for k, orbit in enumerate(orbits) for sq in orbit}
+        boundary = [[0] * (2 * n) for _ in orbits]
         for i in range(n):
-            endpoints.append((self.corner_class[i], self.corner_class[o.h[i]]))
-        for i in range(n):
-            endpoints.append((self.corner_class[i], self.corner_class[o.v[i]]))
-        self.edge_endpoints = endpoints
-        in_tree = [False] * (2 * n)
-        parent = {0: None}  # vertex -> (edge index, direction) into the tree
-        frontier = [0]
-        while frontier:
-            base = frontier.pop(0)
-            for e, (u, w) in enumerate(endpoints):
-                if in_tree[e]:
-                    continue
-                if u == base and w not in parent:
-                    parent[w] = (e, +1)
-                    in_tree[e] = True
-                    frontier.append(w)
-                elif w == base and u not in parent:
-                    parent[u] = (e, -1)
-                    in_tree[e] = True
-                    frontier.append(u)
-        _require(len(parent) == self.num_vertices, "complex must be connected")
-        self._tree_parent = parent
-        self.nontree_edges = [e for e in range(2 * n) if not in_tree[e]]
-
-        # fundamental cycle of each non-tree edge
-        self.fundamental_cycles = []
-        for e in self.nontree_edges:
-            u, w = endpoints[e]
-            chain = _zero_chain(n)
-            chain[e] += 1
-            # walk w back to the root, then the root out to u
-            chain = _add_chain(chain, self._tree_path(w), -1)
-            chain = _add_chain(chain, self._tree_path(u), +1)
-            _require(self.boundary(chain) == [0] * self.num_vertices,
-                     "fundamental cycle must have zero boundary")
-            self.fundamental_cycles.append(chain)
-
-        # face relations in fundamental-cycle coordinates
-        k = len(self.nontree_edges)
-        faces = [self.face_chain(i) for i in range(n)]
-        face_cols = [[f[e] for e in self.nontree_edges] for f in faces]
-        a = [[face_cols[i][j] for i in range(n)] for j in range(k)]  # k x n
-        u_mat, s, _, u_inv, _ = smith_normal_form(a)
+            for e, j in ((i, o.h[i]), (n + i, o.v[i])):
+                boundary[corner[i]][e] -= 1
+                boundary[corner[j]][e] += 1
+        _, s, v, _, v_inv = smith_normal_form(boundary)
         r = snf_rank(s)
-        _require(all(s[i][i] == 1 for i in range(r)),
+        _require(r == len(orbits) - 1, "complex must be connected")
+        cycles = [row[r:] for row in v]  # columns: the cycle basis
+        _require(not any(map(any, mat_mul(boundary, cycles))),
+                 "cycle basis must have zero boundary")
+
+        # face relations in cycle coordinates: four columns of V^-1[r:]
+        rows = v_inv[r:]
+        faces = [[row[i] + row[n + o.h[i]] - row[o.v[i]] - row[n + i]
+                  for i in range(n)] for row in rows]
+        u_mat, s, _, u_inv, _ = smith_normal_form(faces)
+        r2 = snf_rank(s)
+        _require(all(s[i][i] == 1 for i in range(r2)),
                  "face lattice must be primitive")
-        self._proj_rows = u_mat[r:]  # quotient coordinates: x -> (Ux)[r:]
-        self.rank = k - r
+        self.rank = len(rows) - r2
         _require(self.rank == 2 * singularity_data(o).genus,
                  "rank must be twice the genus")
 
-        # basis class j lifts to column r + j of U^-1
-        self.basis_chains = [self._chain_from_fc([row[r + j] for row in u_inv])
-                             for j in range(self.rank)]
+        # basis class j lifts to column r2 + j of U2^-1 in cycle coordinates
+        lifts = mat_mul(cycles, [row[r2:] for row in u_inv])
+        self.basis_chains = [list(col) for col in zip(*lifts)]
+        # a chain is read by r boundary rows, which vanish on cycles, and
+        # by the rank class rows U2[r2:]·V^-1[r:]
+        self._boundary_rank = r
+        self._read_rows = v_inv[:r] + mat_mul(u_mat[r2:], rows)
         self.omega = [[self.pair_chains(x, y) for y in self.basis_chains]
                       for x in self.basis_chains]
         _require(all(self.omega[i][j] == -self.omega[j][i]
@@ -148,16 +124,6 @@ class HomologyBasis:
 
     # -- cell complex ------------------------------------------------------
 
-    def _tree_path(self, vertex):
-        """Chain of tree edges from the root to ``vertex``."""
-        chain = _zero_chain(self.n)
-        while self._tree_parent[vertex] is not None:
-            e, direction = self._tree_parent[vertex]
-            chain[e] += direction
-            u, w = self.edge_endpoints[e]
-            vertex = u if direction == +1 else w
-        return chain
-
     def face_chain(self, i):
         """The boundary relation of square ``i``."""
         o = self.origami
@@ -168,37 +134,12 @@ class HomologyBasis:
         chain[self.n + i] -= 1
         return chain
 
-    def boundary(self, chain):
-        """Boundary of a chain as a vector over the vertex classes."""
-        out = [0] * self.num_vertices
-        for e, coeff in enumerate(chain):
-            if coeff:
-                u, w = self.edge_endpoints[e]
-                out[u] -= coeff
-                out[w] += coeff
-        return out
-
     # -- homology coordinates ---------------------------------------------
-
-    def _fc_coords(self, chain):
-        coeffs = [chain[e] for e in self.nontree_edges]
-        recombined = _zero_chain(self.n)
-        for c, fc in zip(coeffs, self.fundamental_cycles):
-            if c:
-                recombined = _add_chain(recombined, fc, c)
-        _require(recombined == list(chain), "chain is not a cycle")
-        return coeffs
-
-    def _chain_from_fc(self, coeffs):
-        chain = _zero_chain(self.n)
-        for c, fc in zip(coeffs, self.fundamental_cycles):
-            if c:
-                chain = _add_chain(chain, fc, c)
-        return chain
 
     def coords(self, chain):
         r"""
-        Homology coordinates (length ``2g``) of a cycle.
+        Homology coordinates (length ``2g``) of a cycle, read with the
+        chain's nonzero entries only.
 
         EXAMPLES::
 
@@ -207,7 +148,13 @@ class HomologyBasis:
             >>> H.coords(H.basis_chains[0])
             [1, 0]
         """
-        return mat_vec(self._proj_rows, self._fc_coords(chain))
+        _require(len(chain) == 2 * self.n, "chain is not a cycle")
+        nonzero = [(e, c) for e, c in enumerate(chain) if c]
+        read = [sum(row[e] * c for e, c in nonzero)
+                for row in self._read_rows]
+        r = self._boundary_rank
+        _require(not any(read[:r]), "chain is not a cycle")
+        return read[r:]
 
     # -- intersection numbers ---------------------------------------------
 

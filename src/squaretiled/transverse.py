@@ -367,7 +367,7 @@ class WindowConstraint:
 @dataclass(frozen=True)
 class FeasibilityRecord:
     """Outcome of the window inequalities ``t0 >= s0 >= min_saddle`` and
-    ``0 <= t_start <= 1 - 2·t0 - 2·s0`` in units of the circumference;
+    ``t_start <= 1 - 2·t0 - 2·s0`` in units of the circumference;
     ``slack`` is the numerator over ``w`` of the right-hand room
     ``1 - 2·t0 - 2·s0``, and ``boundary`` flags the degenerate feasible
     point where every inequality is tight."""
@@ -399,8 +399,6 @@ def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
         violated.append("t0 >= s0")
     if 4 * c.s0 < c.w:
         violated.append("s0 >= min_saddle")
-    if c.t_start < 0:
-        violated.append("t_start >= 0")
     if c.t_start > slack:
         violated.append("t_start <= 1 - 2*t0 - 2*s0")
     feasible = not violated

@@ -1,11 +1,16 @@
 """Integer homology: ranks, the intersection pairing, holonomy, dual
 graphs, and the transport of chains through shears and rotations."""
 
+import pytest
+
+import homology_oracle
 from action_oracle import word_matrix
-from conftest import exemplar, l_origami, torus, wollmilchsau, random_origami
+from conftest import H4_LINE, SIX_SQUARES, exemplar, l_origami, torus, \
+    wollmilchsau, random_origami
 from decomposition_oracle import core_span_rank
 from fraction_oracle import det_rational
 from squaretiled.cylinders import horizontal_decomposition
+from squaretiled.errors import InvariantViolation
 from squaretiled.homology import (
     HomologyBasis,
     core_curve_class,
@@ -13,10 +18,12 @@ from squaretiled.homology import (
     homology_basis,
     transport_chains,
 )
-from squaretiled.intlinalg import identity_matrix
-from squaretiled.monodromy import homology_action
-from squaretiled.surface import act_sl2z, origami_isomorphism, \
-    singularity_data
+from squaretiled.intlinalg import identity_matrix, mat_mul, mat_vec
+from squaretiled.monodromy import closure_classify, homology_action, \
+    orbit_graph, restrict_to_zero_holonomy
+from squaretiled.surface import Origami, act_sl2z, origami_isomorphism, \
+    parse_origami, singularity_data
+from test_pipeline import CASE5_SEVEN
 
 LETTERS = ("T", "T^-1", "S")
 
@@ -146,3 +153,71 @@ def test_relabel_action_identity():
         assert origami_isomorphism(act_sl2z(o, word), o) == \
             tuple(range(o.n))
         assert homology_action(o, word, b) == ident
+
+
+def test_chain_that_is_not_a_cycle_raises():
+    """A single edge whose two corners lie in different vertex classes has
+    a nonzero boundary, so it has no homology coordinates."""
+    o = wollmilchsau()
+    b = homology_basis(o)
+    classes = {sq: k for k, orbit in enumerate(o.vertex_orbits())
+               for sq in orbit}
+    assert classes[0] != classes[o.h[0]]
+    h_0 = [1] + [0] * (2 * o.n - 1)
+    with pytest.raises(InvariantViolation, match="chain is not a cycle"):
+        b.coords(h_0)
+
+
+def test_disconnected_complex_raises():
+    """Two tori side by side, built without the transitivity check of
+    ``build_origami``, are no connected surface."""
+    with pytest.raises(InvariantViolation,
+                       match="complex must be connected"):
+        HomologyBasis(Origami((0, 1), (0, 1)))
+
+
+def _transition(old, new):
+    """The oracle's coordinates of the new basis chains, as columns."""
+    return [list(row) for row in zip(*map(old.coords, new.basis_chains))]
+
+
+def _closure(o, basis, words):
+    return closure_classify(restrict_to_zero_holonomy(
+        (homology_action(o, word, basis) for word in words), basis))
+
+
+def test_smith_form_basis_matches_the_spanning_tree_oracle(rng):
+    """The Smith-form basis and the spanning-tree oracle's basis differ by
+    one unimodular transition matrix ``P`` that carries the oracle's form
+    to the new one, coordinates transform by ``P`` (also on chains pushed
+    through random words), every orbit-graph generator's action is
+    conjugated by ``P``, and the closure decision is the same."""
+    named = [parse_origami(line) for line in
+             (str(wollmilchsau()), H4_LINE, SIX_SQUARES, CASE5_SEVEN)]
+    surfaces = named + [torus(), l_origami()]
+    while len(surfaces) < 106:
+        o = random_origami(rng)
+        if singularity_data(o).genus <= 4:
+            surfaces.append(o)
+    assert {singularity_data(o).genus for o in surfaces} == {1, 2, 3, 4}
+    for o in surfaces:
+        old, new = homology_oracle.HomologyBasis(o), HomologyBasis(o)
+        p = _transition(old, new)
+        assert abs(det_rational(p)) == 1
+        assert mat_mul(list(zip(*p)), mat_mul(old.omega, p)) == new.omega
+        word = [rng.choice(LETTERS) for _ in range(3)]
+        target, chains = transport_chains(
+            o, word, new.basis_chains + old.basis_chains)
+        old_t = homology_oracle.HomologyBasis(target)
+        new_t = HomologyBasis(target)
+        p_t = _transition(old_t, new_t)
+        for z in chains:
+            assert old_t.coords(z) == mat_vec(p_t, new_t.coords(z))
+    for o in named:
+        old, new = homology_oracle.HomologyBasis(o), HomologyBasis(o)
+        p = _transition(old, new)
+        words = orbit_graph(o).generators
+        for word in words:
+            assert mat_mul(p, homology_action(o, word, new)) == \
+                mat_mul(homology_action(o, word, old), p), word
+        assert _closure(o, old, words) == _closure(o, new, words)

@@ -1068,9 +1068,13 @@ def test_cli_monodromy_unbounded(tmp_path, capsys):
     assert ("restricted closure: Unbounded (element of infinite order, "
             "witness word length 3)\n"
             "witness starts from generator 1, a cusp parabolic: T T\n") in out
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["monodromy", str(path), "--norm-bound", "5"])
-    assert exc.value.code == 2
+    # the dimension bound reads the directions up to slope entry 2 only
+    for option in ("--norm-bound", "--direction-bound"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["monodromy", str(path), option, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + option in \
+            capsys.readouterr().err
 
 
 def test_cli_monodromy_takes_no_word_bound(tmp_path, capsys):
@@ -1113,15 +1117,17 @@ def test_cli_monodromy_is_unbounded_where_the_word_cap_read_finite(
         tmp_path, capsys):
     """The 7-square Case 5 surface and the 6-square H(2,2) surface, whose
     stabilizer words up to length 3 generate finite groups of order 2 and
-    18, have unbounded closures, witnessed from a cusp parabolic."""
+    18, have unbounded closures, witnessed from a cusp parabolic.  The
+    cusp widths are printed in ascending order, ``wxk`` for a width that
+    occurs ``k > 1`` times."""
     for line, size, cusps, first in [
-            (CASE5_SEVEN, 72, 14, 5),
-            (SIX_SQUARES, 12, 4, 3)]:
+            (CASE5_SEVEN, 72, "14, widths 2 3x3 5x4 6 7x5", 5),
+            (SIX_SQUARES, 12, "4, widths 1 2 3 6", 3)]:
         path = tmp_path / "surface.txt"
         path.write_text(line + "\n", encoding="utf-8")
         assert cli_main(["monodromy", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "surface: H(2,2), genus 3\norbit size: %d\ncusps: %d, " \
+        assert "surface: H(2,2), genus 3\norbit size: %d\ncusps: %s\n" \
             % (size, cusps) in out
         assert "affine group generators: %d " % (size + 1) in out
         assert "zero-holonomy restriction: dimension 4" in out
