@@ -229,10 +229,7 @@ class CylinderDecomposition:
     """A cylinder decomposition of an origami in a periodic direction.
 
     All combinatorial and metric data refer to the sheared origami
-    ``origami`` in whose coordinates the direction is horizontal;
-    ``word`` is the ``SL(2, Z)`` word carrying the analysed surface there
-    (empty for the horizontal direction).  ``direction`` is the primitive
-    direction vector ``(dx, dy)`` in the analysed surface's coordinates.
+    ``origami`` in whose coordinates the direction is horizontal.
     ``saddle_lengths`` maps a saddle id to its length in squares;
     ``bottom_positions`` and ``top_positions`` map a cylinder id to the
     integer start coordinate, in squares, of every saddle on that
@@ -244,8 +241,6 @@ class CylinderDecomposition:
     """
 
     origami: Origami
-    word: tuple
-    direction: tuple
     cylinders: tuple
     diagram: CylinderDiagram
     saddle_lengths: dict = field(repr=False)
@@ -259,7 +254,7 @@ class CylinderDecomposition:
         return self.cylinders[cid].rows[0]
 
 
-def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
+def horizontal_decomposition(o: Origami):
     r"""
     Decompose an origami into maximal horizontal cylinders.
 
@@ -431,8 +426,6 @@ def horizontal_decomposition(o: Origami, word=(), direction=(1, 0)):
                                  "squares")
     return CylinderDecomposition(
         origami=o,
-        word=tuple(word),
-        direction=tuple(direction),
         cylinders=tuple(cylinders),
         diagram=diagram,
         saddle_lengths=saddle_lengths,
@@ -452,7 +445,10 @@ def direction_member(o: Origami, slope):
     ``slope`` is a reduced pair ``(p, q)`` meaning direction vector
     ``(q, p)``.  The horizontal slope ``(0, 1)`` has the empty word and
     the member ``o`` itself.  The word depends on the slope alone and is
-    computed once per process for each slope (:func:`_slope_word`).
+    computed once per process for each slope (:func:`_slope_word`).  Few
+    slopes are asked for: the one a Case 5 direction defers to, those up
+    to bound 2 of :func:`~squaretiled.monodromy.forni_upper_bound`, and
+    those of an SVG report.
 
     EXAMPLES::
 
@@ -470,9 +466,8 @@ def direction_member(o: Origami, slope):
 
 @functools.lru_cache(maxsize=4096)
 def _slope_word(p, q):
-    """The word of :func:`direction_member` for slope ``(p, q)``; the
-    table holds the words of up to 4096 slopes, every slope up to
-    direction bound 50, for the life of the process."""
+    """The word of :func:`direction_member` for slope ``(p, q)``, kept for
+    the life of the process (up to 4096 slopes)."""
     if gcd(p, q) != 1:
         raise ValueError(f"slope {(p, q)} is not reduced")
     # direction vector (q, p); find M in SL(2, Z) with M (q, p)^T = (1, 0)^T
@@ -490,7 +485,7 @@ def periodic_decomposition(o: Origami, slope, member=None):
     ``slope`` is a reduced pair ``(p, q)`` meaning direction vector
     ``(q, p)``; ``(1, 0)`` is the vertical direction and ``(0, 1)``
     horizontal.  The origami is carried to a horizontally periodic one by
-    an ``SL(2, Z)`` word (recorded on the result) and decomposed there.
+    an ``SL(2, Z)`` word and decomposed there, in the image's coordinates.
     ``member``, when given, is the pair ``direction_member(o, slope)``
     already built by the caller.
 
@@ -503,10 +498,9 @@ def periodic_decomposition(o: Origami, slope, member=None):
         >>> [(c.circumference, c.height) for c in dv.cylinders]
         [(4, 1), (4, 1)]
     """
-    word, sheared = member if member is not None \
+    _, sheared = member if member is not None \
         else direction_member(o, slope)
-    p, q = slope
-    return horizontal_decomposition(sheared, word=word, direction=(q, p))
+    return horizontal_decomposition(sheared)
 
 
 def _bezout(x, y):

@@ -15,10 +15,6 @@ class NotTransitive(SquareTiledError, ValueError):
     """The two permutations generate an intransitive group (disconnected surface)."""
 
 
-class CaseMismatch(SquareTiledError, ValueError):
-    """The input's cylinder diagram does not match the requested case."""
-
-
 class NotAStabilizer(SquareTiledError, ValueError):
     """The given word does not stabilize the origami up to relabeling."""
 

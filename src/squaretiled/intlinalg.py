@@ -47,19 +47,6 @@ def mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def mat_vec(a, x):
-    """Apply the matrix ``a`` to the vector ``x``.
-
-    EXAMPLES::
-
-        >>> mat_vec([[0, -1], [1, 0]], [2, 3])
-        [-3, 2]
-    """
-    if not all(len(r) == len(x) for r in a):
-        raise InvariantViolation("matrix and vector shapes do not match")
-    return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
-
-
 def smith_normal_form(a):
     r"""
     Return ``(U, S, V, U_inv, V_inv)`` with ``U @ a @ V == S`` in Smith

@@ -39,7 +39,7 @@ from .surface import (
 )
 from .transverse import (
     WindowConstraint,
-    _crossing_witness,
+    find_crossing_cylinder,
     window_feasible,
 )
 
@@ -280,9 +280,8 @@ def _analyze_direction(d, slope):
                                                  graph.geometric_genus))
     name = str(label)
     if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
-        # the label was just read off this graph: skip the public check
         return DirectionRecord(slope, name, "transverse crossing cylinder",
-                               _crossing_witness(d, name)), True
+                               find_crossing_cylinder(d, label)), True
     if label is CaseLabel.CASE3:
         # the exponents of the two nodes joining the elliptic and the
         # rational component, the edges whose endpoints differ

@@ -2,9 +2,10 @@ r"""
 Constructive searches for transverse cylinders in the two-, three- and
 four-cylinder configurations, and the window-inequality solver.
 
-The searches read the metric data of an origami's cylinder decomposition
+One search, :func:`find_crossing_cylinder`, keyed by the pinch label the
+classifier has read, takes the metric data of a cylinder decomposition
 directly: every length and position is a whole number of squares, so the
-four-cylinder window argument runs over unit cells.  They return witness
+four-cylinder window argument runs over unit cells.  It returns witness
 records (crossed-cylinder sequence, width, average direction) that are
 re-verified combinatorially; existence arguments that the source
 material phrases through shearing and cutting-and-regluing become
@@ -12,11 +13,12 @@ coordinate re-origin choices here.
 
 EXAMPLES::
 
-    >>> from squaretiled.cylinders import horizontal_decomposition
+    >>> from squaretiled.cylinders import CaseLabel, horizontal_decomposition
     >>> from squaretiled.surface import parse_origami
     >>> o = parse_origami('origami n=12 h="(0 1 2 3)(4 5)(6 7)(8 9 10 11)" '
     ...                   'v="(0 4 8 3 7 11)(1 5 9 2 6 10)"')
-    >>> w = find_crossing_cylinder(horizontal_decomposition(o), "Case4")
+    >>> d = horizontal_decomposition(o)
+    >>> w = find_crossing_cylinder(d, CaseLabel.CASE4)
     >>> w.kind, w.crossed, w.width, w.start_interval
     ('boundary', (0, 2, 3), 1, (1, 2))
 """
@@ -25,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cylinders import classify_case
-from .errors import CaseMismatch, InvariantViolation
-from .homology import dual_graph
+from .cylinders import CaseLabel
+from .errors import InvariantViolation
 
 # ---------------------------------------------------------------------------
 # transverse-cylinder witnesses
@@ -37,12 +38,11 @@ from .homology import dual_graph
 @dataclass(frozen=True)
 class TransverseWitness:
     """A certified transverse cylinder: the horizontal cylinders it crosses
-    (each exactly once, in order), its width, the interface interval it
-    starts from, and the average direction ``(dx, dy)`` of its core."""
+    (each exactly once, in order), its width, its start interval on the
+    bottom of the first, and the average direction ``(dx, dy)`` of its core."""
 
     crossed: tuple
     width: int
-    start_interface: tuple
     start_interval: tuple
     direction: tuple
     kind: str = ""
@@ -71,7 +71,8 @@ def _matched_pair(d):
                            for s in d.diagram.top_words[c1]}
                 if c1 not in middles and c4 not in middles:
                     return c1, c4, tuple(sorted(middles))
-    raise CaseMismatch("no pair of cylinders glued along a full interface")
+    raise InvariantViolation("no pair of cylinders glued along a full "
+                             "interface")
 
 
 def _saddle_arc(word, positions, saddles):
@@ -80,91 +81,72 @@ def _saddle_arc(word, positions, saddles):
     idx = [i for i, s in enumerate(word) if s in saddles]
     k = len(word)
     if len(idx) != len(saddles):
-        raise CaseMismatch("middle cylinder interface is not a sub-run")
+        raise InvariantViolation("middle cylinder interface is not a sub-run")
     for start in idx:
         if all((start + t) % k in idx for t in range(len(idx))):
             if (start - 1) % k not in idx or len(idx) == k:
                 return positions[word[start]]
-    raise CaseMismatch("middle cylinder interface is not contiguous")
+    raise InvariantViolation("middle cylinder interface is not contiguous")
 
 
-def find_crossing_cylinder(d, case) -> TransverseWitness:
+def find_crossing_cylinder(d, label) -> TransverseWitness:
     r"""
-    A transverse cylinder for one of the named two-, three- and
-    four-cylinder configurations.  Every diagram of one of these shapes
-    has one, whatever its metric data, so a witness is always returned;
-    the searches state why.
+    A transverse cylinder for a decomposition ``d`` whose pinch dual graph
+    has the shape ``label`` (:func:`~squaretiled.cylinders.classify_case`),
+    one of Cases 1, 2 and 4; any other label raises ``ValueError``.  Every
+    diagram of these shapes has one, whatever its metric data, so a
+    witness is always returned; the searches state why.  No dual graph is
+    built: a search that finds no witness, as on a diagram of another
+    shape, raises :class:`~squaretiled.errors.InvariantViolation`.
 
     ``d`` is an origami's cylinder decomposition, whose lengths and
     positions are whole numbers of squares; the search reads the diagram,
     the circumference and height of each cylinder, the saddle lengths and
-    the saddle positions on every boundary.  The ``Case4A`` search runs
-    over unit cells and raises
-    :class:`~squaretiled.errors.InvariantViolation` on any length or
-    position that is not whole.
+    the saddle positions on every boundary.  The 4A search runs over unit
+    cells and raises :class:`~squaretiled.errors.InvariantViolation` on
+    any length or position that is not whole.
 
-    - ``Case1``: a saddle on both sides of one cylinder spans a simple
+    - ``CASE1``: a saddle on both sides of one cylinder spans a simple
       transverse cylinder crossing that cylinder once.
-    - ``Case2``: a saddle shared by the bottom of one cylinder and the top
+    - ``CASE2``: a saddle shared by the bottom of one cylinder and the top
       of another, with a second shared saddle between them, spans a
       cylinder crossing both exactly once (twists are free parameters).
-    - ``Case4A``: the window argument on the gluing of the bottom of the
-      outer cylinder to the top of its partner, both re-cut so that the
-      wider middle spans the window ``[0, s)`` of the circumference
-      ``w``.  The top of the outer cylinder is exactly the bottoms of the
-      two middles, so ``2s >= w``.  When ``2s > w`` the window and its
-      preimage hold ``2s > w`` cells between them, so by pigeonhole some
-      window cell is glued into the window: the witness is a run of such
-      cells.  When ``2s = w`` and no cell is, the gluing maps ``[0, s)``
-      onto ``[s, w)``, and the witness is the boundary construction at
-      the preimage of ``s``, which lies in ``[0, s)``.
-    - ``Case4B``: every saddle on the top of the outer partner recurs on
-      the bottom of the outer cylinder; any of them spans a cylinder
-      crossing the three stacked cylinders once each.
-    - ``Case4``: ``Case4A`` when two middle cylinders sit between the
-      outer pair, ``Case4B`` when one does.
-
-    The requested case must match the shape of ``d``'s pinch dual graph
-    (:class:`~squaretiled.errors.CaseMismatch` otherwise).  The
-    classifier, which has just matched that shape, skips this check and
-    so builds no second dual graph.
+    - ``CASE4`` with two middle cylinders between the outer pair (4A): the
+      window argument on the gluing of the bottom of the outer cylinder to
+      the top of its partner, both re-cut so that the wider middle spans
+      the window ``[0, s)`` of the circumference ``w``.  The top of the
+      outer cylinder is exactly the bottoms of the two middles, so
+      ``2s >= w``.  When ``2s > w`` the window and its preimage hold
+      ``2s > w`` cells between them, so by pigeonhole some window cell is
+      glued into the window: the witness is a run of such cells.  When
+      ``2s = w`` and no cell is, the gluing maps ``[0, s)`` onto
+      ``[s, w)``, and the witness is the boundary construction at the
+      preimage of ``s``, which lies in ``[0, s)``.
+    - ``CASE4`` with one middle cylinder (4B): every saddle on the top of
+      the outer partner recurs on the bottom of the outer cylinder; any of
+      them spans a cylinder crossing the three stacked cylinders once
+      each.
 
     EXAMPLES::
 
+        >>> from squaretiled.cylinders import CaseLabel
         >>> from squaretiled.cylinders import horizontal_decomposition
         >>> from squaretiled.surface import parse_origami
         >>> o = parse_origami('origami n=6 h="(1 3 2 4)" v="(0 5 2 1)"')
-        >>> w = find_crossing_cylinder(horizontal_decomposition(o), "Case1")
+        >>> d = horizontal_decomposition(o)
+        >>> w = find_crossing_cylinder(d, CaseLabel.CASE1)
         >>> w.crossed, w.width, w.kind
         ((1,), 1, 'simple-over-1')
     """
-    case = str(case)
-    expected = {"Case1": "Case1", "Case2": "Case2", "Case4": "Case4",
-                "Case4A": "Case4", "Case4B": "Case4"}
-    if case not in expected:
-        raise CaseMismatch("unsupported case %r" % (case,))
-    label = str(classify_case(dual_graph(d)))
-    if label != expected[case]:
-        raise CaseMismatch("diagram is %s, not %s" % (label, case))
-    return _crossing_witness(d, case)
-
-
-def _crossing_witness(d, case):
-    """:func:`find_crossing_cylinder` for a ``case`` already known to name
-    the shape of ``d``'s pinch dual graph."""
-    if case == "Case1":
+    if label is CaseLabel.CASE1:
         return _case1_witness(d)
-    if case == "Case2":
+    if label is CaseLabel.CASE2:
         return _case2_witness(d)
+    if label is not CaseLabel.CASE4:
+        raise ValueError("no crossing-cylinder search for %s" % (label,))
     c1, c4, middles = _matched_pair(d)
-    if case == "Case4":
-        case = "Case4A" if len(middles) == 2 else "Case4B"
-    if case == "Case4A":
-        if len(middles) != 2:
-            raise CaseMismatch("diagram has the stacked (4B) shape")
+    if len(middles) == 2:
         return _case4a_witness(d, c1, c4, middles)
-    if len(middles) != 1:
-        raise CaseMismatch("diagram has the side-by-side (4A) shape")
     return _case4b_witness(d, c1, c4, middles[0])
 
 
@@ -193,7 +175,6 @@ def _case1_witness(d):
         return TransverseWitness(
             crossed=(cid,),
             width=length,
-            start_interface=("bottom", cid),
             start_interval=(bp, bp + length),
             direction=(tp - bp, d.cylinders[cid].height),
             kind="simple-over-%s" % (sid,),
@@ -240,7 +221,6 @@ def _case2_witness(d):
             return TransverseWitness(
                 crossed=(c1, c2),
                 width=width,
-                start_interface=("bottom", c1),
                 start_interval=(bp, bp + width),
                 direction=(0, rise),
                 kind="through-%s-%s" % (sigma, tau),
@@ -259,7 +239,8 @@ def _case4a_witness(d, c1, c4, middles):
     wide = max(middles, key=lambda c: (cyl[c].circumference, c))
     w = cyl[c1].circumference
     if cyl[c4].circumference != w:
-        raise CaseMismatch("outer cylinders must have equal circumference")
+        raise InvariantViolation("outer cylinders must have equal "
+                                 "circumference")
     s = cyl[wide].circumference
     a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
                         set(d.diagram.bottom_words[wide]))
@@ -305,7 +286,6 @@ def _case4a_witness(d, c1, c4, middles):
     return TransverseWitness(
         crossed=(c1, wide, c4),
         width=hi - lo,
-        start_interface=("bottom", c1),
         start_interval=(lo, hi),
         direction=(off if off <= w - off else off - w, rise),
         kind=kind,
@@ -316,8 +296,8 @@ def _case4b_witness(d, c1, c4, mid):
     top4 = set(d.diagram.top_words[c4])
     bot1 = set(d.diagram.bottom_words[c1])
     if not top4 <= bot1:
-        raise CaseMismatch("stacked shape requires the outer interfaces to "
-                           "share all saddles")
+        raise InvariantViolation("stacked shape requires the outer "
+                                 "interfaces to share all saddles")
     lengths = d.saddle_lengths
     sigma = max(top4, key=lambda s: (lengths[s], str(s)))
     bp = d.bottom_positions[c1][sigma]
@@ -327,7 +307,6 @@ def _case4b_witness(d, c1, c4, mid):
     return TransverseWitness(
         crossed=(c1, mid, c4),
         width=lengths[sigma],
-        start_interface=("bottom", c1),
         start_interval=(bp, bp + lengths[sigma]),
         direction=(tp - bp, rise),
         kind="over-%s" % (sigma,),

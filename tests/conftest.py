@@ -230,7 +230,7 @@ def scaled_witness(witness, k):
     """``witness`` with its width, start interval and direction multiplied
     by ``k``: the witness of the net scaled by ``k``."""
     return TransverseWitness(
-        witness.crossed, witness.width * k, witness.start_interface,
+        witness.crossed, witness.width * k,
         tuple(x * k for x in witness.start_interval),
         tuple(x * k for x in witness.direction), witness.kind)
 

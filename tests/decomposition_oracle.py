@@ -59,14 +59,14 @@ class DecompositionSaddle:
     end_zero: int
 
 
-def horizontal_decomposition(o, word=(), direction=(1, 0)):
+def horizontal_decomposition(o):
     """Maximal horizontal cylinders, saddle connections and their
     positions, as :func:`squaretiled.cylinders.horizontal_decomposition`
     computes them, with ``genus=None``."""
-    return decomposition_with_saddles(o, word, direction)[0]
+    return decomposition_with_saddles(o)[0]
 
 
-def decomposition_with_saddles(o, word=(), direction=(1, 0)):
+def decomposition_with_saddles(o):
     """:func:`horizontal_decomposition` and its saddles, a dict from saddle
     id to :class:`DecompositionSaddle`."""
     n = o.n
@@ -199,8 +199,6 @@ def decomposition_with_saddles(o, word=(), direction=(1, 0)):
     diagram.validate()
     d = CylinderDecomposition(
         origami=o,
-        word=tuple(word),
-        direction=tuple(direction),
         cylinders=tuple(cylinders),
         diagram=diagram,
         saddle_lengths={sid: len(s.squares) for sid, s in saddles.items()},

@@ -9,7 +9,7 @@ matrix that carries one intersection form to the other.
 """
 
 from squaretiled.errors import InvariantViolation
-from squaretiled.intlinalg import mat_vec, smith_normal_form, snf_rank
+from squaretiled.intlinalg import smith_normal_form, snf_rank
 from squaretiled.surface import Origami, perm_inverse, singularity_data
 
 
@@ -169,7 +169,9 @@ class HomologyBasis:
 
     def coords(self, chain):
         """Homology coordinates (length ``2g``) of a cycle."""
-        return mat_vec(self._proj_rows, self._fc_coords(chain))
+        fc = self._fc_coords(chain)
+        return [sum(a * b for a, b in zip(row, fc, strict=True))
+                for row in self._proj_rows]
 
     # -- intersection numbers ---------------------------------------------
 

@@ -15,8 +15,7 @@ EXAMPLES::
 
 from fractions import Fraction
 
-from squaretiled.errors import CaseMismatch, InvariantViolation, \
-    SquareTiledError
+from squaretiled.errors import InvariantViolation, SquareTiledError
 from squaretiled.transverse import TransverseWitness, _matched_pair, \
     _saddle_arc
 
@@ -243,7 +242,8 @@ def case4a_window_map(d, c1=None, c4=None, middles=None):
     wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
     w = d.cylinders[c1].circumference
     if d.cylinders[c4].circumference != w:
-        raise CaseMismatch("outer cylinders must have equal circumference")
+        raise InvariantViolation("outer cylinders must have equal "
+                                 "circumference")
     s = d.cylinders[wide].circumference
     a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
                         set(d.diagram.bottom_words[wide]))
@@ -287,7 +287,6 @@ def case4a_window_witness(d, c1=None, c4=None, middles=None):
                 return TransverseWitness(
                     crossed=(c1, wide, c4),
                     width=hi - lo,
-                    start_interface=("bottom", c1),
                     start_interval=(lo, hi),
                     direction=(off if off <= w - off else off - w, rise),
                     kind="window",
@@ -301,7 +300,6 @@ def case4a_window_witness(d, c1=None, c4=None, middles=None):
         return TransverseWitness(
             crossed=(c1, wide, c4),
             width=eps,
-            start_interface=("bottom", c1),
             start_interval=(x, x + eps),
             direction=(off if off <= w - off else off - w, rise),
             kind="boundary",

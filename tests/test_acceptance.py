@@ -22,8 +22,8 @@ from interval_oracle import build_interval_map, case4a_window_map, \
     case4a_window_witness
 from test_transverse import brute_window_point, total_length, \
     window_feasible_pairs
-from squaretiled.cylinders import classify_case, horizontal_decomposition, \
-    periodic_decomposition
+from squaretiled.cylinders import CaseLabel, classify_case, \
+    horizontal_decomposition, periodic_decomposition
 from squaretiled.homology import core_curve_class, dual_graph, \
     homology_basis
 from squaretiled.jump import case3_verdict, case6_moduli_forcing
@@ -86,7 +86,7 @@ def test_criterion_3_randomized_crossing_cylinders():
         for _ in range(200):
             small = random_case4a_net(rng)
             net = scaled_net(small, 16)
-            witness = find_crossing_cylinder(net, "Case4A")
+            witness = find_crossing_cylinder(net, CaseLabel.CASE4)
             assert witness is not None
             assert witness.width > 0
             assert len(set(witness.crossed)) == 3

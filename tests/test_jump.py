@@ -152,8 +152,7 @@ def test_forcing_evidence_is_frozen():
         "DirectionRecord(slope=(0, 1), label='Case4', "
         "mechanism='transverse crossing cylinder', "
         "witness=TransverseWitness(crossed=(0, 2, 3), width=1, "
-        "start_interface=('bottom', 0), start_interval=(1, 2), "
-        "direction=(1, 3), kind='boundary'))"]
+        "start_interval=(1, 2), direction=(1, 3), kind='boundary'))"]
 
 
 def test_case6_guards():

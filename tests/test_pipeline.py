@@ -684,11 +684,11 @@ def random_boundary_exchange(rng):
 WORDS = ((), ("T",), ("S",), ("T", "S"), ("S", "T^-1"))
 
 
-def feasible_window_has_quarter_saddles(o, d):
-    """On a Case 6 decomposition ``d`` of ``o`` whose metric chain is
-    consistent, every saddle is a quarter circumference long and the
-    stratum is H(1,1,1,1): the counting argument that lets the final step
-    compare diagrams alone.  Returns whether ``d`` is such a
+def feasible_window_has_quarter_saddles(o, d, slope):
+    """On a Case 6 decomposition ``d`` of ``o`` at ``slope`` whose metric
+    chain is consistent, every saddle is a quarter circumference long and
+    the stratum is H(1,1,1,1): the counting argument that lets the final
+    step compare diagrams alone.  Returns whether ``d`` is such a
     decomposition."""
     graph = dual_graph(d)
     if classify_case(graph) is not CaseLabel.CASE6 \
@@ -696,7 +696,7 @@ def feasible_window_has_quarter_saddles(o, d):
         return False
     w = len(d.cylinders[0].rows[0])
     assert all(4 * length == w for length in d.saddle_lengths.values()), \
-        (o, d.direction)
+        (o, slope)
     assert str(singularity_data(o)) == "H(1,1,1,1)"
     return True
 
@@ -705,7 +705,7 @@ def feasible_window_has_quarter_saddles(o, d):
 def test_feasible_windows_force_quarter_saddles(word):
     image = act_sl2z(reference_surface(), list(word))
     feasible = [feasible_window_has_quarter_saddles(
-        image, periodic_decomposition(image, slope))
+        image, periodic_decomposition(image, slope), slope)
         for slope in enumerate_slopes(3)]
     assert any(feasible)
 
@@ -719,7 +719,7 @@ def test_random_feasible_windows_force_quarter_saddles(rng):
         o = random_boundary_exchange(rng)
         draws += 1
         found += feasible_window_has_quarter_saddles(
-            o, horizontal_decomposition(o))
+            o, horizontal_decomposition(o), (0, 1))
     assert found == 5, draws
 
 
@@ -764,7 +764,7 @@ def test_window_extraction_matches_net_oracle(rng):
                 d = periodic_decomposition(image, slope)
                 if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
                     continue
-                feasible_window_has_quarter_saddles(image, d)
+                feasible_window_has_quarter_saddles(image, d, slope)
                 ids = [c.id for c in d.cylinders]
                 for c1, c2 in (ids, ids[::-1]):
                     triple = window_coordinates(d, c1, c2)
@@ -1221,31 +1221,36 @@ def test_every_small_genus3_direction_has_a_shape_and_a_witness():
 
 WITNESSLESS = """
 import sys
-from squaretiled import transverse
-from squaretiled.cylinders import horizontal_decomposition
+from squaretiled.cylinders import CaseLabel, horizontal_decomposition
 from squaretiled.errors import InvariantViolation
 from squaretiled.pipeline import reference_surface
 from squaretiled.surface import build_origami
-for search, o in ((transverse._case1_witness, reference_surface()),
-                  (transverse._case2_witness, build_origami(%r, %r))):
+from squaretiled.transverse import find_crossing_cylinder
+for label, o in ((CaseLabel.CASE1, reference_surface()),
+                 (CaseLabel.CASE2, build_origami(%r, %r)),
+                 (CaseLabel.CASE4, build_origami(%r, %r))):
     try:
-        search(horizontal_decomposition(o))
+        find_crossing_cylinder(horizontal_decomposition(o), label)
     except InvariantViolation as exc:
         print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
-""" % EXEMPLARS["Case5"]
+""" % (EXEMPLARS["Case5"] + EXEMPLARS["Case1"])
 
 
 def test_witness_searches_raise_without_a_witness(monkeypatch):
-    """The Case 1 and Case 2 searches raise, also under ``python -O``, on a
-    diagram without their witness: the reference's horizontal diagram
-    (Case 6), where no cylinder has a saddle on both sides, and the Case 5
-    exemplar's, whose one cylinder has no other to pair with.  Period
-    forcing needs no crossing witness."""
+    """The Case 1, Case 2 and Case 4 searches raise, also under
+    ``python -O``, on a diagram without their witness: the reference's
+    horizontal diagram (Case 6), where no cylinder has a saddle on both
+    sides, the Case 5 exemplar's, whose one cylinder has no other to pair
+    with, and the Case 1 exemplar's, whose two cylinders are not glued
+    along a full interface.  Period forcing needs no crossing witness."""
     with pytest.raises(InvariantViolation, match="not Case 1"):
         transverse._case1_witness(
             horizontal_decomposition(reference_surface()))
     with pytest.raises(InvariantViolation, match="not Case 2"):
         transverse._case2_witness(horizontal_decomposition(exemplar("Case5")))
+    with pytest.raises(InvariantViolation, match="full interface"):
+        transverse.find_crossing_cylinder(
+            horizontal_decomposition(exemplar("Case1")), CaseLabel.CASE4)
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]]
@@ -1257,15 +1262,17 @@ def test_witness_searches_raise_without_a_witness(monkeypatch):
         "optimize=1 raised: no cylinder has a saddle on both its bottom and "
         "its top: the diagram is not Case 1",
         "optimize=1 raised: no two cylinders share a saddle both ways: the "
-        "diagram is not Case 2"]
+        "diagram is not Case 2",
+        "optimize=1 raised: no pair of cylinders glued along a full "
+        "interface"]
 
     class WitnessAsked(Exception):
         pass
 
-    def no_witness(d, case):
-        raise WitnessAsked(case)
+    def no_witness(d, label):
+        raise WitnessAsked(label)
 
-    monkeypatch.setattr(pipeline, "_crossing_witness", no_witness)
+    monkeypatch.setattr(pipeline, "find_crossing_cylinder", no_witness)
     o = exemplar("Case3")
     verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
@@ -1319,8 +1326,8 @@ import sys
 from squaretiled.errors import InvariantViolation
 from squaretiled.transverse import TransverseWitness
 try:
-    TransverseWitness(crossed=(0, 1), width=0, start_interface=("bottom", 0),
-                      start_interval=(0, 0), direction=(1, 1))
+    TransverseWitness(crossed=(0, 1), width=0, start_interval=(0, 0),
+                      direction=(1, 1))
 except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """

@@ -22,11 +22,12 @@ from interval_oracle import IntervalMap, LengthMismatch, boundary_hit, \
     find_window_hit
 from net_oracle import CylinderGeometry, build_net
 from squaretiled.cylinders import (
+    CaseLabel,
     classify_case,
     horizontal_decomposition,
     periodic_decomposition,
 )
-from squaretiled.errors import CaseMismatch, InvariantViolation
+from squaretiled.errors import InvariantViolation
 from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.surface import parse_origami
@@ -34,6 +35,7 @@ from squaretiled.transverse import (
     FeasibilityRecord,
     TransverseWitness,
     WindowConstraint,
+    _matched_pair,
     find_crossing_cylinder,
     window_feasible,
 )
@@ -82,7 +84,6 @@ def test_interval_map_normalization_and_apply():
 def test_malformed_witness_raises(crossed, width, message):
     with pytest.raises(InvariantViolation, match=message):
         TransverseWitness(crossed=crossed, width=width,
-                          start_interface=("bottom", 0),
                           start_interval=(0, width), direction=(1, 1))
 
 
@@ -159,25 +160,41 @@ def test_net_case_labels():
 
 @pytest.mark.parametrize("name", ["Case1", "Case2", "Case4A", "Case4B"])
 def test_exemplar_witnesses(name):
+    """Each exemplar's label leads to its own search: one crossed cylinder
+    for Case 1, two for Case 2, and for Case 4 the window or boundary
+    witness over two middle cylinders (4A) or the stacked witness over one
+    (4B)."""
     d = horizontal_decomposition(exemplar(name))
-    witness = find_crossing_cylinder(d, name)
-    assert witness is not None
+    label = classify_case(dual_graph(d))
+    assert str(label) == name[:5]
+    witness = find_crossing_cylinder(d, label)
     assert witness.width > 0
     a, b = witness.start_interval
     assert a < b
+    assert len(witness.crossed) == {"Case1": 1, "Case2": 2}.get(name, 3)
     if name.startswith("Case4"):
-        assert find_crossing_cylinder(d, "Case4") == witness
+        middles = _matched_pair(d)[2]
+        assert len(middles) == (2 if name == "Case4A" else 1)
+        assert witness.kind.startswith("over-") == (name == "Case4B")
+        assert witness.crossed[1] in middles
 
 
-def test_witness_case_validation():
-    for name, wrong in (("Case1", "Case2"), ("Case4A", "Case4B"),
-                        ("Case4B", "Case4A"), ("Case2", "Case4")):
-        for carrier in carriers(exemplar(name)):
-            with pytest.raises(CaseMismatch):
-                find_crossing_cylinder(carrier, wrong)
-    with pytest.raises(CaseMismatch, match="unsupported"):
-        find_crossing_cylinder(horizontal_decomposition(exemplar("Case1")),
-                               "Case3")
+@pytest.mark.parametrize("label", [CaseLabel.CASE3, CaseLabel.CASE5,
+                                   CaseLabel.CASE6, None],
+                         ids=str)
+def test_crossing_search_needs_a_crossing_label(label):
+    """Only Cases 1, 2 and 4 have a crossing-cylinder search; any other
+    label raises ``ValueError`` before a search runs, on the label's own
+    exemplar and on a Case 1 diagram and its net alike."""
+    surfaces = [exemplar("Case1")]
+    if label is not None:
+        surfaces.append(exemplar(str(label)))
+    for o in surfaces:
+        for carrier in carriers(o):
+            with pytest.raises(ValueError,
+                               match="no crossing-cylinder search for %s"
+                               % (label,)):
+                find_crossing_cylinder(carrier, label)
 
 
 def test_decomposition_and_net_witnesses_agree():
@@ -193,13 +210,14 @@ def test_decomposition_and_net_witnesses_agree():
     for o in surfaces:
         for slope in enumerate_slopes(3):
             d = periodic_decomposition(o, slope)
-            label = str(classify_case(dual_graph(d)))
-            if label not in ("Case1", "Case2", "Case4"):
+            label = classify_case(dual_graph(d))
+            if label not in (CaseLabel.CASE1, CaseLabel.CASE2,
+                             CaseLabel.CASE4):
                 continue
             witness = find_crossing_cylinder(d, label)
             assert witness == find_crossing_cylinder(decomposition_net(d),
                                                      label), (o, slope)
-            found[label, witness is not None] += 1
+            found[str(label), witness is not None] += 1
     # at this seed: 1486 Case 1, 12 Case 2 and 2 Case 4 directions, every
     # one with a witness
     assert found["Case1", True] > 1000
@@ -211,7 +229,7 @@ def brute_window_point(net, denominator=16):
     """Independent existence check for the four-cylinder witness: scan grid
     points on the re-cut bottom of the lower outer cylinder and follow the
     boundary gluing by hand, without the window-search machinery."""
-    from squaretiled.transverse import _matched_pair, _saddle_arc
+    from squaretiled.transverse import _saddle_arc
 
     c1, c4, middles = _matched_pair(net)
     wide = max(middles, key=lambda c: (net.cylinders[c].circumference, c))
@@ -245,7 +263,7 @@ def test_case4a_random_nets_with_brute_oracle(rng):
     for _ in range(60):
         small = random_case4a_net(rng)
         net = scaled_net(small, 16)
-        witness = find_crossing_cylinder(net, "Case4A")
+        witness = find_crossing_cylinder(net, CaseLabel.CASE4)
         assert witness is not None
         f, s = case4a_window_map(net)
         a, b = witness.start_interval
@@ -265,7 +283,7 @@ def test_case4a_cell_search_matches_the_interval_oracle():
     found = Counter()
 
     def check(d, expected):
-        witness = find_crossing_cylinder(d, "Case4A")
+        witness = find_crossing_cylinder(d, CaseLabel.CASE4)
         assert witness == expected, d
         found[witness.kind] += 1
 
@@ -292,7 +310,7 @@ def test_case4a_cell_search_matches_the_interval_oracle():
 def test_case4a_cell_search_needs_whole_units():
     net = random_case4a_net(random.Random(4242))
     with pytest.raises(InvariantViolation, match="whole-unit"):
-        find_crossing_cylinder(net, "Case4A")
+        find_crossing_cylinder(net, CaseLabel.CASE4)
 
 
 def test_window_feasible_known_points():
