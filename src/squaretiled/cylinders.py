@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .surface import Origami, act_sl2z, matrix_word
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """A maximal horizontal cylinder of an origami decomposition.
 
     ``rows`` lists the constituent ``h``-cycles from bottom to top, each
@@ -55,8 +54,7 @@ class Cylinder:
     height: int
 
 
-@dataclass
-class CylinderDiagram:
+class CylinderDiagram(NamedTuple):
     """Combinatorics of a cylinder decomposition with metric data forgotten.
 
     ``bottom_words`` and ``top_words`` map each cylinder id to the cyclic
@@ -224,8 +222,7 @@ class _Traversal:
             yield from self._copy().run(1 - s, c, r, next_saddle)
 
 
-@dataclass
-class CylinderDecomposition:
+class CylinderDecomposition(NamedTuple):
     """A cylinder decomposition of an origami in a periodic direction.
 
     All combinatorial and metric data refer to the sheared origami
@@ -243,9 +240,9 @@ class CylinderDecomposition:
     origami: Origami
     cylinders: tuple
     diagram: CylinderDiagram
-    saddle_lengths: dict = field(repr=False)
-    bottom_positions: dict = field(repr=False)
-    top_positions: dict = field(repr=False)
+    saddle_lengths: dict
+    bottom_positions: dict
+    top_positions: dict
     genus: int
 
     def core_row(self, cid):
@@ -478,7 +475,7 @@ def _slope_word(p, q):
     return tuple(matrix_word(((a, b), (-p, q))))
 
 
-def periodic_decomposition(o: Origami, slope, member=None):
+def periodic_decomposition(o: Origami, slope, image=None):
     r"""
     Cylinder decomposition of ``o`` in the rational direction of ``slope``.
 
@@ -486,7 +483,7 @@ def periodic_decomposition(o: Origami, slope, member=None):
     ``(q, p)``; ``(1, 0)`` is the vertical direction and ``(0, 1)``
     horizontal.  The origami is carried to a horizontally periodic one by
     an ``SL(2, Z)`` word and decomposed there, in the image's coordinates.
-    ``member``, when given, is the pair ``direction_member(o, slope)``
+    ``image``, when given, is the member ``direction_member(o, slope)[1]``
     already built by the caller.
 
     EXAMPLES::
@@ -498,9 +495,9 @@ def periodic_decomposition(o: Origami, slope, member=None):
         >>> [(c.circumference, c.height) for c in dv.cylinders]
         [(4, 1), (4, 1)]
     """
-    _, sheared = member if member is not None \
-        else direction_member(o, slope)
-    return horizontal_decomposition(sheared)
+    if image is None:
+        image = direction_member(o, slope)[1]
+    return horizontal_decomposition(image)
 
 
 def _bezout(x, y):

@@ -27,7 +27,7 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import mat_mul, smith_normal_form, snf_rank
@@ -113,7 +113,9 @@ class HomologyBasis:
         # by the rank class rows U2[r2:]·V^-1[r:]
         self._boundary_rank = r
         self._read_rows = v_inv[:r] + mat_mul(u_mat[r2:], rows)
-        self.omega = [[self.pair_chains(x, y) for y in self.basis_chains]
+        # each basis chain is balanced once, not once per pairing
+        balanced = [self.balance(y) for y in self.basis_chains]
+        self.omega = [[self._pair_balanced(x, yb) for yb in balanced]
                       for x in self.basis_chains]
         _require(all(self.omega[i][j] == -self.omega[j][i]
                      for i in range(self.rank) for j in range(self.rank)),
@@ -217,8 +219,12 @@ class HomologyBasis:
             >>> H.pair_chains(h_edge, v_edge)
             1
         """
+        return self._pair_balanced(x, self.balance(y))
+
+    def _pair_balanced(self, x, yb):
+        """:meth:`pair_chains` of ``x`` and ``y``, given ``yb``, the
+        :meth:`balance` of ``y``."""
         n, o = self.n, self.origami
-        yb = self.balance(y)
         total = 0
         for i in range(n):
             total += x[o.v[i]] * yb[n + i]
@@ -281,8 +287,7 @@ def core_curve_class(d, c, basis: HomologyBasis = None):
     return basis.coords(core_curve_chain(d, cid))
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Dual graph of a cylinder pinch: one genus-labeled vertex per
     component of the surface cut along all core curves, one edge per
     cylinder (loops allowed).

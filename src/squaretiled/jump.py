@@ -24,28 +24,31 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import InvariantViolation
+from .errors import Checked, InvariantViolation
 
 PROVENANCE = "paper argument, node values assumed nonzero"
 
 
-@dataclass(frozen=True)
-class ForcingVerdict:
-    """Outcome of an analytic forcing argument: which branch fired, the
-    exponent and nonzero integer coefficient of the obstructing term at
-    node values 1, a short verdict string, and where the fact comes from.
-    A zero coefficient is rejected by an explicit ``raise``, so the check
-    also runs under ``python -O``."""
-
+class _ForcingVerdictFields(NamedTuple):
     verdict: str
     branch: str
     exponent: int = None
     coefficient: int = None
     provenance: str = PROVENANCE
 
-    def __post_init__(self):
+
+class ForcingVerdict(Checked, _ForcingVerdictFields):
+    """Outcome of an analytic forcing argument: which branch fired, the
+    exponent and nonzero integer coefficient of the obstructing term at
+    node values 1, a short verdict string, and where the fact comes from.
+    A zero coefficient is rejected by an explicit ``raise``, so the check
+    also runs under ``python -O``."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.coefficient == 0:
             raise InvariantViolation("the obstructing coefficient must be "
                                      "nonzero")

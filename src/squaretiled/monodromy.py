@@ -41,7 +41,6 @@ EXAMPLES::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -75,8 +74,8 @@ def _inverse(word):
 
 class OrbitGraph(NamedTuple):
     """The ``SL(2, Z)``-orbit of an origami ``o`` as a graph on canonical
-    forms, from :func:`orbit_graph`; a named tuple, as a frozen dataclass
-    would add about 0.8 ms to importing the package.
+    forms, from :func:`orbit_graph`; a named tuple, as every record is
+    (see Records in the README).
 
     ``members`` are the canonical forms, ``members[0]`` that of ``o``;
     ``act_sl2z(o, words[i])`` is isomorphic to ``members[i]``, the words
@@ -277,8 +276,7 @@ def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     """Outcome of :func:`closure_classify`: ``Finite`` with the group
     order, or ``Unbounded`` with a witness word of infinite order (indices
     into the generator list, 1-based and negative for inverses, multiplied
@@ -418,8 +416,7 @@ def closure_classify(generators) -> ClosureResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForniReport:
+class ForniReport(NamedTuple):
     """Per-direction evidence about the maximal isometric subspace: the
     even upper bound ``2·(g - max core rank)``, the per-direction records
     ``(slope, case label, core span rank)``."""

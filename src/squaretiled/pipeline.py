@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .cylinders import (
     CaseLabel,
@@ -104,8 +105,7 @@ def affine_reference(a, h, t) -> Origami:
 AFFINE_IMAGE = "affine image of the reference"
 
 
-@dataclass(frozen=True)
-class DirectionRecord:
+class DirectionRecord(NamedTuple):
     """One analyzed direction: the reduced slope, the pinch case label, the
     exclusion mechanism applied, and the supporting witness object.  The
     label is ``None`` only on the Lagrangian core-curve record, whose
@@ -117,8 +117,7 @@ class DirectionRecord:
     witness: object = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Classification outcome, ``TrivialForni`` or
     ``WollmilchsauEquivalent``, with its evidence trail (see
     :func:`classify_surface`)."""
@@ -153,8 +152,7 @@ def _check_survivor(verdict):
                              "affine certificate")
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     """Boolean-valued outcome of the two-cylinder metric chain with the
     decisive record attached: a moduli forcing verdict or a window
     feasibility record.  The survivor's certificate restates the window
@@ -360,8 +358,8 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
         ...
         squaretiled.errors.GenusMismatch: genus 2 surface; this classification needs genus 3
     """
-    # the horizontal direction's member is o itself, with the empty word
-    horizontal = periodic_decomposition(o, (0, 1), ((), o))
+    # the horizontal direction's member is o itself
+    horizontal = periodic_decomposition(o, (0, 1), o)
     if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % horizontal.genus)

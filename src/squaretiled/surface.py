@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import NotTransitive
+from .errors import Checked, NotTransitive
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -178,14 +179,17 @@ class Origami:
         return f'origami n={self.n} h="{cycles_str(self.h)}" v="{cycles_str(self.v)}"'
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """Zero orders ``kappa`` (sorted descending) and the genus they force."""
-
+class _StratumFields(NamedTuple):
     kappa: tuple[int, ...]
     genus: int
 
-    def __post_init__(self):
+
+class Stratum(Checked, _StratumFields):
+    """Zero orders ``kappa`` (sorted descending) and the genus they force."""
+
+    __slots__ = ()
+
+    def _check(self):
         if any(k < 1 for k in self.kappa):
             raise ValueError(f"zero orders {self.kappa} must be positive")
         if sum(self.kappa) != 2 * self.genus - 2:

@@ -25,29 +25,32 @@ EXAMPLES::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cylinders import CaseLabel
-from .errors import InvariantViolation
+from .errors import Checked, InvariantViolation
 
 # ---------------------------------------------------------------------------
 # transverse-cylinder witnesses
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransverseWitness:
-    """A certified transverse cylinder: the horizontal cylinders it crosses
-    (each exactly once, in order), its width, its start interval on the
-    bottom of the first, and the average direction ``(dx, dy)`` of its core."""
-
+class _TransverseWitnessFields(NamedTuple):
     crossed: tuple
     width: int
     start_interval: tuple
     direction: tuple
     kind: str = ""
 
-    def __post_init__(self):
+
+class TransverseWitness(Checked, _TransverseWitnessFields):
+    """A certified transverse cylinder: the horizontal cylinders it crosses
+    (each exactly once, in order), its width, its start interval on the
+    bottom of the first, and the average direction ``(dx, dy)`` of its core."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.width <= 0:
             raise InvariantViolation("a transverse cylinder needs positive "
                                      "width")
@@ -318,8 +321,14 @@ def _case4b_witness(d, c1, c4, mid):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowConstraint:
+class _WindowConstraintFields(NamedTuple):
+    t0: int
+    s0: int
+    t_start: int
+    w: int
+
+
+class WindowConstraint(Checked, _WindowConstraintFields):
     """Window data for the two-cylinder forcing as integer numerators over
     the shared circumference ``w``: the longest saddle lengths ``t0 >= s0``
     on the two bottoms and the offset ``t_start`` of the upper window.
@@ -327,12 +336,9 @@ class WindowConstraint:
     the circumference.  Every check is an explicit ``raise``, so it also
     runs under ``python -O``."""
 
-    t0: int
-    s0: int
-    t_start: int
-    w: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not all(type(v) is int
                    for v in (self.t0, self.s0, self.t_start, self.w)):
             raise ValueError("window data must be exact: integer "
@@ -343,8 +349,7 @@ class WindowConstraint:
             raise ValueError("t_start must lie in [0, w)")
 
 
-@dataclass(frozen=True)
-class FeasibilityRecord:
+class FeasibilityRecord(NamedTuple):
     """Outcome of the window inequalities ``t0 >= s0 >= min_saddle`` and
     ``t_start <= 1 - 2·t0 - 2·s0`` in units of the circumference;
     ``slack`` is the numerator over ``w`` of the right-hand room

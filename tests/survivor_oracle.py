@@ -8,7 +8,7 @@ circumference.  The reference that the two-direction decision, the
 integer chain and the integer window inequalities are compared against.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -171,19 +171,19 @@ def classify_per_slope(o, direction_bound=3):
     package's classifier as it was while it walked a box of slopes.  It
     is ``Undetermined`` when no direction up to the bound excludes and
     some direction is not Case 6."""
-    horizontal = periodic_decomposition(o, (0, 1), ((), o))
+    horizontal = periodic_decomposition(o, (0, 1), o)
     if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % horizontal.genus)
     evidence = []
     analyzed = []
     for slope in enumerate_slopes(direction_bound):
-        member = direction_member(o, slope)
+        member = direction_member(o, slope)[1]
         record = next((r for m, r in analyzed
-                       if origami_isomorphism(member[1], m) is not None),
+                       if origami_isomorphism(member, m) is not None),
                       None)
         if record is not None:
-            evidence.append(replace(record, slope=slope))
+            evidence.append(record._replace(slope=slope))
             continue
         d = horizontal if slope == (0, 1) else \
             periodic_decomposition(o, slope, member)
@@ -191,7 +191,7 @@ def classify_per_slope(o, direction_bound=3):
         evidence.append(record)
         if excludes:
             return SlopeVerdict("TrivialForni", tuple(evidence), o)
-        analyzed.append((member[1], record))
+        analyzed.append((member, record))
     evidence = tuple(evidence)
     if any(record.label != "Case6" for record in evidence):
         return SlopeVerdict("Undetermined", evidence, o)

@@ -2,7 +2,6 @@
 command-line entry points."""
 
 import ast
-import dataclasses
 import itertools
 import os
 import random
@@ -585,7 +584,7 @@ def test_direction_record_is_invariant_under_relabelling():
                 continue
             if record.label is None:
                 assert record.witness == d.genus, (o, slope)
-            own = dataclasses.replace(record, slope=(0, 1))
+            own = record._replace(slope=(0, 1))
             if not excludes:
                 assert analyze(x, (0, 1))[0] == own, \
                     (o, slope)
@@ -746,7 +745,7 @@ def fraction_view(chain):
         Fraction(1, 4))
     record = survivor_oracle.FeasibilityRecord(
         rec.feasible, Fraction(rec.slack, c.w), rec.violated, rec.boundary)
-    return dataclasses.replace(chain, constraint=constraint, record=record)
+    return chain._replace(constraint=constraint, record=record)
 
 
 def test_window_extraction_matches_net_oracle(rng):
@@ -1369,10 +1368,10 @@ import sys
 from squaretiled import homology
 from squaretiled.errors import InvariantViolation
 from squaretiled.surface import build_origami
-pair = homology.HomologyBasis.pair_chains
-for forged in (lambda self, x, y: 1,
-               lambda self, x, y: 2 * pair(self, x, y)):
-    homology.HomologyBasis.pair_chains = forged
+pair = homology.HomologyBasis._pair_balanced
+for forged in (lambda self, x, yb: 1,
+               lambda self, x, yb: 2 * pair(self, x, yb)):
+    homology.HomologyBasis._pair_balanced = forged
     try:
         homology.homology_basis(build_origami((1, 0, 2), (2, 1, 0)))
     except InvariantViolation as exc:
@@ -1390,11 +1389,11 @@ def test_forged_survivor_verdict_raises():
     chain, certificate = classify_surface(o).evidence
     inconsistent = classify_surface(exemplar("Case6")).evidence[0]
     case1 = DirectionRecord((0, 1), "Case1", "transverse crossing cylinder")
-    shifted = dataclasses.replace(chain, slope=(1, 0))
+    shifted = chain._replace(slope=(1, 0))
 
     def forged(**changes):
-        return dataclasses.replace(certificate, witness=dataclasses.replace(
-            certificate.witness, **changes))
+        return certificate._replace(
+            witness=certificate.witness._replace(**changes))
 
     # the relabelled copy needs a relabelling other than the identity
     copy = relabelled(random.Random(7), o)
@@ -1511,3 +1510,22 @@ def test_no_assert_statement_in_the_package():
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_origami_and_catalog_are_dataclasses():
+    """A dataclass builds its methods at every import of the package,
+    about a millisecond each, and as dataclasses the result records took
+    half of the set-up time that is not compilation, so they are named
+    tuples; only ``Origami``, formatted as a single ``%`` operand, and
+    ``DiagramCatalog``, whose ``len`` counts diagrams, stay dataclasses."""
+    package = os.path.dirname(pipeline.__file__)
+    found = []
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        path = os.path.join(package, name)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.dump(d) for d in node.decorator_list):
+                found.append("%s:%s" % (name, node.name))
+    assert found == ["pipeline.py:DiagramCatalog", "surface.py:Origami"]
