@@ -15,7 +15,7 @@ Run with::
 from fractions import Fraction
 
 from squaretiled.cylinders import classify_case, horizontal_decomposition
-from squaretiled.homology import core_curve_class, dual_graph, homology_basis
+from squaretiled.homology import dual_graph, homology_basis
 from squaretiled.pipeline import classify_surface, reference_surface
 from squaretiled.surface import singularity_data
 
@@ -36,7 +36,13 @@ def main():
     print("saddle lengths:", ", ".join(lengths))
 
     b = homology_basis(o)
-    cores = [list(core_curve_class(d, c.id, b)) for c in d.cylinders]
+    cores = []
+    for c in d.cylinders:
+        # a core curve: the bottom edges of the cylinder's bottom row
+        chain = [0] * (2 * o.n)
+        for sq in c.rows[0]:
+            chain[sq] += 1
+        cores.append(b.coords(chain))
     print("core curves homologous:", cores[0] == cores[1])
 
     graph = dual_graph(d)

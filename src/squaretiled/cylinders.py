@@ -245,11 +245,6 @@ class CylinderDecomposition(NamedTuple):
     top_positions: dict
     genus: int
 
-    def core_row(self, cid):
-        """The bottom row of cylinder ``cid``; its squares' bottom edges sum
-        to a core-curve representative."""
-        return self.cylinders[cid].rows[0]
-
 
 def horizontal_decomposition(o: Origami):
     r"""

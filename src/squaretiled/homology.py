@@ -7,9 +7,10 @@ The square tiling is a cell complex: one vertex per cone-point corner
 class, edges ``h_i`` (bottom side of square ``i``) and ``v_i`` (left side),
 and one square face per square giving the relation
 ``h_i + v_{h(i)} - h_{v(i)} - v_i = 0``.  First homology is the cycle
-lattice modulo the face lattice, both read off integer Smith normal forms;
-the algebraic intersection number is evaluated on cycle representatives
-directly on the complex.
+lattice modulo the face lattice, both read off integer Smith normal forms.
+The rows that read a cycle's coordinates are cocycles dual to the basis,
+and by Poincaré duality the intersection form is minus the inverse of
+their cup-product Gram matrix.
 
 The affine action on homology is computed on chains: the cycles of one
 basis are pushed letter by letter through a word
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import mat_mul, smith_normal_form, snf_rank
-from .surface import Origami, act_sl2z, perm_inverse, singularity_data
+from .surface import Origami, act_sl2z, singularity_data
 
 # ---------------------------------------------------------------------------
 # chains on the square complex
@@ -39,7 +40,8 @@ from .surface import Origami, act_sl2z, perm_inverse, singularity_data
 #
 # A chain is a list of 2n integers: entry i is the coefficient of h_i
 # (bottom edge of square i, oriented rightward) and entry n+i that of v_i
-# (left edge of square i, oriented upward).
+# (left edge of square i, oriented upward).  A cochain is a list of 2n
+# integers in the same order, its values on the edges.
 
 
 def _require(condition, message):
@@ -49,12 +51,13 @@ def _require(condition, message):
         raise InvariantViolation(message)
 
 
-def _zero_chain(n):
-    return [0] * (2 * n)
-
-
-def _add_chain(a, b, c=1):
-    return [x + c * y for x, y in zip(a, b)]
+def _cup_gram(o: Origami, cocycles):
+    """Gram matrix of the cup product of cocycles on the fundamental class:
+    on square ``i``, ``α(h_i)·β(v_{h(i)}) - α(v_i)·β(h_{v(i)})``, bottom
+    times right minus left times top."""
+    n, h, v = o.n, o.h, o.v
+    return [[sum(a[i] * b[n + h[i]] - a[n + i] * b[v[i]] for i in range(n))
+             for b in cocycles] for a in cocycles]
 
 
 class HomologyBasis:
@@ -67,6 +70,12 @@ class HomologyBasis:
     are its coordinates on the cycle basis ``V[:, r:]``; the Smith form of
     the face relations in those coordinates gives the classes.
 
+    The rows ``α_j`` that read class coordinates vanish on every face
+    relation, so they are cocycles, and ``α_j`` is dual to basis class
+    ``j``.  Their cup-product Gram matrix ``C`` is the intersection form
+    of their Poincaré duals, which gives ``omega = -C⁻¹``; ``C`` must be
+    skew and unimodular, and with ``U·C·V = I`` its inverse is ``V·U``.
+
     Attributes of interest: ``rank`` (2·genus), ``omega`` (the skew
     unimodular Gram matrix of the chosen basis), ``basis_chains`` (cycle
     representatives).  Use :meth:`coords` for the coordinate vector of a
@@ -78,8 +87,6 @@ class HomologyBasis:
         self.origami = o
         n = o.n
         self.n = n
-        self.hi = perm_inverse(o.h)
-        self.vi = perm_inverse(o.v)
         orbits = o.vertex_orbits()
         corner = {sq: k for k, orbit in enumerate(orbits) for sq in orbit}
         boundary = [[0] * (2 * n) for _ in orbits]
@@ -110,31 +117,18 @@ class HomologyBasis:
         lifts = mat_mul(cycles, [row[r2:] for row in u_inv])
         self.basis_chains = [list(col) for col in zip(*lifts)]
         # a chain is read by r boundary rows, which vanish on cycles, and
-        # by the rank class rows U2[r2:]·V^-1[r:]
+        # by the rank class rows U2[r2:]·V^-1[r:], the dual cocycles
+        cocycles = mat_mul(u_mat[r2:], rows)
         self._boundary_rank = r
-        self._read_rows = v_inv[:r] + mat_mul(u_mat[r2:], rows)
-        # each basis chain is balanced once, not once per pairing
-        balanced = [self.balance(y) for y in self.basis_chains]
-        self.omega = [[self._pair_balanced(x, yb) for yb in balanced]
-                      for x in self.basis_chains]
-        _require(all(self.omega[i][j] == -self.omega[j][i]
+        self._read_rows = v_inv[:r] + cocycles
+        gram = _cup_gram(o, cocycles)
+        _require(all(gram[i][j] == -gram[j][i]
                      for i in range(self.rank) for j in range(self.rank)),
                  "intersection form must be skew")
-        s = smith_normal_form(self.omega)[1]
+        u_c, s, v_c, _, _ = smith_normal_form(gram)
         _require(all(s[i][i] == 1 for i in range(self.rank)),
                  "intersection form must be unimodular")
-
-    # -- cell complex ------------------------------------------------------
-
-    def face_chain(self, i):
-        """The boundary relation of square ``i``."""
-        o = self.origami
-        chain = _zero_chain(self.n)
-        chain[i] += 1
-        chain[self.n + o.h[i]] += 1
-        chain[o.v[i]] -= 1
-        chain[self.n + i] -= 1
-        return chain
+        self.omega = [[-x for x in row] for row in mat_mul(v_c, u_c)]
 
     # -- homology coordinates ---------------------------------------------
 
@@ -158,58 +152,10 @@ class HomologyBasis:
         _require(not any(read[:r]), "chain is not a cycle")
         return read[r:]
 
-    # -- intersection numbers ---------------------------------------------
-
-    def _corner_imbalance(self, chain):
-        """Net chain flow at each corner (a regular point of the complex
-        would have zero; cone corners can disagree sheet by sheet)."""
-        n, o = self.n, self.origami
-        d = [0] * n
-        for j in range(n):
-            d[j] = (chain[self.hi[j]] + chain[n + self.vi[j]]
-                    - chain[j] - chain[n + j])
-        return d
-
-    def balance(self, chain):
-        r"""
-        Add face relations so the chain's flow through every individual
-        corner (not just every vertex class) is balanced.
-
-        The intersection formula below counts crossings at square corners
-        and is only valid against balanced representatives.
-        """
-        n, o = self.n, self.origami
-        out = list(chain)
-        d = self._corner_imbalance(out)
-        # rho moves a corner to the next sheet around its vertex; adding the
-        # face v^-1(h^-1(x)) moves one unit of imbalance from x to rho(x)
-        rho = tuple(o.v[o.h[self.vi[self.hi[x]]]] for x in range(n))
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            x = rho[start]
-            while x != start:
-                orbit.append(x)
-                seen[x] = True
-                x = rho[x]
-            _require(sum(d[x] for x in orbit) == 0,
-                     "cycle has nonzero boundary")
-            transfer = 0
-            for x in orbit:
-                transfer += d[x]
-                if transfer:
-                    face = self.vi[self.hi[x]]
-                    out = _add_chain(out, self.face_chain(face), transfer)
-        _require(all(t == 0 for t in self._corner_imbalance(out)),
-                 "balanced chain must have no corner imbalance")
-        return out
-
     def pair_chains(self, x, y):
         r"""
-        Algebraic intersection number of two cycles given as chains.
+        Algebraic intersection number of two cycles given as chains: their
+        coordinates paired by ``omega``.
 
         EXAMPLES::
 
@@ -219,17 +165,9 @@ class HomologyBasis:
             >>> H.pair_chains(h_edge, v_edge)
             1
         """
-        return self._pair_balanced(x, self.balance(y))
-
-    def _pair_balanced(self, x, yb):
-        """:meth:`pair_chains` of ``x`` and ``y``, given ``yb``, the
-        :meth:`balance` of ``y``."""
-        n, o = self.n, self.origami
-        total = 0
-        for i in range(n):
-            total += x[o.v[i]] * yb[n + i]
-            total -= x[n + o.h[i]] * yb[i]
-        return total
+        cy = self.coords(y)
+        return sum(a * w * b for a, row in zip(self.coords(x), self.omega)
+                   for w, b in zip(row, cy))
 
     def holonomy_covectors(self):
         """Two integer covectors evaluating horizontal and vertical holonomy
@@ -255,36 +193,8 @@ def homology_basis(o: Origami) -> HomologyBasis:
 
 
 # ---------------------------------------------------------------------------
-# core curves and dual graphs
+# dual graphs
 # ---------------------------------------------------------------------------
-
-
-def core_curve_chain(d, cid):
-    """Chain of the core curve of cylinder ``cid``: the bottom edges of its
-    bottom row, oriented rightward."""
-    n = d.origami.n
-    chain = _zero_chain(n)
-    for sq in d.core_row(cid):
-        chain[sq] += 1
-    return chain
-
-
-def core_curve_class(d, c, basis: HomologyBasis = None):
-    r"""
-    Homology class of the core curve of cylinder ``c`` (id or object).
-
-    EXAMPLES::
-
-        >>> from squaretiled.surface import build_origami
-        >>> from squaretiled.cylinders import horizontal_decomposition
-        >>> d = horizontal_decomposition(build_origami((0,), (0,)))
-        >>> core_curve_class(d, 0)
-        [1, 0]
-    """
-    cid = c if isinstance(c, int) else c.id
-    if basis is None:
-        basis = homology_basis(d.origami)
-    return basis.coords(core_curve_chain(d, cid))
 
 
 class DualGraph(NamedTuple):

@@ -41,7 +41,7 @@ def perm_from_cycles(cycles, n=None) -> Perm:
     Build a permutation of ``{0, ..., n-1}`` from disjoint cycles.
 
     Fixed points may be omitted; ``n`` defaults to one more than the largest
-    entry mentioned.
+    entry mentioned.  An entry outside ``0..n-1`` raises ``ValueError``.
 
     EXAMPLES::
 
@@ -49,6 +49,10 @@ def perm_from_cycles(cycles, n=None) -> Perm:
         (1, 0, 2)
         >>> perm_from_cycles([], 2)
         (0, 1)
+        >>> perm_from_cycles([(0, 1, -1)], 2)
+        Traceback (most recent call last):
+        ...
+        ValueError: entry -1 is not in 0..1
     """
     if n is None:
         n = 1 + max((x for c in cycles for x in c), default=-1)
@@ -56,6 +60,8 @@ def perm_from_cycles(cycles, n=None) -> Perm:
     seen = set()
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
+            if not 0 <= a < n:
+                raise ValueError(f"entry {a} is not in 0..{n - 1}")
             if a in seen:
                 raise ValueError(f"entry {a} repeated in cycle notation")
             seen.add(a)
@@ -470,7 +476,13 @@ _ORIGAMI_RE = re.compile(
 )
 
 
+# parenthesised groups of space-separated square numbers and nothing else
+_CYCLES_RE = re.compile(r"\s*(?:\(\s*(?:[0-9]+(?:\s+[0-9]+)*\s*)?\)\s*)*")
+
+
 def _parse_cycles(text):
+    if not _CYCLES_RE.fullmatch(text):
+        raise ValueError(f"not a list of cycles: {text!r}")
     cycles = []
     for part in re.findall(r"\(([^()]*)\)", text):
         entries = tuple(int(x) for x in part.split())
@@ -486,7 +498,8 @@ def parse_origami(line: str) -> Origami:
 
     Cycles are space-separated integers and fixed points may be omitted; an
     optional ``n=<count>`` attribute pins the square count when fixed points
-    leave it ambiguous.
+    leave it ambiguous.  Text other than parenthesised cycles, and an entry
+    outside ``0..n-1``, raise ``ValueError``.
 
     EXAMPLES::
 
@@ -494,6 +507,10 @@ def parse_origami(line: str) -> Origami:
         3
         >>> parse_origami('origami n=1 h="" v=""').n
         1
+        >>> parse_origami('origami h="(0 1)(2 3" v=""')
+        Traceback (most recent call last):
+        ...
+        ValueError: not a list of cycles: '(0 1)(2 3'
     """
     m = _ORIGAMI_RE.match(line)
     if not m:

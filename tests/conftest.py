@@ -22,6 +22,14 @@ H4_LINE = 'origami h="(1 3)(2 4)" v="(0 3 4)"'
 # a 6-square H(2,2) surface whose stabilizer words up to length 3 generate
 # a finite group of order 18, though its orbit's closure is unbounded
 SIX_SQUARES = 'origami n=6 h="(0 1 2)(3 4 5)" v="(0 3 1 5 2 4)"'
+# lines that name no origami: an entry past n, a negative entry, the
+# reference with its second h-cycle unclosed, and stray text between cycles
+MALFORMED_LINES = (
+    'origami n=2 h="(0 5)" v=""',
+    'origami n=2 h="(0 1 -1)" v=""',
+    'origami h="(0 1 2 3)(4 7 6 5" v="(0 4 2 6)(1 5 3 7)"',
+    'origami h="(0 1 2 3) and (4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"',
+)
 
 
 def wollmilchsau():

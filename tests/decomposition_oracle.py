@@ -7,7 +7,8 @@ reference shape.  The reference that the one-pass integer versions of
 ``squaretiled.homology.dual_graph`` and the table lookup of
 ``squaretiled.cylinders.classify_case`` are compared against.  Also the
 rank of the span of the core-curve classes in homology, which the dual
-graph's cycle rank is compared against.
+graph's cycle rank is compared against, with the core-curve chains and
+classes it reads.
 
 The oracle decomposition carries no genus (``genus=None``); the tests
 compare the genus of the package's decomposition with
@@ -28,8 +29,7 @@ from squaretiled.cylinders import (
     CylinderDiagram,
 )
 from squaretiled.errors import InvariantViolation
-from squaretiled.homology import DualGraph, core_curve_class, \
-    homology_basis
+from squaretiled.homology import DualGraph, HomologyBasis, homology_basis
 from squaretiled.intlinalg import smith_normal_form, snf_rank
 from squaretiled.surface import perm_cycles, singularity_data
 
@@ -330,6 +330,39 @@ def classify_case(g):
         if _multigraph_isomorphic(genera, edges, ref_genera, ref_edges):
             return label
     return None
+
+
+def core_row(d, cid):
+    """The bottom row of cylinder ``cid`` of decomposition ``d``; its
+    squares' bottom edges sum to a core-curve representative."""
+    return d.cylinders[cid].rows[0]
+
+
+def core_curve_chain(d, cid):
+    """Chain of the core curve of cylinder ``cid``: the bottom edges of its
+    bottom row, oriented rightward."""
+    chain = [0] * (2 * d.origami.n)
+    for sq in core_row(d, cid):
+        chain[sq] += 1
+    return chain
+
+
+def core_curve_class(d, c, basis: HomologyBasis = None):
+    r"""
+    Homology class of the core curve of cylinder ``c`` (id or object).
+
+    EXAMPLES::
+
+        >>> from squaretiled.surface import build_origami
+        >>> from squaretiled.cylinders import horizontal_decomposition
+        >>> d = horizontal_decomposition(build_origami((0,), (0,)))
+        >>> core_curve_class(d, 0)
+        [1, 0]
+    """
+    cid = c if isinstance(c, int) else c.id
+    if basis is None:
+        basis = homology_basis(d.origami)
+    return basis.coords(core_curve_chain(d, cid))
 
 
 def core_span_rank(d) -> int:

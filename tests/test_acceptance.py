@@ -18,14 +18,14 @@ from conftest import (
     torus,
     wollmilchsau,
 )
+from decomposition_oracle import core_curve_class
 from interval_oracle import build_interval_map, case4a_window_map, \
     case4a_window_witness
 from test_transverse import brute_window_point, total_length, \
     window_feasible_pairs
 from squaretiled.cylinders import CaseLabel, classify_case, \
     horizontal_decomposition, periodic_decomposition
-from squaretiled.homology import core_curve_class, dual_graph, \
-    homology_basis
+from squaretiled.homology import dual_graph, homology_basis
 from squaretiled.jump import case3_verdict, case6_moduli_forcing
 from squaretiled.monodromy import closure_classify, homology_action, \
     restrict_to_zero_holonomy, stabilizer_generators

@@ -22,6 +22,7 @@ from conftest import (
     torus,
     wollmilchsau,
 )
+from decomposition_oracle import core_row
 from squaretiled.cylinders import (
     CaseLabel,
     CylinderDiagram,
@@ -94,7 +95,7 @@ def test_genus_two_graphs_match_no_case():
 def bottom_runs(d):
     """Each saddle's unit squares: the run of its bottom row that
     ``bottom_positions`` and ``saddle_lengths`` give."""
-    return {sid: d.core_row(cid)[a:a + d.saddle_lengths[sid]]
+    return {sid: core_row(d, cid)[a:a + d.saddle_lengths[sid]]
             for cid, positions in d.bottom_positions.items()
             for sid, a in positions.items()}
 

@@ -7,13 +7,12 @@ import homology_oracle
 from action_oracle import word_matrix
 from conftest import H4_LINE, SIX_SQUARES, exemplar, l_origami, torus, \
     wollmilchsau, random_origami
-from decomposition_oracle import core_span_rank
+from decomposition_oracle import core_curve_class, core_span_rank
 from fraction_oracle import det_rational
 from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.errors import InvariantViolation
 from squaretiled.homology import (
     HomologyBasis,
-    core_curve_class,
     dual_graph,
     homology_basis,
     transport_chains,
@@ -95,7 +94,8 @@ def test_core_span_ranks():
 
 def test_letter_action_preserves_intersection(rng):
     """Every letter, and random words, send the basis cycles to cycles on
-    the transformed origami whose intersection numbers are ``omega``."""
+    the transformed origami whose intersection numbers are ``omega``, read
+    in coordinates and by the oracle's balanced chain pairing."""
     for _ in range(12):
         o = random_origami(rng)
         b = homology_basis(o)
@@ -105,9 +105,13 @@ def test_letter_action_preserves_intersection(rng):
             target_o, images = transport_chains(o, word, b.basis_chains)
             assert target_o == act_sl2z(o, word)
             target = HomologyBasis(target_o)
+            oracle = homology_oracle.HomologyBasis(target_o)
             for x in images:
                 target.coords(x)   # raises unless x is a cycle
             assert [[target.pair_chains(x, y) for y in images]
+                    for x in images] == b.omega
+            # the balanced chain-level pairing gives the same numbers
+            assert [[oracle.pair_chains(x, y) for y in images]
                     for x in images] == b.omega
 
 
@@ -204,7 +208,13 @@ def test_smith_form_basis_matches_the_spanning_tree_oracle(rng):
         o = random_origami(rng)
         if singularity_data(o).genus <= 4:
             surfaces.append(o)
-    assert {singularity_data(o).genus for o in surfaces} == {1, 2, 3, 4}
+    for genus in (5, 6) * 3:
+        o = random_origami(rng, 12)
+        while singularity_data(o).genus != genus:
+            o = random_origami(rng, 12)
+        surfaces.append(o)
+    assert {singularity_data(o).genus for o in surfaces} == \
+        {1, 2, 3, 4, 5, 6}
     for o in surfaces:
         old, new = homology_oracle.HomologyBasis(o), HomologyBasis(o)
         p = _transition(old, new)

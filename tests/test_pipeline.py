@@ -16,9 +16,9 @@ import pytest
 import catalog_oracle
 import decomposition_oracle
 import survivor_oracle
-from conftest import BOUNDARY_4A, EXEMPLARS, H4_LINE, SIX_SQUARES, \
-    decomposition_net, exemplar, genus3_classes, genus3_origamis, \
-    l_origami, random_genus3, wollmilchsau
+from conftest import BOUNDARY_4A, EXEMPLARS, H4_LINE, MALFORMED_LINES, \
+    SIX_SQUARES, decomposition_net, exemplar, genus3_classes, \
+    genus3_origamis, l_origami, random_genus3, wollmilchsau
 from decomposition_oracle import core_span_rank
 from squaretiled.cli import build_parser, main as cli_main
 from squaretiled.cylinders import (
@@ -1093,6 +1093,14 @@ def test_cli_error_exits(tmp_path, capsys):
     assert cli_main(["analyze", str(bad)]) == 2
     genus2 = origami_file(tmp_path, l_origami())
     assert cli_main(["analyze", genus2]) == 2
+    # malformed cycles exit 2 with an error, not a traceback or a verdict
+    for line in MALFORMED_LINES:
+        bad.write_text(line + "\n", encoding="utf-8")
+        for command in ("analyze", "monodromy"):
+            capsys.readouterr()
+            assert cli_main([command, str(bad)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: "), (line, err)
     # an empty path is an unreadable file, not the reference surface
     capsys.readouterr()
     assert cli_main(["analyze", ""]) == 2
@@ -1368,10 +1376,11 @@ import sys
 from squaretiled import homology
 from squaretiled.errors import InvariantViolation
 from squaretiled.surface import build_origami
-pair = homology.HomologyBasis._pair_balanced
-for forged in (lambda self, x, yb: 1,
-               lambda self, x, yb: 2 * pair(self, x, yb)):
-    homology.HomologyBasis._pair_balanced = forged
+gram = homology._cup_gram
+for forged in (lambda o, cocycles: [[1] * len(cocycles)] * len(cocycles),
+               lambda o, cocycles: [[2 * x for x in row]
+                                    for row in gram(o, cocycles)]):
+    homology._cup_gram = forged
     try:
         homology.homology_basis(build_origami((1, 0, 2), (2, 1, 0)))
     except InvariantViolation as exc:

@@ -8,8 +8,8 @@ import pytest
 
 import canonical_form_oracle
 from action_oracle import word_matrix
-from conftest import l_origami, random_genus3, random_origami, torus, \
-    wollmilchsau
+from conftest import MALFORMED_LINES, l_origami, random_genus3, \
+    random_origami, torus, wollmilchsau
 from net_oracle import CylinderGeometry, NegativeLength, build_net
 from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import NotTransitive
@@ -187,6 +187,26 @@ def test_commutator_is_the_corner_permutation(rng):
 def test_parse_roundtrip():
     ew = wollmilchsau()
     assert parse_origami(str(ew)) == ew
+
+
+def test_malformed_cycles_raise_value_error():
+    """An entry outside ``0..n-1``, an unclosed cycle or text between the
+    cycles raises ``ValueError`` instead of an ``IndexError`` or another
+    surface; empty cycle lists and omitted fixed points are still read."""
+    for line in MALFORMED_LINES:
+        with pytest.raises(ValueError):
+            parse_origami(line)
+    for cycles, n in (([(0, 5)], 2), ([(0, 1, -1)], 2), ([(-1, 0)], None)):
+        with pytest.raises(ValueError, match="is not in 0.."):
+            perm_from_cycles(cycles, n)
+    assert parse_origami('origami n=1 h="" v=""') == torus()
+    assert parse_origami('origami n=1 h="()" v="( )"') == torus()
+    assert parse_origami('origami n=3 h="(0 1)" v="(0 2)"') == l_origami()
+    assert parse_origami('origami n=4 h="(0 1 2)" v="(2 3)"').n == 4
+    rng = random.Random(30)
+    for _ in range(50):
+        o = random_origami(rng, 12)
+        assert parse_origami(str(o)) == o
 
 
 def test_net_saddles_need_positive_length():
