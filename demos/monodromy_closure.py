@@ -57,7 +57,7 @@ def main():
     report = forni_upper_bound(o, 2)
     print("isometric-subspace dimension bound: %d" % report.upper_bound)
     print("per-direction core ranks all equal 1:",
-          all(rank == 1 for _, _, rank in report.witnesses))
+          all(rank == 1 for _, rank in report.witnesses))
 
     torus = build_origami((0,), (0,))
     shear = homology_action(torus, ("T",))

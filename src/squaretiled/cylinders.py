@@ -470,16 +470,16 @@ def _slope_word(p, q):
     return tuple(matrix_word(((a, b), (-p, q))))
 
 
-def periodic_decomposition(o: Origami, slope, image=None):
+def periodic_decomposition(o: Origami, slope):
     r"""
     Cylinder decomposition of ``o`` in the rational direction of ``slope``.
 
     ``slope`` is a reduced pair ``(p, q)`` meaning direction vector
     ``(q, p)``; ``(1, 0)`` is the vertical direction and ``(0, 1)``
     horizontal.  The origami is carried to a horizontally periodic one by
-    an ``SL(2, Z)`` word and decomposed there, in the image's coordinates.
-    ``image``, when given, is the member ``direction_member(o, slope)[1]``
-    already built by the caller.
+    an ``SL(2, Z)`` word and decomposed there, in the image's coordinates:
+    this is :func:`horizontal_decomposition` of the member
+    ``direction_member(o, slope)[1]``.
 
     EXAMPLES::
 
@@ -490,9 +490,7 @@ def periodic_decomposition(o: Origami, slope, image=None):
         >>> [(c.circumference, c.height) for c in dv.cylinders]
         [(4, 1), (4, 1)]
     """
-    if image is None:
-        image = direction_member(o, slope)[1]
-    return horizontal_decomposition(image)
+    return horizontal_decomposition(direction_member(o, slope)[1])
 
 
 def _bezout(x, y):
@@ -568,18 +566,17 @@ def classify_case(g):
     r"""
     Match a pinch dual graph against the six genus-3 reference shapes.
 
-    Returns the :class:`CaseLabel`, or ``None`` when the graph matches no
-    reference shape (in particular for every input whose genus labels and
-    cycle rank do not add up to genus 3).  One pass over the edges gives
-    each vertex's ``(genus, valence, loops)``, and the sorted triples are
+    Returns the :class:`CaseLabel`.  One pass over the edges gives each
+    vertex's ``(genus, valence, loops)``, and the sorted triples are
     looked up in a table of the six shapes.  The triples fix each shape up
     to isomorphism: once the loops are placed, the other edge ends pair up
     in one way only.  (In Case 4 the genus-1 vertex cannot send both its
     edges to one genus-0 vertex, which would leave the other one three
-    edge ends and a single free end to join.)
+    edge ends and a single free end to join.)  A graph outside the table,
+    such as the Lagrangian branch below or a pinch of another genus, raises
+    :class:`~squaretiled.errors.InvariantViolation`.
 
-    On the pinch of a genus-3 origami of cycle rank 1 or 2 the label is
-    never ``None``:
+    Every pinch of a genus-3 origami of cycle rank 1 or 2 is in the table:
 
     - A core curve has nonzero holonomy, so it does not separate, and the
       graph has no bridge.
@@ -587,8 +584,10 @@ def classify_case(g):
       least one zero, and Gauss-Bonnet gives ``2g - 2 + k`` as the sum of
       the orders of its zeros.  So a genus-0 vertex has valence at least
       3, and a vertex of valence 2 has genus at least 1.
-    - The genus labels sum to ``3 - h``, ``h`` the cycle rank.  For
-      ``h = 1`` the graph is a cycle, every vertex of valence 2: one
+    - The genus labels sum to ``3 - h``, ``h`` the cycle rank.  With ``a``
+      vertices of genus 0 and ``b`` of higher genus, ``2(V - 1 + h) >= 3a
+      + 2b`` and ``b <= 3 - h`` leave at most ``h + 1`` vertices.
+    - For ``h = 1`` the graph is a cycle, every vertex of valence 2: one
       vertex of genus 2 with a loop (Case 5) or two of genus 1 (Case 6).
     - For ``h = 2`` it is a theta or a figure-eight, possibly with edges
       subdivided, and one vertex has genus 1.  That vertex either sits at
@@ -596,6 +595,7 @@ def classify_case(g):
       the one vertex that subdivides an edge (Case 4, Case 3).
     - ``h = 3`` leaves every label 0, the Lagrangian branch that no case
       covers, and ``h = 0`` would make every edge a bridge.
+      ``test_pinch_shape_table_is_complete`` enumerates these graphs.
 
     EXAMPLES::
 
@@ -612,5 +612,11 @@ def classify_case(g):
         valence[w] += 1
         if u == w:
             loops[u] += 1
-    return _CASE_SIGNATURES.get(tuple(sorted(
-        (genus, valence[vid], loops[vid]) for vid, genus in g.vertices)))
+    try:
+        return _CASE_SIGNATURES[tuple(sorted(
+            (genus, valence[vid], loops[vid]) for vid, genus in g.vertices))]
+    except KeyError:
+        raise InvariantViolation("a pinch graph of cycle rank %d and genus "
+                                 "labels summing to %d matches none of the "
+                                 "six shapes" % (g.cycle_rank,
+                                                 g.geometric_genus)) from None

@@ -84,7 +84,6 @@ class HomologyBasis:
     """
 
     def __init__(self, o: Origami):
-        self.origami = o
         n = o.n
         self.n = n
         orbits = o.vertex_orbits()

@@ -45,7 +45,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .cylinders import classify_case, periodic_decomposition
+from .cylinders import periodic_decomposition
 from .errors import InvariantViolation, NotAStabilizer
 from .homology import (
     HomologyBasis,
@@ -419,7 +419,7 @@ def closure_classify(generators) -> ClosureResult:
 class ForniReport(NamedTuple):
     """Per-direction evidence about the maximal isometric subspace: the
     even upper bound ``2·(g - max core rank)``, the per-direction records
-    ``(slope, case label, core span rank)``."""
+    ``(slope, core span rank)``."""
 
     upper_bound: int
     witnesses: tuple
@@ -441,7 +441,7 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     r"""
     Upper bound ``min over directions of 2·(g - core span rank)`` for the
     dimension of an isometrically-moving subspace, with the per-direction
-    case labels as evidence.  The core span rank of a direction is the
+    core span ranks as evidence.  The core span rank of a direction is the
     :attr:`~squaretiled.homology.DualGraph.cycle_rank` of its pinch dual
     graph, which equals the rank of the span of the core-curve classes in
     homology without building a homology basis.
@@ -457,12 +457,7 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     g = singularity_data(o).genus
     if g < 2:
         raise ValueError("needs genus at least 2")
-    best = 2 * g
-    witnesses = []
-    for slope in enumerate_slopes(direction_bound):
-        graph = dual_graph(periodic_decomposition(o, slope))
-        rank = graph.cycle_rank
-        label = str(classify_case(graph))
-        witnesses.append((slope, label, rank))
-        best = min(best, 2 * (g - rank))
-    return ForniReport(best, tuple(witnesses))
+    witnesses = tuple(
+        (slope, dual_graph(periodic_decomposition(o, slope)).cycle_rank)
+        for slope in enumerate_slopes(direction_bound))
+    return ForniReport(2 * (g - max(rank for _, rank in witnesses)), witnesses)

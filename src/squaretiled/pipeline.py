@@ -261,21 +261,16 @@ def _analyze_direction(d, slope):
     subspace of homology, and Forni's geometric criterion (J. Mod. Dyn. 5,
     2011) then makes every Lyapunov exponent nonzero.  Any other pinch of
     a genus-3 origami has one of the six shapes
-    (:func:`~squaretiled.cylinders.classify_case`), and Cases 1, 2 and 4
-    always have a crossing witness; a graph with no label, such as a
-    pinch of another genus whose cycle rank falls short of it, raises
-    :class:`~squaretiled.errors.InvariantViolation`.  A Case 5 record
-    carries the slope it defers to (:func:`classify_surface`)."""
+    (:func:`~squaretiled.cylinders.classify_case`, complete by
+    ``test_pinch_shape_table_is_complete``), and Cases 1, 2 and 4 always
+    have a crossing witness; any other graph, such as a pinch of another
+    genus whose cycle rank falls short of it, raises there.  A Case 5
+    record carries the slope it defers to (:func:`classify_surface`)."""
     graph = dual_graph(d)
     if graph.cycle_rank == d.genus:
         return DirectionRecord(slope, None, "Lagrangian core curves",
                                graph.cycle_rank), True
     label = classify_case(graph)
-    if label is None:
-        raise InvariantViolation("a pinch graph of cycle rank %d and genus "
-                                 "labels summing to %d matches none of the "
-                                 "six shapes" % (graph.cycle_rank,
-                                                 graph.geometric_genus))
     name = str(label)
     if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
         return DirectionRecord(slope, name, "transverse crossing cylinder",
@@ -358,8 +353,7 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
         ...
         squaretiled.errors.GenusMismatch: genus 2 surface; this classification needs genus 3
     """
-    # the horizontal direction's member is o itself
-    horizontal = periodic_decomposition(o, (0, 1), o)
+    horizontal = horizontal_decomposition(o)
     if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % horizontal.genus)
@@ -468,14 +462,16 @@ def _gluings(h, images, kappa):
     return place(0)
 
 
-def _first_diagrams(h, images, stratum, cylinders):
-    """The diagram of the first gluing of each key, in key order."""
+def _first_diagrams(h, images, stratum):
+    """The diagram of the first gluing of each key, in key order.  Every
+    corner is a zero, so each cycle of ``h`` is one cylinder of height 1;
+    a taller one raises :class:`~squaretiled.errors.InvariantViolation`."""
     seen = {}
     for v in _gluings(h, images, stratum.kappa):
         d = horizontal_decomposition(Origami(h, v))
-        if len(d.cylinders) != cylinders or cylinders == 2 and \
-                classify_case(dual_graph(d)) is not CaseLabel.CASE6:
-            continue
+        if any(c.height != 1 for c in d.cylinders):
+            raise InvariantViolation("a catalog gluing has fewer cylinders "
+                                     "than rows")
         seen.setdefault(d.diagram.canonical_key(), d.diagram)
     return tuple(seen[key] for key in sorted(seen))
 
@@ -483,7 +479,7 @@ def _first_diagrams(h, images, stratum, cylinders):
 def _one_cylinder_diagrams(stratum: Stratum):
     m = sum(stratum.kappa) + len(stratum.kappa)
     h = tuple((i + 1) % m for i in range(m))
-    return _first_diagrams(h, [(0,)] + [range(1, m)] * (m - 1), stratum, 1)
+    return _first_diagrams(h, [(0,)] + [range(1, m)] * (m - 1), stratum)
 
 
 def _case6_diagrams(stratum: Stratum):
@@ -494,7 +490,7 @@ def _case6_diagrams(stratum: Stratum):
     h = perm_from_cycles([tuple(range(k)), tuple(range(k, 2 * k))], 2 * k)
     images = ([(k,)] + [range(k + 1, 2 * k)] * (k - 1)
               + [(0,)] + [range(1, k)] * (k - 1))
-    return _first_diagrams(h, images, stratum, 2)
+    return _first_diagrams(h, images, stratum)
 
 
 def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
@@ -513,6 +509,9 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     the longest.  A cylinder twist rotates its block of ``v`` and keeps the
     diagram, so each block starts at its smallest image (``v[0] = 0``; or
     ``v[0] = k``, ``v[k] = 0``), as the first ``v`` of every diagram does.
+    Each block's tops go into the other block, so the two cylinders
+    exchange their boundaries: Case 6 in genus 3, and no gluing in genus 2
+    (``test_pinch_shape_table_is_complete``).
 
     EXAMPLES::
 

@@ -3,7 +3,9 @@ gluing ``v`` of the one-cylinder and two-cylinder ``h``, read its stratum
 with ``singularity_data`` and keep the diagram of the first candidate of
 each canonical key.  The reference that the pruned corner-cycle search of
 ``squaretiled.pipeline.enumerate_diagrams`` is compared against, entry by
-entry.
+entry.  The Case 6 scan keeps a two-cylinder gluing when the vertex
+permutation search of ``decomposition_oracle.classify_case`` names its
+pinch Case 6, independently of the package's shape table.
 
 The one-cylinder scan fixes ``v[0] = 0`` (a twist of the cylinder) and
 tries the ``(m - 1)!`` others; the Case 6 scan fixes no twist and tries all
@@ -12,11 +14,8 @@ tries the ``(m - 1)!`` others; the Case 6 scan fixes no twist and tries all
 
 import itertools
 
-from squaretiled.cylinders import (
-    CaseLabel,
-    classify_case,
-    horizontal_decomposition,
-)
+from decomposition_oracle import classify_case
+from squaretiled.cylinders import CaseLabel, horizontal_decomposition
 from squaretiled.homology import dual_graph
 from squaretiled.surface import (
     Stratum,

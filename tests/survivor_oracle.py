@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from squaretiled.cylinders import direction_member, periodic_decomposition
+from squaretiled.cylinders import direction_member, horizontal_decomposition
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.jump import case6_moduli_forcing
 from squaretiled.monodromy import enumerate_slopes
@@ -171,7 +171,7 @@ def classify_per_slope(o, direction_bound=3):
     package's classifier as it was while it walked a box of slopes.  It
     is ``Undetermined`` when no direction up to the bound excludes and
     some direction is not Case 6."""
-    horizontal = periodic_decomposition(o, (0, 1), o)
+    horizontal = horizontal_decomposition(o)
     if horizontal.genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
                             "genus 3" % horizontal.genus)
@@ -186,7 +186,7 @@ def classify_per_slope(o, direction_bound=3):
             evidence.append(record._replace(slope=slope))
             continue
         d = horizontal if slope == (0, 1) else \
-            periodic_decomposition(o, slope, member)
+            horizontal_decomposition(member)
         record, excludes = _analyze_direction(d, slope)
         evidence.append(record)
         if excludes:

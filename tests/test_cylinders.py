@@ -3,6 +3,7 @@ classification of pinch graphs, and moduli exponents."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -23,6 +24,7 @@ from conftest import (
     wollmilchsau,
 )
 from decomposition_oracle import core_row
+from squaretiled import cylinders
 from squaretiled.cylinders import (
     CaseLabel,
     CylinderDiagram,
@@ -89,7 +91,9 @@ def test_wollmilchsau_slope_one_is_case6():
 
 def test_genus_two_graphs_match_no_case():
     d = horizontal_decomposition(l_origami())
-    assert classify_case(dual_graph(d)) is None
+    with pytest.raises(InvariantViolation, match="cycle rank 2 and genus "
+                       "labels summing to 0 matches none of the six shapes"):
+        classify_case(dual_graph(d))
 
 
 def bottom_runs(d):
@@ -103,9 +107,10 @@ def bottom_runs(d):
 def test_decomposition_matches_the_oracle():
     """The one-pass integer decomposition, dual graph and case label equal
     the set-based ones of the oracle on every slope up to bound 3, down to
-    the key order of every mapping; the new ``genus`` field is the
-    stratum's genus, and every cylinder's circumference and height, equal
-    to the oracle's ``Fraction``s, are ``int``s."""
+    the key order of every mapping, and the label raises exactly where the
+    oracle finds no shape; the new ``genus`` field is the stratum's genus,
+    and every cylinder's circumference and height, equal to the oracle's
+    ``Fraction``s, are ``int``s."""
     rng = random.Random(1313)
     surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
     surfaces += [exemplar(name) for name in EXEMPLARS]
@@ -114,7 +119,7 @@ def test_decomposition_matches_the_oracle():
     for o in surfaces:
         for slope in enumerate_slopes(3):
             member = direction_member(o, slope)[1]
-            d = periodic_decomposition(o, slope, member)
+            d = horizontal_decomposition(member)
             old, old_saddles = decomposition_oracle.decomposition_with_saddles(
                 member)
             assert d.genus == singularity_data(member).genus
@@ -130,7 +135,7 @@ def test_decomposition_matches_the_oracle():
                     [list(m) for m in old_map.values()]
             g = dual_graph(d)
             assert g == decomposition_oracle.dual_graph(old), (o, slope)
-            label = classify_case(g)
+            label = label_or_none(g)
             assert label is decomposition_oracle.classify_case(g)
             labels.add(label)
     assert labels == set(CaseLabel) | {None}
@@ -138,6 +143,16 @@ def test_decomposition_matches_the_oracle():
     for _ in range(20):
         net = random_case4a_net(rng)
         assert dual_graph(net) == decomposition_oracle.dual_graph(net)
+
+
+def label_or_none(g):
+    """The label of ``g``, or ``None`` where :func:`classify_case` raises
+    because ``g`` matches none of the six shapes."""
+    try:
+        return classify_case(g)
+    except InvariantViolation as exc:
+        assert "matches none of the six shapes" in str(exc), exc
+        return None
 
 
 def small_multigraphs():
@@ -157,7 +172,7 @@ def test_closed_form_matches_the_permutation_search():
     """The per-vertex (genus, valence, loops) lookup gives the label of the
     vertex-permutation search on every multigraph of
     :func:`small_multigraphs` and on every small genus-labelled multigraph
-    drawn, matched or not."""
+    drawn, and raises exactly where that search matches no shape."""
     graphs = list(small_multigraphs())
     assert len(graphs) == 12996
     rng = random.Random(1314)
@@ -171,10 +186,92 @@ def test_closed_form_matches_the_permutation_search():
                                       for vid in range(nv)), edges))
     labels = set()
     for g in graphs:
-        label = classify_case(g)
+        label = label_or_none(g)
         assert label is decomposition_oracle.classify_case(g), g
         labels.add(label)
     assert labels == set(CaseLabel) | {None}
+
+
+def connected(nv, edges):
+    """Whether the multigraph on vertices ``0..nv-1`` is connected."""
+    reached, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    return len(reached) == nv
+
+
+def admissible_pinch_graphs(max_vertices=4):
+    """Pairs ``(h, graph)``: every genus-labelled multigraph on vertices
+    ``0..V-1``, ``V <= max_vertices``, that the argument of
+    :func:`classify_case` allows for a genus-3 pinch of cycle rank ``h`` in
+    1..3.  It has ``V - 1 + h`` edges (loops allowed), is connected and
+    has no bridge, its genus labels sum to ``3 - h``, and every genus-0
+    vertex has valence at least 3, a loop counting twice.  Isomorphic
+    graphs are repeated."""
+    for h in (1, 2, 3):
+        for nv in range(1, max_vertices + 1):
+            pairs = list(itertools.combinations_with_replacement(range(nv),
+                                                                 2))
+            for edges in itertools.combinations_with_replacement(
+                    pairs, nv - 1 + h):
+                if not connected(nv, edges) or any(
+                        not connected(nv, edges[:i] + edges[i + 1:])
+                        for i in range(len(edges))):
+                    continue
+                valence = [sum(e.count(x) for e in edges) for x in range(nv)]
+                for genera in itertools.product(range(4 - h), repeat=nv):
+                    if sum(genera) == 3 - h and all(
+                            genus or valence[x] >= 3
+                            for x, genus in enumerate(genera)):
+                        yield h, DualGraph(tuple(enumerate(genera)),
+                                           tuple(enumerate(edges)))
+
+
+def test_pinch_shape_table_is_complete():
+    """The six-entry table of :func:`classify_case` holds every pinch
+    shape of a genus-3 origami: over every admissible graph of cycle rank
+    ``h`` in 1..3 on up to four vertices, every one has at most ``h + 1``
+    vertices; those of rank 1 and 2 have exactly the six table keys as
+    their per-vertex (genus, valence, loops) signatures, each key one
+    isomorphism class, labelled as the vertex-permutation search labels
+    it; and rank 3 leaves only genus-0 labels, none of them in the table,
+    so ``classify_case`` raises there (the Lagrangian branch)."""
+    shapes, lagrangian = {}, 0
+    for h, g in admissible_pinch_graphs():
+        assert len(g.vertices) <= h + 1, g
+        valence, loops = Counter(), Counter()
+        for _, (u, w) in g.edges:
+            valence[u] += 1
+            valence[w] += 1
+            loops[u] += u == w
+        signature = tuple(sorted((genus, valence[x], loops[x])
+                                 for x, genus in g.vertices))
+        if h == 3:
+            assert all(genus == 0 for _, genus in g.vertices), g
+            assert signature not in cylinders._CASE_SIGNATURES, g
+            with pytest.raises(InvariantViolation,
+                               match="cycle rank 3 and genus labels summing "
+                               "to 0 matches none of the six shapes"):
+                classify_case(g)
+            lagrangian += 1
+        else:
+            assert classify_case(g) is \
+                decomposition_oracle.classify_case(g) is not None, g
+            shapes.setdefault(signature, []).append(g)
+    assert set(shapes) == set(cylinders._CASE_SIGNATURES)
+    for graphs in shapes.values():
+        first = ([genus for _, genus in graphs[0].vertices],
+                 [e for _, e in graphs[0].edges])
+        for g in graphs:
+            assert decomposition_oracle._multigraph_isomorphic(
+                *first, [genus for _, genus in g.vertices],
+                [e for _, e in g.edges]), g
+    assert lagrangian == 18
 
 
 def test_malformed_origami_raises_as_the_oracle_does():

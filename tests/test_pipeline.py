@@ -53,6 +53,7 @@ from squaretiled.surface import (
     singularity_data,
 )
 from squaretiled.transverse import TransverseWitness
+from test_cylinders import label_or_none
 
 
 def record_for(verdict, slope):
@@ -214,10 +215,13 @@ SURVIVOR16 = ('origami n=16 h="(0 1 5 2)(3 6 12 8)(4 9 13 7)(10 15 11 14)" '
                          ids=["reference", "survivor16", "case5"])
 def test_each_direction_analysed_once(monkeypatch, text, directions,
                                       isomorphisms):
-    """At most two directions are analysed, each once.  A survivor
-    analyses the horizontal direction alone, builds no member and makes
-    one isomorphism test, against its affine image of the reference; a
-    Case 5 surface builds the member of the one direction it defers to."""
+    """At most two directions are analysed, each once: the horizontal one
+    through ``horizontal_decomposition`` of the surface itself, the one a
+    Case 5 direction defers to through ``periodic_decomposition``.  A
+    survivor analyses the horizontal direction alone, builds no member and
+    makes one isomorphism test, against its affine image of the reference;
+    a Case 5 surface builds the member of the one direction it defers
+    to."""
     o = parse_origami(text)
     calls = []
 
@@ -229,8 +233,8 @@ def test_each_direction_analysed_once(monkeypatch, text, directions,
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("periodic_decomposition", "dual_graph", "_metric_chain",
-                 "origami_isomorphism"):
+    for name in ("horizontal_decomposition", "periodic_decomposition",
+                 "dual_graph", "_metric_chain", "origami_isomorphism"):
         counted(pipeline, name)
     # periodic_decomposition builds members through the names cylinders
     # imported
@@ -240,7 +244,8 @@ def test_each_direction_analysed_once(monkeypatch, text, directions,
     assert len({r.slope for r in verdict.evidence}) == directions
     assert verdict.status == ("TrivialForni" if directions == 2
                               else "WollmilchsauEquivalent")
-    assert calls.count("periodic_decomposition") == directions
+    assert calls.count("horizontal_decomposition") == 1
+    assert calls.count("periodic_decomposition") == directions - 1
     assert calls.count("dual_graph") == directions
     assert calls.count("_metric_chain") == 2 - directions
     assert calls.count("direction_member") == directions - 1
@@ -683,15 +688,22 @@ def random_boundary_exchange(rng):
 WORDS = ((), ("T",), ("S",), ("T", "S"), ("S", "T^-1"))
 
 
+def is_case6(d):
+    """Whether decomposition ``d`` is Case 6.  ``classify_case`` names the
+    pinch shapes of genus 3 and cycle rank 1 or 2 and raises on any other
+    graph, so the genus and the cycle rank are checked first."""
+    graph = dual_graph(d)
+    return d.genus == 3 and graph.cycle_rank < 3 and \
+        classify_case(graph) is CaseLabel.CASE6
+
+
 def feasible_window_has_quarter_saddles(o, d, slope):
     """On a Case 6 decomposition ``d`` of ``o`` at ``slope`` whose metric
     chain is consistent, every saddle is a quarter circumference long and
     the stratum is H(1,1,1,1): the counting argument that lets the final
     step compare diagrams alone.  Returns whether ``d`` is such a
     decomposition."""
-    graph = dual_graph(d)
-    if classify_case(graph) is not CaseLabel.CASE6 \
-            or not pipeline._metric_chain(d):
+    if not is_case6(d) or not pipeline._metric_chain(d):
         return False
     w = len(d.cylinders[0].rows[0])
     assert all(4 * length == w for length in d.saddle_lengths.values()), \
@@ -761,7 +773,7 @@ def test_window_extraction_matches_net_oracle(rng):
             image = act_sl2z(o, list(word))
             for slope in enumerate_slopes(3):
                 d = periodic_decomposition(image, slope)
-                if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
+                if not is_case6(d):
                     continue
                 feasible_window_has_quarter_saddles(image, d, slope)
                 ids = [c.id for c in d.cylinders]
@@ -827,7 +839,7 @@ def test_consistent_window_chain_is_the_reference_diagram():
             gluings):
         o = exchanging_cylinders(heights, twist, a_to_b, b_to_a)
         d = horizontal_decomposition(o)
-        if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
+        if not is_case6(d):
             continue
         case6 += 1
         chain = pipeline._metric_chain(d)
@@ -864,7 +876,7 @@ def test_integer_chain_matches_the_fraction_oracle():
             assert moduli_exponents(d) == \
                 survivor_oracle.moduli_exponents(d), (o, slope)
             directions += 1
-            if classify_case(dual_graph(d)) is CaseLabel.CASE6:
+            if is_case6(d):
                 chain = pipeline._metric_chain(d)
                 assert fraction_view(chain) == \
                     survivor_oracle.metric_chain(d), (o, slope)
@@ -1173,7 +1185,9 @@ def test_cli_monodromy_acts_only_on_the_generators_the_closure_reads(
 
 def test_one_dual_graph_per_analysed_direction(monkeypatch):
     """A Case 1, 2 or 4 direction reaches its crossing-witness search
-    without a second dual graph."""
+    without a second dual graph: one decomposition, which every entry
+    point builds through ``horizontal_decomposition``, and one dual graph
+    per analysed direction."""
     calls = []
 
     def counted(fn):
@@ -1186,31 +1200,33 @@ def test_one_dual_graph_per_analysed_direction(monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, wrapper)
 
     counted(dual_graph)
-    counted(periodic_decomposition)
+    counted(horizontal_decomposition)
     rng = random.Random(4242)
     surfaces = [exemplar(name) for name in EXEMPLARS]
     surfaces += [random_genus3(rng, 5, 12) for _ in range(100)]
-    labels = []
+    labels, directions = [], 0
     for o in surfaces:
         verdict = classify_surface(o)
         labels += [r.label for r in verdict.evidence
                    if r.mechanism == "transverse crossing cylinder"]
+        directions += len({r.slope for r in verdict.evidence})
     assert {"Case1", "Case2", "Case4"} <= set(labels)
     assert calls.count("dual_graph") == \
-        calls.count("periodic_decomposition") > 100
+        calls.count("horizontal_decomposition") == directions > 100
 
 
 def test_every_small_genus3_direction_has_a_shape_and_a_witness():
     """The horizontal direction of every genus-3 origami on at most six
     squares, and so every direction of each, since the set is closed
-    under ``SL(2, Z)``: the closed-form label is the oracle's, it is
-    ``None`` only at cycle rank 3, the direction analysis never raises,
-    and every Case 1, 2 and 4 record carries a crossing witness."""
+    under ``SL(2, Z)``: the closed-form label is the oracle's, it raises
+    exactly at cycle rank 3, where the oracle finds no shape, the
+    direction analysis never raises, and every Case 1, 2 and 4 record
+    carries a crossing witness."""
     records = Counter()
     for o in genus3_origamis(6):
         d = horizontal_decomposition(o)
         graph = dual_graph(d)
-        label = classify_case(graph)
+        label = label_or_none(graph)
         assert label is decomposition_oracle.classify_case(graph), o
         assert (label is None) == (graph.cycle_rank == 3), o
         record, excludes = pipeline._analyze_direction(d, (0, 1))
@@ -1307,12 +1323,15 @@ for trail in ((), (chain,), (certificate,), (chain, chain),
 # the raises of classify_surface, each reached by monkeypatching: a Case 5
 # surface whose deferred direction is made to exclude nothing, and the
 # reference with the isomorphism test made to fail or to return a
-# relabelling that is not an isomorphism
+# relabelling that is not an isomorphism; then the shape lookup on the
+# genus-2 L-origami's horizontal pinch, which no genus-3 shape matches
 FORGED_DECISIONS = """
 import sys
 from squaretiled import pipeline
+from squaretiled.cylinders import classify_case, horizontal_decomposition
 from squaretiled.errors import InvariantViolation
-from squaretiled.surface import parse_origami
+from squaretiled.homology import dual_graph
+from squaretiled.surface import build_origami, parse_origami
 analyze = pipeline._analyze_direction
 pipeline._analyze_direction = lambda d, slope: (analyze(d, slope)[0], False)
 try:
@@ -1326,6 +1345,11 @@ for forged in (None, (1, 0, 2, 3, 4, 5, 6, 7)):
         pipeline.classify_surface(pipeline.reference_surface())
     except InvariantViolation as exc:
         print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
+try:
+    classify_case(dual_graph(horizontal_decomposition(
+        build_origami((1, 0, 2), (2, 1, 0)))))
+except InvariantViolation as exc:
+    print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
 """ % CASE5_SEVEN
 
 FORGED_WITNESS = """
@@ -1432,7 +1456,8 @@ def test_decision_raises_survive_python_O(monkeypatch):
     """A Case 5 direction whose deferred direction excluded nothing, or a
     consistent chain without a relabelling onto its affine image, would
     contradict the arguments of :func:`classify_surface`; both raise, also
-    under ``python -O``."""
+    under ``python -O``, and so does the shape lookup on a pinch that
+    matches none of the six shapes."""
     analyze_direction = pipeline._analyze_direction
     monkeypatch.setattr(pipeline, "_analyze_direction", lambda d, slope: (
         analyze_direction(d, slope)[0], False))
@@ -1461,7 +1486,9 @@ def test_decision_raises_survive_python_O(monkeypatch):
         "optimize=1 raised: a consistent Case 6 chain of saddle length 1 and "
         "height 1 is not the affine image [[1, 0], [0, 1]] of the reference",
         "optimize=1 raised: survivor verdicts require a consistent "
-        "horizontal Case 6 chain followed by its affine certificate"]
+        "horizontal Case 6 chain followed by its affine certificate",
+        "optimize=1 raised: a pinch graph of cycle rank 2 and genus labels "
+        "summing to 0 matches none of the six shapes"]
 
 
 def test_checks_survive_python_O():

@@ -210,7 +210,11 @@ def test_decomposition_and_net_witnesses_agree():
     for o in surfaces:
         for slope in enumerate_slopes(3):
             d = periodic_decomposition(o, slope)
-            label = classify_case(dual_graph(d))
+            graph = dual_graph(d)
+            # a Lagrangian pinch, of cycle rank 3, has none of the shapes
+            if graph.cycle_rank == 3:
+                continue
+            label = classify_case(graph)
             if label not in (CaseLabel.CASE1, CaseLabel.CASE2,
                              CaseLabel.CASE4):
                 continue
