@@ -15,7 +15,7 @@ Run with::
 from fractions import Fraction
 
 from squaretiled.cylinders import classify_case, horizontal_decomposition
-from squaretiled.homology import dual_graph, homology_basis
+from squaretiled.homology import homology_basis
 from squaretiled.pipeline import classify_surface, reference_surface
 from squaretiled.surface import singularity_data
 
@@ -45,7 +45,7 @@ def main():
         cores.append(b.coords(chain))
     print("core curves homologous:", cores[0] == cores[1])
 
-    graph = dual_graph(d)
+    graph = d.dual_graph
     print("pinch dual graph: component genera %s, %d nodes — %s"
           % (sorted(g for _, g in graph.vertices), len(graph.edges),
              classify_case(graph)))

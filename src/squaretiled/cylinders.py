@@ -9,7 +9,8 @@ combinatorial computation on the two permutations.  This module computes
   stacks of ``h``-cycles glued along cone-point-free interfaces, together
   with all saddle connections on the cylinder boundaries and their
   integer lengths and positions, which the transverse-cylinder searches
-  read directly,
+  read directly, and the dual graph of the pinch of every core curve
+  (:class:`DualGraph`), built in the same pass,
 - decompositions in arbitrary rational directions
   (:func:`periodic_decomposition`) by shearing the direction to horizontal
   with an ``SL(2, Z)`` word (:func:`direction_member`),
@@ -234,7 +235,8 @@ class CylinderDecomposition(NamedTuple):
     reduced mod the circumference.  These are the metric data the
     transverse-cylinder searches read.  ``genus`` is the genus
     of ``origami``, read off the corner permutation that also marks the
-    cone points.
+    cone points.  ``dual_graph`` is the :class:`DualGraph` of the pinch
+    of every core curve, built in the same pass.
     """
 
     origami: Origami
@@ -244,11 +246,13 @@ class CylinderDecomposition(NamedTuple):
     bottom_positions: dict
     top_positions: dict
     genus: int
+    dual_graph: DualGraph
 
 
 def horizontal_decomposition(o: Origami):
     r"""
-    Decompose an origami into maximal horizontal cylinders.
+    Decompose an origami into maximal horizontal cylinders and build the
+    dual graph of their pinch.
 
     Each cylinder is a maximal stack of ``h``-cycles glued along interfaces
     free of cone points; circumference is the cycle length and height the
@@ -264,12 +268,27 @@ def horizontal_decomposition(o: Origami):
     numbered by the smallest square of their bottom row, which starts at
     its first marked corner.
 
+    The pinch cuts every cylinder along its core curve into a bottom half,
+    numbered ``2·c``, and a top half, ``2·c + 1``.  A saddle on the top of
+    cylinder ``c`` and the bottom of ``c'`` joins half ``2·c + 1`` to half
+    ``2·c'``, so the top words, read saddle by saddle, union the halves
+    into the components of the cut surface, numbered by their smallest
+    half.  A component holding ``k`` halves retracts onto its zeros and
+    saddles, so its Euler characteristic ``2 - 2·genus - k`` is its zeros
+    less its saddles: each saddle is counted on the component of the
+    bottom half it bounds, and each zero on that of the first bottom it
+    starts a saddle on.  The components are the vertices of
+    :class:`DualGraph`, each cylinder the edge between its two halves, and
+    the genus labels and cycle rank must add up to ``genus``.
+
     Raises :class:`~squaretiled.errors.InvariantViolation` when a stack of
     rows has no unique bottom row or is not one chain, when a top boundary
     has no marked corner, when a run of top edges leaves its saddle or
-    differs from it in length, when the diagram fails
-    :meth:`CylinderDiagram.validate`, or when the cylinder areas do not
-    sum to the number of squares.
+    differs from it in length, when a saddle is read on two tops or on
+    none (the checks of :meth:`CylinderDiagram.validate`, made with one
+    flag per saddle as the top words are read), when the cylinder areas do
+    not sum to the number of squares, or when a component has a genus
+    that is not a whole number or the graph does not carry ``genus``.
 
     EXAMPLES::
 
@@ -280,6 +299,8 @@ def horizontal_decomposition(o: Origami):
         (1, 1, 1)
         >>> d.diagram.bottom_words, d.diagram.top_words
         ({0: (0,)}, {0: (0,)})
+        >>> d.dual_graph
+        DualGraph(vertices=((0, 0),), edges=((0, (0, 0)),))
     """
     h, v = o.h, o.v
     n = len(h)
@@ -334,6 +355,7 @@ def horizontal_decomposition(o: Origami):
     # smallest square, so the cylinders come out numbered the same way
     owner = [-1] * len(rows)
     cylinders = []
+    area = 0
     for r, row in enumerate(rows):
         if merged_up[r]:
             continue
@@ -354,77 +376,127 @@ def horizontal_decomposition(o: Origami):
             owner[up] = cid
             stacked.append(tuple([v[s] for s in stacked[-1]]))
             up = above[up]
+        area += len(bottom) * len(stacked)
         cylinders.append(Cylinder(cid, tuple(stacked), len(bottom),
                                   len(stacked)))
     if -1 in owner:
         raise InvariantViolation("cylinder stack must have a unique bottom "
                                  "row")
 
-    # bottom saddles: runs from each marked corner to the next
+    # bottom saddles: runs from each marked corner to the next, numbered
+    # along the bottoms in order; ``bottom_of`` holds the cylinder whose
+    # bottom each saddle lies on, and ``new_zeros`` the number of zeros
+    # each bottom is the first to start a saddle at
     saddle_lengths = {}
     saddle_zeros = {}
+    bottom_of = []
+    new_zeros = []
+    zero_met = [False] * classes
     edge_saddle = [-1] * n
     bottom_words = {}
     bottom_positions = {}
-    for c in cylinders:
+    sid = -1
+    for cid, c in enumerate(cylinders):
         bottom = c.rows[0]
-        w = len(bottom)
-        starts = [i for i, s in enumerate(bottom) if marked[s]]
-        ids = []
         positions = {}
-        for a, b in zip(starts, starts[1:] + [w]):
-            sid = len(saddle_lengths)
-            saddle_lengths[sid] = b - a
-            saddle_zeros[sid] = (corner_class[bottom[a]],
-                                 corner_class[bottom[b % w]])
-            for s in bottom[a:b]:
-                edge_saddle[s] = sid
-            ids.append(sid)
-            positions[sid] = a
-        bottom_words[c.id] = tuple(ids)
-        bottom_positions[c.id] = positions
+        met = 0
+        for x, s in enumerate(bottom):
+            if marked[s]:
+                zero = corner_class[s]
+                if not zero_met[zero]:
+                    zero_met[zero] = True
+                    met += 1
+                if positions:
+                    saddle_lengths[sid] = x - a
+                    saddle_zeros[sid] = (start, zero)
+                sid += 1
+                a, start = x, zero
+                positions[sid] = x
+                bottom_of.append(cid)
+            edge_saddle[s] = sid
+        saddle_lengths[sid] = len(bottom) - a
+        saddle_zeros[sid] = (start, corner_class[bottom[0]])
+        bottom_words[cid] = tuple(positions)
+        bottom_positions[cid] = positions
+        new_zeros.append(met)
 
     # top words: the same edges read along each cylinder's top row, from
-    # its first marked corner; x is the index in the row
+    # its first marked corner; x is the index in the row and t the square
+    # above.  Each saddle is flagged once read.  A saddle on the top of
+    # cylinder c and the bottom of c' joins half 2c + 1 to half 2c', and
+    # ``half`` names each half by the smallest half joined to it so far
     top_words = {}
     top_positions = {}
-    for c in cylinders:
+    on_top = [False] * len(bottom_of)
+    repeated = False
+    half = list(range(2 * len(cylinders)))
+    for cid, c in enumerate(cylinders):
         top = c.rows[-1]
         w = len(top)
-        starts = [i for i, s in enumerate(top) if marked[v[s]]]
-        if not starts:
-            raise InvariantViolation("top boundary must contain a marked "
-                                     "corner")
-        k0 = starts[0]
-        edges = [edge_saddle[v[s]] for s in top[k0:] + top[:k0]]
-        ids = []
+        k0 = 0
+        while not marked[v[top[k0]]]:
+            k0 += 1
+            if k0 == w:
+                raise InvariantViolation("top boundary must contain a "
+                                         "marked corner")
         positions = {}
-        for a, b in zip(starts, starts[1:] + [k0 + w]):
-            sid = edges[a - k0]
-            if edges[a - k0:b - k0].count(sid) != b - a:
+        for x, s in enumerate(top[k0:] + top[:k0], k0):
+            t = v[s]
+            if marked[t]:
+                if x > k0 and x - a != saddle_lengths[sid]:
+                    raise InvariantViolation("top run length disagrees with "
+                                             "its saddle")
+                sid, a = edge_saddle[t], x
+                if on_top[sid]:
+                    repeated = True
+                on_top[sid] = True
+                positions[sid] = x
+                y, z = half[2 * cid + 1], half[2 * bottom_of[sid]]
+                if y != z:
+                    y, z = min(y, z), max(y, z)
+                    half = [y if q == z else q for q in half]
+            elif edge_saddle[t] != sid:
                 raise InvariantViolation("top run crosses a saddle boundary")
-            if b - a != saddle_lengths[sid]:
-                raise InvariantViolation("top run length disagrees with its "
-                                         "saddle")
-            ids.append(sid)
-            positions[sid] = a
-        top_words[c.id] = tuple(ids)
-        top_positions[c.id] = positions
-
-    diagram = CylinderDiagram(bottom_words, top_words, saddle_zeros)
-    diagram.validate()
-    if sum(len(c.rows[0]) * len(c.rows) for c in cylinders) != n:
+        if k0 + w - a != saddle_lengths[sid]:
+            raise InvariantViolation("top run length disagrees with its "
+                                     "saddle")
+        top_words[cid] = tuple(positions)
+        top_positions[cid] = positions
+    if repeated:
+        raise InvariantViolation("saddle repeated on tops")
+    if not all(on_top):
+        raise InvariantViolation("tops and bottoms disagree")
+    if area != n:
         raise InvariantViolation("cylinder areas must sum to the number of "
                                  "squares")
+
+    # the components, numbered by their smallest half, are the vertices.
+    # One holding k halves retracts onto its zeros and saddles, so twice
+    # its genus is 2 - k - zeros + saddles; a bottom half brings its
+    # saddles and new zeros
+    names = {}
+    component = [names.setdefault(q, len(names)) for q in half]
+    twice_genus = [2] * len(names)
+    edges = []
+    for cid, met in enumerate(new_zeros):
+        ends = component[2 * cid], component[2 * cid + 1]
+        twice_genus[ends[0]] += len(bottom_words[cid]) - met - 1
+        twice_genus[ends[1]] -= 1
+        edges.append((cid, ends))
+    vertices = []
+    for vid, twice in enumerate(twice_genus):
+        if twice < 0 or twice % 2:
+            raise InvariantViolation("component genus must be a whole "
+                                     "number")
+        vertices.append((vid, twice // 2))
+    # stable-curve genus formula: sum of genera plus cycle rank of the graph
+    if sum(twice_genus) // 2 + len(edges) - len(vertices) + 1 != genus:
+        raise InvariantViolation("dual graph must carry the surface's genus")
     return CylinderDecomposition(
-        origami=o,
-        cylinders=tuple(cylinders),
-        diagram=diagram,
-        saddle_lengths=saddle_lengths,
-        bottom_positions=bottom_positions,
-        top_positions=top_positions,
-        genus=genus,
-    )
+        o, tuple(cylinders),
+        CylinderDiagram(bottom_words, top_words, saddle_zeros),
+        saddle_lengths, bottom_positions, top_positions, genus,
+        DualGraph(tuple(vertices), tuple(edges)))
 
 
 def direction_member(o: Origami, slope):
@@ -536,6 +608,30 @@ def moduli_exponents(d):
     return tuple(x // g for x in ints)
 
 
+class DualGraph(NamedTuple):
+    """Dual graph of a cylinder pinch: one genus-labeled vertex per
+    component of the surface cut along all core curves, one edge per
+    cylinder (loops allowed).
+
+    ``vertices``: tuple of ``(vertex id, genus)``;
+    ``edges``: tuple of ``(cylinder id, (vertex, vertex))``.
+    """
+
+    vertices: tuple
+    edges: tuple
+
+    @property
+    def geometric_genus(self):
+        return sum(genus for _, genus in self.vertices)
+
+    @property
+    def cycle_rank(self):
+        """``E - V + 1``, the first Betti number of the (connected) graph:
+        the rank of the span of the core curves, whose only relations are
+        the component boundaries, which sum to zero."""
+        return len(self.edges) - len(self.vertices) + 1
+
+
 class CaseLabel(enum.Enum):
     """The six reference dual-graph shapes of genus-3 cylinder pinches."""
 
@@ -599,7 +695,6 @@ def classify_case(g):
 
     EXAMPLES::
 
-        >>> from squaretiled.homology import DualGraph
         >>> g = DualGraph(vertices=((0, 1), (1, 1)),
         ...               edges=((0, (0, 1)), (1, (0, 1))))
         >>> str(classify_case(g))

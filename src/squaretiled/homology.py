@@ -1,7 +1,6 @@
 r"""
-Integer homology of an origami with its intersection form, dual graphs of
-cylinder pinches, and the transport of chains through the ``SL(2, Z)``
-generators.
+Integer homology of an origami with its intersection form, and the
+transport of chains through the ``SL(2, Z)`` generators.
 
 The square tiling is a cell complex: one vertex per cone-point corner
 class, edges ``h_i`` (bottom side of square ``i``) and ``v_i`` (left side),
@@ -27,8 +26,6 @@ EXAMPLES::
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import mat_mul, smith_normal_form, snf_rank
@@ -189,112 +186,6 @@ def homology_basis(o: Origami) -> HomologyBasis:
         4
     """
     return HomologyBasis(o)
-
-
-# ---------------------------------------------------------------------------
-# dual graphs
-# ---------------------------------------------------------------------------
-
-
-class DualGraph(NamedTuple):
-    """Dual graph of a cylinder pinch: one genus-labeled vertex per
-    component of the surface cut along all core curves, one edge per
-    cylinder (loops allowed).
-
-    ``vertices``: tuple of ``(vertex id, genus)``;
-    ``edges``: tuple of ``(cylinder id, (vertex, vertex))``.
-    """
-
-    vertices: tuple
-    edges: tuple
-
-    @property
-    def geometric_genus(self):
-        return sum(genus for _, genus in self.vertices)
-
-    @property
-    def cycle_rank(self):
-        """``E - V + 1``, the first Betti number of the (connected) graph:
-        the rank of the span of the core curves, whose only relations are
-        the component boundaries, which sum to zero."""
-        return len(self.edges) - len(self.vertices) + 1
-
-
-def dual_graph(d) -> DualGraph:
-    r"""
-    Dual graph of the pinch of decomposition ``d``: only ``d.diagram`` is
-    read, and ``d.genus`` when ``d`` has one.
-
-    Vertices are the connected components obtained by cutting every
-    cylinder along its core curve; the genus label is computed from the
-    Euler characteristic of the component's boundary graph (saddles and
-    zeros), and each cylinder becomes an edge joining the components of its
-    two halves.  The halves are numbered ``2·i`` (bottom) and ``2·i + 1``
-    (top) for the ``i``-th cylinder id, every saddle joins the bottom half
-    it lies on to the top half it lies on, and the components are numbered
-    by their smallest half.  When ``d`` carries a ``genus`` (an origami's
-    decomposition does), the genus labels and cycle rank must add up to it.
-
-    EXAMPLES::
-
-        >>> from squaretiled.surface import build_origami
-        >>> from squaretiled.cylinders import horizontal_decomposition
-        >>> g = dual_graph(horizontal_decomposition(build_origami((0,), (0,))))
-        >>> g.vertices, g.edges
-        (((0, 0),), ((0, (0, 0)),))
-    """
-    diagram = d.diagram
-    cids = diagram.cylinder_ids
-    bottom_half = {cid: 2 * i for i, cid in enumerate(cids)}
-    top_half = {}
-    for cid, word in diagram.top_words.items():
-        for sid in word:
-            top_half[sid] = bottom_half[cid] + 1
-    parent = list(range(2 * len(cids)))
-    for cid, word in diagram.bottom_words.items():
-        for sid in word:
-            a, b = bottom_half[cid], top_half[sid]
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-    roots = {}
-    comp_of = []
-    for half in range(len(parent)):
-        root = half
-        while parent[root] != root:
-            root = parent[root]
-        comp_of.append(roots.setdefault(root, len(roots)))
-
-    ends = [0] * len(roots)
-    for vid in comp_of:
-        ends[vid] += 1
-    comp_saddles = [set() for _ in roots]
-    comp_zeros = [set() for _ in roots]
-    saddle_zeros = diagram.saddle_zeros
-    for cid, word in diagram.bottom_words.items():
-        vid = comp_of[bottom_half[cid]]
-        comp_saddles[vid].update(word)
-        for sid in word:
-            comp_zeros[vid].update(saddle_zeros[sid])
-    vertices = []
-    for vid, (saddles, zeros) in enumerate(zip(comp_saddles, comp_zeros)):
-        genus2 = 2 - len(zeros) + len(saddles) - ends[vid]
-        _require(genus2 >= 0 and genus2 % 2 == 0,
-                 "component genus must be a whole number")
-        vertices.append((vid, genus2 // 2))
-
-    edges = tuple((cid, (comp_of[2 * i], comp_of[2 * i + 1]))
-                  for i, cid in enumerate(cids))
-    g = DualGraph(tuple(vertices), edges)
-    # stable-curve genus formula: sum of genera plus cycle rank of the graph
-    genus = getattr(d, "genus", None)
-    if genus is not None:
-        _require(g.geometric_genus + g.cycle_rank == genus,
-                 "dual graph must carry the surface's genus")
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .cylinders import periodic_decomposition
 from .errors import InvariantViolation, NotAStabilizer
 from .homology import (
     HomologyBasis,
-    dual_graph,
     homology_basis,
     transport_chains,
 )
@@ -442,7 +441,7 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     Upper bound ``min over directions of 2·(g - core span rank)`` for the
     dimension of an isometrically-moving subspace, with the per-direction
     core span ranks as evidence.  The core span rank of a direction is the
-    :attr:`~squaretiled.homology.DualGraph.cycle_rank` of its pinch dual
+    :attr:`~squaretiled.cylinders.DualGraph.cycle_rank` of its pinch dual
     graph, which equals the rank of the span of the core-curve classes in
     homology without building a homology basis.
 
@@ -458,6 +457,6 @@ def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
     if g < 2:
         raise ValueError("needs genus at least 2")
     witnesses = tuple(
-        (slope, dual_graph(periodic_decomposition(o, slope)).cycle_rank)
+        (slope, periodic_decomposition(o, slope).dual_graph.cycle_rank)
         for slope in enumerate_slopes(direction_bound))
     return ForniReport(2 * (g - max(rank for _, rank in witnesses)), witnesses)

@@ -29,7 +29,6 @@ from .cylinders import (
     periodic_decomposition,
 )
 from .errors import GenusMismatch, InvariantViolation
-from .homology import dual_graph
 from .jump import case3_verdict, case6_moduli_forcing
 from .surface import (
     Origami,
@@ -256,17 +255,18 @@ def _analyze_direction(d, slope):
     ``d``, and ``True`` when the direction excludes a nontrivial
     isometric subspace on its own.
 
-    A dual graph whose cycle rank is the genus has geometric genus 0, a
-    shape none of Cases 1-6 has: the core curves span a Lagrangian
-    subspace of homology, and Forni's geometric criterion (J. Mod. Dyn. 5,
-    2011) then makes every Lyapunov exponent nonzero.  Any other pinch of
+    The pinch dual graph is ``d.dual_graph``, built with ``d``.  One whose
+    cycle rank is the genus has geometric genus 0, a shape none of Cases
+    1-6 has: the core curves span a Lagrangian subspace of homology, and
+    Forni's geometric criterion (J. Mod. Dyn. 5, 2011) then makes every
+    Lyapunov exponent nonzero.  Any other pinch of
     a genus-3 origami has one of the six shapes
     (:func:`~squaretiled.cylinders.classify_case`, complete by
     ``test_pinch_shape_table_is_complete``), and Cases 1, 2 and 4 always
     have a crossing witness; any other graph, such as a pinch of another
     genus whose cycle rank falls short of it, raises there.  A Case 5
     record carries the slope it defers to (:func:`classify_surface`)."""
-    graph = dual_graph(d)
+    graph = d.dual_graph
     if graph.cycle_rank == d.genus:
         return DirectionRecord(slope, None, "Lagrangian core curves",
                                graph.cycle_rank), True
@@ -691,7 +691,7 @@ def render_report(record, format="text"):
             out["direction-%s-cylinders.svg" % tag] = \
                 _diagram_svg(d.diagram)
             out["direction-%s-dual-graph.svg" % tag] = \
-                _dual_graph_svg(dual_graph(d))
+                _dual_graph_svg(d.dual_graph)
         return out
     if isinstance(record, DiagramCatalog):
         if format == "text":

@@ -99,7 +99,7 @@ def find_crossing_cylinder(d, label) -> TransverseWitness:
     one of Cases 1, 2 and 4; any other label raises ``ValueError``.  Every
     diagram of these shapes has one, whatever its metric data, so a
     witness is always returned; the searches state why.  No dual graph is
-    built: a search that finds no witness, as on a diagram of another
+    read: a search that finds no witness, as on a diagram of another
     shape, raises :class:`~squaretiled.errors.InvariantViolation`.
 
     ``d`` is an origami's cylinder decomposition, whose lengths and

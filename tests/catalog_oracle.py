@@ -14,9 +14,8 @@ tries the ``(m - 1)!`` others; the Case 6 scan fixes no twist and tries all
 
 import itertools
 
-from decomposition_oracle import classify_case
+from decomposition_oracle import classify_case, dual_graph
 from squaretiled.cylinders import CaseLabel, horizontal_decomposition
-from squaretiled.homology import dual_graph
 from squaretiled.surface import (
     Stratum,
     build_origami,

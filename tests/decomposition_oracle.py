@@ -1,18 +1,20 @@
 """Slow, independent horizontal cylinder decomposition, pinch dual graph
 and case matching: set-based versions that rebuild the vertex orbits,
-build every cylinder twice, label the halves of the dual graph by
-``(cylinder, side)`` pairs and try every vertex permutation against each
-reference shape.  The reference that the one-pass integer versions of
-``squaretiled.cylinders.horizontal_decomposition`` and
-``squaretiled.homology.dual_graph`` and the table lookup of
-``squaretiled.cylinders.classify_case`` are compared against.  Also the
+build every cylinder twice, build the dual graph from the finished
+diagram with its halves labelled by ``(cylinder, side)`` pairs and try
+every vertex permutation against each reference shape.  The reference
+that the one pass of ``squaretiled.cylinders.horizontal_decomposition``,
+which builds the decomposition and its ``dual_graph`` together, and the
+table lookup of ``squaretiled.cylinders.classify_case`` are compared
+against.  Also the
 rank of the span of the core-curve classes in homology, which the dual
 graph's cycle rank is compared against, with the core-curve chains and
 classes it reads.
 
 The oracle decomposition carries no genus (``genus=None``); the tests
 compare the genus of the package's decomposition with
-``singularity_data``.  Its saddles are objects of their own
+``singularity_data``.  Its ``dual_graph`` is :func:`dual_graph` of the
+finished decomposition.  Its saddles are objects of their own
 (:class:`DecompositionSaddle`), which the package's decomposition does
 not build: there a saddle's squares are the run of its bottom row that
 ``bottom_positions`` and ``saddle_lengths`` give.
@@ -27,9 +29,10 @@ from squaretiled.cylinders import (
     Cylinder,
     CylinderDecomposition,
     CylinderDiagram,
+    DualGraph,
 )
 from squaretiled.errors import InvariantViolation
-from squaretiled.homology import DualGraph, HomologyBasis, homology_basis
+from squaretiled.homology import HomologyBasis, homology_basis
 from squaretiled.intlinalg import smith_normal_form, snf_rank
 from squaretiled.surface import perm_cycles, singularity_data
 
@@ -60,9 +63,10 @@ class DecompositionSaddle:
 
 
 def horizontal_decomposition(o):
-    """Maximal horizontal cylinders, saddle connections and their
-    positions, as :func:`squaretiled.cylinders.horizontal_decomposition`
-    computes them, with ``genus=None``."""
+    """Maximal horizontal cylinders, saddle connections, their positions
+    and the pinch dual graph, as
+    :func:`squaretiled.cylinders.horizontal_decomposition` computes them,
+    with ``genus=None``."""
     return decomposition_with_saddles(o)[0]
 
 
@@ -205,11 +209,12 @@ def decomposition_with_saddles(o):
         bottom_positions=bottom_positions,
         top_positions=top_positions,
         genus=None,
+        dual_graph=None,
     )
     if sum(len(row) for c in cylinders for row in c.rows) != n:
         raise InvariantViolation("cylinder areas must sum to the number of "
                                  "squares")
-    return d, saddles
+    return d._replace(dual_graph=dual_graph(d)), saddles
 
 
 def _close_run(saddles, edge_saddle, sid, run, corner_class, o):
@@ -232,9 +237,10 @@ def _close_top_run(run_edges, edge_saddle, saddles):
 
 
 def dual_graph(d):
-    """The pinch dual graph of ``d`` (a decomposition or a net), as
-    :func:`squaretiled.homology.dual_graph` computes it, with halves
-    labelled ``(cylinder, "bot" | "top")``; the genus check reads the
+    """The pinch dual graph of ``d`` (a decomposition or a net), read off
+    its finished diagram with halves labelled ``(cylinder, "bot" |
+    "top")``, as :func:`squaretiled.cylinders.horizontal_decomposition`
+    builds it while it reads the top words; the genus check reads the
     stratum of ``d.origami`` when ``d`` carries one."""
     diagram = d.diagram
     cids = diagram.cylinder_ids

@@ -25,7 +25,7 @@ from test_transverse import brute_window_point, total_length, \
     window_feasible_pairs
 from squaretiled.cylinders import CaseLabel, classify_case, \
     horizontal_decomposition, periodic_decomposition
-from squaretiled.homology import dual_graph, homology_basis
+from squaretiled.homology import homology_basis
 from squaretiled.jump import case3_verdict, case6_moduli_forcing
 from squaretiled.monodromy import closure_classify, homology_action, \
     restrict_to_zero_holonomy, stabilizer_generators
@@ -60,7 +60,7 @@ def test_criterion_1_reference_end_to_end():
         b = homology_basis(o)
         c1, c2 = (core_curve_class(d, c.id, b) for c in d.cylinders)
         assert list(c1) == list(c2)
-        assert str(classify_case(dual_graph(d))) == "Case6"
+        assert str(classify_case(d.dual_graph)) == "Case6"
         verdict = classify_surface(o)
         assert verdict.status == "WollmilchsauEquivalent"
         constraint = verdict.evidence[-1].witness.constraint

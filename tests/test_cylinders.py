@@ -28,6 +28,7 @@ from squaretiled import cylinders
 from squaretiled.cylinders import (
     CaseLabel,
     CylinderDiagram,
+    DualGraph,
     classify_case,
     direction_member,
     horizontal_decomposition,
@@ -35,7 +36,6 @@ from squaretiled.cylinders import (
     periodic_decomposition,
 )
 from squaretiled.errors import InvariantViolation
-from squaretiled.homology import DualGraph, dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import enumerate_diagrams
 from squaretiled.surface import Origami, parse_origami, singularity_data
@@ -81,19 +81,19 @@ def test_exemplar_cylinder_shapes():
 ])
 def test_exemplar_case_labels(name, label):
     d = horizontal_decomposition(exemplar(name))
-    assert classify_case(dual_graph(d)) is label
+    assert classify_case(d.dual_graph) is label
 
 
 def test_wollmilchsau_slope_one_is_case6():
     d = periodic_decomposition(wollmilchsau(), (1, 1))
-    assert classify_case(dual_graph(d)) is CaseLabel.CASE6
+    assert classify_case(d.dual_graph) is CaseLabel.CASE6
 
 
 def test_genus_two_graphs_match_no_case():
     d = horizontal_decomposition(l_origami())
     with pytest.raises(InvariantViolation, match="cycle rank 2 and genus "
                        "labels summing to 0 matches none of the six shapes"):
-        classify_case(dual_graph(d))
+        classify_case(d.dual_graph)
 
 
 def bottom_runs(d):
@@ -108,9 +108,10 @@ def test_decomposition_matches_the_oracle():
     """The one-pass integer decomposition, dual graph and case label equal
     the set-based ones of the oracle on every slope up to bound 3, down to
     the key order of every mapping, and the label raises exactly where the
-    oracle finds no shape; the new ``genus`` field is the stratum's genus,
-    and every cylinder's circumference and height, equal to the oracle's
-    ``Fraction``s, are ``int``s."""
+    oracle finds no shape; the ``genus`` field is the stratum's genus, and
+    every cylinder's circumference and height, equal to the oracle's
+    ``Fraction``s, are ``int``s.  The oracle's graph of a random net over
+    the Case 4A diagram is that of a decomposition with that diagram."""
     rng = random.Random(1313)
     surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
     surfaces += [exemplar(name) for name in EXEMPLARS]
@@ -124,25 +125,24 @@ def test_decomposition_matches_the_oracle():
                 member)
             assert d.genus == singularity_data(member).genus
             assert d._replace(genus=None) == old, (o, slope)
+            assert d.dual_graph == decomposition_oracle.dual_graph(d)
             assert all(type(c.circumference) is int and type(c.height) is int
                        for c in d.cylinders)
+            assert key_orders(d) == key_orders(old)
             assert list(d.saddle_lengths) == list(old_saddles)
             assert bottom_runs(d) == {sid: s.squares
                                       for sid, s in old_saddles.items()}
-            for new_map, old_map in ((d.bottom_positions, old.bottom_positions),
-                                     (d.top_positions, old.top_positions)):
-                assert [list(m) for m in new_map.values()] == \
-                    [list(m) for m in old_map.values()]
-            g = dual_graph(d)
-            assert g == decomposition_oracle.dual_graph(old), (o, slope)
+            g = d.dual_graph
             label = label_or_none(g)
             assert label is decomposition_oracle.classify_case(g)
             labels.add(label)
     assert labels == set(CaseLabel) | {None}
-    # nets carry no genus; their dual graphs match as well
+    # nets carry no genus; the graph depends on the diagram alone
+    case4a = horizontal_decomposition(exemplar("Case4A"))
+    assert case4a.diagram == CASE4A_DIAGRAM
     for _ in range(20):
         net = random_case4a_net(rng)
-        assert dual_graph(net) == decomposition_oracle.dual_graph(net)
+        assert decomposition_oracle.dual_graph(net) == case4a.dual_graph
 
 
 def label_or_none(g):
@@ -272,6 +272,56 @@ def test_pinch_shape_table_is_complete():
                 *first, [genus for _, genus in g.vertices],
                 [e for _, e in g.edges]), g
     assert lagrangian == 18
+
+
+def key_orders(d):
+    """The key order of every mapping of decomposition ``d``."""
+    return ([list(m) for m in d.diagram] + [list(d.saddle_lengths)]
+            + [[list(p) for p in m.values()]
+               for m in (d.bottom_positions, d.top_positions)])
+
+
+def outcome(decompose, o):
+    """The decomposition of ``o`` with its key orders, or the type and
+    message of what ``decompose`` raised."""
+    try:
+        d = decompose(o)
+    except InvariantViolation as exc:
+        return type(exc), str(exc)
+    return d._replace(genus=None), key_orders(d)
+
+
+def test_one_pass_matches_the_oracle_in_every_genus():
+    """The one pass gives the oracle's decomposition and dual graph, field
+    by field and key order included, on the torus, the genus-2 L, the
+    reference and 600 random origamis of genus 1 to 6 on 1 to 12 squares.
+    On permutation pairs that skip the transitivity check, connected or
+    not, it returns what the oracle returns or raises what it raises,
+    with the same message."""
+    rng = random.Random(3333)
+    surfaces = [torus(), l_origami(), wollmilchsau()]
+    surfaces += [random_origami(rng, 12) for _ in range(600)]
+    genera = Counter()
+    for o in surfaces:
+        d = horizontal_decomposition(o)
+        genera[d.genus] += 1
+        assert d.genus == singularity_data(o).genus
+        assert outcome(horizontal_decomposition, o) == \
+            outcome(decomposition_oracle.horizontal_decomposition, o), o
+        assert d.dual_graph == decomposition_oracle.dual_graph(d), o
+    assert sorted(genera) == [1, 2, 3, 4, 5, 6]
+    raised = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        h, v = list(range(n)), list(range(n))
+        rng.shuffle(h)
+        rng.shuffle(v)
+        o = Origami(tuple(h), tuple(v))
+        result = outcome(horizontal_decomposition, o)
+        assert result == \
+            outcome(decomposition_oracle.horizontal_decomposition, o), o
+        raised[result[0] is InvariantViolation] += 1
+    assert raised[True] > 300 and raised[False] > 2000
 
 
 def test_malformed_origami_raises_as_the_oracle_does():

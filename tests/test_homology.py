@@ -13,7 +13,6 @@ from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.errors import InvariantViolation
 from squaretiled.homology import (
     HomologyBasis,
-    dual_graph,
     homology_basis,
     transport_chains,
 )
@@ -77,11 +76,11 @@ def test_wollmilchsau_core_curves_homologous():
 
 
 def test_dual_graph_shapes():
-    g = dual_graph(horizontal_decomposition(wollmilchsau()))
+    g = horizontal_decomposition(wollmilchsau()).dual_graph
     assert sorted(gn for _, gn in g.vertices) == [1, 1]
     assert len(g.edges) == 2
     assert g.geometric_genus == 2
-    g1 = dual_graph(horizontal_decomposition(exemplar("Case1")))
+    g1 = horizontal_decomposition(exemplar("Case1")).dual_graph
     assert g1.geometric_genus == 1
 
 

@@ -20,7 +20,7 @@ from squaretiled import monodromy
 from squaretiled.cylinders import CaseLabel, classify_case, \
     periodic_decomposition
 from squaretiled.errors import InvariantViolation, NotAStabilizer
-from squaretiled.homology import HomologyBasis, dual_graph, homology_basis
+from squaretiled.homology import HomologyBasis, homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
     closure_classify,
@@ -502,8 +502,8 @@ def test_wollmilchsau_upper_bound():
     report = forni_upper_bound(wollmilchsau(), 2)
     assert report.upper_bound == 4
     assert [slope for slope, _ in report.witnesses] == enumerate_slopes(2)
-    assert all(classify_case(dual_graph(periodic_decomposition(
-        wollmilchsau(), slope))) is CaseLabel.CASE6
+    assert all(classify_case(periodic_decomposition(
+        wollmilchsau(), slope).dual_graph) is CaseLabel.CASE6
         for slope, _ in report.witnesses)
     assert all(rank == 1 for _, rank in report.witnesses)
 

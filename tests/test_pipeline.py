@@ -30,7 +30,6 @@ from squaretiled.cylinders import (
     moduli_exponents,
     periodic_decomposition,
 )
-from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes, orbit_graph
 from squaretiled import cli, cylinders, homology, pipeline, transverse
 from squaretiled.errors import GenusMismatch, InvariantViolation
@@ -221,7 +220,8 @@ def test_each_direction_analysed_once(monkeypatch, text, directions,
     survivor analyses the horizontal direction alone, builds no member and
     makes one isomorphism test, against its affine image of the reference;
     a Case 5 surface builds the member of the one direction it defers
-    to."""
+    to.  The shape lookup of each direction reads the dual graph stored
+    on the decomposition analysed there."""
     o = parse_origami(text)
     calls = []
 
@@ -234,23 +234,44 @@ def test_each_direction_analysed_once(monkeypatch, text, directions,
         monkeypatch.setattr(module, name, wrapper)
 
     for name in ("horizontal_decomposition", "periodic_decomposition",
-                 "dual_graph", "_metric_chain", "origami_isomorphism"):
+                 "_metric_chain", "origami_isomorphism"):
         counted(pipeline, name)
     # periodic_decomposition builds members through the names cylinders
     # imported
     counted(cylinders, "direction_member")
     counted(cylinders, "act_sl2z")
+    analysed, looked_up = record_graph_lookups(monkeypatch)
     verdict = classify_surface(o)
     assert len({r.slope for r in verdict.evidence}) == directions
     assert verdict.status == ("TrivialForni" if directions == 2
                               else "WollmilchsauEquivalent")
     assert calls.count("horizontal_decomposition") == 1
     assert calls.count("periodic_decomposition") == directions - 1
-    assert calls.count("dual_graph") == directions
+    assert len(analysed) == directions
+    assert looked_up and all(graph is d.dual_graph for d, graph in looked_up)
     assert calls.count("_metric_chain") == 2 - directions
     assert calls.count("direction_member") == directions - 1
     assert calls.count("act_sl2z") == directions - 1
     assert calls.count("origami_isomorphism") == isomorphisms
+
+
+def record_graph_lookups(monkeypatch):
+    """Record every decomposition ``pipeline._analyze_direction`` analyses,
+    and for every ``classify_case`` call the decomposition under analysis
+    and the graph it was given."""
+    analysed, looked_up = [], []
+    analyze, lookup = pipeline._analyze_direction, pipeline.classify_case
+
+    def analyze_recorded(d, slope):
+        analysed.append(d)
+        return analyze(d, slope)
+
+    def lookup_recorded(graph):
+        looked_up.append((analysed[-1], graph))
+        return lookup(graph)
+    monkeypatch.setattr(pipeline, "_analyze_direction", analyze_recorded)
+    monkeypatch.setattr(pipeline, "classify_case", lookup_recorded)
+    return analysed, looked_up
 
 
 # the 16-square survivor, a Case 6 surface with unequal moduli and a
@@ -324,7 +345,7 @@ def test_verdict_matches_the_per_slope_loop():
             if r.mechanism == "Lagrangian core curves" and index < 400:
                 d = periodic_decomposition(o, r.slope)
                 assert r.witness == core_span_rank(d) == 3
-                assert dual_graph(d).geometric_genus == 0
+                assert d.dual_graph.geometric_genus == 0
     assert statuses["WollmilchsauEquivalent"] == 24
     assert deferred > 20 and undecided < deferred
     o = parse_origami(CASE5_SEVEN)
@@ -692,7 +713,7 @@ def is_case6(d):
     """Whether decomposition ``d`` is Case 6.  ``classify_case`` names the
     pinch shapes of genus 3 and cycle rank 1 or 2 and raises on any other
     graph, so the genus and the cycle rank are checked first."""
-    graph = dual_graph(d)
+    graph = d.dual_graph
     return d.genus == 3 and graph.cycle_rank < 3 and \
         classify_case(graph) is CaseLabel.CASE6
 
@@ -1185,9 +1206,10 @@ def test_cli_monodromy_acts_only_on_the_generators_the_closure_reads(
 
 def test_one_dual_graph_per_analysed_direction(monkeypatch):
     """A Case 1, 2 or 4 direction reaches its crossing-witness search
-    without a second dual graph: one decomposition, which every entry
-    point builds through ``horizontal_decomposition``, and one dual graph
-    per analysed direction."""
+    without a second dual graph: one decomposition per analysed direction,
+    which every entry point builds through ``horizontal_decomposition``
+    together with its dual graph, and every shape lookup reads the graph
+    stored on the decomposition under analysis."""
     calls = []
 
     def counted(fn):
@@ -1199,20 +1221,25 @@ def test_one_dual_graph_per_analysed_direction(monkeypatch):
                     getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, wrapper)
 
-    counted(dual_graph)
     counted(horizontal_decomposition)
+    analysed, looked_up = record_graph_lookups(monkeypatch)
     rng = random.Random(4242)
     surfaces = [exemplar(name) for name in EXEMPLARS]
     surfaces += [random_genus3(rng, 5, 12) for _ in range(100)]
-    labels, directions = [], 0
+    labels, directions, lagrangian = [], 0, 0
     for o in surfaces:
         verdict = classify_surface(o)
         labels += [r.label for r in verdict.evidence
                    if r.mechanism == "transverse crossing cylinder"]
         directions += len({r.slope for r in verdict.evidence})
+        lagrangian += sum(r.mechanism == "Lagrangian core curves"
+                          for r in verdict.evidence)
     assert {"Case1", "Case2", "Case4"} <= set(labels)
-    assert calls.count("dual_graph") == \
-        calls.count("horizontal_decomposition") == directions > 100
+    assert len(analysed) == calls.count("horizontal_decomposition") == \
+        directions > 100
+    assert len({id(d) for d in analysed}) == directions
+    assert len(looked_up) == directions - lagrangian > 0
+    assert all(graph is d.dual_graph for d, graph in looked_up)
 
 
 def test_every_small_genus3_direction_has_a_shape_and_a_witness():
@@ -1225,7 +1252,7 @@ def test_every_small_genus3_direction_has_a_shape_and_a_witness():
     records = Counter()
     for o in genus3_origamis(6):
         d = horizontal_decomposition(o)
-        graph = dual_graph(d)
+        graph = d.dual_graph
         label = label_or_none(graph)
         assert label is decomposition_oracle.classify_case(graph), o
         assert (label is None) == (graph.cycle_rank == 3), o
@@ -1330,7 +1357,6 @@ import sys
 from squaretiled import pipeline
 from squaretiled.cylinders import classify_case, horizontal_decomposition
 from squaretiled.errors import InvariantViolation
-from squaretiled.homology import dual_graph
 from squaretiled.surface import build_origami, parse_origami
 analyze = pipeline._analyze_direction
 pipeline._analyze_direction = lambda d, slope: (analyze(d, slope)[0], False)
@@ -1346,8 +1372,8 @@ for forged in (None, (1, 0, 2, 3, 4, 5, 6, 7)):
     except InvariantViolation as exc:
         print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
 try:
-    classify_case(dual_graph(horizontal_decomposition(
-        build_origami((1, 0, 2), (2, 1, 0)))))
+    classify_case(horizontal_decomposition(
+        build_origami((1, 0, 2), (2, 1, 0))).dual_graph)
 except InvariantViolation as exc:
     print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
 """ % CASE5_SEVEN

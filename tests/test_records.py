@@ -14,7 +14,6 @@ import pytest
 from conftest import exemplar
 from squaretiled import pipeline
 from squaretiled.cylinders import CaseLabel, horizontal_decomposition
-from squaretiled.homology import dual_graph
 from squaretiled.jump import case3_verdict
 from squaretiled.monodromy import closure_classify, forni_upper_bound
 from squaretiled.pipeline import classify_surface, reference_surface
@@ -98,7 +97,7 @@ def records():
     d = horizontal_decomposition(o)
     chain = classify_surface(o).evidence[0]
     case1 = horizontal_decomposition(exemplar("Case1"))
-    return [d.cylinders[0], d.diagram, d, dual_graph(d), case3_verdict(1, 2),
+    return [d.cylinders[0], d.diagram, d, d.dual_graph, case3_verdict(1, 2),
             closure_classify([[[0, -1], [1, 0]]]), forni_upper_bound(o, 1),
             chain, classify_surface(o), chain.witness,
             find_crossing_cylinder(case1, CaseLabel.CASE1),
@@ -131,8 +130,8 @@ def test_records_compare_and_hash_by_value():
     assert first.evidence[0] == again.evidence[0]
     assert hash(first.evidence[0]) == hash(again.evidence[0])
     assert first.evidence[0]._replace(slope=(1, 0)) != again.evidence[0]
-    graph = dual_graph(horizontal_decomposition(o))
-    copy = dual_graph(horizontal_decomposition(o))
+    graph = horizontal_decomposition(o).dual_graph
+    copy = horizontal_decomposition(o).dual_graph
     assert graph is not copy and graph == copy and hash(graph) == hash(copy)
     assert graph._replace(edges=graph.edges[:1]) != copy
     witness = find_crossing_cylinder(horizontal_decomposition(case1),

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import decomposition_oracle
 import survivor_oracle
 
 from conftest import BOUNDARY_4A, CASE4A_DIAGRAM, decomposition_net, \
@@ -28,7 +29,6 @@ from squaretiled.cylinders import (
     periodic_decomposition,
 )
 from squaretiled.errors import InvariantViolation
-from squaretiled.homology import dual_graph
 from squaretiled.monodromy import enumerate_slopes
 from squaretiled.surface import parse_origami
 from squaretiled.transverse import (
@@ -154,8 +154,9 @@ def test_net_case_labels():
     for name in ("Case1", "Case2", "Case4A", "Case4B"):
         d, net = carriers(exemplar(name))
         expected = "Case4" if name.startswith("Case4") else name
-        assert str(classify_case(dual_graph(net))) == expected
-        assert dual_graph(net) == dual_graph(d)
+        assert str(classify_case(decomposition_oracle.dual_graph(net))) == \
+            expected
+        assert decomposition_oracle.dual_graph(net) == d.dual_graph
 
 
 @pytest.mark.parametrize("name", ["Case1", "Case2", "Case4A", "Case4B"])
@@ -165,7 +166,7 @@ def test_exemplar_witnesses(name):
     witness over two middle cylinders (4A) or the stacked witness over one
     (4B)."""
     d = horizontal_decomposition(exemplar(name))
-    label = classify_case(dual_graph(d))
+    label = classify_case(d.dual_graph)
     assert str(label) == name[:5]
     witness = find_crossing_cylinder(d, label)
     assert witness.width > 0
@@ -210,7 +211,7 @@ def test_decomposition_and_net_witnesses_agree():
     for o in surfaces:
         for slope in enumerate_slopes(3):
             d = periodic_decomposition(o, slope)
-            graph = dual_graph(d)
+            graph = d.dual_graph
             # a Lagrangian pinch, of cycle rank 3, has none of the shapes
             if graph.cycle_rank == 3:
                 continue
