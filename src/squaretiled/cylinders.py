@@ -236,7 +236,9 @@ class CylinderDecomposition(NamedTuple):
     transverse-cylinder searches read.  ``genus`` is the genus
     of ``origami``, read off the corner permutation that also marks the
     cone points.  ``dual_graph`` is the :class:`DualGraph` of the pinch
-    of every core curve, built in the same pass.
+    of every core curve, built in the same pass.  The origami is
+    connected, and its diagram satisfies :meth:`CylinderDiagram.validate`
+    by construction (see :func:`horizontal_decomposition`).
     """
 
     origami: Origami
@@ -281,14 +283,30 @@ def horizontal_decomposition(o: Origami):
     :class:`DualGraph`, each cylinder the edge between its two halves, and
     the genus labels and cycle rank must add up to ``genus``.
 
-    Raises :class:`~squaretiled.errors.InvariantViolation` when a stack of
-    rows has no unique bottom row or is not one chain, when a top boundary
-    has no marked corner, when a run of top edges leaves its saddle or
-    differs from it in length, when a saddle is read on two tops or on
-    none (the checks of :meth:`CylinderDiagram.validate`, made with one
-    flag per saddle as the top words are read), when the cylinder areas do
-    not sum to the number of squares, or when a component has a genus
-    that is not a whole number or the graph does not carry ``genus``.
+    The corner identity ``c(v(h(j))) = h(v(j))`` proves the checks of
+    :meth:`CylinderDiagram.validate`, so none is made.  An unmarked corner
+    is fixed by ``c``, so ``v(h(j)) = h(v(j))`` whenever ``v(h(j))`` is
+    unmarked.  Hence:
+
+    - ``v`` carries a row with an unmarked top onto a whole row, so a
+      stack walked up from an unmerged row is a chain of rows of one
+      length that meets no other stack;
+    - a row without a marked corner is such an image, so every unmerged
+      row holds a marked corner to start at;
+    - ``v`` carries the top edges from a marked corner to the next onto
+      the ``h``-successive squares of one bottom saddle, at full length,
+      and ``v`` is a bijection, so each saddle is read on exactly one top.
+
+    The rows no stack reaches merge round a cycle: a torus component of a
+    pair that skipped :func:`~squaretiled.surface.build_origami`.  Once
+    every row is in a stack, the areas sum to the number of squares and
+    the surface is connected exactly when its pinch graph is.
+
+    Raises :class:`~squaretiled.errors.InvariantViolation` when a row is in
+    no stack ("cylinder stack must have a unique bottom row"), when the
+    pinch graph is not connected ("surface must be connected"), or when a
+    component has a genus that is not a whole number or the graph does
+    not carry ``genus``.
 
     EXAMPLES::
 
@@ -353,9 +371,7 @@ def horizontal_decomposition(o: Origami):
 
     # each unmerged row starts a stack; the rows are numbered by their
     # smallest square, so the cylinders come out numbered the same way
-    owner = [-1] * len(rows)
     cylinders = []
-    area = 0
     for r, row in enumerate(rows):
         if merged_up[r]:
             continue
@@ -363,23 +379,16 @@ def horizontal_decomposition(o: Origami):
         k = 0
         while not marked[row[k]]:
             k += 1
-        bottom = tuple(row[k:] + row[:k])
-        stacked = [bottom]
-        owner[r] = cid
+        stacked = [tuple(row[k:] + row[:k])]
         up = above[r]
         while up >= 0:
-            if owner[up] >= 0:
-                raise InvariantViolation(
-                    "cylinder stack is not one chain of rows"
-                    if owner[up] == cid else
-                    "cylinder stack must have a unique bottom row")
-            owner[up] = cid
             stacked.append(tuple([v[s] for s in stacked[-1]]))
             up = above[up]
-        area += len(bottom) * len(stacked)
-        cylinders.append(Cylinder(cid, tuple(stacked), len(bottom),
+        cylinders.append(Cylinder(cid, tuple(stacked), len(row),
                                   len(stacked)))
-    if -1 in owner:
+    # the rows no stack reaches merge round a cycle: a torus component
+    # with no cone point and no square 0
+    if sum(c.height for c in cylinders) != len(rows):
         raise InvariantViolation("cylinder stack must have a unique bottom "
                                  "row")
 
@@ -420,55 +429,26 @@ def horizontal_decomposition(o: Origami):
         bottom_positions[cid] = positions
         new_zeros.append(met)
 
-    # top words: the same edges read along each cylinder's top row, from
-    # its first marked corner; x is the index in the row and t the square
-    # above.  Each saddle is flagged once read.  A saddle on the top of
-    # cylinder c and the bottom of c' joins half 2c + 1 to half 2c', and
-    # ``half`` names each half by the smallest half joined to it so far
+    # top words: the same edges read along each cylinder's top row; x is
+    # the index in the row.  A saddle on the top of cylinder c and the
+    # bottom of c' joins half 2c + 1 to half 2c', and ``half`` names each
+    # half by the smallest half joined to it so far
     top_words = {}
     top_positions = {}
-    on_top = [False] * len(bottom_of)
-    repeated = False
     half = list(range(2 * len(cylinders)))
     for cid, c in enumerate(cylinders):
-        top = c.rows[-1]
-        w = len(top)
-        k0 = 0
-        while not marked[v[top[k0]]]:
-            k0 += 1
-            if k0 == w:
-                raise InvariantViolation("top boundary must contain a "
-                                         "marked corner")
         positions = {}
-        for x, s in enumerate(top[k0:] + top[:k0], k0):
+        for x, s in enumerate(c.rows[-1]):
             t = v[s]
             if marked[t]:
-                if x > k0 and x - a != saddle_lengths[sid]:
-                    raise InvariantViolation("top run length disagrees with "
-                                             "its saddle")
-                sid, a = edge_saddle[t], x
-                if on_top[sid]:
-                    repeated = True
-                on_top[sid] = True
+                sid = edge_saddle[t]
                 positions[sid] = x
                 y, z = half[2 * cid + 1], half[2 * bottom_of[sid]]
                 if y != z:
                     y, z = min(y, z), max(y, z)
                     half = [y if q == z else q for q in half]
-            elif edge_saddle[t] != sid:
-                raise InvariantViolation("top run crosses a saddle boundary")
-        if k0 + w - a != saddle_lengths[sid]:
-            raise InvariantViolation("top run length disagrees with its "
-                                     "saddle")
         top_words[cid] = tuple(positions)
         top_positions[cid] = positions
-    if repeated:
-        raise InvariantViolation("saddle repeated on tops")
-    if not all(on_top):
-        raise InvariantViolation("tops and bottoms disagree")
-    if area != n:
-        raise InvariantViolation("cylinder areas must sum to the number of "
-                                 "squares")
 
     # the components, numbered by their smallest half, are the vertices.
     # One holding k halves retracts onto its zeros and saddles, so twice
@@ -489,6 +469,17 @@ def horizontal_decomposition(o: Origami):
             raise InvariantViolation("component genus must be a whole "
                                      "number")
         vertices.append((vid, twice // 2))
+    # every row is in a stack, so the surface is connected exactly when
+    # the graph is: grow the vertices reached from vertex 0 along edges
+    reached = [True] + [False] * (len(vertices) - 1)
+    grown = True
+    while grown:
+        grown = False
+        for _, (a, b) in edges:
+            if reached[a] != reached[b]:
+                reached[a] = reached[b] = grown = True
+    if not all(reached):
+        raise InvariantViolation("surface must be connected")
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
     if sum(twice_genus) // 2 + len(edges) - len(vertices) + 1 != genus:
         raise InvariantViolation("dual graph must carry the surface's genus")

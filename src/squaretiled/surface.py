@@ -144,7 +144,11 @@ class Origami:
     """A square-tiled surface given by right- and up-neighbor permutations.
 
     Instances are immutable; use :func:`build_origami` to get the
-    transitivity check.
+    transitivity check, the input check of every parsed surface.  A pair
+    built here directly skips it, but
+    :func:`~squaretiled.cylinders.horizontal_decomposition`, which every
+    classification starts from, still rejects a disconnected pair with
+    :class:`~squaretiled.errors.InvariantViolation`.
     """
 
     h: Perm

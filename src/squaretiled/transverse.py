@@ -296,13 +296,11 @@ def _case4a_witness(d, c1, c4, middles):
 
 
 def _case4b_witness(d, c1, c4, mid):
-    top4 = set(d.diagram.top_words[c4])
-    bot1 = set(d.diagram.bottom_words[c1])
-    if not top4 <= bot1:
-        raise InvariantViolation("stacked shape requires the outer "
-                                 "interfaces to share all saddles")
+    """A cylinder over the longest saddle on the top of ``c4``, which
+    :func:`_matched_pair` glues to the bottom of ``c1``: it crosses ``c1``,
+    ``mid`` and ``c4`` once each."""
     lengths = d.saddle_lengths
-    sigma = max(top4, key=lambda s: (lengths[s], str(s)))
+    sigma = max(d.diagram.top_words[c4], key=lambda s: (lengths[s], str(s)))
     bp = d.bottom_positions[c1][sigma]
     tp = d.top_positions[c4][sigma]
     rise = (d.cylinders[c1].height + d.cylinders[mid].height

@@ -6,10 +6,11 @@ every vertex permutation against each reference shape.  The reference
 that the one pass of ``squaretiled.cylinders.horizontal_decomposition``,
 which builds the decomposition and its ``dual_graph`` together, and the
 table lookup of ``squaretiled.cylinders.classify_case`` are compared
-against.  Also the
-rank of the span of the core-curve classes in homology, which the dual
-graph's cycle rank is compared against, with the core-curve chains and
-classes it reads.
+against.  It keeps every check of the boundary words that the one pass
+leaves to the corner identity, so a test that compares outcomes shows
+that none of them fires.  Also the rank of the span of the core-curve
+classes in homology, which the dual graph's cycle rank is compared
+against, with the core-curve chains and classes it reads.
 
 The oracle decomposition carries no genus (``genus=None``); the tests
 compare the genus of the package's decomposition with
@@ -240,8 +241,9 @@ def dual_graph(d):
     """The pinch dual graph of ``d`` (a decomposition or a net), read off
     its finished diagram with halves labelled ``(cylinder, "bot" |
     "top")``, as :func:`squaretiled.cylinders.horizontal_decomposition`
-    builds it while it reads the top words; the genus check reads the
-    stratum of ``d.origami`` when ``d`` carries one."""
+    builds it while it reads the top words; a disconnected surface
+    raises, and the genus check reads the stratum of ``d.origami`` when
+    ``d`` carries one."""
     diagram = d.diagram
     cids = diagram.cylinder_ids
     halves = [(cid, side) for cid in cids for side in ("bot", "top")]
@@ -288,6 +290,13 @@ def dual_graph(d):
         if genus2 < 0 or genus2 % 2:
             raise InvariantViolation("component genus must be a whole number")
         vertices.append((vid, genus2 // 2))
+
+    # the surface is connected exactly when gluing each cylinder's halves
+    # back together leaves one component
+    for cid in cids:
+        union((cid, "bot"), (cid, "top"))
+    if len({find(h) for h in halves}) != 1:
+        raise InvariantViolation("surface must be connected")
 
     edges = tuple((cid, (comp_of[(cid, "bot")], comp_of[(cid, "top")]))
                   for cid in cids)

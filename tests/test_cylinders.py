@@ -37,7 +37,7 @@ from squaretiled.cylinders import (
 )
 from squaretiled.errors import InvariantViolation
 from squaretiled.monodromy import enumerate_slopes
-from squaretiled.pipeline import enumerate_diagrams
+from squaretiled.pipeline import classify_surface, enumerate_diagrams
 from squaretiled.surface import Origami, parse_origami, singularity_data
 
 
@@ -296,8 +296,11 @@ def test_one_pass_matches_the_oracle_in_every_genus():
     by field and key order included, on the torus, the genus-2 L, the
     reference and 600 random origamis of genus 1 to 6 on 1 to 12 squares.
     On permutation pairs that skip the transitivity check, connected or
-    not, it returns what the oracle returns or raises what it raises,
-    with the same message."""
+    not (3000 random ones and every pair on at most 4 squares), it
+    returns what the oracle returns or raises what it raises, with the
+    same message.  The oracle keeps the boundary checks that the one pass
+    leaves to the corner identity, and only two messages are ever raised:
+    a stack without a bottom row and a disconnected surface."""
     rng = random.Random(3333)
     surfaces = [torus(), l_origami(), wollmilchsau()]
     surfaces += [random_origami(rng, 12) for _ in range(600)]
@@ -310,18 +313,31 @@ def test_one_pass_matches_the_oracle_in_every_genus():
             outcome(decomposition_oracle.horizontal_decomposition, o), o
         assert d.dual_graph == decomposition_oracle.dual_graph(d), o
     assert sorted(genera) == [1, 2, 3, 4, 5, 6]
-    raised = Counter()
+    pairs = []
     for _ in range(3000):
         n = rng.randint(1, 12)
         h, v = list(range(n)), list(range(n))
         rng.shuffle(h)
         rng.shuffle(v)
-        o = Origami(tuple(h), tuple(v))
+        pairs.append((tuple(h), tuple(v)))
+    pairs += [(h, v) for n in range(1, 5)
+              for h in itertools.permutations(range(n))
+              for v in itertools.permutations(range(n))]
+    assert len(pairs) == 3000 + 617
+    raised = Counter()
+    messages = Counter()
+    for i, (h, v) in enumerate(pairs):
+        o = Origami(h, v)
         result = outcome(horizontal_decomposition, o)
         assert result == \
             outcome(decomposition_oracle.horizontal_decomposition, o), o
-        raised[result[0] is InvariantViolation] += 1
+        if i < 3000:
+            raised[result[0] is InvariantViolation] += 1
+        if result[0] is InvariantViolation:
+            messages[result[1]] += 1
     assert raised[True] > 300 and raised[False] > 2000
+    assert set(messages) == {"cylinder stack must have a unique bottom row",
+                             "surface must be connected"}, messages
 
 
 def test_malformed_origami_raises_as_the_oracle_does():
@@ -332,6 +348,20 @@ def test_malformed_origami_raises_as_the_oracle_does():
                       decomposition_oracle.horizontal_decomposition):
         with pytest.raises(InvariantViolation, match="unique bottom row"):
             decompose(two_tori)
+
+
+def test_disconnected_origami_raises_as_the_oracle_does():
+    """Two genus-2 L-shaped surfaces, bypassing the transitivity check:
+    every row is in a stack and the Euler count reads genus 3, but the
+    pinch graph has two components, so the pair is not classified."""
+    two_ls = Origami((1, 0, 2, 4, 3, 5), (2, 1, 0, 5, 4, 3))
+    assert singularity_data(two_ls).genus == 3
+    for decompose in (horizontal_decomposition,
+                      decomposition_oracle.horizontal_decomposition,
+                      classify_surface):
+        with pytest.raises(InvariantViolation,
+                           match="surface must be connected"):
+            decompose(two_ls)
 
 
 def test_area_conservation_under_direction_change(rng):
