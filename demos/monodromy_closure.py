@@ -54,9 +54,9 @@ def main():
     print("restricted closure: %s, order %s"
           % (closure.status, closure.order))
 
-    report = forni_upper_bound(o, 2)
+    report = forni_upper_bound(o)
     print("isometric-subspace dimension bound: %d" % report.upper_bound)
-    print("per-direction core ranks all equal 1:",
+    print("per-cusp core ranks all equal 1:",
           all(rank == 1 for _, rank in report.witnesses))
 
     torus = build_origami((0,), (0,))

@@ -17,7 +17,8 @@ affine group off it as words and decides whether their action on
 zero-holonomy homology generates a finite group, acting on homology only
 with the generators the closure reads before its first witness; it
 prints cusp widths ascending, ``wxk`` for a width that occurs ``k > 1``
-times, and bounds the dimension from the slopes with entries up to 2.
+times, and bounds the dimension from the core-curve ranks of the cusps of
+the orbit it walked.
 Input files contain one origami line, e.g.
 ``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``.  Text goes to
 standard output; SVG files go to the ``--out`` directory.  The exit code
@@ -35,8 +36,8 @@ from pathlib import Path
 from .errors import SquareTiledError
 from .homology import homology_basis
 from .monodromy import (
+    _cusp_bound,
     closure_classify,
-    forni_upper_bound,
     homology_action,
     orbit_graph,
     restrict_to_zero_holonomy,
@@ -110,8 +111,8 @@ def _cmd_monodromy(args):
               % (first, ", a cusp parabolic" if first <= len(graph.cusps)
                  else "", " ".join(gens[first - 1])))
     if stratum.genus >= 2:
-        report = forni_upper_bound(o, 2)
-        print("isometric-subspace dimension bound: %d" % report.upper_bound)
+        print("isometric-subspace dimension bound: %d"
+              % _cusp_bound(graph, stratum.genus).upper_bound)
     return 0
 
 

@@ -501,9 +501,8 @@ def direction_member(o: Origami, slope):
     ``(q, p)``.  The horizontal slope ``(0, 1)`` has the empty word and
     the member ``o`` itself.  The word depends on the slope alone and is
     computed once per process for each slope (:func:`_slope_word`).  Few
-    slopes are asked for: the one a Case 5 direction defers to, those up
-    to bound 2 of :func:`~squaretiled.monodromy.forni_upper_bound`, and
-    those of an SVG report.
+    slopes are asked for: the one a Case 5 direction defers to and those
+    of an SVG report.
 
     EXAMPLES::
 

@@ -3,13 +3,17 @@ The affine group of an origami acting on integer homology: the
 ``SL(2, Z)``-orbit graph and the Schreier generators of the Veech group
 read off it, their symplectic matrices, the restriction to the
 zero-holonomy subspace, an exact finiteness decision by reduction mod 3,
-and the core-curve upper bound on the isometric-subspace dimension.
+and the core-curve upper bound on the isometric-subspace dimension read
+off the cusps of the orbit graph.
 
 The computable surrogate for an isometrically-moving subspace is the
 monodromy of the affine group on the kernel of the two holonomy covectors:
 a compact (equivalently, finite) restricted monodromy group is what a
-maximal such subspace produces, and per-direction core-curve ranks bound
-its dimension from above.
+maximal such subspace produces, and the core-curve ranks of the
+directions bound its dimension from above.  Up to the Veech group, the
+rational directions fall into one class per cusp of the orbit graph, so
+the bound reads one horizontal decomposition per cusp, not a box of
+slopes.
 
 The generators are exact, not a search up to a word length: one word in
 ``T`` and ``S`` per edge of the orbit graph outside a spanning tree
@@ -41,11 +45,10 @@ EXAMPLES::
 from __future__ import annotations
 
 import itertools
-from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .cylinders import periodic_decomposition
+from .cylinders import horizontal_decomposition
 from .errors import InvariantViolation, NotAStabilizer
 from .homology import (
     HomologyBasis,
@@ -416,47 +419,54 @@ def closure_classify(generators) -> ClosureResult:
 
 
 class ForniReport(NamedTuple):
-    """Per-direction evidence about the maximal isometric subspace: the
-    even upper bound ``2·(g - max core rank)``, the per-direction records
-    ``(slope, core span rank)``."""
+    """Per-cusp evidence about the maximal isometric subspace: the even
+    upper bound ``2·(g - max core rank)`` and, for each cusp read, the
+    record ``(word, core span rank)``, the word carrying that cusp's
+    direction of ``o`` to the horizontal."""
 
     upper_bound: int
     witnesses: tuple
 
 
-def enumerate_slopes(bound):
-    """Reduced slope pairs ``(p, q)`` (direction ``(q, p)``) with entries
-    up to ``bound``, horizontal and vertical included."""
-    slopes = [(0, 1), (1, 0)]
-    for q in range(1, bound + 1):
-        for p in range(1, bound + 1):
-            if gcd(p, q) == 1:
-                slopes.append((p, q))
-                slopes.append((-p, q))
-    return slopes
-
-
-def forni_upper_bound(o: Origami, direction_bound: int) -> ForniReport:
+def forni_upper_bound(o: Origami, direction_bound=None) -> ForniReport:
     r"""
     Upper bound ``min over directions of 2·(g - core span rank)`` for the
-    dimension of an isometrically-moving subspace, with the per-direction
-    core span ranks as evidence.  The core span rank of a direction is the
-    :attr:`~squaretiled.cylinders.DualGraph.cycle_rank` of its pinch dual
-    graph, which equals the rank of the span of the core-curve classes in
-    homology without building a homology basis.
+    dimension of an isometrically-moving subspace, with the core span
+    ranks of the cusps read as evidence; ``direction_bound`` is ignored.
+    An affine map keeps core span ranks, and up to the Veech group the
+    rational directions fall into one class per cusp of
+    :func:`orbit_graph` (G. Schmithüsen, Experiment. Math. 13, 2004), so
+    :func:`_cusp_bound` takes the minimum over the cusps.
 
     EXAMPLES::
 
         >>> from squaretiled.surface import build_origami, perm_from_cycles
         >>> ew = build_origami(perm_from_cycles([(0, 1, 2, 3), (4, 7, 6, 5)], 8),
         ...                    perm_from_cycles([(0, 4, 2, 6), (1, 5, 3, 7)], 8))
-        >>> forni_upper_bound(ew, 2).upper_bound
-        4
+        >>> forni_upper_bound(ew)
+        ForniReport(upper_bound=4, witnesses=(((), 1),))
     """
     g = singularity_data(o).genus
     if g < 2:
         raise ValueError("needs genus at least 2")
-    witnesses = tuple(
-        (slope, periodic_decomposition(o, slope).dual_graph.cycle_rank)
-        for slope in enumerate_slopes(direction_bound))
-    return ForniReport(2 * (g - max(rank for _, rank in witnesses)), witnesses)
+    return _cusp_bound(orbit_graph(o), g)
+
+
+def _cusp_bound(graph: OrbitGraph, genus) -> ForniReport:
+    """The report of :func:`forni_upper_bound` from the orbit graph of a
+    genus-``genus`` origami.  A cusp's rank is the
+    :attr:`~squaretiled.cylinders.DualGraph.cycle_rank` of the pinch dual
+    graph of its first member's horizontal decomposition, the rank of the
+    span of that direction's core curves, and its word carries the
+    direction to the horizontal.  Disjoint core curves span at most
+    ``genus`` dimensions, so the cusps are read up to the first of rank
+    ``genus``, where the bound is 0."""
+    witnesses = []
+    for first, _ in graph.cusps:
+        rank = horizontal_decomposition(graph.members[first]) \
+            .dual_graph.cycle_rank
+        witnesses.append((graph.words[first], rank))
+        if rank == genus:
+            break
+    return ForniReport(2 * (genus - max(rank for _, rank in witnesses)),
+                       tuple(witnesses))

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import Checked, NotTransitive
+from .errors import Checked, InvariantViolation, NotTransitive
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -147,7 +147,8 @@ class Origami:
     transitivity check, the input check of every parsed surface.  A pair
     built here directly skips it, but
     :func:`~squaretiled.cylinders.horizontal_decomposition`, which every
-    classification starts from, still rejects a disconnected pair with
+    classification starts from, and :func:`canonical_form`, which every
+    orbit walk starts from, still reject a disconnected pair with
     :class:`~squaretiled.errors.InvariantViolation`.
     """
 
@@ -433,6 +434,10 @@ def canonical_form(o: Origami) -> Origami:
     traversal: it is 0 when ``h`` fixes the start and 1 otherwise, so only
     the fixed points of ``h`` start when there are any.
 
+    A disconnected pair built with :class:`Origami` raises
+    :class:`~squaretiled.errors.InvariantViolation`: a traversal labels
+    only its start's component and runs out of squares before level ``n``.
+
     EXAMPLES::
 
         >>> a = build_origami((1, 0, 2), (0, 2, 1))
@@ -453,22 +458,25 @@ def canonical_form(o: Origami) -> Origami:
         label[s] = 0
         survivors.append((label, [s]))
     best_h = []
-    for k in range(n):
-        least, kept = n, []
-        for state in survivors:
-            label, order = state
-            i = order[k]
-            for j in neighbours[i]:
-                if label[j] < 0:
-                    label[j] = len(order)
-                    order.append(j)
-            x = label[h[i]]
-            if x < least:
-                least, kept = x, [state]
-            elif x == least:
-                kept.append(state)
-        survivors = kept
-        best_h.append(least)
+    try:
+        for k in range(n):
+            least, kept = n, []
+            for state in survivors:
+                label, order = state
+                i = order[k]
+                for j in neighbours[i]:
+                    if label[j] < 0:
+                        label[j] = len(order)
+                        order.append(j)
+                x = label[h[i]]
+                if x < least:
+                    least, kept = x, [state]
+                elif x == least:
+                    kept.append(state)
+            survivors = kept
+            best_h.append(least)
+    except IndexError:
+        raise InvariantViolation("surface must be connected") from None
     best_v = min([label[v[i]] for i in order] for label, order in survivors)
     return Origami(tuple(best_h), tuple(best_v))
 

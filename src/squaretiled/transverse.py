@@ -171,7 +171,7 @@ def _case1_witness(d):
             set(d.diagram.top_words[cid])
         if not both:
             continue
-        sid = min(both, key=str)
+        sid = min(both)
         length = d.saddle_lengths[sid]
         bp = d.bottom_positions[cid][sid]
         tp = d.top_positions[cid][sid]
@@ -217,7 +217,7 @@ def _case2_witness(d):
                 set(d.diagram.bottom_words[c2])
             if not shared:
                 continue
-            tau = max(shared, key=lambda t: (lengths[t], str(t)))
+            tau = max(shared, key=lambda t: (lengths[t], t))
             width = min(lengths[sigma], lengths[tau])
             bp = d.bottom_positions[c1][sigma]
             rise = d.cylinders[c1].height + d.cylinders[c2].height
@@ -300,7 +300,7 @@ def _case4b_witness(d, c1, c4, mid):
     :func:`_matched_pair` glues to the bottom of ``c1``: it crosses ``c1``,
     ``mid`` and ``c4`` once each."""
     lengths = d.saddle_lengths
-    sigma = max(d.diagram.top_words[c4], key=lambda s: (lengths[s], str(s)))
+    sigma = max(d.diagram.top_words[c4], key=lambda s: (lengths[s], s))
     bp = d.bottom_positions[c1][sigma]
     tp = d.top_positions[c4][sigma]
     rise = (d.cylinders[c1].height + d.cylinders[mid].height

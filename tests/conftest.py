@@ -22,6 +22,9 @@ H4_LINE = 'origami h="(1 3)(2 4)" v="(0 3 4)"'
 # a 6-square H(2,2) surface whose stabilizer words up to length 3 generate
 # a finite group of order 18, though its orbit's closure is unbounded
 SIX_SQUARES = 'origami n=6 h="(0 1 2)(3 4 5)" v="(0 3 1 5 2 4)"'
+# an H(3,1) surface whose directions with slope entries up to 2 all have
+# core span rank 2, while a cusp of its orbit has rank 3
+H31_SIX = 'origami n=6 h="(0 4 1 2 3)" v="(0 3 4 1 5)"'
 # lines that name no origami: an entry past n, a negative entry, the
 # reference with its second h-cycle unclosed, and stray text between cycles
 MALFORMED_LINES = (
@@ -122,25 +125,26 @@ def _cycle_count(p):
     return count
 
 
-def genus3_origamis(max_squares):
-    """Every transitive genus-3 origami on at most ``max_squares`` squares
-    whose ``h`` is the representative of its cycle type that cycles
-    consecutive squares, paired with every ``v``.  Relabeling carries any
-    origami to one of these, so up to isomorphism the set holds every
-    genus-3 origami of that size and every member of its ``SL(2, Z)``
-    orbit."""
+def origamis_of_genus(genus, max_squares):
+    """Every transitive origami of the given genus on at most
+    ``max_squares`` squares whose ``h`` is the representative of its cycle
+    type that cycles consecutive squares, paired with every ``v``.
+    Relabeling carries any origami to one of these, so up to isomorphism
+    the set holds every origami of that genus and size and every member of
+    its ``SL(2, Z)`` orbit."""
     for n in range(1, max_squares + 1):
         for cycle_type in _partitions(n):
             starts = itertools.accumulate((0,) + cycle_type)
             h = perm_from_cycles([tuple(range(a, a + k)) for a, k in
                                   zip(starts, cycle_type)], n)
             for v in itertools.permutations(range(n)):
-                # a connected surface of n squares has genus 3 when its
-                # corner permutation c(v(h(j))) = h(v(j)) has n - 4 cycles
+                # a connected surface of n squares has genus g when its
+                # corner permutation c(v(h(j))) = h(v(j)) has n + 2 - 2g
+                # cycles (Euler characteristic)
                 corner = [0] * n
                 for j in range(n):
                     corner[v[h[j]]] = h[v[j]]
-                if _cycle_count(corner) != n - 4:
+                if _cycle_count(corner) != n + 2 - 2 * genus:
                     continue
                 try:
                     o = build_origami(h, v)
@@ -150,10 +154,11 @@ def genus3_origamis(max_squares):
 
 
 @functools.cache
-def genus3_classes(max_squares):
-    """The canonical forms of :func:`genus3_origamis`, one per isomorphism
-    class, built once per session for every census test."""
-    return frozenset(canonical_form(o) for o in genus3_origamis(max_squares))
+def classes_of_genus(genus, max_squares):
+    """The canonical forms of :func:`origamis_of_genus`, one per
+    isomorphism class, built once per session for every census test."""
+    return frozenset(canonical_form(o)
+                     for o in origamis_of_genus(genus, max_squares))
 
 
 def random_unimodular(rng, n):

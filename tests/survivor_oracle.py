@@ -6,22 +6,52 @@ metric chain computed in :class:`fractions.Fraction` from the cylinder
 moduli, with the window inequalities evaluated on fractions of the
 circumference.  The reference that the two-direction decision, the
 integer chain and the integer window inequalities are compared against.
+Also the box of slopes both walks read, and the core-curve bound over
+that box, which the bound over the cusps of the orbit graph is compared
+against.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from squaretiled.cylinders import direction_member, horizontal_decomposition
+from squaretiled.cylinders import direction_member, \
+    horizontal_decomposition, periodic_decomposition
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.jump import case6_moduli_forcing
-from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import (
     DirectionRecord,
     EquivalenceResult,
     _analyze_direction,
 )
-from squaretiled.surface import origami_isomorphism
+from squaretiled.surface import origami_isomorphism, singularity_data
+
+
+def enumerate_slopes(bound):
+    """Reduced slope pairs ``(p, q)`` (direction ``(q, p)``) with entries
+    up to ``bound``, horizontal and vertical included."""
+    slopes = [(0, 1), (1, 0)]
+    for q in range(1, bound + 1):
+        for p in range(1, bound + 1):
+            if gcd(p, q) == 1:
+                slopes.append((p, q))
+                slopes.append((-p, q))
+    return slopes
+
+
+def slope_box_bound(o, bound):
+    """``(upper bound, witnesses)``: the core-curve bound
+    ``2·(g - max core span rank)`` over the slopes with entries up to
+    ``bound``, each slope's decomposition built through its own
+    :func:`~squaretiled.cylinders.direction_member`, with the records
+    ``(slope, core span rank)`` in :func:`enumerate_slopes` order; the
+    package's ``forni_upper_bound`` as it was while it read a box of
+    slopes."""
+    g = singularity_data(o).genus
+    witnesses = tuple(
+        (slope, periodic_decomposition(o, slope).dual_graph.cycle_rank)
+        for slope in enumerate_slopes(bound))
+    return 2 * (g - max(rank for _, rank in witnesses)), witnesses
 
 
 @dataclass(frozen=True)

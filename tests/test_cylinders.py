@@ -24,6 +24,7 @@ from conftest import (
     wollmilchsau,
 )
 from decomposition_oracle import core_row
+from survivor_oracle import enumerate_slopes
 from squaretiled import cylinders
 from squaretiled.cylinders import (
     CaseLabel,
@@ -36,7 +37,6 @@ from squaretiled.cylinders import (
     periodic_decomposition,
 )
 from squaretiled.errors import InvariantViolation
-from squaretiled.monodromy import enumerate_slopes
 from squaretiled.pipeline import classify_surface, enumerate_diagrams
 from squaretiled.surface import Origami, parse_origami, singularity_data
 

@@ -12,19 +12,19 @@ import pytest
 import action_oracle
 import closure_oracle
 import word_oracle
-from conftest import H4_LINE, SIX_SQUARES, genus3_classes, l_origami, \
-    torus, wollmilchsau, random_origami, random_unimodular
+from conftest import H4_LINE, H31_SIX, SIX_SQUARES, classes_of_genus, \
+    l_origami, torus, wollmilchsau, random_origami, random_unimodular
 from decomposition_oracle import core_span_rank
 from fraction_oracle import holonomy_kernel, invert_unimodular
+from survivor_oracle import enumerate_slopes, slope_box_bound
 from squaretiled import monodromy
 from squaretiled.cylinders import CaseLabel, classify_case, \
-    periodic_decomposition
+    horizontal_decomposition, periodic_decomposition
 from squaretiled.errors import InvariantViolation, NotAStabilizer
 from squaretiled.homology import HomologyBasis, homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
     closure_classify,
-    enumerate_slopes,
     forni_upper_bound,
     homology_action,
     orbit_graph,
@@ -425,7 +425,7 @@ def census_orbits():
     """The orbit graph of every ``SL(2, Z)``-orbit of genus-3 origamis up
     to seven squares, each from its least member, with the number of
     isomorphism classes they cover."""
-    classes = genus3_classes(7)
+    classes = classes_of_genus(3, 7)
     seen, graphs = set(), []
     for o in sorted(classes, key=lambda x: (x.n, x.h, x.v)):
         if o in seen:
@@ -490,26 +490,49 @@ def test_closure_needs_square_generators_of_one_size(generators):
         closure_classify(generators)
 
 
-def test_enumerate_slopes():
-    slopes = enumerate_slopes(2)
-    assert slopes[:2] == [(0, 1), (1, 0)]
-    assert (1, 1) in slopes and (-1, 2) in slopes
-    assert (2, 2) not in slopes
-    assert len(slopes) == len(set(slopes))
+def cusp_slope(m):
+    """The reduced slope ``(p, q)`` of the direction that the ``SL(2, Z)``
+    matrix ``m`` carries to the horizontal: its direction vector
+    ``(q, p)`` spans the kernel of the second row, signed as in
+    :func:`survivor_oracle.enumerate_slopes`."""
+    p, q = -m[1][0], m[1][1]
+    return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
+
+
+def cusp_slopes(report):
+    return [cusp_slope(action_oracle.word_matrix(word))
+            for word, _ in report.witnesses]
 
 
 def test_wollmilchsau_upper_bound():
-    report = forni_upper_bound(wollmilchsau(), 2)
+    """The reference's orbit is one member, one cusp of rank 1: the bound
+    is 4, as the box of slopes with entries up to 2 reads, where every
+    direction is Case 6 with rank 1.  ``direction_bound`` is ignored."""
+    o = wollmilchsau()
+    report = forni_upper_bound(o)
+    graph = orbit_graph(o)
     assert report.upper_bound == 4
-    assert [slope for slope, _ in report.witnesses] == enumerate_slopes(2)
-    assert all(classify_case(periodic_decomposition(
-        wollmilchsau(), slope).dual_graph) is CaseLabel.CASE6
-        for slope, _ in report.witnesses)
+    assert [word for word, _ in report.witnesses] == \
+        [graph.words[first] for first, _ in graph.cusps]
     assert all(rank == 1 for _, rank in report.witnesses)
+    assert all(classify_case(horizontal_decomposition(
+        graph.members[first]).dual_graph) is CaseLabel.CASE6
+        for first, _ in graph.cusps)
+    assert slope_box_bound(o, 2) == \
+        (4, tuple((slope, 1) for slope in enumerate_slopes(2)))
+    assert all(classify_case(periodic_decomposition(o, slope).dual_graph)
+               is CaseLabel.CASE6 for slope in enumerate_slopes(2))
+    for bound in (1, 2, 7):
+        assert forni_upper_bound(o, bound) == report
 
 
 def test_upper_bound_witnesses_match_homology_rank(rng):
-    surfaces = {2: [], 3: [wollmilchsau()]}
+    """Each cusp read has the rank of a homology basis on the direction of
+    ``o`` its word carries to the horizontal, found from the word's
+    matrix; the cusps are read in order up to the first of rank ``g``,
+    and the bound is never above the bound over the box of slopes with
+    entries up to 2, whose ranks are also the homology ranks."""
+    surfaces = {2: [], 3: [wollmilchsau(), parse_origami(H31_SIX)]}
     while min(len(found) for found in surfaces.values()) < 10:
         o = random_origami(rng, max_squares=9)
         genus = singularity_data(o).genus
@@ -517,14 +540,66 @@ def test_upper_bound_witnesses_match_homology_rank(rng):
             surfaces[genus].append(o)
     for genus, found in surfaces.items():
         for o in found:
-            report = forni_upper_bound(o, 2)
-            expected = []
-            for slope in enumerate_slopes(2):
-                d = periodic_decomposition(o, slope)
-                expected.append((slope, core_span_rank(d)))
-            assert list(report.witnesses) == expected
-            assert report.upper_bound == min(
-                [2 * genus] + [2 * (genus - r) for _, r in expected])
+            report = forni_upper_bound(o)
+            graph = orbit_graph(o)
+            read = len(report.witnesses)
+            assert [word for word, _ in report.witnesses] == \
+                [graph.words[first] for first, _ in graph.cusps[:read]]
+            ranks = [rank for _, rank in report.witnesses]
+            assert ranks == [
+                core_span_rank(periodic_decomposition(o, slope))
+                for slope in cusp_slopes(report)], o
+            assert all(rank < genus for rank in ranks[:-1]), o
+            assert read == len(graph.cusps) or ranks[-1] == genus, o
+            assert report.upper_bound == 2 * (genus - max(ranks))
+            box, witnesses = slope_box_bound(o, 2)
+            assert list(witnesses) == [
+                (slope, core_span_rank(periodic_decomposition(o, slope)))
+                for slope in enumerate_slopes(2)]
+            assert report.upper_bound <= box
+
+
+def test_cusp_bound_is_the_slope_box_bound_on_the_census():
+    """On every genus-2 and genus-3 class with at most seven squares: on
+    each orbit's least member the bound equals the bound over the box of
+    slopes that holds the slope of every cusp read (a cusp after the first
+    of rank ``g`` cannot lower it).  On every member the direction of
+    each cusp read, carried over by the member's word, has that cusp's
+    rank, and the member's box-2 bound is never below the bound.  The box
+    reads too high on 41 genus-3 classes, among them the H(3,1) surface
+    with rank 2 on the whole box."""
+    higher = {}
+    for genus in (2, 3):
+        classes = classes_of_genus(genus, 7)
+        higher[genus] = 0
+        seen = set()
+        for o in sorted(classes, key=lambda x: (x.n, x.h, x.v)):
+            if o in seen:
+                continue
+            graph = orbit_graph(o)
+            seen.update(graph.members)
+            report = forni_upper_bound(o)
+            bound = max(max(abs(p), q) for p, q in cusp_slopes(report))
+            assert slope_box_bound(o, bound)[0] == report.upper_bound, o
+            for member, word in zip(graph.members, graph.words):
+                # the inverse of the member's matrix, of determinant 1
+                (a, b), (c, d) = action_oracle.word_matrix(word)
+                back = ((d, -b), (-c, a))
+                for cusp, rank in report.witnesses:
+                    slope = cusp_slope(mat_mul(
+                        action_oracle.word_matrix(cusp), back))
+                    assert periodic_decomposition(member, slope) \
+                        .dual_graph.cycle_rank == rank, (member, slope)
+                box = slope_box_bound(member, 2)[0]
+                assert box >= report.upper_bound, member
+                higher[genus] += box > report.upper_bound
+        assert seen == classes
+    assert higher == {2: 0, 3: 41}
+    o = parse_origami(H31_SIX)
+    assert canonical_form(o) in classes_of_genus(3, 7)
+    assert forni_upper_bound(o).upper_bound == 0
+    assert slope_box_bound(o, 2) == \
+        (2, tuple((slope, 2) for slope in enumerate_slopes(2)))
 
 
 def test_upper_bound_needs_higher_genus():

@@ -16,10 +16,11 @@ import pytest
 import catalog_oracle
 import decomposition_oracle
 import survivor_oracle
-from conftest import BOUNDARY_4A, EXEMPLARS, H4_LINE, MALFORMED_LINES, \
-    SIX_SQUARES, decomposition_net, exemplar, genus3_classes, \
-    genus3_origamis, l_origami, random_genus3, wollmilchsau
+from conftest import BOUNDARY_4A, EXEMPLARS, H4_LINE, H31_SIX, \
+    MALFORMED_LINES, SIX_SQUARES, classes_of_genus, decomposition_net, exemplar, \
+    l_origami, origamis_of_genus, random_genus3, wollmilchsau
 from decomposition_oracle import core_span_rank
+from survivor_oracle import enumerate_slopes
 from squaretiled.cli import build_parser, main as cli_main
 from squaretiled.cylinders import (
     CaseLabel,
@@ -30,8 +31,9 @@ from squaretiled.cylinders import (
     moduli_exponents,
     periodic_decomposition,
 )
-from squaretiled.monodromy import enumerate_slopes, orbit_graph
-from squaretiled import cli, cylinders, homology, pipeline, transverse
+from squaretiled.monodromy import orbit_graph
+from squaretiled import cli, cylinders, homology, monodromy, pipeline, \
+    transverse
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.pipeline import (
     DirectionRecord,
@@ -302,6 +304,14 @@ CI_SURFACES = [
 PARITY_RANDOM = 500
 
 
+def test_enumerate_slopes():
+    slopes = enumerate_slopes(2)
+    assert slopes[:2] == [(0, 1), (1, 0)]
+    assert (1, 1) in slopes and (-1, 2) in slopes
+    assert (2, 2) not in slopes
+    assert len(slopes) == len(set(slopes))
+
+
 def test_verdict_matches_the_per_slope_loop():
     """The two-direction verdict has the status of the bound-3 slope walk
     wherever the walk decides, on the reference and relabelled copies of
@@ -366,7 +376,7 @@ def test_census_up_to_seven_squares():
     horizontal direction excludes nothing: elsewhere it stops at the same
     horizontal record, as :func:`test_verdict_matches_the_per_slope_loop`
     checks."""
-    census = genus3_classes(7)
+    census = classes_of_genus(3, 7)
     assert len(census) == 40 + 479 + 2645
     statuses, deferred, undecided = {}, Counter(), 0
     for o in census:
@@ -1100,13 +1110,37 @@ def test_cli_monodromy_unbounded(tmp_path, capsys):
     assert ("restricted closure: Unbounded (element of infinite order, "
             "witness word length 3)\n"
             "witness starts from generator 1, a cusp parabolic: T T\n") in out
-    # the dimension bound reads the directions up to slope entry 2 only
+    # the dimension bound reads the cusps of the orbit, with no bound
     for option in ("--norm-bound", "--direction-bound"):
         with pytest.raises(SystemExit) as exc:
             cli_main(["monodromy", str(path), option, "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: " + option in \
             capsys.readouterr().err
+
+
+def test_cli_monodromy_walks_the_orbit_once(tmp_path, capsys,
+                                            monkeypatch):
+    """The command reads the dimension bound off the orbit graph it built
+    for the generators: ``orbit_graph`` runs once, whichever module calls
+    it.  The H(3,1) surface reads 0, below the bound 2 of the slopes with
+    entries up to 2."""
+    walks = []
+
+    def counted(o):
+        walks.append(o)
+        return orbit_graph(o)
+
+    monkeypatch.setattr(cli, "orbit_graph", counted)
+    monkeypatch.setattr(monodromy, "orbit_graph", counted)
+    for line, bound in ((H31_SIX, 0), (H4_LINE, 0)):
+        path = tmp_path / "surface.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        walks.clear()
+        assert cli_main(["monodromy", str(path)]) == 0
+        assert len(walks) == 1
+        assert ("isometric-subspace dimension bound: %d\n" % bound) in \
+            capsys.readouterr().out
 
 
 def test_cli_monodromy_takes_no_word_bound(tmp_path, capsys):
@@ -1250,7 +1284,7 @@ def test_every_small_genus3_direction_has_a_shape_and_a_witness():
     direction analysis never raises, and every Case 1, 2 and 4 record
     carries a crossing witness."""
     records = Counter()
-    for o in genus3_origamis(6):
+    for o in origamis_of_genus(3, 6):
         d = horizontal_decomposition(o)
         graph = d.dual_graph
         label = label_or_none(graph)

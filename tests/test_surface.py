@@ -12,7 +12,9 @@ from conftest import MALFORMED_LINES, l_origami, random_genus3, \
     random_origami, torus, wollmilchsau
 from net_oracle import CylinderGeometry, NegativeLength, build_net
 from squaretiled.cylinders import CylinderDiagram
-from squaretiled.errors import NotTransitive
+from squaretiled.errors import InvariantViolation, NotTransitive
+from squaretiled.monodromy import forni_upper_bound, orbit_graph, \
+    stabilizer_generators
 from squaretiled.pipeline import affine_reference, reference_surface
 from squaretiled.surface import (
     Origami,
@@ -172,6 +174,24 @@ def test_canonical_form_matches_the_full_scan():
             least = min(pairs)
             assert canonical_form(x) == Origami(*least), x
             assert sum(h == least[0] for h, _ in pairs) > 1, x
+
+
+def test_canonical_form_rejects_a_disconnected_pair():
+    """A pair built with ``Origami`` that is not connected raises
+    ``InvariantViolation``, not ``IndexError``, from the canonical form
+    and so from the orbit walk and everything built on it: two genus-2
+    L-shaped surfaces, whose Euler count reads genus 3, and a 1-square
+    torus beside a 2-square one, where only the fixed point of ``h``
+    starts."""
+    two_ls = Origami((1, 0, 2, 4, 3, 5), (2, 1, 0, 5, 4, 3))
+    two_tori = Origami((0, 2, 1), (0, 2, 1))
+    for o in (two_ls, two_tori):
+        for f in (canonical_form, orbit_graph, stabilizer_generators):
+            with pytest.raises(InvariantViolation,
+                               match="surface must be connected"):
+                f(o)
+    with pytest.raises(InvariantViolation, match="surface must be connected"):
+        forni_upper_bound(two_ls)
 
 
 def test_commutator_is_the_corner_permutation(rng):

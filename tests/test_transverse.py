@@ -22,6 +22,7 @@ from interval_oracle import IntervalMap, LengthMismatch, boundary_hit, \
     build_interval_map, case4a_window_map, case4a_window_witness, \
     find_window_hit
 from net_oracle import CylinderGeometry, build_net
+from survivor_oracle import enumerate_slopes
 from squaretiled.cylinders import (
     CaseLabel,
     classify_case,
@@ -29,7 +30,6 @@ from squaretiled.cylinders import (
     periodic_decomposition,
 )
 from squaretiled.errors import InvariantViolation
-from squaretiled.monodromy import enumerate_slopes
 from squaretiled.surface import parse_origami
 from squaretiled.transverse import (
     FeasibilityRecord,
