@@ -112,7 +112,8 @@ def _cmd_monodromy(args):
                  else "", " ".join(gens[first - 1])))
     if stratum.genus >= 2:
         print("isometric-subspace dimension bound: %d"
-              % _cusp_bound(graph, stratum.genus).upper_bound)
+              % _cusp_bound((graph.members[first], graph.words[first])
+                            for first, _ in graph.cusps).upper_bound)
     return 0
 
 

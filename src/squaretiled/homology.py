@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .errors import InvariantViolation
 from .intlinalg import mat_mul, smith_normal_form, snf_rank
-from .surface import Origami, act_sl2z, singularity_data
+from .surface import Origami, act_sl2z
 
 # ---------------------------------------------------------------------------
 # chains on the square complex
@@ -106,7 +106,8 @@ class HomologyBasis:
         _require(all(s[i][i] == 1 for i in range(r2)),
                  "face lattice must be primitive")
         self.rank = len(rows) - r2
-        _require(self.rank == 2 * singularity_data(o).genus,
+        # Euler characteristic: len(orbits) corners, 2n edges, n faces
+        _require(self.rank == 2 * ((2 + n - len(orbits)) // 2),
                  "rank must be twice the genus")
 
         # basis class j lifts to column r2 + j of U2^-1 in cycle coordinates

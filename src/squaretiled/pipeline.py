@@ -394,8 +394,9 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
 
 @dataclass(frozen=True)
 class DiagramCatalog:
-    """Exhaustive list of cylinder diagrams of a given shape in a stratum,
-    up to relabeling and rotation; entries are pairwise non-isomorphic."""
+    """The cylinder diagrams of a given shape in a stratum that
+    :func:`enumerate_diagrams` finds, up to relabeling and rotation;
+    entries are pairwise non-isomorphic."""
 
     stratum: Stratum
     shape: str
@@ -495,10 +496,14 @@ def _case6_diagrams(stratum: Stratum):
 
 def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     r"""
-    Exhaustive catalog of cylinder diagrams in a genus 2 or 3 stratum, up
-    to relabeling and boundary rotation.  ``shape`` is ``"one_cylinder"``
-    for single-cylinder diagrams or ``"case6"`` for two cylinders
-    exchanging their boundaries.  Zero orders must be positive.
+    Catalog of cylinder diagrams in a genus 2 or 3 stratum, up to
+    relabeling and boundary rotation.  ``shape`` is ``"one_cylinder"``
+    for every single-cylinder diagram or ``"case6"`` for two cylinders
+    exchanging their boundaries.  Zero orders must be positive.  Every
+    saddle built has length 1, so the ``"case6"`` catalog lists only the
+    diagrams whose two bottoms carry equally many saddles: it is empty in
+    H(2,1,1), which has a Case 6 diagram with bottoms of 4 and 3 saddles
+    (ROADMAP item 13).
 
     ``h`` is one cycle, or two ``k``-cycles glued top to bottom, on
     ``sum(k_i + 1)`` squares, so every corner is a zero.  The gluings ``v``

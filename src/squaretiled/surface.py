@@ -320,6 +320,15 @@ def act_sl2z(o: Origami, word) -> Origami:
     return Origami(h, v)
 
 
+_INVERSE_LETTER = {"T": ("T^-1",), "T^-1": ("T",), "S": ("S", "S", "S")}
+
+
+def _inverse(word):
+    """The word of the inverse affine map: ``S⁻¹`` is ``S S S``."""
+    return tuple(x for letter in reversed(word)
+                 for x in _INVERSE_LETTER[letter])
+
+
 def matrix_word(m):
     r"""
     A word over ``{"T", "T^-1", "S"}`` whose matrix product
@@ -355,18 +364,10 @@ def matrix_word(m):
     if b != 0:
         left.extend(["T^-1"] * b if b >= 0 else ["T"] * (-b))
     # left, applied first-to-last, reduces m to the identity:
-    #   M(left[-1]) ··· M(left[0]) · m = I, so m is the product of the
-    #   inverses in reverse order.
-    inverse = {"T": "T^-1", "T^-1": "T"}
-    word = []
-    for letter in reversed(left):
-        if letter == "S":
-            word.extend(["S", "S", "S"])
-        else:
-            word.append(inverse[letter])
-    # simplify S^4 runs for readability
+    #   M(left[-1]) ··· M(left[0]) · m = I, so m is the word of the
+    #   inverse map, with S^4 runs simplified for readability.
     out = []
-    for letter in word:
+    for letter in _inverse(left):
         out.append(letter)
         if len(out) >= 4 and out[-4:] == ["S", "S", "S", "S"]:
             del out[-4:]

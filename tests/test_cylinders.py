@@ -5,12 +5,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 
 import decomposition_oracle
 import survivor_oracle
+import word_oracle
 from action_oracle import word_matrix
 from conftest import (
     CASE4A_DIAGRAM,
@@ -505,6 +506,19 @@ def test_slope_words_carry_the_direction_to_horizontal():
     for _ in range(2):
         with pytest.raises(ValueError, match="not reduced"):
             direction_member(o, (2, 4))
+
+
+def test_slope_words_match_the_letter_by_letter_oracle():
+    """The word of every reduced slope with entries up to 6 is the one
+    the letter-by-letter inversion of ``matrix_word`` gives."""
+    slopes = [(p, q) for p in range(-6, 7) for q in range(-6, 7)
+              if gcd(p, q) == 1]
+    assert len(slopes) == 96
+    for p, q in slopes:
+        a, b = cylinders._bezout(q, p)
+        expected = () if (q, p) == (1, 0) else \
+            tuple(word_oracle.matrix_word(((a, b), (-p, q))))
+        assert cylinders._slope_word(p, q) == expected, (p, q)
 
 
 def test_one_cylinder_catalog_keys_are_pairwise_distinct():

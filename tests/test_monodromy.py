@@ -11,6 +11,7 @@ import pytest
 
 import action_oracle
 import closure_oracle
+import orbit_oracle
 import word_oracle
 from conftest import H4_LINE, H31_SIX, SIX_SQUARES, classes_of_genus, \
     l_origami, torus, wollmilchsau, random_origami, random_unimodular
@@ -24,6 +25,7 @@ from squaretiled.errors import InvariantViolation, NotAStabilizer
 from squaretiled.homology import HomologyBasis, homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
+    OrbitGraph,
     closure_classify,
     forni_upper_bound,
     homology_action,
@@ -421,11 +423,11 @@ def test_orbit_graph_generators_are_stabilizers(name):
 
 
 @functools.cache
-def census_orbits():
-    """The orbit graph of every ``SL(2, Z)``-orbit of genus-3 origamis up
-    to seven squares, each from its least member, with the number of
-    isomorphism classes they cover."""
-    classes = classes_of_genus(3, 7)
+def census_orbits(genus):
+    """The orbit graph of every ``SL(2, Z)``-orbit of genus-``genus``
+    origamis up to seven squares, each from its least member, with the
+    number of isomorphism classes they cover."""
+    classes = classes_of_genus(genus, 7)
     seen, graphs = set(), []
     for o in sorted(classes, key=lambda x: (x.n, x.h, x.v)):
         if o in seen:
@@ -443,7 +445,7 @@ def test_census_orbits_are_unbounded_from_a_cusp_parabolic():
     """Every ``SL(2, Z)``-orbit of genus-3 origamis up to seven squares
     (45 orbits, 3164 isomorphism classes) has an ``Unbounded`` restricted
     closure with a witness among its cusp parabolics."""
-    graphs, classes = census_orbits()
+    graphs, classes = census_orbits(3)
     for o, graph in graphs:
         cusps = len(graph.cusps)
         assert len(graph.generators) == len(graph.members) + 1
@@ -460,7 +462,7 @@ def test_lazy_closure_matches_the_cusp_prefix_closure():
     closure of the cusp parabolics alone: same status, witness and
     ``generated_by``.  It reads no generator past the one whose step
     found the witness."""
-    graphs, _ = census_orbits()
+    graphs, _ = census_orbits(3)
     for o, graph in graphs:
         b = homology_basis(o)
         prefix = closure_classify(restricted_generators_of(
@@ -600,6 +602,54 @@ def test_cusp_bound_is_the_slope_box_bound_on_the_census():
     assert forni_upper_bound(o).upper_bound == 0
     assert slope_box_bound(o, 2) == \
         (2, tuple((slope, 2) for slope in enumerate_slopes(2)))
+
+
+# the 9-square H(5,1) surface: its orbit has 38 736 members in 4888 cusps,
+# and its second cusp already has core span rank 4, the genus
+NINE_SQUARES = 'origami n=9 h="(0 1 2 8 5 7)(3 4 6)" v="(0 5)(1 3 2 8 6)"'
+
+
+def test_orbit_graph_matches_the_eager_oracle():
+    """``orbit_graph`` drains the lazy walk into the graph that the eager
+    walk builds, field by field, and ``forni_upper_bound``, which reads
+    the walk only up to the first cusp of rank ``g``, reports what
+    ``_cusp_bound`` reads off the oracle's cusps.  The surfaces are every
+    orbit of genus 2, 3 and 4 up to seven squares, from its least member
+    (so every class is a member of one), the reference, H(4), H(3,1) and
+    the 6- and 7-square H(2,2) surfaces."""
+    surfaces = [wollmilchsau()] + [parse_origami(line) for line in (
+        H4_LINE, H31_SIX, SIX_SQUARES, CASE5_SEVEN)]
+    orbits = {}
+    for genus in (2, 3, 4):
+        graphs, classes = census_orbits(genus)
+        surfaces += [o for o, _ in graphs]
+        orbits[genus] = (len(graphs), classes)
+    assert orbits == {2: (19, 456), 3: (45, 3164), 4: (14, 1260)}
+    for o in surfaces:
+        graph, expected = orbit_graph(o), orbit_oracle.orbit_graph(o)
+        for field in OrbitGraph._fields:
+            assert getattr(graph, field) == getattr(expected, field), \
+                (o, field)
+        assert forni_upper_bound(o) == monodromy._cusp_bound(
+            (expected.members[first], expected.words[first])
+            for first, _ in expected.cusps), o
+
+
+def test_nine_square_bound_stops_at_the_first_rank_g_cusp(monkeypatch):
+    """On the 9-square H(5,1) surface the bound is 0 at the second cusp,
+    and the walk stops there: fewer than 100 of the orbit's 77 473
+    canonical forms are computed."""
+    calls = []
+
+    def counted(o):
+        calls.append(o)
+        return canonical_form(o)
+
+    monkeypatch.setattr(monodromy, "canonical_form", counted)
+    report = forni_upper_bound(parse_origami(NINE_SQUARES))
+    assert (report.upper_bound, len(report.witnesses)) == (0, 2)
+    assert [rank for _, rank in report.witnesses] == [2, 4]
+    assert len(calls) < 100
 
 
 def test_upper_bound_needs_higher_genus():

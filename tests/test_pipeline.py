@@ -1021,6 +1021,25 @@ def test_case6_catalog_entry_is_the_reference_diagram():
         ref.diagram.canonical_key()
 
 
+# an H(2,1,1) surface whose horizontal direction is Case 6 with bottoms of
+# 4 and 3 saddles, so the case6 catalog, whose saddles all have length 1,
+# does not list its diagram (ROADMAP item 13)
+UNEQUAL_CASE6 = 'origami n=8 h="(0 4 5 2)(1 7 6 3)" v="(0 3 2 1 5 6)(4 7)"'
+
+
+def test_case6_with_unequal_bottoms_is_excluded_by_window_forcing():
+    o = parse_origami(UNEQUAL_CASE6)
+    assert singularity_data(o).kappa == (2, 1, 1)
+    d = horizontal_decomposition(o)
+    assert sorted(len(d.diagram.bottom_words[c.id])
+                  for c in d.cylinders) == [3, 4]
+    verdict = classify_surface(o)
+    assert verdict.status == "TrivialForni"
+    horizontal = record_for(verdict, (0, 1))
+    assert (horizontal.label, horizontal.mechanism) == \
+        ("Case6", "window forcing")
+
+
 def test_catalog_rejects_bad_input():
     with pytest.raises(ValueError):
         enumerate_diagrams((1, 1), "three_cylinder")

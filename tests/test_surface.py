@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import canonical_form_oracle
+import word_oracle
 from action_oracle import word_matrix
 from conftest import MALFORMED_LINES, l_origami, random_genus3, \
     random_origami, torus, wollmilchsau
@@ -51,13 +52,26 @@ def test_perm_utilities():
     assert perm_compose(p, perm_inverse(p)) == (0, 1, 2, 3)
 
 
-def test_word_matrix_roundtrip():
+def roundtrip_matrices():
+    """The matrices of 50 random words of up to 6 letters."""
     rng = random.Random(7)
     letters = ["T", "T^-1", "S"]
-    for _ in range(50):
-        word = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
-        m = word_matrix(word)
+    return [word_matrix([rng.choice(letters)
+                         for _ in range(rng.randint(0, 6))])
+            for _ in range(50)]
+
+
+def test_word_matrix_roundtrip():
+    for m in roundtrip_matrices():
         assert word_matrix(matrix_word(m)) == m
+
+
+def test_matrix_word_matches_the_letter_by_letter_oracle():
+    """``matrix_word`` inverts its peeled word with the orbit walk's word
+    inversion; the word is the one the letter-by-letter inversion gives,
+    on every matrix of the roundtrip test and the doctests."""
+    for m in roundtrip_matrices() + [((0, -1), (1, 0)), ((2, 3), (1, 2))]:
+        assert matrix_word(m) == word_oracle.matrix_word(m), m
 
 
 def test_action_letter_inverses():
