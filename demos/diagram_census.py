@@ -6,8 +6,8 @@ one-cylinder diagram in H(1,1), a single one-cylinder diagram in H(2),
 and a single two-cylinder boundary-exchanging diagram in H(1,1,1,1) —
 the diagram of the 8-square survivor.  This script counts them with the
 catalogs of ``squaretiled.pipeline`` (the boundary-exchanging catalog
-lists the diagrams whose two bottoms carry equally many saddles) and
-writes an SVG sheet for the survivor's catalog.
+lists every Case 6 diagram) and writes an SVG sheet for the survivor's
+catalog.
 
 Run with::
 

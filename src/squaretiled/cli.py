@@ -43,6 +43,7 @@ from .monodromy import (
     restrict_to_zero_holonomy,
 )
 from .pipeline import (
+    _SHAPES,
     classify_surface,
     enumerate_diagrams,
     reference_surface,
@@ -140,8 +141,7 @@ def build_parser():
                        help="catalog cylinder diagrams")
     p.add_argument("--stratum", required=True,
                    help="comma-separated zero orders, e.g. 1,1,1,1")
-    p.add_argument("--shape", choices=("one_cylinder", "case6"),
-                   required=True)
+    p.add_argument("--shape", choices=tuple(_SHAPES), required=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("monodromy",

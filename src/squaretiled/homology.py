@@ -76,8 +76,7 @@ class HomologyBasis:
     Attributes of interest: ``rank`` (2·genus), ``omega`` (the skew
     unimodular Gram matrix of the chosen basis), ``basis_chains`` (cycle
     representatives).  Use :meth:`coords` for the coordinate vector of a
-    cycle on the complex, and :meth:`pair_chains` for intersection
-    numbers.
+    cycle on the complex.
     """
 
     def __init__(self, o: Origami):
@@ -148,23 +147,6 @@ class HomologyBasis:
         r = self._boundary_rank
         _require(not any(read[:r]), "chain is not a cycle")
         return read[r:]
-
-    def pair_chains(self, x, y):
-        r"""
-        Algebraic intersection number of two cycles given as chains: their
-        coordinates paired by ``omega``.
-
-        EXAMPLES::
-
-            >>> from squaretiled.surface import build_origami
-            >>> H = homology_basis(build_origami((0,), (0,)))
-            >>> h_edge, v_edge = [1, 0], [0, 1]
-            >>> H.pair_chains(h_edge, v_edge)
-            1
-        """
-        cy = self.coords(y)
-        return sum(a * w * b for a, row in zip(self.coords(x), self.omega)
-                   for w, b in zip(row, cy))
 
     def holonomy_covectors(self):
         """Two integer covectors evaluating horizontal and vertical holonomy

@@ -35,7 +35,6 @@ from .surface import (
     Stratum,
     build_origami,
     origami_isomorphism,
-    perm_from_cycles,
 )
 from .transverse import (
     WindowConstraint,
@@ -394,8 +393,8 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
 
 @dataclass(frozen=True)
 class DiagramCatalog:
-    """The cylinder diagrams of a given shape in a stratum that
-    :func:`enumerate_diagrams` finds, up to relabeling and rotation;
+    """Every cylinder diagram of a given shape in a stratum, as
+    :func:`enumerate_diagrams` finds them, up to relabeling and rotation;
     entries are pairwise non-isomorphic."""
 
     stratum: Stratum
@@ -406,20 +405,19 @@ class DiagramCatalog:
         return len(self.diagrams)
 
 
-def _as_stratum(stratum):
-    if isinstance(stratum, Stratum):
-        return stratum
-    kappa = tuple(sorted(stratum, reverse=True))
-    return Stratum(kappa, (sum(kappa) + 2) // 2)
+# for each block of ``h``, the block its tops are glued into
+_SHAPES = {"one_cylinder": (0,), "case6": (1, 0)}
 
 
 def _gluings(h, images, kappa):
     """In lexicographic order, the ``v`` with ``v[j]`` in ``images[j]``
-    whose corner cycles have the lengths ``k + 1``, ``k`` in ``kappa``."""
+    whose corner cycles have the lengths ``k + 1``, ``k`` in ``kappa``,
+    and length 1 for each of the ``n - sum(k + 1)`` regular corners."""
     n = len(h)
     # c(v(h(p))) = h(v(p)) is known once the later of p, h(p) is placed
     due = [[p for p in range(n) if max(p, h[p]) == j] for j in range(n)]
     need = Counter(k + 1 for k in kappa)
+    need[1] += n - sum(kappa) - len(kappa)
     longest = max(need)
     v, used, trail = [-1] * n, [False] * n, []
     # the known corner entries form chains: first[t] starts the chain that
@@ -463,12 +461,14 @@ def _gluings(h, images, kappa):
     return place(0)
 
 
-def _first_diagrams(h, images, stratum):
-    """The diagram of the first gluing of each key, in key order.  Every
-    corner is a zero, so each cycle of ``h`` is one cylinder of height 1;
-    a taller one raises :class:`~squaretiled.errors.InvariantViolation`."""
+def _first_diagrams(h, images, kappa):
+    """The diagram of the first gluing of each key, in key order.  Rows
+    cannot merge: each has two top corners or more and at most one corner
+    is regular, so a zero lies on every top and each cycle of ``h`` is one
+    cylinder of height 1; a taller one raises
+    :class:`~squaretiled.errors.InvariantViolation`."""
     seen = {}
-    for v in _gluings(h, images, stratum.kappa):
+    for v in _gluings(h, images, kappa):
         d = horizontal_decomposition(Origami(h, v))
         if any(c.height != 1 for c in d.cylinders):
             raise InvariantViolation("a catalog gluing has fewer cylinders "
@@ -477,46 +477,40 @@ def _first_diagrams(h, images, stratum):
     return tuple(seen[key] for key in sorted(seen))
 
 
-def _one_cylinder_diagrams(stratum: Stratum):
-    m = sum(stratum.kappa) + len(stratum.kappa)
-    h = tuple((i + 1) % m for i in range(m))
-    return _first_diagrams(h, [(0,)] + [range(1, m)] * (m - 1), stratum)
-
-
-def _case6_diagrams(stratum: Stratum):
-    total = sum(stratum.kappa) + len(stratum.kappa)
-    if total % 2:
-        return ()
-    k = total // 2
-    h = perm_from_cycles([tuple(range(k)), tuple(range(k, 2 * k))], 2 * k)
-    images = ([(k,)] + [range(k + 1, 2 * k)] * (k - 1)
-              + [(0,)] + [range(1, k)] * (k - 1))
-    return _first_diagrams(h, images, stratum)
-
-
 def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     r"""
-    Catalog of cylinder diagrams in a genus 2 or 3 stratum, up to
-    relabeling and boundary rotation.  ``shape`` is ``"one_cylinder"``
-    for every single-cylinder diagram or ``"case6"`` for two cylinders
-    exchanging their boundaries.  Zero orders must be positive.  Every
-    saddle built has length 1, so the ``"case6"`` catalog lists only the
-    diagrams whose two bottoms carry equally many saddles: it is empty in
-    H(2,1,1), which has a Case 6 diagram with bottoms of 4 and 3 saddles
-    (ROADMAP item 13).
+    Catalog of cylinder diagrams in a genus 2 or 3 stratum, given by its
+    positive zero orders, up to relabeling and boundary rotation.
+    ``shape`` is ``"one_cylinder"`` for every single-cylinder diagram or
+    ``"case6"`` for every diagram of two cylinders exchanging their
+    boundaries.
 
-    ``h`` is one cycle, or two ``k``-cycles glued top to bottom, on
-    ``sum(k_i + 1)`` squares, so every corner is a zero.  The gluings ``v``
-    are searched in lexicographic order, square by square; the corner
-    permutation ``c(v(h(j))) = h(v(j))`` grows once ``v[j]`` and
-    ``v[h[j]]`` are placed, and a branch is cut when a corner cycle closes
-    with a length ``k_i + 1`` not still needed or a corner chain outgrows
-    the longest.  A cylinder twist rotates its block of ``v`` and keeps the
-    diagram, so each block starts at its smallest image (``v[0] = 0``; or
-    ``v[0] = k``, ``v[k] = 0``), as the first ``v`` of every diagram does.
-    Each block's tops go into the other block, so the two cylinders
-    exchange their boundaries: Case 6 in genus 3, and no gluing in genus 2
-    (``test_pinch_shape_table_is_complete``).
+    ``h`` has one cycle, a block of ``k`` squares, per cylinder, and
+    ``_SHAPES[shape][b]`` is the block that the tops of block ``b`` are
+    glued into; ``k`` is the least with ``k`` times the cylinder count at
+    least ``sum(k_i + 1)``, and the corners that are not zeros are
+    regular.  The gluings ``v`` are searched in lexicographic order,
+    square by square; the corner permutation ``c(v(h(j))) = h(v(j))``
+    grows once ``v[j]`` and ``v[h[j]]`` are placed, and a branch is cut
+    when a corner cycle closes with a length not still needed or a corner
+    chain outgrows the longest.  A cylinder twist rotates its block of
+    ``v`` and keeps the diagram, so each block starts at its smallest
+    image (``v[0] = 0``; or ``v[0] = k``, ``v[k] = 0``), as the first
+    ``v`` of every diagram does.
+
+    Both catalogs are complete.  A single cylinder carries the same
+    saddles on its bottom and top, so each of its diagrams is realized
+    with every saddle of length 1, on ``sum(k_i + 1)`` squares.  In
+    ``"case6"`` each block's tops go into the other block, so the two
+    cylinders exchange their boundaries: Case 6 in genus 3, and no gluing
+    in genus 2 (``test_pinch_shape_table_is_complete``).  Each component
+    of a genus-3 Case 6 pinch has genus 1 and two boundary circles, so by
+    Gauss-Bonnet its zero orders sum to 2 and it holds ``z + 2`` saddles,
+    ``z`` in {1, 2} its zeros: the bottoms carry 3 and 3, 3 and 4, or 4
+    and 4 saddles.  Each cylinder's top carries the other's bottom, so
+    these are realized on ``k`` = 3, 4 or 4 squares per cylinder with
+    every saddle of length 1 but, for 3 and 4, one of length 2 through
+    the one regular corner.
 
     EXAMPLES::
 
@@ -525,16 +519,20 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
         >>> len(enumerate_diagrams((2,), "one_cylinder"))
         1
     """
-    stratum = _as_stratum(stratum)
+    kappa = tuple(sorted(stratum, reverse=True))
+    stratum = Stratum(kappa, (sum(kappa) + 2) // 2)
     if not 2 <= stratum.genus <= 3:
         raise ValueError("catalogs cover genus 2 and 3")
-    if shape == "one_cylinder":
-        diagrams = _one_cylinder_diagrams(stratum)
-    elif shape == "case6":
-        diagrams = _case6_diagrams(stratum)
-    else:
-        raise ValueError("shape must be 'one_cylinder' or 'case6'")
-    return DiagramCatalog(stratum, shape, diagrams)
+    if shape not in _SHAPES:
+        raise ValueError("shape must be " + " or ".join(map(repr, _SHAPES)))
+    into = _SHAPES[shape]
+    k = -(-(sum(kappa) + len(kappa)) // len(into))
+    # square i of a block is followed by the next one, cyclically
+    h = tuple(i - i % k + (i + 1) % k for i in range(k * len(into)))
+    images = []
+    for b in into:
+        images += [(b * k,)] + [range(b * k + 1, b * k + k)] * (k - 1)
+    return DiagramCatalog(stratum, shape, _first_diagrams(h, images, kappa))
 
 
 # ---------------------------------------------------------------------------

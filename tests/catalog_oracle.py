@@ -8,8 +8,10 @@ permutation search of ``decomposition_oracle.classify_case`` names its
 pinch Case 6, independently of the package's shape table.
 
 The one-cylinder scan fixes ``v[0] = 0`` (a twist of the cylinder) and
-tries the ``(m - 1)!`` others; the Case 6 scan fixes no twist and tries all
-``k!**2`` gluings of the two cylinders.
+tries the ``(m - 1)!`` others; the Case 6 scan fixes ``v[0] = k`` (a twist
+of the first cylinder) and tries the ``(k - 1)!·k!`` gluings of two
+cylinders of ``k`` squares, by default the least ``k`` with ``2·k >=
+sum(k_i + 1)``, so one corner may be regular.
 """
 
 import itertools
@@ -41,23 +43,16 @@ def one_cylinder_diagrams(stratum: Stratum):
     return tuple(seen[k] for k in sorted(seen))
 
 
-def case6_diagrams(stratum: Stratum):
-    total = sum(stratum.kappa) + len(stratum.kappa)
-    if total % 2:
-        return ()
-    k = total // 2
+def case6_diagrams(stratum: Stratum, k=None):
+    if k is None:
+        k = (sum(stratum.kappa) + len(stratum.kappa) + 1) // 2
     h = perm_from_cycles([tuple(range(k)), tuple(range(k, 2 * k))], 2 * k)
-    top1 = tuple(range(k))
-    bottom2 = tuple(range(k, 2 * k))
     seen = {}
-    for img1 in itertools.permutations(bottom2):
-        for img2 in itertools.permutations(top1):
-            v = [0] * (2 * k)
-            for i, j in zip(top1, img1):
-                v[i] = j
-            for i, j in zip(bottom2, img2):
-                v[i] = j
-            o = build_origami(h, tuple(v))
+    # the tops of the first cylinder go to the second, starting at k (a
+    # twist of the first cylinder), and the tops of the second to the first
+    for rest in itertools.permutations(range(k + 1, 2 * k)):
+        for img2 in itertools.permutations(range(k)):
+            o = build_origami(h, (k,) + rest + img2)
             if singularity_data(o).kappa != stratum.kappa:
                 continue
             d = horizontal_decomposition(o)

@@ -965,6 +965,7 @@ def test_catalog_counts():
     assert len(enumerate_diagrams((2,), "one_cylinder")) == 1
     assert len(enumerate_diagrams((1, 1, 1, 1), "case6")) == 1
     assert len(enumerate_diagrams((2,), "case6")) == 0
+    assert len(enumerate_diagrams((2, 1, 1), "case6")) == 1
 
 
 @pytest.mark.parametrize("kappa", [(2,), (1, 1), (4,), (3, 1), (2, 2),
@@ -1001,16 +1002,17 @@ def test_catalog_matches_the_oracle(kappa):
             assert got.saddle_zeros == want.saddle_zeros, shape
 
 
-@pytest.mark.parametrize("kappa", [(1, 1), (3, 1), (2, 1, 1)],
-                         ids=lambda k: "H" + ",".join(map(str, k)))
-def test_gluings_are_the_filtered_permutations_in_order(kappa):
+@pytest.mark.parametrize("kappa, regular", [((1, 1), 0), ((3, 1), 0),
+                                            ((2, 1, 1), 0), ((2, 2), 1)],
+                         ids=["H1,1", "H3,1", "H2,1,1", "H2,2+regular"])
+def test_gluings_are_the_filtered_permutations_in_order(kappa, regular):
     # the pruned search against a filter of every permutation by the cycle
-    # lengths of its corner permutation
-    m = sum(kappa) + len(kappa)
+    # lengths of its corner permutation, a regular corner being a 1-cycle
+    m = sum(kappa) + len(kappa) + regular
     h = tuple((i + 1) % m for i in range(m))
     expected = [v for v in itertools.permutations(range(m))
                 if sorted(map(len, build_origami(h, v).vertex_orbits()))
-                == sorted(k + 1 for k in kappa)]
+                == sorted([k + 1 for k in kappa] + [1] * regular)]
     assert list(pipeline._gluings(h, [range(m)] * m, kappa)) == expected
 
 
@@ -1022,9 +1024,27 @@ def test_case6_catalog_entry_is_the_reference_diagram():
 
 
 # an H(2,1,1) surface whose horizontal direction is Case 6 with bottoms of
-# 4 and 3 saddles, so the case6 catalog, whose saddles all have length 1,
-# does not list its diagram (ROADMAP item 13)
+# 4 and 3 saddles, one of them of length 2: its diagram is the one entry of
+# the H(2,1,1) case6 catalog, built with a regular corner
 UNEQUAL_CASE6 = 'origami n=8 h="(0 4 5 2)(1 7 6 3)" v="(0 3 2 1 5 6)(4 7)"'
+
+
+def test_case6_catalog_lists_the_unequal_bottoms_diagram():
+    (diagram,) = enumerate_diagrams((2, 1, 1), "case6").diagrams
+    assert diagram.canonical_key() == horizontal_decomposition(
+        parse_origami(UNEQUAL_CASE6)).diagram.canonical_key()
+
+
+def test_case6_catalog_holds_every_key_with_one_more_square():
+    # every gluing of two cylinders one square longer than the catalog's,
+    # kept by singularity_data and the oracle's pinch classification, so
+    # with two more regular corners than the catalog allows
+    for kappa in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]:
+        catalog = enumerate_diagrams(kappa, "case6")
+        longer = catalog_oracle.case6_diagrams(
+            catalog.stratum, (sum(kappa) + len(kappa) + 1) // 2 + 1)
+        assert {d.canonical_key() for d in longer} <= \
+            {d.canonical_key() for d in catalog.diagrams}, kappa
 
 
 def test_case6_with_unequal_bottoms_is_excluded_by_window_forcing():
