@@ -95,9 +95,10 @@ class CylinderDiagram(NamedTuple):
         The encoding records the boundary words in the order of a
         first-seen traversal:
 
-        - *Anchor.*  A cylinder together with a rotation of its bottom
-          word, so there is one anchor per saddle.  The rotated bottom
-          word is placed first.
+        - *Anchor.*  A cylinder whose bottom word has the least nonempty
+          length ``m``, together with a rotation of that word.  The
+          rotated bottom word is placed first, as the record
+          ``(0, 0, (0, 1, ..., m - 1))``.
         - *Traversal.*  Saddles are named in the order they are first
           placed.  Repeatedly, the unplaced boundary word holding the
           smallest named saddle is placed, rotated to start at that
@@ -117,13 +118,21 @@ class CylinderDiagram(NamedTuple):
         only on the diagram up to relabeling, and an encoding lists every
         word, so equal keys mean isomorphic diagrams and conversely.
 
+        Only the shortest bottoms can anchor the minimum.  An anchor on a
+        bottom of length ``m`` opens its encoding with the record
+        ``(0, 0, (0, 1, ..., m - 1))``, and tuples compare by prefix, so
+        every encoding anchored on a longer bottom is larger than every
+        encoding anchored on a shorter one.  Anchors on longer bottoms
+        are not traversed.
+
         One traversal costs O(s) in the number of saddles s, so a key costs
-        O(s^2) times the number of rotations the branches try.  The
-        reference two-cylinder diagram (8 saddles, so 8 anchors) branches
-        once per anchor, into 4 rotations: 32 complete encodings.
+        O(s) times the number of complete encodings: the shortest-bottom
+        anchors times the rotations their branches try.  The reference
+        two-cylinder diagram (two bottoms of 4 saddles, so 8 anchors)
+        branches once per anchor, into 4 rotations: 32 complete encodings.
 
         Raises :class:`~squaretiled.errors.InvariantViolation` when the
-        diagram fails :meth:`validate` or is disconnected.
+        diagram fails :meth:`validate`, has no saddle or is disconnected.
 
         EXAMPLES::
 
@@ -145,11 +154,14 @@ class CylinderDiagram(NamedTuple):
                 words[side, cid] = word
                 for i, sid in enumerate(word):
                     where[side, sid] = (cid, i)
-        return min((enc for cid in self.cylinder_ids
-                    for rot in range(len(self.bottom_words[cid]))
-                    for enc in _Traversal(self, words, where).run(0, cid,
-                                                                   rot)),
-                   default=None)
+        m = min(filter(None, map(len, self.bottom_words.values())),
+                default=0)
+        if not m:
+            raise InvariantViolation("cylinder diagram has no saddle")
+        return min(enc for cid in self.cylinder_ids
+                   if len(self.bottom_words[cid]) == m
+                   for rot in range(m)
+                   for enc in _Traversal(self, words, where).run(0, cid, rot))
 
 
 class _Traversal:
@@ -191,7 +203,7 @@ class _Traversal:
         self.placed[side, cid] = None
         self.encoding.append(
             (side, self.cylinders.setdefault(cid, len(self.cylinders)),
-             tuple(names[sid] for sid in word)))
+             tuple(map(names.__getitem__, word))))
 
     def run(self, side, cid, rot, next_saddle=0):
         """Place word (side, cid) rotated by ``rot``, extend through saddles,
@@ -212,7 +224,7 @@ class _Traversal:
             yield tuple(self.encoding), tuple(
                 (zeros.setdefault(a, len(zeros)),
                  zeros.setdefault(b, len(zeros)))
-                for a, b in (saddle_zeros[sid] for sid in order))
+                for a, b in map(saddle_zeros.__getitem__, order))
             return
         for s, c in placed:
             if (1 - s, c) not in placed:

@@ -461,14 +461,50 @@ def _gluings(h, images, kappa):
     return place(0)
 
 
-def _first_diagrams(h, images, kappa):
-    """The diagram of the first gluing of each key, in key order.  Rows
+def _first_diagrams(into, k, kappa):
+    """The diagram of the first gluing of each key, in key order, for
+    blocks of ``k`` squares whose tops go into the blocks ``into``.  Rows
     cannot merge: each has two top corners or more and at most one corner
     is regular, so a zero lies on every top and each cycle of ``h`` is one
     cylinder of height 1; a taller one raises
-    :class:`~squaretiled.errors.InvariantViolation`."""
+    :class:`~squaretiled.errors.InvariantViolation`.
+
+    Only the gluings that are least in their orbit are decomposed and
+    keyed.  The relabellings that commute with ``h`` and keep the shape
+    rotate each block and, for ``"case6"`` (``into = (1, 0)``, symmetric
+    under the swap), swap the two blocks; reversing the blocks is the
+    swap for two and nothing for one.  After a relabelling, each block is
+    twisted again so that its first square goes to the first square of
+    its target block, the search's own normalisation.  Relabelling and
+    twisting change neither the corner cycles nor the cylinder diagram,
+    so each image is again a gluing that :func:`_gluings` yields, with
+    the same key.  The first gluing of each key is therefore the least
+    of its own orbit, and skipping every gluing with a smaller image
+    keeps exactly the catalog's entries.
+
+    Read modulo ``k``, block ``b`` of ``v`` is a word ``w`` with ``w[0] =
+    0``.  The twist undoes the rotation of block ``b`` itself, and the
+    rotation of its target block with the twist takes ``w`` to ``(w[s +
+    i] - w[s]) mod k`` for some start ``s``, each block on its own; the
+    swap reverses the words.  So a gluing has no
+    smaller image exactly when its words are not larger reversed and
+    each is least among its rotations."""
+    n = k * len(into)
+    # square i of a block is followed by the next one, cyclically
+    h = tuple(i - i % k + (i + 1) % k for i in range(n))
+    images = []
+    for b in into:
+        images += [(b * k,)] + [range(b * k + 1, b * k + k)] * (k - 1)
     seen = {}
     for v in _gluings(h, images, kappa):
+        # the first gluing is the least of all, so of its orbit too
+        if seen:
+            words = tuple(tuple(x % k for x in v[i:i + k])
+                          for i in range(0, n, k))
+            if words[::-1] < words or any(
+                    tuple((x - w[s]) % k for x in w[s:] + w[:s]) < w
+                    for w in words for s in range(1, k)):
+                continue
         d = horizontal_decomposition(Origami(h, v))
         if any(c.height != 1 for c in d.cylinders):
             raise InvariantViolation("a catalog gluing has fewer cylinders "
@@ -496,7 +532,10 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     chain outgrows the longest.  A cylinder twist rotates its block of
     ``v`` and keeps the diagram, so each block starts at its smallest
     image (``v[0] = 0``; or ``v[0] = k``, ``v[k] = 0``), as the first
-    ``v`` of every diagram does.
+    ``v`` of every diagram does.  Only the gluings that no relabelling
+    keeping ``h`` makes smaller are decomposed and keyed
+    (:func:`_first_diagrams`); in every genus 2 and 3 catalog that is one
+    gluing per diagram.
 
     Both catalogs are complete.  A single cylinder carries the same
     saddles on its bottom and top, so each of its diagrams is realized
@@ -527,12 +566,7 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
         raise ValueError("shape must be " + " or ".join(map(repr, _SHAPES)))
     into = _SHAPES[shape]
     k = -(-(sum(kappa) + len(kappa)) // len(into))
-    # square i of a block is followed by the next one, cyclically
-    h = tuple(i - i % k + (i + 1) % k for i in range(k * len(into)))
-    images = []
-    for b in into:
-        images += [(b * k,)] + [range(b * k + 1, b * k + k)] * (k - 1)
-    return DiagramCatalog(stratum, shape, _first_diagrams(h, images, kappa))
+    return DiagramCatalog(stratum, shape, _first_diagrams(into, k, kappa))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Slow, independent diagram catalogs: build and validate every candidate
 gluing ``v`` of the one-cylinder and two-cylinder ``h``, read its stratum
 with ``singularity_data`` and keep the diagram of the first candidate of
-each canonical key.  The reference that the pruned corner-cycle search of
+each canonical key, read by the all-anchor ``key_oracle`` rather than the
+package's key.  The reference that the pruned corner-cycle search of
 ``squaretiled.pipeline.enumerate_diagrams`` is compared against, entry by
 entry.  The Case 6 scan keeps a two-cylinder gluing when the vertex
 permutation search of ``decomposition_oracle.classify_case`` names its
@@ -17,6 +18,7 @@ sum(k_i + 1)``, so one corner may be regular.
 import itertools
 
 from decomposition_oracle import classify_case, dual_graph
+from key_oracle import canonical_key
 from squaretiled.cylinders import CaseLabel, horizontal_decomposition
 from squaretiled.surface import (
     Stratum,
@@ -39,7 +41,7 @@ def one_cylinder_diagrams(stratum: Stratum):
         d = horizontal_decomposition(o)
         if len(d.cylinders) != 1:
             continue
-        seen.setdefault(d.diagram.canonical_key(), d.diagram)
+        seen.setdefault(canonical_key(d.diagram), d.diagram)
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -60,7 +62,7 @@ def case6_diagrams(stratum: Stratum, k=None):
                 continue
             if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
                 continue
-            seen.setdefault(d.diagram.canonical_key(), d.diagram)
+            seen.setdefault(canonical_key(d.diagram), d.diagram)
     return tuple(seen[key] for key in sorted(seen))
 
 

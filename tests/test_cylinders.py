@@ -10,6 +10,7 @@ from math import factorial, gcd, prod
 import pytest
 
 import decomposition_oracle
+import key_oracle
 import survivor_oracle
 import word_oracle
 from action_oracle import word_matrix
@@ -485,6 +486,19 @@ def test_diagram_canonical_key_invariance(rng):
             assert scrambled(diagram, rng).canonical_key() == key
 
 
+def test_canonical_key_equals_the_all_anchor_oracle(rng):
+    # key values, not only classes: anchoring on the shortest bottoms
+    # finds the minimum over every anchor
+    diagrams = [horizontal_decomposition(wollmilchsau()).diagram,
+                CASE4A_DIAGRAM, BRANCHING_DIAGRAM] + random_diagrams(rng, 60)
+    assert len({len(w) for d in diagrams[3:]
+                for w in d.bottom_words.values()}) > 2
+    for diagram in diagrams:
+        copy = scrambled(diagram, rng)
+        assert diagram.canonical_key() == key_oracle.canonical_key(diagram)
+        assert copy.canonical_key() == key_oracle.canonical_key(copy)
+
+
 def test_canonical_key_classes_match_brute_force(rng):
     diagrams = random_diagrams(rng, 320)
     new = [d.canonical_key() for d in diagrams]
@@ -542,6 +556,10 @@ def test_malformed_diagrams_raise():
                                    {0: (0, 0), 1: (1, 1)})
     with pytest.raises(InvariantViolation, match="disconnected"):
         disconnected.canonical_key()
+    # no saddle, so no anchor: one cylinder, and two disconnected ones
+    for words in ({0: ()}, {0: (), 1: ()}):
+        with pytest.raises(InvariantViolation, match="no saddle"):
+            CylinderDiagram(words, dict(words), {}).canonical_key()
 
 
 def test_moduli_exponents():

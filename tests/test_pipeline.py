@@ -15,6 +15,7 @@ import pytest
 
 import catalog_oracle
 import decomposition_oracle
+import key_oracle
 import survivor_oracle
 from conftest import BOUNDARY_4A, EXEMPLARS, H4_LINE, H31_SIX, \
     MALFORMED_LINES, SIX_SQUARES, classes_of_genus, decomposition_net, exemplar, \
@@ -25,6 +26,7 @@ from squaretiled.cli import build_parser, main as cli_main
 from squaretiled.cylinders import (
     CaseLabel,
     Cylinder,
+    CylinderDiagram,
     classify_case,
     direction_member,
     horizontal_decomposition,
@@ -1016,6 +1018,93 @@ def test_gluings_are_the_filtered_permutations_in_order(kappa, regular):
     assert list(pipeline._gluings(h, [range(m)] * m, kappa)) == expected
 
 
+CATALOG_PAIRS = [(kappa, shape) for kappa in CATALOG_STRATA
+                 for shape in ("one_cylinder", "case6")]
+
+
+def catalog_id(pair):
+    return "H" + ",".join(map(str, pair[0])) + "-" + pair[1]
+
+
+@pytest.mark.parametrize("pair", CATALOG_PAIRS, ids=catalog_id)
+def test_catalog_decomposes_and_keys_each_diagram_once(pair, monkeypatch):
+    counts = Counter()
+    decompose = pipeline.horizontal_decomposition
+    key = CylinderDiagram.canonical_key
+
+    def counted_decomposition(o):
+        counts["decompose"] += 1
+        return decompose(o)
+
+    def counted_key(diagram):
+        counts["key"] += 1
+        return key(diagram)
+
+    monkeypatch.setattr(pipeline, "horizontal_decomposition",
+                        counted_decomposition)
+    monkeypatch.setattr(CylinderDiagram, "canonical_key", counted_key)
+    catalog = enumerate_diagrams(*pair)
+    assert counts == Counter(decompose=len(catalog), key=len(catalog))
+
+
+def gluing_images(v, k, into):
+    """Every image of the gluing ``v`` under a relabelling that rotates
+    each block and permutes the blocks compatibly with ``into``, each
+    block then twisted again so that its first square goes to the first
+    square of its target block."""
+    blocks = range(len(into))
+    for perm in itertools.permutations(blocks):
+        if any(into[perm[b]] != perm[into[b]] for b in blocks):
+            continue
+        for turns in itertools.product(range(k), repeat=len(into)):
+            sigma = [perm[j // k] * k + (j + turns[j // k]) % k
+                     for j in range(len(v))]
+            image = [None] * len(v)
+            for j, x in enumerate(v):
+                image[sigma[j]] = sigma[x]
+            twisted = []
+            for b in blocks:
+                row = image[b * k:b * k + k]
+                t = row.index(into[b] * k)
+                twisted += row[t:] + row[:t]
+            yield tuple(twisted)
+
+
+@pytest.mark.parametrize("pair", CATALOG_PAIRS, ids=catalog_id)
+def test_catalog_keys_exactly_the_gluings_least_in_their_orbit(
+        pair, monkeypatch):
+    # each image of each gluing is again a gluing of the search, and the
+    # catalog decomposes exactly the gluings that no image makes smaller
+    kappa, shape = pair
+    into = pipeline._SHAPES[shape]
+    k = -(-(sum(kappa) + len(kappa)) // len(into))
+    h = perm_from_cycles([tuple(range(b * k, b * k + k))
+                          for b in range(len(into))],
+                         k * len(into))
+    images = [(into[j // k] * k,) if j % k == 0 else
+              range(into[j // k] * k + 1, into[j // k] * k + k)
+              for j in range(k * len(into))]
+    gluings = list(pipeline._gluings(h, images, kappa))
+    least = []
+    for v in gluings:
+        orbit = set(gluing_images(v, k, into))
+        assert v in orbit
+        assert orbit <= set(gluings), v
+        if v == min(orbit):
+            least.append(v)
+    decomposed = []
+    decompose = pipeline.horizontal_decomposition
+
+    def recorded(o):
+        decomposed.append(o.v)
+        return decompose(o)
+
+    monkeypatch.setattr(pipeline, "horizontal_decomposition", recorded)
+    catalog = enumerate_diagrams(kappa, shape)
+    assert decomposed == least
+    assert len(least) == len(catalog)
+
+
 def test_case6_catalog_entry_is_the_reference_diagram():
     catalog = enumerate_diagrams((1, 1, 1, 1), "case6")
     ref = horizontal_decomposition(reference_surface())
@@ -1033,6 +1122,16 @@ def test_case6_catalog_lists_the_unequal_bottoms_diagram():
     (diagram,) = enumerate_diagrams((2, 1, 1), "case6").diagrams
     assert diagram.canonical_key() == horizontal_decomposition(
         parse_origami(UNEQUAL_CASE6)).diagram.canonical_key()
+
+
+def test_catalog_keys_equal_the_all_anchor_oracle():
+    diagrams = [horizontal_decomposition(reference_surface()).diagram,
+                horizontal_decomposition(parse_origami(UNEQUAL_CASE6)).diagram]
+    for pair in CATALOG_PAIRS:
+        diagrams += enumerate_diagrams(*pair).diagrams
+    assert len(diagrams) == 30
+    for diagram in diagrams:
+        assert diagram.canonical_key() == key_oracle.canonical_key(diagram)
 
 
 def test_case6_catalog_holds_every_key_with_one_more_square():
