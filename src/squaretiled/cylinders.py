@@ -33,12 +33,11 @@ EXAMPLES::
 from __future__ import annotations
 
 import enum
-import functools
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import InvariantViolation
-from .surface import Origami, act_sl2z, matrix_word
+from .surface import Origami, act_sl2z
 
 
 class Cylinder(NamedTuple):
@@ -511,10 +510,8 @@ def direction_member(o: Origami, slope):
 
     ``slope`` is a reduced pair ``(p, q)`` meaning direction vector
     ``(q, p)``.  The horizontal slope ``(0, 1)`` has the empty word and
-    the member ``o`` itself.  The word depends on the slope alone and is
-    computed once per process for each slope (:func:`_slope_word`).  Few
-    slopes are asked for: the one a Case 5 direction defers to and those
-    of an SVG report.
+    the member ``o`` itself.  The word depends on the slope alone
+    (:func:`_slope_word`).
 
     EXAMPLES::
 
@@ -530,18 +527,31 @@ def direction_member(o: Origami, slope):
     return word, act_sl2z(o, word)
 
 
-@functools.lru_cache(maxsize=4096)
 def _slope_word(p, q):
-    """The word of :func:`direction_member` for slope ``(p, q)``, kept for
-    the life of the process (up to 4096 slopes)."""
+    """The word of :func:`direction_member` for slope ``(p, q)``.
+
+    A Euclid walk on the direction vector ``(x, y) = (q, p)``, in integers:
+    while ``y ≠ 0``, shear by ``T⁻ᵏ`` so that ``x − k·y`` is the remainder
+    nearest 0, at most ``|y|/2``, then turn by ``S``: ``(x, y) ↦ (−y, x)``.
+    So the walk makes O(log |p|) turns.  It ends at ``(±1, 0)``, and ``S S``
+    turns ``(−1, 0)`` into ``(1, 0)``.  Slope ``(1, q)`` keeps the word
+    ``T⁻q S S S``.  Two words carrying one slope to the horizontal differ
+    by ``±Tᵏ``, which fixes the horizontal, so the members' horizontal
+    decompositions and pinch graphs are isomorphic: the label, mechanism
+    and verdict do not depend on the word, though a witness in the
+    member's coordinates (its crossed cylinder or direction) may."""
     if gcd(p, q) != 1:
         raise ValueError(f"slope {(p, q)} is not reduced")
-    # direction vector (q, p); find M in SL(2, Z) with M (q, p)^T = (1, 0)^T
-    if (q, p) == (1, 0):
-        return ()
-    # a*q + b*p == 1 via the extended Euclidean algorithm
-    a, b = _bezout(q, p)
-    return tuple(matrix_word(((a, b), (-p, q))))
+    word = []
+    x, y = q, p
+    while y:
+        k = (2 * x + y) // (2 * y)   # floor(x / y + 1/2)
+        # one of the two runs is empty
+        word += ("T^-1",) * k + ("T",) * -k + ("S",)
+        x, y = -y, x - k * y
+    if x == -1:
+        word += ("S", "S")
+    return tuple(word)
 
 
 def periodic_decomposition(o: Origami, slope):
@@ -565,21 +575,6 @@ def periodic_decomposition(o: Origami, slope):
         [(4, 1), (4, 1)]
     """
     return horizontal_decomposition(direction_member(o, slope)[1])
-
-
-def _bezout(x, y):
-    """Coefficients (a, b) with a*x + b*y == gcd(x, y)."""
-    old_r, r = x, y
-    old_a, a = 1, 0
-    old_b, b = 0, 1
-    while r != 0:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_a, a = a, old_a - qq * a
-        old_b, b = b, old_b - qq * b
-    if old_r < 0:
-        old_a, old_b = -old_a, -old_b
-    return old_a, old_b
 
 
 def moduli_exponents(d):

@@ -40,8 +40,9 @@ def perm_from_cycles(cycles, n=None) -> Perm:
     r"""
     Build a permutation of ``{0, ..., n-1}`` from disjoint cycles.
 
-    Fixed points may be omitted; ``n`` defaults to one more than the largest
-    entry mentioned.  An entry outside ``0..n-1`` raises ``ValueError``.
+    Fixed points may be omitted, and an empty cycle is the identity; ``n``
+    defaults to one more than the largest entry mentioned.  An entry
+    outside ``0..n-1`` raises ``ValueError``.
 
     EXAMPLES::
 
@@ -49,6 +50,9 @@ def perm_from_cycles(cycles, n=None) -> Perm:
         (1, 0, 2)
         >>> perm_from_cycles([], 2)
         (0, 1)
+        >>> identity = perm_from_cycles([()], 3)
+        >>> identity, cycles_str(identity)
+        ((0, 1, 2), '()')
         >>> perm_from_cycles([(0, 1, -1)], 2)
         Traceback (most recent call last):
         ...
@@ -59,7 +63,7 @@ def perm_from_cycles(cycles, n=None) -> Perm:
     p = list(range(n))
     seen = set()
     for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if not 0 <= a < n:
                 raise ValueError(f"entry {a} is not in 0..{n - 1}")
             if a in seen:
@@ -329,53 +333,6 @@ def _inverse(word):
                  for x in _INVERSE_LETTER[letter])
 
 
-def matrix_word(m):
-    r"""
-    A word over ``{"T", "T^-1", "S"}`` whose matrix product
-    ``M(word[-1]) ··· M(word[0])`` (see :func:`act_sl2z`) equals the given
-    ``SL(2, Z)`` matrix.
-
-    EXAMPLES::
-
-        >>> matrix_word(((0, -1), (1, 0)))
-        ['S']
-        >>> matrix_word(((2, 3), (1, 2)))
-        ['T', 'T', 'S', 'T', 'T']
-    """
-    (a, b), (c, d) = m
-    if a * d - b * c != 1:
-        raise ValueError("matrix is not in SL(2, Z)")
-    # Peel generators off on the left: find w with M(w) * m = I, then invert.
-    left = []  # letters applied on the left, in application order
-    while c != 0:
-        if abs(a) >= abs(c):
-            q = a // c
-            # T^-q * m
-            left.extend(["T^-1"] * q if q >= 0 else ["T"] * (-q))
-            a, b = a - q * c, b - q * d
-        else:
-            # S^-1 * m = rotate: (a,b;c,d) -> (c,d;-a,-b)
-            left.extend(["S", "S", "S"])
-            a, b, c, d = c, d, -a, -b
-    # now c == 0, a*d == 1, so a = d = ±1
-    if a < 0:
-        left.extend(["S", "S"])  # S^2 = -I
-        a, b, d = -a, -b, -d
-    if b != 0:
-        left.extend(["T^-1"] * b if b >= 0 else ["T"] * (-b))
-    # left, applied first-to-last, reduces m to the identity:
-    #   M(left[-1]) ··· M(left[0]) · m = I, so m is the word of the
-    #   inverse map, with S^4 runs simplified for readability.
-    out = []
-    for letter in _inverse(left):
-        out.append(letter)
-        if len(out) >= 4 and out[-4:] == ["S", "S", "S", "S"]:
-            del out[-4:]
-        if len(out) >= 2 and out[-2:] in (["T", "T^-1"], ["T^-1", "T"]):
-            del out[-2:]
-    return out
-
-
 # -- isomorphism and canonical forms ----------------------------------------
 
 
@@ -496,12 +453,8 @@ _CYCLES_RE = re.compile(r"\s*(?:\(\s*(?:[0-9]+(?:\s+[0-9]+)*\s*)?\)\s*)*")
 def _parse_cycles(text):
     if not _CYCLES_RE.fullmatch(text):
         raise ValueError(f"not a list of cycles: {text!r}")
-    cycles = []
-    for part in re.findall(r"\(([^()]*)\)", text):
-        entries = tuple(int(x) for x in part.split())
-        if entries:
-            cycles.append(entries)
-    return cycles
+    return [tuple(int(x) for x in part.split())
+            for part in re.findall(r"\(([^()]*)\)", text)]
 
 
 def parse_origami(line: str) -> Origami:

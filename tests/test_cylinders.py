@@ -12,7 +12,6 @@ import pytest
 import decomposition_oracle
 import key_oracle
 import survivor_oracle
-import word_oracle
 from action_oracle import word_matrix
 from conftest import (
     CASE4A_DIAGRAM,
@@ -509,30 +508,36 @@ def test_canonical_key_classes_match_brute_force(rng):
 
 
 def test_slope_words_carry_the_direction_to_horizontal():
+    """Every reduced slope with entries up to 40 gets a word whose matrix
+    carries its direction vector ``(q, p)`` to ``(1, 0)``, with at most
+    one ``S`` per halving of ``|p|`` and two more."""
     o = wollmilchsau()
-    slopes = enumerate_slopes(7) + [(0, -1), (-1, 0), (5, -3)]
+    slopes = [(p, q) for p in range(-40, 41) for q in range(-40, 41)
+              if gcd(p, q) == 1]
+    assert len(slopes) == 3920
     for p, q in slopes:
         word, _ = direction_member(o, (p, q))
         (a, b), (c, d) = word_matrix(word)
         assert (a * q + b * p, c * q + d * p) == (1, 0), (p, q)
-        # one word per slope for the life of the process
-        assert direction_member(torus(), (p, q))[0] is word
+        assert word.count("S") <= abs(p).bit_length() + 2, (p, q)
+        # the word depends on the slope alone
+        assert direction_member(torus(), (p, q))[0] == word
     for _ in range(2):
         with pytest.raises(ValueError, match="not reduced"):
             direction_member(o, (2, 4))
 
 
-def test_slope_words_match_the_letter_by_letter_oracle():
-    """The word of every reduced slope with entries up to 6 is the one
-    the letter-by-letter inversion of ``matrix_word`` gives."""
-    slopes = [(p, q) for p in range(-6, 7) for q in range(-6, 7)
-              if gcd(p, q) == 1]
-    assert len(slopes) == 96
-    for p, q in slopes:
-        a, b = cylinders._bezout(q, p)
-        expected = () if (q, p) == (1, 0) else \
-            tuple(word_oracle.matrix_word(((a, b), (-p, q))))
-        assert cylinders._slope_word(p, q) == expected, (p, q)
+def test_slope_words_are_pinned():
+    """The words of the axes and of the slopes ``(1, q)``, ``|q| <= 6``,
+    where ``(1, q)`` gets ``T⁻q S S S``; the census and corpus samples
+    defer only to slopes of rise 1."""
+    assert cylinders._slope_word(0, 1) == ()
+    assert cylinders._slope_word(0, -1) == ("S", "S")
+    assert cylinders._slope_word(1, 0) == ("S", "S", "S")
+    assert cylinders._slope_word(-1, 0) == ("S",)
+    for q in range(-6, 7):
+        shear = ("T^-1",) * q if q > 0 else ("T",) * -q
+        assert cylinders._slope_word(1, q) == shear + ("S", "S", "S"), q
 
 
 def test_one_cylinder_catalog_keys_are_pairwise_distinct():

@@ -206,6 +206,70 @@ def test_case5_defers_to_its_simple_cylinder(monkeypatch):
                for r in records if r.label is None)
 
 
+# one 6 x 2 cylinder, the vertical 2-fold stretch of a 6-square class,
+# whose simple cylinder has slope (2, -1)
+STRETCHED_CASE5 = ('origami n=12 h="(0 1 3 5 4 2)(6 7 9 11 10 8)" '
+                   'v="(0 6 1 7 4 10 5 11 2 8 3 9)"')
+
+
+def vertical_stretch(o, k):
+    """``o`` with every square stretched into a column of ``k`` squares:
+    square ``s + j·n`` is row ``j`` of the column over square ``s``."""
+    n = o.n
+    return build_origami(
+        tuple(o.h[s % n] + s // n * n for s in range(k * n)),
+        tuple(s + n if s < (k - 1) * n else o.v[s % n]
+              for s in range(k * n)))
+
+
+def test_case5_defers_to_a_slope_of_rise_two():
+    """The stretched 6-square class defers to slope (2, -1), which the
+    Euclid walk carries to the horizontal in four letters, and that
+    direction excludes through a crossing cylinder."""
+    o = parse_origami(STRETCHED_CASE5)
+    assert o == vertical_stretch(parse_origami(
+        'origami n=6 h="(0 1 3 5 4 2)" v="(0 1 4 5 2 3)"'), 2)
+    d = horizontal_decomposition(o)
+    assert [(c.circumference, c.height) for c in d.cylinders] == [(6, 2)]
+    verdict = classify_surface(o)
+    assert verdict.status == "TrivialForni"
+    first, second = verdict.evidence
+    assert first == DirectionRecord(
+        (0, 1), "Case5", "defer to a simple transverse cylinder", (2, -1))
+    assert (second.slope, second.label, second.mechanism) == \
+        ((2, -1), "Case1", "transverse crossing cylinder")
+    assert direction_member(o, (2, -1))[0] == ("S", "T^-1", "T^-1", "S")
+
+
+def test_deferred_record_does_not_depend_on_the_word():
+    """Two words carrying one slope to the horizontal differ by ``±Tʲ``,
+    so the deferred record's label and mechanism stay the same when the
+    member is replaced by ``Tʲ·member``, ``0 <= j < n``, or by
+    ``S S·member``.  Checked on the vertical 2- and 3-fold stretches of
+    the one-cylinder genus-3 classes up to 6 squares, whose deferrals
+    reach slopes of rise 2 and 3."""
+    stretched = [vertical_stretch(o, k) for o in classes_of_genus(3, 6)
+                 if len(horizontal_decomposition(o).cylinders) == 1
+                 for k in (2, 3)]
+    assert len(stretched) == 200
+    rises, replacements = Counter(), 0
+    for o in stretched:
+        first, second = classify_surface(o).evidence
+        assert first.label == "Case5" and second.slope == first.witness
+        rises[abs(second.slope[0])] += 1
+        member = direction_member(o, second.slope)[1]
+        for word in [("T",) * j for j in range(o.n)] + [("S", "S")]:
+            record, excludes = pipeline._analyze_direction(
+                horizontal_decomposition(act_sl2z(member, word)),
+                second.slope)
+            assert excludes, (o, word)
+            assert (record.label, record.mechanism) == \
+                (second.label, second.mechanism), (o, word)
+            replacements += 1
+    assert replacements == 3160
+    assert rises[2] and rises[3]
+
+
 # two cylinders with both heights 2: R(1, 2, 0) relabelled
 SURVIVOR16 = ('origami n=16 h="(0 1 5 2)(3 6 12 8)(4 9 13 7)(10 15 11 14)" '
               'v="(0 3 10 13 5 12 11 4)(1 6 14 9 2 8 15 7)"')

@@ -7,8 +7,6 @@ from fractions import Fraction
 import pytest
 
 import canonical_form_oracle
-import word_oracle
-from action_oracle import word_matrix
 from conftest import MALFORMED_LINES, l_origami, random_genus3, \
     random_origami, torus, wollmilchsau
 from net_oracle import CylinderGeometry, NegativeLength, build_net
@@ -22,7 +20,7 @@ from squaretiled.surface import (
     act_sl2z,
     build_origami,
     canonical_form,
-    matrix_word,
+    cycles_str,
     origami_isomorphism,
     parse_origami,
     perm_compose,
@@ -52,27 +50,15 @@ def test_perm_utilities():
     assert perm_compose(p, perm_inverse(p)) == (0, 1, 2, 3)
 
 
-def roundtrip_matrices():
-    """The matrices of 50 random words of up to 6 letters."""
-    rng = random.Random(7)
-    letters = ["T", "T^-1", "S"]
-    return [word_matrix([rng.choice(letters)
-                         for _ in range(rng.randint(0, 6))])
-            for _ in range(50)]
-
-
-def test_word_matrix_roundtrip():
-    for m in roundtrip_matrices():
-        assert word_matrix(matrix_word(m)) == m
-
-
-def test_matrix_word_matches_the_letter_by_letter_oracle():
-    """``matrix_word`` inverts its peeled word with the orbit walk's word
-    inversion; the word is the one the letter-by-letter inversion gives,
-    on every matrix of the roundtrip test and the doctests."""
-    for m in roundtrip_matrices() + [((0, -1), (1, 0)), ((2, 3), (1, 2))]:
-        assert matrix_word(m) == word_oracle.matrix_word(m), m
-
+def test_empty_cycle_is_the_identity():
+    """An empty cycle, as ``cycles_str`` prints the identity, adds
+    nothing: in a tuple or a list, alone or beside other cycles, and in
+    the text format."""
+    assert perm_from_cycles([()], 3) == (0, 1, 2)
+    assert perm_from_cycles([[], [0, 2]], 3) == (2, 1, 0)
+    assert cycles_str(perm_from_cycles([()], 4)) == "()"
+    assert parse_origami('origami n=3 h="()(0 1)()" v="(0 2)"') == \
+        parse_origami('origami h="(0 1)" v="(0 2)"')
 
 def test_action_letter_inverses():
     rng = random.Random(11)
