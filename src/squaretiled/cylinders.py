@@ -383,6 +383,7 @@ def horizontal_decomposition(o: Origami):
     # each unmerged row starts a stack; the rows are numbered by their
     # smallest square, so the cylinders come out numbered the same way
     cylinders = []
+    stacked_rows = 0
     for r, row in enumerate(rows):
         if merged_up[r]:
             continue
@@ -390,16 +391,17 @@ def horizontal_decomposition(o: Origami):
         k = 0
         while not marked[row[k]]:
             k += 1
-        stacked = [tuple(row[k:] + row[:k])]
+        stacked = [tuple(row[k:] + row[:k] if k else row)]
         up = above[r]
         while up >= 0:
             stacked.append(tuple([v[s] for s in stacked[-1]]))
             up = above[up]
+        stacked_rows += len(stacked)
         cylinders.append(Cylinder(cid, tuple(stacked), len(row),
                                   len(stacked)))
     # the rows no stack reaches merge round a cycle: a torus component
     # with no cone point and no square 0
-    if sum(c.height for c in cylinders) != len(rows):
+    if stacked_rows != len(rows):
         raise InvariantViolation("cylinder stack must have a unique bottom "
                                  "row")
 
@@ -442,11 +444,13 @@ def horizontal_decomposition(o: Origami):
 
     # top words: the same edges read along each cylinder's top row; x is
     # the index in the row.  A saddle on the top of cylinder c and the
-    # bottom of c' joins half 2c + 1 to half 2c', and ``half`` names each
-    # half by the smallest half joined to it so far
+    # bottom of c' joins half 2c + 1 to half 2c'.  The joined halves form
+    # a union-find forest: each join walks both ends to their roots and
+    # links the larger root under the smaller, so every root is the least
+    # half of its class and every other half points to a smaller one
     top_words = {}
     top_positions = {}
-    half = list(range(2 * len(cylinders)))
+    parent = list(range(2 * len(cylinders)))
     for cid, c in enumerate(cylinders):
         positions = {}
         for x, s in enumerate(c.rows[-1]):
@@ -454,20 +458,34 @@ def horizontal_decomposition(o: Origami):
             if marked[t]:
                 sid = edge_saddle[t]
                 positions[sid] = x
-                y, z = half[2 * cid + 1], half[2 * bottom_of[sid]]
-                if y != z:
-                    y, z = min(y, z), max(y, z)
-                    half = [y if q == z else q for q in half]
+                y = 2 * cid + 1
+                while parent[y] != y:
+                    y = parent[y]
+                z = 2 * bottom_of[sid]
+                while parent[z] != z:
+                    z = parent[z]
+                if y < z:
+                    parent[z] = y
+                elif z < y:
+                    parent[y] = z
         top_words[cid] = tuple(positions)
         top_positions[cid] = positions
 
-    # the components, numbered by their smallest half, are the vertices.
-    # One holding k halves retracts onto its zeros and saddles, so twice
-    # its genus is 2 - k - zeros + saddles; a bottom half brings its
+    # the components, numbered by their least half, are the vertices.
+    # Walked in half order, a root opens the next component and any other
+    # half joins that of its parent, a smaller half already named.  One
+    # component holding k halves retracts onto its zeros and saddles, so
+    # twice its genus is 2 - k - zeros + saddles; a bottom half brings its
     # saddles and new zeros
-    names = {}
-    component = [names.setdefault(q, len(names)) for q in half]
-    twice_genus = [2] * len(names)
+    component = []
+    count = 0
+    for q, p in enumerate(parent):
+        if p == q:
+            component.append(count)
+            count += 1
+        else:
+            component.append(component[p])
+    twice_genus = [2] * count
     edges = []
     for cid, met in enumerate(new_zeros):
         ends = component[2 * cid], component[2 * cid + 1]

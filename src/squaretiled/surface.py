@@ -292,11 +292,12 @@ def act_sl2z(o: Origami, word) -> Origami:
     ``M(word[-1]) ··· M(word[0])``, where ``M(T) = ((1, 1), (0, 1))`` and
     ``M(S) = ((0, -1), (1, 0))`` act on column vectors.
 
-    The inverses ``h⁻¹`` and ``v⁻¹`` are carried along the word and
-    built only when a letter first needs them.  ``S`` then rotates the
-    four permutations, ``(h, v, h⁻¹, v⁻¹) ↦ (v, h⁻¹, v⁻¹, h)``, and a
-    shear composes ``v`` with ``h⁻¹`` or ``h``, after which ``v⁻¹`` is
-    rebuilt on demand.
+    ``T`` is one scatter, ``v'[h[i]] = v[i]``, and ``T^-1`` one
+    composition ``v∘h``; neither needs an inverse.  The inverses ``h⁻¹``
+    and ``v⁻¹`` are carried along the word for ``S``, which rotates the
+    four permutations, ``(h, v, h⁻¹, v⁻¹) ↦ (v, h⁻¹, v⁻¹, h)``.  An ``S``
+    builds ``h⁻¹`` only when none is carried in; a shear drops ``v⁻¹``,
+    which the next ``S`` would have carried into ``h⁻¹``.
 
     EXAMPLES::
 
@@ -314,9 +315,10 @@ def act_sl2z(o: Origami, word) -> Origami:
                 hi = perm_inverse(h)
             h, v, hi, vi = v, hi, vi, h
         elif letter == "T":
-            if hi is None:
-                hi = perm_inverse(h)
-            v, vi = perm_compose(v, hi), None
+            sheared = [0] * len(h)
+            for i, j in enumerate(h):
+                sheared[j] = v[i]
+            v, vi = tuple(sheared), None
         elif letter == "T^-1":
             v, vi = perm_compose(v, h), None
         else:
@@ -377,20 +379,28 @@ def canonical_form(o: Origami) -> Origami:
     r"""
     Lexicographically minimal relabeling of the origami.
 
-    The relabeling is produced by breadth-first traversals (neighbors in the
-    fixed order right, left, up, down) from every start square; two origamis
-    are isomorphic exactly when their canonical forms are equal.
+    The relabeling is produced by breadth-first traversals from every start
+    square that follow ``h`` and ``v`` forward only: at each square the
+    traversal labels its right neighbour ``h[i]`` and then its upper
+    neighbour ``v[i]``, each if it is new.  Forward steps reach every
+    square: ``⟨h, v⟩`` is finite and transitive, and ``h⁻¹ = h^(m-1)``
+    for the order ``m`` of ``h`` (likewise for ``v``), so the forward
+    images of a start are all the squares.  Two origamis are
+    isomorphic exactly when their canonical forms are equal.  Versions
+    that also stepped left and down picked other representatives of the
+    same classes, so a canonical form is a key to compare, not a labelling
+    to store.
 
     The traversals run in lock step.  At level ``k`` every surviving start
-    labels the neighbours of its ``k``-th square and reads entry ``k`` of
-    its relabelled ``h``, and only the starts whose entry is least survive.
-    The survivors share the least prefix of length ``k + 1`` of every
-    start's relabelled ``h``, so a start dropped at level ``k`` has an
-    ``h`` larger than some survivor's whatever follows, and cannot give the
-    least pair; after ``n`` levels the survivors are exactly the starts of
-    least ``h``, and ``v`` is compared among them alone.  Entry 0 needs no
-    traversal: it is 0 when ``h`` fixes the start and 1 otherwise, so only
-    the fixed points of ``h`` start when there are any.
+    labels the forward neighbours of its ``k``-th square, which gives entry
+    ``k`` of its relabelled ``h``, and only the starts whose entry is least
+    survive.  The survivors share the least prefix of length ``k + 1`` of
+    every start's relabelled ``h``, so a start dropped at level ``k`` has
+    an ``h`` larger than some survivor's whatever follows, and cannot give
+    the least pair; after ``n`` levels the survivors are exactly the starts
+    of least ``h``, and ``v`` is compared among them alone.  Entry 0 needs
+    no traversal: it is 0 when ``h`` fixes the start and 1 otherwise, so
+    only the fixed points of ``h`` start when there are any.
 
     A disconnected pair built with :class:`Origami` raises
     :class:`~squaretiled.errors.InvariantViolation`: a traversal labels
@@ -407,7 +417,6 @@ def canonical_form(o: Origami) -> Origami:
     """
     n = o.n
     h, v = o.h, o.v
-    neighbours = tuple(zip(h, perm_inverse(h), v, perm_inverse(v)))
     starts = [s for s in range(n) if h[s] == s] or range(n)
     # one (labels, squares in label order) pair per surviving start
     survivors = []
@@ -422,11 +431,15 @@ def canonical_form(o: Origami) -> Origami:
             for state in survivors:
                 label, order = state
                 i = order[k]
-                for j in neighbours[i]:
-                    if label[j] < 0:
-                        label[j] = len(order)
-                        order.append(j)
-                x = label[h[i]]
+                j = h[i]
+                x = label[j]
+                if x < 0:
+                    x = label[j] = len(order)
+                    order.append(j)
+                j = v[i]
+                if label[j] < 0:
+                    label[j] = len(order)
+                    order.append(j)
                 if x < least:
                     least, kept = x, [state]
                 elif x == least:

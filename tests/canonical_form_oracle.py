@@ -4,14 +4,13 @@ kept.  The reference that ``squaretiled.surface.canonical_form``, which
 runs the traversals in lock step and drops a start at its first relabelled
 ``h`` entry above the least, is compared against."""
 
-from squaretiled.surface import Origami, perm_inverse
+from squaretiled.surface import Origami
 
 
 def relabellings(o):
-    """The breadth-first relabelling ``(h, v)`` (neighbours right, left,
-    up, down) from every start square, in start order."""
+    """The breadth-first relabelling ``(h, v)`` (forward neighbours only:
+    right, then up) from every start square, in start order."""
     n = o.n
-    hi, vi = perm_inverse(o.h), perm_inverse(o.v)
     out = []
     for start in range(n):
         label = [None] * n
@@ -21,7 +20,7 @@ def relabellings(o):
         while head < len(order):
             i = order[head]
             head += 1
-            for j in (o.h[i], hi[i], o.v[i], vi[i]):
+            for j in (o.h[i], o.v[i]):
                 if label[j] is None:
                     label[j] = len(order)
                     order.append(j)

@@ -341,6 +341,63 @@ def test_one_pass_matches_the_oracle_in_every_genus():
                              "surface must be connected"}, messages
 
 
+def longest_find_walk(d):
+    """The longest walk to a root, in links, made by joining the pinch
+    halves of ``d`` in top-word order with a union-find that links the
+    larger root under the smaller: how far the sample stresses the join."""
+    bottom_of = {sid: cid for cid, word in d.diagram.bottom_words.items()
+                 for sid in word}
+    parent = list(range(2 * len(d.cylinders)))
+    longest = 0
+
+    def root(q):
+        nonlocal longest
+        links = 0
+        while parent[q] != q:
+            q = parent[q]
+            links += 1
+        longest = max(longest, links)
+        return q
+
+    for cid, word in d.diagram.top_words.items():
+        for sid in word:
+            y, z = root(2 * cid + 1), root(2 * bottom_of[sid])
+            parent[max(y, z)] = min(y, z)
+    return longest
+
+
+def test_pinch_union_matches_the_oracle_on_large_pairs():
+    """The union of the pinch halves gives the oracle's decomposition and
+    dual graph, key orders included, on 300 random transitive pairs of 10
+    to 16 squares, mostly of genus 4 to 8, whose joins walk further to
+    their roots than those of genus-3 samples do, and on two pinned pairs
+    where a join that stops two links short of its root merges the wrong
+    halves.  Linking the two halves of a join without walking to their
+    roots fails here."""
+    rng = random.Random(4040)
+    surfaces = [parse_origami(
+        'origami n=15 h="(1 3 8 5)(2 10 4)(6 13 7 12)(9 11)" '
+        'v="(0 6 8 1 4 10 12 5)(2 7 11)(9 14)"'), parse_origami(
+        'origami n=16 h="(0 10 7 13 6 9 4)(2 11 12 14 3)(8 15)" '
+        'v="(0 4 6 9 5 12 2 3 10 13 7)(1 15 11 8 14)"')]
+    assert all(longest_find_walk(horizontal_decomposition(o)) >= 3
+               for o in surfaces)
+    while len(surfaces) < 302:
+        o = random_origami(rng, 16)
+        if o.n >= 10:
+            surfaces.append(o)
+    deep = 0
+    for o in surfaces:
+        d = horizontal_decomposition(o)
+        old, old_saddles = decomposition_oracle.decomposition_with_saddles(o)
+        assert d._replace(genus=None) == old, o
+        assert key_orders(d) == key_orders(old), o
+        assert list(d.saddle_lengths) == list(old_saddles), o
+        assert d.dual_graph == decomposition_oracle.dual_graph(d), o
+        deep += longest_find_walk(d) >= 3
+    assert deep > 2
+
+
 def test_malformed_origami_raises_as_the_oracle_does():
     """Two 1-square tori, bypassing the transitivity check: the second
     torus's row sits on itself, so its stack has no bottom row."""
