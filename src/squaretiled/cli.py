@@ -20,7 +20,8 @@ prints cusp widths ascending, ``wxk`` for a width that occurs ``k > 1``
 times, and bounds the dimension from the core-curve ranks of the cusps of
 the orbit it walked.
 Input files contain one origami line, e.g.
-``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``.  Text goes to
+``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``, and may start
+with a UTF-8 byte-order mark.  Text goes to
 standard output; SVG files go to the ``--out`` directory.  The exit code
 is 0 on success and 2 on validation errors.
 """
@@ -53,7 +54,7 @@ from .surface import parse_origami, singularity_data
 
 
 def _load_origami(path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):

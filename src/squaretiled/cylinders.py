@@ -273,13 +273,13 @@ def horizontal_decomposition(o: Origami):
     of unit edges on the cylinder boundaries, and the diagram records their
     cyclic order on every top and bottom.
 
-    One pass over the corner permutation ``h∘v∘h⁻¹∘v⁻¹``
+    One pass over the corner permutation ``c = h∘v∘h⁻¹∘v⁻¹``
     (:meth:`~squaretiled.surface.Origami.commutator`) gives the corner
-    classes (the zeros, numbered by their smallest square), the marked
-    corners (cone points; for genus one the corner of square 0) and the
-    genus, which the decomposition carries as ``genus``.  Cylinders are
-    numbered by the smallest square of their bottom row, which starts at
-    its first marked corner.
+    classes (the zeros, numbered by their smallest square) and the genus,
+    which the decomposition carries as ``genus``.  The marked corners are
+    those ``c`` moves (cone points; for genus one the corner of square 0).
+    Cylinders are numbered by the smallest square of their bottom row,
+    which starts at its first marked corner.
 
     The pinch cuts every cylinder along its core curve into a bottom half,
     numbered ``2·c``, and a top half, ``2·c + 1``.  A saddle on the top of
@@ -299,25 +299,29 @@ def horizontal_decomposition(o: Origami):
     is fixed by ``c``, so ``v(h(j)) = h(v(j))`` whenever ``v(h(j))`` is
     unmarked.  Hence:
 
-    - ``v`` carries a row with an unmarked top onto a whole row, so a
-      stack walked up from an unmerged row is a chain of rows of one
-      length that meets no other stack;
-    - a row without a marked corner is such an image, so every unmerged
-      row holds a marked corner to start at;
+    - a row starts a stack exactly when it holds a marked corner: a row
+      above a top with no cone point has that top's corners as its bottom
+      corners, and if no corner of a row is marked, ``v∘h = h∘v`` on the
+      row below it, so ``v`` carries that row onto it, with a top free of
+      cone points;
+    - a stack climbs while no square above its top row is marked; ``v`` is
+      injective and the climb starts at a marked corner, so it revisits no
+      row and meets no other stack;
     - ``v`` carries the top edges from a marked corner to the next onto
       the ``h``-successive squares of one bottom saddle, at full length,
       and ``v`` is a bijection, so each saddle is read on exactly one top.
 
-    The rows no stack reaches merge round a cycle: a torus component of a
-    pair that skipped :func:`~squaretiled.surface.build_origami`.  Once
-    every row is in a stack, the areas sum to the number of squares and
-    the surface is connected exactly when its pinch graph is.
+    A torus component with no cone point and no square 0, from a pair that
+    skipped :func:`~squaretiled.surface.build_origami`, starts no stack, so
+    the check is that the areas ``Σ circumference·height`` sum to the
+    number of squares.  Then the surface is connected exactly when its
+    pinch graph is.
 
-    Raises :class:`~squaretiled.errors.InvariantViolation` when a row is in
-    no stack ("cylinder stack must have a unique bottom row"), when the
-    pinch graph is not connected ("surface must be connected"), or when a
-    component has a genus that is not a whole number or the graph does
-    not carry ``genus``.
+    Raises :class:`~squaretiled.errors.InvariantViolation` when the areas
+    fall short of the number of squares ("cylinder stack must have a
+    unique bottom row"), when the pinch graph is not connected ("surface
+    must be connected"), or when a component has a genus that is not a
+    whole number or the graph does not carry ``genus``.
 
     EXAMPLES::
 
@@ -334,81 +338,31 @@ def horizontal_decomposition(o: Origami):
     h, v = o.h, o.v
     n = len(h)
     corner = o.commutator()
+    marked = [corner[s] != s for s in range(n)]
     corner_class = [-1] * n
-    marked = [False] * n
     classes = 0
     for s in range(n):
         if corner_class[s] < 0:
             corner_class[s] = classes
             t = corner[s]
-            if t != s:
-                marked[s] = True
-                while t != s:
-                    corner_class[t] = classes
-                    marked[t] = True
-                    t = corner[t]
+            while t != s:
+                corner_class[t] = classes
+                t = corner[t]
             classes += 1
     if classes == n:
         marked[0] = True   # genus one: no cone point
     # Euler characteristic: classes - 2n + n
     genus = (2 - classes + n) // 2
 
-    # rows: the h-cycles, numbered by their smallest square
-    row_of = [-1] * n
-    rows = []
-    for s in range(n):
-        if row_of[s] < 0:
-            r = len(rows)
-            row = [s]
-            row_of[s] = r
-            t = h[s]
-            while t != s:
-                row_of[t] = r
-                row.append(t)
-                t = h[t]
-            rows.append(row)
-    # the row directly above each row whose top interface is free of cone
-    # points, and the rows with such a row below
-    above = [-1] * len(rows)
-    merged_up = [False] * len(rows)
-    for r, row in enumerate(rows):
-        for s in row:
-            if marked[v[s]]:
-                break
-        else:
-            up = row_of[v[row[0]]]
-            above[r] = up
-            merged_up[up] = True
-
-    # each unmerged row starts a stack; the rows are numbered by their
-    # smallest square, so the cylinders come out numbered the same way
+    # the rows in order of their smallest square: a row holding a marked
+    # corner starts a stack, reads its bottom saddles (runs from each
+    # marked corner to the next, numbered along the bottoms in order) and
+    # climbs.  ``bottom_of`` holds the cylinder whose bottom each saddle
+    # lies on, and ``new_zeros`` the number of zeros each bottom is the
+    # first to start a saddle at
+    seen = [False] * n
     cylinders = []
-    stacked_rows = 0
-    for r, row in enumerate(rows):
-        if merged_up[r]:
-            continue
-        cid = len(cylinders)
-        k = 0
-        while not marked[row[k]]:
-            k += 1
-        stacked = [tuple(row[k:] + row[:k] if k else row)]
-        up = above[r]
-        while up >= 0:
-            stacked.append(tuple([v[s] for s in stacked[-1]]))
-            up = above[up]
-        stacked_rows += len(stacked)
-        cylinders.append(Cylinder(cid, tuple(stacked), len(row),
-                                  len(stacked)))
-    # the rows no stack reaches merge round a cycle: a torus component
-    # with no cone point and no square 0
-    if stacked_rows != len(rows):
-        raise InvariantViolation("cylinder stack must have a unique bottom "
-                                 "row")
-
-    # bottom saddles: runs from each marked corner to the next, numbered
-    # along the bottoms in order; ``bottom_of`` holds the cylinder whose
-    # bottom each saddle lies on, and ``new_zeros`` the number of zeros
-    # each bottom is the first to start a saddle at
+    area = 0
     saddle_lengths = {}
     saddle_zeros = {}
     bottom_of = []
@@ -418,13 +372,29 @@ def horizontal_decomposition(o: Origami):
     bottom_words = {}
     bottom_positions = {}
     sid = -1
-    for cid, c in enumerate(cylinders):
-        bottom = c.rows[0]
+    for s in range(n):
+        if seen[s]:
+            continue
+        row = [s]
+        seen[s] = True
+        t = h[s]
+        while t != s:
+            seen[t] = True
+            row.append(t)
+            t = h[t]
+        for t in row:
+            if marked[t]:
+                break
+        else:
+            continue
+        k = row.index(t)
+        bottom = tuple(row[k:] + row[:k] if k else row)
+        cid = len(cylinders)
         positions = {}
         met = 0
-        for x, s in enumerate(bottom):
-            if marked[s]:
-                zero = corner_class[s]
+        for x, t in enumerate(bottom):
+            if marked[t]:
+                zero = corner_class[t]
                 if not zero_met[zero]:
                     zero_met[zero] = True
                     met += 1
@@ -435,12 +405,29 @@ def horizontal_decomposition(o: Origami):
                 a, start = x, zero
                 positions[sid] = x
                 bottom_of.append(cid)
-            edge_saddle[s] = sid
+            edge_saddle[t] = sid
         saddle_lengths[sid] = len(bottom) - a
         saddle_zeros[sid] = (start, corner_class[bottom[0]])
         bottom_words[cid] = tuple(positions)
         bottom_positions[cid] = positions
         new_zeros.append(met)
+        # climb while no square above the top row is marked
+        stacked = [bottom]
+        while True:
+            for t in stacked[-1]:
+                if marked[v[t]]:
+                    break
+            else:
+                stacked.append(tuple([v[t] for t in stacked[-1]]))
+                continue
+            break
+        area += len(row) * len(stacked)
+        cylinders.append(Cylinder(cid, tuple(stacked), len(row),
+                                  len(stacked)))
+    # a torus component with no cone point and no square 0 starts none
+    if area != n:
+        raise InvariantViolation("cylinder stack must have a unique bottom "
+                                 "row")
 
     # top words: the same edges read along each cylinder's top row; x is
     # the index in the row.  A saddle on the top of cylinder c and the

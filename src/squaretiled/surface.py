@@ -222,7 +222,10 @@ def build_origami(h, v) -> Origami:
 
     Raises :class:`~squaretiled.errors.NotTransitive` when the group
     generated by ``h`` and ``v`` does not act transitively, i.e. the glued
-    surface would be disconnected.
+    surface would be disconnected.  The search from square 0 follows
+    ``h`` and ``v`` forward only: ``⟨h, v⟩`` is finite, and
+    ``h⁻¹ = h^(m-1)`` for the order ``m`` of ``h`` (likewise for ``v``),
+    so the forward images of square 0 are its whole orbit.
 
     EXAMPLES::
 
@@ -245,10 +248,9 @@ def build_origami(h, v) -> Origami:
         raise ValueError("h and v must be permutations of 0..n-1")
     seen = {0}
     frontier = [0]
-    hi, vi = perm_inverse(h), perm_inverse(v)
     while frontier:
         i = frontier.pop()
-        for j in (h[i], hi[i], v[i], vi[i]):
+        for j in (h[i], v[i]):
             if j not in seen:
                 seen.add(j)
                 frontier.append(j)

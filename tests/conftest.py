@@ -93,6 +93,26 @@ def random_origami(rng, max_squares=10):
             continue
 
 
+def relabelled(rng, x):
+    """``x`` with ``h`` and ``v`` conjugated by a random permutation."""
+    p = list(range(x.n))
+    rng.shuffle(p)
+    h, v = [0] * x.n, [0] * x.n
+    for i in range(x.n):
+        h[p[i]], v[p[i]] = p[x.h[i]], p[x.v[i]]
+    return build_origami(tuple(h), tuple(v))
+
+
+def vertical_stretch(o, k):
+    """``o`` with every square stretched into a column of ``k`` squares:
+    square ``s + j·n`` is row ``j`` of the column over square ``s``."""
+    n = o.n
+    return build_origami(
+        tuple(o.h[s % n] + s // n * n for s in range(k * n)),
+        tuple(s + n if s < (k - 1) * n else o.v[s % n]
+              for s in range(k * n)))
+
+
 def random_genus3(rng, low, high):
     """A random transitive genus-3 permutation pair on ``low``..``high``
     squares."""

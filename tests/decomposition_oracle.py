@@ -119,7 +119,7 @@ def decomposition_with_saddles(o):
         if sorted(chain) != sorted(comp):
             raise InvariantViolation("cylinder stack is not one chain of "
                                      "rows")
-        # rotate the bottom row to start at its smallest marked corner
+        # rotate the bottom row to start at its first marked corner
         r0 = rows[chain[0]]
         start = min(i for i, sq in enumerate(r0) if sq in marked)
         r0 = r0[start:] + r0[:start]

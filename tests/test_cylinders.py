@@ -16,12 +16,15 @@ from action_oracle import word_matrix
 from conftest import (
     CASE4A_DIAGRAM,
     EXEMPLARS,
+    classes_of_genus,
     exemplar,
     l_origami,
     random_case4a_net,
     random_genus3,
     random_origami,
+    relabelled,
     torus,
+    vertical_stretch,
     wollmilchsau,
 )
 from decomposition_oracle import core_row
@@ -295,8 +298,13 @@ def outcome(decompose, o):
 def test_one_pass_matches_the_oracle_in_every_genus():
     """The one pass gives the oracle's decomposition and dual graph, field
     by field and key order included, on the torus, the genus-2 L, the
-    reference and 600 random origamis of genus 1 to 6 on 1 to 12 squares.
-    On permutation pairs that skip the transitivity check, connected or
+    reference, 600 random origamis of genus 1 to 6 on 1 to 12 squares,
+    and the vertical 2- to 5-fold stretches of every genus-2 and genus-3
+    class up to 5 squares, each randomly relabelled.  The stretches make
+    stacks up to 15 rows high, and in more than 300 surfaces a stack has
+    an upper row holding a smaller square than its bottom row, so the
+    loop over the rows meets that row first and must skip it.  On
+    permutation pairs that skip the transitivity check, connected or
     not (3000 random ones and every pair on at most 4 squares), it
     returns what the oracle returns or raises what it raises, with the
     same message.  The oracle keeps the boundary checks that the one pass
@@ -305,15 +313,25 @@ def test_one_pass_matches_the_oracle_in_every_genus():
     rng = random.Random(3333)
     surfaces = [torus(), l_origami(), wollmilchsau()]
     surfaces += [random_origami(rng, 12) for _ in range(600)]
+    relabel_rng = random.Random(3334)
+    stretched = [relabelled(relabel_rng, vertical_stretch(o, k))
+                 for genus in (2, 3)
+                 for o in sorted(classes_of_genus(genus, 5), key=repr)
+                 for k in range(2, 6)]
+    assert len(stretched) == 452
     genera = Counter()
-    for o in surfaces:
+    upper_first = 0
+    for o in surfaces + stretched:
         d = horizontal_decomposition(o)
         genera[d.genus] += 1
         assert d.genus == singularity_data(o).genus
         assert outcome(horizontal_decomposition, o) == \
             outcome(decomposition_oracle.horizontal_decomposition, o), o
         assert d.dual_graph == decomposition_oracle.dual_graph(d), o
+        upper_first += any(min(row) < min(c.rows[0])
+                           for c in d.cylinders for row in c.rows[1:])
     assert sorted(genera) == [1, 2, 3, 4, 5, 6]
+    assert upper_first > 300
     pairs = []
     for _ in range(3000):
         n = rng.randint(1, 12)

@@ -33,7 +33,7 @@ from squaretiled.monodromy import (
     restrict_to_zero_holonomy,
     stabilizer_generators,
 )
-from squaretiled.surface import act_sl2z, canonical_form, \
+from squaretiled.surface import act_sl2z, build_origami, canonical_form, \
     origami_isomorphism, parse_origami, singularity_data
 from test_pipeline import CASE5_SEVEN
 
@@ -602,6 +602,44 @@ def test_cusp_bound_is_the_slope_box_bound_on_the_census():
     assert forni_upper_bound(o).upper_bound == 0
     assert slope_box_bound(o, 2) == \
         (2, tuple((slope, 2) for slope in enumerate_slopes(2)))
+
+
+def one_cylinder_h2(lengths, twist):
+    """The one-cylinder origami whose bottom has saddles of the given
+    lengths in order from x = 0 and whose top has them in reverse order
+    from x = ``twist``: the one-cylinder H(2) diagram."""
+    n = sum(lengths)
+    bottom = list(itertools.accumulate((0,) + lengths[:-1]))
+    v = [0] * n
+    x = twist
+    for start, length in reversed(list(zip(bottom, lengths))):
+        for d in range(length):
+            v[(x + d) % n] = start + d
+        x += length
+    return build_origami(tuple(range(1, n)) + (0,), tuple(v))
+
+
+def test_h2_orbit_sizes_match_the_closed_form():
+    """For a prime number n >= 5 of squares, the one-cylinder H(2) seeds
+    (bottom saddles of lengths a + b + c = n, the top order reversed,
+    every twist) reach exactly two ``SL(2, Z)``-orbits, of sizes
+    (3/16)(n - 3)n²∏(1 - p⁻²) and (3/16)(n - 1)n²∏(1 - p⁻²), the product
+    over the primes dividing n (Hubert-Lelièvre, Lelièvre-Royer): an
+    external check of the orbit walk.  For prime n the product times n²
+    is n² - 1."""
+    for n in (5, 7, 11, 13):
+        seen, sizes = set(), []
+        for a in range(1, n - 1):
+            for b in range(1, n - a):
+                for twist in range(n):
+                    o = one_cylinder_h2((a, b, n - a - b), twist)
+                    assert singularity_data(o).kappa == (2,), o
+                    if canonical_form(o) not in seen:
+                        members = orbit_graph(o).members
+                        seen.update(members)
+                        sizes.append(len(members))
+        assert sorted(sizes) == [3 * (n - 3) * (n * n - 1) // 16,
+                                 3 * (n - 1) * (n * n - 1) // 16], n
 
 
 # the 9-square H(5,1) surface: its orbit has 38 736 members in 4888 cusps,

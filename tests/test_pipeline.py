@@ -19,7 +19,8 @@ import key_oracle
 import survivor_oracle
 from conftest import BOUNDARY_4A, EXEMPLARS, H4_LINE, H31_SIX, \
     MALFORMED_LINES, SIX_SQUARES, classes_of_genus, decomposition_net, exemplar, \
-    l_origami, origamis_of_genus, random_genus3, wollmilchsau
+    l_origami, origamis_of_genus, random_genus3, relabelled, \
+    vertical_stretch, wollmilchsau
 from decomposition_oracle import core_span_rank
 from survivor_oracle import enumerate_slopes
 from squaretiled.cli import build_parser, main as cli_main
@@ -210,16 +211,6 @@ def test_case5_defers_to_its_simple_cylinder(monkeypatch):
 # whose simple cylinder has slope (2, -1)
 STRETCHED_CASE5 = ('origami n=12 h="(0 1 3 5 4 2)(6 7 9 11 10 8)" '
                    'v="(0 6 1 7 4 10 5 11 2 8 3 9)"')
-
-
-def vertical_stretch(o, k):
-    """``o`` with every square stretched into a column of ``k`` squares:
-    square ``s + j·n`` is row ``j`` of the column over square ``s``."""
-    n = o.n
-    return build_origami(
-        tuple(o.h[s % n] + s // n * n for s in range(k * n)),
-        tuple(s + n if s < (k - 1) * n else o.v[s % n]
-              for s in range(k * n)))
 
 
 def test_case5_defers_to_a_slope_of_rise_two():
@@ -611,16 +602,6 @@ def test_split_orbits_are_trivial_forni(h, v):
 
     # a member that only the Lagrangian rule decides
     assert any(lagrangian_only(o) for o in members)
-
-
-def relabelled(rng, x):
-    """``x`` with ``h`` and ``v`` conjugated by a random permutation."""
-    p = list(range(x.n))
-    rng.shuffle(p)
-    h, v = [0] * x.n, [0] * x.n
-    for i in range(x.n):
-        h[p[i]], v[p[i]] = p[x.h[i]], p[x.v[i]]
-    return build_origami(tuple(h), tuple(v))
 
 
 def tied_case6(d):
@@ -1245,11 +1226,20 @@ def origami_file(tmp_path, o):
 
 
 def test_cli_analyze_and_report(tmp_path, capsys):
+    """``analyze`` prints the same report from the file and from a copy
+    that starts with a UTF-8 byte-order mark."""
     path = origami_file(tmp_path, wollmilchsau())
+    bom = tmp_path / "bom.txt"
+    with open(path, "rb") as f:
+        bom.write_bytes(b"\xef\xbb\xbf" + f.read())
     out = str(tmp_path / "svg")
-    assert cli_main(["analyze", path, "--format", "svg", "--out", out]) == 0
-    captured = capsys.readouterr()
-    assert "WollmilchsauEquivalent" in captured.out
+    printed = []
+    for source in (path, str(bom)):
+        assert cli_main(["analyze", source, "--format", "svg",
+                         "--out", out]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert "WollmilchsauEquivalent" in printed[0]
     assert list((tmp_path / "svg").glob("*.svg"))
     # no direction bound: the classifier analyses at most two directions
     for argv in (["analyze", path, "--direction-bound", "2"],

@@ -1,6 +1,7 @@
 """Surface layer: permutation plumbing, strata, the shear/rotate action,
 isomorphism and canonical forms, the text format, and metric nets."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 import canonical_form_oracle
 from conftest import MALFORMED_LINES, l_origami, random_genus3, \
-    random_origami, torus, wollmilchsau
+    random_origami, relabelled, torus, wollmilchsau
 from net_oracle import CylinderGeometry, NegativeLength, build_net
 from squaretiled.cylinders import CylinderDiagram
 from squaretiled.errors import InvariantViolation, NotTransitive
@@ -40,9 +41,55 @@ def test_known_strata():
     assert ew.genus == 3
 
 
+def four_neighbour_message(h, v):
+    """The ``NotTransitive`` message for the pair ``(h, v)`` from a search
+    out of square 0 along ``h``, ``h⁻¹``, ``v`` and ``v⁻¹``, or ``None``
+    when it reaches every square."""
+    n = len(h)
+    hi, vi = perm_inverse(h), perm_inverse(v)
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in (h[i], hi[i], v[i], vi[i]):
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    if len(reached) == n:
+        return None
+    return f"squares {set(range(n)) - reached} are not connected to square 0"
+
+
 def test_transitivity_required():
+    """``build_origami`` follows forward edges only, and raises exactly
+    when the four-neighbour search misses a square, with its message: on
+    every pair on at most 4 squares and on 2000 random pairs on 5 to 12
+    squares."""
     with pytest.raises(NotTransitive):
         build_origami((1, 0, 2), (0, 1, 2))
+    small = [(h, v) for n in range(1, 5)
+             for h in itertools.permutations(range(n))
+             for v in itertools.permutations(range(n))]
+    assert len(small) == 617
+    rng = random.Random(4242)
+    large = []
+    for _ in range(2000):
+        n = rng.randint(5, 12)
+        h, v = list(range(n)), list(range(n))
+        rng.shuffle(h)
+        rng.shuffle(v)
+        large.append((tuple(h), tuple(v)))
+    for sample in (small, large):
+        raised = 0
+        for h, v in sample:
+            expected = four_neighbour_message(h, v)
+            try:
+                build_origami(h, v)
+            except NotTransitive as exc:
+                assert str(exc) == expected, (h, v)
+                raised += 1
+            else:
+                assert expected is None, (h, v)
+        assert 0 < raised < len(sample)
 
 
 def test_perm_utilities():
@@ -156,15 +203,6 @@ def test_isomorphism_rejects_a_non_injective_map():
     two_tori = Origami((0, 1), (0, 1))
     assert origami_isomorphism(two_square_torus, two_tori) is None
     assert origami_isomorphism(two_square_torus, two_square_torus) == (0, 1)
-
-
-def relabelled(rng, o):
-    p = list(range(o.n))
-    rng.shuffle(p)
-    h, v = [0] * o.n, [0] * o.n
-    for i in range(o.n):
-        h[p[i]], v[p[i]] = p[o.h[i]], p[o.v[i]]
-    return build_origami(tuple(h), tuple(v))
 
 
 def test_isomorphism_agrees_with_canonical_forms():
