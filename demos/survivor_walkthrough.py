@@ -47,7 +47,7 @@ def main():
 
     graph = d.dual_graph
     print("pinch dual graph: component genera %s, %d nodes — %s"
-          % (sorted(g for _, g in graph.vertices), len(graph.edges),
+          % (sorted(graph.genera), len(graph.edges),
              classify_case(graph)))
 
     verdict = classify_surface(o)

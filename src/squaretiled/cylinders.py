@@ -7,10 +7,12 @@ combinatorial computation on the two permutations.  This module computes
 
 - the horizontal decomposition (:func:`horizontal_decomposition`): maximal
   stacks of ``h``-cycles glued along cone-point-free interfaces, together
-  with all saddle connections on the cylinder boundaries and their
-  integer lengths and positions, which the transverse-cylinder searches
-  read directly, and the dual graph of the pinch of every core curve
-  (:class:`DualGraph`), built in the same pass,
+  with all saddle connections on the cylinder boundaries, their integer
+  lengths and their positions on the one bottom and the one top each
+  lies on, which the transverse-cylinder searches read directly, and the
+  dual graph of the pinch of every core curve (:class:`DualGraph`: the
+  genus of each component and, per cylinder, the components of its two
+  halves), built in the same pass,
 - decompositions in arbitrary rational directions
   (:func:`periodic_decomposition`) by shearing the direction to horizontal
   with an ``SL(2, Z)`` word (:func:`direction_member`),
@@ -240,10 +242,12 @@ class CylinderDecomposition(NamedTuple):
     All combinatorial and metric data refer to the sheared origami
     ``origami`` in whose coordinates the direction is horizontal.
     ``saddle_lengths`` maps a saddle id to its length in squares;
-    ``bottom_positions`` and ``top_positions`` map a cylinder id to the
-    integer start coordinate, in squares, of every saddle on that
-    boundary; the bottom word starts at 0 and the top coordinates are
-    reduced mod the circumference.  These are the metric data the
+    ``bottom_positions`` and ``top_positions`` map a saddle id to its
+    integer start coordinate, in squares, on the one bottom and the one
+    top it lies on; each bottom word starts at 0 and the top coordinates
+    are reduced mod the circumference.  The order of the saddles along
+    each boundary is that of ``diagram.bottom_words`` and
+    ``diagram.top_words``.  These are the metric data the
     transverse-cylinder searches read.  ``genus`` is the genus
     of ``origami``, read off the corner permutation that also marks the
     cone points.  ``dual_graph`` is the :class:`DualGraph` of the pinch
@@ -291,8 +295,10 @@ def horizontal_decomposition(o: Origami):
     less its saddles: each saddle is counted on the component of the
     bottom half it bounds, and each zero on that of the first bottom it
     starts a saddle on.  The components are the vertices of
-    :class:`DualGraph`, each cylinder the edge between its two halves, and
-    the genus labels and cycle rank must add up to ``genus``.
+    :class:`DualGraph`, each cylinder the edge between the components of
+    its two halves, and the genus labels and cycle rank must add up to
+    ``genus``.  Each saddle's start coordinates on its bottom and its top
+    are keyed by the saddle alone.
 
     The corner identity ``c(v(h(j))) = h(v(j))`` proves the checks of
     :meth:`CylinderDiagram.validate`, so none is made.  An unmarked corner
@@ -333,7 +339,9 @@ def horizontal_decomposition(o: Origami):
         >>> d.diagram.bottom_words, d.diagram.top_words
         ({0: (0,)}, {0: (0,)})
         >>> d.dual_graph
-        DualGraph(vertices=((0, 0),), edges=((0, (0, 0)),))
+        DualGraph(genera=(0,), edges=((0, 0),))
+        >>> d.bottom_positions, d.top_positions
+        ({0: 0}, {0: 0})
     """
     h, v = o.h, o.v
     n = len(h)
@@ -390,7 +398,7 @@ def horizontal_decomposition(o: Origami):
         k = row.index(t)
         bottom = tuple(row[k:] + row[:k] if k else row)
         cid = len(cylinders)
-        positions = {}
+        first = sid + 1
         met = 0
         for x, t in enumerate(bottom):
             if marked[t]:
@@ -398,18 +406,17 @@ def horizontal_decomposition(o: Origami):
                 if not zero_met[zero]:
                     zero_met[zero] = True
                     met += 1
-                if positions:
+                if x:   # the bottom opens its first saddle at x = 0
                     saddle_lengths[sid] = x - a
                     saddle_zeros[sid] = (start, zero)
                 sid += 1
                 a, start = x, zero
-                positions[sid] = x
+                bottom_positions[sid] = x
                 bottom_of.append(cid)
             edge_saddle[t] = sid
         saddle_lengths[sid] = len(bottom) - a
         saddle_zeros[sid] = (start, corner_class[bottom[0]])
-        bottom_words[cid] = tuple(positions)
-        bottom_positions[cid] = positions
+        bottom_words[cid] = tuple(range(first, sid + 1))
         new_zeros.append(met)
         # climb while no square above the top row is marked
         stacked = [bottom]
@@ -439,12 +446,13 @@ def horizontal_decomposition(o: Origami):
     top_positions = {}
     parent = list(range(2 * len(cylinders)))
     for cid, c in enumerate(cylinders):
-        positions = {}
+        word = []
         for x, s in enumerate(c.rows[-1]):
             t = v[s]
             if marked[t]:
                 sid = edge_saddle[t]
-                positions[sid] = x
+                word.append(sid)
+                top_positions[sid] = x
                 y = 2 * cid + 1
                 while parent[y] != y:
                     y = parent[y]
@@ -455,8 +463,7 @@ def horizontal_decomposition(o: Origami):
                     parent[z] = y
                 elif z < y:
                     parent[y] = z
-        top_words[cid] = tuple(positions)
-        top_positions[cid] = positions
+        top_words[cid] = tuple(word)
 
     # the components, numbered by their least half, are the vertices.
     # Walked in half order, a root opens the next component and any other
@@ -475,35 +482,34 @@ def horizontal_decomposition(o: Origami):
     twice_genus = [2] * count
     edges = []
     for cid, met in enumerate(new_zeros):
-        ends = component[2 * cid], component[2 * cid + 1]
-        twice_genus[ends[0]] += len(bottom_words[cid]) - met - 1
-        twice_genus[ends[1]] -= 1
-        edges.append((cid, ends))
-    vertices = []
-    for vid, twice in enumerate(twice_genus):
+        a, b = component[2 * cid], component[2 * cid + 1]
+        twice_genus[a] += len(bottom_words[cid]) - met - 1
+        twice_genus[b] -= 1
+        edges.append((a, b))
+    genera = []
+    for twice in twice_genus:
         if twice < 0 or twice % 2:
-            raise InvariantViolation("component genus must be a whole "
-                                     "number")
-        vertices.append((vid, twice // 2))
+            raise InvariantViolation("component genus must be a whole number")
+        genera.append(twice // 2)
     # every row is in a stack, so the surface is connected exactly when
     # the graph is: grow the vertices reached from vertex 0 along edges
-    reached = [True] + [False] * (len(vertices) - 1)
+    reached = [True] + [False] * (count - 1)
     grown = True
     while grown:
         grown = False
-        for _, (a, b) in edges:
+        for a, b in edges:
             if reached[a] != reached[b]:
                 reached[a] = reached[b] = grown = True
     if not all(reached):
         raise InvariantViolation("surface must be connected")
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
-    if sum(twice_genus) // 2 + len(edges) - len(vertices) + 1 != genus:
+    if sum(genera) + len(edges) - count + 1 != genus:
         raise InvariantViolation("dual graph must carry the surface's genus")
     return CylinderDecomposition(
         o, tuple(cylinders),
         CylinderDiagram(bottom_words, top_words, saddle_zeros),
         saddle_lengths, bottom_positions, top_positions, genus,
-        DualGraph(tuple(vertices), tuple(edges)))
+        DualGraph(tuple(genera), tuple(edges)))
 
 
 def direction_member(o: Origami, slope):
@@ -615,23 +621,24 @@ class DualGraph(NamedTuple):
     component of the surface cut along all core curves, one edge per
     cylinder (loops allowed).
 
-    ``vertices``: tuple of ``(vertex id, genus)``;
-    ``edges``: tuple of ``(cylinder id, (vertex, vertex))``.
+    ``genera[i]`` is the genus of component ``i``; ``edges[c]`` is the
+    pair ``(a, b)`` of the components holding the bottom and the top half
+    of cylinder ``c``, a loop when ``a == b``.
     """
 
-    vertices: tuple
+    genera: tuple
     edges: tuple
 
     @property
     def geometric_genus(self):
-        return sum(genus for _, genus in self.vertices)
+        return sum(self.genera)
 
     @property
     def cycle_rank(self):
         """``E - V + 1``, the first Betti number of the (connected) graph:
         the rank of the span of the core curves, whose only relations are
         the component boundaries, which sum to zero."""
-        return len(self.edges) - len(self.vertices) + 1
+        return len(self.edges) - len(self.genera) + 1
 
 
 class CaseLabel(enum.Enum):
@@ -664,15 +671,15 @@ def classify_case(g):
     r"""
     Match a pinch dual graph against the six genus-3 reference shapes.
 
-    Returns the :class:`CaseLabel`.  One pass over the edges gives each
-    vertex's ``(genus, valence, loops)``, and the sorted triples are
-    looked up in a table of the six shapes.  The triples fix each shape up
-    to isomorphism: once the loops are placed, the other edge ends pair up
-    in one way only.  (In Case 4 the genus-1 vertex cannot send both its
-    edges to one genus-0 vertex, which would leave the other one three
-    edge ends and a single free end to join.)  A graph outside the table,
-    such as the Lagrangian branch below or a pinch of another genus, raises
-    :class:`~squaretiled.errors.InvariantViolation`.
+    Returns the :class:`CaseLabel`.  One pass over the edges counts each
+    vertex's valence and loops, and the sorted ``(genus, valence, loops)``
+    triples are looked up in a table of the six shapes.  The triples fix
+    each shape up to isomorphism: once the loops are placed, the other
+    edge ends pair up in one way only.  (In Case 4 the genus-1 vertex
+    cannot send both its edges to one genus-0 vertex, which would leave
+    the other one three edge ends and a single free end to join.)  A graph
+    outside the table, such as the Lagrangian branch below or a pinch of
+    another genus, raises :class:`~squaretiled.errors.InvariantViolation`.
 
     Every pinch of a genus-3 origami of cycle rank 1 or 2 is in the table:
 
@@ -697,21 +704,19 @@ def classify_case(g):
 
     EXAMPLES::
 
-        >>> g = DualGraph(vertices=((0, 1), (1, 1)),
-        ...               edges=((0, (0, 1)), (1, (0, 1))))
+        >>> g = DualGraph(genera=(1, 1), edges=((0, 1), (0, 1)))
         >>> str(classify_case(g))
         'Case6'
     """
-    valence = dict.fromkeys((vid for vid, _ in g.vertices), 0)
-    loops = dict(valence)
-    for _, (u, w) in g.edges:
-        valence[u] += 1
-        valence[w] += 1
-        if u == w:
-            loops[u] += 1
+    valence = [0] * len(g.genera)
+    loops = [0] * len(g.genera)
+    for a, b in g.edges:
+        valence[a] += 1
+        valence[b] += 1
+        if a == b:
+            loops[a] += 1
     try:
-        return _CASE_SIGNATURES[tuple(sorted(
-            (genus, valence[vid], loops[vid]) for vid, genus in g.vertices))]
+        return _CASE_SIGNATURES[tuple(sorted(zip(g.genera, valence, loops)))]
     except KeyError:
         raise InvariantViolation("a pinch graph of cycle rank %d and genus "
                                  "labels summing to %d matches none of the "

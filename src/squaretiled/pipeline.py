@@ -208,8 +208,8 @@ def _window_extraction(d, c1, c2):
     tau = max(words[c1], key=lengths.__getitem__)
     sigma = max(words[c2], key=lengths.__getitem__)
     l_tau = lengths[tau]
-    q_b, q_t = d.bottom_positions[c1][tau], d.top_positions[c2][tau]
-    p_t, p_b = d.top_positions[c1][sigma], d.bottom_positions[c2][sigma]
+    q_b, q_t = d.bottom_positions[tau], d.top_positions[tau]
+    p_t, p_b = d.top_positions[sigma], d.bottom_positions[sigma]
     # closing forces twice the drift to be Q_t - Q_b + P_t - P_b (mod w),
     # so the two crossing families sit at drifts T and T + w
     drift = (q_t - q_b + p_t - p_b) % w
@@ -277,17 +277,16 @@ def _analyze_direction(d, slope):
     if label is CaseLabel.CASE3:
         # the exponents of the two nodes joining the elliptic and the
         # rational component, the edges whose endpoints differ
-        exponents = dict(zip((c.id for c in d.cylinders),
-                             moduli_exponents(d)))
-        verdict = case3_verdict(*(exponents[e] for e, (a, b) in graph.edges
-                                  if a != b))
+        verdict = case3_verdict(*(r for r, (a, b) in zip(
+            moduli_exponents(d), graph.edges) if a != b))
         return DirectionRecord(slope, name, "period forcing", verdict), True
     if label is CaseLabel.CASE5:
+        # the one cylinder holds every saddle on its bottom and its top
         (c,) = d.cylinders
-        w, h, bottoms = c.circumference, c.height, d.bottom_positions[c.id]
+        w, h, bottoms = c.circumference, c.height, d.bottom_positions
         # tp - bp reduced into (-w/2, w/2]
         dx = min(((tp - bottoms[s] + (w - 1) // 2) % w - (w - 1) // 2
-                  for s, tp in d.top_positions[c.id].items()),
+                  for s, tp in d.top_positions.items()),
                  key=lambda x: (abs(x), x))
         g = gcd(dx, h)
         return DirectionRecord(slope, name, "defer to a simple transverse "
@@ -370,7 +369,7 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
         return Verdict("TrivialForni", (first, record), o)
     chain, c = first.witness, horizontal.cylinders[0]
     a, h = chain.constraint.t0, c.height
-    t = next(iter(horizontal.top_positions[c.id].values())) % a
+    t = horizontal.top_positions[horizontal.diagram.top_words[c.id][0]] % a
     relabelling = origami_isomorphism(o, affine_reference(a, h, t))
     if relabelling is None:
         raise InvariantViolation(
@@ -611,34 +610,41 @@ def _diagram_svg(diagram, scale=40):
 
 
 def _dual_graph_svg(graph, scale=60):
-    """Genus-labeled vertices on a circle with straight edges (loops as
-    small circles)."""
+    """Genus-labeled vertices on a circle.  A lone edge is a straight
+    line; the ``k``-th of ``m > 1`` edges between two vertices is a
+    quadratic path bent ``(k - (m - 1)/2)·40`` off their segment, and the
+    ``k``-th loop at a vertex a circle of radius ``12 + 6k`` beside it,
+    so every edge is drawn apart from the others."""
     import math
 
-    vs = [v for v, _ in graph.vertices]
-    genera = dict(graph.vertices)
-    n = max(len(vs), 1)
     cx, cy, r = 2 * scale, 2 * scale, scale
-    pos = {}
-    for i, v in enumerate(vs):
-        ang = 2 * math.pi * i / n
-        pos[v] = (cx + r * math.cos(ang), cy + r * math.sin(ang))
+    pos = []
+    for i in range(len(graph.genera)):
+        ang = 2 * math.pi * i / len(graph.genera)
+        pos.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
+    pairs = [tuple(sorted(e)) for e in graph.edges]
     elements = []
-    for e, (a, b) in graph.edges:
-        xa, ya = pos[a]
+    for e, (a, b) in enumerate(graph.edges):
+        k, m = pairs[:e].count(pairs[e]), pairs.count(pairs[e])
+        # parallel edges are bent about the segment from the lesser vertex
+        (xa, ya), (xb, yb) = pos[pairs[e][0]], pos[pairs[e][1]]
         if a == b:
-            elements.append('<circle cx="%.2f" cy="%.2f" r="12" '
+            elements.append('<circle cx="%.2f" cy="%.2f" r="%d" '
                             'fill="none" stroke="black"/>'
-                            % (xa + 18, ya - 18))
-        else:
-            xb, yb = pos[b]
+                            % (xa + 18 + 4 * k, ya - 18 - 4 * k, 12 + 6 * k))
+        elif m == 1:
             elements.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-                            'stroke="black"/>' % (xa, ya, xb, yb))
-    for v in vs:
-        x, y = pos[v]
+                            'stroke="black"/>' % (*pos[a], *pos[b]))
+        else:
+            bend = (k - (m - 1) / 2) * 40 / math.hypot(xb - xa, yb - ya)
+            elements.append('<path d="M %.2f %.2f Q %.2f %.2f %.2f %.2f" '
+                            'fill="none" stroke="black"/>'
+                            % (xa, ya, (xa + xb) / 2 - (yb - ya) * bend,
+                               (ya + yb) / 2 + (xb - xa) * bend, xb, yb))
+    for (x, y), genus in zip(pos, graph.genera):
         elements.append('<circle cx="%.2f" cy="%.2f" r="14" fill="#fee" '
                         'stroke="black"/>' % (x, y))
-        elements.append(_svg_text(x - 4, y + 4, str(genera[v]), 11))
+        elements.append(_svg_text(x - 4, y + 4, str(genus), 11))
     return _svg_document(elements, 4 * scale + 40, 4 * scale + 40)
 
 

@@ -173,8 +173,8 @@ def _case1_witness(d):
             continue
         sid = min(both)
         length = d.saddle_lengths[sid]
-        bp = d.bottom_positions[cid][sid]
-        tp = d.top_positions[cid][sid]
+        bp = d.bottom_positions[sid]
+        tp = d.top_positions[sid]
         return TransverseWitness(
             crossed=(cid,),
             width=length,
@@ -219,7 +219,7 @@ def _case2_witness(d):
                 continue
             tau = max(shared, key=lambda t: (lengths[t], t))
             width = min(lengths[sigma], lengths[tau])
-            bp = d.bottom_positions[c1][sigma]
+            bp = d.bottom_positions[sigma]
             rise = d.cylinders[c1].height + d.cylinders[c2].height
             return TransverseWitness(
                 crossed=(c1, c2),
@@ -245,14 +245,14 @@ def _case4a_witness(d, c1, c4, middles):
         raise InvariantViolation("outer cylinders must have equal "
                                  "circumference")
     s = cyl[wide].circumference
-    a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
+    a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions,
                         set(d.diagram.bottom_words[wide]))
-    a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions[c4],
+    a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions,
                         set(d.diagram.top_words[wide]))
     # (start of the saddle on the bottom of c1, start of its image on the
     # top of c4, length), both starts re-cut to the window
-    saddles = [(d.bottom_positions[c1][sid] - a_top,
-                d.top_positions[c4][sid] - a_bot, d.saddle_lengths[sid])
+    saddles = [(d.bottom_positions[sid] - a_top,
+                d.top_positions[sid] - a_bot, d.saddle_lengths[sid])
                for sid in d.diagram.bottom_words[c1]]
     values = [w, s] + [v for triple in saddles for v in triple]
     if not all(isinstance(v, int) for v in values):
@@ -301,8 +301,8 @@ def _case4b_witness(d, c1, c4, mid):
     ``mid`` and ``c4`` once each."""
     lengths = d.saddle_lengths
     sigma = max(d.diagram.top_words[c4], key=lambda s: (lengths[s], s))
-    bp = d.bottom_positions[c1][sigma]
-    tp = d.top_positions[c4][sigma]
+    bp = d.bottom_positions[sigma]
+    tp = d.top_positions[sigma]
     rise = (d.cylinders[c1].height + d.cylinders[mid].height
             + d.cylinders[c4].height)
     return TransverseWitness(

@@ -243,7 +243,7 @@ def decomposition_net(d):
     each cylinder's twist, read as the start of its first top saddle."""
     geoms = {c.id: CylinderGeometry(
         c.circumference, c.height,
-        d.top_positions[c.id][d.diagram.top_words[c.id][0]])
+        d.top_positions[d.diagram.top_words[c.id][0]])
         for c in d.cylinders}
     return build_net(geoms, d.diagram, d.saddle_lengths)
 

@@ -148,7 +148,6 @@ def decomposition_with_saddles(o):
     bottom_positions = {}
     for c in cylinders:
         word_ids = []
-        positions = {}
         run = []
         run_start_x = 0
         for i, sq in enumerate(c.rows[0]):
@@ -156,7 +155,7 @@ def decomposition_with_saddles(o):
                 sid = len(saddles)
                 _close_run(saddles, edge_saddle, sid, run, corner_class, o)
                 word_ids.append(sid)
-                positions[sid] = run_start_x
+                bottom_positions[sid] = run_start_x
                 run = []
             if not run:
                 run_start_x = i
@@ -164,9 +163,8 @@ def decomposition_with_saddles(o):
         sid = len(saddles)
         _close_run(saddles, edge_saddle, sid, run, corner_class, o)
         word_ids.append(sid)
-        positions[sid] = run_start_x
+        bottom_positions[sid] = run_start_x
         bottom_words[c.id] = tuple(word_ids)
-        bottom_positions[c.id] = positions
 
     # top words: read the same quotient edges along each cylinder's top row
     top_words = {}
@@ -180,7 +178,6 @@ def decomposition_with_saddles(o):
         k0 = min(starts, key=lambda i: square_x[rt[i]])
         rt = rt[k0:] + rt[:k0]
         word_ids = []
-        positions = {}
         run_edges = []
         run_start = None
         for sq in rt:
@@ -188,15 +185,14 @@ def decomposition_with_saddles(o):
             if edge in marked and run_edges:
                 word_ids.append(_close_top_run(run_edges, edge_saddle,
                                                saddles))
-                positions[word_ids[-1]] = square_x[run_start]
+                top_positions[word_ids[-1]] = square_x[run_start]
                 run_edges = []
             if not run_edges:
                 run_start = sq
             run_edges.append(edge)
         word_ids.append(_close_top_run(run_edges, edge_saddle, saddles))
-        positions[word_ids[-1]] = square_x[run_start]
+        top_positions[word_ids[-1]] = square_x[run_start]
         top_words[c.id] = tuple(word_ids)
-        top_positions[c.id] = positions
 
     diagram = CylinderDiagram(bottom_words, top_words,
                               {sid: (s.start_zero, s.end_zero)
@@ -281,7 +277,7 @@ def dual_graph(d):
     for h in halves:
         comp_ends[comp_of[h]] += 1
 
-    vertices = []
+    genera = []
     for vid in sorted(comp_ids.values()):
         saddles = comp_saddles[vid]
         zeros = {z for sid in saddles for z in diagram.saddle_zeros[sid]}
@@ -289,7 +285,7 @@ def dual_graph(d):
         genus2 = 2 - euler - comp_ends[vid]
         if genus2 < 0 or genus2 % 2:
             raise InvariantViolation("component genus must be a whole number")
-        vertices.append((vid, genus2 // 2))
+        genera.append(genus2 // 2)
 
     # the surface is connected exactly when gluing each cylinder's halves
     # back together leaves one component
@@ -298,9 +294,9 @@ def dual_graph(d):
     if len({find(h) for h in halves}) != 1:
         raise InvariantViolation("surface must be connected")
 
-    edges = tuple((cid, (comp_of[(cid, "bot")], comp_of[(cid, "top")]))
+    edges = tuple((comp_of[(cid, "bot")], comp_of[(cid, "top")])
                   for cid in cids)
-    g = DualGraph(tuple(vertices), edges)
+    g = DualGraph(tuple(genera), edges)
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
     if getattr(d, "origami", None) is not None:
         if g.geometric_genus + g.cycle_rank != \
@@ -338,11 +334,8 @@ def classify_case(g):
     """The first reference shape that ``g`` is isomorphic to, tried one
     vertex permutation at a time, as
     :func:`squaretiled.cylinders.classify_case` decides it."""
-    index = {vid: i for i, (vid, _) in enumerate(g.vertices)}
-    genera = [genus for _, genus in g.vertices]
-    edges = [(index[u], index[w]) for _, (u, w) in g.edges]
     for label, (ref_genera, ref_edges) in _REFERENCE_GRAPHS.items():
-        if _multigraph_isomorphic(genera, edges, ref_genera, ref_edges):
+        if _multigraph_isomorphic(g.genera, g.edges, ref_genera, ref_edges):
             return label
     return None
 

@@ -132,10 +132,10 @@ def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
         side, cid = interface
         if side == "bottom":
             word = d.diagram.bottom_words[cid]
-            pos = d.bottom_positions[cid]
+            pos = d.bottom_positions
         elif side == "top":
             word = d.diagram.top_words[cid]
-            pos = d.top_positions[cid]
+            pos = d.top_positions
         else:
             raise ValueError("interface side must be 'bottom' or 'top'")
         return word, pos, d.cylinders[cid].circumference
@@ -245,9 +245,9 @@ def case4a_window_map(d, c1=None, c4=None, middles=None):
         raise InvariantViolation("outer cylinders must have equal "
                                  "circumference")
     s = d.cylinders[wide].circumference
-    a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions[c1],
+    a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions,
                         set(d.diagram.bottom_words[wide]))
-    a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions[c4],
+    a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions,
                         set(d.diagram.top_words[wide]))
     raw = build_interval_map(d, ("bottom", c1), ("top", c4))
     pieces = []

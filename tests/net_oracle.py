@@ -52,9 +52,9 @@ class FlatSurfaceNet:
     ``diagram`` provides the cyclic boundary words (``bottom_words`` /
     ``top_words`` mapping cylinder id to a tuple of saddle ids);
     ``saddle_lengths`` assigns an exact length to every saddle id.
-    ``bottom_positions`` and ``top_positions`` map a cylinder id to the
-    start coordinate of every saddle on that boundary, reduced mod the
-    circumference.
+    ``bottom_positions`` and ``top_positions`` map a saddle id to its
+    start coordinate on the one bottom and the one top it lies on, reduced
+    mod the circumference of that cylinder.
 
     Coordinates: each cylinder is the rectangle ``[0, w) x [0, height]``.
     Its bottom word is laid out left to right starting at ``x = 0`` and its
@@ -90,7 +90,7 @@ def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
     >>> diag = CylinderDiagram(bottom_words={0: ("a",)}, top_words={0: ("a",)},
     ...                        saddle_zeros={"a": (0, 0)})
     >>> net = build_net({0: CylinderGeometry(1, 1, 0)}, diag, {"a": 1})
-    >>> net.cylinders[0].height, net.bottom_positions[0]
+    >>> net.cylinders[0].height, net.bottom_positions
     (1, {'a': 0})
     """
     geoms = {}
@@ -114,10 +114,10 @@ def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
                     f"cylinder {cid}: {side} saddle lengths sum to {total}, "
                     f"expected {geom.circumference}"
                 )
-    bottoms = {cid: _word_positions(diagram.bottom_words[cid], 0, lengths,
-                                    g.circumference)
-               for cid, g in geoms.items()}
-    tops = {cid: _word_positions(diagram.top_words[cid], g.twist, lengths,
-                                 g.circumference)
-            for cid, g in geoms.items()}
+    bottoms, tops = {}, {}
+    for cid, g in geoms.items():
+        bottoms.update(_word_positions(diagram.bottom_words[cid], 0, lengths,
+                                       g.circumference))
+        tops.update(_word_positions(diagram.top_words[cid], g.twist, lengths,
+                                    g.circumference))
     return FlatSurfaceNet(geoms, diagram, lengths, bottoms, tops)

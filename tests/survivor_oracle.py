@@ -163,8 +163,8 @@ def window_extraction(d, c1, c2):
     tau = max(words[c1], key=lengths.__getitem__)
     sigma = max(words[c2], key=lengths.__getitem__)
     l_tau = lengths[tau]
-    q_b, q_t = d.bottom_positions[c1][tau], d.top_positions[c2][tau]
-    p_t, p_b = d.top_positions[c1][sigma], d.bottom_positions[c2][sigma]
+    q_b, q_t = d.bottom_positions[tau], d.top_positions[tau]
+    p_t, p_b = d.top_positions[sigma], d.bottom_positions[sigma]
     drift = (q_t - q_b + p_t - p_b) % w
     gap = (2 * p_t - drift - 2 * q_b) % w
     return (Fraction(l_tau, w), Fraction(lengths[sigma], w),

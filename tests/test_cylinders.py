@@ -103,9 +103,12 @@ def test_genus_two_graphs_match_no_case():
 def bottom_runs(d):
     """Each saddle's unit squares: the run of its bottom row that
     ``bottom_positions`` and ``saddle_lengths`` give."""
-    return {sid: core_row(d, cid)[a:a + d.saddle_lengths[sid]]
-            for cid, positions in d.bottom_positions.items()
-            for sid, a in positions.items()}
+    runs = {}
+    for cid, word in d.diagram.bottom_words.items():
+        for sid in word:
+            a = d.bottom_positions[sid]
+            runs[sid] = core_row(d, cid)[a:a + d.saddle_lengths[sid]]
+    return runs
 
 
 def test_decomposition_matches_the_oracle():
@@ -166,10 +169,9 @@ def small_multigraphs():
     for nv in range(1, 4):
         pairs = list(itertools.combinations_with_replacement(range(nv), 2))
         for ne in range(6):
-            for chosen in itertools.combinations_with_replacement(pairs, ne):
-                edges = tuple(enumerate(chosen))
+            for edges in itertools.combinations_with_replacement(pairs, ne):
                 for genera in itertools.product(range(3), repeat=nv):
-                    yield DualGraph(tuple(enumerate(genera)), edges)
+                    yield DualGraph(genera, edges)
 
 
 def test_closed_form_matches_the_permutation_search():
@@ -182,12 +184,12 @@ def test_closed_form_matches_the_permutation_search():
     rng = random.Random(1314)
     for _ in range(3000):
         nv = rng.randint(1, 4)
-        edges = tuple((cid, tuple(sorted(rng.sample(range(nv), 2)
-                                         if nv > 1 and rng.random() < 0.7
-                                         else [rng.randrange(nv)] * 2)))
-                      for cid in range(rng.randint(1, 5)))
-        graphs.append(DualGraph(tuple((vid, rng.randint(0, 2))
-                                      for vid in range(nv)), edges))
+        edges = tuple(tuple(sorted(rng.sample(range(nv), 2)
+                                   if nv > 1 and rng.random() < 0.7
+                                   else [rng.randrange(nv)] * 2))
+                      for _ in range(rng.randint(1, 5)))
+        graphs.append(DualGraph(tuple(rng.randint(0, 2)
+                                      for _ in range(nv)), edges))
     labels = set()
     for g in graphs:
         label = label_or_none(g)
@@ -232,8 +234,7 @@ def admissible_pinch_graphs(max_vertices=4):
                     if sum(genera) == 3 - h and all(
                             genus or valence[x] >= 3
                             for x, genus in enumerate(genera)):
-                        yield h, DualGraph(tuple(enumerate(genera)),
-                                           tuple(enumerate(edges)))
+                        yield h, DualGraph(genera, edges)
 
 
 def test_pinch_shape_table_is_complete():
@@ -247,16 +248,16 @@ def test_pinch_shape_table_is_complete():
     so ``classify_case`` raises there (the Lagrangian branch)."""
     shapes, lagrangian = {}, 0
     for h, g in admissible_pinch_graphs():
-        assert len(g.vertices) <= h + 1, g
+        assert len(g.genera) <= h + 1, g
         valence, loops = Counter(), Counter()
-        for _, (u, w) in g.edges:
+        for u, w in g.edges:
             valence[u] += 1
             valence[w] += 1
             loops[u] += u == w
         signature = tuple(sorted((genus, valence[x], loops[x])
-                                 for x, genus in g.vertices))
+                                 for x, genus in enumerate(g.genera)))
         if h == 3:
-            assert all(genus == 0 for _, genus in g.vertices), g
+            assert all(genus == 0 for genus in g.genera), g
             assert signature not in cylinders._CASE_SIGNATURES, g
             with pytest.raises(InvariantViolation,
                                match="cycle rank 3 and genus labels summing "
@@ -269,20 +270,18 @@ def test_pinch_shape_table_is_complete():
             shapes.setdefault(signature, []).append(g)
     assert set(shapes) == set(cylinders._CASE_SIGNATURES)
     for graphs in shapes.values():
-        first = ([genus for _, genus in graphs[0].vertices],
-                 [e for _, e in graphs[0].edges])
+        first = graphs[0]
         for g in graphs:
             assert decomposition_oracle._multigraph_isomorphic(
-                *first, [genus for _, genus in g.vertices],
-                [e for _, e in g.edges]), g
+                first.genera, first.edges, g.genera, g.edges), g
     assert lagrangian == 18
 
 
 def key_orders(d):
     """The key order of every mapping of decomposition ``d``."""
-    return ([list(m) for m in d.diagram] + [list(d.saddle_lengths)]
-            + [[list(p) for p in m.values()]
-               for m in (d.bottom_positions, d.top_positions)])
+    return [list(m) for m in d.diagram] + [
+        list(m) for m in (d.saddle_lengths, d.bottom_positions,
+                          d.top_positions)]
 
 
 def outcome(decompose, o):
@@ -456,7 +455,7 @@ def test_saddle_words_partition_boundaries(rng):
         for c in d.cylinders:
             word = d.diagram.bottom_words[c.id]
             lengths = [d.saddle_lengths[s] for s in word]
-            assert [d.bottom_positions[c.id][s] for s in word] == \
+            assert [d.bottom_positions[s] for s in word] == \
                 list(itertools.accumulate([0] + lengths[:-1]))
             for words in (d.diagram.bottom_words, d.diagram.top_words):
                 total = sum(d.saddle_lengths[s] for s in words[c.id])

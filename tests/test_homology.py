@@ -85,7 +85,7 @@ def test_wollmilchsau_core_curves_homologous():
 
 def test_dual_graph_shapes():
     g = horizontal_decomposition(wollmilchsau()).dual_graph
-    assert sorted(gn for _, gn in g.vertices) == [1, 1]
+    assert sorted(g.genera) == [1, 1]
     assert len(g.edges) == 2
     assert g.geometric_genus == 2
     g1 = horizontal_decomposition(exemplar("Case1")).dual_graph

@@ -6,6 +6,7 @@ dimension."""
 import functools
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -619,27 +620,57 @@ def one_cylinder_h2(lengths, twist):
     return build_origami(tuple(range(1, n)) + (0,), tuple(v))
 
 
+# per n, the cusp counts of the orbits that the primitive one-cylinder H(2)
+# seeds reach, in the order of the closed-form sizes, and the sizes of the
+# orbits that the other seeds reach
+H2_PRIMITIVE_CUSPS = {5: [3, 5], 6: [8], 7: [8, 10], 8: [17], 9: [14, 16],
+                      10: [30], 11: [26, 26], 12: [38], 13: [39, 37]}
+H2_OTHER_SIZES = {5: [], 6: [3], 7: [], 8: [18], 9: [12], 10: [18, 27],
+                  11: [], 12: [6, 36, 72], 13: []}
+
+
 def test_h2_orbit_sizes_match_the_closed_form():
-    """For a prime number n >= 5 of squares, the one-cylinder H(2) seeds
+    """For every n from 5 to 13 squares, the one-cylinder H(2) seeds
     (bottom saddles of lengths a + b + c = n, the top order reversed,
-    every twist) reach exactly two ``SL(2, Z)``-orbits, of sizes
-    (3/16)(n - 3)n²∏(1 - p⁻²) and (3/16)(n - 1)n²∏(1 - p⁻²), the product
-    over the primes dividing n (Hubert-Lelièvre, Lelièvre-Royer): an
-    external check of the orbit walk.  For prime n the product times n²
-    is n² - 1."""
-    for n in (5, 7, 11, 13):
-        seen, sizes = set(), []
+    every twist) with gcd(a, b, c) = 1 reach exactly the orbits of the
+    primitive surfaces, of sizes (3/8)(n - 2)J(n) for even n and
+    (3/16)(n - 3)J(n), (3/16)(n - 1)J(n) for odd n, where J(n) =
+    n²∏(1 - p⁻²) over the primes p dividing n (Hubert-Lelièvre for prime
+    n, Lelièvre-Royer for every n): an external check of the orbit walk.
+    The seeds whose lengths share a factor reach only other orbits.  Their
+    sizes and the cusp counts of the primitive orbits are pinned as
+    regression values; no formula is claimed for them."""
+    for n in range(5, 14):
+        jordan = n * n
+        for p in range(2, n + 1):
+            if n % p == 0 and all(p % q for q in range(2, p)):
+                jordan = jordan // (p * p) * (p * p - 1)
+        expected = [3 * (n - 2) * jordan // 8] if n % 2 == 0 else \
+            [3 * (n - 3) * jordan // 16, 3 * (n - 1) * jordan // 16]
+        # canonical form -> index in orbits, whose entries are (size, cusp
+        # count, whether seeds with gcd 1 reached it, whether others did)
+        orbit_of, orbits = {}, []
         for a in range(1, n - 1):
             for b in range(1, n - a):
+                c = n - a - b
                 for twist in range(n):
-                    o = one_cylinder_h2((a, b, n - a - b), twist)
+                    o = one_cylinder_h2((a, b, c), twist)
                     assert singularity_data(o).kappa == (2,), o
-                    if canonical_form(o) not in seen:
-                        members = orbit_graph(o).members
-                        seen.update(members)
-                        sizes.append(len(members))
-        assert sorted(sizes) == [3 * (n - 3) * (n * n - 1) // 16,
-                                 3 * (n - 1) * (n * n - 1) // 16], n
+                    key = canonical_form(o)
+                    if key not in orbit_of:
+                        graph = orbit_graph(o)
+                        orbit_of.update(dict.fromkeys(graph.members,
+                                                      len(orbits)))
+                        orbits.append([len(graph.members), len(graph.cusps),
+                                       False, False])
+                    orbits[orbit_of[key]][2 if gcd(a, b, c) == 1 else 3] = True
+        assert all(primitive != other for _, _, primitive, other in orbits), n
+        primitive = sorted((size, cusps)
+                           for size, cusps, gcd_one, _ in orbits if gcd_one)
+        assert [size for size, _ in primitive] == expected, n
+        assert [cusps for _, cusps in primitive] == H2_PRIMITIVE_CUSPS[n], n
+        assert sorted(size for size, _, gcd_one, _ in orbits
+                      if not gcd_one) == H2_OTHER_SIZES[n], n
 
 
 # the 9-square H(5,1) surface: its orbit has 38 736 members in 4888 cusps,

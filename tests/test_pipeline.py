@@ -736,10 +736,10 @@ def net_window_extraction(d, c1, c2):
         for sigma0 in longest_bottoms(c2):
             t0 = net.saddle_lengths[tau0] / w
             s0 = net.saddle_lengths[sigma0] / w
-            q1 = net.bottom_positions[c1][tau0] / w
-            q2 = net.top_positions[c2][tau0] / w
-            p1 = net.top_positions[c1][sigma0] / w
-            p2 = net.bottom_positions[c2][sigma0] / w
+            q1 = net.bottom_positions[tau0] / w
+            q2 = net.top_positions[tau0] / w
+            p1 = net.top_positions[sigma0] / w
+            p2 = net.bottom_positions[sigma0] / w
             t_close = ((q2 - q1 + p1 - p2) % 1) / 2
             gap = ((p1 - t_close - q1) % 1) % half
             t_start = (2 * ((gap - t0) % half)) % 1
@@ -1217,6 +1217,26 @@ def test_render_svg_reports():
     for name, content in docs.items():
         assert name.endswith(".svg")
         assert content.startswith("<svg")
+
+
+def test_dual_graph_svg_draws_every_edge_apart():
+    """The dual-graph drawing holds one element per edge, pairwise
+    different, so that loops and parallel edges show their multiplicity,
+    and one filled circle per vertex: on the horizontal pinch graph of
+    each exemplar, which covers the six shapes, and on a Lagrangian one
+    with three loops at one vertex."""
+    graphs = [horizontal_decomposition(exemplar(name)).dual_graph
+              for name in EXEMPLARS]
+    assert {classify_case(g) for g in graphs} == set(CaseLabel)
+    lagrangian = horizontal_decomposition(
+        parse_origami(LAGRANGIAN_CASE5)).dual_graph
+    assert lagrangian.cycle_rank == 3 and lagrangian.edges == ((0, 0),) * 3
+    for g in graphs + [lagrangian]:
+        lines = pipeline._dual_graph_svg(g).splitlines()
+        edges = [e for e in lines if e.lstrip().startswith(
+            ("<line ", "<path ", "<circle ")) and 'fill="#fee"' not in e]
+        assert len(edges) == len(set(edges)) == len(g.edges), g
+        assert sum('fill="#fee"' in e for e in lines) == len(g.genera), g
 
 
 def origami_file(tmp_path, o):

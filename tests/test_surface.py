@@ -311,7 +311,7 @@ def test_net_saddles_need_positive_length():
     geometry = {0: CylinderGeometry(1, 1, 0)}
     net = build_net(geometry, diagram, {"a": Fraction(1, 3),
                                         "b": Fraction(2, 3)})
-    assert net.top_positions[0] == {"b": 0, "a": Fraction(2, 3)}
+    assert net.top_positions == {"b": 0, "a": Fraction(2, 3)}
     for lengths in ({"a": 1, "b": 0}, {"a": 2, "b": -1}):
         with pytest.raises(NegativeLength, match="saddle b"):
             build_net(geometry, diagram, lengths)

@@ -241,20 +241,18 @@ def brute_window_point(net, denominator=16):
     w = net.cylinders[c1].circumference
     s = net.cylinders[wide].circumference
     lengths = net.saddle_lengths
-    a_top = _saddle_arc(net.diagram.top_words[c1], net.top_positions[c1],
+    a_top = _saddle_arc(net.diagram.top_words[c1], net.top_positions,
                         set(net.diagram.bottom_words[wide]))
-    a_bot = _saddle_arc(net.diagram.bottom_words[c4], net.bottom_positions[c4],
+    a_bot = _saddle_arc(net.diagram.bottom_words[c4], net.bottom_positions,
                         set(net.diagram.top_words[wide]))
-    bp1 = net.bottom_positions[c1]
-    tp4 = net.top_positions[c4]
     hits = []
     grid = [Fraction(k, denominator) for k in range(1, int(s * denominator))]
     for x in grid:
         xa = (a_top + x) % w
         for sid in net.diagram.bottom_words[c1]:
-            lo = bp1[sid]
+            lo = net.bottom_positions[sid]
             if lo < xa < lo + lengths[sid]:
-                ya = (tp4[sid] + (xa - lo)) % w
+                ya = (net.top_positions[sid] + (xa - lo)) % w
                 y = (ya - a_bot) % w
                 if 0 < y < s:
                     hits.append(x)
