@@ -61,7 +61,7 @@ def main():
                        for x in (window.t0, window.s0, window.t_start))
     print("\nwindow coordinates: t0 = %s, s0 = %s, t_start = %s"
           % (t0, s0, t_start))
-    print("feasible only at the boundary:", final.record.boundary)
+    print("feasible only at the boundary:", final.record.feasible)
     (a, t), (_, h) = final.matrix
     print("affine image of the reference: [[%d, %d], [0, %d]]" % (a, t, h))
     print("relabelling onto it:", final.relabelling)

@@ -16,8 +16,9 @@ combinatorial computation on the two permutations.  This module computes
 - decompositions in arbitrary rational directions
   (:func:`periodic_decomposition`) by shearing the direction to horizontal
   with an ``SL(2, Z)`` word (:func:`direction_member`),
-- the combinatorial cylinder diagram with a relabeling-invariant canonical
-  form (:class:`CylinderDiagram`),
+- the combinatorial cylinder diagram: its boundary words alone, which
+  fix its zeros, with a relabeling-invariant canonical form
+  (:class:`CylinderDiagram`),
 - integer moduli exponents (:func:`moduli_exponents`), and
 - matching of a pinch dual graph against the six genus-3 reference shapes
   (:func:`classify_case`).
@@ -60,15 +61,20 @@ class CylinderDiagram(NamedTuple):
     """Combinatorics of a cylinder decomposition with metric data forgotten.
 
     ``bottom_words`` and ``top_words`` map each cylinder id to the cyclic
-    sequence of saddle ids along that boundary; ``saddle_zeros`` maps each
-    saddle id to the pair (zero at its start, zero at its end).  Every
-    saddle id appears exactly once among the bottom words and exactly once
-    among the top words.
+    sequence of saddle ids along that boundary.  Every saddle id appears
+    exactly once among the bottom words and exactly once among the top
+    words.
+
+    The words fix the zeros.  Write ``β(s)`` and ``τ(s)`` for the saddle
+    after ``s`` on its bottom word and on its top word.  Saddle ``s`` ends
+    where ``β(s)`` starts, and also where ``τ(s)`` starts, so ``τ∘β⁻¹``
+    keeps the zero a saddle starts at.  The saddles starting at one zero
+    are exactly one cycle of ``τ∘β⁻¹``, and a zero of order ``k`` has
+    ``k + 1`` saddles in its cycle.
     """
 
     bottom_words: dict
     top_words: dict
-    saddle_zeros: dict
 
     @property
     def cylinder_ids(self):
@@ -113,11 +119,12 @@ class CylinderDiagram(NamedTuple):
 
         Each placed word is recorded as ``(side, cylinder, saddles)`` with
         side 0 for a bottom and 1 for a top, cylinders and saddles renamed
-        in first-seen order; the zeros at both ends of each saddle follow
-        in saddle order, renamed in first-seen order.  The key is the
-        minimum encoding over every anchor and branch.  Every step depends
-        only on the diagram up to relabeling, and an encoding lists every
-        word, so equal keys mean isomorphic diagrams and conversely.
+        in first-seen order.  The key is the minimum encoding over every
+        anchor and branch.  Every step depends only on the diagram up to
+        relabeling, and an encoding lists every word, so equal keys mean
+        isomorphic diagrams and conversely.  The zeros need no record of
+        their own: they are the cycles of ``τ∘β⁻¹``, which the words fix
+        (see :class:`CylinderDiagram`).
 
         Only the shortest bottoms can anchor the minimum.  An anchor on a
         bottom of length ``m`` opens its encoding with the record
@@ -137,14 +144,12 @@ class CylinderDiagram(NamedTuple):
 
         EXAMPLES::
 
-            >>> d1 = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")},
-            ...                      {"a": (0, 0), "b": (0, 0)})
-            >>> d2 = CylinderDiagram({5: ("x", "y")}, {5: ("x", "y")},
-            ...                      {"x": (1, 1), "y": (1, 1)})
+            >>> d1 = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")})
+            >>> d2 = CylinderDiagram({5: ("x", "y")}, {5: ("x", "y")})
             >>> d1.canonical_key() == d2.canonical_key()
             True
             >>> d1.canonical_key()
-            (((0, 0, (0, 1)), (1, 0, (0, 1))), ((0, 0), (0, 0)))
+            ((0, 0, (0, 1)), (1, 0, (0, 1)))
         """
         self.validate()
         # (side, cylinder) -> boundary word and (side, saddle) ->
@@ -162,7 +167,7 @@ class CylinderDiagram(NamedTuple):
         return min(enc for cid in self.cylinder_ids
                    if len(self.bottom_words[cid]) == m
                    for rot in range(m)
-                   for enc in _Traversal(self, words, where).run(0, cid, rot))
+                   for enc in _Traversal(words, where).run(0, cid, rot))
 
 
 class _Traversal:
@@ -170,11 +175,10 @@ class _Traversal:
     (see :meth:`CylinderDiagram.canonical_key`), which ``words`` and
     ``where`` index as there."""
 
-    __slots__ = ("diagram", "words", "where", "encoding", "names", "order",
-                 "cylinders", "placed")
+    __slots__ = ("words", "where", "encoding", "names", "order", "cylinders",
+                 "placed")
 
-    def __init__(self, diagram, words, where):
-        self.diagram = diagram
+    def __init__(self, words, where):
         self.words = words
         self.where = where
         self.encoding = []
@@ -184,7 +188,7 @@ class _Traversal:
         self.placed = {}      # (side, cylinder) in placement order
 
     def _copy(self):
-        other = _Traversal(self.diagram, self.words, self.where)
+        other = _Traversal(self.words, self.where)
         other.encoding = list(self.encoding)
         other.names = dict(self.names)
         other.order = list(self.order)
@@ -220,12 +224,7 @@ class _Traversal:
                 if (s, c) not in placed:
                     self._place(s, c, i)
         if len(placed) == len(words):
-            zeros = {}
-            saddle_zeros = self.diagram.saddle_zeros
-            yield tuple(self.encoding), tuple(
-                (zeros.setdefault(a, len(zeros)),
-                 zeros.setdefault(b, len(zeros)))
-                for a, b in map(saddle_zeros.__getitem__, order))
+            yield tuple(self.encoding)
             return
         for s, c in placed:
             if (1 - s, c) not in placed:
@@ -372,7 +371,6 @@ def horizontal_decomposition(o: Origami):
     cylinders = []
     area = 0
     saddle_lengths = {}
-    saddle_zeros = {}
     bottom_of = []
     new_zeros = []
     zero_met = [False] * classes
@@ -408,14 +406,12 @@ def horizontal_decomposition(o: Origami):
                     met += 1
                 if x:   # the bottom opens its first saddle at x = 0
                     saddle_lengths[sid] = x - a
-                    saddle_zeros[sid] = (start, zero)
                 sid += 1
-                a, start = x, zero
+                a = x
                 bottom_positions[sid] = x
                 bottom_of.append(cid)
             edge_saddle[t] = sid
         saddle_lengths[sid] = len(bottom) - a
-        saddle_zeros[sid] = (start, corner_class[bottom[0]])
         bottom_words[cid] = tuple(range(first, sid + 1))
         new_zeros.append(met)
         # climb while no square above the top row is marked
@@ -507,7 +503,7 @@ def horizontal_decomposition(o: Origami):
         raise InvariantViolation("dual graph must carry the surface's genus")
     return CylinderDecomposition(
         o, tuple(cylinders),
-        CylinderDiagram(bottom_words, top_words, saddle_zeros),
+        CylinderDiagram(bottom_words, top_words),
         saddle_lengths, bottom_positions, top_positions, genus,
         DualGraph(tuple(genera), tuple(edges)))
 

@@ -129,22 +129,26 @@ def orbit_graph(o: Origami) -> OrbitGraph:
         S
         T S S T^-1
     """
-    members, words, s_images, schreier = [], [], [], []
-    cusps = tuple(_orbit_walk(o, members, words, s_images, schreier))
+    members, words, s_images = [], [], []
+    cusps = tuple(_orbit_walk(o, members, words, s_images))
     parabolics = [words[first] + ("T",) * width + _inverse(words[first])
                   for first, width in cusps]
+    # an S-edge is a tree edge exactly when it opened member j's cusp,
+    # and tree words are distinct
+    schreier = [words[i] + ("S",) + _inverse(words[j])
+                for i, j in enumerate(s_images)
+                if words[j] != words[i] + ("S",)]
     return OrbitGraph(tuple(members), tuple(words), cusps,
                       tuple(s_images), tuple(parabolics + schreier))
 
 
-def _orbit_walk(o: Origami, members, words, s_images, schreier):
+def _orbit_walk(o: Origami, members, words, s_images):
     """The walk of :func:`orbit_graph`: it appends the members, their
-    words, the ``S``-image of each member whose ``S``-edge it walked and
-    the Schreier word of each ``S``-edge outside the tree to the caller's
-    lists, and yields each cusp ``(first, width)`` as soon as its
-    ``T``-cycle closes.  The ``S``-edges that open the next cusp are
-    walked only when it is asked for, so a reader that stops early
-    computes no member past the cusp it stopped at."""
+    words and the ``S``-image of each member whose ``S``-edge it walked
+    to the caller's lists, and yields each cusp ``(first, width)`` as
+    soon as its ``T``-cycle closes.  The ``S``-edges that open the next
+    cusp are walked only when it is asked for, so a reader that stops
+    early computes no member past the cusp it stopped at."""
     index, x, word = {}, canonical_form(o), ()
     for i in itertools.count():  # members grows while it is read
         first = len(members)
@@ -163,8 +167,6 @@ def _orbit_walk(o: Origami, members, words, s_images, schreier):
             return
         x = canonical_form(act_sl2z(members[i], ("S",)))
         word = words[i] + ("S",)
-        if x in index:
-            schreier.append(word + _inverse(words[index[x]]))
         s_images.append(index.get(x, len(members)))
 
 
@@ -454,7 +456,7 @@ def forni_upper_bound(o: Origami, direction_bound=None) -> ForniReport:
     """
     members, words = [], []
     return _cusp_bound((members[first], words[first]) for first, _
-                       in _orbit_walk(o, members, words, [], []))
+                       in _orbit_walk(o, members, words, []))
 
 
 def _cusp_bound(cusps) -> ForniReport:

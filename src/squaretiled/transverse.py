@@ -351,13 +351,13 @@ class FeasibilityRecord(NamedTuple):
     """Outcome of the window inequalities ``t0 >= s0 >= min_saddle`` and
     ``t_start <= 1 - 2·t0 - 2·s0`` in units of the circumference;
     ``slack`` is the numerator over ``w`` of the right-hand room
-    ``1 - 2·t0 - 2·s0``, and ``boundary`` flags the degenerate feasible
-    point where every inequality is tight."""
+    ``1 - 2·t0 - 2·s0``.  A feasible point is the degenerate one where
+    every inequality is tight: ``t0 >= s0 >= w/4`` gives ``slack <= 0``,
+    and ``0 <= t_start <= slack``."""
 
     feasible: bool
     slack: int
     violated: tuple
-    boundary: bool
 
 
 def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
@@ -368,7 +368,7 @@ def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
     EXAMPLES::
 
         >>> window_feasible(WindowConstraint(1, 1, 0, 4))
-        FeasibilityRecord(feasible=True, slack=0, violated=(), boundary=True)
+        FeasibilityRecord(feasible=True, slack=0, violated=())
         >>> r = window_feasible(WindowConstraint(4, 3, 0, 12))
         >>> r.feasible, r.slack       # 1 - 2/3 - 1/2 = -1/6
         (False, -2)
@@ -383,6 +383,4 @@ def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
         violated.append("s0 >= min_saddle")
     if c.t_start > slack:
         violated.append("t_start <= 1 - 2*t0 - 2*s0")
-    feasible = not violated
-    boundary = feasible and slack == 0 and c.t_start == 0
-    return FeasibilityRecord(feasible, slack, tuple(violated), boundary)
+    return FeasibilityRecord(not violated, slack, tuple(violated))

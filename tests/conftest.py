@@ -199,8 +199,6 @@ def random_unimodular(rng, n):
 CASE4A_DIAGRAM = CylinderDiagram(
     bottom_words={0: (0, 1, 2, 3), 1: (4,), 2: (5,), 3: (6, 7)},
     top_words={0: (4, 5), 1: (6,), 2: (7,), 3: (3, 2, 1, 0)},
-    saddle_zeros={0: (0, 1), 1: (1, 0), 2: (0, 1), 3: (1, 0),
-                  4: (2, 2), 5: (2, 2), 6: (5, 5), 7: (5, 5)},
 )
 
 

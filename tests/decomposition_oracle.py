@@ -15,10 +15,14 @@ against, with the core-curve chains and classes it reads.
 The oracle decomposition carries no genus (``genus=None``); the tests
 compare the genus of the package's decomposition with
 ``singularity_data``.  Its ``dual_graph`` is :func:`dual_graph` of the
-finished decomposition.  Its saddles are objects of their own
+finished decomposition, counting zeros from the saddles' corner
+classes.  Its saddles are objects of their own
 (:class:`DecompositionSaddle`), which the package's decomposition does
 not build: there a saddle's squares are the run of its bottom row that
-``bottom_positions`` and ``saddle_lengths`` give.
+``bottom_positions`` and ``saddle_lengths`` give, and its zeros are not
+stored at all, since the boundary words fix them (:func:`word_zeros`).
+The tests compare the corner-class zeros of the saddles
+(:func:`corner_zeros`) with that reading of the package's words.
 """
 
 import itertools
@@ -194,9 +198,7 @@ def decomposition_with_saddles(o):
         top_positions[word_ids[-1]] = square_x[run_start]
         top_words[c.id] = tuple(word_ids)
 
-    diagram = CylinderDiagram(bottom_words, top_words,
-                              {sid: (s.start_zero, s.end_zero)
-                               for sid, s in saddles.items()})
+    diagram = CylinderDiagram(bottom_words, top_words)
     diagram.validate()
     d = CylinderDecomposition(
         origami=o,
@@ -211,7 +213,51 @@ def decomposition_with_saddles(o):
     if sum(len(row) for c in cylinders for row in c.rows) != n:
         raise InvariantViolation("cylinder areas must sum to the number of "
                                  "squares")
-    return d._replace(dual_graph=dual_graph(d)), saddles
+    return d._replace(dual_graph=dual_graph(d, corner_zeros(saddles))), \
+        saddles
+
+
+def corner_zeros(saddles):
+    """Saddle id -> (zero at its start, zero at its end) of the saddles of
+    :func:`decomposition_with_saddles`, read from the origami's corners."""
+    return {sid: (s.start_zero, s.end_zero) for sid, s in saddles.items()}
+
+
+def word_zeros(diagram):
+    """Saddle id -> (zero at its start, zero at its end) read off the
+    boundary words alone, the zeros numbered in the order their first
+    saddle appears on the bottom words.  With ``β(s)`` and ``τ(s)`` the
+    saddle after ``s`` on its bottom word and on its top word, the saddles
+    starting at one zero are one cycle of ``τ∘β⁻¹``, and ``s`` ends where
+    ``β(s)`` starts."""
+    beta, beta_inv, tau = {}, {}, {}
+    for table, succ in ((diagram.bottom_words, beta),
+                        (diagram.top_words, tau)):
+        for word in table.values():
+            for i, sid in enumerate(word):
+                succ[sid] = word[(i + 1) % len(word)]
+    for sid, nxt in beta.items():
+        beta_inv[nxt] = sid
+    start, zeros = {}, 0
+    for sid in beta:
+        if sid in start:
+            continue
+        s = sid
+        while s not in start:
+            start[s] = zeros
+            s = tau[beta_inv[s]]
+        zeros += 1
+    return {sid: (start[sid], start[beta[sid]]) for sid in beta}
+
+
+def renamed_zeros(pairs):
+    """The zero pairs of ``pairs`` (saddle id -> (start, end)) in saddle id
+    order, the zeros renamed in first-seen order: equal for two maps on
+    one set of saddles exactly when they agree up to renaming the zeros."""
+    names = {}
+    return tuple((names.setdefault(a, len(names)),
+                  names.setdefault(b, len(names)))
+                 for _, (a, b) in sorted(pairs.items()))
 
 
 def _close_run(saddles, edge_saddle, sid, run, corner_class, o):
@@ -233,14 +279,18 @@ def _close_top_run(run_edges, edge_saddle, saddles):
     return sid
 
 
-def dual_graph(d):
+def dual_graph(d, saddle_zeros=None):
     """The pinch dual graph of ``d`` (a decomposition or a net), read off
     its finished diagram with halves labelled ``(cylinder, "bot" |
     "top")``, as :func:`squaretiled.cylinders.horizontal_decomposition`
     builds it while it reads the top words; a disconnected surface
     raises, and the genus check reads the stratum of ``d.origami`` when
-    ``d`` carries one."""
+    ``d`` carries one.  A component's zeros are counted from
+    ``saddle_zeros`` (saddle id -> (start, end)), by default
+    :func:`word_zeros` of the diagram."""
     diagram = d.diagram
+    if saddle_zeros is None:
+        saddle_zeros = word_zeros(diagram)
     cids = diagram.cylinder_ids
     halves = [(cid, side) for cid in cids for side in ("bot", "top")]
     parent = {h: h for h in halves}
@@ -280,7 +330,7 @@ def dual_graph(d):
     genera = []
     for vid in sorted(comp_ids.values()):
         saddles = comp_saddles[vid]
-        zeros = {z for sid in saddles for z in diagram.saddle_zeros[sid]}
+        zeros = {z for sid in saddles for z in saddle_zeros[sid]}
         euler = len(zeros) - len(saddles)
         genus2 = 2 - euler - comp_ends[vid]
         if genus2 < 0 or genus2 % 2:

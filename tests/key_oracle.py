@@ -9,8 +9,9 @@ A traversal places the anchor's bottom word first, then repeatedly the
 unplaced word holding the smallest named saddle, rotated to start at it;
 when no saddle leads on, it branches over every rotation of the other
 side of the earliest placed word whose other side is unplaced.  Words
-are recorded as ``(side, cylinder, saddles)``, followed by the zeros at
-both ends of each saddle, all renamed in first-seen order.
+are recorded as ``(side, cylinder, saddles)``, cylinders and saddles
+renamed in first-seen order; the words fix the zeros, so no zero is
+recorded.
 """
 
 
@@ -25,12 +26,12 @@ def canonical_key(diagram):
     return min(encoding
                for cid in sorted(diagram.bottom_words)
                for rot in range(len(diagram.bottom_words[cid]))
-               for encoding in _traverse(diagram, words, where, [], [], {},
-                                         {}, (0, cid, rot), 0))
+               for encoding in _traverse(words, where, [], [], {}, {},
+                                         (0, cid, rot), 0))
 
 
-def _traverse(diagram, words, where, records, placed, names, cylinders,
-              start, next_saddle):
+def _traverse(words, where, records, placed, names, cylinders, start,
+              next_saddle):
     """Copy a traversal (``records`` and ``placed`` words in order,
     ``names`` of saddles and ``cylinders`` in first-seen order), place the
     word ``start = (side, cylinder, rotation)``, extend through saddles,
@@ -56,15 +57,12 @@ def _traverse(diagram, words, where, records, placed, names, cylinders,
             if (side, cid) not in placed:
                 place(side, cid, i)
     if len(placed) == len(words):
-        zeros = {}
-        yield tuple(records), tuple(
-            (zeros.setdefault(a, len(zeros)), zeros.setdefault(b, len(zeros)))
-            for a, b in (diagram.saddle_zeros[sid] for sid in names))
+        yield tuple(records)
         return
     side, cid = next(((s, c) for s, c in placed if (1 - s, c) not in placed),
                      (None, None))
     if side is None:
         raise ValueError("cylinder diagram is disconnected")
     for rot in range(max(len(words[1 - side, cid]), 1)):
-        yield from _traverse(diagram, words, where, records, placed, names,
-                             cylinders, (1 - side, cid, rot), next_saddle)
+        yield from _traverse(words, where, records, placed, names, cylinders,
+                             (1 - side, cid, rot), next_saddle)

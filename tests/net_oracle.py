@@ -87,8 +87,7 @@ def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
     circumference on the top and on the bottom.
 
     >>> from squaretiled.cylinders import CylinderDiagram
-    >>> diag = CylinderDiagram(bottom_words={0: ("a",)}, top_words={0: ("a",)},
-    ...                        saddle_zeros={"a": (0, 0)})
+    >>> diag = CylinderDiagram(bottom_words={0: ("a",)}, top_words={0: ("a",)})
     >>> net = build_net({0: CylinderGeometry(1, 1, 0)}, diag, {"a": 1})
     >>> net.cylinders[0].height, net.bottom_positions
     (1, {'a': 0})

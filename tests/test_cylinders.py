@@ -115,9 +115,10 @@ def test_decomposition_matches_the_oracle():
     """The one-pass integer decomposition, dual graph and case label equal
     the set-based ones of the oracle on every slope up to bound 3, down to
     the key order of every mapping, and the label raises exactly where the
-    oracle finds no shape; the ``genus`` field is the stratum's genus, and
-    every cylinder's circumference and height, equal to the oracle's
-    ``Fraction``s, are ``int``s.  The oracle's graph of a random net over
+    oracle finds no shape; the oracle's zeros, read from the corners, are
+    the ``τ∘β⁻¹`` reading of the one pass's words; the ``genus`` field is
+    the stratum's genus, and every cylinder's circumference and height,
+    equal to the oracle's ``Fraction``s, are ``int``s.  The oracle's graph of a random net over
     the Case 4A diagram is that of a decomposition with that diagram."""
     rng = random.Random(1313)
     surfaces = [random_genus3(rng, 5, 12) for _ in range(300)]
@@ -132,6 +133,7 @@ def test_decomposition_matches_the_oracle():
                 member)
             assert d.genus == singularity_data(member).genus
             assert d._replace(genus=None) == old, (o, slope)
+            assert zeros_of(d) == corner_zeros_of(old_saddles), (o, slope)
             assert d.dual_graph == decomposition_oracle.dual_graph(d)
             assert all(type(c.circumference) is int and type(c.height) is int
                        for c in d.cylinders)
@@ -284,19 +286,46 @@ def key_orders(d):
                           d.top_positions)]
 
 
-def outcome(decompose, o):
-    """The decomposition of ``o`` with its key orders, or the type and
-    message of what ``decompose`` raised."""
+def zeros_of(d):
+    """The zero pairs of ``d``'s saddles read off its words by ``τ∘β⁻¹``,
+    in saddle order and renamed in first-seen order."""
+    return decomposition_oracle.renamed_zeros(
+        decomposition_oracle.word_zeros(d.diagram))
+
+
+def corner_zeros_of(saddles):
+    """The zero pairs of the oracle's saddles read from the corners, in
+    saddle order and renamed in first-seen order."""
+    return decomposition_oracle.renamed_zeros(
+        decomposition_oracle.corner_zeros(saddles))
+
+
+def outcome(o):
+    """The one pass's decomposition of ``o`` with its key orders and the
+    ``τ∘β⁻¹`` zeros of its words, or the type and message of what it
+    raised."""
     try:
-        d = decompose(o)
+        d = horizontal_decomposition(o)
     except InvariantViolation as exc:
         return type(exc), str(exc)
-    return d._replace(genus=None), key_orders(d)
+    return d._replace(genus=None), key_orders(d), zeros_of(d)
+
+
+def oracle_outcome(o):
+    """The oracle's decomposition of ``o`` with its key orders and the
+    zeros of its saddles read from the corners, or the type and message
+    of what it raised."""
+    try:
+        d, saddles = decomposition_oracle.decomposition_with_saddles(o)
+    except InvariantViolation as exc:
+        return type(exc), str(exc)
+    return d, key_orders(d), corner_zeros_of(saddles)
 
 
 def test_one_pass_matches_the_oracle_in_every_genus():
     """The one pass gives the oracle's decomposition and dual graph, field
-    by field and key order included, on the torus, the genus-2 L, the
+    by field and key order included, and the ``τ∘β⁻¹`` reading of its
+    words gives the oracle's corner zeros, on the torus, the genus-2 L, the
     reference, 600 random origamis of genus 1 to 6 on 1 to 12 squares,
     and the vertical 2- to 5-fold stretches of every genus-2 and genus-3
     class up to 5 squares, each randomly relabelled.  The stretches make
@@ -324,8 +353,7 @@ def test_one_pass_matches_the_oracle_in_every_genus():
         d = horizontal_decomposition(o)
         genera[d.genus] += 1
         assert d.genus == singularity_data(o).genus
-        assert outcome(horizontal_decomposition, o) == \
-            outcome(decomposition_oracle.horizontal_decomposition, o), o
+        assert outcome(o) == oracle_outcome(o), o
         assert d.dual_graph == decomposition_oracle.dual_graph(d), o
         upper_first += any(min(row) < min(c.rows[0])
                            for c in d.cylinders for row in c.rows[1:])
@@ -346,9 +374,8 @@ def test_one_pass_matches_the_oracle_in_every_genus():
     messages = Counter()
     for i, (h, v) in enumerate(pairs):
         o = Origami(h, v)
-        result = outcome(horizontal_decomposition, o)
-        assert result == \
-            outcome(decomposition_oracle.horizontal_decomposition, o), o
+        result = outcome(o)
+        assert result == oracle_outcome(o), o
         if i < 3000:
             raised[result[0] is InvariantViolation] += 1
         if result[0] is InvariantViolation:
@@ -385,7 +412,8 @@ def longest_find_walk(d):
 
 def test_pinch_union_matches_the_oracle_on_large_pairs():
     """The union of the pinch halves gives the oracle's decomposition and
-    dual graph, key orders included, on 300 random transitive pairs of 10
+    dual graph, key orders included, and the ``τ∘β⁻¹`` reading of its
+    words the oracle's corner zeros, on 300 random transitive pairs of 10
     to 16 squares, mostly of genus 4 to 8, whose joins walk further to
     their roots than those of genus-3 samples do, and on two pinned pairs
     where a join that stops two links short of its root merges the wrong
@@ -408,6 +436,7 @@ def test_pinch_union_matches_the_oracle_on_large_pairs():
         d = horizontal_decomposition(o)
         old, old_saddles = decomposition_oracle.decomposition_with_saddles(o)
         assert d._replace(genus=None) == old, o
+        assert zeros_of(d) == corner_zeros_of(old_saddles), o
         assert key_orders(d) == key_orders(old), o
         assert list(d.saddle_lengths) == list(old_saddles), o
         assert d.dual_graph == decomposition_oracle.dual_graph(d), o
@@ -464,8 +493,8 @@ def test_saddle_words_partition_boundaries(rng):
 
 def brute_force_key(diagram):
     """Reference canonical key: the minimum, over every cylinder order and
-    every rotation of each boundary word, of the word list with saddles and
-    zeros renamed in first-seen order."""
+    every rotation of each boundary word, of the word list with saddles
+    renamed in first-seen order (the words fix the zeros)."""
     cids = diagram.cylinder_ids
     rotation_sets = [[(rb, rt)
                       for rb in range(max(len(diagram.bottom_words[c]), 1))
@@ -474,18 +503,14 @@ def brute_force_key(diagram):
     best = None
     for order in itertools.permutations(range(len(cids))):
         for rots in itertools.product(*(rotation_sets[i] for i in order)):
-            saddles, zeros, enc = {}, {}, []
+            saddles, enc = {}, []
             for i, (rb, rt) in zip(order, rots):
                 bw = diagram.bottom_words[cids[i]]
                 tw = diagram.top_words[cids[i]]
                 enc.append(tuple(
                     tuple(saddles.setdefault(s, len(saddles)) for s in w)
                     for w in (bw[rb:] + bw[:rb], tw[rt:] + tw[:rt])))
-            zenc = tuple(
-                (zeros.setdefault(a, len(zeros)),
-                 zeros.setdefault(b, len(zeros)))
-                for a, b in (diagram.saddle_zeros[s] for s in saddles))
-            cand = (tuple(enc), zenc)
+            cand = tuple(enc)
             if best is None or cand < best:
                 best = cand
     return best
@@ -500,17 +525,13 @@ def brute_force_size(diagram):
 
 
 def scrambled(diagram, rng):
-    """An isomorphic copy: cylinders, saddles and zeros renamed at random
-    (saddles and zeros to strings) and every boundary word rotated."""
+    """An isomorphic copy: cylinders and saddles renamed at random
+    (saddles to strings) and every boundary word rotated."""
     cids = list(diagram.bottom_words)
     new_cids = rng.sample(range(100), len(cids))
-    saddle_ids = list(diagram.saddle_zeros)
+    saddle_ids = [s for w in diagram.bottom_words.values() for s in w]
     new_saddles = dict(zip(saddle_ids, rng.sample(
         ["s%d" % i for i in range(100)], len(saddle_ids))))
-    zero_ids = sorted({z for pair in diagram.saddle_zeros.values()
-                       for z in pair})
-    new_zeros = dict(zip(zero_ids, rng.sample(
-        ["z%d" % i for i in range(100)], len(zero_ids))))
 
     def move(word):
         r = rng.randrange(len(word))
@@ -522,8 +543,6 @@ def scrambled(diagram, rng):
                       for i in order},
         top_words={new_cids[i]: move(diagram.top_words[cids[i]])
                    for i in order},
-        saddle_zeros={new_saddles[s]: (new_zeros[a], new_zeros[b])
-                      for s, (a, b) in diagram.saddle_zeros.items()},
     )
 
 
@@ -545,8 +564,6 @@ def random_diagrams(rng, count, max_squares=9, max_encodings=5000):
 BRANCHING_DIAGRAM = CylinderDiagram(
     bottom_words={0: (0,), 1: (1, 2), 2: (3, 4), 3: (5, 6), 4: (7,)},
     top_words={0: (6,), 1: (0, 7), 2: (3, 2), 3: (1, 4), 4: (5,)},
-    saddle_zeros={0: (0, 0), 1: (1, 3), 2: (3, 1), 3: (1, 3), 4: (3, 1),
-                  5: (2, 2), 6: (2, 2), 7: (0, 0)},
 )
 
 
@@ -622,23 +639,20 @@ def test_one_cylinder_catalog_keys_are_pairwise_distinct():
 
 
 def test_malformed_diagrams_raise():
-    repeated = CylinderDiagram({0: (0, 0)}, {0: (0, 1)},
-                               {0: (0, 0), 1: (0, 0)})
+    repeated = CylinderDiagram({0: (0, 0)}, {0: (0, 1)})
     with pytest.raises(InvariantViolation, match="repeated on bottoms"):
         repeated.validate()
     with pytest.raises(InvariantViolation):
         repeated.canonical_key()
     with pytest.raises(InvariantViolation, match="disagree"):
-        CylinderDiagram({0: (0,)}, {0: (1,)},
-                        {0: (0, 0), 1: (0, 0)}).validate()
-    disconnected = CylinderDiagram({0: (0,), 1: (1,)}, {0: (0,), 1: (1,)},
-                                   {0: (0, 0), 1: (1, 1)})
+        CylinderDiagram({0: (0,)}, {0: (1,)}).validate()
+    disconnected = CylinderDiagram({0: (0,), 1: (1,)}, {0: (0,), 1: (1,)})
     with pytest.raises(InvariantViolation, match="disconnected"):
         disconnected.canonical_key()
     # no saddle, so no anchor: one cylinder, and two disconnected ones
     for words in ({0: ()}, {0: (), 1: ()}):
         with pytest.raises(InvariantViolation, match="no saddle"):
-            CylinderDiagram(words, dict(words), {}).canonical_key()
+            CylinderDiagram(words, dict(words)).canonical_key()
 
 
 def test_moduli_exponents():

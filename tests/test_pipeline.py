@@ -91,7 +91,7 @@ def test_reference_surface_survives():
     # t0 = s0 = 1/4 and t_start = 0 over the circumference 4
     assert result.constraint == chain.witness.constraint == \
         transverse.WindowConstraint(1, 1, 0, 4)
-    assert result.record.boundary
+    assert result.record == transverse.FeasibilityRecord(True, 0, ())
     assert result.matrix == ((1, 0), (0, 1))
     assert result.relabelling == tuple(range(8))
 
@@ -834,7 +834,7 @@ def fraction_view(chain):
         Fraction(c.t0, c.w), Fraction(c.s0, c.w), Fraction(c.t_start, c.w),
         Fraction(1, 4))
     record = survivor_oracle.FeasibilityRecord(
-        rec.feasible, Fraction(rec.slack, c.w), rec.violated, rec.boundary)
+        rec.feasible, Fraction(rec.slack, c.w), rec.violated, rec.feasible)
     return chain._replace(constraint=constraint, record=record)
 
 
@@ -1038,7 +1038,8 @@ CATALOG_STRATA = [(2,), (1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
                          ids=lambda k: "H" + ",".join(map(str, k)))
 def test_catalog_matches_the_oracle(kappa):
     # the same representative diagrams in the same order as the scan over
-    # every candidate gluing, not only the same keys
+    # every candidate gluing, not only the same keys; each diagram's words
+    # carry its stratum: a zero of order k is a (k + 1)-cycle of τ∘β⁻¹
     for shape, oracle in catalog_oracle.DIAGRAMS.items():
         catalog = enumerate_diagrams(kappa, shape)
         expected = oracle(catalog.stratum)
@@ -1046,7 +1047,10 @@ def test_catalog_matches_the_oracle(kappa):
         for got, want in zip(catalog.diagrams, expected):
             assert got.bottom_words == want.bottom_words, shape
             assert got.top_words == want.top_words, shape
-            assert got.saddle_zeros == want.saddle_zeros, shape
+            starts = Counter(a for a, _ in
+                             decomposition_oracle.word_zeros(got).values())
+            assert tuple(sorted((k - 1 for k in starts.values()),
+                                reverse=True)) == catalog.stratum.kappa, shape
 
 
 @pytest.mark.parametrize("kappa, regular", [((1, 1), 0), ((3, 1), 0),

@@ -306,8 +306,7 @@ def test_malformed_cycles_raise_value_error():
 
 
 def test_net_saddles_need_positive_length():
-    diagram = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")},
-                              {"a": (0, 0), "b": (0, 0)})
+    diagram = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")})
     geometry = {0: CylinderGeometry(1, 1, 0)}
     net = build_net(geometry, diagram, {"a": Fraction(1, 3),
                                         "b": Fraction(2, 3)})

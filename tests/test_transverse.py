@@ -318,12 +318,11 @@ def test_case4a_cell_search_needs_whole_units():
 
 def test_window_feasible_known_points():
     rec = window_feasible(WindowConstraint(1, 1, 0, 4))
-    assert rec == FeasibilityRecord(True, 0, (), True)
+    assert rec == FeasibilityRecord(True, 0, ())
     assert type(rec.slack) is int
     # t0 = 1/3, s0 = 1/4: the slack 1 - 2/3 - 1/2 = -1/6 is -2 twelfths
     rec = window_feasible(WindowConstraint(4, 3, 0, 12))
-    assert rec == FeasibilityRecord(False, -2, ("t_start <= 1 - 2*t0 - 2*s0",),
-                                    False)
+    assert rec == FeasibilityRecord(False, -2, ("t_start <= 1 - 2*t0 - 2*s0",))
 
 
 # constraints with one value out of range or not an integer, and the
@@ -392,12 +391,13 @@ def test_integer_window_inequalities_match_the_fraction_oracle():
                 survivor_oracle.WindowConstraint(
                     Fraction(t0, w), Fraction(s0, w), Fraction(t_start, w),
                     Fraction(1, 4)))
-            assert (rec.feasible, rec.violated, rec.boundary) == \
-                (oracle.feasible, oracle.violated, oracle.boundary), \
-                (t0, s0, t_start, w)
+            assert (rec.feasible, rec.violated) == \
+                (oracle.feasible, oracle.violated), (t0, s0, t_start, w)
+            # every feasible point is the degenerate boundary point
+            assert rec.feasible == oracle.boundary, (t0, s0, t_start, w)
             assert type(rec.slack) is int
             assert Fraction(rec.slack, w) == oracle.slack
-            seen[rec.violated, rec.boundary] += 1
+            seen[rec.violated, oracle.boundary] += 1
     assert sum(seen.values()) == sum((w - 1) ** 2 * w for w in range(1, 17))
     # every inequality is violated somewhere except t_start >= 0, which
     # the constraint's range already guarantees
