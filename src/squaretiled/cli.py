@@ -54,12 +54,16 @@ from .surface import parse_origami, singularity_data
 
 
 def _load_origami(path):
+    """The origami of the one line of ``path`` that is neither blank nor a
+    ``#`` comment."""
     text = Path(path).read_text(encoding="utf-8-sig")
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            return parse_origami(line)
-    raise ValueError(f"no origami line found in {path}")
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
+        raise ValueError(f"no origami line found in {path}")
+    if len(lines) > 1:
+        raise ValueError(f"more than one origami line in {path}")
+    return parse_origami(lines[0])
 
 
 def _emit(record, args):

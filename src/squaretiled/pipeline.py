@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .cylinders import (
     CaseLabel,
+    CylinderDiagram,
     classify_case,
     horizontal_decomposition,
     moduli_exponents,
@@ -404,24 +405,35 @@ class DiagramCatalog:
         return len(self.diagrams)
 
 
-# for each block of ``h``, the block its tops are glued into
+# for each cylinder, the cylinder whose bottom saddles its top carries
 _SHAPES = {"one_cylinder": (0,), "case6": (1, 0)}
 
 
-def _gluings(h, images, kappa):
-    """In lexicographic order, the ``v`` with ``v[j]`` in ``images[j]``
-    whose corner cycles have the lengths ``k + 1``, ``k`` in ``kappa``,
-    and length 1 for each of the ``n - sum(k + 1)`` regular corners."""
-    n = len(h)
-    # c(v(h(p))) = h(v(p)) is known once the later of p, h(p) is placed
-    due = [[p for p in range(n) if max(p, h[p]) == j] for j in range(n)]
+def _top_words(bottoms, into, kappa):
+    """In lexicographic order, every list of top words whose corner
+    permutation ``c = τ∘β⁻¹`` has cycles of the lengths ``k + 1``, ``k``
+    in ``kappa``.  The top of cylinder ``i`` is a cyclic order of the
+    saddles of ``bottoms[into[i]]``, from that bottom's first saddle."""
+    m = sum(map(len, bottoms))
+    # the bottoms number the saddles 0, 1, ... in order
+    beta = [t for w in bottoms for t in w[1:] + w[:1]]
+    # slot j of the joined tops takes a saddle of images[j]; the top words
+    # run between the cuts, and due[j] holds the slot pairs (p, q) with
+    # τ(top[p]) = top[q] that are known once slot j is placed
+    images, due, cuts = [], [], [0]
+    for b in into:
+        w = bottoms[b]
+        images += [w[:1]] + [w[1:]] * (len(w) - 1)
+        due += [[]] + [[(j - 1, j)] for j in range(cuts[-1] + 1, len(images))]
+        due[-1].append((len(images) - 1, cuts[-1]))
+        cuts.append(len(images))
     need = Counter(k + 1 for k in kappa)
-    need[1] += n - sum(kappa) - len(kappa)
     longest = max(need)
-    v, used, trail = [-1] * n, [False] * n, []
-    # the known corner entries form chains: first[t] starts the chain that
-    # ends at t, last[s] ends the chain that starts at s, size[s] counts it
-    first, last, size = list(range(n)), list(range(n)), [1] * n
+    top, used, trail = [-1] * m, [False] * m, []
+    # the known corner entries c(β(x)) = τ(x) form chains: first[t] starts
+    # the chain that ends at t, last[s] ends the chain that starts at s,
+    # size[s] counts it
+    first, last, size = list(range(m)), list(range(m)), [1] * m
 
     def link(a, b):
         """Add ``c(a) = b`` unless that closes an unneeded cycle length or
@@ -439,14 +451,14 @@ def _gluings(h, images, kappa):
         return True
 
     def place(j):
-        if j == n:
-            yield tuple(v)
+        if j == m:
+            yield tuple(tuple(top[a:b]) for a, b in zip(cuts, cuts[1:]))
             return
         for x in images[j]:
             if used[x]:
                 continue
-            v[j], mark = x, len(trail)
-            if all(link(v[h[p]], h[v[p]]) for p in due[j]):
+            top[j], mark = x, len(trail)
+            if all(link(beta[top[p]], top[q]) for p, q in due[j]):
                 used[x] = True
                 yield from place(j + 1)
                 used[x] = False
@@ -455,61 +467,8 @@ def _gluings(h, images, kappa):
                 if s == b:
                     need[old] += 1
                 last[s], first[t], size[s] = a, b, old
-            v[j] = -1
 
     return place(0)
-
-
-def _first_diagrams(into, k, kappa):
-    """The diagram of the first gluing of each key, in key order, for
-    blocks of ``k`` squares whose tops go into the blocks ``into``.  Rows
-    cannot merge: each has two top corners or more and at most one corner
-    is regular, so a zero lies on every top and each cycle of ``h`` is one
-    cylinder of height 1; a taller one raises
-    :class:`~squaretiled.errors.InvariantViolation`.
-
-    Only the gluings that are least in their orbit are decomposed and
-    keyed.  The relabellings that commute with ``h`` and keep the shape
-    rotate each block and, for ``"case6"`` (``into = (1, 0)``, symmetric
-    under the swap), swap the two blocks; reversing the blocks is the
-    swap for two and nothing for one.  After a relabelling, each block is
-    twisted again so that its first square goes to the first square of
-    its target block, the search's own normalisation.  Relabelling and
-    twisting change neither the corner cycles nor the cylinder diagram,
-    so each image is again a gluing that :func:`_gluings` yields, with
-    the same key.  The first gluing of each key is therefore the least
-    of its own orbit, and skipping every gluing with a smaller image
-    keeps exactly the catalog's entries.
-
-    Read modulo ``k``, block ``b`` of ``v`` is a word ``w`` with ``w[0] =
-    0``.  The twist undoes the rotation of block ``b`` itself, and the
-    rotation of its target block with the twist takes ``w`` to ``(w[s +
-    i] - w[s]) mod k`` for some start ``s``, each block on its own; the
-    swap reverses the words.  So a gluing has no
-    smaller image exactly when its words are not larger reversed and
-    each is least among its rotations."""
-    n = k * len(into)
-    # square i of a block is followed by the next one, cyclically
-    h = tuple(i - i % k + (i + 1) % k for i in range(n))
-    images = []
-    for b in into:
-        images += [(b * k,)] + [range(b * k + 1, b * k + k)] * (k - 1)
-    seen = {}
-    for v in _gluings(h, images, kappa):
-        # the first gluing is the least of all, so of its orbit too
-        if seen:
-            words = tuple(tuple(x % k for x in v[i:i + k])
-                          for i in range(0, n, k))
-            if words[::-1] < words or any(
-                    tuple((x - w[s]) % k for x in w[s:] + w[:s]) < w
-                    for w in words for s in range(1, k)):
-                continue
-        d = horizontal_decomposition(Origami(h, v))
-        if any(c.height != 1 for c in d.cylinders):
-            raise InvariantViolation("a catalog gluing has fewer cylinders "
-                                     "than rows")
-        seen.setdefault(d.diagram.canonical_key(), d.diagram)
-    return tuple(seen[key] for key in sorted(seen))
 
 
 def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
@@ -520,35 +479,42 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     ``"case6"`` for every diagram of two cylinders exchanging their
     boundaries.
 
-    ``h`` has one cycle, a block of ``k`` squares, per cylinder, and
-    ``_SHAPES[shape][b]`` is the block that the tops of block ``b`` are
-    glued into; ``k`` is the least with ``k`` times the cylinder count at
-    least ``sum(k_i + 1)``, and the corners that are not zeros are
-    regular.  The gluings ``v`` are searched in lexicographic order,
-    square by square; the corner permutation ``c(v(h(j))) = h(v(j))``
-    grows once ``v[j]`` and ``v[h[j]]`` are placed, and a branch is cut
-    when a corner cycle closes with a length not still needed or a corner
-    chain outgrows the longest.  A cylinder twist rotates its block of
-    ``v`` and keeps the diagram, so each block starts at its smallest
-    image (``v[0] = 0``; or ``v[0] = k``, ``v[k] = 0``), as the first
-    ``v`` of every diagram does.  Only the gluings that no relabelling
-    keeping ``h`` makes smaller are decomposed and keyed
-    (:func:`_first_diagrams`); in every genus 2 and 3 catalog that is one
-    gluing per diagram.
+    The diagrams are boundary words on ``m = sum(k_i + 1)`` saddles, one
+    cylinder per entry of ``_SHAPES[shape]``.  The bottom words are fixed:
+    ``(0, ..., m - 1)`` for one cylinder, ``(0, ..., ⌈m/2⌉ - 1)`` and
+    ``(⌈m/2⌉, ..., m - 1)`` for two.  The top of cylinder ``i`` carries
+    the saddles of bottom ``_SHAPES[shape][i]``, written from that
+    bottom's first saddle.  The top words (:func:`_top_words`) are
+    searched in lexicographic order, slot by slot; each top adjacency
+    ``τ(x) = y`` adds the corner entry ``c(β(x)) = y`` of ``c = τ∘β⁻¹``,
+    whose cycles are the zeros, and a branch is cut when a corner cycle
+    closes with a length not still needed or a corner chain outgrows the
+    longest.
 
-    Both catalogs are complete.  A single cylinder carries the same
-    saddles on its bottom and top, so each of its diagrams is realized
-    with every saddle of length 1, on ``sum(k_i + 1)`` squares.  In
-    ``"case6"`` each block's tops go into the other block, so the two
-    cylinders exchange their boundaries: Case 6 in genus 3, and no gluing
-    in genus 2 (``test_pinch_shape_table_is_complete``).  Each component
-    of a genus-3 Case 6 pinch has genus 1 and two boundary circles, so by
+    Rotating a bottom, or swapping two bottoms of equal length, relabels
+    the saddles and keeps the diagram, so its image is again a list of
+    the search, with the same key.  Read as offsets from its bottom's
+    first saddle, a top is a word ``w`` with ``w[0] = 0``; rotating that
+    bottom to start at offset ``w[s]`` takes ``w`` to ``(w[s + j] - w[s])
+    mod len(w)``, each top on its own, and the swap reverses the list of
+    words.  The first list of each key is the least of its own orbit, so
+    only the lists that no relabelling makes smaller are keyed; in every
+    genus 2 and 3 catalog that is one list per diagram.
+
+    Both catalogs are complete over words.  A zero of order ``k`` starts
+    ``k + 1`` saddles, so a diagram of the stratum has ``m`` saddles,
+    each once on a bottom and once on a top.  A single cylinder carries
+    all ``m`` on its bottom; numbering them along it and writing its top
+    from saddle 0 gives a searched word.  In ``"case6"`` each cylinder's
+    top carries the other's bottom, so the two cylinders exchange their
+    boundaries: Case 6 in genus 3, and no diagram in genus 2
+    (``test_pinch_shape_table_is_complete``).  Each component of a
+    genus-3 Case 6 pinch has genus 1 and two boundary circles, so by
     Gauss-Bonnet its zero orders sum to 2 and it holds ``z + 2`` saddles,
-    ``z`` in {1, 2} its zeros: the bottoms carry 3 and 3, 3 and 4, or 4
-    and 4 saddles.  Each cylinder's top carries the other's bottom, so
-    these are realized on ``k`` = 3, 4 or 4 squares per cylinder with
-    every saddle of length 1 but, for 3 and 4, one of length 2 through
-    the one regular corner.
+    ``z`` in {1, 2} its zeros: the bottoms carry 3 and 3, 4 and 3, or 4
+    and 4 saddles, ``⌈m/2⌉`` and ``⌊m/2⌋``.  Numbering the longer bottom
+    first and writing each top from the first saddle of the bottom it
+    carries gives a searched pair of words.
 
     EXAMPLES::
 
@@ -564,8 +530,22 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     if shape not in _SHAPES:
         raise ValueError("shape must be " + " or ".join(map(repr, _SHAPES)))
     into = _SHAPES[shape]
-    k = -(-(sum(kappa) + len(kappa)) // len(into))
-    return DiagramCatalog(stratum, shape, _first_diagrams(into, k, kappa))
+    m, n = sum(kappa) + len(kappa), len(into)
+    cuts = [-(-i * m // n) for i in range(n + 1)]
+    bottoms = tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
+    seen = {}
+    for tops in _top_words(bottoms, into, kappa):
+        # skip the lists that rotating a bottom, or swapping equal bottoms,
+        # makes smaller, each word read from its bottom's first saddle
+        words = tuple(tuple(x - w[0] for x in w) for w in tops)
+        if (len(set(map(len, words))) == 1 and words[::-1] < words) or any(
+                tuple((x - w[s]) % len(w) for x in w[s:] + w[:s]) < w
+                for w in words for s in range(1, len(w))):
+            continue
+        d = CylinderDiagram(dict(enumerate(bottoms)), dict(enumerate(tops)))
+        seen.setdefault(d.canonical_key(), d)
+    return DiagramCatalog(stratum, shape,
+                          tuple(seen[key] for key in sorted(seen)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Slow, independent diagram catalogs: build and validate every candidate
 gluing ``v`` of the one-cylinder and two-cylinder ``h``, read its stratum
-with ``singularity_data`` and keep the diagram of the first candidate of
-each canonical key, read by the all-anchor ``key_oracle`` rather than the
-package's key.  The reference that the pruned corner-cycle search of
+with ``singularity_data``, decompose it and keep the diagram of the first
+candidate of each canonical key, read by the all-anchor ``key_oracle``
+rather than the package's key.  The reference that the pruned search of
 ``squaretiled.pipeline.enumerate_diagrams`` is compared against, entry by
-entry.  The Case 6 scan keeps a two-cylinder gluing when the vertex
-permutation search of ``decomposition_oracle.classify_case`` names its
-pinch Case 6, independently of the package's shape table.
+entry.  That search builds no origami: it lists top words against fixed
+bottom words and reads the zeros off ``τ∘β⁻¹``, so this scan of square
+gluings is a second, independent route to the same diagrams.  The Case 6
+scan keeps a two-cylinder gluing when the vertex permutation search of
+``decomposition_oracle.classify_case`` names its pinch Case 6,
+independently of the package's shape table.
 
 The one-cylinder scan fixes ``v[0] = 0`` (a twist of the cylinder) and
 tries the ``(m - 1)!`` others; the Case 6 scan fixes ``v[0] = k`` (a twist

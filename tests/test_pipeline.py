@@ -1053,18 +1053,53 @@ def test_catalog_matches_the_oracle(kappa):
                                 reverse=True)) == catalog.stratum.kappa, shape
 
 
-@pytest.mark.parametrize("kappa, regular", [((1, 1), 0), ((3, 1), 0),
-                                            ((2, 1, 1), 0), ((2, 2), 1)],
-                         ids=["H1,1", "H3,1", "H2,1,1", "H2,2+regular"])
-def test_gluings_are_the_filtered_permutations_in_order(kappa, regular):
-    # the pruned search against a filter of every permutation by the cycle
-    # lengths of its corner permutation, a regular corner being a 1-cycle
-    m = sum(kappa) + len(kappa) + regular
-    h = tuple((i + 1) % m for i in range(m))
-    expected = [v for v in itertools.permutations(range(m))
-                if sorted(map(len, build_origami(h, v).vertex_orbits()))
-                == sorted([k + 1 for k in kappa] + [1] * regular)]
-    assert list(pipeline._gluings(h, [range(m)] * m, kappa)) == expected
+def catalog_bottoms(kappa, into):
+    """The fixed bottom words of a catalog search: the ``m = sum(k + 1)``
+    saddles in order, split into one word per cylinder, the longer
+    first."""
+    m = sum(kappa) + len(kappa)
+    if len(into) == 1:
+        return (tuple(range(m)),)
+    return tuple(range((m + 1) // 2)), tuple(range((m + 1) // 2, m))
+
+
+def corner_cycle_lengths(bottoms, tops):
+    """The sorted cycle lengths of ``τ∘β⁻¹`` on the words: the number of
+    saddles starting at each zero."""
+    d = CylinderDiagram(dict(enumerate(bottoms)), dict(enumerate(tops)))
+    starts = Counter(a for a, _ in
+                     decomposition_oracle.word_zeros(d).values())
+    return sorted(starts.values())
+
+
+@pytest.mark.parametrize("kappa, into", [((1, 1), (0,)), ((3, 1), (0,)),
+                                         ((2, 1, 1), (0,)),
+                                         ((2, 1, 1), (1, 0))],
+                         ids=["H1,1", "H3,1", "H2,1,1", "H2,1,1-case6"])
+def test_gluings_are_the_filtered_permutations_in_order(kappa, into):
+    # the pruned search against a filter of every list of top words, each
+    # top a permutation of the bottom it carries from that bottom's first
+    # saddle, by the cycle lengths of τ∘β⁻¹; H(2,1,1) case6 has bottoms of
+    # 4 and 3 saddles
+    bottoms = catalog_bottoms(kappa, into)
+    lengths = sorted(k + 1 for k in kappa)
+    candidates = itertools.product(*(
+        [(w[0],) + rest for rest in itertools.permutations(w[1:])]
+        for w in (bottoms[b] for b in into)))
+    expected = [tops for tops in candidates
+                if corner_cycle_lengths(bottoms, tops) == lengths]
+    assert expected
+    assert list(pipeline._top_words(bottoms, into, kappa)) == expected
+    if len(into) == 1:
+        # one cylinder of unit squares: its top word is the gluing v of
+        # the m-cycle h, and τ∘β⁻¹ its corner permutation
+        m = len(bottoms[0])
+        h = tuple((i + 1) % m for i in range(m))
+        gluings = [((0,) + rest,)
+                   for rest in itertools.permutations(range(1, m))
+                   if sorted(map(len, build_origami(
+                       h, (0,) + rest).vertex_orbits())) == lengths]
+        assert gluings == expected
 
 
 CATALOG_PAIRS = [(kappa, shape) for kappa in CATALOG_STRATA
@@ -1075,68 +1110,59 @@ def catalog_id(pair):
     return "H" + ",".join(map(str, pair[0])) + "-" + pair[1]
 
 
-def gluing_images(v, k, into):
-    """Every image of the gluing ``v`` under a relabelling that rotates
-    each block and permutes the blocks compatibly with ``into``, each
-    block then twisted again so that its first square goes to the first
-    square of its target block."""
-    blocks = range(len(into))
-    for perm in itertools.permutations(blocks):
-        if any(into[perm[b]] != perm[into[b]] for b in blocks):
+def top_word_images(tops, bottoms, into):
+    """Every image of the top words ``tops`` under a relabelling of the
+    saddles that rotates each bottom and permutes the cylinders
+    compatibly with ``into`` and the bottom lengths, each top then read
+    again from the first saddle of the bottom it carries."""
+    cylinders = range(len(into))
+    for perm in itertools.permutations(cylinders):
+        if any(into[perm[c]] != perm[into[c]]
+               or len(bottoms[perm[c]]) != len(bottoms[c])
+               for c in cylinders):
             continue
-        for turns in itertools.product(range(k), repeat=len(into)):
-            sigma = [perm[j // k] * k + (j + turns[j // k]) % k
-                     for j in range(len(v))]
-            image = [None] * len(v)
-            for j, x in enumerate(v):
-                image[sigma[j]] = sigma[x]
-            twisted = []
-            for b in blocks:
-                row = image[b * k:b * k + k]
-                t = row.index(into[b] * k)
-                twisted += row[t:] + row[:t]
-            yield tuple(twisted)
+        for turns in itertools.product(*(range(len(w)) for w in bottoms)):
+            sigma = {}
+            for c, w in enumerate(bottoms):
+                target = bottoms[perm[c]]
+                for i, s in enumerate(w):
+                    sigma[s] = target[(i - turns[c]) % len(w)]
+            image = [None] * len(into)
+            for c, top in enumerate(tops):
+                word = [sigma[s] for s in top]
+                t = word.index(bottoms[into[perm[c]]][0])
+                image[perm[c]] = tuple(word[t:] + word[:t])
+            yield tuple(image)
 
 
 @pytest.mark.parametrize("pair", CATALOG_PAIRS, ids=catalog_id)
 def test_catalog_decomposes_and_keys_each_diagram_once(pair, monkeypatch):
-    # each image of each gluing is again a gluing of the search, and the
-    # catalog decomposes and keys exactly the gluings that no image makes
-    # smaller, one per diagram
+    # each image of each list of top words is again a list of the search,
+    # and the catalog keys exactly the lists that no image makes smaller,
+    # in search order, one per diagram
     kappa, shape = pair
     into = pipeline._SHAPES[shape]
-    k = -(-(sum(kappa) + len(kappa)) // len(into))
-    h = perm_from_cycles([tuple(range(b * k, b * k + k))
-                          for b in range(len(into))],
-                         k * len(into))
-    images = [(into[j // k] * k,) if j % k == 0 else
-              range(into[j // k] * k + 1, into[j // k] * k + k)
-              for j in range(k * len(into))]
-    gluings = list(pipeline._gluings(h, images, kappa))
+    bottoms = catalog_bottoms(kappa, into)
+    lists = list(pipeline._top_words(bottoms, into, kappa))
     least = []
-    for v in gluings:
-        orbit = set(gluing_images(v, k, into))
-        assert v in orbit
-        assert orbit <= set(gluings), v
-        if v == min(orbit):
-            least.append(v)
-    decomposed, keyed = [], []
-    decompose = pipeline.horizontal_decomposition
+    for tops in lists:
+        orbit = set(top_word_images(tops, bottoms, into))
+        assert tops in orbit
+        assert orbit <= set(lists), tops
+        if tops == min(orbit):
+            least.append(tops)
+    keyed = []
     key = CylinderDiagram.canonical_key
-
-    def recorded_decomposition(o):
-        decomposed.append(o.v)
-        return decompose(o)
 
     def recorded_key(diagram):
         keyed.append(diagram)
         return key(diagram)
 
-    monkeypatch.setattr(pipeline, "horizontal_decomposition",
-                        recorded_decomposition)
     monkeypatch.setattr(CylinderDiagram, "canonical_key", recorded_key)
     catalog = enumerate_diagrams(kappa, shape)
-    assert decomposed == least
+    assert keyed == [CylinderDiagram(dict(enumerate(bottoms)),
+                                     dict(enumerate(tops)))
+                     for tops in least]
     assert len(least) == len(keyed) == len(catalog)
 
 
@@ -1149,7 +1175,7 @@ def test_case6_catalog_entry_is_the_reference_diagram():
 
 # an H(2,1,1) surface whose horizontal direction is Case 6 with bottoms of
 # 4 and 3 saddles, one of them of length 2: its diagram is the one entry of
-# the H(2,1,1) case6 catalog, built with a regular corner
+# the H(2,1,1) case6 catalog, searched against bottoms of 4 and 3 saddles
 UNEQUAL_CASE6 = 'origami n=8 h="(0 4 5 2)(1 7 6 3)" v="(0 3 2 1 5 6)(4 7)"'
 
 
@@ -1202,6 +1228,102 @@ def test_catalog_rejects_bad_input():
     for kappa in [(0,), (3, -1), (1, 1, 0), ()]:
         with pytest.raises(ValueError):
             enumerate_diagrams(kappa, "one_cylinder")
+
+
+# the text of every genus 2 and 3 catalog, in CATALOG_PAIRS order, as the
+# search over square-tiled gluings printed it
+CATALOG_TEXT = """\
+stratum H(2), shape one_cylinder: 1 diagram
+  diagram 0:
+    cyl 0  bottom (0, 1, 2)  top (0, 2, 1)
+stratum H(2), shape case6: 0 diagrams
+stratum H(1,1), shape one_cylinder: 1 diagram
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3)  top (0, 3, 2, 1)
+stratum H(1,1), shape case6: 0 diagrams
+stratum H(4), shape one_cylinder: 4 diagrams
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3, 4)  top (0, 2, 1, 4, 3)
+  diagram 1:
+    cyl 0  bottom (0, 1, 2, 3, 4)  top (0, 2, 4, 1, 3)
+  diagram 2:
+    cyl 0  bottom (0, 1, 2, 3, 4)  top (0, 3, 1, 4, 2)
+  diagram 3:
+    cyl 0  bottom (0, 1, 2, 3, 4)  top (0, 4, 3, 2, 1)
+stratum H(4), shape case6: 0 diagrams
+stratum H(3,1), shape one_cylinder: 4 diagrams
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 2, 1, 5, 4, 3)
+  diagram 1:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 2, 5, 1, 4, 3)
+  diagram 2:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 2, 5, 4, 3, 1)
+  diagram 3:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 3, 1, 5, 4, 2)
+stratum H(3,1), shape case6: 0 diagrams
+stratum H(2,2), shape one_cylinder: 4 diagrams
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 2, 1, 3, 5, 4)
+  diagram 1:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 2, 4, 1, 5, 3)
+  diagram 2:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 3, 2, 5, 4, 1)
+  diagram 3:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5)  top (0, 5, 4, 3, 2, 1)
+stratum H(2,2), shape case6: 1 diagram
+  diagram 0:
+    cyl 0  bottom (0, 1, 2)  top (3, 5, 4)
+    cyl 1  bottom (3, 4, 5)  top (0, 2, 1)
+stratum H(2,1,1), shape one_cylinder: 7 diagrams
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6)  top (0, 2, 1, 3, 6, 5, 4)
+  diagram 1:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6)  top (0, 2, 5, 1, 6, 4, 3)
+  diagram 2:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6)  top (0, 2, 6, 4, 1, 5, 3)
+  diagram 3:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6)  top (0, 2, 6, 5, 3, 1, 4)
+  diagram 4:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6)  top (0, 3, 2, 1, 6, 5, 4)
+  diagram 5:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6)  top (0, 3, 2, 6, 5, 1, 4)
+  diagram 6:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6)  top (0, 4, 2, 6, 5, 3, 1)
+stratum H(2,1,1), shape case6: 1 diagram
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3)  top (4, 6, 5)
+    cyl 1  bottom (4, 5, 6)  top (0, 3, 2, 1)
+stratum H(1,1,1,1), shape one_cylinder: 4 diagrams
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6, 7)  top (0, 3, 2, 1, 4, 7, 6, 5)
+  diagram 1:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6, 7)  top (0, 3, 6, 2, 1, 7, 5, 4)
+  diagram 2:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6, 7)  top (0, 3, 7, 5, 2, 1, 6, 4)
+  diagram 3:
+    cyl 0  bottom (0, 1, 2, 3, 4, 5, 6, 7)  top (0, 5, 2, 7, 4, 1, 6, 3)
+stratum H(1,1,1,1), shape case6: 1 diagram
+  diagram 0:
+    cyl 0  bottom (0, 1, 2, 3)  top (4, 7, 6, 5)
+    cyl 1  bottom (4, 5, 6, 7)  top (0, 3, 2, 1)
+"""
+
+
+def test_catalog_text_is_pinned():
+    assert "".join(render_report(enumerate_diagrams(*pair))
+                   for pair in CATALOG_PAIRS) == CATALOG_TEXT
+
+
+def test_catalogs_build_no_origami_and_decompose_nothing(monkeypatch):
+    # the catalogs are searched as words: with every way to build or
+    # decompose an origami in the pipeline raising, each is still built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a catalog built or decomposed an origami")
+
+    for name in ("Origami", "build_origami", "horizontal_decomposition"):
+        monkeypatch.setattr(pipeline, name, forbidden)
+    assert "".join(render_report(enumerate_diagrams(*pair))
+                   for pair in CATALOG_PAIRS) == CATALOG_TEXT
 
 
 def test_render_text_reports():
@@ -1387,6 +1509,30 @@ def test_cli_error_exits(tmp_path, capsys):
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert cli_main(["report"]) == 0
     assert capsys.readouterr().out == report
+
+
+def test_cli_rejects_a_second_origami_line(tmp_path, capsys):
+    """A file holds one origami line: any further line that is neither
+    blank nor a ``#`` comment makes ``analyze`` and ``monodromy`` exit 2
+    with an error and no report, wherever it stands and whether or not it
+    parses.  Blank lines and comments around the one line are ignored."""
+    path = tmp_path / "surface.txt"
+    reference = str(wollmilchsau())
+    for extra in ('origami h="(0 1)" v="(0 2)"', "not an origami line",
+                  reference):
+        for text in ("%s\n%s\ngarbage\n" % (reference, extra),
+                     "# two\n%s\n\n%s\n" % (extra, reference)):
+            path.write_text(text, encoding="utf-8")
+            for command in ("analyze", "monodromy"):
+                capsys.readouterr()
+                assert cli_main([command, str(path)]) == 2, (text, command)
+                out, err = capsys.readouterr()
+                assert out == "", (text, command)
+                assert err.startswith("error: "), (text, command)
+    path.write_text("\n# a comment\n  %s  \n\n  # another\n" % reference,
+                    encoding="utf-8")
+    assert cli_main(["analyze", str(path)]) == 0
+    assert "WollmilchsauEquivalent" in capsys.readouterr().out
 
 
 def test_cli_monodromy_is_unbounded_where_the_word_cap_read_finite(
