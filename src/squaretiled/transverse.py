@@ -169,19 +169,8 @@ def _case1_witness(d):
     for cid in d.diagram.cylinder_ids:
         both = set(d.diagram.bottom_words[cid]) & \
             set(d.diagram.top_words[cid])
-        if not both:
-            continue
-        sid = min(both)
-        length = d.saddle_lengths[sid]
-        bp = d.bottom_positions[sid]
-        tp = d.top_positions[sid]
-        return TransverseWitness(
-            crossed=(cid,),
-            width=length,
-            start_interval=(bp, bp + length),
-            direction=(tp - bp, d.cylinders[cid].height),
-            kind="simple-over-%s" % (sid,),
-        )
+        if both:
+            return _over_saddle(d, min(both), (cid,), "simple-over-%s")
     raise InvariantViolation("no cylinder has a saddle on both its bottom "
                              "and its top: the diagram is not Case 1")
 
@@ -301,16 +290,23 @@ def _case4b_witness(d, c1, c4, mid):
     ``mid`` and ``c4`` once each."""
     lengths = d.saddle_lengths
     sigma = max(d.diagram.top_words[c4], key=lambda s: (lengths[s], s))
-    bp = d.bottom_positions[sigma]
-    tp = d.top_positions[sigma]
-    rise = (d.cylinders[c1].height + d.cylinders[mid].height
-            + d.cylinders[c4].height)
+    return _over_saddle(d, sigma, (c1, mid, c4), "over-%s")
+
+
+def _over_saddle(d, sid, crossed, prefix):
+    """The cylinder over saddle ``sid``, crossing the cylinders ``crossed``
+    once each: as wide as the saddle, it starts at the saddle's bottom
+    position and rises through ``crossed`` to its top position.  Its kind
+    is ``prefix % sid``."""
+    length = d.saddle_lengths[sid]
+    bp = d.bottom_positions[sid]
     return TransverseWitness(
-        crossed=(c1, mid, c4),
-        width=lengths[sigma],
-        start_interval=(bp, bp + lengths[sigma]),
-        direction=(tp - bp, rise),
-        kind="over-%s" % (sigma,),
+        crossed=crossed,
+        width=length,
+        start_interval=(bp, bp + length),
+        direction=(d.top_positions[sid] - bp,
+                   sum(d.cylinders[c].height for c in crossed)),
+        kind=prefix % (sid,),
     )
 
 

@@ -328,7 +328,9 @@ def test_one_pass_matches_the_oracle_in_every_genus():
     words gives the oracle's corner zeros, on the torus, the genus-2 L, the
     reference, 600 random origamis of genus 1 to 6 on 1 to 12 squares,
     and the vertical 2- to 5-fold stretches of every genus-2 and genus-3
-    class up to 5 squares, each randomly relabelled.  The stretches make
+    class up to 5 squares, each randomly relabelled.  On each of these the
+    genus obeys Gauss-Bonnet against the ``τ∘β⁻¹`` zeros: ``2·(genus - 1)``
+    is the number of saddles less the number of zeros.  The stretches make
     stacks up to 15 rows high, and in more than 300 surfaces a stack has
     an upper row holding a smaller square than its bottom row, so the
     loop over the rows meets that row first and must skip it.  On
@@ -353,6 +355,11 @@ def test_one_pass_matches_the_oracle_in_every_genus():
         d = horizontal_decomposition(o)
         genera[d.genus] += 1
         assert d.genus == singularity_data(o).genus
+        # Gauss-Bonnet: the genus the pass reads where the bottoms meet
+        # the zeros agrees with the τ∘β⁻¹ zeros of its words
+        zeros = zeros_of(d)
+        assert 2 * (d.genus - 1) == len(zeros) - len(
+            {z for pair in zeros for z in pair}), o
         assert outcome(o) == oracle_outcome(o), o
         assert d.dual_graph == decomposition_oracle.dual_graph(d), o
         upper_first += any(min(row) < min(c.rows[0])

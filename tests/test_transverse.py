@@ -159,16 +159,28 @@ def test_net_case_labels():
         assert decomposition_oracle.dual_graph(net) == d.dual_graph
 
 
+# each exemplar's witness: crossed cylinders, width, start interval,
+# direction and kind
+EXEMPLAR_WITNESSES = {
+    "Case1": ((1,), 1, (0, 1), (2, 1), "simple-over-1"),
+    "Case2": ((0, 2), 1, (0, 1), (0, 2), "through-0-5"),
+    "Case4A": ((0, 2, 3), 1, (1, 2), (0, 3), "window"),
+    "Case4B": ((0, 1, 3), 1, (3, 4), (-3, 3), "over-3"),
+}
+
+
 @pytest.mark.parametrize("name", ["Case1", "Case2", "Case4A", "Case4B"])
 def test_exemplar_witnesses(name):
     """Each exemplar's label leads to its own search: one crossed cylinder
     for Case 1, two for Case 2, and for Case 4 the window or boundary
     witness over two middle cylinders (4A) or the stacked witness over one
-    (4B)."""
+    (4B).  The whole witness is pinned, so a Case 1 or 4B direction that
+    rises through too few cylinders or runs from top to bottom fails."""
     d = horizontal_decomposition(exemplar(name))
     label = classify_case(d.dual_graph)
     assert str(label) == name[:5]
     witness = find_crossing_cylinder(d, label)
+    assert tuple(witness) == EXEMPLAR_WITNESSES[name]
     assert witness.width > 0
     a, b = witness.start_interval
     assert a < b
