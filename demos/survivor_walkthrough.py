@@ -28,11 +28,11 @@ def main():
 
     d = horizontal_decomposition(o)
     print("\nhorizontal cylinders:")
-    for c in d.cylinders:
+    for cid, c in enumerate(d.cylinders):
         print("  cylinder %d: circumference %s, height %s, modulus %s"
-              % (c.id, c.circumference, c.height,
+              % (cid, c.circumference, c.height,
                  Fraction(c.height, c.circumference)))
-    lengths = sorted(str(length) for length in d.saddle_lengths.values())
+    lengths = sorted(str(length) for length in d.saddle_lengths)
     print("saddle lengths:", ", ".join(lengths))
 
     b = homology_basis(o)

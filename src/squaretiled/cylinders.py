@@ -48,10 +48,10 @@ class Cylinder(NamedTuple):
 
     ``rows`` lists the constituent ``h``-cycles from bottom to top, each
     rotated so that its first square sits at ``x = 0`` of the cylinder;
-    ``circumference`` and ``height`` are whole numbers of squares.
+    ``circumference`` and ``height`` are whole numbers of squares.  A
+    cylinder's id is its position in the decomposition's ``cylinders``.
     """
 
-    id: int
     rows: tuple
     circumference: int
     height: int
@@ -60,10 +60,10 @@ class Cylinder(NamedTuple):
 class CylinderDiagram(NamedTuple):
     """Combinatorics of a cylinder decomposition with metric data forgotten.
 
-    ``bottom_words`` and ``top_words`` map each cylinder id to the cyclic
-    sequence of saddle ids along that boundary.  Every saddle id appears
-    exactly once among the bottom words and exactly once among the top
-    words.
+    ``bottom_words`` and ``top_words`` hold, at the position of each
+    cylinder id, the cyclic sequence of saddle ids along that boundary.
+    Every saddle id appears exactly once among the bottom words and
+    exactly once among the top words.
 
     The words fix the zeros.  Write ``β(s)`` and ``τ(s)`` for the saddle
     after ``s`` on its bottom word and on its top word.  Saddle ``s`` ends
@@ -73,19 +73,19 @@ class CylinderDiagram(NamedTuple):
     ``k + 1`` saddles in its cycle.
     """
 
-    bottom_words: dict
-    top_words: dict
-
-    @property
-    def cylinder_ids(self):
-        return sorted(self.bottom_words)
+    bottom_words: tuple
+    top_words: tuple
 
     def validate(self):
-        """Raise :class:`~squaretiled.errors.InvariantViolation` unless every
-        saddle appears exactly once among the bottom words and exactly once
-        among the top words."""
-        bottoms = [s for w in self.bottom_words.values() for s in w]
-        tops = [s for w in self.top_words.values() for s in w]
+        """Raise :class:`~squaretiled.errors.InvariantViolation` unless there
+        are as many top words as bottom words and every saddle appears
+        exactly once among the bottom words and exactly once among the top
+        words."""
+        if len(self.bottom_words) != len(self.top_words):
+            raise InvariantViolation("bottom and top words number different "
+                                     "cylinders")
+        bottoms = [s for w in self.bottom_words for s in w]
+        tops = [s for w in self.top_words for s in w]
         if len(bottoms) != len(set(bottoms)):
             raise InvariantViolation("saddle repeated on bottoms")
         if len(tops) != len(set(tops)):
@@ -144,8 +144,8 @@ class CylinderDiagram(NamedTuple):
 
         EXAMPLES::
 
-            >>> d1 = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")})
-            >>> d2 = CylinderDiagram({5: ("x", "y")}, {5: ("x", "y")})
+            >>> d1 = CylinderDiagram((("a", "b"),), (("b", "a"),))
+            >>> d2 = CylinderDiagram((("x", "y"),), (("x", "y"),))
             >>> d1.canonical_key() == d2.canonical_key()
             True
             >>> d1.canonical_key()
@@ -156,16 +156,15 @@ class CylinderDiagram(NamedTuple):
         # (cylinder, index in that word), side 0 being the bottom
         words, where = {}, {}
         for side, table in enumerate((self.bottom_words, self.top_words)):
-            for cid, word in table.items():
+            for cid, word in enumerate(table):
                 words[side, cid] = word
                 for i, sid in enumerate(word):
                     where[side, sid] = (cid, i)
-        m = min(filter(None, map(len, self.bottom_words.values())),
-                default=0)
+        m = min(filter(None, map(len, self.bottom_words)), default=0)
         if not m:
             raise InvariantViolation("cylinder diagram has no saddle")
-        return min(enc for cid in self.cylinder_ids
-                   if len(self.bottom_words[cid]) == m
+        return min(enc for cid, word in enumerate(self.bottom_words)
+                   if len(word) == m
                    for rot in range(m)
                    for enc in _Traversal(words, where).run(0, cid, rot))
 
@@ -240,8 +239,8 @@ class CylinderDecomposition(NamedTuple):
 
     All combinatorial and metric data refer to the sheared origami
     ``origami`` in whose coordinates the direction is horizontal.
-    ``saddle_lengths`` maps a saddle id to its length in squares;
-    ``bottom_positions`` and ``top_positions`` map a saddle id to its
+    ``saddle_lengths`` holds, at the position of each saddle id, its length
+    in squares; ``bottom_positions`` and ``top_positions`` hold there its
     integer start coordinate, in squares, on the one bottom and the one
     top it lies on; each bottom word starts at 0 and the top coordinates
     are reduced mod the circumference.  The order of the saddles along
@@ -259,9 +258,9 @@ class CylinderDecomposition(NamedTuple):
     origami: Origami
     cylinders: tuple
     diagram: CylinderDiagram
-    saddle_lengths: dict
-    bottom_positions: dict
-    top_positions: dict
+    saddle_lengths: tuple
+    bottom_positions: tuple
+    top_positions: tuple
     genus: int
     dual_graph: DualGraph
 
@@ -300,8 +299,9 @@ def horizontal_decomposition(o: Origami):
     starts a saddle on.  The components are the vertices of
     :class:`DualGraph`, each cylinder the edge between the components of
     its two halves, and the genus labels and cycle rank add up to
-    ``genus`` (see below).  Each saddle's start coordinates on its bottom
-    and its top are keyed by the saddle alone.
+    ``genus`` (see below).  Cylinders and saddles are numbered from 0 in
+    the order they are found, and every record of one is stored at its
+    number.
 
     The corner identity ``c(v(h(j))) = h(v(j))`` proves the checks of
     :meth:`CylinderDiagram.validate`, so none is made.  An unmarked corner
@@ -356,11 +356,11 @@ def horizontal_decomposition(o: Origami):
         >>> len(d.cylinders), d.cylinders[0].circumference, d.genus
         (1, 1, 1)
         >>> d.diagram.bottom_words, d.diagram.top_words
-        ({0: (0,)}, {0: (0,)})
+        (((0,),), ((0,),))
         >>> d.dual_graph
         DualGraph(genera=(0,), edges=((0, 0),))
         >>> d.bottom_positions, d.top_positions
-        ({0: 0}, {0: 0})
+        ((0,), (0,))
     """
     h, v = o.h, o.v
     n = len(h)
@@ -380,12 +380,12 @@ def horizontal_decomposition(o: Origami):
     met = [False] * n
     cylinders = []
     area = 0
-    saddle_lengths = {}
+    saddle_lengths = []
     bottom_of = []
     new_zeros = []
     edge_saddle = [-1] * n
-    bottom_words = {}
-    bottom_positions = {}
+    bottom_words = []
+    bottom_positions = []
     sid = -1
     for s in range(n):
         if seen[s]:
@@ -404,7 +404,6 @@ def horizontal_decomposition(o: Origami):
             continue
         k = row.index(t)
         bottom = tuple(row[k:] + row[:k] if k else row)
-        cid = len(cylinders)
         first = sid + 1
         zeros = 0
         for x, t in enumerate(bottom):
@@ -416,14 +415,14 @@ def horizontal_decomposition(o: Origami):
                         met[u] = True
                         u = corner[u]
                 if x:   # the bottom opens its first saddle at x = 0
-                    saddle_lengths[sid] = x - a
+                    saddle_lengths.append(x - a)
                 sid += 1
                 a = x
-                bottom_positions[sid] = x
-                bottom_of.append(cid)
+                bottom_positions.append(x)
+                bottom_of.append(len(cylinders))
             edge_saddle[t] = sid
-        saddle_lengths[sid] = len(bottom) - a
-        bottom_words[cid] = tuple(range(first, sid + 1))
+        saddle_lengths.append(len(bottom) - a)
+        bottom_words.append(tuple(range(first, sid + 1)))
         new_zeros.append(zeros)
         # climb while no square above the top row is marked
         stacked = [bottom]
@@ -436,8 +435,7 @@ def horizontal_decomposition(o: Origami):
                 continue
             break
         area += len(row) * len(stacked)
-        cylinders.append(Cylinder(cid, tuple(stacked), len(row),
-                                  len(stacked)))
+        cylinders.append(Cylinder(tuple(stacked), len(row), len(stacked)))
     # a torus component with no cone point and no square 0 starts none
     if area != n:
         raise InvariantViolation("cylinder stack must have a unique bottom "
@@ -451,8 +449,8 @@ def horizontal_decomposition(o: Origami):
     # a union-find forest: each join walks both ends to their roots and
     # links the larger root under the smaller, so every root is the least
     # half of its class and every other half points to a smaller one
-    top_words = {}
-    top_positions = {}
+    top_words = []
+    top_positions = [0] * len(bottom_of)
     parent = list(range(2 * len(cylinders)))
     for cid, c in enumerate(cylinders):
         word = []
@@ -472,7 +470,7 @@ def horizontal_decomposition(o: Origami):
                     parent[z] = y
                 elif z < y:
                     parent[y] = z
-        top_words[cid] = tuple(word)
+        top_words.append(tuple(word))
 
     # the components, numbered by their least half, are the vertices.
     # Walked in half order, a root opens the next component and any other
@@ -513,9 +511,9 @@ def horizontal_decomposition(o: Origami):
         raise InvariantViolation("surface must be connected")
     return CylinderDecomposition(
         o, tuple(cylinders),
-        CylinderDiagram(bottom_words, top_words),
-        saddle_lengths, bottom_positions, top_positions, genus,
-        DualGraph(tuple(genera), tuple(edges)))
+        CylinderDiagram(tuple(bottom_words), tuple(top_words)),
+        tuple(saddle_lengths), tuple(bottom_positions), tuple(top_positions),
+        genus, DualGraph(tuple(genera), tuple(edges)))
 
 
 def direction_member(o: Origami, slope):

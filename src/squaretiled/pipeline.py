@@ -224,7 +224,6 @@ def _metric_chain(d) -> EquivalenceResult:
     cylinder decomposition; truthy when the metric constraints are
     consistent, which forces the reference diagram (see
     :func:`classify_surface`)."""
-    cids = [c.id for c in d.cylinders]
     r1, r2 = moduli_exponents(d)
     forcing = case6_moduli_forcing(r1, r2)
     if forcing.verdict != "consistent":
@@ -235,7 +234,7 @@ def _metric_chain(d) -> EquivalenceResult:
     # is kept, so the record does not depend on the cylinder labels.  Both
     # orders share the denominator w, so their numerators compare alone.
     t0, s0, t_start = min((_window_extraction(d, *order)
-                           for order in (cids, cids[::-1])),
+                           for order in ((0, 1), (1, 0))),
                           key=lambda c: (-c[0], c[2]))
     constraint = WindowConstraint(t0, s0, t_start,
                                   d.cylinders[0].circumference)
@@ -284,10 +283,10 @@ def _analyze_direction(d, slope):
     if label is CaseLabel.CASE5:
         # the one cylinder holds every saddle on its bottom and its top
         (c,) = d.cylinders
-        w, h, bottoms = c.circumference, c.height, d.bottom_positions
+        w, h = c.circumference, c.height
         # tp - bp reduced into (-w/2, w/2]
-        dx = min(((tp - bottoms[s] + (w - 1) // 2) % w - (w - 1) // 2
-                  for s, tp in d.top_positions.items()),
+        dx = min(((tp - bp + (w - 1) // 2) % w - (w - 1) // 2
+                  for tp, bp in zip(d.top_positions, d.bottom_positions)),
                  key=lambda x: (abs(x), x))
         g = gcd(dx, h)
         return DirectionRecord(slope, name, "defer to a simple transverse "
@@ -370,7 +369,7 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
         return Verdict("TrivialForni", (first, record), o)
     chain, c = first.witness, horizontal.cylinders[0]
     a, h = chain.constraint.t0, c.height
-    t = horizontal.top_positions[horizontal.diagram.top_words[c.id][0]] % a
+    t = horizontal.top_positions[horizontal.diagram.top_words[0][0]] % a
     relabelling = origami_isomorphism(o, affine_reference(a, h, t))
     if relabelling is None:
         raise InvariantViolation(
@@ -542,7 +541,7 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
                 tuple((x - w[s]) % len(w) for x in w[s:] + w[:s]) < w
                 for w in words for s in range(1, len(w))):
             continue
-        d = CylinderDiagram(dict(enumerate(bottoms)), dict(enumerate(tops)))
+        d = CylinderDiagram(bottoms, tops)
         seen.setdefault(d.canonical_key(), d)
     return DiagramCatalog(stratum, shape,
                           tuple(seen[key] for key in sorted(seen)))
@@ -565,15 +564,15 @@ def _svg_text(x, y, text, size=12):
             'font-family="monospace">%s</text>' % (x, y, size, text))
 
 
-def _diagram_svg(diagram, scale=40):
+def _diagram_svg(diagram):
     """Stacked labeled rectangles, one per cylinder, saddle ids marked
     along both boundaries."""
+    scale = 40
     elements = []
     y = 20
     max_w = 1
-    for cid in diagram.cylinder_ids:
-        bottom = diagram.bottom_words[cid]
-        top = diagram.top_words[cid]
+    for cid, (bottom, top) in enumerate(zip(diagram.bottom_words,
+                                            diagram.top_words)):
         w = max(len(bottom), len(top), 1) * scale
         max_w = max(max_w, w)
         elements.append('<rect x="20.00" y="%.2f" width="%.2f" height="%.2f" '
@@ -589,7 +588,7 @@ def _diagram_svg(diagram, scale=40):
     return _svg_document(elements, max_w + 120, y)
 
 
-def _dual_graph_svg(graph, scale=60):
+def _dual_graph_svg(graph):
     """Genus-labeled vertices on a circle.  A lone edge is a straight
     line; the ``k``-th of ``m > 1`` edges between two vertices is a
     quadratic path bent ``(k - (m - 1)/2)·40`` off their segment, and the
@@ -597,6 +596,7 @@ def _dual_graph_svg(graph, scale=60):
     so every edge is drawn apart from the others."""
     import math
 
+    scale = 60
     cx, cy, r = 2 * scale, 2 * scale, scale
     pos = []
     for i in range(len(graph.genera)):
@@ -673,10 +673,9 @@ def _catalog_text(catalog: DiagramCatalog):
                 "" if len(catalog) == 1 else "s")]
     for i, diagram in enumerate(catalog.diagrams):
         lines.append("  diagram %d:" % i)
-        for cid in diagram.cylinder_ids:
-            lines.append("    cyl %s  bottom %s  top %s"
-                         % (cid, diagram.bottom_words[cid],
-                            diagram.top_words[cid]))
+        for cid, words in enumerate(zip(diagram.bottom_words,
+                                        diagram.top_words)):
+            lines.append("    cyl %s  bottom %s  top %s" % (cid, *words))
     return "\n".join(lines) + "\n"
 
 

@@ -60,17 +60,26 @@ def perm_from_cycles(cycles, n=None) -> Perm:
     """
     if n is None:
         n = 1 + max((x for c in cycles for x in c), default=-1)
+    _cycle_entries(cycles, n)
     p = list(range(n))
-    seen = set()
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = b
+    return tuple(p)
+
+
+def _cycle_entries(cycles, n):
+    """The set of entries of ``cycles``; an entry outside ``0..n-1`` or
+    repeated raises ``ValueError``.  Nothing of size ``n`` is built."""
+    seen = set()
+    for cycle in cycles:
+        for a in cycle:
             if not 0 <= a < n:
                 raise ValueError(f"entry {a} is not in 0..{n - 1}")
             if a in seen:
                 raise ValueError(f"entry {a} repeated in cycle notation")
             seen.add(a)
-            p[a] = b
-    return tuple(p)
+    return seen
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -480,7 +489,10 @@ def parse_origami(line: str) -> Origami:
     Cycles are space-separated integers and fixed points may be omitted; an
     optional ``n=<count>`` attribute pins the square count when fixed points
     leave it ambiguous.  Text other than parenthesised cycles, and an entry
-    outside ``0..n-1``, raise ``ValueError``.
+    outside ``0..n-1``, raise ``ValueError``.  A square in no cycle is
+    fixed by ``h`` and ``v``, so on more than one square it is isolated:
+    :class:`~squaretiled.errors.NotTransitive` is raised before any
+    permutation of the ``n`` squares is built.
 
     EXAMPLES::
 
@@ -492,6 +504,10 @@ def parse_origami(line: str) -> Origami:
         Traceback (most recent call last):
         ...
         ValueError: not a list of cycles: '(0 1)(2 3'
+        >>> parse_origami('origami n=99999999999 h="(0 1)" v=""')
+        Traceback (most recent call last):
+        ...
+        squaretiled.errors.NotTransitive: 99999999997 of the 99999999999 squares lie in no cycle, the least 2, so some square is not connected to square 0
     """
     m = _ORIGAMI_RE.match(line)
     if not m:
@@ -500,4 +516,10 @@ def parse_origami(line: str) -> Origami:
     n = int(m.group("n")) if m.group("n") else 1 + max(
         (x for c in hc + vc for x in c), default=0
     )
+    squares = _cycle_entries(hc, n) | _cycle_entries(vc, n)
+    if n > 1 and len(squares) < n:
+        least = next(x for x in range(n) if x not in squares)
+        raise NotTransitive(f"{n - len(squares)} of the {n} squares lie in no "
+                            f"cycle, the least {least}, so some square is not "
+                            "connected to square 0")
     return build_origami(perm_from_cycles(hc, n), perm_from_cycles(vc, n))

@@ -62,16 +62,12 @@ class TransverseWitness(Checked, _TransverseWitnessFields):
 def _matched_pair(d):
     """The pair ``(c1, c4)`` with ``bottom(c1)`` and ``top(c4)`` carrying
     the same saddles, plus the middle cylinders over ``top(c1)``."""
-    cids = d.diagram.cylinder_ids
-    bottom_owner = {s: c for c in cids for s in d.diagram.bottom_words[c]}
-    for c1 in cids:
-        for c4 in cids:
-            if c1 == c4:
-                continue
-            if set(d.diagram.bottom_words[c1]) == \
-                    set(d.diagram.top_words[c4]):
-                middles = {bottom_owner[s]
-                           for s in d.diagram.top_words[c1]}
+    bottoms, tops = d.diagram.bottom_words, d.diagram.top_words
+    bottom_owner = {s: c for c, word in enumerate(bottoms) for s in word}
+    for c1, bottom in enumerate(bottoms):
+        for c4, top in enumerate(tops):
+            if c1 != c4 and set(bottom) == set(top):
+                middles = {bottom_owner[s] for s in tops[c1]}
                 if c1 not in middles and c4 not in middles:
                     return c1, c4, tuple(sorted(middles))
     raise InvariantViolation("no pair of cylinders glued along a full "
@@ -166,9 +162,9 @@ def _case1_witness(d):
     ``bottom(A)`` with ``top(B)`` and ``bottom(B)`` with ``top(A)``: the
     shape of Case 6.  So :class:`InvariantViolation` is raised only when
     ``d`` is not Case 1."""
-    for cid in d.diagram.cylinder_ids:
-        both = set(d.diagram.bottom_words[cid]) & \
-            set(d.diagram.top_words[cid])
+    for cid, (bottom, top) in enumerate(zip(d.diagram.bottom_words,
+                                            d.diagram.top_words)):
+        both = set(bottom) & set(top)
         if both:
             return _over_saddle(d, min(both), (cid,), "simple-over-%s")
     raise InvariantViolation("no cylinder has a saddle on both its bottom "
@@ -194,16 +190,14 @@ def _case2_witness(d):
     the bottom of ``c2``, carries every saddle of that component, the
     other's side among them.  So the two sides share a saddle, and
     :class:`InvariantViolation` is raised only when ``d`` is not Case 2."""
-    cids = d.diagram.cylinder_ids
+    bottoms, tops = d.diagram.bottom_words, d.diagram.top_words
     lengths = d.saddle_lengths
-    for c1 in cids:
-        for sigma in d.diagram.bottom_words[c1]:
-            c2 = next(c for c in cids
-                      if sigma in d.diagram.top_words[c])
+    for c1, bottom in enumerate(bottoms):
+        for sigma in bottom:
+            c2 = next(c for c, top in enumerate(tops) if sigma in top)
             if c2 == c1:
                 continue
-            shared = set(d.diagram.top_words[c1]) & \
-                set(d.diagram.bottom_words[c2])
+            shared = set(tops[c1]) & set(bottoms[c2])
             if not shared:
                 continue
             tau = max(shared, key=lambda t: (lengths[t], t))

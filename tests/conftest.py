@@ -197,8 +197,8 @@ def random_unimodular(rng, n):
 # cylinders 0 and 3 share a full interface, middles 1 (wide) and 2 sit
 # between the top of 0 and the bottom of 3
 CASE4A_DIAGRAM = CylinderDiagram(
-    bottom_words={0: (0, 1, 2, 3), 1: (4,), 2: (5,), 3: (6, 7)},
-    top_words={0: (4, 5), 1: (6,), 2: (7,), 3: (3, 2, 1, 0)},
+    bottom_words=((0, 1, 2, 3), (4,), (5,), (6, 7)),
+    top_words=((4, 5), (6,), (7,), (3, 2, 1, 0)),
 )
 
 
@@ -239,11 +239,10 @@ def decomposition_net(d):
     """The metric net of an origami's cylinder decomposition ``d``:
     :func:`build_net` recomputes every saddle position from the lengths and
     each cylinder's twist, read as the start of its first top saddle."""
-    geoms = {c.id: CylinderGeometry(
-        c.circumference, c.height,
-        d.top_positions[d.diagram.top_words[c.id][0]])
-        for c in d.cylinders}
-    return build_net(geoms, d.diagram, d.saddle_lengths)
+    geoms = {cid: CylinderGeometry(
+        c.circumference, c.height, d.top_positions[top[0]])
+        for cid, (c, top) in enumerate(zip(d.cylinders, d.diagram.top_words))}
+    return build_net(geoms, d.diagram, dict(enumerate(d.saddle_lengths)))
 
 
 def scaled_net(net, k):

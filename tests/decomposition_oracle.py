@@ -127,7 +127,6 @@ def decomposition_with_saddles(o):
         r0 = rows[chain[0]]
         start = min(i for i, sq in enumerate(r0) if sq in marked)
         r0 = r0[start:] + r0[:start]
-        cid = len(cylinders)
         stacked = [r0]
         for sq_i, sq in enumerate(r0):
             square_x[sq] = sq_i
@@ -138,17 +137,16 @@ def decomposition_with_saddles(o):
                 square_x[sq] = square_x[below]
             stacked.append(nxt)
         cylinders.append(Cylinder(
-            cid, tuple(stacked), Fraction(len(r0)), Fraction(len(stacked))
+            tuple(stacked), Fraction(len(r0)), Fraction(len(stacked))
         ))
-    # deterministic ids: sort by smallest square of the bottom row
+    # deterministic ids, the positions in ``cylinders``: sort by smallest
+    # square of the bottom row
     cylinders.sort(key=lambda c: min(c.rows[0]))
-    cylinders = [Cylinder(new_id, c.rows, c.circumference, c.height)
-                 for new_id, c in enumerate(cylinders)]
 
     # saddle connections: runs between marked corners on each bottom row
     saddles = {}
     edge_saddle = {}
-    bottom_words = {}
+    bottom_words = []
     bottom_positions = {}
     for c in cylinders:
         word_ids = []
@@ -168,10 +166,10 @@ def decomposition_with_saddles(o):
         _close_run(saddles, edge_saddle, sid, run, corner_class, o)
         word_ids.append(sid)
         bottom_positions[sid] = run_start_x
-        bottom_words[c.id] = tuple(word_ids)
+        bottom_words.append(tuple(word_ids))
 
     # top words: read the same quotient edges along each cylinder's top row
-    top_words = {}
+    top_words = []
     top_positions = {}
     for c in cylinders:
         rt = c.rows[-1]
@@ -196,17 +194,20 @@ def decomposition_with_saddles(o):
             run_edges.append(edge)
         word_ids.append(_close_top_run(run_edges, edge_saddle, saddles))
         top_positions[word_ids[-1]] = square_x[run_start]
-        top_words[c.id] = tuple(word_ids)
+        top_words.append(tuple(word_ids))
 
-    diagram = CylinderDiagram(bottom_words, top_words)
+    diagram = CylinderDiagram(tuple(bottom_words), tuple(top_words))
     diagram.validate()
+    # the saddle ids number the saddles 0, 1, ...; every record of a
+    # saddle is stored at its id
+    sids = range(len(saddles))
     d = CylinderDecomposition(
         origami=o,
         cylinders=tuple(cylinders),
         diagram=diagram,
-        saddle_lengths={sid: len(s.squares) for sid, s in saddles.items()},
-        bottom_positions=bottom_positions,
-        top_positions=top_positions,
+        saddle_lengths=tuple(len(saddles[sid].squares) for sid in sids),
+        bottom_positions=tuple(bottom_positions[sid] for sid in sids),
+        top_positions=tuple(top_positions[sid] for sid in sids),
         genus=None,
         dual_graph=None,
     )
@@ -233,7 +234,7 @@ def word_zeros(diagram):
     beta, beta_inv, tau = {}, {}, {}
     for table, succ in ((diagram.bottom_words, beta),
                         (diagram.top_words, tau)):
-        for word in table.values():
+        for word in table:
             for i, sid in enumerate(word):
                 succ[sid] = word[(i + 1) % len(word)]
     for sid, nxt in beta.items():
@@ -291,7 +292,7 @@ def dual_graph(d, saddle_zeros=None):
     diagram = d.diagram
     if saddle_zeros is None:
         saddle_zeros = word_zeros(diagram)
-    cids = diagram.cylinder_ids
+    cids = range(len(diagram.bottom_words))
     halves = [(cid, side) for cid in cids for side in ("bot", "top")]
     parent = {h: h for h in halves}
 
@@ -306,9 +307,9 @@ def dual_graph(d, saddle_zeros=None):
         if ra != rb:
             parent[ra] = rb
 
-    bottom_owner = {sid: cid for cid, word in diagram.bottom_words.items()
+    bottom_owner = {sid: cid for cid, word in enumerate(diagram.bottom_words)
                     for sid in word}
-    top_owner = {sid: cid for cid, word in diagram.top_words.items()
+    top_owner = {sid: cid for cid, word in enumerate(diagram.top_words)
                  for sid in word}
     for sid, cid in bottom_owner.items():
         union((cid, "bot"), (top_owner[sid], "top"))
@@ -405,9 +406,9 @@ def core_curve_chain(d, cid):
     return chain
 
 
-def core_curve_class(d, c, basis: HomologyBasis = None):
+def core_curve_class(d, cid, basis: HomologyBasis = None):
     r"""
-    Homology class of the core curve of cylinder ``c`` (id or object).
+    Homology class of the core curve of cylinder ``cid``.
 
     EXAMPLES::
 
@@ -417,7 +418,6 @@ def core_curve_class(d, c, basis: HomologyBasis = None):
         >>> core_curve_class(d, 0)
         [1, 0]
     """
-    cid = c if isinstance(c, int) else c.id
     if basis is None:
         basis = homology_basis(d.origami)
     return basis.coords(core_curve_chain(d, cid))
@@ -435,5 +435,6 @@ def core_span_rank(d) -> int:
     2
     """
     basis = homology_basis(d.origami)
-    rows = [core_curve_class(d, c.id, basis) for c in d.cylinders]
+    rows = [core_curve_class(d, cid, basis)
+            for cid in range(len(d.cylinders))]
     return snf_rank(smith_normal_form(rows)[1])

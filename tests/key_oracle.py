@@ -19,13 +19,13 @@ def canonical_key(diagram):
     diagram.validate()
     words, where = {}, {}
     for side, table in enumerate((diagram.bottom_words, diagram.top_words)):
-        for cid, word in table.items():
+        for cid, word in enumerate(table):
             words[side, cid] = word
             for i, sid in enumerate(word):
                 where[side, sid] = (cid, i)
     return min(encoding
-               for cid in sorted(diagram.bottom_words)
-               for rot in range(len(diagram.bottom_words[cid]))
+               for cid, word in enumerate(diagram.bottom_words)
+               for rot in range(len(word))
                for encoding in _traverse(words, where, [], [], {}, {},
                                          (0, cid, rot), 0))
 

@@ -2,8 +2,11 @@
 height and twist, glued along labeled saddle connections of rational
 length.  A net carries the same metric interface as an origami's
 cylinder decomposition (``cylinders``, ``diagram``, ``saddle_lengths``,
-``bottom_positions``, ``top_positions``), so the transverse-cylinder
-searches and the dual graph read it alike.  The tests use nets to reach
+``bottom_positions``, ``top_positions``), each indexed by a cylinder or a
+saddle id, so the transverse-cylinder searches and the dual graph read it
+alike.  A decomposition numbers its cylinders and saddles 0, 1, ... and
+stores their data in tuples; a net keeps the diagram's tuples, and maps
+its saddles, which may carry any label, in dicts.  The tests use nets to reach
 rational-length configurations that no origami has, and to recompute an
 origami's saddle positions from its lengths and twists independently.
 Whole values are stored as ``int``, as on a decomposition, and the others
@@ -50,7 +53,8 @@ class FlatSurfaceNet:
 
     ``cylinders`` maps a cylinder id to its :class:`CylinderGeometry`;
     ``diagram`` provides the cyclic boundary words (``bottom_words`` /
-    ``top_words`` mapping cylinder id to a tuple of saddle ids);
+    ``top_words`` holding each cylinder's tuple of saddle ids at the
+    position of its id, so the ids number the cylinders 0, 1, ...);
     ``saddle_lengths`` assigns an exact length to every saddle id.
     ``bottom_positions`` and ``top_positions`` map a saddle id to its
     start coordinate on the one bottom and the one top it lies on, reduced
@@ -87,7 +91,7 @@ def build_net(cylinders, diagram, saddle_lengths) -> FlatSurfaceNet:
     circumference on the top and on the bottom.
 
     >>> from squaretiled.cylinders import CylinderDiagram
-    >>> diag = CylinderDiagram(bottom_words={0: ("a",)}, top_words={0: ("a",)})
+    >>> diag = CylinderDiagram(bottom_words=(("a",),), top_words=(("a",),))
     >>> net = build_net({0: CylinderGeometry(1, 1, 0)}, diag, {"a": 1})
     >>> net.cylinders[0].height, net.bottom_positions
     (1, {'a': 0})

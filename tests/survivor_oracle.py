@@ -175,14 +175,13 @@ def metric_chain(d):
     """Moduli forcing plus window feasibility, comparing the two cylinder
     orders by their fractional coordinates; the window constraint and its
     record are the oracle's fraction versions."""
-    cids = [c.id for c in d.cylinders]
     r1, r2 = moduli_exponents(d)
     forcing = case6_moduli_forcing(r1, r2)
     if forcing.verdict != "consistent":
         return EquivalenceResult(False, "unequal moduli are forced away",
                                  forcing=forcing)
     t0, s0, t_start = min((window_extraction(d, *order)
-                           for order in (cids, cids[::-1])),
+                           for order in ((0, 1), (1, 0))),
                           key=lambda c: (-c[0], c[2]))
     constraint = WindowConstraint(t0, s0, t_start,
                                   min_saddle=Fraction(1, 4))

@@ -58,7 +58,8 @@ def test_criterion_1_reference_end_to_end():
         assert sorted((c.circumference, c.height) for c in d.cylinders) == \
             [(4, 1), (4, 1)]
         b = homology_basis(o)
-        c1, c2 = (core_curve_class(d, c.id, b) for c in d.cylinders)
+        c1, c2 = (core_curve_class(d, cid, b)
+                  for cid in range(len(d.cylinders)))
         assert list(c1) == list(c2)
         assert str(classify_case(d.dual_graph)) == "Case6"
         verdict = classify_surface(o)
@@ -178,17 +179,15 @@ def test_criterion_8_structural_suites():
         for o in corpus:
             d = horizontal_decomposition(o)
             net = decomposition_net(d)
-            for ci in d.cylinders:
-                for cj in d.cylinders:
-                    if set(d.diagram.bottom_words[ci.id]) != \
-                            set(d.diagram.top_words[cj.id]):
+            for i, bottom in enumerate(d.diagram.bottom_words):
+                for j, top in enumerate(d.diagram.top_words):
+                    if set(bottom) != set(top):
                         continue
-                    f = build_interval_map(d, ("bottom", ci.id),
-                                           ("top", cj.id))
+                    f = build_interval_map(d, ("bottom", i), ("top", j))
                     assert total_length(f.image_intervals()) == \
-                        ci.circumference
+                        d.cylinders[i].circumference
                     assert f.pieces == build_interval_map(
-                        net, ("bottom", ci.id), ("top", cj.id)).pieces
+                        net, ("bottom", i), ("top", j)).pieces
                     maps_checked += 1
             for slope in ((0, 1), (1, 0), (1, 1)):
                 cylinders = periodic_decomposition(o, slope).cylinders

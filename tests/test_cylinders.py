@@ -53,8 +53,8 @@ def test_wollmilchsau_horizontal_decomposition():
     d = horizontal_decomposition(wollmilchsau())
     assert cylinder_shapes(d) == [(4, 1), (4, 1)]
     assert sum(c.circumference * c.height for c in d.cylinders) == 8
-    assert all(len(d.diagram.bottom_words[c.id]) == 4 for c in d.cylinders)
-    assert all(length == 1 for length in d.saddle_lengths.values())
+    assert [len(word) for word in d.diagram.bottom_words] == [4, 4]
+    assert all(length == 1 for length in d.saddle_lengths)
 
 
 def test_simple_decompositions():
@@ -104,7 +104,7 @@ def bottom_runs(d):
     """Each saddle's unit squares: the run of its bottom row that
     ``bottom_positions`` and ``saddle_lengths`` give."""
     runs = {}
-    for cid, word in d.diagram.bottom_words.items():
+    for cid, word in enumerate(d.diagram.bottom_words):
         for sid in word:
             a = d.bottom_positions[sid]
             runs[sid] = core_row(d, cid)[a:a + d.saddle_lengths[sid]]
@@ -113,9 +113,10 @@ def bottom_runs(d):
 
 def test_decomposition_matches_the_oracle():
     """The one-pass integer decomposition, dual graph and case label equal
-    the set-based ones of the oracle on every slope up to bound 3, down to
-    the key order of every mapping, and the label raises exactly where the
-    oracle finds no shape; the oracle's zeros, read from the corners, are
+    the set-based ones of the oracle on every slope up to bound 3, every
+    record at the position of its cylinder or saddle, the oracle's saddles
+    numbered 0, 1, ... as the one pass numbers them, and the label raises
+    exactly where the oracle finds no shape; the oracle's zeros, read from the corners, are
     the ``τ∘β⁻¹`` reading of the one pass's words; the ``genus`` field is
     the stratum's genus, and every cylinder's circumference and height,
     equal to the oracle's ``Fraction``s, are ``int``s.  The oracle's graph of a random net over
@@ -137,8 +138,7 @@ def test_decomposition_matches_the_oracle():
             assert d.dual_graph == decomposition_oracle.dual_graph(d)
             assert all(type(c.circumference) is int and type(c.height) is int
                        for c in d.cylinders)
-            assert key_orders(d) == key_orders(old)
-            assert list(d.saddle_lengths) == list(old_saddles)
+            assert list(old_saddles) == list(range(len(d.saddle_lengths)))
             assert bottom_runs(d) == {sid: s.squares
                                       for sid, s in old_saddles.items()}
             g = d.dual_graph
@@ -279,13 +279,6 @@ def test_pinch_shape_table_is_complete():
     assert lagrangian == 18
 
 
-def key_orders(d):
-    """The key order of every mapping of decomposition ``d``."""
-    return [list(m) for m in d.diagram] + [
-        list(m) for m in (d.saddle_lengths, d.bottom_positions,
-                          d.top_positions)]
-
-
 def zeros_of(d):
     """The zero pairs of ``d``'s saddles read off its words by ``τ∘β⁻¹``,
     in saddle order and renamed in first-seen order."""
@@ -301,30 +294,28 @@ def corner_zeros_of(saddles):
 
 
 def outcome(o):
-    """The one pass's decomposition of ``o`` with its key orders and the
-    ``τ∘β⁻¹`` zeros of its words, or the type and message of what it
-    raised."""
+    """The one pass's decomposition of ``o`` and the ``τ∘β⁻¹`` zeros of
+    its words, or the type and message of what it raised."""
     try:
         d = horizontal_decomposition(o)
     except InvariantViolation as exc:
         return type(exc), str(exc)
-    return d._replace(genus=None), key_orders(d), zeros_of(d)
+    return d._replace(genus=None), zeros_of(d)
 
 
 def oracle_outcome(o):
-    """The oracle's decomposition of ``o`` with its key orders and the
-    zeros of its saddles read from the corners, or the type and message
-    of what it raised."""
+    """The oracle's decomposition of ``o`` and the zeros of its saddles
+    read from the corners, or the type and message of what it raised."""
     try:
         d, saddles = decomposition_oracle.decomposition_with_saddles(o)
     except InvariantViolation as exc:
         return type(exc), str(exc)
-    return d, key_orders(d), corner_zeros_of(saddles)
+    return d, corner_zeros_of(saddles)
 
 
 def test_one_pass_matches_the_oracle_in_every_genus():
     """The one pass gives the oracle's decomposition and dual graph, field
-    by field and key order included, and the ``τ∘β⁻¹`` reading of its
+    by field and position by position, and the ``τ∘β⁻¹`` reading of its
     words gives the oracle's corner zeros, on the torus, the genus-2 L, the
     reference, 600 random origamis of genus 1 to 6 on 1 to 12 squares,
     and the vertical 2- to 5-fold stretches of every genus-2 and genus-3
@@ -396,7 +387,7 @@ def longest_find_walk(d):
     """The longest walk to a root, in links, made by joining the pinch
     halves of ``d`` in top-word order with a union-find that links the
     larger root under the smaller: how far the sample stresses the join."""
-    bottom_of = {sid: cid for cid, word in d.diagram.bottom_words.items()
+    bottom_of = {sid: cid for cid, word in enumerate(d.diagram.bottom_words)
                  for sid in word}
     parent = list(range(2 * len(d.cylinders)))
     longest = 0
@@ -410,7 +401,7 @@ def longest_find_walk(d):
         longest = max(longest, links)
         return q
 
-    for cid, word in d.diagram.top_words.items():
+    for cid, word in enumerate(d.diagram.top_words):
         for sid in word:
             y, z = root(2 * cid + 1), root(2 * bottom_of[sid])
             parent[max(y, z)] = min(y, z)
@@ -419,7 +410,7 @@ def longest_find_walk(d):
 
 def test_pinch_union_matches_the_oracle_on_large_pairs():
     """The union of the pinch halves gives the oracle's decomposition and
-    dual graph, key orders included, and the ``τ∘β⁻¹`` reading of its
+    dual graph, position by position, and the ``τ∘β⁻¹`` reading of its
     words the oracle's corner zeros, on 300 random transitive pairs of 10
     to 16 squares, mostly of genus 4 to 8, whose joins walk further to
     their roots than those of genus-3 samples do, and on two pinned pairs
@@ -444,8 +435,7 @@ def test_pinch_union_matches_the_oracle_on_large_pairs():
         old, old_saddles = decomposition_oracle.decomposition_with_saddles(o)
         assert d._replace(genus=None) == old, o
         assert zeros_of(d) == corner_zeros_of(old_saddles), o
-        assert key_orders(d) == key_orders(old), o
-        assert list(d.saddle_lengths) == list(old_saddles), o
+        assert list(old_saddles) == list(range(len(d.saddle_lengths))), o
         assert d.dual_graph == decomposition_oracle.dual_graph(d), o
         deep += longest_find_walk(d) >= 3
     assert deep > 2
@@ -488,13 +478,13 @@ def test_saddle_words_partition_boundaries(rng):
         o = random_origami(rng)
         d = horizontal_decomposition(o)
         d.diagram.validate()
-        for c in d.cylinders:
-            word = d.diagram.bottom_words[c.id]
+        for cid, c in enumerate(d.cylinders):
+            word = d.diagram.bottom_words[cid]
             lengths = [d.saddle_lengths[s] for s in word]
             assert [d.bottom_positions[s] for s in word] == \
                 list(itertools.accumulate([0] + lengths[:-1]))
             for words in (d.diagram.bottom_words, d.diagram.top_words):
-                total = sum(d.saddle_lengths[s] for s in words[c.id])
+                total = sum(d.saddle_lengths[s] for s in words[cid])
                 assert total == c.circumference
 
 
@@ -502,18 +492,18 @@ def brute_force_key(diagram):
     """Reference canonical key: the minimum, over every cylinder order and
     every rotation of each boundary word, of the word list with saddles
     renamed in first-seen order (the words fix the zeros)."""
-    cids = diagram.cylinder_ids
     rotation_sets = [[(rb, rt)
-                      for rb in range(max(len(diagram.bottom_words[c]), 1))
-                      for rt in range(max(len(diagram.top_words[c]), 1))]
-                     for c in cids]
+                      for rb in range(max(len(bw), 1))
+                      for rt in range(max(len(tw), 1))]
+                     for bw, tw in zip(diagram.bottom_words,
+                                       diagram.top_words)]
     best = None
-    for order in itertools.permutations(range(len(cids))):
+    for order in itertools.permutations(range(len(rotation_sets))):
         for rots in itertools.product(*(rotation_sets[i] for i in order)):
             saddles, enc = {}, []
             for i, (rb, rt) in zip(order, rots):
-                bw = diagram.bottom_words[cids[i]]
-                tw = diagram.top_words[cids[i]]
+                bw = diagram.bottom_words[i]
+                tw = diagram.top_words[i]
                 enc.append(tuple(
                     tuple(saddles.setdefault(s, len(saddles)) for s in w)
                     for w in (bw[rb:] + bw[:rb], tw[rt:] + tw[:rt])))
@@ -525,18 +515,17 @@ def brute_force_key(diagram):
 
 def brute_force_size(diagram):
     """Number of encodings :func:`brute_force_key` tries."""
-    cids = diagram.cylinder_ids
-    return factorial(len(cids)) * prod(
-        len(diagram.bottom_words[c]) * len(diagram.top_words[c])
-        for c in cids)
+    return factorial(len(diagram.bottom_words)) * prod(
+        len(bw) * len(tw)
+        for bw, tw in zip(diagram.bottom_words, diagram.top_words))
 
 
 def scrambled(diagram, rng):
-    """An isomorphic copy: cylinders and saddles renamed at random
-    (saddles to strings) and every boundary word rotated."""
-    cids = list(diagram.bottom_words)
-    new_cids = rng.sample(range(100), len(cids))
-    saddle_ids = [s for w in diagram.bottom_words.values() for s in w]
+    """An isomorphic copy: cylinders moved to positions permuted at
+    random, saddles renamed at random (to strings) and every boundary word
+    rotated."""
+    k = len(diagram.bottom_words)
+    saddle_ids = [s for w in diagram.bottom_words for s in w]
     new_saddles = dict(zip(saddle_ids, rng.sample(
         ["s%d" % i for i in range(100)], len(saddle_ids))))
 
@@ -544,12 +533,11 @@ def scrambled(diagram, rng):
         r = rng.randrange(len(word))
         return tuple(new_saddles[s] for s in word[r:] + word[:r])
 
-    order = rng.sample(range(len(cids)), len(cids))
+    # position i of the copy holds cylinder order[i]
+    order = rng.sample(range(k), k)
     return CylinderDiagram(
-        bottom_words={new_cids[i]: move(diagram.bottom_words[cids[i]])
-                      for i in order},
-        top_words={new_cids[i]: move(diagram.top_words[cids[i]])
-                   for i in order},
+        bottom_words=tuple(move(diagram.bottom_words[c]) for c in order),
+        top_words=tuple(move(diagram.top_words[c]) for c in order),
     )
 
 
@@ -569,8 +557,8 @@ def random_diagrams(rng, count, max_squares=9, max_encodings=5000):
 # two saddle-connected groups of words joined only through cylinders 1-3,
 # and no symmetry: the key depends on the rotations its branches try
 BRANCHING_DIAGRAM = CylinderDiagram(
-    bottom_words={0: (0,), 1: (1, 2), 2: (3, 4), 3: (5, 6), 4: (7,)},
-    top_words={0: (6,), 1: (0, 7), 2: (3, 2), 3: (1, 4), 4: (5,)},
+    bottom_words=((0,), (1, 2), (3, 4), (5, 6), (7,)),
+    top_words=((6,), (0, 7), (3, 2), (1, 4), (5,)),
 )
 
 
@@ -589,7 +577,7 @@ def test_canonical_key_equals_the_all_anchor_oracle(rng):
     diagrams = [horizontal_decomposition(wollmilchsau()).diagram,
                 CASE4A_DIAGRAM, BRANCHING_DIAGRAM] + random_diagrams(rng, 60)
     assert len({len(w) for d in diagrams[3:]
-                for w in d.bottom_words.values()}) > 2
+                for w in d.bottom_words}) > 2
     for diagram in diagrams:
         copy = scrambled(diagram, rng)
         assert diagram.canonical_key() == key_oracle.canonical_key(diagram)
@@ -646,20 +634,28 @@ def test_one_cylinder_catalog_keys_are_pairwise_distinct():
 
 
 def test_malformed_diagrams_raise():
-    repeated = CylinderDiagram({0: (0, 0)}, {0: (0, 1)})
+    repeated = CylinderDiagram(((0, 0),), ((0, 1),))
     with pytest.raises(InvariantViolation, match="repeated on bottoms"):
         repeated.validate()
     with pytest.raises(InvariantViolation):
         repeated.canonical_key()
     with pytest.raises(InvariantViolation, match="disagree"):
-        CylinderDiagram({0: (0,)}, {0: (1,)}).validate()
-    disconnected = CylinderDiagram({0: (0,), 1: (1,)}, {0: (0,), 1: (1,)})
+        CylinderDiagram(((0,),), ((1,),)).validate()
+    disconnected = CylinderDiagram(((0,), (1,)), ((0,), (1,)))
     with pytest.raises(InvariantViolation, match="disconnected"):
         disconnected.canonical_key()
     # no saddle, so no anchor: one cylinder, and two disconnected ones
-    for words in ({0: ()}, {0: (), 1: ()}):
+    for words in (((),), ((), ())):
         with pytest.raises(InvariantViolation, match="no saddle"):
-            CylinderDiagram(words, dict(words)).canonical_key()
+            CylinderDiagram(words, words).canonical_key()
+    # two bottoms and one top: each saddle is once on each side, and the
+    # traversal places all three words, so only the count tells
+    uneven = CylinderDiagram(((0,), (1,)), ((0, 1),))
+    for check in (uneven.validate, uneven.canonical_key):
+        with pytest.raises(InvariantViolation,
+                           match="bottom and top words number different "
+                           "cylinders"):
+            check()
 
 
 def test_moduli_exponents():

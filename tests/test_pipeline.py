@@ -143,8 +143,8 @@ EXCLUDING_MECHANISMS = ("transverse crossing cylinder", "period forcing",
 
 
 def has_simple_cylinder(d):
-    return any(len(d.diagram.bottom_words[c.id]) == 1
-               and len(d.diagram.top_words[c.id]) == 1 for c in d.cylinders)
+    return any(len(bottom) == 1 and len(top) == 1 for bottom, top in
+               zip(d.diagram.bottom_words, d.diagram.top_words))
 
 
 def test_case5_excluded_through_a_simple_cylinder_direction():
@@ -608,8 +608,8 @@ def tied_case6(d):
     """Whether some cylinder of the Case 6 decomposition ``d`` has two
     longest bottom saddles, the tie that the window extraction breaks by
     word order without changing ``t_start``."""
-    for c in d.cylinders:
-        lengths = [d.saddle_lengths[s] for s in d.diagram.bottom_words[c.id]]
+    for word in d.diagram.bottom_words:
+        lengths = [d.saddle_lengths[s] for s in word]
         if lengths.count(max(lengths)) > 1:
             return True
     return False
@@ -784,7 +784,7 @@ def feasible_window_has_quarter_saddles(o, d, slope):
     if not is_case6(d) or not pipeline._metric_chain(d):
         return False
     w = len(d.cylinders[0].rows[0])
-    assert all(4 * length == w for length in d.saddle_lengths.values()), \
+    assert all(4 * length == w for length in d.saddle_lengths), \
         (o, slope)
     assert str(singularity_data(o)) == "H(1,1,1,1)"
     return True
@@ -854,8 +854,7 @@ def test_window_extraction_matches_net_oracle(rng):
                 if not is_case6(d):
                     continue
                 feasible_window_has_quarter_saddles(image, d, slope)
-                ids = [c.id for c in d.cylinders]
-                for c1, c2 in (ids, ids[::-1]):
+                for c1, c2 in ((0, 1), (1, 0)):
                     triple = window_coordinates(d, c1, c2)
                     assert triple == net_window_extraction(d, c1, c2), \
                         (image, slope, c1)
@@ -970,8 +969,8 @@ def test_integer_chain_matches_the_fraction_oracle():
         shapes = [(rng.randint(1, 30), rng.randint(1, 30))
                   for _ in range(rng.randint(1, 5))]
         stub = SimpleNamespace(cylinders=tuple(
-            Cylinder(i, ((0,) * width,) * height, width, height)
-            for i, (height, width) in enumerate(shapes)))
+            Cylinder(((0,) * width,) * height, width, height)
+            for height, width in shapes))
         assert moduli_exponents(stub) == \
             survivor_oracle.moduli_exponents(stub) == \
             survivor_oracle.moduli_exponents(
@@ -1066,7 +1065,7 @@ def catalog_bottoms(kappa, into):
 def corner_cycle_lengths(bottoms, tops):
     """The sorted cycle lengths of ``τ∘β⁻¹`` on the words: the number of
     saddles starting at each zero."""
-    d = CylinderDiagram(dict(enumerate(bottoms)), dict(enumerate(tops)))
+    d = CylinderDiagram(bottoms, tops)
     starts = Counter(a for a, _ in
                      decomposition_oracle.word_zeros(d).values())
     return sorted(starts.values())
@@ -1160,9 +1159,7 @@ def test_catalog_decomposes_and_keys_each_diagram_once(pair, monkeypatch):
 
     monkeypatch.setattr(CylinderDiagram, "canonical_key", recorded_key)
     catalog = enumerate_diagrams(kappa, shape)
-    assert keyed == [CylinderDiagram(dict(enumerate(bottoms)),
-                                     dict(enumerate(tops)))
-                     for tops in least]
+    assert keyed == [CylinderDiagram(bottoms, tops) for tops in least]
     assert len(least) == len(keyed) == len(catalog)
 
 
@@ -1211,8 +1208,7 @@ def test_case6_with_unequal_bottoms_is_excluded_by_window_forcing():
     o = parse_origami(UNEQUAL_CASE6)
     assert singularity_data(o).kappa == (2, 1, 1)
     d = horizontal_decomposition(o)
-    assert sorted(len(d.diagram.bottom_words[c.id])
-                  for c in d.cylinders) == [3, 4]
+    assert sorted(map(len, d.diagram.bottom_words)) == [3, 4]
     verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
     horizontal = record_for(verdict, (0, 1))
@@ -1343,6 +1339,12 @@ def test_render_svg_reports():
     for name, content in docs.items():
         assert name.endswith(".svg")
         assert content.startswith("<svg")
+    # the sizes follow from the fixed scales: 40 per saddle and per
+    # cylinder row, and a circle of radius 60 for the dual graph
+    assert [docs[name].splitlines()[0].split(" viewBox")[0]
+            for name in sorted(docs)] == [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="280" height="180"',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="280" height="280"']
 
 
 def test_dual_graph_svg_draws_every_edge_apart():
@@ -1509,6 +1511,23 @@ def test_cli_error_exits(tmp_path, capsys):
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert cli_main(["report"]) == 0
     assert capsys.readouterr().out == report
+
+
+def test_cli_reports_an_isolated_square_in_one_line(tmp_path, capsys):
+    """A square in no cycle makes ``analyze`` and ``monodromy`` exit 2
+    with a one-line error under 200 bytes, on a square count too large to
+    allocate and on one whose missing squares would fill a long list."""
+    bad = tmp_path / "isolated.txt"
+    for line in ('origami n=99999999999 h="(0 1)" v=""',
+                 'origami n=2000 h="(0 1)" v="(0 2)"'):
+        bad.write_text(line + "\n", encoding="utf-8")
+        for command in ("analyze", "monodromy"):
+            capsys.readouterr()
+            assert cli_main([command, str(bad)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1, (line, err)
+            assert len(err.encode()) < 200, (line, err)
+            assert "not connected to square 0" in err, (line, err)
 
 
 def test_cli_rejects_a_second_origami_line(tmp_path, capsys):

@@ -15,8 +15,10 @@ from conftest import exemplar
 from squaretiled import pipeline
 from squaretiled.cylinders import CaseLabel, horizontal_decomposition
 from squaretiled.jump import case3_verdict
-from squaretiled.monodromy import closure_classify, forni_upper_bound
-from squaretiled.pipeline import classify_surface, reference_surface
+from squaretiled.monodromy import closure_classify, forni_upper_bound, \
+    orbit_graph
+from squaretiled.pipeline import classify_surface, enumerate_diagrams, \
+    reference_surface
 from squaretiled.surface import singularity_data
 from squaretiled.transverse import TransverseWitness, find_crossing_cylinder
 
@@ -140,3 +142,29 @@ def test_records_compare_and_hash_by_value():
     assert rebuilt is not witness and rebuilt == witness
     assert hash(rebuilt) == hash(witness)
     assert witness._replace(width=witness.width + 1) != rebuilt
+
+
+
+def test_every_record_kind_hashes():
+    """A record of every kind the package returns hashes, the
+    decompositions, diagrams and catalogs among them: their cylinders and
+    saddles are positions in tuples.  Two decompositions of one origami
+    are equal and hash equal, and so are their diagrams."""
+    o = reference_surface()
+    d = horizontal_decomposition(o)
+    case1 = horizontal_decomposition(exemplar("Case1"))
+    found = [o, singularity_data(o), d.cylinders[0], d.diagram, d,
+             d.dual_graph, enumerate_diagrams((2,), "one_cylinder"),
+             classify_surface(o),
+             find_crossing_cylinder(case1, CaseLabel.CASE1), orbit_graph(o),
+             closure_classify([[[0, -1], [1, 0]]]), forni_upper_bound(o, 1)]
+    assert [type(r).__name__ for r in found] == [
+        "Origami", "Stratum", "Cylinder", "CylinderDiagram",
+        "CylinderDecomposition", "DualGraph", "DiagramCatalog", "Verdict",
+        "TransverseWitness", "OrbitGraph", "ClosureResult", "ForniReport"]
+    for record in found:
+        hash(record)
+    again = horizontal_decomposition(reference_surface())
+    assert again is not d and again == d and hash(again) == hash(d)
+    assert hash(again.diagram) == hash(d.diagram)
+    assert again._replace(top_positions=case1.top_positions) != d

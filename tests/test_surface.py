@@ -305,8 +305,41 @@ def test_malformed_cycles_raise_value_error():
         assert parse_origami(str(o)) == o
 
 
+# lines with a square in no cycle, each with the count of such squares and
+# the least of them; the first two would ask for gigabytes if a
+# permutation of their squares were built
+ISOLATED_SQUARE_LINES = (
+    ('origami n=99999999999 h="(0 1)" v=""', 99999999997, 2),
+    ('origami h="(0 99999999999)" v=""', 99999999998, 1),
+    ('origami n=2000 h="(0 1)" v="(0 2)"', 1997, 3),
+    ('origami n=3 h="(1 2)" v=""', 1, 0),
+)
+
+
+def test_isolated_squares_raise_before_any_permutation_is_built():
+    """A square in no cycle, on more than one square, raises
+    ``NotTransitive`` with a one-line message that gives the count and the
+    least such square, and builds nothing of the size of ``n``; an entry
+    out of range still raises ``ValueError`` first, and a pair whose
+    squares all lie in cycles keeps the message of ``build_origami``."""
+    for line, count, least in ISOLATED_SQUARE_LINES:
+        with pytest.raises(NotTransitive) as exc:
+            parse_origami(line)
+        message = str(exc.value)
+        assert message.startswith("%d of the " % count), line
+        assert ", the least %d, " % least in message, line
+        assert message.endswith("not connected to square 0"), line
+        assert "\n" not in message and len(message) < 200, line
+    with pytest.raises(ValueError,
+                       match="entry 99999999999 is not in 0..99999999998"):
+        parse_origami('origami n=99999999999 h="(0 5)" v="(5 99999999999)"')
+    with pytest.raises(NotTransitive,
+                       match=r"squares \{3, 4, 5\} are not connected"):
+        parse_origami('origami n=6 h="(0 1)(3 4)" v="(0 2)(3 5)"')
+
+
 def test_net_saddles_need_positive_length():
-    diagram = CylinderDiagram({0: ("a", "b")}, {0: ("b", "a")})
+    diagram = CylinderDiagram((("a", "b"),), (("b", "a"),))
     geometry = {0: CylinderGeometry(1, 1, 0)}
     net = build_net(geometry, diagram, {"a": Fraction(1, 3),
                                         "b": Fraction(2, 3)})
