@@ -5,10 +5,11 @@ evidence, and emit text or SVG reports.
 
 Subcommands::
 
-    squaretiled analyze <file> [--format text|svg]
+    squaretiled analyze <file> [--format text|svg] [--out DIR]
     squaretiled enumerate --stratum 1,1,1,1 --shape case6
+                          [--format text|svg] [--out DIR]
     squaretiled monodromy <file>
-    squaretiled report [--format text|svg]
+    squaretiled report [--format text|svg] [--out DIR]
 
 ``analyze`` decides a genus-3 surface from at most two directions; a
 survivor is certified as an affine image of the reference.  ``monodromy``
@@ -22,7 +23,8 @@ the orbit it walked.
 Input files contain one origami line, e.g.
 ``origami h="(0 1 2 3)(4 7 6 5)" v="(0 4 2 6)(1 5 3 7)"``, and may start
 with a UTF-8 byte-order mark.  Text goes to
-standard output; SVG files go to the ``--out`` directory.  The exit code
+standard output; SVG files go to the ``--out`` directory, ``reports``
+unless given.  The exit code
 is 0 on success and 2 on validation errors.
 """
 

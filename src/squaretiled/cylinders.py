@@ -35,7 +35,6 @@ EXAMPLES::
 
 from __future__ import annotations
 
-import enum
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -246,11 +245,10 @@ class CylinderDecomposition(NamedTuple):
     are reduced mod the circumference.  The order of the saddles along
     each boundary is that of ``diagram.bottom_words`` and
     ``diagram.top_words``.  These are the metric data the
-    transverse-cylinder searches read.  ``genus`` is the genus of
-    ``origami``, ``1 + (S - Z)/2`` for its ``S`` saddles and ``Z`` zeros,
-    both read where the bottoms meet them.  ``dual_graph`` is the
+    transverse-cylinder searches read.  ``dual_graph`` is the
     :class:`DualGraph` of the pinch of every core curve, built in the same
-    pass.  The origami is connected, and its diagram satisfies
+    pass; its :attr:`~DualGraph.genus` is the genus of ``origami``.  The
+    origami is connected, and its diagram satisfies
     :meth:`CylinderDiagram.validate` by construction (see
     :func:`horizontal_decomposition`).
     """
@@ -261,7 +259,6 @@ class CylinderDecomposition(NamedTuple):
     saddle_lengths: tuple
     bottom_positions: tuple
     top_positions: tuple
-    genus: int
     dual_graph: DualGraph
 
 
@@ -298,10 +295,10 @@ def horizontal_decomposition(o: Origami):
     bottom half it bounds, and each zero on that of the first bottom it
     starts a saddle on.  The components are the vertices of
     :class:`DualGraph`, each cylinder the edge between the components of
-    its two halves, and the genus labels and cycle rank add up to
-    ``genus`` (see below).  Cylinders and saddles are numbered from 0 in
-    the order they are found, and every record of one is stored at its
-    number.
+    its two halves, and the genus labels and cycle rank add up to the
+    genus of the surface, :attr:`DualGraph.genus` (see below).  Cylinders
+    and saddles are numbered from 0 in the order they are found, and every
+    record of one is stored at its number.
 
     The corner identity ``c(v(h(j))) = h(v(j))`` proves the checks of
     :meth:`CylinderDiagram.validate`, so none is made.  An unmarked corner
@@ -331,13 +328,13 @@ def horizontal_decomposition(o: Origami):
     every zero is met.  With ``S`` saddles and ``Z`` zeros, the corners
     are ``n - S`` regular points and ``Z`` zeros, and with the ``2n``
     edges and ``n`` squares they give the Euler characteristic
-    ``(n - S + Z) - 2n + n = Z - S``: the decomposition carries
-    ``genus = 1 + (S - Z)/2``.  The dual graph carries it too, so no check
-    is made.  Summing ``2 - 2·genus - k`` over the ``V`` components, which
-    hold the ``2E`` halves of the ``E`` cylinders, gives
+    ``(n - S + Z) - 2n + n = Z - S``: the surface has genus
+    ``1 + (S - Z)/2``.  Summing ``2 - 2·genus - k`` over the ``V``
+    components, which hold the ``2E`` halves of the ``E`` cylinders, gives
     ``Σ 2·genus = 2V - 2E + S - Z`` however the halves are grouped, so
     when every label is a whole number the labels and the cycle rank
-    ``E - V + 1`` add up to ``1 + (S - Z)/2``.
+    ``E - V + 1`` add up to ``1 + (S - Z)/2``: the dual graph's
+    :attr:`~DualGraph.genus` is the genus of the surface.
 
     Raises :class:`~squaretiled.errors.InvariantViolation` when the areas
     fall short of the number of squares ("cylinder stack must have a
@@ -353,12 +350,12 @@ def horizontal_decomposition(o: Origami):
         >>> from squaretiled.surface import build_origami
         >>> torus = build_origami((0,), (0,))
         >>> d = horizontal_decomposition(torus)
-        >>> len(d.cylinders), d.cylinders[0].circumference, d.genus
-        (1, 1, 1)
+        >>> len(d.cylinders), d.cylinders[0].circumference
+        (1, 1)
         >>> d.diagram.bottom_words, d.diagram.top_words
         (((0,),), ((0,),))
-        >>> d.dual_graph
-        DualGraph(genera=(0,), edges=((0, 0),))
+        >>> d.dual_graph, d.dual_graph.genus
+        (DualGraph(genera=(0,), edges=((0, 0),)), 1)
         >>> d.bottom_positions, d.top_positions
         ((0,), (0,))
     """
@@ -440,8 +437,6 @@ def horizontal_decomposition(o: Origami):
     if area != n:
         raise InvariantViolation("cylinder stack must have a unique bottom "
                                  "row")
-    # Euler characteristic: zeros less saddles
-    genus = (2 + len(bottom_of) - sum(new_zeros)) // 2
 
     # top words: the same edges read along each cylinder's top row; x is
     # the index in the row.  A saddle on the top of cylinder c and the
@@ -513,7 +508,7 @@ def horizontal_decomposition(o: Origami):
         o, tuple(cylinders),
         CylinderDiagram(tuple(bottom_words), tuple(top_words)),
         tuple(saddle_lengths), tuple(bottom_positions), tuple(top_positions),
-        genus, DualGraph(tuple(genera), tuple(edges)))
+        DualGraph(tuple(genera), tuple(edges)))
 
 
 def direction_member(o: Origami, slope):
@@ -634,8 +629,10 @@ class DualGraph(NamedTuple):
     edges: tuple
 
     @property
-    def geometric_genus(self):
-        return sum(self.genera)
+    def genus(self):
+        """The arithmetic genus ``Σ genera + cycle_rank``: the genus of the
+        surface whose pinch this is (see :func:`horizontal_decomposition`)."""
+        return sum(self.genera) + self.cycle_rank
 
     @property
     def cycle_rank(self):
@@ -645,29 +642,15 @@ class DualGraph(NamedTuple):
         return len(self.edges) - len(self.genera) + 1
 
 
-class CaseLabel(enum.Enum):
-    """The six reference dual-graph shapes of genus-3 cylinder pinches."""
-
-    CASE1 = 1
-    CASE2 = 2
-    CASE3 = 3
-    CASE4 = 4
-    CASE5 = 5
-    CASE6 = 6
-
-    def __str__(self):
-        return f"Case{self.value}"
-
-
 # the six genus-3 pinch shapes, keyed by their sorted per-vertex
 # (genus, valence, loops); a loop adds two to its vertex's valence
 _CASE_SIGNATURES = {
-    ((1, 4, 2),): CaseLabel.CASE1,
-    ((0, 3, 0), (1, 3, 0)): CaseLabel.CASE2,
-    ((0, 4, 1), (1, 2, 0)): CaseLabel.CASE3,
-    ((0, 3, 0), (0, 3, 0), (1, 2, 0)): CaseLabel.CASE4,
-    ((2, 2, 1),): CaseLabel.CASE5,
-    ((1, 2, 0), (1, 2, 0)): CaseLabel.CASE6,
+    ((1, 4, 2),): "Case1",
+    ((0, 3, 0), (1, 3, 0)): "Case2",
+    ((0, 4, 1), (1, 2, 0)): "Case3",
+    ((0, 3, 0), (0, 3, 0), (1, 2, 0)): "Case4",
+    ((2, 2, 1),): "Case5",
+    ((1, 2, 0), (1, 2, 0)): "Case6",
 }
 
 
@@ -675,7 +658,7 @@ def classify_case(g):
     r"""
     Match a pinch dual graph against the six genus-3 reference shapes.
 
-    Returns the :class:`CaseLabel`.  One pass over the edges counts each
+    Returns the label ``"Case1"`` ... ``"Case6"``.  One pass over the edges counts each
     vertex's valence and loops, and the sorted ``(genus, valence, loops)``
     triples are looked up in a table of the six shapes.  The triples fix
     each shape up to isomorphism: once the loops are placed, the other
@@ -709,7 +692,7 @@ def classify_case(g):
     EXAMPLES::
 
         >>> g = DualGraph(genera=(1, 1), edges=((0, 1), (0, 1)))
-        >>> str(classify_case(g))
+        >>> classify_case(g)
         'Case6'
     """
     valence = [0] * len(g.genera)
@@ -725,4 +708,4 @@ def classify_case(g):
         raise InvariantViolation("a pinch graph of cycle rank %d and genus "
                                  "labels summing to %d matches none of the "
                                  "six shapes" % (g.cycle_rank,
-                                                 g.geometric_genus)) from None
+                                                 sum(g.genera))) from None

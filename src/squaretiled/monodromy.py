@@ -466,7 +466,7 @@ def _cusp_bound(cusps) -> ForniReport:
     :attr:`~squaretiled.cylinders.DualGraph.cycle_rank` of the pinch dual
     graph of its member's horizontal decomposition, the rank of the span
     of that direction's core curves, and its word carries the direction
-    to the horizontal.  The genus is read off the first decomposition and
+    to the horizontal.  The genus is that of the first pinch graph and
     must be at least 2.  Disjoint core curves span at most ``genus``
     dimensions, so the pairs are read up to the first cusp of rank
     ``genus``, where the bound is 0."""
@@ -474,7 +474,7 @@ def _cusp_bound(cusps) -> ForniReport:
     for member, word in cusps:
         decomposition = horizontal_decomposition(member)
         if not witnesses:
-            genus = decomposition.genus
+            genus = decomposition.dual_graph.genus
             if genus < 2:
                 raise ValueError("needs genus at least 2")
         rank = decomposition.dual_graph.cycle_rank

@@ -22,7 +22,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .cylinders import (
-    CaseLabel,
     CylinderDiagram,
     classify_case,
     horizontal_decomposition,
@@ -254,33 +253,34 @@ def _analyze_direction(d, slope):
     ``d``, and ``True`` when the direction excludes a nontrivial
     isometric subspace on its own.
 
-    The pinch dual graph is ``d.dual_graph``, built with ``d``.  One whose
-    cycle rank is the genus has geometric genus 0, a shape none of Cases
-    1-6 has: the core curves span a Lagrangian subspace of homology, and
-    Forni's geometric criterion (J. Mod. Dyn. 5, 2011) then makes every
-    Lyapunov exponent nonzero.  Any other pinch of
-    a genus-3 origami has one of the six shapes
-    (:func:`~squaretiled.cylinders.classify_case`, complete by
-    ``test_pinch_shape_table_is_complete``), and Cases 1, 2 and 4 always
-    have a crossing witness; any other graph, such as a pinch of another
-    genus whose cycle rank falls short of it, raises there.  A Case 5
-    record carries the slope it defers to (:func:`classify_surface`)."""
+    The pinch dual graph is ``d.dual_graph``, built with ``d``, and its
+    :attr:`~squaretiled.cylinders.DualGraph.genus`, the genus labels plus
+    the cycle rank, is the genus of the surface.  One whose cycle rank is
+    that genus has every label 0, a shape none of Cases 1-6 has: the core
+    curves span a Lagrangian subspace of homology, and Forni's geometric
+    criterion (J. Mod. Dyn. 5, 2011) then makes every Lyapunov exponent
+    nonzero.  Any other pinch of a genus-3 origami has one of the six
+    shapes (:func:`~squaretiled.cylinders.classify_case`, complete by
+    ``test_pinch_shape_table_is_complete``), whose label string the record
+    carries, and Cases 1, 2 and 4 always have a crossing witness; any
+    other graph, such as a pinch of another genus whose cycle rank falls
+    short of it, raises there.  A Case 5 record carries the slope it
+    defers to (:func:`classify_surface`)."""
     graph = d.dual_graph
-    if graph.cycle_rank == d.genus:
+    if graph.cycle_rank == graph.genus:
         return DirectionRecord(slope, None, "Lagrangian core curves",
                                graph.cycle_rank), True
     label = classify_case(graph)
-    name = str(label)
-    if label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE4):
-        return DirectionRecord(slope, name, "transverse crossing cylinder",
+    if label in ("Case1", "Case2", "Case4"):
+        return DirectionRecord(slope, label, "transverse crossing cylinder",
                                find_crossing_cylinder(d, label)), True
-    if label is CaseLabel.CASE3:
+    if label == "Case3":
         # the exponents of the two nodes joining the elliptic and the
         # rational component, the edges whose endpoints differ
         verdict = case3_verdict(*(r for r, (a, b) in zip(
             moduli_exponents(d), graph.edges) if a != b))
-        return DirectionRecord(slope, name, "period forcing", verdict), True
-    if label is CaseLabel.CASE5:
+        return DirectionRecord(slope, label, "period forcing", verdict), True
+    if label == "Case5":
         # the one cylinder holds every saddle on its bottom and its top
         (c,) = d.cylinders
         w, h = c.circumference, c.height
@@ -289,12 +289,12 @@ def _analyze_direction(d, slope):
                   for tp, bp in zip(d.top_positions, d.bottom_positions)),
                  key=lambda x: (abs(x), x))
         g = gcd(dx, h)
-        return DirectionRecord(slope, name, "defer to a simple transverse "
+        return DirectionRecord(slope, label, "defer to a simple transverse "
                                "cylinder", (h // g, dx // g)), False
     chain = _metric_chain(d)
     if not chain:
-        return DirectionRecord(slope, name, "window forcing", chain), True
-    return DirectionRecord(slope, name, "two homologous cylinders",
+        return DirectionRecord(slope, label, "window forcing", chain), True
+    return DirectionRecord(slope, label, "two homologous cylinders",
                            chain), False
 
 
@@ -302,7 +302,7 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
     r"""
     Classify a genus-3 origami from at most two direction analyses;
     ``direction_bound`` is ignored.  Any genus but 3, read off the horizontal
-    decomposition, raises :class:`~squaretiled.errors.GenusMismatch`.
+    pinch graph, raises :class:`~squaretiled.errors.GenusMismatch`.
 
     The status is ``TrivialForni`` when the horizontal direction excludes
     a nontrivial isometric subspace (:func:`_analyze_direction`), with that
@@ -352,9 +352,10 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
         squaretiled.errors.GenusMismatch: genus 2 surface; this classification needs genus 3
     """
     horizontal = horizontal_decomposition(o)
-    if horizontal.genus != 3:
+    genus = horizontal.dual_graph.genus
+    if genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
-                            "genus 3" % horizontal.genus)
+                            "genus 3" % genus)
     first, excludes = _analyze_direction(horizontal, (0, 1))
     if excludes:
         return Verdict("TrivialForni", (first,), o)
@@ -559,7 +560,7 @@ def _svg_document(elements, width, height):
             % (width, height, width, height, body))
 
 
-def _svg_text(x, y, text, size=12):
+def _svg_text(x, y, text, size):
     return ('<text x="%.2f" y="%.2f" font-size="%d" '
             'font-family="monospace">%s</text>' % (x, y, size, text))
 

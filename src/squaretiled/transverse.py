@@ -13,12 +13,12 @@ coordinate re-origin choices here.
 
 EXAMPLES::
 
-    >>> from squaretiled.cylinders import CaseLabel, horizontal_decomposition
+    >>> from squaretiled.cylinders import horizontal_decomposition
     >>> from squaretiled.surface import parse_origami
     >>> o = parse_origami('origami n=12 h="(0 1 2 3)(4 5)(6 7)(8 9 10 11)" '
     ...                   'v="(0 4 8 3 7 11)(1 5 9 2 6 10)"')
     >>> d = horizontal_decomposition(o)
-    >>> w = find_crossing_cylinder(d, CaseLabel.CASE4)
+    >>> w = find_crossing_cylinder(d, "Case4")
     >>> w.kind, w.crossed, w.width, w.start_interval
     ('boundary', (0, 2, 3), 1, (1, 2))
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cylinders import CaseLabel
 from .errors import Checked, InvariantViolation
 
 # ---------------------------------------------------------------------------
@@ -91,8 +90,9 @@ def _saddle_arc(word, positions, saddles):
 def find_crossing_cylinder(d, label) -> TransverseWitness:
     r"""
     A transverse cylinder for a decomposition ``d`` whose pinch dual graph
-    has the shape ``label`` (:func:`~squaretiled.cylinders.classify_case`),
-    one of Cases 1, 2 and 4; any other label raises ``ValueError``.  Every
+    has the shape ``label``, the string
+    :func:`~squaretiled.cylinders.classify_case` returns: ``"Case1"``,
+    ``"Case2"`` or ``"Case4"``; any other label raises ``ValueError``.  Every
     diagram of these shapes has one, whatever its metric data, so a
     witness is always returned; the searches state why.  No dual graph is
     read: a search that finds no witness, as on a diagram of another
@@ -105,12 +105,12 @@ def find_crossing_cylinder(d, label) -> TransverseWitness:
     cells and raises :class:`~squaretiled.errors.InvariantViolation` on
     any length or position that is not whole.
 
-    - ``CASE1``: a saddle on both sides of one cylinder spans a simple
+    - ``"Case1"``: a saddle on both sides of one cylinder spans a simple
       transverse cylinder crossing that cylinder once.
-    - ``CASE2``: a saddle shared by the bottom of one cylinder and the top
+    - ``"Case2"``: a saddle shared by the bottom of one cylinder and the top
       of another, with a second shared saddle between them, spans a
       cylinder crossing both exactly once (twists are free parameters).
-    - ``CASE4`` with two middle cylinders between the outer pair (4A): the
+    - ``"Case4"`` with two middle cylinders between the outer pair (4A): the
       window argument on the gluing of the bottom of the outer cylinder to
       the top of its partner, both re-cut so that the wider middle spans
       the window ``[0, s)`` of the circumference ``w``.  The top of the
@@ -121,27 +121,26 @@ def find_crossing_cylinder(d, label) -> TransverseWitness:
       ``2s = w`` and no cell is, the gluing maps ``[0, s)`` onto
       ``[s, w)``, and the witness is the boundary construction at the
       preimage of ``s``, which lies in ``[0, s)``.
-    - ``CASE4`` with one middle cylinder (4B): every saddle on the top of
+    - ``"Case4"`` with one middle cylinder (4B): every saddle on the top of
       the outer partner recurs on the bottom of the outer cylinder; any of
       them spans a cylinder crossing the three stacked cylinders once
       each.
 
     EXAMPLES::
 
-        >>> from squaretiled.cylinders import CaseLabel
         >>> from squaretiled.cylinders import horizontal_decomposition
         >>> from squaretiled.surface import parse_origami
         >>> o = parse_origami('origami n=6 h="(1 3 2 4)" v="(0 5 2 1)"')
         >>> d = horizontal_decomposition(o)
-        >>> w = find_crossing_cylinder(d, CaseLabel.CASE1)
+        >>> w = find_crossing_cylinder(d, "Case1")
         >>> w.crossed, w.width, w.kind
         ((1,), 1, 'simple-over-1')
     """
-    if label is CaseLabel.CASE1:
+    if label == "Case1":
         return _case1_witness(d)
-    if label is CaseLabel.CASE2:
+    if label == "Case2":
         return _case2_witness(d)
-    if label is not CaseLabel.CASE4:
+    if label != "Case4":
         raise ValueError("no crossing-cylinder search for %s" % (label,))
     c1, c4, middles = _matched_pair(d)
     if len(middles) == 2:

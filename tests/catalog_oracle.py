@@ -22,7 +22,7 @@ import itertools
 
 from decomposition_oracle import classify_case, dual_graph
 from key_oracle import canonical_key
-from squaretiled.cylinders import CaseLabel, horizontal_decomposition
+from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.surface import (
     Stratum,
     build_origami,
@@ -63,7 +63,7 @@ def case6_diagrams(stratum: Stratum, k=None):
             d = horizontal_decomposition(o)
             if len(d.cylinders) != 2:
                 continue
-            if classify_case(dual_graph(d)) is not CaseLabel.CASE6:
+            if classify_case(dual_graph(d)) != "Case6":
                 continue
             seen.setdefault(canonical_key(d.diagram), d.diagram)
     return tuple(seen[key] for key in sorted(seen))

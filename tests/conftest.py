@@ -52,6 +52,9 @@ def torus():
     return build_origami((0,), (0,))
 
 
+# the labels of the six genus-3 pinch shapes
+CASE_LABELS = {"Case1", "Case2", "Case3", "Case4", "Case5", "Case6"}
+
 # one frozen genus-3 origami per horizontal pinch shape
 EXEMPLARS = {
     "Case1": ((0, 3, 4, 2, 1, 5), (5, 0, 1, 3, 4, 2)),

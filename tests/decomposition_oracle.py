@@ -12,17 +12,18 @@ that none of them fires.  Also the rank of the span of the core-curve
 classes in homology, which the dual graph's cycle rank is compared
 against, with the core-curve chains and classes it reads.
 
-The oracle decomposition carries no genus (``genus=None``); the tests
-compare the genus of the package's decomposition with
-``singularity_data``.  Its ``dual_graph`` is :func:`dual_graph` of the
-finished decomposition, counting zeros from the saddles' corner
-classes.  Its saddles are objects of their own
-(:class:`DecompositionSaddle`), which the package's decomposition does
-not build: there a saddle's squares are the run of its bottom row that
-``bottom_positions`` and ``saddle_lengths`` give, and its zeros are not
-stored at all, since the boundary words fix them (:func:`word_zeros`).
-The tests compare the corner-class zeros of the saddles
-(:func:`corner_zeros`) with that reading of the package's words.
+The oracle decomposition's ``dual_graph`` is :func:`dual_graph` of the
+finished decomposition, counting zeros from the saddles' corner classes
+and checking that the genus labels and the cycle rank add up to the
+genus ``singularity_data`` reads off the corners; the tests compare the
+genus of the package's dual graph with ``singularity_data`` too.  Its
+saddles are objects of their own (:class:`DecompositionSaddle`), which
+the package's decomposition does not build: there a saddle's squares
+are the run of its bottom row that ``bottom_positions`` and
+``saddle_lengths`` give, and its zeros are not stored at all, since the
+boundary words fix them (:func:`word_zeros`).  The tests compare the
+corner-class zeros of the saddles (:func:`corner_zeros`) with that
+reading of the package's words.
 """
 
 import itertools
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from squaretiled.cylinders import (
-    CaseLabel,
     Cylinder,
     CylinderDecomposition,
     CylinderDiagram,
@@ -70,8 +70,7 @@ class DecompositionSaddle:
 def horizontal_decomposition(o):
     """Maximal horizontal cylinders, saddle connections, their positions
     and the pinch dual graph, as
-    :func:`squaretiled.cylinders.horizontal_decomposition` computes them,
-    with ``genus=None``."""
+    :func:`squaretiled.cylinders.horizontal_decomposition` computes them."""
     return decomposition_with_saddles(o)[0]
 
 
@@ -208,7 +207,6 @@ def decomposition_with_saddles(o):
         saddle_lengths=tuple(len(saddles[sid].squares) for sid in sids),
         bottom_positions=tuple(bottom_positions[sid] for sid in sids),
         top_positions=tuple(top_positions[sid] for sid in sids),
-        genus=None,
         dual_graph=None,
     )
     if sum(len(row) for c in cylinders for row in c.rows) != n:
@@ -350,7 +348,7 @@ def dual_graph(d, saddle_zeros=None):
     g = DualGraph(tuple(genera), edges)
     # stable-curve genus formula: sum of genera plus cycle rank of the graph
     if getattr(d, "origami", None) is not None:
-        if g.geometric_genus + g.cycle_rank != \
+        if sum(g.genera) + g.cycle_rank != \
                 singularity_data(d.origami).genus:
             raise InvariantViolation("dual graph must carry the surface's "
                                      "genus")
@@ -359,12 +357,12 @@ def dual_graph(d, saddle_zeros=None):
 
 _REFERENCE_GRAPHS = {
     # (genus labels, edges as vertex-index pairs)
-    CaseLabel.CASE1: ([1], [(0, 0), (0, 0)]),
-    CaseLabel.CASE2: ([0, 1], [(0, 1), (0, 1), (0, 1)]),
-    CaseLabel.CASE3: ([0, 1], [(0, 0), (0, 1), (0, 1)]),
-    CaseLabel.CASE4: ([0, 0, 1], [(0, 1), (0, 1), (0, 2), (1, 2)]),
-    CaseLabel.CASE5: ([2], [(0, 0)]),
-    CaseLabel.CASE6: ([1, 1], [(0, 1), (0, 1)]),
+    "Case1": ([1], [(0, 0), (0, 0)]),
+    "Case2": ([0, 1], [(0, 1), (0, 1), (0, 1)]),
+    "Case3": ([0, 1], [(0, 0), (0, 1), (0, 1)]),
+    "Case4": ([0, 0, 1], [(0, 1), (0, 1), (0, 2), (1, 2)]),
+    "Case5": ([2], [(0, 0)]),
+    "Case6": ([1, 1], [(0, 1), (0, 1)]),
 }
 
 

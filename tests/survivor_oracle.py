@@ -201,9 +201,10 @@ def classify_per_slope(o, direction_bound=3):
     is ``Undetermined`` when no direction up to the bound excludes and
     some direction is not Case 6."""
     horizontal = horizontal_decomposition(o)
-    if horizontal.genus != 3:
+    genus = horizontal.dual_graph.genus
+    if genus != 3:
         raise GenusMismatch("genus %d surface; this classification needs "
-                            "genus 3" % horizontal.genus)
+                            "genus 3" % genus)
     evidence = []
     analyzed = []
     for slope in enumerate_slopes(direction_bound):

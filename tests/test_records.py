@@ -13,7 +13,7 @@ import pytest
 
 from conftest import exemplar
 from squaretiled import pipeline
-from squaretiled.cylinders import CaseLabel, horizontal_decomposition
+from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.jump import case3_verdict
 from squaretiled.monodromy import closure_classify, forni_upper_bound, \
     orbit_graph
@@ -102,7 +102,7 @@ def records():
     return [d.cylinders[0], d.diagram, d, d.dual_graph, case3_verdict(1, 2),
             closure_classify([[[0, -1], [1, 0]]]), forni_upper_bound(o, 1),
             chain, classify_surface(o), chain.witness,
-            find_crossing_cylinder(case1, CaseLabel.CASE1),
+            find_crossing_cylinder(case1, "Case1"),
             chain.witness.constraint, chain.witness.record,
             singularity_data(o)]
 
@@ -137,7 +137,7 @@ def test_records_compare_and_hash_by_value():
     assert graph is not copy and graph == copy and hash(graph) == hash(copy)
     assert graph._replace(edges=graph.edges[:1]) != copy
     witness = find_crossing_cylinder(horizontal_decomposition(case1),
-                                     CaseLabel.CASE1)
+                                     "Case1")
     rebuilt = TransverseWitness(*witness)
     assert rebuilt is not witness and rebuilt == witness
     assert hash(rebuilt) == hash(witness)
@@ -156,7 +156,7 @@ def test_every_record_kind_hashes():
     found = [o, singularity_data(o), d.cylinders[0], d.diagram, d,
              d.dual_graph, enumerate_diagrams((2,), "one_cylinder"),
              classify_surface(o),
-             find_crossing_cylinder(case1, CaseLabel.CASE1), orbit_graph(o),
+             find_crossing_cylinder(case1, "Case1"), orbit_graph(o),
              closure_classify([[[0, -1], [1, 0]]]), forni_upper_bound(o, 1)]
     assert [type(r).__name__ for r in found] == [
         "Origami", "Stratum", "Cylinder", "CylinderDiagram",
