@@ -60,7 +60,7 @@ def main():
           all(rank == 1 for _, rank in report.witnesses))
 
     torus = build_origami((0,), (0,))
-    shear = homology_action(torus, ("T",))
+    shear = homology_action(torus, ("T",), homology_basis(torus))
     print("\ntorus shear %s generates: %s"
           % (shear, closure_classify([shear]).status))
 

@@ -52,11 +52,7 @@ from typing import NamedTuple
 
 from .cylinders import horizontal_decomposition
 from .errors import InvariantViolation, NotAStabilizer
-from .homology import (
-    HomologyBasis,
-    homology_basis,
-    transport_chains,
-)
+from .homology import HomologyBasis, transport_chains
 from .intlinalg import identity_matrix, mat_mul, smith_normal_form, \
     snf_rank
 from .surface import Origami, _inverse, act_sl2z, canonical_form, \
@@ -187,7 +183,7 @@ def stabilizer_generators(o: Origami, word_bound=None):
     return list(orbit_graph(o).generators)
 
 
-def homology_action(o: Origami, word, basis: HomologyBasis = None):
+def homology_action(o: Origami, word, basis: HomologyBasis):
     r"""
     The integer symplectic matrix of a stabilizing word on the homology
     basis of ``o``.
@@ -207,13 +203,12 @@ def homology_action(o: Origami, word, basis: HomologyBasis = None):
 
     EXAMPLES::
 
+        >>> from squaretiled.homology import homology_basis
         >>> from squaretiled.surface import build_origami
         >>> torus = build_origami((0,), (0,))
-        >>> homology_action(torus, ("T",))
+        >>> homology_action(torus, ("T",), homology_basis(torus))
         [[1, 1], [0, 1]]
     """
-    if basis is None:
-        basis = homology_basis(o)
     transformed, images = transport_chains(o, word, basis.basis_chains)
     perm = origami_isomorphism(transformed, o)
     if perm is None:
@@ -259,6 +254,7 @@ def restrict_to_zero_holonomy(matrices, basis: HomologyBasis):
 
     EXAMPLES::
 
+        >>> from squaretiled.homology import homology_basis
         >>> from squaretiled.surface import build_origami
         >>> torus = build_origami((0,), (0,))
         >>> b = homology_basis(torus)

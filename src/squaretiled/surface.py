@@ -36,13 +36,12 @@ from .errors import Checked, InvariantViolation, NotTransitive
 Perm = tuple[int, ...]
 
 
-def perm_from_cycles(cycles, n=None) -> Perm:
+def perm_from_cycles(cycles, n) -> Perm:
     r"""
     Build a permutation of ``{0, ..., n-1}`` from disjoint cycles.
 
-    Fixed points may be omitted, and an empty cycle is the identity; ``n``
-    defaults to one more than the largest entry mentioned.  An entry
-    outside ``0..n-1`` raises ``ValueError``.
+    Fixed points may be omitted, and an empty cycle is the identity.  An
+    entry outside ``0..n-1`` raises ``ValueError``.
 
     EXAMPLES::
 
@@ -58,8 +57,6 @@ def perm_from_cycles(cycles, n=None) -> Perm:
         ...
         ValueError: entry -1 is not in 0..1
     """
-    if n is None:
-        n = 1 + max((x for c in cycles for x in c), default=-1)
     _cycle_entries(cycles, n)
     p = list(range(n))
     for cycle in cycles:
@@ -397,10 +394,8 @@ def canonical_form(o: Origami) -> Origami:
     square: ``⟨h, v⟩`` is finite and transitive, and ``h⁻¹ = h^(m-1)``
     for the order ``m`` of ``h`` (likewise for ``v``), so the forward
     images of a start are all the squares.  Two origamis are
-    isomorphic exactly when their canonical forms are equal.  Versions
-    that also stepped left and down picked other representatives of the
-    same classes, so a canonical form is a key to compare, not a labelling
-    to store.
+    isomorphic exactly when their canonical forms are equal.  A canonical
+    form is a key to compare, not a labelling to store.
 
     The traversals run in lock step.  At level ``k`` every surviving start
     labels the forward neighbours of its ``k``-th square, which gives entry

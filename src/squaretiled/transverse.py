@@ -107,9 +107,10 @@ def find_crossing_cylinder(d, label) -> TransverseWitness:
 
     - ``"Case1"``: a saddle on both sides of one cylinder spans a simple
       transverse cylinder crossing that cylinder once.
-    - ``"Case2"``: a saddle shared by the bottom of one cylinder and the top
-      of another, with a second shared saddle between them, spans a
-      cylinder crossing both exactly once (twists are free parameters).
+    - ``"Case2"``: the first saddle of cylinder 0's bottom lies on the top
+      of another cylinder; with the longest saddle that the top of
+      cylinder 0 shares with that cylinder's bottom, it spans a cylinder
+      crossing both exactly once (twists are free parameters).
     - ``"Case4"`` with two middle cylinders between the outer pair (4A): the
       window argument on the gluing of the bottom of the outer cylinder to
       the top of its partner, both re-cut so that the wider middle spans
@@ -171,10 +172,10 @@ def _case1_witness(d):
 
 
 def _case2_witness(d):
-    """A cylinder through a saddle ``sigma`` on the bottom of a cylinder
-    ``c1`` and the top of another, ``c2``, and back through the longest
-    saddle ``tau`` that the top of ``c1`` shares with the bottom of
-    ``c2``; the first such pair in cylinder and word order.
+    """A cylinder through the first saddle ``sigma`` of the bottom of
+    cylinder 0, which lies on the top of another cylinder ``c2``, and back
+    through the longest saddle ``tau`` that the top of cylinder 0 shares
+    with the bottom of ``c2``.
 
     Every Case 2 diagram has one, at its first saddle.  Its pinch is a
     theta: each of the three cylinders joins the genus-0 component to the
@@ -182,36 +183,31 @@ def _case2_witness(d):
     homology and every core curve has positive holonomy, so each component
     holds the bottom of one cylinder and the top of another: two
     cylinders share one orientation and the third, the lone one, has the
-    other.  A saddle ``sigma`` on the bottom of ``c1`` lies on the top of
-    a cylinder ``c2`` in the same component, so ``c2`` has the other
-    orientation and is not ``c1``.  One of ``c1`` and ``c2`` is the lone
-    cylinder, and its side in the other component, the top of ``c1`` or
-    the bottom of ``c2``, carries every saddle of that component, the
+    other.  The saddle ``sigma`` on the bottom of cylinder 0 lies on the
+    top of a cylinder ``c2`` in the same component, so ``c2`` has the
+    other orientation and is not cylinder 0.  One of the two is the lone
+    cylinder, and its side in the other component, the top of cylinder 0
+    or the bottom of ``c2``, carries every saddle of that component, the
     other's side among them.  So the two sides share a saddle, and
     :class:`InvariantViolation` is raised only when ``d`` is not Case 2."""
     bottoms, tops = d.diagram.bottom_words, d.diagram.top_words
     lengths = d.saddle_lengths
-    for c1, bottom in enumerate(bottoms):
-        for sigma in bottom:
-            c2 = next(c for c, top in enumerate(tops) if sigma in top)
-            if c2 == c1:
-                continue
-            shared = set(tops[c1]) & set(bottoms[c2])
-            if not shared:
-                continue
-            tau = max(shared, key=lambda t: (lengths[t], t))
-            width = min(lengths[sigma], lengths[tau])
-            bp = d.bottom_positions[sigma]
-            rise = d.cylinders[c1].height + d.cylinders[c2].height
-            return TransverseWitness(
-                crossed=(c1, c2),
-                width=width,
-                start_interval=(bp, bp + width),
-                direction=(0, rise),
-                kind="through-%s-%s" % (sigma, tau),
-            )
-    raise InvariantViolation("no two cylinders share a saddle both ways: "
-                             "the diagram is not Case 2")
+    sigma = bottoms[0][0]
+    c2 = next(c for c, top in enumerate(tops) if sigma in top)
+    shared = set(tops[0]) & set(bottoms[c2])
+    if c2 == 0 or not shared:
+        raise InvariantViolation("no cylinder pairs with cylinder 0 at its "
+                                 "first saddle: the diagram is not Case 2")
+    tau = max(shared, key=lambda t: (lengths[t], t))
+    width = min(lengths[sigma], lengths[tau])
+    bp = d.bottom_positions[sigma]
+    return TransverseWitness(
+        crossed=(0, c2),
+        width=width,
+        start_interval=(bp, bp + width),
+        direction=(0, d.cylinders[0].height + d.cylinders[c2].height),
+        kind="through-%s-%s" % (sigma, tau),
+    )
 
 
 def _case4a_witness(d, c1, c4, middles):

@@ -166,7 +166,8 @@ def test_criterion_7_monodromy_evidence():
             [homology_action(h4, g, b) for g in gens], b)
         assert closure_classify(restricted).status == "Unbounded"
 
-        unipotent = homology_action(torus(), ("T",))
+        unipotent = homology_action(torus(), ("T",),
+                                    homology_basis(torus()))
         assert closure_classify([unipotent]).status == "Unbounded"
 
 

@@ -1189,6 +1189,27 @@ def test_catalog_decomposes_and_keys_each_diagram_once(pair, monkeypatch):
     assert len(least) == len(keyed) == len(catalog)
 
 
+def test_catalog_skips_a_list_that_swapping_equal_bottoms_makes_smaller(
+        monkeypatch):
+    # no list of today's catalogs is least among its rotations but not
+    # among its bottom swaps, so the search is replaced by two lists, one
+    # the other's swap: only the smaller is keyed
+    lists = [((4, 5, 6, 7), (0, 1, 3, 2)), ((4, 5, 7, 6), (0, 1, 2, 3))]
+    monkeypatch.setattr(pipeline, "_top_words",
+                        lambda bottoms, into, kappa: iter(lists))
+    keyed = []
+    key = CylinderDiagram.canonical_key
+
+    def recorded_key(diagram):
+        keyed.append(diagram.top_words)
+        return key(diagram)
+
+    monkeypatch.setattr(CylinderDiagram, "canonical_key", recorded_key)
+    catalog = enumerate_diagrams((1, 1, 1, 1), "case6")
+    assert keyed == lists[:1]
+    assert [d.top_words for d in catalog.diagrams] == lists[:1]
+
+
 def test_case6_catalog_entry_is_the_reference_diagram():
     catalog = enumerate_diagrams((1, 1, 1, 1), "case6")
     ref = horizontal_decomposition(reference_surface())
@@ -1696,21 +1717,26 @@ def test_every_small_genus3_direction_has_a_shape_and_a_witness():
     }
 
 
+# a Case 1 diagram whose first bottom saddle lies on cylinder 0's own top:
+# read there, no Case 2 witness starts
+FIRST_SADDLE_ON_OWN_TOP = 'origami n=6 h="(0 4 3 1 2)" v="(0 4 1 5 3)"'
+
 WITNESSLESS = """
 import sys
 from squaretiled.cylinders import horizontal_decomposition
 from squaretiled.errors import InvariantViolation
 from squaretiled.pipeline import reference_surface
-from squaretiled.surface import build_origami
+from squaretiled.surface import build_origami, parse_origami
 from squaretiled.transverse import find_crossing_cylinder
 for label, o in (("Case1", reference_surface()),
                  ("Case2", build_origami(%r, %r)),
+                 ("Case2", parse_origami(%r)),
                  ("Case4", build_origami(%r, %r))):
     try:
         find_crossing_cylinder(horizontal_decomposition(o), label)
     except InvariantViolation as exc:
         print("optimize=%%d raised: %%s" %% (sys.flags.optimize, exc))
-""" % (EXEMPLARS["Case5"] + EXEMPLARS["Case1"])
+""" % (EXEMPLARS["Case5"] + (FIRST_SADDLE_ON_OWN_TOP,) + EXEMPLARS["Case1"])
 
 
 def test_witness_searches_raise_without_a_witness(monkeypatch):
@@ -1718,13 +1744,16 @@ def test_witness_searches_raise_without_a_witness(monkeypatch):
     ``python -O``, on a diagram without their witness: the reference's
     horizontal diagram (Case 6), where no cylinder has a saddle on both
     sides, the Case 5 exemplar's, whose one cylinder has no other to pair
-    with, and the Case 1 exemplar's, whose two cylinders are not glued
+    with, a Case 1 diagram whose first bottom saddle lies on cylinder 0's
+    own top, and the Case 1 exemplar's, whose two cylinders are not glued
     along a full interface.  Period forcing needs no crossing witness."""
     with pytest.raises(InvariantViolation, match="not Case 1"):
         transverse._case1_witness(
             horizontal_decomposition(reference_surface()))
-    with pytest.raises(InvariantViolation, match="not Case 2"):
-        transverse._case2_witness(horizontal_decomposition(exemplar("Case5")))
+    for o in (exemplar("Case5"), parse_origami(FIRST_SADDLE_ON_OWN_TOP)):
+        with pytest.raises(InvariantViolation, match="not Case 2"):
+            transverse.find_crossing_cylinder(horizontal_decomposition(o),
+                                              "Case2")
     with pytest.raises(InvariantViolation, match="full interface"):
         transverse.find_crossing_cylinder(
             horizontal_decomposition(exemplar("Case1")), "Case4")
@@ -1737,9 +1766,9 @@ def test_witness_searches_raise_without_a_witness(monkeypatch):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
         "optimize=1 raised: no cylinder has a saddle on both its bottom and "
-        "its top: the diagram is not Case 1",
-        "optimize=1 raised: no two cylinders share a saddle both ways: the "
-        "diagram is not Case 2",
+        "its top: the diagram is not Case 1"] + [
+        "optimize=1 raised: no cylinder pairs with cylinder 0 at its first "
+        "saddle: the diagram is not Case 2"] * 2 + [
         "optimize=1 raised: no pair of cylinders glued along a full "
         "interface"]
 
@@ -1843,7 +1872,8 @@ transport = monodromy.transport_chains
 monodromy.transport_chains = lambda o, word, chains: transport(
     o, word, [[2 * x for x in chain] for chain in chains])
 try:
-    monodromy.homology_action(build_origami((0,), (0,)), ("T",))
+    torus = build_origami((0,), (0,))
+    monodromy.homology_action(torus, ("T",), homology_basis(torus))
 except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """

@@ -292,7 +292,7 @@ def test_malformed_cycles_raise_value_error():
     for line in MALFORMED_LINES:
         with pytest.raises(ValueError):
             parse_origami(line)
-    for cycles, n in (([(0, 5)], 2), ([(0, 1, -1)], 2), ([(-1, 0)], None)):
+    for cycles, n in (([(0, 5)], 2), ([(0, 1, -1)], 2), ([(-1, 0)], 1)):
         with pytest.raises(ValueError, match="is not in 0.."):
             perm_from_cycles(cycles, n)
     assert parse_origami('origami n=1 h="" v=""') == torus()

@@ -207,32 +207,54 @@ def test_crossing_search_needs_a_crossing_label(label):
                 find_crossing_cylinder(carrier, label)
 
 
+# at slope (1, -1), a Case 2 direction whose top(0) shares three saddles
+# of lengths 1, 1 and 2 with the bottom of the other crossed cylinder
+UNEQUAL_CASE2 = ('origami n=10 h="(0 1 4 3)(2 8 6 5 9 7)" '
+                 'v="(0 5 2 3 4 1 9 8 6 7)"')
+
+
 def test_decomposition_and_net_witnesses_agree():
     """The searches read an origami's decomposition directly; on every Case
     1/2/4 direction up to bound 3 of the exemplars and of random genus-3
     surfaces, the witness equals the one found on the decomposition's
-    metric net."""
+    metric net.  A Case 2 witness starts at the first saddle of cylinder
+    0's bottom and is the widest band back through a saddle that the top
+    of cylinder 0 shares with the other crossed cylinder's bottom."""
     rng = random.Random(4242)
     surfaces = [exemplar(name) for name in ("Case1", "Case2", "Case4A",
                                             "Case4B")]
     surfaces += [random_genus3(rng, 5, 12) for _ in range(200)]
+    pairs = [(o, slope) for o in surfaces for slope in enumerate_slopes(3)]
+    pairs.append((parse_origami(UNEQUAL_CASE2), (1, -1)))
     found = Counter()
-    for o in surfaces:
-        for slope in enumerate_slopes(3):
-            d = periodic_decomposition(o, slope)
-            graph = d.dual_graph
-            # a Lagrangian pinch, of cycle rank 3, has none of the shapes
-            if graph.cycle_rank == 3:
-                continue
-            label = classify_case(graph)
-            if label not in ("Case1", "Case2", "Case4"):
-                continue
-            witness = find_crossing_cylinder(d, label)
-            assert witness == find_crossing_cylinder(decomposition_net(d),
-                                                     label), (o, slope)
-            found[label, witness is not None] += 1
-    # at this seed: 1486 Case 1, 12 Case 2 and 2 Case 4 directions, every
-    # one with a witness
+    for o, slope in pairs:
+        d = periodic_decomposition(o, slope)
+        graph = d.dual_graph
+        # a Lagrangian pinch, of cycle rank 3, has none of the shapes
+        if graph.cycle_rank == 3:
+            continue
+        label = classify_case(graph)
+        if label not in ("Case1", "Case2", "Case4"):
+            continue
+        witness = find_crossing_cylinder(d, label)
+        assert witness == find_crossing_cylinder(decomposition_net(d),
+                                                 label), (o, slope)
+        if label == "Case2":
+            sigma = d.diagram.bottom_words[0][0]
+            assert witness.crossed[0] == 0, (o, slope)
+            assert witness.kind.startswith("through-%d-" % sigma), \
+                (o, slope)
+            lengths = d.saddle_lengths
+            shared = set(d.diagram.top_words[0]) & set(
+                d.diagram.bottom_words[witness.crossed[1]])
+            tau = int(witness.kind.rsplit("-", 1)[1])
+            assert tau in shared and lengths[tau] == max(
+                lengths[t] for t in shared), (o, slope)
+            assert witness.width == min(lengths[sigma], lengths[tau]), \
+                (o, slope)
+        found[label, witness is not None] += 1
+    # at this seed, with the pair at slope (1, -1): 1486 Case 1, 13 Case 2
+    # and 2 Case 4 directions, every one with a witness
     assert found["Case1", True] > 1000
     assert found["Case2", True] > 5
     assert found["Case4", True] >= 2
