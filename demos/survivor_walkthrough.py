@@ -28,19 +28,18 @@ def main():
 
     d = horizontal_decomposition(o)
     print("\nhorizontal cylinders:")
-    for cid, c in enumerate(d.cylinders):
+    for cid, (w, h) in enumerate(zip(d.circumferences, d.heights)):
         print("  cylinder %d: circumference %s, height %s, modulus %s"
-              % (cid, c.circumference, c.height,
-                 Fraction(c.height, c.circumference)))
+              % (cid, w, h, Fraction(h, w)))
     lengths = sorted(str(length) for length in d.saddle_lengths)
     print("saddle lengths:", ", ".join(lengths))
 
     b = homology_basis(o)
     cores = []
-    for c in d.cylinders:
+    for stack in d.rows:
         # a core curve: the bottom edges of the cylinder's bottom row
         chain = [0] * (2 * o.n)
-        for sq in c.rows[0]:
+        for sq in stack[0]:
             chain[sq] += 1
         cores.append(b.coords(chain))
     print("core curves homologous:", cores[0] == cores[1])

@@ -52,8 +52,8 @@ ROWS = [
       "tests/test_cylinders.py::test_simple_decompositions",
       "tests/test_monodromy.py::test_upper_bound_needs_higher_genus"],
      46),
-    (TRANSVERSE, "sum(d.cylinders[c].height for c in crossed)",
-     "d.cylinders[crossed[0]].height",
+    (TRANSVERSE, "sum(d.heights[c] for c in crossed)",
+     "d.heights[crossed[0]]",
      ["tests/test_transverse.py::test_exemplar_witnesses[Case4B]"],
      46),
     (TRANSVERSE, "d.top_positions[sid] - bp", "bp - d.top_positions[sid]",
@@ -181,6 +181,30 @@ ROWS = [
      ["tests/test_pipeline.py::"
       "test_catalog_skips_a_list_that_swapping_equal_bottoms_makes_smaller"],
      50),
+    # a cylinder's height read as its circumference
+    (CYLINDERS, "heights.append(len(stacked))", "heights.append(len(row))",
+     ["tests/test_cylinders.py::test_wollmilchsau_horizontal_decomposition",
+      "tests/test_cylinders.py::test_moduli_exponents",
+      "tests/test_pipeline.py::test_reference_surface_survives"],
+     51),
+    # the rotation clause of enumerate_diagrams' filter never fires
+    (PIPELINE, "tuple((x - w[s]) % len(w) for x in w[s:] + w[:s]) < w",
+     "False",
+     ["tests/test_pipeline.py::test_catalog_decomposes_and_keys_each_diagram"
+      "_once[H1,1,1,1-one_cylinder]",
+      "tests/test_pipeline.py::test_catalog_matches_the_oracle[H2,1,1]",
+      "tests/test_pipeline.py::test_catalog_text_is_pinned"],
+     51),
+    # the three mutants of _saddle_arc that passed all of tier-1 before
+    (TRANSVERSE, "len(idx) == k:", "len(idx) != k:",
+     ["tests/test_transverse.py::test_saddle_arc_reads_the_start_of_the_run"],
+     51),
+    (TRANSVERSE, "(start + t) % k", "(start - t) % k",
+     ["tests/test_transverse.py::test_saddle_arc_reads_the_start_of_the_run"],
+     51),
+    (TRANSVERSE, "(start - 1) % k", "(start + 1) % k",
+     ["tests/test_transverse.py::test_saddle_arc_reads_the_start_of_the_run"],
+     51),
 ]
 
 

@@ -29,8 +29,8 @@ EXAMPLES::
     >>> o = build_origami(perm_from_cycles([(0, 1)], 3),
     ...                   perm_from_cycles([(0, 2)], 3))
     >>> d = horizontal_decomposition(o)
-    >>> [(c.circumference, c.height) for c in d.cylinders]
-    [(2, 1), (1, 1)]
+    >>> d.circumferences, d.heights
+    ((2, 1), (1, 1))
 """
 
 from __future__ import annotations
@@ -40,20 +40,6 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .surface import Origami, act_sl2z
-
-
-class Cylinder(NamedTuple):
-    """A maximal horizontal cylinder of an origami decomposition.
-
-    ``rows`` lists the constituent ``h``-cycles from bottom to top, each
-    rotated so that its first square sits at ``x = 0`` of the cylinder;
-    ``circumference`` and ``height`` are whole numbers of squares.  A
-    cylinder's id is its position in the decomposition's ``cylinders``.
-    """
-
-    rows: tuple
-    circumference: int
-    height: int
 
 
 class CylinderDiagram(NamedTuple):
@@ -238,6 +224,10 @@ class CylinderDecomposition(NamedTuple):
 
     All combinatorial and metric data refer to the sheared origami
     ``origami`` in whose coordinates the direction is horizontal.
+    ``rows``, ``circumferences`` and ``heights`` hold, at the position of
+    each cylinder id, its stack of ``h``-cycles from bottom to top, each
+    rotated so that its first square sits at ``x = 0`` of the cylinder,
+    and its circumference and height in whole squares.
     ``saddle_lengths`` holds, at the position of each saddle id, its length
     in squares; ``bottom_positions`` and ``top_positions`` hold there its
     integer start coordinate, in squares, on the one bottom and the one
@@ -254,7 +244,9 @@ class CylinderDecomposition(NamedTuple):
     """
 
     origami: Origami
-    cylinders: tuple
+    rows: tuple
+    circumferences: tuple
+    heights: tuple
     diagram: CylinderDiagram
     saddle_lengths: tuple
     bottom_positions: tuple
@@ -350,8 +342,8 @@ def horizontal_decomposition(o: Origami):
         >>> from squaretiled.surface import build_origami
         >>> torus = build_origami((0,), (0,))
         >>> d = horizontal_decomposition(torus)
-        >>> len(d.cylinders), d.cylinders[0].circumference
-        (1, 1)
+        >>> d.rows, d.circumferences, d.heights
+        ((((0,),),), (1,), (1,))
         >>> d.diagram.bottom_words, d.diagram.top_words
         (((0,),), ((0,),))
         >>> d.dual_graph, d.dual_graph.genus
@@ -375,7 +367,7 @@ def horizontal_decomposition(o: Origami):
     # each bottom is the first to start a saddle at
     seen = [False] * n
     met = [False] * n
-    cylinders = []
+    rows, circumferences, heights = [], [], []
     area = 0
     saddle_lengths = []
     bottom_of = []
@@ -416,7 +408,7 @@ def horizontal_decomposition(o: Origami):
                 sid += 1
                 a = x
                 bottom_positions.append(x)
-                bottom_of.append(len(cylinders))
+                bottom_of.append(len(rows))
             edge_saddle[t] = sid
         saddle_lengths.append(len(bottom) - a)
         bottom_words.append(tuple(range(first, sid + 1)))
@@ -432,7 +424,9 @@ def horizontal_decomposition(o: Origami):
                 continue
             break
         area += len(row) * len(stacked)
-        cylinders.append(Cylinder(tuple(stacked), len(row), len(stacked)))
+        rows.append(tuple(stacked))
+        circumferences.append(len(row))
+        heights.append(len(stacked))
     # a torus component with no cone point and no square 0 starts none
     if area != n:
         raise InvariantViolation("cylinder stack must have a unique bottom "
@@ -446,10 +440,10 @@ def horizontal_decomposition(o: Origami):
     # half of its class and every other half points to a smaller one
     top_words = []
     top_positions = [0] * len(bottom_of)
-    parent = list(range(2 * len(cylinders)))
-    for cid, c in enumerate(cylinders):
+    parent = list(range(2 * len(rows)))
+    for cid, stack in enumerate(rows):
         word = []
-        for x, s in enumerate(c.rows[-1]):
+        for x, s in enumerate(stack[-1]):
             t = v[s]
             if marked[t]:
                 sid = edge_saddle[t]
@@ -505,7 +499,7 @@ def horizontal_decomposition(o: Origami):
     if not all(reached):
         raise InvariantViolation("surface must be connected")
     return CylinderDecomposition(
-        o, tuple(cylinders),
+        o, tuple(rows), tuple(circumferences), tuple(heights),
         CylinderDiagram(tuple(bottom_words), tuple(top_words)),
         tuple(saddle_lengths), tuple(bottom_positions), tuple(top_positions),
         DualGraph(tuple(genera), tuple(edges)))
@@ -581,8 +575,8 @@ def periodic_decomposition(o: Origami, slope):
         >>> ew = build_origami(perm_from_cycles([(0, 1, 2, 3), (4, 7, 6, 5)], 8),
         ...                    perm_from_cycles([(0, 4, 2, 6), (1, 5, 3, 7)], 8))
         >>> dv = periodic_decomposition(ew, (1, 0))   # vertical
-        >>> [(c.circumference, c.height) for c in dv.cylinders]
-        [(4, 1), (4, 1)]
+        >>> dv.circumferences, dv.heights
+        ((4, 4), (1, 1))
     """
     return horizontal_decomposition(direction_member(o, slope)[1])
 
@@ -608,9 +602,8 @@ def moduli_exponents(d):
         >>> moduli_exponents(horizontal_decomposition(o))   # moduli 1/4, 1/4
         (1, 1)
     """
-    pairs = [(c.height, c.circumference) for c in d.cylinders]
-    scale = lcm(*(w for _, w in pairs))
-    ints = [h * (scale // w) for h, w in pairs]
+    scale = lcm(*d.circumferences)
+    ints = [h * (scale // w) for h, w in zip(d.heights, d.circumferences)]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

@@ -200,8 +200,8 @@ def _window_extraction(d, c1, c2):
     :func:`_metric_chain` settles without reference to labels.  Unequal
     circumferences raise :class:`~squaretiled.errors.InvariantViolation`.
     """
-    w = d.cylinders[c1].circumference
-    if d.cylinders[c2].circumference != w:
+    w = d.circumferences[c1]
+    if d.circumferences[c2] != w:
         raise InvariantViolation("homologous cylinders must have equal "
                                  "circumferences")
     words, lengths = d.diagram.bottom_words, d.saddle_lengths
@@ -235,8 +235,7 @@ def _metric_chain(d) -> EquivalenceResult:
     t0, s0, t_start = min((_window_extraction(d, *order)
                            for order in ((0, 1), (1, 0))),
                           key=lambda c: (-c[0], c[2]))
-    constraint = WindowConstraint(t0, s0, t_start,
-                                  d.cylinders[0].circumference)
+    constraint = WindowConstraint(t0, s0, t_start, d.circumferences[0])
     record = window_feasible(constraint)
     return EquivalenceResult(record.feasible, "metric constraints consistent"
                              if record.feasible else "window inequalities "
@@ -282,8 +281,7 @@ def _analyze_direction(d, slope):
         return DirectionRecord(slope, label, "period forcing", verdict), True
     if label == "Case5":
         # the one cylinder holds every saddle on its bottom and its top
-        (c,) = d.cylinders
-        w, h = c.circumference, c.height
+        (w,), (h,) = d.circumferences, d.heights
         # tp - bp reduced into (-w/2, w/2]
         dx = min(((tp - bp + (w - 1) // 2) % w - (w - 1) // 2
                   for tp, bp in zip(d.top_positions, d.bottom_positions)),
@@ -336,9 +334,11 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
     gives ``t2 - t1``.  The feasible ``t_start = 0`` forces ``t1 = t2 =
     t``, and the surface is ``[[a, t], [0, h]]·reference``.  As ``[[a, t
     + a], [0, h]] = [[a, t], [0, h]]·T`` and ``T`` fixes the reference,
-    it is ``R(a, h, t mod a)`` (:func:`affine_reference`), ``t mod a``
-    being any top saddle position mod ``a``.  The certificate record
-    restates the window data and carries the matrix and the relabelling.
+    it is ``R(a, h, t mod a)`` (:func:`affine_reference`).  As ``t1 =
+    t2`` and cylinder ``c``'s top saddles sit at ``i·a + t_c``, every top
+    saddle of either cylinder gives the same ``t mod a``; the first of
+    cylinder 0 is read.  The certificate record restates the window data
+    and carries the matrix and the relabelling.
 
     EXAMPLES::
 
@@ -368,8 +368,8 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
                 "the simple cylinder direction %s of a Case 5 direction "
                 "excludes nothing" % (slope,))
         return Verdict("TrivialForni", (first, record), o)
-    chain, c = first.witness, horizontal.cylinders[0]
-    a, h = chain.constraint.t0, c.height
+    chain = first.witness
+    a, h = chain.constraint.t0, horizontal.heights[0]
     t = horizontal.top_positions[horizontal.diagram.top_words[0][0]] % a
     relabelling = origami_isomorphism(o, affine_reference(a, h, t))
     if relabelling is None:
@@ -491,15 +491,21 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     closes with a length not still needed or a corner chain outgrows the
     longest.
 
-    Rotating a bottom, or swapping two bottoms of equal length, relabels
-    the saddles and keeps the diagram, so its image is again a list of
-    the search, with the same key.  Read as offsets from its bottom's
-    first saddle, a top is a word ``w`` with ``w[0] = 0``; rotating that
-    bottom to start at offset ``w[s]`` takes ``w`` to ``(w[s + j] - w[s])
-    mod len(w)``, each top on its own, and the swap reverses the list of
-    words.  The first list of each key is the least of its own orbit, so
-    only the lists that no relabelling makes smaller are keyed; in every
-    genus 2 and 3 catalog that is one list per diagram.
+    Two lists of the search are one diagram exactly when a relabelling of
+    cylinders and saddles carries one onto the other, and the catalog
+    keeps the least list of each orbit, so no key is computed.  The
+    relabellings that keep the bottom words are one rotation per bottom,
+    plus a swap of the two bottoms when they are equally long, the one
+    cylinder permutation that keeps ``_SHAPES[shape]``.  Read as offsets
+    from its bottom's first saddle, a top is a word ``w`` with ``w[0] =
+    0``; rotating that bottom to start at offset ``w[s]`` takes ``w`` to
+    ``(w[s + j] - w[s]) mod len(w)`` and renumbers only the saddles of the
+    one top word that carries that bottom, and the swap reverses the list
+    of words.  So a list is least in its orbit exactly when each word is
+    least among its own rotations and the swap does not make the list
+    smaller.  That is the filter, so it keeps one list per diagram.  The
+    catalog holds them in search order, which in every genus 2 and 3
+    catalog is also the order of their canonical keys.
 
     Both catalogs are complete over words.  A zero of order ``k`` starts
     ``k + 1`` saddles, so a diagram of the stratum has ``m`` saddles,
@@ -533,7 +539,7 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
     m, n = sum(kappa) + len(kappa), len(into)
     cuts = [-(-i * m // n) for i in range(n + 1)]
     bottoms = tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
-    seen = {}
+    diagrams = []
     for tops in _top_words(bottoms, into, kappa):
         # skip the lists that rotating a bottom, or swapping equal bottoms,
         # makes smaller, each word read from its bottom's first saddle
@@ -542,10 +548,8 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
                 tuple((x - w[s]) % len(w) for x in w[s:] + w[:s]) < w
                 for w in words for s in range(1, len(w))):
             continue
-        d = CylinderDiagram(bottoms, tops)
-        seen.setdefault(d.canonical_key(), d)
-    return DiagramCatalog(stratum, shape,
-                          tuple(seen[key] for key in sorted(seen)))
+        diagrams.append(CylinderDiagram(bottoms, tops))
+    return DiagramCatalog(stratum, shape, tuple(diagrams))
 
 
 # ---------------------------------------------------------------------------

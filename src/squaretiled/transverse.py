@@ -6,10 +6,12 @@ One search, :func:`find_crossing_cylinder`, keyed by the pinch label the
 classifier has read, takes the metric data of a cylinder decomposition
 directly: every length and position is a whole number of squares, so the
 four-cylinder window argument runs over unit cells.  It returns witness
-records (crossed-cylinder sequence, width, average direction) that are
-re-verified combinatorially; existence arguments that the source
-material phrases through shearing and cutting-and-regluing become
-coordinate re-origin choices here.
+records (crossed-cylinder sequence, width, average direction), whose
+constructor checks only that the width is positive and the crossed
+cylinders are distinct; checking a witness against the surface itself
+is open (ROADMAP.md, item 22).  Existence arguments that the source material
+phrases through shearing and cutting-and-regluing become coordinate
+re-origin choices here.
 
 EXAMPLES::
 
@@ -205,7 +207,7 @@ def _case2_witness(d):
         crossed=(0, c2),
         width=width,
         start_interval=(bp, bp + width),
-        direction=(0, d.cylinders[0].height + d.cylinders[c2].height),
+        direction=(0, d.heights[0] + d.heights[c2]),
         kind="through-%s-%s" % (sigma, tau),
     )
 
@@ -216,13 +218,13 @@ def _case4a_witness(d, c1, c4, middles):
     cell on the top of ``c4`` glued to cell ``x`` of the bottom of ``c1``.
     A continuity piece starts at cell 0, at each saddle and wherever the
     image jumps."""
-    cyl = d.cylinders
-    wide = max(middles, key=lambda c: (cyl[c].circumference, c))
-    w = cyl[c1].circumference
-    if cyl[c4].circumference != w:
+    widths, heights = d.circumferences, d.heights
+    wide = max(middles, key=lambda c: (widths[c], c))
+    w = widths[c1]
+    if widths[c4] != w:
         raise InvariantViolation("outer cylinders must have equal "
                                  "circumference")
-    s = cyl[wide].circumference
+    s = widths[wide]
     a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions,
                         set(d.diagram.bottom_words[wide]))
     a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions,
@@ -263,7 +265,7 @@ def _case4a_witness(d, c1, c4, middles):
                                  "although 2s != w")
     hi = min(hi, min((x for x in starts if x > lo), default=w))
     off = (image[lo] - lo) % w
-    rise = cyl[c1].height + cyl[wide].height + cyl[c4].height
+    rise = heights[c1] + heights[wide] + heights[c4]
     return TransverseWitness(
         crossed=(c1, wide, c4),
         width=hi - lo,
@@ -294,7 +296,7 @@ def _over_saddle(d, sid, crossed, prefix):
         width=length,
         start_interval=(bp, bp + length),
         direction=(d.top_positions[sid] - bp,
-                   sum(d.cylinders[c].height for c in crossed)),
+                   sum(d.heights[c] for c in crossed)),
         kind=prefix % (sid,),
     )
 

@@ -42,7 +42,7 @@ def one_cylinder_diagrams(stratum: Stratum):
         if singularity_data(o).kappa != stratum.kappa:
             continue
         d = horizontal_decomposition(o)
-        if len(d.cylinders) != 1:
+        if len(d.rows) != 1:
             continue
         seen.setdefault(canonical_key(d.diagram), d.diagram)
     return tuple(seen[k] for k in sorted(seen))
@@ -61,7 +61,7 @@ def case6_diagrams(stratum: Stratum, k=None):
             if singularity_data(o).kappa != stratum.kappa:
                 continue
             d = horizontal_decomposition(o)
-            if len(d.cylinders) != 2:
+            if len(d.rows) != 2:
                 continue
             if classify_case(dual_graph(d)) != "Case6":
                 continue

@@ -242,9 +242,9 @@ def decomposition_net(d):
     """The metric net of an origami's cylinder decomposition ``d``:
     :func:`build_net` recomputes every saddle position from the lengths and
     each cylinder's twist, read as the start of its first top saddle."""
-    geoms = {cid: CylinderGeometry(
-        c.circumference, c.height, d.top_positions[top[0]])
-        for cid, (c, top) in enumerate(zip(d.cylinders, d.diagram.top_words))}
+    geoms = {cid: CylinderGeometry(w, h, d.top_positions[top[0]])
+             for cid, (w, h, top) in enumerate(zip(
+                 d.circumferences, d.heights, d.diagram.top_words))}
     return build_net(geoms, d.diagram, dict(enumerate(d.saddle_lengths)))
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from squaretiled.cylinders import (
-    Cylinder,
     CylinderDecomposition,
     CylinderDiagram,
     DualGraph,
@@ -108,7 +107,7 @@ def decomposition_with_saddles(o):
     for ri in range(len(rows)):
         components.setdefault(find(ri), []).append(ri)
 
-    cylinders = []
+    stacks = []
     square_x = {}
     for comp in components.values():
         merged_up = set(above.get(ri) for ri in comp)
@@ -135,23 +134,21 @@ def decomposition_with_saddles(o):
             for sq, below in zip(nxt, prev):
                 square_x[sq] = square_x[below]
             stacked.append(nxt)
-        cylinders.append(Cylinder(
-            tuple(stacked), Fraction(len(r0)), Fraction(len(stacked))
-        ))
-    # deterministic ids, the positions in ``cylinders``: sort by smallest
+        stacks.append(tuple(stacked))
+    # deterministic ids, the positions in ``stacks``: sort by smallest
     # square of the bottom row
-    cylinders.sort(key=lambda c: min(c.rows[0]))
+    stacks.sort(key=lambda stack: min(stack[0]))
 
     # saddle connections: runs between marked corners on each bottom row
     saddles = {}
     edge_saddle = {}
     bottom_words = []
     bottom_positions = {}
-    for c in cylinders:
+    for stack in stacks:
         word_ids = []
         run = []
         run_start_x = 0
-        for i, sq in enumerate(c.rows[0]):
+        for i, sq in enumerate(stack[0]):
             if sq in marked and run:
                 sid = len(saddles)
                 _close_run(saddles, edge_saddle, sid, run, corner_class, o)
@@ -170,8 +167,8 @@ def decomposition_with_saddles(o):
     # top words: read the same quotient edges along each cylinder's top row
     top_words = []
     top_positions = {}
-    for c in cylinders:
-        rt = c.rows[-1]
+    for stack in stacks:
+        rt = stack[-1]
         starts = [i for i, sq in enumerate(rt) if o.v[sq] in marked]
         if not starts:
             raise InvariantViolation("top boundary must contain a marked "
@@ -202,14 +199,16 @@ def decomposition_with_saddles(o):
     sids = range(len(saddles))
     d = CylinderDecomposition(
         origami=o,
-        cylinders=tuple(cylinders),
+        rows=tuple(stacks),
+        circumferences=tuple(Fraction(len(stack[0])) for stack in stacks),
+        heights=tuple(Fraction(len(stack)) for stack in stacks),
         diagram=diagram,
         saddle_lengths=tuple(len(saddles[sid].squares) for sid in sids),
         bottom_positions=tuple(bottom_positions[sid] for sid in sids),
         top_positions=tuple(top_positions[sid] for sid in sids),
         dual_graph=None,
     )
-    if sum(len(row) for c in cylinders for row in c.rows) != n:
+    if sum(len(row) for stack in stacks for row in stack) != n:
         raise InvariantViolation("cylinder areas must sum to the number of "
                                  "squares")
     return d._replace(dual_graph=dual_graph(d, corner_zeros(saddles))), \
@@ -392,7 +391,7 @@ def classify_case(g):
 def core_row(d, cid):
     """The bottom row of cylinder ``cid`` of decomposition ``d``; its
     squares' bottom edges sum to a core-curve representative."""
-    return d.cylinders[cid].rows[0]
+    return d.rows[cid][0]
 
 
 def core_curve_chain(d, cid):
@@ -434,5 +433,5 @@ def core_span_rank(d) -> int:
     """
     basis = homology_basis(d.origami)
     rows = [core_curve_class(d, cid, basis)
-            for cid in range(len(d.cylinders))]
+            for cid in range(len(d.rows))]
     return snf_rank(smith_normal_form(rows)[1])

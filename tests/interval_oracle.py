@@ -138,7 +138,7 @@ def build_interval_map(d, from_interface, to_interface) -> IntervalMap:
             pos = d.top_positions
         else:
             raise ValueError("interface side must be 'bottom' or 'top'")
-        return word, pos, d.cylinders[cid].circumference
+        return word, pos, d.circumferences[cid]
 
     from_word, from_pos, from_len = interface_data(from_interface)
     to_word, to_pos, to_len = interface_data(to_interface)
@@ -239,12 +239,12 @@ def case4a_window_map(d, c1=None, c4=None, middles=None):
     its interfaces.  Returns ``(map, s)``."""
     if c1 is None:
         c1, c4, middles = _matched_pair(d)
-    wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
-    w = d.cylinders[c1].circumference
-    if d.cylinders[c4].circumference != w:
+    wide = max(middles, key=lambda c: (d.circumferences[c], c))
+    w = d.circumferences[c1]
+    if d.circumferences[c4] != w:
         raise InvariantViolation("outer cylinders must have equal "
                                  "circumference")
-    s = d.cylinders[wide].circumference
+    s = d.circumferences[wide]
     a_top = _saddle_arc(d.diagram.top_words[c1], d.top_positions,
                         set(d.diagram.bottom_words[wide]))
     a_bot = _saddle_arc(d.diagram.bottom_words[c4], d.bottom_positions,
@@ -274,9 +274,9 @@ def case4a_window_witness(d, c1=None, c4=None, middles=None):
         c1, c4, middles = _matched_pair(d)
     f, s = case4a_window_map(d, c1, c4, middles)
     w = f.length
-    wide = max(middles, key=lambda c: (d.cylinders[c].circumference, c))
-    rise = (d.cylinders[c1].height + d.cylinders[wide].height
-            + d.cylinders[c4].height)
+    wide = max(middles, key=lambda c: (d.circumferences[c], c))
+    rise = (d.heights[c1] + d.heights[wide]
+            + d.heights[c4])
     hit = find_window_hit(f, (Fraction(0), s), (Fraction(0), s))
     if hit is not None:
         # shrink into a single continuity piece so the image is a translate

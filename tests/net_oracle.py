@@ -1,12 +1,13 @@
 """Exact metric nets: horizontal cylinders with rational circumference,
 height and twist, glued along labeled saddle connections of rational
 length.  A net carries the same metric interface as an origami's
-cylinder decomposition (``cylinders``, ``diagram``, ``saddle_lengths``,
-``bottom_positions``, ``top_positions``), each indexed by a cylinder or a
-saddle id, so the transverse-cylinder searches and the dual graph read it
-alike.  A decomposition numbers its cylinders and saddles 0, 1, ... and
-stores their data in tuples; a net keeps the diagram's tuples, and maps
-its saddles, which may carry any label, in dicts.  The tests use nets to reach
+cylinder decomposition (``circumferences``, ``heights``, ``diagram``,
+``saddle_lengths``, ``bottom_positions``, ``top_positions``), each
+indexed by a cylinder or a saddle id, so the transverse-cylinder searches
+and the dual graph read it alike.  A decomposition numbers its cylinders
+and saddles 0, 1, ... and stores their data in tuples; a net keeps the
+diagram's tuples, and maps its cylinders' geometries and its saddles,
+which may carry any label, in dicts.  The tests use nets to reach
 rational-length configurations that no origami has, and to recompute an
 origami's saddle positions from its lengths and twists independently.
 Whole values are stored as ``int``, as on a decomposition, and the others
@@ -71,6 +72,16 @@ class FlatSurfaceNet:
     saddle_lengths: dict
     bottom_positions: dict
     top_positions: dict
+
+    @property
+    def circumferences(self):
+        """Cylinder id -> circumference, as a decomposition indexes it."""
+        return {cid: g.circumference for cid, g in self.cylinders.items()}
+
+    @property
+    def heights(self):
+        """Cylinder id -> height, as a decomposition indexes it."""
+        return {cid: g.height for cid, g in self.cylinders.items()}
 
 
 def _word_positions(word, start, lengths, w):

@@ -136,8 +136,8 @@ def moduli_exponents(d):
     circumference`` of a decomposition, or of a plain list of exact
     rational moduli, scaled by the lcm of their denominators.  Only the
     oracle reads plain lists; the package's version reads decompositions."""
-    if hasattr(d, "cylinders"):
-        moduli = [Fraction(c.height, c.circumference) for c in d.cylinders]
+    if hasattr(d, "heights"):
+        moduli = [Fraction(h, w) for h, w in zip(d.heights, d.circumferences)]
     else:
         moduli = list(d)
     if not moduli:
@@ -155,8 +155,8 @@ def moduli_exponents(d):
 def window_extraction(d, c1, c2):
     """The window coordinates (t0, s0, t_start) as fractions of the common
     circumference."""
-    w = len(d.cylinders[c1].rows[0])
-    if len(d.cylinders[c2].rows[0]) != w:
+    w = len(d.rows[c1][0])
+    if len(d.rows[c2][0]) != w:
         raise InvariantViolation("homologous cylinders must have equal "
                                  "circumferences")
     words, lengths = d.diagram.bottom_words, d.saddle_lengths

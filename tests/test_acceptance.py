@@ -55,11 +55,11 @@ def test_criterion_1_reference_end_to_end():
         assert stratum.kappa == (1, 1, 1, 1)
         assert stratum.genus == 3
         d = horizontal_decomposition(o)
-        assert sorted((c.circumference, c.height) for c in d.cylinders) == \
+        assert sorted(zip(d.circumferences, d.heights)) == \
             [(4, 1), (4, 1)]
         b = homology_basis(o)
         c1, c2 = (core_curve_class(d, cid, b)
-                  for cid in range(len(d.cylinders)))
+                  for cid in range(len(d.rows)))
         assert list(c1) == list(c2)
         assert classify_case(d.dual_graph) == "Case6"
         verdict = classify_surface(o)
@@ -186,12 +186,12 @@ def test_criterion_8_structural_suites():
                         continue
                     f = build_interval_map(d, ("bottom", i), ("top", j))
                     assert total_length(f.image_intervals()) == \
-                        d.cylinders[i].circumference
+                        d.circumferences[i]
                     assert f.pieces == build_interval_map(
                         net, ("bottom", i), ("top", j)).pieces
                     maps_checked += 1
             for slope in ((0, 1), (1, 0), (1, 1)):
-                cylinders = periodic_decomposition(o, slope).cylinders
-                assert sum(c.circumference * c.height
-                           for c in cylinders) == o.n
+                dp = periodic_decomposition(o, slope)
+                assert sum(w * h for w, h in zip(dp.circumferences,
+                                                 dp.heights)) == o.n
         assert maps_checked > 0

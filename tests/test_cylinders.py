@@ -46,13 +46,13 @@ from squaretiled.surface import Origami, parse_origami, singularity_data
 
 
 def cylinder_shapes(d):
-    return sorted((c.circumference, c.height) for c in d.cylinders)
+    return sorted(zip(d.circumferences, d.heights))
 
 
 def test_wollmilchsau_horizontal_decomposition():
     d = horizontal_decomposition(wollmilchsau())
     assert cylinder_shapes(d) == [(4, 1), (4, 1)]
-    assert sum(c.circumference * c.height for c in d.cylinders) == 8
+    assert sum(w * h for w, h in zip(d.circumferences, d.heights)) == 8
     assert [len(word) for word in d.diagram.bottom_words] == [4, 4]
     assert all(length == 1 for length in d.saddle_lengths)
 
@@ -137,8 +137,8 @@ def test_decomposition_matches_the_oracle():
             assert d == old, (o, slope)
             assert zeros_of(d) == corner_zeros_of(old_saddles), (o, slope)
             assert d.dual_graph == decomposition_oracle.dual_graph(d)
-            assert all(type(c.circumference) is int and type(c.height) is int
-                       for c in d.cylinders)
+            assert all(type(x) is int
+                       for x in d.circumferences + d.heights)
             assert list(old_saddles) == list(range(len(d.saddle_lengths)))
             assert bottom_runs(d) == {sid: s.squares
                                       for sid, s in old_saddles.items()}
@@ -356,8 +356,8 @@ def test_one_pass_matches_the_oracle_in_every_genus():
             {z for pair in zeros for z in pair}), o
         assert outcome(o) == oracle_outcome(o), o
         assert d.dual_graph == decomposition_oracle.dual_graph(d), o
-        upper_first += any(min(row) < min(c.rows[0])
-                           for c in d.cylinders for row in c.rows[1:])
+        upper_first += any(min(row) < min(stack[0])
+                           for stack in d.rows for row in stack[1:])
     assert sorted(genera) == [1, 2, 3, 4, 5, 6]
     assert upper_first > 300
     pairs = []
@@ -392,7 +392,7 @@ def longest_find_walk(d):
     larger root under the smaller: how far the sample stresses the join."""
     bottom_of = {sid: cid for cid, word in enumerate(d.diagram.bottom_words)
                  for sid in word}
-    parent = list(range(2 * len(d.cylinders)))
+    parent = list(range(2 * len(d.rows)))
     longest = 0
 
     def root(q):
@@ -472,8 +472,8 @@ def test_area_conservation_under_direction_change(rng):
     for _ in range(15):
         o = random_origami(rng)
         for slope in ((0, 1), (1, 0), (1, 1), (-1, 2)):
-            cylinders = periodic_decomposition(o, slope).cylinders
-            assert sum(c.circumference * c.height for c in cylinders) == o.n
+            d = periodic_decomposition(o, slope)
+            assert sum(w * h for w, h in zip(d.circumferences, d.heights)) == o.n
 
 
 def test_saddle_words_partition_boundaries(rng):
@@ -481,14 +481,14 @@ def test_saddle_words_partition_boundaries(rng):
         o = random_origami(rng)
         d = horizontal_decomposition(o)
         d.diagram.validate()
-        for cid, c in enumerate(d.cylinders):
+        for cid, w in enumerate(d.circumferences):
             word = d.diagram.bottom_words[cid]
             lengths = [d.saddle_lengths[s] for s in word]
             assert [d.bottom_positions[s] for s in word] == \
                 list(itertools.accumulate([0] + lengths[:-1]))
             for words in (d.diagram.bottom_words, d.diagram.top_words):
                 total = sum(d.saddle_lengths[s] for s in words[cid])
-                assert total == c.circumference
+                assert total == w
 
 
 def brute_force_key(diagram):

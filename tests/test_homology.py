@@ -69,9 +69,9 @@ def test_holonomy_covectors_on_core_curves():
     b = homology_basis(o)
     hx, hy = b.holonomy_covectors()
     d = horizontal_decomposition(o)
-    for cid, c in enumerate(d.cylinders):
+    for cid, w in enumerate(d.circumferences):
         cls = core_curve_class(d, cid, b)
-        assert sum(x * y for x, y in zip(hx, cls)) == c.circumference
+        assert sum(x * y for x, y in zip(hx, cls)) == w
         assert sum(x * y for x, y in zip(hy, cls)) == 0
 
 
@@ -79,7 +79,7 @@ def test_wollmilchsau_core_curves_homologous():
     o = wollmilchsau()
     b = homology_basis(o)
     d = horizontal_decomposition(o)
-    c1, c2 = (core_curve_class(d, cid, b) for cid in range(len(d.cylinders)))
+    c1, c2 = (core_curve_class(d, cid, b) for cid in range(len(d.rows)))
     assert list(c1) == list(c2)
 
 

@@ -25,7 +25,6 @@ from decomposition_oracle import core_span_rank
 from survivor_oracle import enumerate_slopes
 from squaretiled.cli import build_parser, main as cli_main
 from squaretiled.cylinders import (
-    Cylinder,
     CylinderDiagram,
     classify_case,
     direction_member,
@@ -158,7 +157,7 @@ def test_case5_excluded_through_a_simple_cylinder_direction():
     assert second.slope == first.witness
     record, excludes, d = analyze(o, first.witness)
     assert excludes and record == second
-    assert len(d.cylinders) >= 2 and has_simple_cylinder(d)
+    assert len(d.rows) >= 2 and has_simple_cylinder(d)
 
 
 # the two 7-square surfaces whose four bound-1 directions are all Case 5,
@@ -220,7 +219,7 @@ def test_case5_defers_to_a_slope_of_rise_two():
     assert o == vertical_stretch(parse_origami(
         'origami n=6 h="(0 1 3 5 4 2)" v="(0 1 4 5 2 3)"'), 2)
     d = horizontal_decomposition(o)
-    assert [(c.circumference, c.height) for c in d.cylinders] == [(6, 2)]
+    assert (d.circumferences, d.heights) == ((6,), (2,))
     verdict = classify_surface(o)
     assert verdict.status == "TrivialForni"
     first, second = verdict.evidence
@@ -239,7 +238,7 @@ def test_deferred_record_does_not_depend_on_the_word():
     the one-cylinder genus-3 classes up to 6 squares, whose deferrals
     reach slopes of rise 2 and 3."""
     stretched = [vertical_stretch(o, k) for o in classes_of_genus(3, 6)
-                 if len(horizontal_decomposition(o).cylinders) == 1
+                 if len(horizontal_decomposition(o).rows) == 1
                  for k in (2, 3)]
     assert len(stretched) == 200
     rises, replacements = Counter(), 0
@@ -444,7 +443,7 @@ def test_census_up_to_seven_squares():
         if first.label == "Case5":
             record, excludes, d = analyze(o, first.witness)
             assert excludes and verdict.evidence == (first, record), o
-            assert len(d.cylinders) >= 2 and has_simple_cylinder(d), o
+            assert len(d.rows) >= 2 and has_simple_cylinder(d), o
             deferred[record.label, record.mechanism] += 1
         oracle = survivor_oracle.classify_per_slope(o, 3).status
         if oracle == "Undetermined":
@@ -785,7 +784,7 @@ def random_boundary_exchange(rng):
         rng.shuffle(up)
         rng.shuffle(down)
         o = build_origami(h, tuple(up + down))
-        if len(horizontal_decomposition(o).cylinders) == 2:
+        if len(horizontal_decomposition(o).rows) == 2:
             return o
 
 
@@ -809,7 +808,7 @@ def feasible_window_has_quarter_saddles(o, d, slope):
     decomposition."""
     if not is_case6(d) or not pipeline._metric_chain(d):
         return False
-    w = len(d.cylinders[0].rows[0])
+    w = len(d.rows[0][0])
     assert all(4 * length == w for length in d.saddle_lengths), \
         (o, slope)
     assert str(singularity_data(o)) == "H(1,1,1,1)"
@@ -841,7 +840,7 @@ def test_random_feasible_windows_force_quarter_saddles(rng):
 def window_coordinates(d, c1, c2):
     """The window coordinates of cylinder ``c1`` against ``c2`` as
     fractions of their common circumference."""
-    w = d.cylinders[c1].circumference
+    w = d.circumferences[c1]
     return tuple(Fraction(x, w) for x in
                  pipeline._window_extraction(d, c1, c2))
 
@@ -891,7 +890,7 @@ def test_window_extraction_matches_net_oracle(rng):
 
 def test_window_extraction_rejects_unequal_circumferences():
     d = horizontal_decomposition(l_origami())
-    assert [len(c.rows[0]) for c in d.cylinders] == [2, 1]
+    assert [len(stack[0]) for stack in d.rows] == [2, 1]
     with pytest.raises(InvariantViolation, match="circumferences"):
         pipeline._window_extraction(d, 0, 1)
 
@@ -994,9 +993,9 @@ def test_integer_chain_matches_the_fraction_oracle():
     for _ in range(500):
         shapes = [(rng.randint(1, 30), rng.randint(1, 30))
                   for _ in range(rng.randint(1, 5))]
-        stub = SimpleNamespace(cylinders=tuple(
-            Cylinder(((0,) * width,) * height, width, height)
-            for height, width in shapes))
+        stub = SimpleNamespace(
+            circumferences=tuple(width for _, width in shapes),
+            heights=tuple(height for height, _ in shapes))
         assert moduli_exponents(stub) == \
             survivor_oracle.moduli_exponents(stub) == \
             survivor_oracle.moduli_exponents(
@@ -1161,10 +1160,11 @@ def top_word_images(tops, bottoms, into):
 
 
 @pytest.mark.parametrize("pair", CATALOG_PAIRS, ids=catalog_id)
-def test_catalog_decomposes_and_keys_each_diagram_once(pair, monkeypatch):
+def test_catalog_decomposes_and_keys_each_diagram_once(pair):
     # each image of each list of top words is again a list of the search,
-    # and the catalog keys exactly the lists that no image makes smaller,
-    # in search order, one per diagram
+    # and the catalog holds exactly the lists that no image makes smaller,
+    # in search order: one per diagram, their keys strictly increasing and
+    # covering the keys of every list of the search
     kappa, shape = pair
     into = pipeline._SHAPES[shape]
     bottoms = catalog_bottoms(kappa, into)
@@ -1176,38 +1176,28 @@ def test_catalog_decomposes_and_keys_each_diagram_once(pair, monkeypatch):
         assert orbit <= set(lists), tops
         if tops == min(orbit):
             least.append(tops)
-    keyed = []
-    key = CylinderDiagram.canonical_key
-
-    def recorded_key(diagram):
-        keyed.append(diagram)
-        return key(diagram)
-
-    monkeypatch.setattr(CylinderDiagram, "canonical_key", recorded_key)
     catalog = enumerate_diagrams(kappa, shape)
-    assert keyed == [CylinderDiagram(bottoms, tops) for tops in least]
-    assert len(least) == len(keyed) == len(catalog)
+    assert catalog.diagrams == tuple(CylinderDiagram(bottoms, tops)
+                                     for tops in least)
+    keys = [d.canonical_key() for d in catalog.diagrams]
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+    assert {CylinderDiagram(bottoms, tops).canonical_key()
+            for tops in lists} == set(keys)
 
 
 def test_catalog_skips_a_list_that_swapping_equal_bottoms_makes_smaller(
         monkeypatch):
     # no list of today's catalogs is least among its rotations but not
     # among its bottom swaps, so the search is replaced by two lists, one
-    # the other's swap: only the smaller is keyed
+    # the other's swap and so the same diagram: the catalog holds the
+    # smaller alone
+    bottoms = ((0, 1, 2, 3), (4, 5, 6, 7))
     lists = [((4, 5, 6, 7), (0, 1, 3, 2)), ((4, 5, 7, 6), (0, 1, 2, 3))]
+    first, swapped = (CylinderDiagram(bottoms, tops) for tops in lists)
+    assert first.canonical_key() == swapped.canonical_key()
     monkeypatch.setattr(pipeline, "_top_words",
                         lambda bottoms, into, kappa: iter(lists))
-    keyed = []
-    key = CylinderDiagram.canonical_key
-
-    def recorded_key(diagram):
-        keyed.append(diagram.top_words)
-        return key(diagram)
-
-    monkeypatch.setattr(CylinderDiagram, "canonical_key", recorded_key)
-    catalog = enumerate_diagrams((1, 1, 1, 1), "case6")
-    assert keyed == lists[:1]
-    assert [d.top_words for d in catalog.diagrams] == lists[:1]
+    assert enumerate_diagrams((1, 1, 1, 1), "case6").diagrams == (first,)
 
 
 def test_case6_catalog_entry_is_the_reference_diagram():
@@ -1361,10 +1351,13 @@ def test_catalogs_build_no_origami_and_decompose_nothing(monkeypatch):
     # the catalogs are searched as words: with every way to build or
     # decompose an origami in the pipeline raising, each is still built
     def forbidden(*args, **kwargs):
-        raise AssertionError("a catalog built or decomposed an origami")
+        raise AssertionError("a catalog built or decomposed an origami, "
+                             "or keyed a diagram")
 
     for name in ("Origami", "build_origami", "horizontal_decomposition"):
         monkeypatch.setattr(pipeline, name, forbidden)
+    # and they are their filtered search: no diagram is keyed
+    monkeypatch.setattr(CylinderDiagram, "canonical_key", forbidden)
     assert "".join(render_report(enumerate_diagrams(*pair))
                    for pair in CATALOG_PAIRS) == CATALOG_TEXT
 

@@ -99,7 +99,7 @@ def records():
     d = horizontal_decomposition(o)
     chain = classify_surface(o).evidence[0]
     case1 = horizontal_decomposition(exemplar("Case1"))
-    return [d.cylinders[0], d.diagram, d, d.dual_graph, case3_verdict(1, 2),
+    return [d.diagram, d, d.dual_graph, case3_verdict(1, 2),
             closure_classify([[[0, -1], [1, 0]]]), forni_upper_bound(o, 1),
             chain, classify_surface(o), chain.witness,
             find_crossing_cylinder(case1, "Case1"),
@@ -110,7 +110,7 @@ def records():
 def test_records_reject_attribute_assignment():
     found = records()
     assert sorted(type(r).__name__ for r in found) == [
-        "ClosureResult", "Cylinder", "CylinderDecomposition",
+        "ClosureResult", "CylinderDecomposition",
         "CylinderDiagram", "DirectionRecord", "DualGraph",
         "EquivalenceResult", "FeasibilityRecord", "ForcingVerdict",
         "ForniReport", "Stratum", "TransverseWitness", "Verdict",
@@ -153,13 +153,13 @@ def test_every_record_kind_hashes():
     o = reference_surface()
     d = horizontal_decomposition(o)
     case1 = horizontal_decomposition(exemplar("Case1"))
-    found = [o, singularity_data(o), d.cylinders[0], d.diagram, d,
+    found = [o, singularity_data(o), d.diagram, d,
              d.dual_graph, enumerate_diagrams((2,), "one_cylinder"),
              classify_surface(o),
              find_crossing_cylinder(case1, "Case1"), orbit_graph(o),
              closure_classify([[[0, -1], [1, 0]]]), forni_upper_bound(o, 1)]
     assert [type(r).__name__ for r in found] == [
-        "Origami", "Stratum", "Cylinder", "CylinderDiagram",
+        "Origami", "Stratum", "CylinderDiagram",
         "CylinderDecomposition", "DualGraph", "DiagramCatalog", "Verdict",
         "TransverseWitness", "OrbitGraph", "ClosureResult", "ForniReport"]
     for record in found:

@@ -35,6 +35,7 @@ from squaretiled.transverse import (
     TransverseWitness,
     WindowConstraint,
     _matched_pair,
+    _saddle_arc,
     find_crossing_cylinder,
     window_feasible,
 )
@@ -344,6 +345,21 @@ def test_case4a_cell_search_needs_whole_units():
     net = random_case4a_net(random.Random(4242))
     with pytest.raises(InvariantViolation, match="whole-unit"):
         find_crossing_cylinder(net, "Case4")
+
+
+def test_saddle_arc_reads_the_start_of_the_run():
+    """The start of a run of saddles on a boundary word is the position of
+    its first saddle: a run inside the word, a run that wraps round its
+    end, and the whole word, which starts at the word's first saddle.
+    A run that is not contiguous, or holds a saddle off the word, raises."""
+    word, positions = (0, 1, 2, 3), (0, 2, 3, 5)
+    assert _saddle_arc(word, positions, {1, 2}) == 2
+    assert _saddle_arc(word, positions, {3, 0}) == 5
+    assert _saddle_arc((0, 1, 2), (0, 1, 2), {0, 1, 2}) == 0
+    with pytest.raises(InvariantViolation, match="not contiguous"):
+        _saddle_arc(word, positions, {0, 2})
+    with pytest.raises(InvariantViolation, match="not a sub-run"):
+        _saddle_arc(word, positions, {2, 4})
 
 
 def test_window_feasible_known_points():
