@@ -1,6 +1,10 @@
 """Replayable mutation checks: each row is a mutation of ``src/`` that
 CHANGES.md records as failing some tier-1 tests, and the test of a row
 makes that mutation in a copy of the project and runs those tests there.
+The project is copied once for all rows, and each row's file is restored
+after its run.  Only the tests, which no row changes, keep bytecode: no
+run writes any, so a mutation that keeps the file's size, such as ``==``
+to ``!=``, is never read from a stale ``.pyc``.
 
 A row is ``(file, old text, new text, tests, PR)``.  The old text must
 occur exactly once in the file; the named tests, given as pytest node
@@ -171,8 +175,8 @@ ROWS = [
      ["tests/test_transverse.py::test_decomposition_and_net_witnesses_agree"],
      50),
     # a band as wide as sigma, whatever tau's length
-    (TRANSVERSE, "width = min(lengths[sigma], lengths[tau])",
-     "width = lengths[sigma]",
+    (TRANSVERSE, "bp + min(lengths[sigma], lengths[tau])",
+     "bp + lengths[sigma]",
      ["tests/test_transverse.py::test_decomposition_and_net_witnesses_agree"],
      50),
     # the bottom-swap clause of enumerate_diagrams' filter dropped
@@ -205,6 +209,26 @@ ROWS = [
     (TRANSVERSE, "(start - 1) % k", "(start + 1) % k",
      ["tests/test_transverse.py::test_saddle_arc_reads_the_start_of_the_run"],
      51),
+    # zero orders of odd sum accepted, and given the genus (sum + 2) // 2
+    (SURFACE, "if sum(self.kappa) % 2:", "if False:",
+     ["tests/test_records.py::"
+      "test_validated_records_reject_bad_fields_on_every_path",
+      "tests/test_pipeline.py::test_catalog_rejects_bad_input"],
+     52),
+    # an empty start interval accepted
+    (TRANSVERSE, "if not lo < hi:", "if not lo <= hi:",
+     ["tests/test_transverse.py::"
+      "test_malformed_witness_raises[crossed0-0-positive width]",
+      "tests/test_records.py::"
+      "test_validated_records_reject_bad_fields_on_every_path",
+      "tests/test_pipeline.py::test_checks_survive_python_O"],
+     52),
+    # a window that violates an inequality read as consistent
+    (PIPELINE, "not record.violated", "record.violated",
+     ["tests/test_pipeline.py::test_reference_surface_survives",
+      "tests/test_pipeline.py::test_case6_nonreference_excluded_by_window",
+      "tests/test_pipeline.py::test_exemplars_have_trivial_subspaces[Case6]"],
+     52),
 ]
 
 
@@ -213,26 +237,49 @@ def row_id(row):
     return "PR%d-%s" % (pr, os.path.basename(path)[:-3])
 
 
+@pytest.fixture(scope="module")
+def project(tmp_path_factory):
+    """One copy of the project for every row.  Collecting its tests once
+    caches their bytecode, which no row changes; ``src`` keeps none and
+    the rows write none, so a mutated module is compiled from its text."""
+    root = tmp_path_factory.mktemp("project")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), root / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), root)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--collect-only",
+         "-p", "no:cacheprovider", "tests"],
+        cwd=root, env=env, capture_output=True, check=True, timeout=300)
+    for cache in list((root / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+    return root
+
+
 @pytest.mark.parametrize("row", ROWS, ids=[
     "%s-%d" % (row_id(row), i) for i, row in enumerate(ROWS)])
-def test_recorded_mutant_fails_its_tests(row, tmp_path):
+def test_recorded_mutant_fails_its_tests(row, project):
     path, old, new, tests, pr = row
-    for name in ("src", "tests"):
-        shutil.copytree(os.path.join(ROOT, name), tmp_path / name,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp_path)
-    target = tmp_path / path
+    assert path.startswith("src/"), "a row mutates src/, never the tests"
+    target = project / path
     text = target.read_text(encoding="utf-8")
     count = text.count(old)
     assert count == 1, (
         "the old text of PR %d's row occurs %d times in %s: rewrite the "
         "row against today's code, do not drop it" % (pr, count, path))
     target.write_text(text.replace(old, new), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE",
-         "-p", "no:cacheprovider", *tests],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    env = dict(os.environ, PYTHONPATH=str(project / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        run = subprocess.run(
+            [sys.executable, "-B", "-m", "pytest", "-q", "-rfE",
+             "-p", "no:cacheprovider", *tests],
+            cwd=project, env=env, capture_output=True, text=True,
+            timeout=300)
+    finally:
+        target.write_text(text, encoding="utf-8")
     # exit code 1: the tests ran and some failed; a missing test or a
     # collection error gives another code
     assert run.returncode == 1, run.stdout[-2000:] + run.stderr[-2000:]

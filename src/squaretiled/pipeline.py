@@ -237,9 +237,10 @@ def _metric_chain(d) -> EquivalenceResult:
                           key=lambda c: (-c[0], c[2]))
     constraint = WindowConstraint(t0, s0, t_start, d.circumferences[0])
     record = window_feasible(constraint)
-    return EquivalenceResult(record.feasible, "metric constraints consistent"
-                             if record.feasible else "window inequalities "
-                             "violated", constraint=constraint, record=record)
+    return EquivalenceResult(not record.violated, "window inequalities "
+                             "violated" if record.violated else "metric "
+                             "constraints consistent", constraint=constraint,
+                             record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +531,7 @@ def enumerate_diagrams(stratum, shape) -> DiagramCatalog:
         1
     """
     kappa = tuple(sorted(stratum, reverse=True))
-    stratum = Stratum(kappa, (sum(kappa) + 2) // 2)
+    stratum = Stratum(kappa)
     if not 2 <= stratum.genus <= 3:
         raise ValueError("catalogs cover genus 2 and 3")
     if shape not in _SHAPES:

@@ -18,7 +18,7 @@ EXAMPLES::
     >>> o = build_origami(perm_from_cycles([(0, 1, 2, 3), (4, 7, 6, 5)], 8),
     ...                   perm_from_cycles([(0, 4, 2, 6), (1, 5, 3, 7)], 8))
     >>> singularity_data(o)
-    Stratum(kappa=(1, 1, 1, 1), genus=3)
+    Stratum(kappa=(1, 1, 1, 1))
 """
 
 from __future__ import annotations
@@ -202,21 +202,23 @@ class Origami:
 
 class _StratumFields(NamedTuple):
     kappa: tuple[int, ...]
-    genus: int
 
 
 class Stratum(Checked, _StratumFields):
-    """Zero orders ``kappa`` (sorted descending) and the genus they force."""
+    """Zero orders ``kappa`` (sorted descending); the genus is read off
+    them, ``sum(kappa) = 2g - 2``, so an odd sum fits no genus."""
 
     __slots__ = ()
 
     def _check(self):
         if any(k < 1 for k in self.kappa):
             raise ValueError(f"zero orders {self.kappa} must be positive")
-        if sum(self.kappa) != 2 * self.genus - 2:
-            raise ValueError(
-                f"kappa {self.kappa} incompatible with genus {self.genus}"
-            )
+        if sum(self.kappa) % 2:
+            raise ValueError(f"zero orders {self.kappa} have an odd sum")
+
+    @property
+    def genus(self):
+        return (sum(self.kappa) + 2) // 2
 
     def __str__(self):
         return "H(" + (",".join(map(str, self.kappa)) if self.kappa else "0") + ")"
@@ -268,22 +270,21 @@ def build_origami(h, v) -> Origami:
 
 def singularity_data(o: Origami) -> Stratum:
     r"""
-    Stratum of the origami: cone angles from commutator orbits, genus from
-    the Euler characteristic of the square tiling.
+    Stratum of the origami: cone angles from commutator orbits, and the
+    genus from ``sum(kappa) = 2g - 2``.  Over the ``V`` corner cycles,
+    ``sum(len - 1) = n - V``, and the Euler characteristic of the square
+    tiling is ``V - 2n + n``, so the two readings of the genus agree.
 
     EXAMPLES::
 
         >>> singularity_data(build_origami((0,), (0,)))
-        Stratum(kappa=(), genus=1)
-        >>> singularity_data(build_origami((1, 0, 2), (0, 2, 1)))
-        Stratum(kappa=(2,), genus=2)
+        Stratum(kappa=())
+        >>> s = singularity_data(build_origami((1, 0, 2), (0, 2, 1)))
+        >>> s, s.genus
+        (Stratum(kappa=(2,)), 2)
     """
-    orbits = o.vertex_orbits()
-    kappa = tuple(sorted((len(c) - 1 for c in orbits if len(c) > 1), reverse=True))
-    # V - E + F with V = #orbits, E = 2n, F = n
-    euler = len(orbits) - 2 * o.n + o.n
-    genus = (2 - euler) // 2
-    return Stratum(kappa, genus)
+    return Stratum(tuple(sorted((len(c) - 1 for c in o.vertex_orbits()
+                                 if len(c) > 1), reverse=True)))
 
 
 # -- SL(2, Z) action ---------------------------------------------------------

@@ -6,12 +6,12 @@ One search, :func:`find_crossing_cylinder`, keyed by the pinch label the
 classifier has read, takes the metric data of a cylinder decomposition
 directly: every length and position is a whole number of squares, so the
 four-cylinder window argument runs over unit cells.  It returns witness
-records (crossed-cylinder sequence, width, average direction), whose
-constructor checks only that the width is positive and the crossed
-cylinders are distinct; checking a witness against the surface itself
-is open (ROADMAP.md, item 22).  Existence arguments that the source material
-phrases through shearing and cutting-and-regluing become coordinate
-re-origin choices here.
+records (crossed-cylinder sequence, start interval, average direction),
+whose constructor checks only that the start interval is nonempty and
+the crossed cylinders are distinct; checking a witness against the
+surface itself is open (ROADMAP.md, item 22).  Existence arguments that
+the source material phrases through shearing and cutting-and-regluing
+become coordinate re-origin choices here.
 
 EXAMPLES::
 
@@ -21,8 +21,8 @@ EXAMPLES::
     ...                   'v="(0 4 8 3 7 11)(1 5 9 2 6 10)"')
     >>> d = horizontal_decomposition(o)
     >>> w = find_crossing_cylinder(d, "Case4")
-    >>> w.kind, w.crossed, w.width, w.start_interval
-    ('boundary', (0, 2, 3), 1, (1, 2))
+    >>> w.kind, w.crossed, w.start_interval
+    ('boundary', (0, 2, 3), (1, 2))
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import Checked, InvariantViolation
 
 class _TransverseWitnessFields(NamedTuple):
     crossed: tuple
-    width: int
     start_interval: tuple
     direction: tuple
     kind: str = ""
@@ -46,13 +45,15 @@ class _TransverseWitnessFields(NamedTuple):
 
 class TransverseWitness(Checked, _TransverseWitnessFields):
     """A certified transverse cylinder: the horizontal cylinders it crosses
-    (each exactly once, in order), its width, its start interval on the
-    bottom of the first, and the average direction ``(dx, dy)`` of its core."""
+    (each exactly once, in order), its start interval ``(lo, hi)`` on the
+    bottom of the first, whose length ``hi - lo`` is its width, and the
+    average direction ``(dx, dy)`` of its core."""
 
     __slots__ = ()
 
     def _check(self):
-        if self.width <= 0:
+        lo, hi = self.start_interval
+        if not lo < hi:
             raise InvariantViolation("a transverse cylinder needs positive "
                                      "width")
         if len(set(self.crossed)) != len(self.crossed):
@@ -136,8 +137,8 @@ def find_crossing_cylinder(d, label) -> TransverseWitness:
         >>> o = parse_origami('origami n=6 h="(1 3 2 4)" v="(0 5 2 1)"')
         >>> d = horizontal_decomposition(o)
         >>> w = find_crossing_cylinder(d, "Case1")
-        >>> w.crossed, w.width, w.kind
-        ((1,), 1, 'simple-over-1')
+        >>> w.crossed, w.start_interval, w.kind
+        ((1,), (0, 1), 'simple-over-1')
     """
     if label == "Case1":
         return _case1_witness(d)
@@ -201,12 +202,10 @@ def _case2_witness(d):
         raise InvariantViolation("no cylinder pairs with cylinder 0 at its "
                                  "first saddle: the diagram is not Case 2")
     tau = max(shared, key=lambda t: (lengths[t], t))
-    width = min(lengths[sigma], lengths[tau])
     bp = d.bottom_positions[sigma]
     return TransverseWitness(
         crossed=(0, c2),
-        width=width,
-        start_interval=(bp, bp + width),
+        start_interval=(bp, bp + min(lengths[sigma], lengths[tau])),
         direction=(0, d.heights[0] + d.heights[c2]),
         kind="through-%s-%s" % (sigma, tau),
     )
@@ -268,7 +267,6 @@ def _case4a_witness(d, c1, c4, middles):
     rise = heights[c1] + heights[wide] + heights[c4]
     return TransverseWitness(
         crossed=(c1, wide, c4),
-        width=hi - lo,
         start_interval=(lo, hi),
         direction=(off if off <= w - off else off - w, rise),
         kind=kind,
@@ -289,12 +287,10 @@ def _over_saddle(d, sid, crossed, prefix):
     once each: as wide as the saddle, it starts at the saddle's bottom
     position and rises through ``crossed`` to its top position.  Its kind
     is ``prefix % sid``."""
-    length = d.saddle_lengths[sid]
     bp = d.bottom_positions[sid]
     return TransverseWitness(
         crossed=crossed,
-        width=length,
-        start_interval=(bp, bp + length),
+        start_interval=(bp, bp + d.saddle_lengths[sid]),
         direction=(d.top_positions[sid] - bp,
                    sum(d.heights[c] for c in crossed)),
         kind=prefix % (sid,),
@@ -338,11 +334,12 @@ class FeasibilityRecord(NamedTuple):
     """Outcome of the window inequalities ``t0 >= s0 >= min_saddle`` and
     ``t_start <= 1 - 2·t0 - 2·s0`` in units of the circumference;
     ``slack`` is the numerator over ``w`` of the right-hand room
-    ``1 - 2·t0 - 2·s0``.  A feasible point is the degenerate one where
-    every inequality is tight: ``t0 >= s0 >= w/4`` gives ``slack <= 0``,
-    and ``0 <= t_start <= slack``."""
+    ``1 - 2·t0 - 2·s0``, and ``violated`` names the inequalities that
+    fail.  The point is feasible when ``violated`` is empty, and then it
+    is the degenerate one where every inequality is tight:
+    ``t0 >= s0 >= w/4`` gives ``slack <= 0``, and
+    ``0 <= t_start <= slack``."""
 
-    feasible: bool
     slack: int
     violated: tuple
 
@@ -355,10 +352,10 @@ def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
     EXAMPLES::
 
         >>> window_feasible(WindowConstraint(1, 1, 0, 4))
-        FeasibilityRecord(feasible=True, slack=0, violated=())
+        FeasibilityRecord(slack=0, violated=())
         >>> r = window_feasible(WindowConstraint(4, 3, 0, 12))
-        >>> r.feasible, r.slack       # 1 - 2/3 - 1/2 = -1/6
-        (False, -2)
+        >>> r.violated, r.slack       # 1 - 2/3 - 1/2 = -1/6
+        (('t_start <= 1 - 2*t0 - 2*s0',), -2)
         >>> window_feasible(WindowConstraint(3, 2, 1, 12)).violated
         ('s0 >= min_saddle',)
     """
@@ -370,4 +367,4 @@ def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
         violated.append("s0 >= min_saddle")
     if c.t_start > slack:
         violated.append("t_start <= 1 - 2*t0 - 2*s0")
-    return FeasibilityRecord(not violated, slack, tuple(violated))
+    return FeasibilityRecord(slack, tuple(violated))

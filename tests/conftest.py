@@ -25,6 +25,9 @@ SIX_SQUARES = 'origami n=6 h="(0 1 2)(3 4 5)" v="(0 3 1 5 2 4)"'
 # an H(3,1) surface whose directions with slope entries up to 2 all have
 # core span rank 2, while a cusp of its orbit has rank 3
 H31_SIX = 'origami n=6 h="(0 4 1 2 3)" v="(0 3 4 1 5)"'
+# the smallest genus-3 orbit other than the reference's with no cusp whose
+# core curves span a Lagrangian: 3 members of H(2,2), cusps of rank 2
+H22_EIGHT = 'origami n=8 h="(0 1 2 3)(4 6 7 5)" v="(0 1 2 4)(3 5 7 6)"'
 # lines that name no origami: an entry past n, a negative entry, the
 # reference with its second h-cycle unclosed, and stray text between cycles
 MALFORMED_LINES = (
@@ -260,11 +263,10 @@ def scaled_net(net, k):
 
 
 def scaled_witness(witness, k):
-    """``witness`` with its width, start interval and direction multiplied
-    by ``k``: the witness of the net scaled by ``k``."""
+    """``witness`` with its start interval and direction multiplied by
+    ``k``: the witness of the net scaled by ``k``."""
     return TransverseWitness(
-        witness.crossed, witness.width * k,
-        tuple(x * k for x in witness.start_interval),
+        witness.crossed, tuple(x * k for x in witness.start_interval),
         tuple(x * k for x in witness.direction), witness.kind)
 
 

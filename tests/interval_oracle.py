@@ -286,7 +286,6 @@ def case4a_window_witness(d, c1=None, c4=None, middles=None):
             if lo < hi:
                 return TransverseWitness(
                     crossed=(c1, wide, c4),
-                    width=hi - lo,
                     start_interval=(lo, hi),
                     direction=(off if off <= w - off else off - w, rise),
                     kind="window",
@@ -299,7 +298,6 @@ def case4a_window_witness(d, c1=None, c4=None, middles=None):
             raise InvariantViolation("boundary witness of zero width")
         return TransverseWitness(
             crossed=(c1, wide, c4),
-            width=eps,
             start_interval=(x, x + eps),
             direction=(off if off <= w - off else off - w, rise),
             kind="boundary",

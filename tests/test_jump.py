@@ -151,7 +151,7 @@ def test_forcing_evidence_is_frozen():
     assert [repr(r) for r in verdict.evidence] == [
         "DirectionRecord(slope=(0, 1), label='Case4', "
         "mechanism='transverse crossing cylinder', "
-        "witness=TransverseWitness(crossed=(0, 2, 3), width=1, "
+        "witness=TransverseWitness(crossed=(0, 2, 3), "
         "start_interval=(1, 2), direction=(1, 3), kind='boundary'))"]
 
 

@@ -14,8 +14,9 @@ import action_oracle
 import closure_oracle
 import orbit_oracle
 import word_oracle
-from conftest import H4_LINE, H31_SIX, SIX_SQUARES, classes_of_genus, \
-    l_origami, torus, wollmilchsau, random_origami, random_unimodular
+from conftest import H4_LINE, H22_EIGHT, H31_SIX, SIX_SQUARES, \
+    classes_of_genus, l_origami, torus, wollmilchsau, random_origami, \
+    random_unimodular
 from decomposition_oracle import core_span_rank
 from fraction_oracle import holonomy_kernel, invert_unimodular
 from survivor_oracle import enumerate_slopes, slope_box_bound
@@ -26,6 +27,7 @@ from squaretiled.errors import InvariantViolation, NotAStabilizer
 from squaretiled.homology import HomologyBasis, homology_basis
 from squaretiled.intlinalg import identity_matrix, mat_mul
 from squaretiled.monodromy import (
+    ForniReport,
     OrbitGraph,
     closure_classify,
     forni_upper_bound,
@@ -34,6 +36,7 @@ from squaretiled.monodromy import (
     restrict_to_zero_holonomy,
     stabilizer_generators,
 )
+from squaretiled.pipeline import classify_surface
 from squaretiled.surface import act_sl2z, build_origami, canonical_form, \
     origami_isomorphism, parse_origami, singularity_data
 from test_pipeline import CASE5_SEVEN
@@ -567,7 +570,8 @@ def test_cusp_bound_is_the_slope_box_bound_on_the_census():
     each cusp read, carried over by the member's word, has that cusp's
     rank, and the member's box-2 bound is never below the bound.  The box
     reads too high on 41 genus-3 classes, among them the H(3,1) surface
-    with rank 2 on the whole box."""
+    with rank 2 on the whole box.  Every genus-3 orbit has a cusp whose
+    core curves span a Lagrangian, so its bound is 0."""
     higher = {}
     for genus in (2, 3):
         classes = classes_of_genus(genus, 7)
@@ -579,6 +583,8 @@ def test_cusp_bound_is_the_slope_box_bound_on_the_census():
             graph = orbit_graph(o)
             seen.update(graph.members)
             report = forni_upper_bound(o)
+            if genus == 3:
+                assert report.upper_bound == 0, o
             bound = max(max(abs(p), q) for p, q in cusp_slopes(report))
             assert slope_box_bound(o, bound)[0] == report.upper_bound, o
             for member, word in zip(graph.members, graph.words):
@@ -600,6 +606,27 @@ def test_cusp_bound_is_the_slope_box_bound_on_the_census():
     assert forni_upper_bound(o).upper_bound == 0
     assert slope_box_bound(o, 2) == \
         (2, tuple((slope, 2) for slope in enumerate_slopes(2)))
+
+
+def test_h22_orbit_without_a_lagrangian_cusp():
+    """The 8-square H(2,2) orbit has no cusp of rank 3, so the cusp bound
+    leaves 2, yet the classifier excludes every member from its
+    horizontal direction alone: Case 1, Case 1 and Case 3."""
+    o = parse_origami(H22_EIGHT)
+    assert canonical_form(o) == o and str(singularity_data(o)) == "H(2,2)"
+    graph = orbit_graph(o)
+    assert len(graph.members) == 3
+    assert forni_upper_bound(o) == ForniReport(
+        upper_bound=2, witnesses=(((), 2), (("T", "S"), 2)))
+    labels = []
+    for member in graph.members:
+        verdict = classify_surface(member)
+        assert verdict.status == "TrivialForni", member
+        assert [r.slope for r in verdict.evidence] == [(0, 1)], member
+        labels.append(verdict.evidence[0].label)
+        assert labels[-1] == classify_case(
+            horizontal_decomposition(member).dual_graph), member
+    assert labels == ["Case1", "Case1", "Case3"]
 
 
 def one_cylinder_h2(lengths, twist):

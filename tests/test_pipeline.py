@@ -89,7 +89,7 @@ def test_reference_surface_survives():
     # t0 = s0 = 1/4 and t_start = 0 over the circumference 4
     assert result.constraint == chain.witness.constraint == \
         transverse.WindowConstraint(1, 1, 0, 4)
-    assert result.record == transverse.FeasibilityRecord(True, 0, ())
+    assert result.record == transverse.FeasibilityRecord(0, ())
     assert result.matrix == ((1, 0), (0, 1))
     assert result.relabelling == tuple(range(8))
 
@@ -859,7 +859,8 @@ def fraction_view(chain):
         Fraction(c.t0, c.w), Fraction(c.s0, c.w), Fraction(c.t_start, c.w),
         Fraction(1, 4))
     record = survivor_oracle.FeasibilityRecord(
-        rec.feasible, Fraction(rec.slack, c.w), rec.violated, rec.feasible)
+        not rec.violated, Fraction(rec.slack, c.w), rec.violated,
+        not rec.violated)
     return chain._replace(constraint=constraint, record=record)
 
 
@@ -1028,7 +1029,7 @@ def test_case6_nonreference_excluded_by_window():
     chain = horizontal.witness
     assert not chain
     assert chain.reason == "window inequalities violated"
-    assert not chain.record.feasible
+    assert chain.record.violated
 
 
 def test_catalog_counts():
@@ -1260,6 +1261,10 @@ def test_catalog_rejects_bad_input():
         enumerate_diagrams((8,), "one_cylinder")
     for kappa in [(0,), (3, -1), (1, 1, 0), ()]:
         with pytest.raises(ValueError):
+            enumerate_diagrams(kappa, "one_cylinder")
+    # zero orders whose sum no genus fits, 2g - 2 being even
+    for kappa in [(2, 1), (3,), (1, 1, 1)]:
+        with pytest.raises(ValueError, match="odd sum"):
             enumerate_diagrams(kappa, "one_cylinder")
 
 
@@ -1832,7 +1837,7 @@ import sys
 from squaretiled.errors import InvariantViolation
 from squaretiled.transverse import TransverseWitness
 try:
-    TransverseWitness(crossed=(0, 1), width=0, start_interval=(0, 0),
+    TransverseWitness(crossed=(0, 1), start_interval=(0, 0),
                       direction=(1, 1))
 except InvariantViolation as exc:
     print("optimize=%d raised: %s" % (sys.flags.optimize, exc))

@@ -30,14 +30,15 @@ from squaretiled.errors import InvariantViolation
 from squaretiled.jump import ForcingVerdict
 from squaretiled.surface import Stratum
 from squaretiled.transverse import TransverseWitness, WindowConstraint
-witness = TransverseWitness((0, 1), 1, (0, 1), (1, 1))
+witness = TransverseWitness((0, 1), (0, 1), (1, 1))
 window = WindowConstraint(1, 1, 0, 4)
 for record, changes in (
-        (Stratum((1, 1), 2), {"kappa": (0, 2)}),
-        (Stratum((1, 1), 2), {"genus": 3}),
+        (Stratum((1, 1)), {"kappa": (0, 2)}),
+        (Stratum((1, 1)), {"kappa": (1, 2)}),
         (ForcingVerdict("Forni impossible", "equal_exponents", 2, 2),
          {"coefficient": 0}),
-        (witness, {"width": 0}),
+        (witness, {"start_interval": (1, 1)}),
+        (witness, {"start_interval": (1, 0)}),
         (witness, {"crossed": (0, 0)}),
         (window, {"t0": 0}),
         (window, {"t_start": 4}),
@@ -57,9 +58,11 @@ for record, changes in (
 
 REJECTED = [
     "Stratum raised ValueError: zero orders (0, 2) must be positive",
-    "Stratum raised ValueError: kappa (1, 1) incompatible with genus 3",
+    "Stratum raised ValueError: zero orders (1, 2) have an odd sum",
     "ForcingVerdict raised InvariantViolation: the obstructing coefficient "
     "must be nonzero",
+    "TransverseWitness raised InvariantViolation: a transverse cylinder "
+    "needs positive width",
     "TransverseWitness raised InvariantViolation: a transverse cylinder "
     "needs positive width",
     "TransverseWitness raised InvariantViolation: each cylinder must be "
@@ -141,7 +144,8 @@ def test_records_compare_and_hash_by_value():
     rebuilt = TransverseWitness(*witness)
     assert rebuilt is not witness and rebuilt == witness
     assert hash(rebuilt) == hash(witness)
-    assert witness._replace(width=witness.width + 1) != rebuilt
+    lo, hi = witness.start_interval
+    assert witness._replace(start_interval=(lo, hi + 1)) != rebuilt
 
 
 

@@ -60,7 +60,8 @@ def window_feasible_pairs(max_denominator):
     for w in range(1, max_denominator + 1):
         for t0 in range(1, (w + 1) // 2):
             for s0 in range(1, t0 + 1):
-                if window_feasible(WindowConstraint(t0, s0, 0, w)).feasible:
+                if not window_feasible(
+                        WindowConstraint(t0, s0, 0, w)).violated:
                     out.add((Fraction(t0, w), Fraction(s0, w)))
     return sorted(out)
 
@@ -80,11 +81,14 @@ def test_interval_map_normalization_and_apply():
 @pytest.mark.parametrize("crossed, width, message", [
     ((0, 1), 0, "positive width"),
     ((0, 1, 0), 1, "crossed exactly once"),
+    ((0, 1), -1, "positive width"),
 ])
 def test_malformed_witness_raises(crossed, width, message):
+    """``width`` is the signed length of the start interval
+    ``(1, 1 + width)``: an empty or a reversed interval is rejected."""
     with pytest.raises(InvariantViolation, match=message):
-        TransverseWitness(crossed=crossed, width=width,
-                          start_interval=(0, width), direction=(1, 1))
+        TransverseWitness(crossed=crossed, start_interval=(1, 1 + width),
+                          direction=(1, 1))
 
 
 def test_interval_map_requires_partition():
@@ -159,13 +163,13 @@ def test_net_case_labels():
         assert decomposition_oracle.dual_graph(net) == d.dual_graph
 
 
-# each exemplar's witness: crossed cylinders, width, start interval,
-# direction and kind
+# each exemplar's witness: crossed cylinders, start interval, direction
+# and kind
 EXEMPLAR_WITNESSES = {
-    "Case1": ((1,), 1, (0, 1), (2, 1), "simple-over-1"),
-    "Case2": ((0, 2), 1, (0, 1), (0, 2), "through-0-5"),
-    "Case4A": ((0, 2, 3), 1, (1, 2), (0, 3), "window"),
-    "Case4B": ((0, 1, 3), 1, (3, 4), (-3, 3), "over-3"),
+    "Case1": ((1,), (0, 1), (2, 1), "simple-over-1"),
+    "Case2": ((0, 2), (0, 1), (0, 2), "through-0-5"),
+    "Case4A": ((0, 2, 3), (1, 2), (0, 3), "window"),
+    "Case4B": ((0, 1, 3), (3, 4), (-3, 3), "over-3"),
 }
 
 
@@ -181,7 +185,6 @@ def test_exemplar_witnesses(name):
     assert str(label) == name[:5]
     witness = find_crossing_cylinder(d, label)
     assert tuple(witness) == EXEMPLAR_WITNESSES[name]
-    assert witness.width > 0
     a, b = witness.start_interval
     assert a < b
     assert len(witness.crossed) == {"Case1": 1, "Case2": 2}.get(name, 3)
@@ -251,8 +254,9 @@ def test_decomposition_and_net_witnesses_agree():
             tau = int(witness.kind.rsplit("-", 1)[1])
             assert tau in shared and lengths[tau] == max(
                 lengths[t] for t in shared), (o, slope)
-            assert witness.width == min(lengths[sigma], lengths[tau]), \
-                (o, slope)
+            a, b = witness.start_interval
+            assert (a, b - a) == (d.bottom_positions[sigma], min(
+                lengths[sigma], lengths[tau])), (o, slope)
         found[label, witness is not None] += 1
     # at this seed, with the pair at slope (1, -1): 1486 Case 1, 13 Case 2
     # and 2 Case 4 directions, every one with a witness
@@ -364,11 +368,11 @@ def test_saddle_arc_reads_the_start_of_the_run():
 
 def test_window_feasible_known_points():
     rec = window_feasible(WindowConstraint(1, 1, 0, 4))
-    assert rec == FeasibilityRecord(True, 0, ())
+    assert rec == FeasibilityRecord(0, ())
     assert type(rec.slack) is int
     # t0 = 1/3, s0 = 1/4: the slack 1 - 2/3 - 1/2 = -1/6 is -2 twelfths
     rec = window_feasible(WindowConstraint(4, 3, 0, 12))
-    assert rec == FeasibilityRecord(False, -2, ("t_start <= 1 - 2*t0 - 2*s0",))
+    assert rec == FeasibilityRecord(-2, ("t_start <= 1 - 2*t0 - 2*s0",))
 
 
 # constraints with one value out of range or not an integer, and the
@@ -437,10 +441,12 @@ def test_integer_window_inequalities_match_the_fraction_oracle():
                 survivor_oracle.WindowConstraint(
                     Fraction(t0, w), Fraction(s0, w), Fraction(t_start, w),
                     Fraction(1, 4)))
-            assert (rec.feasible, rec.violated) == \
-                (oracle.feasible, oracle.violated), (t0, s0, t_start, w)
+            assert rec.violated == oracle.violated, (t0, s0, t_start, w)
+            assert oracle.feasible == (not rec.violated), \
+                (t0, s0, t_start, w)
             # every feasible point is the degenerate boundary point
-            assert rec.feasible == oracle.boundary, (t0, s0, t_start, w)
+            assert oracle.boundary == (not rec.violated), \
+                (t0, s0, t_start, w)
             assert type(rec.slack) is int
             assert Fraction(rec.slack, w) == oracle.slack
             seen[rec.violated, oracle.boundary] += 1
