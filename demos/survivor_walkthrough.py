@@ -4,8 +4,9 @@ Walk through the full certification of the 8-square survivor.
 The script builds the reference origami, inspects its horizontal cylinder
 decomposition and pinch dual graph, extracts the normalized window
 coordinates, and runs the classification, printing each piece of evidence
-along the way: the horizontal Case 6 chain and the certificate, the matrix
-of the affine image of the reference and the relabelling onto it.
+along the way: the horizontal Case 6 chain, whose window is read off its
+record, and the certificate, the matrix of the affine image of the
+reference and the relabelling onto it.
 
 Run with::
 
@@ -54,16 +55,16 @@ def main():
     for record in verdict.evidence:
         print("  slope %-8s %-6s via %s"
               % (record.slope, record.label, record.mechanism))
-    final = verdict.evidence[-1].witness
-    window = final.constraint
+    window = verdict.evidence[0].witness
+    certificate = verdict.evidence[-1].witness
     t0, s0, t_start = (Fraction(x, window.w)
                        for x in (window.t0, window.s0, window.t_start))
     print("\nwindow coordinates: t0 = %s, s0 = %s, t_start = %s"
           % (t0, s0, t_start))
-    print("feasible only at the boundary:", not final.record.violated)
-    (a, t), (_, h) = final.matrix
+    print("feasible only at the boundary:", not window.violated)
+    (a, t), (_, h) = certificate.matrix
     print("affine image of the reference: [[%d, %d], [0, %d]]" % (a, t, h))
-    print("relabelling onto it:", final.relabelling)
+    print("relabelling onto it:", certificate.relabelling)
     assert t0 == Fraction(1, 4)
     print("\nverdict:", verdict.status)
 

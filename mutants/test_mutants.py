@@ -27,6 +27,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+CLI = "src/squaretiled/cli.py"
 CYLINDERS = "src/squaretiled/cylinders.py"
 MONODROMY = "src/squaretiled/monodromy.py"
 PIPELINE = "src/squaretiled/pipeline.py"
@@ -34,6 +35,41 @@ SURFACE = "src/squaretiled/surface.py"
 TRANSVERSE = "src/squaretiled/transverse.py"
 
 ROWS = [
+    # a file of five origami lines read as one
+    (CLI, "if len(lines) > 1:", "if len(lines) > 5:",
+     ["tests/test_pipeline.py::test_cli_rejects_a_second_origami_line"],
+     45),
+    # the bottom permutation beta reversed
+    (PIPELINE, "w[1:] + w[:1]]", "w[-1:] + w[:-1]]",
+     ["tests/test_pipeline.py::"
+      "test_gluings_are_the_filtered_permutations_in_order[H2,1,1-case6]",
+      "tests/test_pipeline.py::test_case6_catalog_entry_is_the_reference_"
+      "diagram",
+      "tests/test_pipeline.py::test_catalog_text_is_pinned"],
+     45),
+    # a corner cycle of a length no longer needed closes anyway
+    (PIPELINE, "if not need[size[b]]:", "if False:",
+     ["tests/test_pipeline.py::test_catalog_counts",
+      "tests/test_pipeline.py::test_catalog_matches_the_oracle[H2,1,1]",
+      "tests/test_pipeline.py::"
+      "test_gluings_are_the_filtered_permutations_in_order[H1,1]"],
+     45),
+    # the wrap-around adjacency of each top word never checked
+    (PIPELINE, "        due[-1].append((len(images) - 1, cuts[-1]))\n", "",
+     ["tests/test_pipeline.py::"
+      "test_gluings_are_the_filtered_permutations_in_order[H2,1,1-case6]",
+      "tests/test_pipeline.py::test_catalog_decomposes_and_keys_each_diagram"
+      "_once[H2,1,1-case6]",
+      "tests/test_pipeline.py::test_catalog_text_is_pinned"],
+     45),
+    # the rotation filter tries no rotation
+    (PIPELINE, "range(1, len(w))", "range(1, 1)",
+     ["tests/test_pipeline.py::test_catalog_decomposes_and_keys_each_diagram"
+      "_once[H1,1,1,1-one_cylinder]",
+      "tests/test_pipeline.py::"
+      "test_one_cylinder_catalog_matches_brute_force[H4]",
+      "tests/test_pipeline.py::test_catalog_text_is_pinned"],
+     45),
     # a zero counted on every bottom that meets it
     (CYLINDERS, "        zeros = 0\n",
      "        zeros = 0\n        met = [False] * n\n",
@@ -223,12 +259,30 @@ ROWS = [
       "test_validated_records_reject_bad_fields_on_every_path",
       "tests/test_pipeline.py::test_checks_survive_python_O"],
      52),
-    # a window that violates an inequality read as consistent
-    (PIPELINE, "not record.violated", "record.violated",
+    # a window that violates an inequality read as consistent, and the
+    # other way round; rewritten on the window's own violated inequalities
+    (PIPELINE, "or chain.violated:", "or not chain.violated:",
      ["tests/test_pipeline.py::test_reference_surface_survives",
       "tests/test_pipeline.py::test_case6_nonreference_excluded_by_window",
       "tests/test_pipeline.py::test_exemplars_have_trivial_subspaces[Case6]"],
      52),
+    # a survivor certified over a window that violates an inequality
+    (PIPELINE, " and not window.violated", "",
+     ["tests/test_pipeline.py::test_forged_survivor_verdict_raises",
+      "tests/test_pipeline.py::test_checks_survive_python_O"],
+     53),
+    # a certificate whose saddle length is not the window's t0
+    (PIPELINE, "if a == window.t0 and 0 <= t < a", "if 0 <= t < a",
+     ["tests/test_pipeline.py::test_forged_survivor_verdict_raises",
+      "tests/test_pipeline.py::test_checks_survive_python_O"],
+     53),
+    # the quarter bound made strict
+    (TRANSVERSE, "4 * self.s0 < self.w", "4 * self.s0 <= self.w",
+     ["tests/test_transverse.py::test_window_feasible_known_points",
+      "tests/test_transverse.py::"
+      "test_integer_window_inequalities_match_the_fraction_oracle",
+      "tests/test_pipeline.py::test_reference_surface_survives"],
+     53),
 ]
 
 

@@ -18,7 +18,8 @@ Modules
   cylinder pinch, as closed forms in the node exponents
 - :mod:`squaretiled.transverse` — transverse-cylinder searches on a
   cylinder decomposition, the Case 4A window argument over whole-unit
-  cells; the window-inequality solver
+  cells; the two-cylinder window data, which reads off its own violated
+  inequalities
 - :mod:`squaretiled.monodromy` — affine stabilizer, its symplectic action on
   homology, exact finiteness decision, core-curve dimension bound read off
   the cusps of the orbit graph

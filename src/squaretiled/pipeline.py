@@ -29,18 +29,14 @@ from .cylinders import (
     periodic_decomposition,
 )
 from .errors import GenusMismatch, InvariantViolation
-from .jump import case3_verdict, case6_moduli_forcing
+from .jump import ForcingVerdict, case3_verdict, case6_moduli_forcing
 from .surface import (
     Origami,
     Stratum,
     build_origami,
     origami_isomorphism,
 )
-from .transverse import (
-    WindowConstraint,
-    find_crossing_cylinder,
-    window_feasible,
-)
+from .transverse import WindowConstraint, find_crossing_cylinder
 
 
 def reference_surface() -> Origami:
@@ -125,48 +121,44 @@ class Verdict(NamedTuple):
     origami: Origami = None
 
 
+class AffineCertificate(NamedTuple):
+    """The survivor's certificate: the matrix ``((a, t), (0, h))`` of its
+    image under :func:`affine_reference` and the relabelling onto that
+    image."""
+
+    matrix: tuple
+    relabelling: tuple
+
+
 def _check_survivor(verdict):
     """``verdict``, unless it is a survivor without a certificate that
-    checks: the consistent horizontal Case 6 record, then a record whose
-    matrix ``((a, t), (0, h))`` has ``0 <= t < a`` and whose relabelling
-    carries the surface onto ``affine_reference(a, h, t)``.  That raises
+    checks: the horizontal Case 6 chain record, whose window has no
+    violated inequality, then an :class:`AffineCertificate` record whose
+    matrix ``((a, t), (0, h))`` has ``a = t0``, ``0 <= t < a`` and
+    ``h > 0`` and whose relabelling carries the surface onto
+    ``affine_reference(a, h, t)``.  That raises
     :class:`~squaretiled.errors.InvariantViolation`, also under ``-O``."""
     trail, o = verdict.evidence, verdict.origami
     if verdict.status != "WollmilchsauEquivalent":
         return verdict
-    matrix = getattr(trail[-1].witness, "matrix", None) if trail else None
-    if o is not None and matrix and trail[0].witness and [
-            (r.slope, r.label, r.mechanism) for r in trail] == [
+    if o is not None and [(r.slope, r.label, r.mechanism) for r in trail] == [
             ((0, 1), "Case6", m)
             for m in ("two homologous cylinders", AFFINE_IMAGE)]:
-        (a, t), (_, h), p = *matrix, trail[-1].witness.relabelling
-        r = affine_reference(a, h, t) if 0 <= t < a and h > 0 else None
-        if r is not None and r.n == o.n and sorted(p) == list(range(o.n)) \
-                and all(p[o.h[i]] == r.h[p[i]] and p[o.v[i]] == r.v[p[i]]
+        window, certificate = trail[0].witness, trail[1].witness
+        if isinstance(window, WindowConstraint) and not window.violated \
+                and isinstance(certificate, AffineCertificate) \
+                and certificate.matrix:
+            ((a, t), (_, h)), p = certificate
+            r = affine_reference(a, h, t) \
+                if a == window.t0 and 0 <= t < a and h > 0 else None
+            if r is not None and r.n == o.n and \
+                    sorted(p) == list(range(o.n)) and all(
+                        p[o.h[i]] == r.h[p[i]] and p[o.v[i]] == r.v[p[i]]
                         for i in range(o.n)):
-            return verdict
+                return verdict
     raise InvariantViolation("survivor verdicts require a consistent "
                              "horizontal Case 6 chain followed by its "
                              "affine certificate")
-
-
-class EquivalenceResult(NamedTuple):
-    """Boolean-valued outcome of the two-cylinder metric chain with the
-    decisive record attached: a moduli forcing verdict or a window
-    feasibility record.  The survivor's certificate restates the window
-    data and adds the matrix ``((a, t), (0, h))`` of its image under
-    :func:`affine_reference` and the relabelling onto it."""
-
-    value: bool
-    reason: str
-    constraint: WindowConstraint = None
-    record: object = None
-    forcing: object = None
-    matrix: tuple = None
-    relabelling: tuple = None
-
-    def __bool__(self):
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +210,16 @@ def _window_extraction(d, c1, c2):
     return l_tau, lengths[sigma], (gap - 2 * l_tau) % w
 
 
-def _metric_chain(d) -> EquivalenceResult:
-    """Moduli forcing plus window feasibility for one two-homologous-
-    cylinder decomposition; truthy when the metric constraints are
-    consistent, which forces the reference diagram (see
-    :func:`classify_surface`)."""
-    r1, r2 = moduli_exponents(d)
-    forcing = case6_moduli_forcing(r1, r2)
+def _metric_chain(d):
+    """The decisive record of the metric chain of one two-homologous-
+    cylinder decomposition: the moduli forcing verdict when unequal moduli
+    are forced away, and otherwise the window, whose inequalities hold
+    (:attr:`~squaretiled.transverse.WindowConstraint.violated` is empty)
+    exactly when the metric constraints are consistent, which forces the
+    reference diagram (see :func:`classify_surface`)."""
+    forcing = case6_moduli_forcing(*moduli_exponents(d))
     if forcing.verdict != "consistent":
-        return EquivalenceResult(False, "unequal moduli are forced away",
-                                 forcing=forcing)
+        return forcing
     # the first cylinder carries the longest bottom saddle; when both
     # longest saddles are equally long, the order with the smaller t_start
     # is kept, so the record does not depend on the cylinder labels.  Both
@@ -235,12 +227,7 @@ def _metric_chain(d) -> EquivalenceResult:
     t0, s0, t_start = min((_window_extraction(d, *order)
                            for order in ((0, 1), (1, 0))),
                           key=lambda c: (-c[0], c[2]))
-    constraint = WindowConstraint(t0, s0, t_start, d.circumferences[0])
-    record = window_feasible(constraint)
-    return EquivalenceResult(not record.violated, "window inequalities "
-                             "violated" if record.violated else "metric "
-                             "constraints consistent", constraint=constraint,
-                             record=record)
+    return WindowConstraint(t0, s0, t_start, d.circumferences[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +278,7 @@ def _analyze_direction(d, slope):
         return DirectionRecord(slope, label, "defer to a simple transverse "
                                "cylinder", (h // g, dx // g)), False
     chain = _metric_chain(d)
-    if not chain:
+    if isinstance(chain, ForcingVerdict) or chain.violated:
         return DirectionRecord(slope, label, "window forcing", chain), True
     return DirectionRecord(slope, label, "two homologous cylinders",
                            chain), False
@@ -338,8 +325,8 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
     it is ``R(a, h, t mod a)`` (:func:`affine_reference`).  As ``t1 =
     t2`` and cylinder ``c``'s top saddles sit at ``i·a + t_c``, every top
     saddle of either cylinder gives the same ``t mod a``; the first of
-    cylinder 0 is read.  The certificate record restates the window data
-    and carries the matrix and the relabelling.
+    cylinder 0 is read.  The certificate record carries the matrix and
+    the relabelling; the window it rests on is the chain record's.
 
     EXAMPLES::
 
@@ -369,8 +356,7 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
                 "the simple cylinder direction %s of a Case 5 direction "
                 "excludes nothing" % (slope,))
         return Verdict("TrivialForni", (first, record), o)
-    chain = first.witness
-    a, h = chain.constraint.t0, horizontal.heights[0]
+    a, h = first.witness.t0, horizontal.heights[0]
     t = horizontal.top_positions[horizontal.diagram.top_words[0][0]] % a
     relabelling = origami_isomorphism(o, affine_reference(a, h, t))
     if relabelling is None:
@@ -378,10 +364,7 @@ def classify_surface(o: Origami, *, direction_bound=None) -> Verdict:
             "a consistent Case 6 chain of saddle length %d and height %d is "
             "not the affine image [[%d, %d], [0, %d]] of the reference"
             % (a, h, a, t, h))
-    certificate = EquivalenceResult(
-        True, "window forcing resolves to the reference diagram",
-        constraint=chain.constraint, record=chain.record,
-        matrix=((a, t), (0, h)), relabelling=relabelling)
+    certificate = AffineCertificate(((a, t), (0, h)), relabelling)
     return _check_survivor(Verdict("WollmilchsauEquivalent", (
         first, DirectionRecord((0, 1), "Case6", AFFINE_IMAGE, certificate)),
         o))
@@ -652,24 +635,26 @@ def _verdict_text(verdict: Verdict):
         if rec.label == "Case5":
             lines.append("    -> simple cylinder at slope %s"
                          % (rec.witness,))
-        if isinstance(rec.witness, EquivalenceResult):
-            w = rec.witness
-            lines.append("    -> %s" % w.reason)
-            c = w.constraint
-            if c is not None:
-                lines.append("    -> t0=%s s0=%s t_start=%s slack=%s"
-                             % (_over(c.t0, c.w), _over(c.s0, c.w),
-                                _over(c.t_start, c.w),
-                                _over(w.record.slack, c.w)))
-            if w.record is not None and w.record.violated:
-                lines.append("    -> violated: %s"
-                             % ", ".join(w.record.violated))
-            if w.matrix is not None:
-                (a, t), (_, h) = w.matrix
-                lines.append("    -> %s: [[%d, %d], [0, %d]]"
-                             % (AFFINE_IMAGE, a, t, h))
-                lines.append("    -> relabelling: %s"
-                             % " ".join(map(str, w.relabelling)))
+        w = rec.witness
+        if isinstance(w, ForcingVerdict):
+            if rec.label == "Case6":
+                lines.append("    -> unequal moduli are forced away")
+            lines.append("    -> %s" % w.provenance)
+        if isinstance(w, WindowConstraint):
+            lines.append("    -> window inequalities violated" if w.violated
+                         else "    -> metric constraints consistent")
+            lines.append("    -> t0=%s s0=%s t_start=%s slack=%s" % tuple(
+                _over(x, w.w) for x in (w.t0, w.s0, w.t_start, w.slack)))
+            if w.violated:
+                lines.append("    -> violated: %s" % ", ".join(w.violated))
+        if isinstance(w, AffineCertificate):
+            (a, t), (_, h) = w.matrix
+            lines.append("    -> window forcing resolves to the reference "
+                         "diagram")
+            lines.append("    -> %s: [[%d, %d], [0, %d]]"
+                         % (AFFINE_IMAGE, a, t, h))
+            lines.append("    -> relabelling: %s"
+                         % " ".join(map(str, w.relabelling)))
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 r"""
 Constructive searches for transverse cylinders in the two-, three- and
-four-cylinder configurations, and the window-inequality solver.
+four-cylinder configurations, and the window data of the two-cylinder
+forcing, which decides its own inequalities.
 
 One search, :func:`find_crossing_cylinder`, keyed by the pinch label the
 classifier has read, takes the metric data of a cylinder decomposition
@@ -313,9 +314,15 @@ class WindowConstraint(Checked, _WindowConstraintFields):
     """Window data for the two-cylinder forcing as integer numerators over
     the shared circumference ``w``: the longest saddle lengths ``t0 >= s0``
     on the two bottoms and the offset ``t_start`` of the upper window.
-    The inequalities bound ``s0`` below by ``min_saddle``, a quarter of
-    the circumference.  Every check is an explicit ``raise``, so it also
-    runs under ``python -O``."""
+    The window inequalities ``t0 >= s0 >= min_saddle`` and ``t_start <= 1
+    - 2·t0 - 2·s0``, in units of the circumference, bound ``s0`` below by
+    ``min_saddle``, a quarter of the circumference; the record reads off
+    its own :attr:`slack` and :attr:`violated`.  The window is feasible
+    when ``violated`` is empty, and then it is the degenerate point where
+    every inequality is tight: ``t0 >= s0 >= w/4`` gives ``slack <= 0``,
+    and ``0 <= t_start <= slack``, so ``t0 = s0 = w/4`` and ``t_start =
+    0``.  Every check is an explicit ``raise``, so it also runs under
+    ``python -O``."""
 
     __slots__ = ()
 
@@ -329,42 +336,34 @@ class WindowConstraint(Checked, _WindowConstraintFields):
         if not (0 <= self.t_start < self.w):
             raise ValueError("t_start must lie in [0, w)")
 
+    @property
+    def slack(self):
+        """The numerator over ``w`` of the right-hand room ``1 - 2·t0 -
+        2·s0``."""
+        return self.w - 2 * (self.t0 + self.s0)
 
-class FeasibilityRecord(NamedTuple):
-    """Outcome of the window inequalities ``t0 >= s0 >= min_saddle`` and
-    ``t_start <= 1 - 2·t0 - 2·s0`` in units of the circumference;
-    ``slack`` is the numerator over ``w`` of the right-hand room
-    ``1 - 2·t0 - 2·s0``, and ``violated`` names the inequalities that
-    fail.  The point is feasible when ``violated`` is empty, and then it
-    is the degenerate one where every inequality is tight:
-    ``t0 >= s0 >= w/4`` gives ``slack <= 0``, and
-    ``0 <= t_start <= slack``."""
+    @property
+    def violated(self):
+        r"""
+        The names of the window inequalities that fail, decided on the
+        numerators over ``w``: the room is :attr:`slack` and the quarter
+        bound ``4·s0 >= w``.
 
-    slack: int
-    violated: tuple
+        EXAMPLES::
 
-
-def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
-    r"""
-    Decide the window inequalities on the numerators over ``c.w``: the
-    room is ``w - 2·t0 - 2·s0`` and the quarter bound ``4·s0 >= w``.
-
-    EXAMPLES::
-
-        >>> window_feasible(WindowConstraint(1, 1, 0, 4))
-        FeasibilityRecord(slack=0, violated=())
-        >>> r = window_feasible(WindowConstraint(4, 3, 0, 12))
-        >>> r.violated, r.slack       # 1 - 2/3 - 1/2 = -1/6
-        (('t_start <= 1 - 2*t0 - 2*s0',), -2)
-        >>> window_feasible(WindowConstraint(3, 2, 1, 12)).violated
-        ('s0 >= min_saddle',)
-    """
-    slack = c.w - 2 * (c.t0 + c.s0)
-    violated = []
-    if c.t0 < c.s0:
-        violated.append("t0 >= s0")
-    if 4 * c.s0 < c.w:
-        violated.append("s0 >= min_saddle")
-    if c.t_start > slack:
-        violated.append("t_start <= 1 - 2*t0 - 2*s0")
-    return FeasibilityRecord(slack, tuple(violated))
+            >>> WindowConstraint(1, 1, 0, 4).violated
+            ()
+            >>> c = WindowConstraint(4, 3, 0, 12)
+            >>> c.violated, c.slack       # 1 - 2/3 - 1/2 = -1/6
+            (('t_start <= 1 - 2*t0 - 2*s0',), -2)
+            >>> WindowConstraint(3, 2, 1, 12).violated
+            ('s0 >= min_saddle',)
+        """
+        violated = []
+        if self.t0 < self.s0:
+            violated.append("t0 >= s0")
+        if 4 * self.s0 < self.w:
+            violated.append("s0 >= min_saddle")
+        if self.t_start > self.slack:
+            violated.append("t_start <= 1 - 2*t0 - 2*s0")
+        return tuple(violated)

@@ -14,16 +14,13 @@ against.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from squaretiled.cylinders import direction_member, \
     horizontal_decomposition, periodic_decomposition
 from squaretiled.errors import GenusMismatch, InvariantViolation
 from squaretiled.jump import case6_moduli_forcing
-from squaretiled.pipeline import (
-    DirectionRecord,
-    EquivalenceResult,
-    _analyze_direction,
-)
+from squaretiled.pipeline import DirectionRecord, _analyze_direction
 from squaretiled.surface import origami_isomorphism, singularity_data
 
 
@@ -131,6 +128,20 @@ def window_feasible(c: WindowConstraint) -> FeasibilityRecord:
     return FeasibilityRecord(feasible, slack, tuple(violated), boundary)
 
 
+class ChainResult(NamedTuple):
+    """Outcome of the oracle's metric chain: whether the constraints are
+    consistent, a short reason and the record that decides it, the moduli
+    forcing verdict or the window constraint and its feasibility record.
+    The survivor record of :func:`classify_per_slope` holds the window of
+    its chain."""
+
+    value: bool
+    reason: str
+    constraint: object = None
+    record: FeasibilityRecord = None
+    forcing: object = None
+
+
 def moduli_exponents(d):
     """Integer exponents proportional to the moduli ``height /
     circumference`` of a decomposition, or of a plain list of exact
@@ -178,8 +189,8 @@ def metric_chain(d):
     r1, r2 = moduli_exponents(d)
     forcing = case6_moduli_forcing(r1, r2)
     if forcing.verdict != "consistent":
-        return EquivalenceResult(False, "unequal moduli are forced away",
-                                 forcing=forcing)
+        return ChainResult(False, "unequal moduli are forced away",
+                           forcing=forcing)
     t0, s0, t_start = min((window_extraction(d, *order)
                            for order in ((0, 1), (1, 0))),
                           key=lambda c: (-c[0], c[2]))
@@ -187,10 +198,10 @@ def metric_chain(d):
                                   min_saddle=Fraction(1, 4))
     record = window_feasible(constraint)
     if not record.feasible:
-        return EquivalenceResult(False, "window inequalities violated",
-                                 constraint=constraint, record=record)
-    return EquivalenceResult(True, "metric constraints consistent",
-                             constraint=constraint, record=record)
+        return ChainResult(False, "window inequalities violated",
+                           constraint=constraint, record=record)
+    return ChainResult(True, "metric constraints consistent",
+                       constraint=constraint, record=record)
 
 
 def classify_per_slope(o, direction_bound=3):
@@ -225,10 +236,7 @@ def classify_per_slope(o, direction_bound=3):
     evidence = tuple(evidence)
     if any(record.label != "Case6" for record in evidence):
         return SlopeVerdict("Undetermined", evidence, o)
-    chain = evidence[0].witness
-    result = EquivalenceResult(True, "window forcing resolves to the "
-                               "reference surface",
-                               constraint=chain.constraint,
-                               record=chain.record)
+    result = ChainResult(True, "window forcing resolves to the reference "
+                         "surface", constraint=evidence[0].witness)
     evidence += (DirectionRecord((0, 1), "Case6", "window forcing", result),)
     return SlopeVerdict("WollmilchsauEquivalent", evidence, o)

@@ -32,11 +32,7 @@ from squaretiled.monodromy import closure_classify, homology_action, \
 from squaretiled.pipeline import classify_surface, enumerate_diagrams, \
     reference_surface
 from squaretiled.surface import parse_origami, singularity_data
-from squaretiled.transverse import (
-    WindowConstraint,
-    find_crossing_cylinder,
-    window_feasible,
-)
+from squaretiled.transverse import WindowConstraint, find_crossing_cylinder
 
 
 @contextmanager
@@ -64,8 +60,10 @@ def test_criterion_1_reference_end_to_end():
         assert classify_case(d.dual_graph) == "Case6"
         verdict = classify_surface(o)
         assert verdict.status == "WollmilchsauEquivalent"
-        constraint = verdict.evidence[-1].witness.constraint
+        constraint = verdict.evidence[0].witness
         assert constraint == WindowConstraint(1, 1, 0, 4)
+        assert constraint.violated == ()
+        assert verdict.evidence[-1].witness.matrix == ((1, 0), (0, 1))
         q = Fraction(1, 4)
         assert tuple(Fraction(x, constraint.w) for x in (
             constraint.t0, constraint.s0, constraint.t_start)) == \
@@ -136,7 +134,7 @@ def test_criterion_6_window_uniqueness():
         q = Fraction(1, 4)
         assert window_feasible_pairs(100) == [(q, q)]
         # t0 = 1/3 and s0 = 1/4 of a circumference of 12
-        rec = window_feasible(WindowConstraint(4, 3, 0, 12))
+        rec = WindowConstraint(4, 3, 0, 12)
         assert rec.violated
         assert type(rec.slack) is int
         assert Fraction(rec.slack, 12) == Fraction(-1, 6)

@@ -141,7 +141,7 @@ def test_forcing_evidence_is_frozen():
     o = parse_origami('origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
                       'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"')
     chain = classify_surface(o).evidence[0].witness
-    assert repr(chain.forcing) == (
+    assert repr(chain) == (
         "ForcingVerdict(verdict='r1 = r2 forced', "
         "branch='unequal_exponents', exponent=-1, "
         "coefficient=3, " + PROVENANCE)

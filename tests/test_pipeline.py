@@ -36,7 +36,9 @@ from squaretiled.monodromy import orbit_graph
 from squaretiled import cli, cylinders, homology, monodromy, pipeline, \
     transverse
 from squaretiled.errors import GenusMismatch, InvariantViolation
+from squaretiled.jump import ForcingVerdict, case6_moduli_forcing
 from squaretiled.pipeline import (
+    AffineCertificate,
     DirectionRecord,
     Verdict,
     affine_reference,
@@ -84,14 +86,14 @@ def test_reference_surface_survives():
         ((0, 1), "Case6", "two homologous cylinders")
     assert (final.slope, final.label, final.mechanism) == \
         ((0, 1), "Case6", "affine image of the reference")
-    result = final.witness
-    assert bool(result)
-    # t0 = s0 = 1/4 and t_start = 0 over the circumference 4
-    assert result.constraint == chain.witness.constraint == \
-        transverse.WindowConstraint(1, 1, 0, 4)
-    assert result.record == transverse.FeasibilityRecord(0, ())
-    assert result.matrix == ((1, 0), (0, 1))
-    assert result.relabelling == tuple(range(8))
+    # t0 = s0 = 1/4 and t_start = 0 over the circumference 4, where every
+    # window inequality holds with no slack
+    window = chain.witness
+    assert window == transverse.WindowConstraint(1, 1, 0, 4)
+    assert (window.slack, window.violated) == (0, ())
+    # the certificate holds only its matrix and its relabelling
+    assert final.witness == AffineCertificate(((1, 0), (0, 1)),
+                                              tuple(range(8)))
 
 
 def test_verdict_invariant_under_shears():
@@ -402,8 +404,9 @@ def test_verdict_matches_the_per_slope_loop():
         elif verdict.status == "TrivialForni":
             assert verdict.evidence == oracle.evidence, o
         else:
-            assert verdict.evidence[-1].witness.constraint == \
-                oracle.evidence[-1].witness.constraint, o
+            window = verdict.evidence[0].witness
+            assert window == oracle.evidence[-1].witness.constraint, o
+            assert not window.violated, o
         for r in verdict.evidence:
             # the rank is recomputed from a homology basis on the first
             # surfaces only, a basis being slow to build
@@ -555,7 +558,8 @@ def test_relabelled_copy_keeps_the_deferral_and_the_certificate():
 EXEMPLAR_REPORTS = {
     "Case1": "  slope (0, 1)   Case1     transverse crossing cylinder\n",
     "Case2": "  slope (0, 1)   Case2     transverse crossing cylinder\n",
-    "Case3": "  slope (0, 1)   Case3     period forcing\n",
+    "Case3": "  slope (0, 1)   Case3     period forcing\n"
+             "    -> paper argument, node values assumed nonzero\n",
     "Case4A": "  slope (0, 1)   Case4     transverse crossing cylinder\n",
     "Case4B": "  slope (0, 1)   Case4     transverse crossing cylinder\n",
     "Case5":
@@ -589,15 +593,48 @@ def test_verdict_text_names_the_deferral_and_the_certificate():
         "  slope (0, 1)   Case5     defer to a simple transverse cylinder\n"
         "    -> simple cylinder at slope (1, 2)\n"
         "  slope (1, 2)   -         Lagrangian core curves\n")
+    # the window is printed once, under the chain record; the certificate
+    # prints only its matrix and its relabelling
     text = render_report(classify_surface(parse_origami(SURVIVOR16)))
-    assert text.endswith(
+    assert text == (
+        "classification: WollmilchsauEquivalent\n"
+        "directions analyzed: 1\n"
+        "\n"
+        "  slope (0, 1)   Case6     two homologous cylinders\n"
+        "    -> metric constraints consistent\n"
+        "    -> t0=1/4 s0=1/4 t_start=0 slack=0\n"
         "  slope (0, 1)   Case6     affine image of the reference\n"
         "    -> window forcing resolves to the reference diagram\n"
-        "    -> t0=1/4 s0=1/4 t_start=0 slack=0\n"
         "    -> affine image of the reference: [[1, 0], [0, 2]]\n"
         "    -> relabelling: 0 1 3 4 14 2 5 15 7 13 8 10 6 12 9 11\n")
-    assert text.startswith("classification: WollmilchsauEquivalent\n"
-                           "directions analyzed: 1\n")
+
+
+# the reference diagram with cylinder heights 1 and 2, whose unequal moduli
+# are forced away
+UNEQUAL_MODULI = ('origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
+                  'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"')
+PROVENANCE_LINE = "    -> paper argument, node values assumed nonzero\n"
+
+
+def test_forcing_records_print_their_provenance():
+    """Every record witnessed by a forcing verdict, Case 3 period forcing
+    and the Case 6 moduli exclusion, prints where its fact comes from, the
+    verdict's provenance, under its last line; no other record does."""
+    case3, case6 = (classify_surface(o) for o in (
+        exemplar("Case3"), parse_origami(UNEQUAL_MODULI)))
+    for verdict in (case3, case6):
+        (record,) = verdict.evidence
+        assert isinstance(record.witness, ForcingVerdict)
+        assert "    -> %s\n" % record.witness.provenance == PROVENANCE_LINE
+        assert render_report(verdict).count(PROVENANCE_LINE) == 1
+    assert render_report(case3).endswith(
+        "  slope (0, 1)   Case3     period forcing\n" + PROVENANCE_LINE)
+    assert render_report(case6).endswith(
+        "  slope (0, 1)   Case6     window forcing\n"
+        "    -> unequal moduli are forced away\n" + PROVENANCE_LINE)
+    for o in (exemplar("Case6"), exemplar("Case1"), reference_surface(),
+              parse_origami(CASE5_SEVEN)):
+        assert PROVENANCE_LINE not in render_report(classify_surface(o))
 
 
 
@@ -800,13 +837,21 @@ def is_case6(d):
         classify_case(graph) == "Case6"
 
 
+def consistent(chain):
+    """Whether the metric chain record ``chain`` is a window with no
+    violated inequality, the one record that leaves a Case 6 direction
+    unexcluded."""
+    return isinstance(chain, transverse.WindowConstraint) and \
+        not chain.violated
+
+
 def feasible_window_has_quarter_saddles(o, d, slope):
     """On a Case 6 decomposition ``d`` of ``o`` at ``slope`` whose metric
     chain is consistent, every saddle is a quarter circumference long and
     the stratum is H(1,1,1,1): the counting argument that lets the final
     step compare diagrams alone.  Returns whether ``d`` is such a
     decomposition."""
-    if not is_case6(d) or not pipeline._metric_chain(d):
+    if not is_case6(d) or not consistent(pipeline._metric_chain(d)):
         return False
     w = len(d.rows[0][0])
     assert all(4 * length == w for length in d.saddle_lengths), \
@@ -846,22 +891,26 @@ def window_coordinates(d, c1, c2):
 
 
 def fraction_view(chain):
-    """The integer metric chain ``chain`` as the fraction oracle states it:
-    each window numerator over ``w``, the record's slack over ``w``, and
-    the quarter bound as ``min_saddle = 1/4``.  Raises ``AssertionError``
-    unless every window value is an ``int``."""
-    c, rec = chain.constraint, chain.record
-    if c is None:
-        return chain
-    values = (c.t0, c.s0, c.t_start, c.w, rec.slack)
+    """The integer metric chain record ``chain`` as the fraction oracle
+    states its outcome: a moduli forcing verdict as an exclusion, and a
+    window with each numerator over ``w``, its slack over ``w`` and the
+    quarter bound as ``min_saddle = 1/4``, consistent exactly when no
+    inequality is violated.  Raises ``AssertionError`` unless every window
+    value is an ``int``."""
+    if isinstance(chain, ForcingVerdict):
+        return survivor_oracle.ChainResult(
+            False, "unequal moduli are forced away", forcing=chain)
+    c, feasible = chain, not chain.violated
+    values = (c.t0, c.s0, c.t_start, c.w, c.slack)
     assert all(type(x) is int for x in values), values
     constraint = survivor_oracle.WindowConstraint(
         Fraction(c.t0, c.w), Fraction(c.s0, c.w), Fraction(c.t_start, c.w),
         Fraction(1, 4))
     record = survivor_oracle.FeasibilityRecord(
-        not rec.violated, Fraction(rec.slack, c.w), rec.violated,
-        not rec.violated)
-    return chain._replace(constraint=constraint, record=record)
+        feasible, Fraction(c.slack, c.w), c.violated, feasible)
+    return survivor_oracle.ChainResult(
+        feasible, "metric constraints consistent" if feasible else
+        "window inequalities violated", constraint, record)
 
 
 def test_window_extraction_matches_net_oracle(rng):
@@ -897,17 +946,17 @@ def test_window_extraction_rejects_unequal_circumferences():
 
 
 def test_case6_unequal_moduli_are_forced_away():
-    # the reference diagram with cylinder heights 1 and 2
-    o = parse_origami('origami n=12 h="(0 1 2 3)(4 7 6 5)(8 9 10 11)" '
-                      'v="(0 4 8 2 6 10)(1 5 11 3 7 9)"')
-    verdict = classify_surface(o)
+    verdict = classify_surface(parse_origami(UNEQUAL_MODULI))
     assert verdict.status == "TrivialForni"
     horizontal = record_for(verdict, (0, 1))
-    assert horizontal.label == "Case6"
+    assert (horizontal.label, horizontal.mechanism) == \
+        ("Case6", "window forcing")
+    # the exclusion is witnessed by the moduli forcing verdict itself
     chain = horizontal.witness
-    assert not chain
-    assert chain.reason == "unequal moduli are forced away"
-    assert chain.forcing.branch == "unequal_exponents"
+    assert chain == case6_moduli_forcing(1, 2)
+    assert chain.branch == "unequal_exponents"
+    assert "    -> unequal moduli are forced away\n" in \
+        render_report(verdict)
 
 
 def exchanging_cylinders(heights, twist, a_to_b, b_to_a):
@@ -936,7 +985,7 @@ def test_consistent_window_chain_is_the_reference_diagram():
     reference one.  Checked on every boundary exchange of two cylinders of
     circumference 4."""
     gluings = list(itertools.permutations(range(4)))
-    case6 = consistent = 0
+    case6 = found = 0
     for heights, twist, a_to_b, b_to_a in itertools.product(
             ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)), range(4), gluings,
             gluings):
@@ -949,13 +998,13 @@ def test_consistent_window_chain_is_the_reference_diagram():
         # the integer chain against the Fraction one
         assert fraction_view(chain) == survivor_oracle.metric_chain(d), o
         assert moduli_exponents(d) == survivor_oracle.moduli_exponents(d)
-        if chain:
-            consistent += 1
+        if consistent(chain):
+            found += 1
             assert d.diagram.canonical_key() == REFERENCE_KEY, o
             assert classify_surface(o).status == \
                 "WollmilchsauEquivalent", o
     assert case6 == 8000
-    assert consistent == 32
+    assert found == 32
 
 
 def test_integer_chain_matches_the_fraction_oracle():
@@ -972,7 +1021,7 @@ def test_integer_chain_matches_the_fraction_oracle():
     surfaces += [reference_surface()]
     surfaces += [parse_origami(text) for text in NAMED_SURFACES]
     directions = chains = 0
-    feasible = set()
+    outcomes = set()
     for o in surfaces:
         for slope in enumerate_slopes(3):
             d = periodic_decomposition(o, slope)
@@ -984,12 +1033,12 @@ def test_integer_chain_matches_the_fraction_oracle():
                 assert fraction_view(chain) == \
                     survivor_oracle.metric_chain(d), (o, slope)
                 chains += 1
-                feasible.add(chain.reason)
+                outcomes.add("forced" if isinstance(chain, ForcingVerdict)
+                             else "violated" if chain.violated
+                             else "consistent")
     assert directions == 16 * len(surfaces)
     assert chains > 150
-    assert feasible == {"unequal moduli are forced away",
-                        "window inequalities violated",
-                        "metric constraints consistent"}
+    assert outcomes == {"forced", "violated", "consistent"}
     # stacks of random shape, read through their moduli by the oracle
     for _ in range(500):
         shapes = [(rng.randint(1, 30), rng.randint(1, 30))
@@ -1016,8 +1065,8 @@ def test_window_text_prints_reduced_fractions():
     o = parse_origami('origami n=8 h="(0 7 5 3)(1 4 6 2)" '
                       'v="(0 6 7 1 3 4 5 2)"')
     chain = classify_surface(o).evidence[0].witness
-    assert chain.constraint == transverse.WindowConstraint(2, 1, 3, 4)
-    assert chain.record.slack == -2
+    assert chain == transverse.WindowConstraint(2, 1, 3, 4)
+    assert chain.slack == -2
     assert render_report(classify_surface(o)).endswith(
         "    -> t0=1/2 s0=1/4 t_start=3/4 slack=-1/2\n"
         "    -> violated: t_start <= 1 - 2*t0 - 2*s0\n")
@@ -1026,10 +1075,13 @@ def test_window_text_prints_reduced_fractions():
 def test_case6_nonreference_excluded_by_window():
     verdict = classify_surface(exemplar("Case6"))
     horizontal = record_for(verdict, (0, 1))
+    assert horizontal.mechanism == "window forcing"
+    # the exclusion is witnessed by the window, which reads off its own
+    # violated inequalities
     chain = horizontal.witness
-    assert not chain
-    assert chain.reason == "window inequalities violated"
-    assert chain.record.violated
+    assert isinstance(chain, transverse.WindowConstraint)
+    assert chain.violated
+    assert "    -> window inequalities violated\n" in render_report(verdict)
 
 
 def test_catalog_counts():
@@ -1790,13 +1842,22 @@ FORGED_SURVIVOR = """
 import sys
 from squaretiled.errors import InvariantViolation
 from squaretiled.pipeline import (
-    Verdict, classify_surface, reference_surface, render_report)
-o = reference_surface()
+    Verdict, affine_reference, classify_surface, reference_surface,
+    render_report)
+from squaretiled.transverse import WindowConstraint
+o, other = reference_surface(), affine_reference(2, 1, 0)
 chain, certificate = classify_surface(o).evidence
-for trail in ((), (chain,), (certificate,), (chain, chain),
-              (certificate, chain), (chain, certificate, certificate)):
+for trail, surface in (
+        ((), o), ((chain,), o), ((certificate,), o), ((chain, chain), o),
+        ((certificate, chain), o), ((chain, certificate, certificate), o),
+        ((chain._replace(witness=WindowConstraint(2, 1, 3, 4)),
+          certificate), o),
+        ((chain._replace(witness=WindowConstraint(1, 1, 1, 4)),
+          certificate), o),
+        ((chain._replace(witness="anything"), certificate), o),
+        ((chain, classify_surface(other).evidence[-1]), other)):
     try:
-        render_report(Verdict("WollmilchsauEquivalent", trail, o))
+        render_report(Verdict("WollmilchsauEquivalent", trail, surface))
     except InvariantViolation as exc:
         print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
 """
@@ -1898,9 +1959,16 @@ def test_forged_survivor_verdict_raises():
     record with a consistent chain followed by an affine certificate that
     checks.  A hand-built survivor verdict without one can be constructed
     (so a caller may build a deliberately wrong verdict) but not
-    reported."""
+    reported.  The chain's witness must be a window with no violated
+    inequality, and the certificate's saddle length ``a`` its ``t0``."""
     o = reference_surface()
     chain, certificate = classify_surface(o).evidence
+    # the certificate of R(2, 1, 0) holds a = 2, where the reference's
+    # window has t0 = 1
+    other = affine_reference(2, 1, 0)
+    foreign = classify_surface(other).evidence[-1]
+    assert foreign.witness.matrix == ((2, 0), (0, 1))
+    assert chain.witness.t0 == 1
     inconsistent = classify_surface(exemplar("Case6")).evidence[0]
     case1 = DirectionRecord((0, 1), "Case1", "transverse crossing cylinder")
     shifted = chain._replace(slope=(1, 0))
@@ -1922,7 +1990,16 @@ def test_forged_survivor_verdict_raises():
             ((chain, forged(matrix=((1, 1), (0, 1)))), o),
             ((chain, forged(matrix=((1, 0), (0, 2)))), o),
             ((chain, forged(relabelling=(1, 0, 2, 3, 4, 5, 6, 7))), o),
-            ((chain, certificate), copy), ((chain, certificate), None)):
+            ((chain, certificate), copy), ((chain, certificate), None),
+            # violated windows, one of them with the certificate's t0 and
+            # violated only by its t_start, a witness that is no window,
+            # and a certificate whose a is not the window's t0
+            ((chain._replace(witness=transverse.WindowConstraint(2, 1, 3, 4)),
+              certificate), o),
+            ((chain._replace(witness=transverse.WindowConstraint(1, 1, 1, 4)),
+              certificate), o),
+            ((chain._replace(witness="anything"), certificate), o),
+            ((chain, foreign), other)):
         verdict = Verdict("WollmilchsauEquivalent", trail, surface)
         for format in ("text", "svg"):
             with pytest.raises(InvariantViolation, match="Case 6"):
@@ -1989,7 +2066,7 @@ def test_checks_survive_python_O():
     assert forged.returncode == 0, forged.stderr
     assert forged.stdout.splitlines() == [
         "optimize=1 raised: survivor verdicts require a consistent "
-        "horizontal Case 6 chain followed by its affine certificate"] * 6
+        "horizontal Case 6 chain followed by its affine certificate"] * 10
     forged = run("-c", FORGED_WITNESS)
     assert forged.returncode == 0, forged.stderr
     assert forged.stdout.startswith("optimize=1 raised: a transverse "

@@ -100,22 +100,20 @@ def records():
     reference surface and the Case 1 exemplar."""
     o = reference_surface()
     d = horizontal_decomposition(o)
-    chain = classify_surface(o).evidence[0]
+    chain, certificate = classify_surface(o).evidence
     case1 = horizontal_decomposition(exemplar("Case1"))
     return [d.diagram, d, d.dual_graph, case3_verdict(1, 2),
             closure_classify([[[0, -1], [1, 0]]]), forni_upper_bound(o, 1),
             chain, classify_surface(o), chain.witness,
-            find_crossing_cylinder(case1, "Case1"),
-            chain.witness.constraint, chain.witness.record,
+            find_crossing_cylinder(case1, "Case1"), certificate.witness,
             singularity_data(o)]
 
 
 def test_records_reject_attribute_assignment():
     found = records()
     assert sorted(type(r).__name__ for r in found) == [
-        "ClosureResult", "CylinderDecomposition",
-        "CylinderDiagram", "DirectionRecord", "DualGraph",
-        "EquivalenceResult", "FeasibilityRecord", "ForcingVerdict",
+        "AffineCertificate", "ClosureResult", "CylinderDecomposition",
+        "CylinderDiagram", "DirectionRecord", "DualGraph", "ForcingVerdict",
         "ForniReport", "Stratum", "TransverseWitness", "Verdict",
         "WindowConstraint"]
     for record in found:

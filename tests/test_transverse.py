@@ -31,13 +31,11 @@ from squaretiled.cylinders import (
 from squaretiled.errors import InvariantViolation
 from squaretiled.surface import parse_origami
 from squaretiled.transverse import (
-    FeasibilityRecord,
     TransverseWitness,
     WindowConstraint,
     _matched_pair,
     _saddle_arc,
     find_crossing_cylinder,
-    window_feasible,
 )
 
 
@@ -46,10 +44,10 @@ def window_feasible_pairs(max_denominator):
     All pairs ``(t0, s0)`` of fractions of the circumference, over every
     circumference ``w`` up to ``max_denominator``, for which some
     ``t_start`` satisfies the window inequalities, as the integer
-    :func:`window_feasible` decides them.  Each numerator pair is decided
-    at ``t_start = 0``: the inequalities bound ``t_start`` by ``0`` below
-    and by the slack ``w - 2*t0 - 2*s0`` above, so ``0`` is feasible
-    whenever any value is.  A pair with ``t0 < s0`` violates ``t0 >= s0``
+    :attr:`WindowConstraint.violated` decides them.  Each numerator pair
+    is decided at ``t_start = 0``: the inequalities bound ``t_start`` by
+    ``0`` below and by the slack ``w - 2*t0 - 2*s0`` above, so ``0`` is
+    feasible whenever any value is.  A pair with ``t0 < s0`` violates ``t0 >= s0``
     and one with ``2*t0 >= w`` has a negative slack, so only the pairs
     ``s0 <= t0 < w/2`` are decided.  Exactly one pair survives.
 
@@ -60,8 +58,7 @@ def window_feasible_pairs(max_denominator):
     for w in range(1, max_denominator + 1):
         for t0 in range(1, (w + 1) // 2):
             for s0 in range(1, t0 + 1):
-                if not window_feasible(
-                        WindowConstraint(t0, s0, 0, w)).violated:
+                if not WindowConstraint(t0, s0, 0, w).violated:
                     out.add((Fraction(t0, w), Fraction(s0, w)))
     return sorted(out)
 
@@ -367,12 +364,13 @@ def test_saddle_arc_reads_the_start_of_the_run():
 
 
 def test_window_feasible_known_points():
-    rec = window_feasible(WindowConstraint(1, 1, 0, 4))
-    assert rec == FeasibilityRecord(0, ())
-    assert type(rec.slack) is int
+    """The window reads its own slack and violated inequalities."""
+    c = WindowConstraint(1, 1, 0, 4)
+    assert (c.slack, c.violated) == (0, ())
+    assert type(c.slack) is int
     # t0 = 1/3, s0 = 1/4: the slack 1 - 2/3 - 1/2 = -1/6 is -2 twelfths
-    rec = window_feasible(WindowConstraint(4, 3, 0, 12))
-    assert rec == FeasibilityRecord(-2, ("t_start <= 1 - 2*t0 - 2*s0",))
+    c = WindowConstraint(4, 3, 0, 12)
+    assert (c.slack, c.violated) == (-2, ("t_start <= 1 - 2*t0 - 2*s0",))
 
 
 # constraints with one value out of range or not an integer, and the
@@ -436,7 +434,7 @@ def test_integer_window_inequalities_match_the_fraction_oracle():
     for w in range(1, 17):
         for t0, s0, t_start in itertools.product(range(1, w), range(1, w),
                                                  range(w)):
-            rec = window_feasible(WindowConstraint(t0, s0, t_start, w))
+            rec = WindowConstraint(t0, s0, t_start, w)
             oracle = survivor_oracle.window_feasible(
                 survivor_oracle.WindowConstraint(
                     Fraction(t0, w), Fraction(s0, w), Fraction(t_start, w),
